@@ -34,20 +34,16 @@ from .feedforward import (
     TuningFactors,
     apply_tuning,
     consistent_initialization,
-    implicit_euler_step,
     solve_feedforward,
 )
 from .metrics import MetricsReport, integrate_square, report, variance
 from .plant import (
     FRICTIONLESS,
     FrictionModel,
-    GeneralizedState,
     MinimumPhaseReport,
     OscillatorParams,
     ReducedRealization,
     check_minimum_phase,
-    eval_dynamics,
-    output,
     reduced_realization,
 )
 from .trajectory import TrajectorySpec, sigma, sigma_samples, y_ref_at, y_ref_derivative

@@ -5,9 +5,10 @@ Subcommands: ``simulate`` one config, ``sweep`` a preset or config, ``feedforwar
 trace), ``check-plant`` (print the reduced realization and the internal-dynamics
 stability verdict).
 
-Output directory and sweep parallelism can also come from the environment
-(``TWOMASS_OUT``, ``TWOMASS_WORKERS``).  All outputs are plain CSV with
-``#``-prefixed header comments; every file embeds its resolved configuration.
+The output directory can also come from the environment (``TWOMASS_OUT``).
+All outputs are plain CSV with ``#``-prefixed header comments; every file
+embeds its resolved configuration.  Sweeps run serially.  A bad file, config
+or output path exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
             )
         elif result.error:
             lines.append(f"note: {result.error}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -86,7 +87,7 @@ def _emit_results(results, out: str, use_true_output: bool) -> list[str]:
                 cfg.label, cfg.mode.name, cfg.control_frequency, result.metrics
             )
         )
-        echo = "|".join(f"{k}={v}" for k, v in sorted(closedloop.config_echo(cfg).items()))
+        echo = closedloop.format_echo(closedloop.config_echo(cfg))
         config_lines.append(f"{cfg.label}: {echo}")
     metrics_mod.write_metrics_csv(rows, os.path.join(out, "metrics.csv"), config_lines)
     return rows
@@ -127,8 +128,7 @@ def _cmd_sweep(args) -> int:
     else:
         configs = [loaded]
     out = _out_dir(args)
-    workers = args.workers or int(os.environ.get("TWOMASS_WORKERS", "1"))
-    results = closedloop.run_sweep(configs, workers=workers)
+    results = closedloop.run_sweep(configs)
     _emit_results(results, out, args.metrics_on_true)
     return _report_outcomes(results, args.allow_failures)
 
@@ -176,8 +176,8 @@ def _cmd_analyze(args) -> int:
     print(",".join(metrics_mod.METRICS_COLUMNS))
     print(row)
     if args.output:
-        echo = "|".join(f"{k}={v}" for k, v in sorted(trace.run_config.items()))
-        metrics_mod.write_metrics_csv([row], args.output, [f"{label}: {echo}"])
+        config_line = f"{label}: {closedloop.format_echo(echo)}"
+        metrics_mod.write_metrics_csv([row], args.output, [config_line])
     return EXIT_OK
 
 
@@ -219,8 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a preset (or a single config) as a batch")
     swp.add_argument("experiment", help=f"preset name ({', '.join(presets.preset_names())}) or config file")
     swp.add_argument("--out", help="output directory (default TWOMASS_OUT or '.')")
-    swp.add_argument("--workers", type=int, default=0,
-                     help="parallel runs (default TWOMASS_WORKERS or 1)")
     swp.add_argument("--allow-failures", action="store_true")
     swp.add_argument("--metrics-on-true", action="store_true")
     swp.set_defaults(func=_cmd_sweep)
@@ -253,6 +251,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParseError, ValidationError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:
+        where = f"{err.filename}: " if err.filename else ""
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

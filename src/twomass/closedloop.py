@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from . import trajectory as trajectory_mod
-from .errors import FunnelViolation, NewtonDiverged, ValidationError
+from .errors import FunnelViolation, NewtonDiverged, ParseError, ValidationError
 from .feedback import FunnelSpec, funnel_law, psi
 from .feedforward import (
     FeedforwardTable,
@@ -49,6 +48,7 @@ __all__ = [
     "run_sweep",
     "integrate_plant_tick",
     "config_echo",
+    "format_echo",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -77,10 +77,6 @@ class MeasurementModel:
     @property
     def is_ideal(self) -> bool:
         return self.angle_quantum == 0.0 and self.filter_time_constant == 0.0 and self.noise_std == 0.0
-
-    @classmethod
-    def ideal(cls) -> "MeasurementModel":
-        return cls()
 
     @classmethod
     def encoder(
@@ -172,6 +168,11 @@ class SimulationConfig:
     record_fine: int = 0
 
     def validate(self) -> None:
+        # the label names output files and sits in |-joined headers and CSV rows
+        if not self.label or any(ch in "|,/\\\n\r" for ch in self.label):
+            raise ValidationError(
+                f"label {self.label!r} must be non-empty, without | , / \\ or newlines"
+            )
         if not self.control_frequency > 0.0:
             raise ValidationError(f"control_frequency must be > 0, got {self.control_frequency}")
         if self.plant_substeps < 1:
@@ -355,12 +356,16 @@ def config_echo(cfg: SimulationConfig) -> dict:
         echo["feedforward.source"] = "table" if source.table is not None else "online"
         echo["newton.max_iterations"] = str(source.newton.max_iterations)
         echo["newton.residual_tolerance"] = repr(source.newton.residual_tolerance)
-        echo["newton.jacobian"] = source.newton.jacobian
     if cfg.mode.funnel is not None:
         echo["funnel.s"] = repr(cfg.mode.funnel.s)
         echo["funnel.q_decay"] = repr(cfg.mode.funnel.q_decay)
         echo["funnel.c"] = repr(cfg.mode.funnel.c)
     return echo
+
+
+def format_echo(echo: dict) -> str:
+    """One-line form of a config echo: sorted ``key=value`` pairs joined by ``|``."""
+    return "|".join(f"{k}={v}" for k, v in sorted(echo.items()))
 
 
 def run_simulation(config: SimulationConfig) -> Trace:
@@ -512,15 +517,13 @@ def _run_one(config: SimulationConfig) -> SweepResult:
 
 
 def run_sweep(configs, workers: int = 1) -> list[SweepResult]:
-    """Run a batch of configs; per-config failures land in that entry only.
+    """Run a batch of configs in order; per-config failures land in that entry only.
 
-    Entries come back in input order regardless of scheduling, and each run
-    seeds its own noise stream, so results are deterministic.
+    Runs are serial: the work is pure Python that holds the interpreter lock,
+    so a thread pool made sweeps slower.  ``workers`` must be 1.
     """
-    configs = list(configs)
-    if workers > 1 and len(configs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, configs))
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (sweeps run serially), got {workers}")
     return [_run_one(cfg) for cfg in configs]
 
 
@@ -541,9 +544,7 @@ def _format_cell(value: float, as_int: bool = False) -> str:
 
 def write_trace_csv(trace: Trace, path) -> None:
     """One row per control tick; header comments carry config and status."""
-    lines = ["# twomass trace"]
-    echo = "|".join(f"{k}={v}" for k, v in sorted(trace.run_config.items()))
-    lines.append(f"# config: {echo}")
+    lines = ["# twomass trace", f"# config: {format_echo(trace.run_config)}"]
     if trace.status.completed:
         lines.append("# status: completed")
     else:
@@ -556,7 +557,7 @@ def write_trace_csv(trace: Trace, path) -> None:
             for name, arr in zip(_TRACE_COLUMNS, arrays)
         ]
         lines.append(",".join(cells))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -566,7 +567,7 @@ def read_trace_csv(path) -> Trace:
     status = RunStatus("completed")
     data: list[list[float]] = []
     header_seen = False
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -582,8 +583,11 @@ def read_trace_csv(path) -> Trace:
                 if body == "completed":
                     status = RunStatus("completed")
                 else:
-                    kind, at_part = body.split(" at=")
-                    status = RunStatus(kind, at=float(at_part))
+                    kind, _, at_part = body.partition(" at=")
+                    try:
+                        status = RunStatus(kind, at=float(at_part))
+                    except ValueError:
+                        raise ParseError(f"{path}: malformed status line {line!r}") from None
                 continue
             if line.startswith("#"):
                 continue
@@ -593,7 +597,12 @@ def read_trace_csv(path) -> Trace:
                 header_seen = True
                 continue
             cells = line.split(",")
-            data.append([float(c) if c != "" else math.nan for c in cells])
+            if len(cells) != len(_TRACE_COLUMNS):
+                raise ParseError(f"{path}: malformed trace row {line!r}")
+            try:
+                data.append([float(c) if c != "" else math.nan for c in cells])
+            except ValueError:
+                raise ParseError(f"{path}: malformed trace row {line!r}") from None
     if not header_seen:
         raise ValidationError(f"{path}: not a twomass trace file")
     arr = np.array(data) if data else np.empty((0, len(_TRACE_COLUMNS)))

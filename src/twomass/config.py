@@ -36,7 +36,7 @@ CONFIG_SCHEMA = {
     "trajectory": (("y0", "yf", "t0", "tf"), ()),
     "tuning": (("f_act", "f_fric"), ()),
     "funnel": (("s", "q_decay", "c"), ()),
-    "newton": ((), ("max_iterations", "residual_tolerance", "jacobian")),
+    "newton": ((), ("max_iterations", "residual_tolerance")),
     "measurement": ((), ("angle_quantum", "filter_time_constant", "noise_std")),
 }
 
@@ -173,7 +173,6 @@ def load_config_file(path) -> SimulationConfig:
     newton = NewtonOptions(
         max_iterations=newton_sec.integer("max_iterations", 10),
         residual_tolerance=newton_sec.number("residual_tolerance", 1e-10),
-        jacobian=newton_sec.get("jacobian", "analytic"),
     )
 
     source = FeedforwardSource(newton=newton)

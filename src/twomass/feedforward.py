@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import trajectory
-from .errors import InconsistentStart, NewtonDiverged, ValidationError
+from .errors import InconsistentStart, NewtonDiverged, ParseError, ValidationError
 from .plant import OscillatorParams
 from .trajectory import TrajectorySpec
 
@@ -45,7 +45,6 @@ __all__ = [
     "FeedforwardTable",
     "InverseModelStepper",
     "consistent_initialization",
-    "implicit_euler_step",
     "solve_feedforward",
     "apply_tuning",
     "write_table_csv",
@@ -61,14 +60,11 @@ class NewtonOptions:
     is divided by ``max(1, |z_i|)`` with ``z`` in the fixed unknown ordering.
     The tolerance default is tight on purpose: the system is linear in the
     unknowns, so one correction reaches rounding level and a loose tolerance
-    would only hide bugs.  ``jacobian`` may be ``"analytic"`` (exact, cheap)
-    or ``"fd"`` (forward differences; kept for validating the analytic one).
+    would only hide bugs.
     """
 
     max_iterations: int = 10
     residual_tolerance: float = 1e-10
-    jacobian: str = "analytic"
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -77,10 +73,6 @@ class NewtonOptions:
             raise ValidationError(
                 f"residual_tolerance must be > 0, got {self.residual_tolerance}"
             )
-        if self.jacobian not in ("analytic", "fd"):
-            raise ValidationError(f"jacobian must be 'analytic' or 'fd', got {self.jacobian!r}")
-        if not self.fd_step > 0.0:
-            raise ValidationError(f"fd_step must be > 0, got {self.fd_step}")
 
 
 @dataclass(frozen=True)
@@ -216,16 +208,6 @@ class InverseModelStepper:
             ]
         )
 
-    def _fd_jacobian(self, z: np.ndarray, prev: np.ndarray, y_ref_next: float) -> np.ndarray:
-        h = self.opts.fd_step
-        base = self._residual(z, prev, y_ref_next)
-        cols = []
-        for j in range(5):
-            bumped = z.copy()
-            bumped[j] += h
-            cols.append((self._residual(bumped, prev, y_ref_next) - base) / h)
-        return np.column_stack(cols)
-
     @staticmethod
     def _scaled_norm(residual: np.ndarray, z: np.ndarray) -> float:
         scale = np.maximum(1.0, np.abs(z))
@@ -243,10 +225,7 @@ class InverseModelStepper:
         while self._scaled_norm(r, z) > opts.residual_tolerance:
             if iterations >= opts.max_iterations:
                 raise NewtonDiverged(t_next, self._scaled_norm(r, z), iterations)
-            if opts.jacobian == "analytic":
-                z = z - self._jac_inv @ r
-            else:
-                z = z - np.linalg.solve(self._fd_jacobian(z, prev_vec, y_next), r)
+            z = z - self._jac_inv @ r
             iterations += 1
             r = self._residual(z, prev_vec, y_next)
         self.last_iterations = iterations
@@ -272,24 +251,6 @@ def consistent_initialization(params: OscillatorParams, spec: TrajectorySpec) ->
     return InverseModelState(
         q=np.zeros(2), v=np.array([y_start, y_start]), u=u_start, t=0.0
     )
-
-
-def implicit_euler_step(
-    prev: InverseModelState,
-    t_next: float,
-    dt: float,
-    params: OscillatorParams,
-    spec: TrajectorySpec,
-    opts: NewtonOptions = NewtonOptions(),
-) -> InverseModelState:
-    """Single implicit Euler step of the inverse model, from ``prev`` to ``t_next``."""
-    if not dt > 0.0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    if abs(t_next - (prev.t + dt)) > 1e-9 * max(1.0, abs(t_next)):
-        raise ValidationError(f"t_next must equal prev.t + dt, got {t_next} vs {prev.t + dt}")
-    stepper = InverseModelStepper(params, spec, dt, opts)
-    stepper.state = prev
-    return stepper.advance(t_next)
 
 
 def solve_feedforward(
@@ -372,13 +333,20 @@ def read_table_csv(path) -> FeedforwardTable:
                         key, value = chunk.split("=", 1)
                         meta[key] = value
                 continue
-            t_str, u_str = line.split(",")
-            times.append(float(t_str))
-            torques.append(float(u_str))
+            try:
+                t_str, u_str = line.split(",")
+                times.append(float(t_str))
+                torques.append(float(u_str))
+            except ValueError:
+                raise ParseError(f"{path}: bad table row {line!r}") from None
     if "dt" not in meta:
         raise ValidationError(f"{path}: missing dt in table header")
+    try:
+        dt = float(meta["dt"])
+    except ValueError:
+        raise ParseError(f"{path}: dt={meta['dt']!r} is not a number") from None
     return FeedforwardTable(
-        dt=float(meta["dt"]),
+        dt=dt,
         t=np.array(times),
         u=np.array(torques),
         provenance=meta.get("provenance", "precomputed"),

@@ -149,5 +149,5 @@ def write_metrics_csv(rows: list[str], path, config_lines: list[str] | None = No
         lines.extend(f"# config {line}" for line in config_lines)
     lines.append(",".join(METRICS_COLUMNS))
     lines.extend(rows)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -30,12 +30,9 @@ __all__ = [
     "FrictionModel",
     "FRICTIONLESS",
     "OscillatorParams",
-    "GeneralizedState",
     "ReducedRealization",
     "MinimumPhaseReport",
     "accelerations",
-    "eval_dynamics",
-    "output",
     "reduced_realization",
     "check_minimum_phase",
 ]
@@ -45,7 +42,7 @@ __all__ = [
 class FrictionModel:
     """Coulomb friction torque acting on flywheel 1.
 
-    A magnitude of zero disables friction.  Evaluation opposes motion and is
+    A magnitude of zero disables friction.  The torque opposes motion and is
     defined as zero at rest (no set-valued force; the simulator never dwells
     exactly at zero velocity except at the initial instant).
     """
@@ -59,14 +56,6 @@ class FrictionModel:
     @property
     def is_none(self) -> bool:
         return self.magnitude == 0.0
-
-    def torque(self, velocity: float) -> float:
-        """Friction torque at the given angular velocity (N*m, opposes motion)."""
-        if velocity > 0.0:
-            return -self.magnitude
-        if velocity < 0.0:
-            return self.magnitude
-        return 0.0
 
 
 FRICTIONLESS = FrictionModel(0.0)
@@ -103,28 +92,6 @@ class OscillatorParams:
             raise ValidationError(f"d must be >= 0, got {self.d}")
 
 
-@dataclass(frozen=True)
-class GeneralizedState:
-    """Plant state: angles ``q = (phi1, phi2)`` and velocities ``v``."""
-
-    q: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(2)
-        v = np.asarray(self.v, dtype=float).reshape(2)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(v))):
-            raise ValidationError("state entries must be finite")
-        q.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "v", v)
-
-    @classmethod
-    def rest(cls) -> "GeneralizedState":
-        return cls(np.zeros(2), np.zeros(2))
-
-
 def accelerations(
     i1: float,
     i2: float,
@@ -150,28 +117,6 @@ def accelerations(
     else:
         fric = 0.0
     return (u + fric - shaft) / i1, shaft / i2
-
-
-def eval_dynamics(params: OscillatorParams, state: GeneralizedState, u: float) -> np.ndarray:
-    """Accelerations ``(ddphi1, ddphi2)`` for the given state and input torque."""
-    a1, a2 = accelerations(
-        params.I1,
-        params.I2,
-        params.k,
-        params.d,
-        params.friction.magnitude,
-        state.q[0],
-        state.q[1],
-        state.v[0],
-        state.v[1],
-        u,
-    )
-    return np.array([a1, a2])
-
-
-def output(state: GeneralizedState) -> float:
-    """Controlled output: angular velocity of flywheel 1 (rad/s)."""
-    return float(state.v[0])
 
 
 @dataclass(frozen=True)

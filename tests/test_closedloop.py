@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import assert_close
 from twomass.closedloop import (
     ControllerMode,
     FeedforwardSource,
     MeasurementModel,
+    RunStatus,
     SimulationConfig,
+    Trace,
+    config_echo,
     integrate_plant_tick,
     run_simulation,
     run_sweep,
@@ -18,7 +22,7 @@ from twomass.closedloop import (
 from twomass.errors import ValidationError
 from twomass.feedback import FunnelSpec
 from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, solve_feedforward
-from twomass.plant import GeneralizedState, eval_dynamics
+from twomass.plant import accelerations
 from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
 from twomass.trajectory import TrajectorySpec
 
@@ -43,13 +47,12 @@ def base_config(**overrides):
 class TestFineIntegrator:
     def test_matches_generic_rk4_on_dynamics(self, rig_with_friction):
         # dual route: the inlined scalar loop against a straightforward RK4
-        # built on eval_dynamics
-        def generic_rk4(params, state, u, h, n):
+        # on the state vector, built on accelerations
+        def generic_rk4(p, state, u, h, n):
             x = np.array(state)
 
             def f(x):
-                s = GeneralizedState(x[:2], x[2:])
-                acc = eval_dynamics(params, s, u)
+                acc = accelerations(p.I1, p.I2, p.k, p.d, p.friction.magnitude, *x, u)
                 return np.r_[x[2:], acc]
 
             for _ in range(n):
@@ -288,6 +291,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ControllerMode()
 
+    @pytest.mark.parametrize("label", ["", "fb|1=x", "a,b", "a/b", "a\\b", "a\nb", "a\rb"])
+    def test_label_that_cannot_round_trip_rejected(self, label):
+        with pytest.raises(ValidationError, match="label"):
+            base_config(label=label).validate()
+
 
 class TestSweep:
     def test_empty(self):
@@ -322,16 +330,55 @@ class TestSweep:
         best = min(r.metrics.e_sum_t for r in results)
         assert best < worst
 
-    def test_worker_count_does_not_change_results(self):
-        configs = [base_config(duration=0.5, seed=s, label=f"s{s}") for s in range(3)]
-        seq = run_sweep(configs, workers=1)
-        par = run_sweep(configs, workers=3)
-        for a, b in zip(seq, par):
-            assert a.config.label == b.config.label
-            assert np.array_equal(a.trace.y_true, b.trace.y_true)
+    def test_workers_other_than_one_rejected(self):
+        # sweeps run serially; the keyword stays for callers that pass 1
+        configs = [base_config(duration=0.5)]
+        assert len(run_sweep(configs, workers=1)) == 1
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(configs, workers=2)
+
+
+_SERIES = ("t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u")
+
+
+@st.composite
+def stored_traces(draw):
+    # header syntax characters are drawn often; validation rejects the unsafe ones
+    label = draw(st.text(st.characters() | st.sampled_from("|=,#: "), min_size=1, max_size=12))
+    cfg = base_config(label=label)
+    try:
+        cfg.validate()
+    except ValidationError:
+        assume(False)
+    n = draw(st.integers(0, 4))
+    cell = st.floats(allow_nan=True, allow_infinity=True)
+    columns = {name: np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)
+               for name in _SERIES}
+    iterations = st.one_of(st.integers(0, 10**6).map(float), st.just(math.nan))
+    columns["newton_iterations"] = np.array(
+        draw(st.lists(iterations, min_size=n, max_size=n)), dtype=float
+    )
+    status = draw(st.one_of(
+        st.just(RunStatus("completed")),
+        st.builds(RunStatus, st.sampled_from(["funnel_violated", "newton_diverged"]),
+                  st.floats(allow_nan=False)),
+    ))
+    return Trace(status=status, run_config=config_echo(cfg), **columns)
 
 
 class TestTraceCsv:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(trace=stored_traces())
+    def test_round_trip_is_exact(self, tmp_path, trace):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        loaded = read_trace_csv(path)
+        for name in _SERIES + ("newton_iterations",):
+            assert np.array_equal(getattr(loaded, name), getattr(trace, name), equal_nan=True)
+        assert loaded.status == trace.status
+        assert loaded.run_config == trace.run_config
+
     def test_round_trip(self, tmp_path):
         cfg = base_config(duration=0.5, measurement=MeasurementModel(noise_std=0.02))
         trace = run_simulation(cfg)

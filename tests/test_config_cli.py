@@ -56,6 +56,36 @@ def write_config(tmp_path, text=FULL_CONFIG, name="run.ini"):
     return path
 
 
+TRACE_COLUMNS = "t,y_measured,y_true,y_ref,e,psi,u_ffw,u_fb,u,newton_iterations\n"
+
+
+def _missing_trace(tmp_path):
+    path = tmp_path / "missing.csv"
+    return ["analyze", str(path)], path
+
+
+def _status_without_time(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("# twomass trace\n# status: funnel_violated\n" + TRACE_COLUMNS)
+    return ["analyze", str(path)], path
+
+
+def _short_row(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("# twomass trace\n# status: completed\n" + TRACE_COLUMNS + "0.0,1.0\n")
+    return ["analyze", str(path)], path
+
+
+def _missing_table(tmp_path):
+    text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:missing.csv")
+    return ["simulate", str(write_config(tmp_path, text))], tmp_path / "missing.csv"
+
+
+def _output_in_missing_dir(tmp_path):
+    path = tmp_path / "no" / "such" / "t.csv"
+    return ["feedforward", "--horizon", "0.01", "--output", str(path)], path
+
+
 class TestLoadConfig:
     def test_full_round_trip(self, tmp_path):
         cfg = load_config_file(write_config(tmp_path))
@@ -226,6 +256,17 @@ class TestCli:
         assert main(["simulate", str(cfg_path), "--out", str(out), "--allow-failures"]) == 0
         trace = (out / "demo-trace.csv").read_text()
         assert "# status: funnel_violated at=" in trace
+
+    @pytest.mark.parametrize(
+        "case",
+        [_missing_trace, _status_without_time, _short_row, _missing_table, _output_in_missing_dir],
+    )
+    def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
+        argv, path = case(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, FULL_CONFIG.replace("c = 0.3", "c = 0.0"))

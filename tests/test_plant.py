@@ -6,17 +6,21 @@ from twomass.errors import ValidationError
 from twomass.plant import (
     FRICTIONLESS,
     FrictionModel,
-    GeneralizedState,
     OscillatorParams,
+    accelerations,
     check_minimum_phase,
-    eval_dynamics,
-    output,
     reduced_realization,
 )
 
 
 def state(q1=0.0, q2=0.0, v1=0.0, v2=0.0):
-    return GeneralizedState(np.array([q1, q2]), np.array([v1, v2]))
+    return (q1, q2, v1, v2)
+
+
+def eval_dynamics(params, state, u):
+    """Accelerations ``(ddphi1, ddphi2)`` of ``params`` at ``state`` as an array."""
+    p = params
+    return np.array(accelerations(p.I1, p.I2, p.k, p.d, p.friction.magnitude, *state, u))
 
 
 class TestEvalDynamics:
@@ -67,15 +71,6 @@ class TestEvalDynamics:
             assert abs(rig.I1 * acc[0] + rig.I2 * acc[1]) <= 1e-12 * max(
                 1.0, abs(rig.I1 * acc[0])
             )
-
-
-class TestOutput:
-    def test_rest(self):
-        assert output(state()) == 0.0
-
-    def test_projection(self):
-        assert output(state(v1=4.0 * np.pi)) == 4.0 * np.pi
-        assert output(state(v1=1.5, v2=-2.0)) == 1.5
 
 
 class TestReducedRealization:
@@ -178,10 +173,8 @@ class TestValidation:
         with pytest.raises(ValidationError):
             FrictionModel(-0.1)
 
-    def test_non_finite_state_rejected(self):
-        with pytest.raises(ValidationError):
-            GeneralizedState(np.array([np.nan, 0.0]), np.zeros(2))
-
     def test_frictionless_constant(self):
         assert FRICTIONLESS.is_none
-        assert FRICTIONLESS.torque(5.0) == 0.0
+        # a twist-free steady spin keeps spinning: no friction torque acts
+        p = OscillatorParams(I1=1.0, I2=1.0, k=1.0, d=1.0, friction=FRICTIONLESS)
+        assert np.all(eval_dynamics(p, state(v1=5.0, v2=5.0), 0.0) == 0.0)
