@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from . import closedloop, metrics as metrics_mod, presets
+from . import closedloop, csvfile, metrics as metrics_mod, presets
 from .config import load_config, load_config_file
-from .errors import ParseError, ValidationError
+from .errors import NewtonDiverged, ParseError, ValidationError
 from .feedforward import NewtonOptions, solve_feedforward, write_table_csv
 from .plant import check_minimum_phase, reduced_realization
 from .presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
@@ -87,7 +87,7 @@ def _emit_results(results, out: str, use_true_output: bool) -> list[str]:
                 cfg.label, cfg.mode.name, cfg.control_frequency, result.metrics
             )
         )
-        echo = closedloop.format_echo(closedloop.config_echo(cfg))
+        echo = csvfile.format_echo(closedloop.config_echo(cfg))
         config_lines.append(f"{cfg.label}: {echo}")
     metrics_mod.write_metrics_csv(rows, os.path.join(out, "metrics.csv"), config_lines)
     return rows
@@ -176,7 +176,7 @@ def _cmd_analyze(args) -> int:
     print(",".join(metrics_mod.METRICS_COLUMNS))
     print(row)
     if args.output:
-        config_line = f"{label}: {closedloop.format_echo(echo)}"
+        config_line = f"{label}: {csvfile.format_echo(echo)}"
         metrics_mod.write_metrics_csv([row], args.output, [config_line])
     return EXIT_OK
 
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as err:
+    except (ParseError, ValidationError, NewtonDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import csvfile
 from . import metrics as metrics_mod
 from . import trajectory as trajectory_mod
 from .errors import FunnelViolation, NewtonDiverged, ParseError, ValidationError
@@ -48,7 +49,6 @@ __all__ = [
     "run_sweep",
     "integrate_plant_tick",
     "config_echo",
-    "format_echo",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -165,7 +165,6 @@ class SimulationConfig:
     seed: int = 0
     u_max: float | None = None
     initial_state: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    record_fine: int = 0
 
     def validate(self) -> None:
         # the label names output files and sits in |-joined headers and CSV rows
@@ -179,10 +178,14 @@ class SimulationConfig:
             raise ValidationError(f"plant_substeps must be >= 1, got {self.plant_substeps}")
         if not self.duration > 0.0:
             raise ValidationError(f"duration must be > 0, got {self.duration}")
+        ticks = self.duration * self.control_frequency
+        if abs(ticks - round(ticks)) > 1e-9 * ticks:
+            raise ValidationError(
+                f"duration {self.duration} s is not a whole number of control ticks "
+                f"at {self.control_frequency} Hz"
+            )
         if self.u_max is not None and not self.u_max > 0.0:
             raise ValidationError(f"u_max must be > 0 when set, got {self.u_max}")
-        if self.record_fine < 0:
-            raise ValidationError("record_fine must be >= 0")
         if len(self.initial_state) != 4 or not all(math.isfinite(x) for x in self.initial_state):
             raise ValidationError("initial_state must be four finite numbers")
         if self.mode.tuning is not None:
@@ -230,7 +233,6 @@ class Trace:
     status: RunStatus
     run_config: dict = field(default_factory=dict)
     wall_us: np.ndarray | None = None
-    fine: dict | None = None
 
 
 @dataclass
@@ -363,11 +365,6 @@ def config_echo(cfg: SimulationConfig) -> dict:
     return echo
 
 
-def format_echo(echo: dict) -> str:
-    """One-line form of a config echo: sorted ``key=value`` pairs joined by ``|``."""
-    return "|".join(f"{k}={v}" for k, v in sorted(echo.items()))
-
-
 def run_simulation(config: SimulationConfig) -> Trace:
     """Run one sampled-data experiment and return its tick-level trace.
 
@@ -403,7 +400,6 @@ def run_simulation(config: SimulationConfig) -> Trace:
     }
     newton_col = np.full(n_rows, np.nan)
     wall = np.zeros(n_rows)
-    fine_rows: list[tuple] = []
     status = RunStatus("completed")
     rows = 0
 
@@ -463,24 +459,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
 
         if k == n_ticks:
             break
-        if config.record_fine > 0:
-            every = config.record_fine
-            for j in range(substeps):
-                q1, q2, v1, v2 = integrate_plant_tick(
-                    config.true_params, (q1, q2, v1, v2), u, h, 1
-                )
-                if (j + 1) % every == 0 or j + 1 == substeps:
-                    fine_rows.append((t_k + (j + 1) * h, q1, q2, v1, v2, u))
-        else:
-            q1, q2, v1, v2 = integrate_plant_tick(
-                config.true_params, (q1, q2, v1, v2), u, h, substeps
-            )
-
-    fine = None
-    if config.record_fine > 0 and fine_rows:
-        arr = np.array(fine_rows)
-        fine = {"t": arr[:, 0], "q1": arr[:, 1], "q2": arr[:, 2],
-                "v1": arr[:, 3], "v2": arr[:, 4], "u": arr[:, 5]}
+        q1, q2, v1, v2 = integrate_plant_tick(config.true_params, (q1, q2, v1, v2), u, h, substeps)
 
     return Trace(
         t=cols["t"][:rows],
@@ -496,7 +475,6 @@ def run_simulation(config: SimulationConfig) -> Trace:
         status=status,
         run_config=config_echo(config),
         wall_us=wall[:rows],
-        fine=fine,
     )
 
 
@@ -531,80 +509,31 @@ _TRACE_COLUMNS = (
     "t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u",
     "newton_iterations",
 )
-
-
-def _format_cell(value: float, as_int: bool = False) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return ""
-    if as_int:
-        return str(int(value))
-    return repr(value)
+_INT_COLUMNS = (_TRACE_COLUMNS.index("newton_iterations"),)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
-    """One row per control tick; header comments carry config and status."""
-    lines = ["# twomass trace", f"# config: {format_echo(trace.run_config)}"]
-    if trace.status.completed:
-        lines.append("# status: completed")
-    else:
-        lines.append(f"# status: {trace.status.kind} at={trace.status.at!r}")
-    lines.append(",".join(_TRACE_COLUMNS))
+    """One row per control tick; the header carries the config echo and the status."""
+    status = trace.status
+    header = [
+        ("config", csvfile.format_echo(trace.run_config)),
+        ("status", "completed" if status.completed else f"{status.kind} at={status.at!r}"),
+    ]
     arrays = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    for i in range(len(trace.t)):
-        cells = [
-            _format_cell(arr[i], as_int=(name == "newton_iterations"))
-            for name, arr in zip(_TRACE_COLUMNS, arrays)
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    csvfile.write(path, "trace", header, _TRACE_COLUMNS, csvfile.format_rows(arrays, _INT_COLUMNS))
 
 
 def read_trace_csv(path) -> Trace:
     """Load a trace written by :func:`write_trace_csv` (tick series only)."""
-    run_config: dict = {}
+    header, data = csvfile.read(path, "trace", _TRACE_COLUMNS)
     status = RunStatus("completed")
-    data: list[list[float]] = []
-    header_seen = False
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# config:"):
-                for chunk in line[len("# config:"):].strip().split("|"):
-                    if "=" in chunk:
-                        key, value = chunk.split("=", 1)
-                        run_config[key] = value
-                continue
-            if line.startswith("# status:"):
-                body = line[len("# status:"):].strip()
-                if body == "completed":
-                    status = RunStatus("completed")
-                else:
-                    kind, _, at_part = body.partition(" at=")
-                    try:
-                        status = RunStatus(kind, at=float(at_part))
-                    except ValueError:
-                        raise ParseError(f"{path}: malformed status line {line!r}") from None
-                continue
-            if line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != ",".join(_TRACE_COLUMNS):
-                    raise ValidationError(f"{path}: unexpected trace columns {line!r}")
-                header_seen = True
-                continue
-            cells = line.split(",")
-            if len(cells) != len(_TRACE_COLUMNS):
-                raise ParseError(f"{path}: malformed trace row {line!r}")
-            try:
-                data.append([float(c) if c != "" else math.nan for c in cells])
-            except ValueError:
-                raise ParseError(f"{path}: malformed trace row {line!r}") from None
-    if not header_seen:
-        raise ValidationError(f"{path}: not a twomass trace file")
-    arr = np.array(data) if data else np.empty((0, len(_TRACE_COLUMNS)))
-    kwargs = {name: arr[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
-    return Trace(status=status, run_config=run_config, **kwargs)
+    body = header.get("status", "completed")
+    if body != "completed":
+        kind, _, at = body.partition(" at=")
+        try:
+            status = RunStatus(kind, at=float(at))
+        except ValueError:
+            raise ParseError(f"{path}: malformed status line {body!r}") from None
+    columns = {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
+    run_config = csvfile.parse_echo(header.get("config", ""))
+    return Trace(status=status, run_config=run_config, **columns)

@@ -29,7 +29,7 @@ __all__ = ["load_config", "load_config_file", "CONFIG_SCHEMA"]
 CONFIG_SCHEMA = {
     "simulation": (
         ("label", "mode", "control_frequency", "duration"),
-        ("plant_substeps", "seed", "u_max", "feedforward", "record_fine"),
+        ("plant_substeps", "seed", "u_max", "feedforward"),
     ),
     "plant.true": (("I1", "I2", "k", "d"), ("coulomb_friction",)),
     "plant.nominal": (("I1", "I2", "k", "d"), ()),
@@ -212,7 +212,6 @@ def load_config_file(path) -> SimulationConfig:
         feedforward_source=source,
         seed=sim.integer("seed", 0),
         u_max=sim.number("u_max", None),
-        record_fine=sim.integer("record_fine", 0),
     )
     config.validate()
     return config

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import trajectory
+from . import csvfile, trajectory
 from .errors import InconsistentStart, NewtonDiverged, ParseError, ValidationError
 from .plant import OscillatorParams
 from .trajectory import TrajectorySpec
@@ -115,16 +115,14 @@ class TuningFactors:
 class FeedforwardTable:
     """Feedforward torque sampled on a uniform grid.
 
-    ``provenance`` records whether the samples came from a precomputed solve
-    or were logged from an online (per-tick) computation.  Newton iteration
-    counts per step are kept for real-time-budget reporting; they are not part
-    of the serialized artifact.
+    ``meta`` is the file header's config echo (solver settings, plant and
+    trajectory).  Newton iteration counts per step are kept for
+    real-time-budget reporting; they are not part of the serialized artifact.
     """
 
     dt: float
     t: np.ndarray
     u: np.ndarray
-    provenance: str = "precomputed"
     newton_iterations: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
@@ -278,7 +276,6 @@ def solve_feedforward(
         iterations[i] = stepper.last_iterations
     times = np.arange(n_steps + 1) * dt
     meta = {
-        "provenance": "precomputed",
         "dt": repr(dt),
         "samples": str(n_steps + 1),
         "tolerance": repr(opts.residual_tolerance),
@@ -291,10 +288,7 @@ def solve_feedforward(
         "t0": repr(spec.t0),
         "tf": repr(spec.tf),
     }
-    return FeedforwardTable(
-        dt=dt, t=times, u=torques, provenance="precomputed",
-        newton_iterations=iterations, meta=meta,
-    )
+    return FeedforwardTable(dt=dt, t=times, u=torques, newton_iterations=iterations, meta=meta)
 
 
 def apply_tuning(u_ffw: float, factors: TuningFactors) -> float:
@@ -302,53 +296,27 @@ def apply_tuning(u_ffw: float, factors: TuningFactors) -> float:
     return factors.f_act * u_ffw + factors.f_fric
 
 
+_TABLE_COLUMNS = ("t", "u_ffw")
+
+
 def write_table_csv(table: FeedforwardTable, path) -> None:
-    """Serialize a table as two-column CSV with a header comment block."""
-    lines = ["# twomass feedforward table"]
+    """Serialize a table as two-column CSV; the header carries ``meta``, ``dt`` and the length."""
     meta = dict(table.meta)
-    meta.setdefault("provenance", table.provenance)
     meta.setdefault("dt", repr(table.dt))
     meta.setdefault("samples", str(len(table)))
-    lines.append("# " + " ".join(f"{k}={v}" for k, v in sorted(meta.items())))
-    lines.append("t,u_ffw")
-    for t, u in zip(table.t, table.u):
-        lines.append(f"{float(t)!r},{float(u)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = [("config", csvfile.format_echo(meta))]
+    rows = csvfile.format_rows([table.t, table.u])
+    csvfile.write(path, "feedforward table", header, _TABLE_COLUMNS, rows)
 
 
 def read_table_csv(path) -> FeedforwardTable:
     """Load a table written by :func:`write_table_csv`."""
-    meta: dict = {}
-    times: list[float] = []
-    torques: list[float] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line == "t,u_ffw":
-                continue
-            if line.startswith("#"):
-                for chunk in line[1:].split():
-                    if "=" in chunk:
-                        key, value = chunk.split("=", 1)
-                        meta[key] = value
-                continue
-            try:
-                t_str, u_str = line.split(",")
-                times.append(float(t_str))
-                torques.append(float(u_str))
-            except ValueError:
-                raise ParseError(f"{path}: bad table row {line!r}") from None
+    header, data = csvfile.read(path, "feedforward table", _TABLE_COLUMNS)
+    meta = csvfile.parse_echo(header.get("config", ""))
     if "dt" not in meta:
         raise ValidationError(f"{path}: missing dt in table header")
     try:
         dt = float(meta["dt"])
     except ValueError:
         raise ParseError(f"{path}: dt={meta['dt']!r} is not a number") from None
-    return FeedforwardTable(
-        dt=dt,
-        t=np.array(times),
-        u=np.array(torques),
-        provenance=meta.get("provenance", "precomputed"),
-        meta=meta,
-    )
+    return FeedforwardTable(dt=dt, t=data[:, 0], u=data[:, 1], meta=meta)

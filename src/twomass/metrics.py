@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import csvfile
 from .errors import EmptyWindow, ValidationError, WindowOutOfRange
 from .trajectory import TrajectorySpec
 
@@ -144,10 +145,8 @@ def metrics_csv_row(run_id: str, mode: str, frequency: float, rep: "MetricsRepor
 
 
 def write_metrics_csv(rows: list[str], path, config_lines: list[str] | None = None) -> None:
-    lines = ["# twomass metrics"]
-    if config_lines:
-        lines.extend(f"# config {line}" for line in config_lines)
-    lines.append(",".join(METRICS_COLUMNS))
-    lines.extend(rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write :func:`metrics_csv_row` rows under one ``# config LABEL: ECHO`` header
+    line per ``LABEL: ECHO`` entry of ``config_lines``."""
+    pairs = (line.partition(": ") for line in config_lines or ())
+    header = [("config " + label, echo) for label, _, echo in pairs]
+    csvfile.write(path, "metrics", header, METRICS_COLUMNS, rows)

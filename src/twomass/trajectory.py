@@ -26,6 +26,10 @@ __all__ = [
 
 # Monomial coefficients of the timing law in descending degree 15..8.  They sum
 # to exactly 1, and the absent degrees 0..7 give the eight-fold flat start.
+# The law satisfies p(u) + p(1-u) = 1 exactly, so the upper half of the window
+# is evaluated by reflection about the midpoint: that kills the cancellation
+# the large alternating coefficients would otherwise cause near 1 (error floor
+# ~1e-11).
 SMOOTH_STEP_COEFFICIENTS = (
     -3432.0,
     25740.0,
@@ -44,15 +48,12 @@ class TrajectorySpec:
 
     y0, yf  initial and final output (rad/s)
     t0, tf  start and end of the transition window (s)
-    coefficients  timing-law monomial coefficients, descending degree 15..8;
-                  override only for testing
     """
 
     y0: float
     yf: float
     t0: float
     tf: float
-    coefficients: tuple[float, ...] = SMOOTH_STEP_COEFFICIENTS
 
     def __post_init__(self):
         for name in ("y0", "yf", "t0", "tf"):
@@ -60,38 +61,23 @@ class TrajectorySpec:
                 raise ValidationError(f"trajectory field {name} must be finite")
         if not self.tf > self.t0:
             raise ValidationError(f"tf must exceed t0, got t0={self.t0}, tf={self.tf}")
-        if len(self.coefficients) != 8:
-            raise ValidationError("timing law needs 8 coefficients (degrees 15 down to 8)")
-        top = _polynomial(self.coefficients, 1.0)
-        if abs(top - 1.0) > 1e-12:
-            raise ValidationError(f"timing law must reach 1 at the window end, got {top!r}")
-        # The stock law satisfies p(u) + p(1-u) = 1 exactly; when a coefficient
-        # set keeps that end-to-end symmetry, the upper half is evaluated by
-        # reflection, which kills the cancellation the large alternating
-        # coefficients would otherwise cause near 1 (error floor ~1e-11).
-        symmetric = all(
-            abs(_polynomial(self.coefficients, u) + _polynomial(self.coefficients, 1.0 - u) - 1.0)
-            <= 1e-12
-            for u in (0.125, 0.3125, 0.46875)
-        )
-        object.__setattr__(self, "_symmetric", symmetric)
 
 
-def _polynomial(coefficients: tuple[float, ...], u: float) -> float:
+def _polynomial(u: float) -> float:
     # Nested evaluation: the coefficients reach 1.6e5 with alternating signs,
     # so naive monomial summation would lose digits to cancellation.
     acc = 0.0
-    for c in coefficients:
+    for c in SMOOTH_STEP_COEFFICIENTS:
         acc = acc * u + c
     u2 = u * u
     u4 = u2 * u2
     return acc * u4 * u4
 
 
-def _polynomial_derivative(coefficients: tuple[float, ...], u: float) -> float:
+def _polynomial_derivative(u: float) -> float:
     acc = 0.0
     degree = 15
-    for c in coefficients:
+    for c in SMOOTH_STEP_COEFFICIENTS:
         acc = acc * u + degree * c
         degree -= 1
     return acc * u**7
@@ -107,9 +93,9 @@ def sigma(spec: TrajectorySpec, t: float) -> float:
     if not (spec.t0 <= t <= spec.tf):
         raise ValueError(f"sigma evaluated outside [{spec.t0}, {spec.tf}]: t={t}")
     u = (t - spec.t0) / (spec.tf - spec.t0)
-    if u > 0.5 and getattr(spec, "_symmetric", False):
-        return 1.0 - _polynomial(spec.coefficients, 1.0 - u)
-    return _polynomial(spec.coefficients, u)
+    if u > 0.5:
+        return 1.0 - _polynomial(1.0 - u)
+    return _polynomial(u)
 
 
 def sigma_samples(spec: TrajectorySpec, times: np.ndarray) -> np.ndarray:
@@ -123,16 +109,13 @@ def sigma_samples(spec: TrajectorySpec, times: np.ndarray) -> np.ndarray:
         raise ValueError(f"sigma evaluated outside [{spec.t0}, {spec.tf}]")
     u = (times - spec.t0) / (spec.tf - spec.t0)
     mirrored = u > 0.5
-    if getattr(spec, "_symmetric", False):
-        u = np.where(mirrored, 1.0 - u, u)
+    u = np.where(mirrored, 1.0 - u, u)
     acc = np.zeros_like(u)
-    for c in spec.coefficients:
+    for c in SMOOTH_STEP_COEFFICIENTS:
         acc = acc * u + c
     u4 = (u * u) * (u * u)
     values = acc * u4 * u4
-    if getattr(spec, "_symmetric", False):
-        values = np.where(mirrored, 1.0 - values, values)
-    return values
+    return np.where(mirrored, 1.0 - values, values)
 
 
 def y_ref_at(spec: TrajectorySpec, t: float) -> float:
@@ -150,6 +133,6 @@ def y_ref_derivative(spec: TrajectorySpec, t: float) -> float:
         return 0.0
     width = spec.tf - spec.t0
     u = (t - spec.t0) / width
-    if u > 0.5 and getattr(spec, "_symmetric", False):
+    if u > 0.5:
         u = 1.0 - u  # the rate of a symmetric step is even about the midpoint
-    return _polynomial_derivative(spec.coefficients, u) / width * (spec.yf - spec.y0)
+    return _polynomial_derivative(u) / width * (spec.yf - spec.y0)

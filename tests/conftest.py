@@ -4,6 +4,11 @@ import pytest
 from twomass.plant import FrictionModel, OscillatorParams
 from twomass.presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
 
+# the first 32 bytes of an x86-64 ELF executable: 0xc0 never starts UTF-8
+NOT_UTF8 = bytes.fromhex(
+    "7f454c46020101000000000000000000" "03003e0001000000c035000000000000"
+)
+
 
 @pytest.fixture
 def rig():

@@ -87,6 +87,16 @@ class TestFineIntegrator:
         err20 = np.linalg.norm(run(20) - dense)
         assert 12.0 <= err10 / err20 <= 20.0
 
+    def test_tick_is_its_substeps_under_one_held_input(self, rig_with_friction):
+        # the input is held over the whole tick: N substeps in one call are
+        # bitwise the same as N single-substep calls with the same input
+        state = (0.3, -0.2, 1.5, 1.1)
+        u, h = 0.7, 1e-4
+        stepped = state
+        for _ in range(10):
+            stepped = integrate_plant_tick(rig_with_friction, stepped, u, h, 1)
+        assert integrate_plant_tick(rig_with_friction, state, u, h, 10) == stepped
+
 
 class TestRunSimulation:
     def test_feedback_run_completes_inside_funnel(self):
@@ -203,17 +213,6 @@ class TestRunSimulation:
         assert trace.status.kind == "newton_diverged"
         assert len(trace.t) >= 1
 
-    def test_hold_consistency_on_fine_grid(self):
-        cfg = base_config(duration=0.2, record_fine=1)
-        trace = run_simulation(cfg)
-        fine = trace.fine
-        assert fine is not None
-        assert np.all(np.diff(fine["t"]) > 0.0)
-        # the applied input is piecewise constant with breakpoints at ticks:
-        # every substep of a tick carries that tick's input
-        per_tick = fine["u"].reshape(len(trace.t) - 1, cfg.plant_substeps)
-        assert np.all(per_tick == trace.u[:-1, None])
-
     def test_saturation_hook(self):
         cfg = base_config(u_max=0.01, duration=1.0)
         trace = run_simulation(cfg)
@@ -286,6 +285,17 @@ class TestValidation:
         )
         with pytest.raises(ValidationError, match="frictionless"):
             run_simulation(cfg)
+
+    @pytest.mark.parametrize("duration", [0.00123, 0.0015, 1.0 + 1e-6])
+    def test_duration_off_the_tick_grid_rejected(self, duration):
+        # 0.00123 s at 1 kHz would otherwise run as round(1.23) = 1 tick
+        with pytest.raises(ValidationError, match="whole number of control ticks"):
+            base_config(duration=duration).validate()
+
+    def test_duration_within_rounding_of_the_tick_grid_accepted(self):
+        cfg = base_config(control_frequency=2000.0, duration=0.1 + 0.2)  # 600.0000000000001 ticks
+        cfg.validate()
+        assert cfg.n_ticks == 600
 
     def test_mode_needs_a_branch(self):
         with pytest.raises(ValidationError):

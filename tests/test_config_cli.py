@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import NOT_UTF8
 from twomass.cli import main
 from twomass.config import load_config, load_config_file
 from twomass.errors import ParseError, ValidationError
@@ -84,6 +85,22 @@ def _missing_table(tmp_path):
 def _output_in_missing_dir(tmp_path):
     path = tmp_path / "no" / "such" / "t.csv"
     return ["feedforward", "--horizon", "0.01", "--output", str(path)], path
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(NOT_UTF8)
+    return path
+
+
+def _not_utf8_trace(tmp_path):
+    path = _not_utf8(tmp_path)
+    return ["analyze", str(path)], path
+
+
+def _not_utf8_table(tmp_path):
+    text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:binary.csv")
+    return ["simulate", str(write_config(tmp_path, text))], _not_utf8(tmp_path)
 
 
 class TestLoadConfig:
@@ -259,13 +276,22 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "case",
-        [_missing_trace, _status_without_time, _short_row, _missing_table, _output_in_missing_dir],
+        [_missing_trace, _status_without_time, _short_row, _missing_table, _output_in_missing_dir,
+         _not_utf8_trace, _not_utf8_table],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_unreachable_newton_tolerance_exits_2_with_one_line(self, tmp_path, capsys):
+        argv = ["feedforward", "--horizon", "0.01", "--tolerance", "1e-300",
+                "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Newton did not converge")
         assert err.count("\n") == 1
 
     def test_config_error_exit_code(self, tmp_path):

@@ -231,7 +231,7 @@ class TestTableCsv:
         assert loaded.dt == table.dt
         assert np.array_equal(loaded.t, table.t)
         assert np.array_equal(loaded.u, table.u)
-        assert loaded.provenance == "precomputed"
+        assert loaded.meta == table.meta
 
     def test_nonuniform_grid_rejected(self):
         with pytest.raises(ValidationError):

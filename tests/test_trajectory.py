@@ -126,14 +126,3 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             TrajectorySpec(y0=0.0, yf=1.0, t0=5.0, tf=5.0)
 
-    def test_coefficients_must_reach_one(self):
-        with pytest.raises(ValidationError):
-            TrajectorySpec(y0=0.0, yf=1.0, t0=0.0, tf=1.0, coefficients=(0.0,) * 8)
-
-    def test_coefficient_override_for_testing(self):
-        # a plain degree-8 ramp: sigma = u^8
-        spec = TrajectorySpec(
-            y0=0.0, yf=2.0, t0=0.0, tf=1.0,
-            coefficients=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-        )
-        assert abs(sigma(spec, 0.5) - 0.5**8) <= 1e-15
