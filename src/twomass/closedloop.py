@@ -1,11 +1,14 @@
-"""Sampled-data closed loop: fine plant integration under a zero-order hold.
+"""Sampled-data closed loop: the plant advanced exactly under a zero-order hold.
 
 The controller updates its output at the control-loop frequency; between
-ticks the input is held constant while the "true" rig (which, unlike the
-controller's nominal model, carries Coulomb friction) is integrated with a
-classical fixed-step 4th-order one-step scheme on a finer grid (default ten
-substeps per tick).  The fine integrator stands in for continuous hardware
-and must be much more accurate than the controller's own discretization.
+ticks the input is held constant.  The "true" rig (which, unlike the
+controller's nominal model, carries Coulomb friction) is linear while the
+sign of ``v1`` holds, so such a tick is the exact step
+``x+ = Phi x + Gam (u + f)`` with ``Phi``/``Gam`` built once per run.  A tick
+that starts at ``v1 = 0`` or whose predicted ``v1`` changes sign falls back to
+a classical fixed-step 4th-order scheme (``plant_substeps`` fine steps); the
+trace counts those ticks.  The plant stands in for continuous hardware and
+must be much more accurate than the controller's own discretization.
 
 Per tick: sample the output (ideal or encoder-style measurement), look up or
 compute one step of the feedforward torque, evaluate the funnel feedback on
@@ -34,7 +37,7 @@ from .feedforward import (
     TuningFactors,
     apply_tuning,
 )
-from .plant import OscillatorParams, accelerations
+from .plant import OscillatorParams, accelerations, zoh_step_matrix
 from .trajectory import TrajectorySpec
 
 __all__ = [
@@ -48,6 +51,7 @@ __all__ = [
     "run_simulation",
     "run_sweep",
     "integrate_plant_tick",
+    "rk4_plant_tick",
     "config_echo",
     "write_trace_csv",
     "read_trace_csv",
@@ -216,8 +220,10 @@ class Trace:
 
     All series share the tick grid.  Columns that do not apply to the run's
     mode hold NaN.  ``e`` is the measured error, the quantity the controller
-    acts on.  ``wall_us`` (controller compute time per tick, microseconds) is
-    diagnostic only and never serialized, so files stay deterministic.
+    acts on.  ``wall_us`` (controller compute time per tick, microseconds) and
+    ``plant_fallbacks`` (ticks the plant advanced by the fine integrator
+    instead of the exact step) are diagnostic only and never serialized, so
+    files stay deterministic.
     """
 
     t: np.ndarray
@@ -233,6 +239,7 @@ class Trace:
     status: RunStatus
     run_config: dict = field(default_factory=dict)
     wall_us: np.ndarray | None = None
+    plant_fallbacks: int | None = None
 
 
 @dataclass
@@ -247,6 +254,41 @@ class SweepResult:
 
 def integrate_plant_tick(
     params: OscillatorParams,
+    zoh: tuple,
+    state: tuple[float, float, float, float],
+    u: float,
+    h: float,
+    substeps: int,
+) -> tuple[tuple[float, float, float, float], bool]:
+    """Advance the rig by one control tick under the held torque ``u``.
+
+    ``zoh`` is :func:`plant.zoh_step_matrix` for the tick, row-major as 20
+    floats.  While ``sign(v1)`` holds, the friction torque is constant and
+    ``x+ = Phi x + Gam (u + f)`` is the exact step; it is taken when ``v1``
+    at the start of the tick and the predicted ``v1`` at its end are nonzero
+    with one sign.  Otherwise the friction switches inside the tick and
+    :func:`rk4_plant_tick` runs ``substeps`` fine steps of size ``h``.
+    Returns the next state and whether the exact step was taken.
+    """
+    q1, q2, v1, v2 = state
+    if v1 != 0.0:
+        (p00, p01, p02, p03, g0, p10, p11, p12, p13, g1,
+         p20, p21, p22, p23, g2, p30, p31, p32, p33, g3) = zoh
+        cf = params.friction.magnitude
+        w = u - cf if v1 > 0.0 else u + cf
+        v1n = p20 * q1 + p21 * q2 + p22 * v1 + p23 * v2 + g2 * w
+        if (v1n > 0.0) if v1 > 0.0 else (v1n < 0.0):
+            return (
+                p00 * q1 + p01 * q2 + p02 * v1 + p03 * v2 + g0 * w,
+                p10 * q1 + p11 * q2 + p12 * v1 + p13 * v2 + g1 * w,
+                v1n,
+                p30 * q1 + p31 * q2 + p32 * v1 + p33 * v2 + g3 * w,
+            ), True
+    return rk4_plant_tick(params, state, u, h, substeps), False
+
+
+def rk4_plant_tick(
+    params: OscillatorParams,
     state: tuple[float, float, float, float],
     u: float,
     h: float,
@@ -254,9 +296,9 @@ def integrate_plant_tick(
 ) -> tuple[float, float, float, float]:
     """Advance the rig by ``substeps`` fine steps of size ``h`` under constant torque.
 
-    Classical 4th-order one-step scheme, written out on scalars: the fine grid
-    runs an order of magnitude above the control rate, and this loop dominates
-    simulation cost.  Friction is evaluated at every stage (sign(0) = 0).
+    Classical 4th-order one-step scheme, written out on scalars, for the
+    ticks in which friction switches.  Friction is evaluated at every stage
+    (sign(0) = 0).
     """
     q1, q2, v1, v2 = state
     i1, i2, k, d = params.I1, params.I2, params.k, params.d
@@ -378,8 +420,11 @@ def run_simulation(config: SimulationConfig) -> Trace:
     dt = 1.0 / config.control_frequency
     n_ticks = config.n_ticks
     n_rows = n_ticks + 1
+    plant = config.true_params
+    zoh = tuple(zoh_step_matrix(plant, dt).ravel().tolist())
     substeps = config.plant_substeps
     h = dt / substeps
+    fallbacks = 0
 
     rng = np.random.default_rng(config.seed)
     q1, q2, v1, v2 = (float(x) for x in config.initial_state)
@@ -459,7 +504,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
 
         if k == n_ticks:
             break
-        q1, q2, v1, v2 = integrate_plant_tick(config.true_params, (q1, q2, v1, v2), u, h, substeps)
+        (q1, q2, v1, v2), exact = integrate_plant_tick(plant, zoh, (q1, q2, v1, v2), u, h, substeps)
+        fallbacks += not exact
 
     return Trace(
         t=cols["t"][:rows],
@@ -475,6 +521,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
         status=status,
         run_config=config_echo(config),
         wall_us=wall[:rows],
+        plant_fallbacks=fallbacks,
     )
 
 

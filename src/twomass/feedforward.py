@@ -319,4 +319,7 @@ def read_table_csv(path) -> FeedforwardTable:
         dt = float(meta["dt"])
     except ValueError:
         raise ParseError(f"{path}: dt={meta['dt']!r} is not a number") from None
-    return FeedforwardTable(dt=dt, t=data[:, 0], u=data[:, 1], meta=meta)
+    try:
+        return FeedforwardTable(dt=dt, t=data[:, 0], u=data[:, 1], meta=meta)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {err}") from None

@@ -140,7 +140,8 @@ def metrics_csv_row(run_id: str, mode: str, frequency: float, rep: "MetricsRepor
     if rep is None:
         cells = ["", "", "", ""]
     else:
-        cells = [repr(rep.u_sum_t), repr(rep.e_sum_t), repr(rep.var_u_s), repr(rep.e_sum_s)]
+        values = (rep.u_sum_t, rep.e_sum_t, rep.var_u_s, rep.e_sum_s)
+        cells = [repr(float(x)) for x in values]
     return ",".join([run_id, mode, repr(float(frequency))] + cells)
 
 

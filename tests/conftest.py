@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from twomass.plant import FrictionModel, OscillatorParams
 from twomass.presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
@@ -8,6 +9,11 @@ from twomass.presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
 NOT_UTF8 = bytes.fromhex(
     "7f454c46020101000000000000000000" "03003e0001000000c035000000000000"
 )
+
+# Property tests draw the same examples on every run and never time out, so
+# the suite gives the same result each time; no example database is replayed.
+settings.register_profile("twomass", derandomize=True, deadline=None, database=None)
+settings.load_profile("twomass")
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from twomass.closedloop import (
     Trace,
     config_echo,
     integrate_plant_tick,
+    rk4_plant_tick,
     run_simulation,
     run_sweep,
     read_trace_csv,
@@ -22,7 +23,7 @@ from twomass.closedloop import (
 from twomass.errors import ValidationError
 from twomass.feedback import FunnelSpec
 from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, solve_feedforward
-from twomass.plant import accelerations
+from twomass.plant import FrictionModel, OscillatorParams, accelerations, zoh_step_matrix
 from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
 from twomass.trajectory import TrajectorySpec
 
@@ -45,6 +46,8 @@ def base_config(**overrides):
 
 
 class TestFineIntegrator:
+    """The RK4 fallback, run on ticks where friction switches."""
+
     def test_matches_generic_rk4_on_dynamics(self, rig_with_friction):
         # dual route: the inlined scalar loop against a straightforward RK4
         # on the state vector, built on accelerations
@@ -67,7 +70,7 @@ class TestFineIntegrator:
         for _ in range(20):
             state = tuple(rng.normal(size=4) * 3.0)
             u = rng.normal()
-            ours = integrate_plant_tick(rig_with_friction, state, u, 1e-4, 10)
+            ours = rk4_plant_tick(rig_with_friction, state, u, 1e-4, 10)
             ref = generic_rk4(rig_with_friction, state, u, 1e-4, 10)
             assert_close(np.array(ours), ref, rel=1e-13, floor=1e-6)
 
@@ -79,7 +82,7 @@ class TestFineIntegrator:
             dt = 1e-2
             for k in range(100):
                 u = math.sin(2.5 * k * dt)
-                state = integrate_plant_tick(rig, state, u, dt / substeps, substeps)
+                state = rk4_plant_tick(rig, state, u, dt / substeps, substeps)
             return np.array(state)
 
         dense = run(160)
@@ -94,8 +97,58 @@ class TestFineIntegrator:
         u, h = 0.7, 1e-4
         stepped = state
         for _ in range(10):
-            stepped = integrate_plant_tick(rig_with_friction, stepped, u, h, 1)
-        assert integrate_plant_tick(rig_with_friction, state, u, h, 10) == stepped
+            stepped = rk4_plant_tick(rig_with_friction, stepped, u, h, 1)
+        assert rk4_plant_tick(rig_with_friction, state, u, h, 10) == stepped
+
+
+def zoh_cells(params, dt):
+    return tuple(zoh_step_matrix(params, dt).ravel().tolist())
+
+
+class TestExactStep:
+    """The closed-form tick and the rule that sends a tick to the RK4 fallback."""
+
+    DT = 1e-3
+
+    @pytest.mark.parametrize("state, u", [
+        ((0.0, 0.0, 0.0, 0.0), 0.5),      # starts at rest
+        ((0.1, 0.0, 1e-4, 0.2), -2.0),    # v1 > 0 reverses within the tick
+        ((0.0, 0.1, -1e-4, -0.2), 2.0),   # v1 < 0 reverses within the tick
+    ])
+    def test_sign_change_tick_is_the_rk4_fallback_bitwise(self, rig_with_friction, state, u):
+        p = rig_with_friction
+        stepped, exact = integrate_plant_tick(p, zoh_cells(p, self.DT), state, u, self.DT / 10, 10)
+        assert not exact
+        assert stepped == rk4_plant_tick(p, state, u, self.DT / 10, 10)
+
+    def test_smooth_tick_matches_fine_rk4(self, rig_with_friction):
+        # tolerance: 1e-13 relative (floor 1); the worst seen on the rig is 2.4e-15.
+        # |v1| >= 1 with a small twist cannot reverse within one tick
+        p = rig_with_friction
+        zoh = zoh_cells(p, self.DT)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            q1, q2, v1, v2 = rng.normal(size=4).tolist()
+            state = (0.3 * q1, 0.3 * q2, math.copysign(1.0 + 3.0 * abs(v1), v1), 3.0 * v2)
+            u = float(rng.normal())
+            stepped, exact = integrate_plant_tick(p, zoh, state, u, self.DT / 10, 10)
+            assert exact
+            assert_close(stepped, rk4_plant_tick(p, state, u, self.DT / 160, 160), rel=1e-13)
+
+    @settings(max_examples=200)
+    @given(
+        i1=st.floats(0.05, 5.0), i2=st.floats(0.05, 5.0),
+        k=st.floats(0.0, 500.0), d=st.floats(0.0, 2.0), cf=st.floats(0.0, 1.0),
+        state=st.tuples(*[st.floats(-10.0, 10.0)] * 4), u=st.floats(-5.0, 5.0),
+        dt=st.sampled_from([5e-4, 1e-3]),
+    )
+    def test_agrees_with_fine_rk4_across_params(self, i1, i2, k, d, cf, state, u, dt):
+        # on every tick the rule accepts, the exact step equals RK4 with 160
+        # substeps to 1e-12 relative (floor 1) over these parameter ranges
+        p = OscillatorParams(I1=i1, I2=i2, k=k, d=d, friction=FrictionModel(cf))
+        stepped, exact = integrate_plant_tick(p, zoh_cells(p, dt), state, u, dt / 10, 10)
+        assume(exact)
+        assert_close(stepped, rk4_plant_tick(p, state, u, dt / 160, 160), rel=1e-12)
 
 
 class TestRunSimulation:
@@ -228,6 +281,14 @@ class TestRunSimulation:
         trace = run_simulation(base_config(duration=0.5))
         assert trace.wall_us is not None and np.all(trace.wall_us >= 0.0)
 
+
+    def test_fallbacks_are_the_ticks_at_rest_on_a_frictionless_rig(self, rig):
+        # without friction v1 never reverses here, so only the ticks that
+        # start at v1 == 0 leave the exact step
+        trace = run_simulation(base_config(true_params=rig, duration=1.0))
+        at_rest = int(np.count_nonzero(trace.y_true[:-1] == 0.0))
+        assert at_rest >= 1
+        assert trace.plant_fallbacks == at_rest
 
 class TestMeasurement:
     def test_ideal_passthrough(self):
@@ -377,7 +438,7 @@ def stored_traces(draw):
 
 
 class TestTraceCsv:
-    @settings(max_examples=50, deadline=None,
+    @settings(max_examples=50,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(trace=stored_traces())
     def test_round_trip_is_exact(self, tmp_path, trace):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def _not_utf8_trace(tmp_path):
 def _not_utf8_table(tmp_path):
     text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:binary.csv")
     return ["simulate", str(write_config(tmp_path, text))], _not_utf8(tmp_path)
+
+
+def _table_with_torque(cell):
+    def case(tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "# twomass feedforward table\n# config: dt=0.001|samples=2\n"
+            f"t,u_ffw\n0.0,{cell}\n0.001,0.0\n"
+        )
+        text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:table.csv")
+        return ["simulate", str(write_config(tmp_path, text))], path
+
+    return case
 
 
 class TestLoadConfig:
@@ -229,6 +243,26 @@ class TestCli:
         rows = (out / "metrics.csv").read_text().strip().splitlines()
         assert rows[-1].startswith("demo,combined,1000.0,")
 
+    def test_metrics_cells_are_numbers(self, tmp_path):
+        text = FULL_CONFIG.replace("duration = 0.5", "duration = 7.0")
+        cfg_path = write_config(tmp_path, text.replace("tf = 10.0", "tf = 2.0"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+        row = (out / "metrics.csv").read_text().strip().splitlines()[-1]
+        run, mode, *cells = row.split(",")
+        assert (run, mode, len(cells)) == ("demo", "combined", 5)
+        assert all(math.isfinite(float(cell)) for cell in cells)
+
+    def test_summary_counts_plant_fallbacks(self, tmp_path):
+        # 0.5 s at 1 kHz: 501 ticks, the plant steps after the first 500;
+        # the run starts at rest, so at least its first step falls back
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+        text = (out / "demo-summary.txt").read_text()
+        found = re.findall(r"^plant fallback ticks: (\d+) of 500$", text, re.MULTILINE)
+        assert len(found) == 1 and 1 <= int(found[0]) <= 500
+
     def test_analyze_reproduces_metrics_bit_identically(self, tmp_path):
         text = FULL_CONFIG.replace("duration = 0.5", "duration = 15.0")
         text = text.replace("tf = 10.0", "tf = 2.0")
@@ -277,7 +311,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         [_missing_trace, _status_without_time, _short_row, _missing_table, _output_in_missing_dir,
-         _not_utf8_trace, _not_utf8_table],
+         _not_utf8_trace, _not_utf8_table, _table_with_torque(""), _table_with_torque("inf")],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)

@@ -10,6 +10,8 @@ from twomass.plant import (
     accelerations,
     check_minimum_phase,
     reduced_realization,
+    system_matrices,
+    zoh_step_matrix,
 )
 
 
@@ -117,6 +119,48 @@ class TestReducedRealization:
             xdot = real.A @ np.array([twist, v1, v2])
             assert_close(ydot, xdot[1], rel=1e-12)
             assert_close(etadot, np.array([-xdot[0], xdot[2]]), rel=1e-12)
+
+
+class TestZohStepMatrix:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_system_matrix_reproduces_accelerations(self, rig_with_friction, sign):
+        # with the friction torque f = -cf sign(v1) as an input, A x + B (u + f)
+        # is the state derivative that accelerations gives
+        p = rig_with_friction
+        a, b = system_matrices(p)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            x = rng.normal(size=4) * 3.0
+            x[2] = sign * (abs(x[2]) + 0.1)
+            u = rng.normal() * 2.0
+            xdot = a @ x + b * (u - p.friction.magnitude * sign)
+            expected = np.r_[x[2:], eval_dynamics(p, state(*x), u)]
+            assert_close(xdot, expected, rel=1e-13)
+
+    @pytest.mark.parametrize("dt", [1e-4, 5e-4, 1e-3, 1e-2, 0.5])
+    def test_matches_scipy_expm(self, rig, dt):
+        # independent route: scipy's Pade expm of the Van Loan block matrix;
+        # 1e-13 relative to the largest entry of [Phi | Gam] (about 1)
+        linalg = pytest.importorskip("scipy.linalg")
+        a, b = system_matrices(rig)
+        block = np.zeros((5, 5))
+        block[:4, :4] = a
+        block[:4, 4] = b
+        expected = linalg.expm(block * dt)[:4]
+        assert_close(zoh_step_matrix(rig, dt), expected, rel=1e-13, floor=np.abs(expected).max())
+
+    def test_rigid_rotation_is_exact(self):
+        # with no shaft the flywheels coast: Phi holds q += v dt, Gam the
+        # torque's ramp u dt^2 / (2 I1) and u dt / I1
+        i1, dt = 0.5, 0.01
+        p = OscillatorParams(I1=i1, I2=2.0, k=0.0, d=0.0)
+        expected = np.array([
+            [1.0, 0.0, dt, 0.0, dt * dt / (2.0 * i1)],
+            [0.0, 1.0, 0.0, dt, 0.0],
+            [0.0, 0.0, 1.0, 0.0, dt / i1],
+            [0.0, 0.0, 0.0, 1.0, 0.0],
+        ])
+        assert_close(zoh_step_matrix(p, dt), expected, rel=1e-15)
 
 
 class TestMinimumPhase:
