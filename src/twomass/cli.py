@@ -21,7 +21,7 @@ import numpy as np
 
 from . import closedloop, csvfile, metrics as metrics_mod, presets
 from .config import load_config, load_config_file
-from .errors import NewtonDiverged, ParseError, ValidationError
+from .errors import EmptyWindow, NewtonDiverged, ParseError, ValidationError, WindowOutOfRange
 from .feedforward import NewtonOptions, solve_feedforward, write_table_csv
 from .plant import check_minimum_phase, reduced_realization
 from .presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
@@ -174,7 +174,10 @@ def _cmd_analyze(args) -> int:
     if not trace.status.completed:
         print(f"{label}: run ended {trace.status.kind}; no metrics", file=sys.stderr)
         return EXIT_RUN_FAILED
-    rep = metrics_mod.report(trace, spec, use_true_output=args.metrics_on_true)
+    try:
+        rep = metrics_mod.report(trace, spec, use_true_output=args.metrics_on_true)
+    except (WindowOutOfRange, EmptyWindow) as err:
+        raise ValidationError(f"{args.trace}: {err}") from None
     row = metrics_mod.metrics_csv_row(label, mode, frequency, rep)
     print(",".join(metrics_mod.METRICS_COLUMNS))
     print(row)

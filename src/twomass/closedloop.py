@@ -75,8 +75,9 @@ class MeasurementModel:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if self.angle_quantum < 0.0 or self.filter_time_constant < 0.0 or self.noise_std < 0.0:
-            raise ValidationError("measurement model fields must be >= 0")
+        fields = (self.angle_quantum, self.filter_time_constant, self.noise_std)
+        if not all(0.0 <= x < math.inf for x in fields):
+            raise ValidationError("measurement model fields must be finite and >= 0")
 
     @property
     def is_ideal(self) -> bool:
@@ -176,12 +177,14 @@ class SimulationConfig:
             raise ValidationError(
                 f"label {self.label!r} must be non-empty, without | , / \\ or newlines"
             )
-        if not self.control_frequency > 0.0:
-            raise ValidationError(f"control_frequency must be > 0, got {self.control_frequency}")
+        if not 0.0 < self.control_frequency < math.inf:
+            raise ValidationError(
+                f"control_frequency must be finite and > 0, got {self.control_frequency}"
+            )
         if self.plant_substeps < 1:
             raise ValidationError(f"plant_substeps must be >= 1, got {self.plant_substeps}")
-        if not self.duration > 0.0:
-            raise ValidationError(f"duration must be > 0, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValidationError(f"duration must be finite and > 0, got {self.duration}")
         ticks = self.duration * self.control_frequency
         if abs(ticks - round(ticks)) > 1e-9 * ticks:
             raise ValidationError(

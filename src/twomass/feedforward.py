@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,28 +70,19 @@ class NewtonOptions:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.residual_tolerance > 0.0:
+        if not 0.0 < self.residual_tolerance < math.inf:
             raise ValidationError(
-                f"residual_tolerance must be > 0, got {self.residual_tolerance}"
+                f"residual_tolerance must be finite and > 0, got {self.residual_tolerance}"
             )
 
 
-@dataclass(frozen=True)
-class InverseModelState:
+class InverseModelState(NamedTuple):
     """Inverse-model solution point: coordinates, velocities, torque, time."""
 
-    q: np.ndarray
-    v: np.ndarray
+    q: tuple[float, float]
+    v: tuple[float, float]
     u: float
     t: float
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).reshape(2).copy()
-        v = np.asarray(self.v, dtype=float).reshape(2).copy()
-        q.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True)
@@ -166,8 +158,8 @@ class InverseModelStepper:
         opts: NewtonOptions = NewtonOptions(),
     ):
         _validate_nominal(params)
-        if not dt > 0.0:
-            raise ValidationError(f"dt must be > 0, got {dt}")
+        if not 0.0 < dt < math.inf:
+            raise ValidationError(f"dt must be finite and > 0, got {dt}")
         self.params = params
         self.spec = spec
         self.dt = dt
@@ -175,7 +167,7 @@ class InverseModelStepper:
         self.state = consistent_initialization(params, spec)
         self.last_iterations = 0
         # Unknowns z = (q1, q2, v1, v2, u); the Jacobian of the discrete
-        # residual is constant for fixed dt, so factor it once.
+        # residual is constant for fixed dt, so invert it once.
         i1, i2, k, d = params.I1, params.I2, params.k, params.d
         self._coeffs = (k / i1, d / i1, k / i2, d / i2, 1.0 / i1)
         jac = np.array(
@@ -187,47 +179,47 @@ class InverseModelStepper:
                 [0.0, 0.0, 1.0, 0.0, 0.0],
             ]
         )
-        self._jac = jac
-        self._jac_inv = np.linalg.inv(jac)
+        self._jac_inv = tuple(tuple(row) for row in np.linalg.inv(jac).tolist())
 
-    def _residual(self, z: np.ndarray, prev: np.ndarray, y_ref_next: float) -> np.ndarray:
+    def _residual(self, z: tuple, prev: tuple, y_ref_next: float) -> tuple:
         q1, q2, v1, v2, u = z
         ki1, di1, ki2, di2, inv_i1 = self._coeffs
         dt = self.dt
         twist = q1 - q2
         slip = v1 - v2
-        return np.array(
-            [
-                q1 - prev[0] - dt * v1,
-                q2 - prev[1] - dt * v2,
-                v1 - prev[2] - dt * (-di1 * slip - ki1 * twist + inv_i1 * u),
-                v2 - prev[3] - dt * (di2 * slip + ki2 * twist),
-                v1 - y_ref_next,
-            ]
+        return (
+            q1 - prev[0] - dt * v1,
+            q2 - prev[1] - dt * v2,
+            v1 - prev[2] - dt * (-di1 * slip - ki1 * twist + inv_i1 * u),
+            v2 - prev[3] - dt * (di2 * slip + ki2 * twist),
+            v1 - y_ref_next,
         )
-
-    @staticmethod
-    def _scaled_norm(residual: np.ndarray, z: np.ndarray) -> float:
-        scale = np.maximum(1.0, np.abs(z))
-        return float(np.max(np.abs(residual) / scale))
 
     def advance(self, t_next: float) -> InverseModelState:
         """One implicit Euler step of the constrained system to ``t_next``."""
-        prev = self.state
-        prev_vec = np.array([prev.q[0], prev.q[1], prev.v[0], prev.v[1]])
-        z = np.array([prev.q[0], prev.q[1], prev.v[0], prev.v[1], prev.u])
+        (q1, q2), (v1, v2), u, _ = self.state
+        prev = (q1, q2, v1, v2)
+        z = (q1, q2, v1, v2, u)
         y_next = trajectory.y_ref_at(self.spec, t_next)
         opts = self.opts
-        r = self._residual(z, prev_vec, y_next)
         iterations = 0
-        while self._scaled_norm(r, z) > opts.residual_tolerance:
+        while True:
+            r = self._residual(z, prev, y_next)
+            # scaled infinity norm: equation i over max(1, |z_i|)
+            norm = max(abs(ri) / max(1.0, abs(zi)) for ri, zi in zip(r, z))
+            if not norm > opts.residual_tolerance:
+                break
             if iterations >= opts.max_iterations:
-                raise NewtonDiverged(t_next, self._scaled_norm(r, z), iterations)
-            z = z - self._jac_inv @ r
+                raise NewtonDiverged(t_next, norm, iterations)
+            # z - J^-1 r, written out: sum() rounds differently across Python versions
+            r1, r2, r3, r4, r5 = r
+            z = tuple(
+                zi - (a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4 + a5 * r5)
+                for zi, (a1, a2, a3, a4, a5) in zip(z, self._jac_inv)
+            )
             iterations += 1
-            r = self._residual(z, prev_vec, y_next)
         self.last_iterations = iterations
-        self.state = InverseModelState(q=z[:2], v=z[2:4], u=float(z[4]), t=t_next)
+        self.state = InverseModelState((z[0], z[1]), (z[2], z[3]), z[4], t_next)
         return self.state
 
 
@@ -246,9 +238,7 @@ def consistent_initialization(params: OscillatorParams, spec: TrajectorySpec) ->
         raise InconsistentStart(
             f"output constraint cannot be met at t=0: y_ref={y_start!r}, u={u_start!r}"
         )
-    return InverseModelState(
-        q=np.zeros(2), v=np.array([y_start, y_start]), u=u_start, t=0.0
-    )
+    return InverseModelState(q=(0.0, 0.0), v=(y_start, y_start), u=u_start, t=0.0)
 
 
 def solve_feedforward(
@@ -259,8 +249,8 @@ def solve_feedforward(
     opts: NewtonOptions = NewtonOptions(),
 ) -> FeedforwardTable:
     """Precompute the feedforward torque on the grid ``0, dt, ..., horizon``."""
-    if not horizon > 0.0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
     stepper = InverseModelStepper(params, spec, dt, opts)
     n_steps = round(horizon / dt)
     torques = np.empty(n_steps + 1)

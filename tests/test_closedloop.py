@@ -290,6 +290,33 @@ class TestRunSimulation:
         assert at_rest >= 1
         assert trace.plant_fallbacks == at_rest
 
+
+class TestFunnelInvariant:
+    """Property: a run never records a tick with ``|e| >= psi`` except the one it stops at."""
+
+    # the full transition in 1 s: tight funnels leave, wide ones hold
+    FAST = TrajectorySpec(y0=0.0, yf=REFERENCE_TRAJECTORY.yf, t0=0.0, tf=1.0)
+
+    @settings(max_examples=40)
+    @given(
+        funnel=st.builds(FunnelSpec, s=st.floats(0.0, 2.0), q_decay=st.floats(0.0, 5.0),
+                         c=st.floats(0.005, 1.0)),
+        combined=st.booleans(),
+        duration=st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_completed_runs_stay_inside_the_funnel(self, funnel, combined, duration):
+        mode = (ControllerMode.combined(UNIT_TUNING, funnel) if combined
+                else ControllerMode.feedback_only(funnel))
+        trace = run_simulation(base_config(trajectory=self.FAST, mode=mode, duration=duration))
+        inside = np.abs(trace.e) < trace.psi
+        if trace.status.completed:
+            assert len(trace.t) == round(duration * 1000.0) + 1
+            assert inside.all()
+        else:
+            assert trace.status.kind == "funnel_violated"
+            assert inside[:-1].all() and not inside[-1]
+
+
 class TestMeasurement:
     def test_ideal_passthrough(self):
         trace = run_simulation(base_config(duration=1.0))

@@ -328,6 +328,44 @@ class TestCli:
         assert err.startswith("error: Newton did not converge")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("control_frequency = 1000.0", "control_frequency = inf", "control_frequency"),
+        ("duration = 0.5", "duration = inf", "duration"),
+        ("noise_std = 0.02", "noise_std = nan", "measurement"),
+        ("noise_std = 0.02", "noise_std = 0.02\nangle_quantum = inf", "measurement"),
+        ("[measurement]", "[newton]\nresidual_tolerance = inf\n\n[measurement]",
+         "residual_tolerance"),
+    ])
+    def test_non_finite_config_value_exits_2_with_one_line(self, tmp_path, capsys, old, new, key):
+        path = write_config(tmp_path, FULL_CONFIG.replace(old, new))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--dt", "--horizon"])
+    def test_non_finite_feedforward_grid_exits_2_with_one_line(self, tmp_path, capsys, flag):
+        out = tmp_path / "t.csv"
+        assert main(["feedforward", flag, "inf", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]} must be finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_analyze_of_a_trace_shorter_than_the_windows_exits_2_with_one_line(
+        self, tmp_path, capsys
+    ):
+        # a completed 1 s run cannot cover the transient window [0, tf = 10]
+        path = write_config(tmp_path, FULL_CONFIG.replace("duration = 0.5", "duration = 1.0"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        trace = out / "demo-trace.csv"
+        assert main(["analyze", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: window ")
+        assert err.count("\n") == 1
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, FULL_CONFIG.replace("c = 0.3", "c = 0.0"))
         assert main(["simulate", str(path)]) == 2

@@ -31,26 +31,87 @@ def step_from(prev, t_next, dt, params, spec, opts=NewtonOptions()):
 
 def fd_jacobian(stepper, z, prev, y_ref_next, h=1e-7):
     """Forward-difference Jacobian of the stepper's discrete residual."""
-    base = stepper._residual(z, prev, y_ref_next)
+    base = np.array(stepper._residual(z, prev, y_ref_next))
     cols = []
     for j in range(5):
         bumped = z.copy()
         bumped[j] += h
-        cols.append((stepper._residual(bumped, prev, y_ref_next) - base) / h)
+        cols.append((np.array(stepper._residual(bumped, prev, y_ref_next)) - base) / h)
     return np.column_stack(cols)
+
+
+def analytic_jacobian(params, dt):
+    """Jacobian of the discrete residual in the unknowns (q1, q2, v1, v2, u)."""
+    i1, i2, k, d = params.I1, params.I2, params.k, params.d
+    return np.array(
+        [
+            [1.0, 0.0, -dt, 0.0, 0.0],
+            [0.0, 1.0, 0.0, -dt, 0.0],
+            [dt * k / i1, -dt * k / i1, 1.0 + dt * d / i1, -dt * d / i1, -dt / i1],
+            [-dt * k / i2, dt * k / i2, -dt * d / i2, 1.0 + dt * d / i2, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+        ]
+    )
+
+
+class NumpyStepper:
+    """Oracle: the inverse-model step on numpy arrays, ``z - inv(J) @ r``.
+
+    Same discretization, tolerance and iteration cap as the stepper, written
+    with a 5x5 matrix inverse and vector norms instead of unrolled floats.
+    """
+
+    def __init__(self, params, spec, dt, opts=NewtonOptions()):
+        init = consistent_initialization(params, spec)
+        self.z = np.array([*init.q, *init.v, init.u])
+        self.params, self.spec, self.dt, self.opts = params, spec, dt, opts
+        self.jac_inv = np.linalg.inv(analytic_jacobian(params, dt))
+
+    def residual(self, z, prev, y_ref_next):
+        p, dt = self.params, self.dt
+        q1, q2, v1, v2, u = z
+        twist, slip = q1 - q2, v1 - v2
+        return np.array(
+            [
+                q1 - prev[0] - dt * v1,
+                q2 - prev[1] - dt * v2,
+                v1 - prev[2] - dt * (-p.d / p.I1 * slip - p.k / p.I1 * twist + 1.0 / p.I1 * u),
+                v2 - prev[3] - dt * (p.d / p.I2 * slip + p.k / p.I2 * twist),
+                v1 - y_ref_next,
+            ]
+        )
+
+    def advance(self, t_next):
+        """Returns the Newton iteration count; the new point lands in ``z``."""
+        prev, z = self.z[:4].copy(), self.z.copy()
+        y_next = y_ref_at(self.spec, t_next)
+
+        def norm(r, z):
+            return float(np.max(np.abs(r) / np.maximum(1.0, np.abs(z))))
+
+        r = self.residual(z, prev, y_next)
+        iterations = 0
+        while norm(r, z) > self.opts.residual_tolerance:
+            if iterations >= self.opts.max_iterations:
+                raise NewtonDiverged(t_next, norm(r, z), iterations)
+            z = z - self.jac_inv @ r
+            iterations += 1
+            r = self.residual(z, prev, y_next)
+        self.z = z
+        return iterations
 
 
 class TestConsistentInitialization:
     def test_rest_to_rest_start(self, rig, reference):
         init = consistent_initialization(rig, reference)
-        assert np.all(init.q == 0.0) and np.all(init.v == 0.0)
+        assert init.q == (0.0, 0.0) and init.v == (0.0, 0.0)
         assert init.u == 0.0 and init.t == 0.0
 
     def test_steady_spin_start(self, rig):
         # both flywheels spinning at y0 with no twist needs no torque
         init = consistent_initialization(rig, rest_spec(2.0))
-        assert np.all(init.v == 2.0)
-        assert np.all(init.q == 0.0)
+        assert init.v == (2.0, 2.0)
+        assert init.q == (0.0, 0.0)
         assert init.u == 0.0
 
     def test_initial_acceleration_needs_torque(self, rig, reference, monkeypatch):
@@ -59,7 +120,7 @@ class TestConsistentInitialization:
         monkeypatch.setattr(ffw.trajectory, "y_ref_derivative", lambda spec, t: 3.0)
         init = consistent_initialization(rig, reference)
         assert_close(init.u, rig.I1 * 3.0)
-        assert np.all(init.q == 0.0)
+        assert init.q == (0.0, 0.0)
 
     def test_inconsistent_start_detected(self, rig, reference, monkeypatch):
         monkeypatch.setattr(ffw.trajectory, "y_ref_at", lambda spec, t: math.nan)
@@ -76,7 +137,7 @@ class TestImplicitEulerStep:
         spec = rest_spec(0.0)
         prev = consistent_initialization(rig, spec)
         new = step_from(prev, 1e-3, 1e-3, rig, spec)
-        assert np.all(new.q == 0.0) and np.all(new.v == 0.0) and new.u == 0.0
+        assert new.q == (0.0, 0.0) and new.v == (0.0, 0.0) and new.u == 0.0
 
     def test_steady_spin_step(self, rig):
         # spinning solution: angles advance, velocities and torque stay put,
@@ -102,25 +163,40 @@ class TestImplicitEulerStep:
 
     def test_fd_jacobian_matches_analytic(self, rig, reference):
         stepper = InverseModelStepper(rig, reference, 1e-3)
+        jac = analytic_jacobian(rig, 1e-3)
         rng = np.random.default_rng(13)
         for _ in range(10):
             z = rng.normal(size=5) * 4.0
             prev = rng.normal(size=4) * 4.0
             fd = fd_jacobian(stepper, z, prev, 1.0)
-            assert np.max(np.abs(fd - stepper._jac)) <= 1e-5
+            assert np.max(np.abs(fd - jac)) <= 1e-5
+        # the stepper's stored inverse is the inverse of that Jacobian
+        assert np.max(np.abs(np.array(stepper._jac_inv) @ jac - np.eye(5))) <= 1e-12
 
     def test_fd_and_analytic_give_same_step(self, rig, reference):
         # Newton with the finite-difference Jacobian as an independent oracle
         stepper = InverseModelStepper(rig, reference, 5e-3)
         prev = stepper.state
-        prev_vec = np.r_[prev.q, prev.v]
+        prev_vec = (*prev.q, *prev.v)
         y_next = y_ref_at(reference, 5e-3)
-        z = np.r_[prev.q, prev.v, prev.u]
+        z = np.array([*prev.q, *prev.v, prev.u])
         for _ in range(NewtonOptions().max_iterations):
-            r = stepper._residual(z, prev_vec, y_next)
+            r = np.array(stepper._residual(z, prev_vec, y_next))
             z = z - np.linalg.solve(fd_jacobian(stepper, z, prev_vec, y_next), r)
         a = stepper.advance(5e-3)
         assert_close(z, np.r_[a.q, a.v, a.u], rel=1e-7, floor=1e-3)
+
+    def test_matches_the_numpy_oracle_step_by_step(self, rig, reference):
+        # tolerance: 1e-12 absolute on u against a largest |u| of 1.01; over
+        # the 10 s transition at 1 kHz the worst seen is 4.4e-16.  Newton
+        # iteration counts match exactly.
+        stepper = InverseModelStepper(rig, reference, 1e-3)
+        oracle = NumpyStepper(rig, reference, 1e-3)
+        for i in range(1, 10001):
+            state = stepper.advance(i * 1e-3)
+            assert stepper.last_iterations == oracle.advance(i * 1e-3)
+            assert abs(state.u - oracle.z[4]) <= 1e-12
+            assert_close((*state.q, *state.v), oracle.z[:4], rel=1e-12)
 
 
 class TestSolveFeedforward:
