@@ -49,9 +49,12 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
         else:
             lines.append(f"status: {status.kind} at t={status.at:.6g} s")
         lines.append(f"ticks: {len(trace.t)}")
-        if trace.plant_fallbacks is not None:
+        if trace.plant_stuck_ticks is not None:
             # the plant steps after every tick but the last recorded one
-            lines.append(f"plant fallback ticks: {trace.plant_fallbacks} of {len(trace.t) - 1}")
+            lines.append(
+                f"plant: {trace.plant_stuck_ticks} stuck ticks, "
+                f"{trace.plant_events} event ticks of {len(trace.t) - 1}"
+            )
         iters = trace.newton_iterations[~np.isnan(trace.newton_iterations)]
         if len(iters):
             lines.append(

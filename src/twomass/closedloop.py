@@ -2,13 +2,20 @@
 
 The controller updates its output at the control-loop frequency; between
 ticks the input is held constant.  The "true" rig (which, unlike the
-controller's nominal model, carries Coulomb friction) is linear while the
-sign of ``v1`` holds, so such a tick is the exact step
-``x+ = Phi x + Gam (u + f)`` with ``Phi``/``Gam`` built once per run.  A tick
-that starts at ``v1 = 0`` or whose predicted ``v1`` changes sign falls back to
-a classical fixed-step 4th-order scheme (``plant_substeps`` fine steps); the
-trace counts those ticks.  The plant stands in for continuous hardware and
-must be much more accurate than the controller's own discretization.
+controller's nominal model, carries Coulomb friction) is linear in each
+friction mode, and every tick follows the stick-slip (Filippov) solution
+exactly:
+
+* a slip tick, where the sign of ``v1`` holds, is the step
+  ``x+ = Phi x + Gam (u + f)``;
+* a stuck tick, where flywheel 1 rests and friction can hold it, keeps
+  ``q1`` and ``v1 = 0`` and advances flywheel 2 on the shaft by a 2x2 matrix;
+* an event tick, where friction switches, is split at each root-located
+  event into exact segments.
+
+Both matrices are built once per run; the trace counts stuck and event
+ticks.  The plant stands in for continuous hardware and must be much more
+accurate than the controller's own discretization.
 
 Per tick: sample the output (ideal or encoder-style measurement), look up or
 compute one step of the feedforward torque, evaluate the funnel feedback on
@@ -31,13 +38,14 @@ from . import trajectory as trajectory_mod
 from .errors import FunnelViolation, NewtonDiverged, ParseError, ValidationError
 from .feedback import FunnelSpec, funnel_law, psi
 from .feedforward import (
+    MAX_STEPS,
     FeedforwardTable,
     InverseModelStepper,
     NewtonOptions,
     TuningFactors,
     apply_tuning,
 )
-from .plant import OscillatorParams, accelerations, zoh_step_matrix
+from .plant import OscillatorParams, stick_step_matrix, zoh_step_matrix
 from .trajectory import TrajectorySpec
 
 __all__ = [
@@ -51,7 +59,9 @@ __all__ = [
     "run_simulation",
     "run_sweep",
     "integrate_plant_tick",
-    "rk4_plant_tick",
+    "SLIP",
+    "STUCK",
+    "EVENT",
     "config_echo",
     "write_trace_csv",
     "read_trace_csv",
@@ -164,6 +174,8 @@ class SimulationConfig:
     mode: ControllerMode
     control_frequency: float
     duration: float
+    # Kept so that older callers and INI files still load: validated, but the
+    # plant step is exact and takes no substeps.
     plant_substeps: int = 10
     measurement: MeasurementModel = MeasurementModel()
     feedforward_source: FeedforwardSource = FeedforwardSource()
@@ -186,6 +198,11 @@ class SimulationConfig:
         if not 0.0 < self.duration < math.inf:
             raise ValidationError(f"duration must be finite and > 0, got {self.duration}")
         ticks = self.duration * self.control_frequency
+        if not ticks <= MAX_STEPS:
+            raise ValidationError(
+                f"duration {self.duration} s at {self.control_frequency} Hz is "
+                f"{ticks:.3g} control ticks, more than {MAX_STEPS}"
+            )
         if abs(ticks - round(ticks)) > 1e-9 * ticks:
             raise ValidationError(
                 f"duration {self.duration} s is not a whole number of control ticks "
@@ -223,10 +240,10 @@ class Trace:
 
     All series share the tick grid.  Columns that do not apply to the run's
     mode hold NaN.  ``e`` is the measured error, the quantity the controller
-    acts on.  ``wall_us`` (controller compute time per tick, microseconds) and
-    ``plant_fallbacks`` (ticks the plant advanced by the fine integrator
-    instead of the exact step) are diagnostic only and never serialized, so
-    files stay deterministic.
+    acts on.  ``wall_us`` (controller compute time per tick, microseconds),
+    ``plant_stuck_ticks`` (plant steps with flywheel 1 stuck throughout) and
+    ``plant_events`` (plant steps in which friction switched) are diagnostic
+    only and never serialized, so files stay deterministic.
     """
 
     t: np.ndarray
@@ -242,7 +259,8 @@ class Trace:
     status: RunStatus
     run_config: dict = field(default_factory=dict)
     wall_us: np.ndarray | None = None
-    plant_fallbacks: int | None = None
+    plant_stuck_ticks: int | None = None
+    plant_events: int | None = None
 
 
 @dataclass
@@ -255,81 +273,228 @@ class SweepResult:
     error: str | None = None
 
 
+# Tick kinds returned by integrate_plant_tick.
+SLIP, STUCK, EVENT = 0, 1, 2
+# Mode segments an event tick follows before it stops looking for events.
+_MAX_SEGMENTS = 8
+
+
 def integrate_plant_tick(
     params: OscillatorParams,
     zoh: tuple,
+    stick: tuple,
     state: tuple[float, float, float, float],
     u: float,
-    h: float,
-    substeps: int,
-) -> tuple[tuple[float, float, float, float], bool]:
-    """Advance the rig by one control tick under the held torque ``u``.
+    dt: float,
+) -> tuple[tuple[float, float, float, float], int]:
+    """Advance the rig by one control tick of length ``dt`` under the held torque ``u``.
 
-    ``zoh`` is :func:`plant.zoh_step_matrix` for the tick, row-major as 20
-    floats.  While ``sign(v1)`` holds, the friction torque is constant and
-    ``x+ = Phi x + Gam (u + f)`` is the exact step; it is taken when ``v1``
-    at the start of the tick and the predicted ``v1`` at its end are nonzero
-    with one sign.  Otherwise the friction switches inside the tick and
-    :func:`rk4_plant_tick` runs ``substeps`` fine steps of size ``h``.
-    Returns the next state and whether the exact step was taken.
+    ``zoh`` is :func:`plant.zoh_step_matrix` and ``stick`` is
+    :func:`plant.stick_step_matrix` for the tick, row-major as 20 and 4
+    floats.  Returns the next state and the tick's kind:
+
+    * ``SLIP``: ``v1`` keeps one sign through the tick (or the rig has no
+      friction), so the friction torque ``f = -cf sign(v1)`` is constant and
+      ``x+ = Phi x + Gam (u + f)`` is exact.
+    * ``STUCK``: ``v1`` is exactly zero and the torque that holds flywheel 1,
+      ``u - shaft``, stays within ``cf`` at both ends.  ``q1`` and ``v1`` are
+      kept bit for bit and ``(q2 - q1, v2)`` advances by ``S``.
+    * ``EVENT``: friction switches inside the tick (a zero crossing of
+      ``v1``, a breakaway, or a start from rest); see :func:`_event_tick`.
     """
     q1, q2, v1, v2 = state
-    if v1 != 0.0:
+    cf = params.friction.magnitude
+    if v1 != 0.0 or cf == 0.0:
         (p00, p01, p02, p03, g0, p10, p11, p12, p13, g1,
          p20, p21, p22, p23, g2, p30, p31, p32, p33, g3) = zoh
-        cf = params.friction.magnitude
         w = u - cf if v1 > 0.0 else u + cf
         v1n = p20 * q1 + p21 * q2 + p22 * v1 + p23 * v2 + g2 * w
-        if (v1n > 0.0) if v1 > 0.0 else (v1n < 0.0):
+        # v1 keeps its sign at both ends.  While v1' is monotone over the
+        # tick, v1 cannot reach zero in between if v1 + v1' dt, with the
+        # start acceleration v1', keeps that sign too.
+        reach = v1 + (w - (params.k * (q1 - q2) + params.d * (v1 - v2))) * dt / params.I1
+        if cf == 0.0 or ((v1n > 0.0 < reach) if v1 > 0.0 else (v1n < 0.0 > reach)):
             return (
                 p00 * q1 + p01 * q2 + p02 * v1 + p03 * v2 + g0 * w,
                 p10 * q1 + p11 * q2 + p12 * v1 + p13 * v2 + g1 * w,
                 v1n,
                 p30 * q1 + p31 * q2 + p32 * v1 + p33 * v2 + g3 * w,
-            ), True
-    return rk4_plant_tick(params, state, u, h, substeps), False
+            ), SLIP
+    elif abs(u - (params.k * (q1 - q2) + params.d * (v1 - v2))) <= cf:
+        s00, s01, s10, s11 = stick
+        z = q2 - q1
+        q2n = q1 + (s00 * z + s01 * v2)
+        v2n = s10 * z + s11 * v2
+        if abs(u - (params.k * (q1 - q2n) + params.d * (v1 - v2n))) <= cf:
+            return (q1, q2n, v1, v2n), STUCK
+    state, events = _event_tick(params, state, u, dt)
+    return state, (EVENT if events or v1 == 0.0 else SLIP)
 
 
-def rk4_plant_tick(
-    params: OscillatorParams,
-    state: tuple[float, float, float, float],
-    u: float,
-    h: float,
-    substeps: int,
-) -> tuple[float, float, float, float]:
-    """Advance the rig by ``substeps`` fine steps of size ``h`` under constant torque.
+def _event_tick(params, state, u, dt):
+    """A tick in which friction may switch, as a chain of exact mode segments.
 
-    Classical 4th-order one-step scheme, written out on scalars, for the
-    ticks in which friction switches.  Friction is evaluated at every stage
-    (sign(0) = 0).
+    A segment follows one mode: slip in direction ``s`` (friction ``-cf s``)
+    or stick (``q1`` held, ``v1 = 0``).  Its solution is the Taylor series of
+    :func:`_series`.  A segment ends at the first event:
+
+    * slip: ``v1`` reaches zero.  The rig then sticks if ``|u - shaft| <= cf``
+      and slips the other way otherwise.
+    * stick: ``|u - shaft|`` reaches ``cf`` (breakaway).  The rig then slips
+      towards ``u - shaft``.
+
+    Series run at most ``1 / rho`` seconds, where ``rho`` bounds the twist
+    mode's rate, so ``v1`` has at most one extremum on each; a longer segment
+    continues from the end of the last series.  An event shows as a sign
+    change of ``cf - |u - shaft|``, or of ``s v1`` between the ends or at the
+    extremum, and :func:`_root` locates it on the series.  A slip from rest
+    that cannot start becomes a stick.  After ``_MAX_SEGMENTS - 1`` events the
+    rest of the tick follows its mode unwatched.  Returns the next state and
+    the number of events.
     """
-    q1, q2, v1, v2 = state
     i1, i2, k, d = params.I1, params.I2, params.k, params.d
     cf = params.friction.magnitude
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for _ in range(substeps):
-        a1, b1 = accelerations(i1, i2, k, d, cf, q1, q2, v1, v2, u)
-        q1b = q1 + h2 * v1
-        q2b = q2 + h2 * v2
-        v1b = v1 + h2 * a1
-        v2b = v2 + h2 * b1
-        a2, b2 = accelerations(i1, i2, k, d, cf, q1b, q2b, v1b, v2b, u)
-        q1c = q1 + h2 * v1b
-        q2c = q2 + h2 * v2b
-        v1c = v1 + h2 * a2
-        v2c = v2 + h2 * b2
-        a3, b3 = accelerations(i1, i2, k, d, cf, q1c, q2c, v1c, v2c, u)
-        q1d = q1 + h * v1c
-        q2d = q2 + h * v2c
-        v1d = v1 + h * a3
-        v2d = v2 + h * b3
-        a4, b4 = accelerations(i1, i2, k, d, cf, q1d, q2d, v1d, v2d, u)
-        q1 += h6 * (v1 + 2.0 * (v1b + v1c) + v1d)
-        q2 += h6 * (v2 + 2.0 * (v2b + v2c) + v2d)
-        v1 += h6 * (a1 + 2.0 * (a2 + a3) + a4)
-        v2 += h6 * (b1 + 2.0 * (b2 + b3) + b4)
+    mu = 1.0 / i1 + 1.0 / i2
+    rho = math.sqrt(k * mu) + d * mu
+    piece = 1.0 / rho if rho > 0.0 else math.inf
+    x, left, forced = state, dt, None
+    for events in range(_MAX_SEGMENTS):
+        q1, q2, v1, v2 = x
+        if v1 != 0.0:
+            s = 1.0 if v1 > 0.0 else -1.0
+        elif forced is not None:
+            s = forced
+        else:
+            slack = u - (k * (q1 - q2) + d * (v1 - v2))
+            s = 0.0 if abs(slack) <= cf else math.copysign(1.0, slack)
+        watch = events < _MAX_SEGMENTS - 1
+        while left > 0.0:
+            h = min(left, piece)
+            terms = _series(params, x, u, s, h, rho * h)
+            end = _value(terms, 1.0)
+            if watch and s:
+                # s v1 must stay > 0; from rest, v1 = f g(f) and g must
+                poly = [s * a[2] for a in terms[1 if x[2] == 0.0 else 0:]]
+                span = _fall(poly)
+                if span:
+                    break
+            elif watch:
+                slack = u - (k * (end[0] - end[1]) + d * (end[2] - end[3]))
+                if abs(slack) > cf:
+                    break
+            x = end
+            left -= h
+        else:
+            return x, events
+        if s:
+            # v1 reaches zero within [0, span]
+            f = span * _root([c * span**n for n, c in enumerate(poly)])
+            q1, q2, _, v2 = _value(terms, f)
+            x, forced = (q1, q2, 0.0, v2), (0.0 if f == 0.0 else None)
+        else:
+            # the holding torque u - shaft reaches the band edge on its side
+            side = math.copysign(1.0, slack)
+            poly = [side * (k * (a0 - a1) + d * (a2 - a3)) for a0, a1, a2, a3 in terms]
+            poly[0] += cf - side * u
+            f = _root(poly)
+            x, forced = _value(terms, f), side
+        left -= f * h
+
+
+def _fall(poly):
+    """Where ``p(f) = sum poly[n] f**n`` has fallen to ``<= 0`` on ``[0, 1]``, or 0 if nowhere.
+
+    Returns 1 if ``p(1) < 0``; else the minimum of ``p``, when ``p`` falls at
+    0 and rises at 1 and its one minimum between is ``<= 0``.
+    """
+    if _polyval(poly, 1.0)[0] < 0.0:
+        return 1.0
+    slope = [-n * c for n, c in enumerate(poly)][1:]
+    if slope and slope[0] > 0.0 > _polyval(slope, 1.0)[0]:
+        low = _root(slope)
+        if _polyval(poly, low)[0] <= 0.0:
+            return low
+    return 0.0
+
+
+def _series(params, x, u, s, h, rho_h):
+    """Taylor terms ``a_n`` of one mode's solution from ``x``: ``x(f h) = sum a_n f**n``.
+
+    ``s`` is the slip direction (``+1`` or ``-1``), or 0 for stick, where
+    ``q1`` and ``v1`` are held.  The terms run to the order ``N >= 2`` at
+    which ``(rho h)**(N + 1) / (N + 1)!`` falls below ``2**-60``; the rigid
+    mode is exact from order 2.
+    """
+    i1, i2, k, d = params.I1, params.I2, params.k, params.d
+    q1, q2, v1, v2 = x
+    shaft = k * (q1 - q2) + d * (v1 - v2)
+    if s:
+        a = (v1 * h, v2 * h, (u - s * params.friction.magnitude - shaft) / i1 * h, shaft / i2 * h)
+    else:
+        a = (0.0, v2 * h, 0.0, shaft / i2 * h)
+    terms = [x, a]
+    n, bound = 2, rho_h ** 3 / 6.0
+    while True:
+        p1, p2, r1, r2 = a
+        shaft = k * (p1 - p2) + d * (r1 - r2)
+        c = h / n
+        if s:
+            a = (r1 * c, r2 * c, -shaft / i1 * c, shaft / i2 * c)
+        else:
+            a = (0.0, r2 * c, 0.0, shaft / i2 * c)
+        terms.append(a)
+        if bound <= 2.0**-60:
+            return terms
+        n += 1
+        bound *= rho_h / (n + 1)
+
+
+def _value(terms, f):
+    """The state ``sum a_n f**n`` of a series from :func:`_series` (Horner)."""
+    q1 = q2 = v1 = v2 = 0.0
+    for a0, a1, a2, a3 in reversed(terms):
+        q1 = q1 * f + a0
+        q2 = q2 * f + a1
+        v1 = v1 * f + a2
+        v2 = v2 * f + a3
     return q1, q2, v1, v2
+
+
+def _polyval(poly, f):
+    """``p(f) = sum poly[n] f**n`` and ``p'(f)``, by Horner's rule."""
+    val = der = 0.0
+    for c in reversed(poly):
+        der = der * f + val
+        val = val * f + c
+    return val, der
+
+
+def _root(poly):
+    """A root in ``[0, 1]`` of ``p(f) = sum poly[n] f**n``, given ``p(1) < 0``; 0 if ``p(0) <= 0``.
+
+    Newton's method from the secant point, kept inside the bracket that each
+    iterate shrinks; a step that leaves it bisects instead.
+    """
+    p0 = poly[0]
+    if p0 <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    f = p0 / (p0 - _polyval(poly, 1.0)[0])
+    for _ in range(64):
+        val, der = _polyval(poly, f)
+        if val > 0.0:
+            lo = f
+        elif val < 0.0:
+            hi = f
+        else:
+            return f
+        nxt = f - val / der if der else lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == f:
+            return f
+        f = nxt
+    return f
 
 
 class _Sensor:
@@ -375,7 +540,6 @@ def config_echo(cfg: SimulationConfig) -> dict:
         "simulation.mode": cfg.mode.name,
         "simulation.control_frequency": repr(cfg.control_frequency),
         "simulation.duration": repr(cfg.duration),
-        "simulation.plant_substeps": str(cfg.plant_substeps),
         "simulation.seed": str(cfg.seed),
         "simulation.u_max": "" if cfg.u_max is None else repr(cfg.u_max),
         "simulation.initial_state": ";".join(repr(x) for x in cfg.initial_state),
@@ -425,9 +589,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
     n_rows = n_ticks + 1
     plant = config.true_params
     zoh = tuple(zoh_step_matrix(plant, dt).ravel().tolist())
-    substeps = config.plant_substeps
-    h = dt / substeps
-    fallbacks = 0
+    stick = tuple(stick_step_matrix(plant, dt).ravel().tolist())
+    kinds = [0, 0, 0]  # ticks per SLIP, STUCK, EVENT
 
     rng = np.random.default_rng(config.seed)
     q1, q2, v1, v2 = (float(x) for x in config.initial_state)
@@ -507,8 +670,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
 
         if k == n_ticks:
             break
-        (q1, q2, v1, v2), exact = integrate_plant_tick(plant, zoh, (q1, q2, v1, v2), u, h, substeps)
-        fallbacks += not exact
+        (q1, q2, v1, v2), kind = integrate_plant_tick(plant, zoh, stick, (q1, q2, v1, v2), u, dt)
+        kinds[kind] += 1
 
     return Trace(
         t=cols["t"][:rows],
@@ -524,7 +687,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
         status=status,
         run_config=config_echo(config),
         wall_us=wall[:rows],
-        plant_fallbacks=fallbacks,
+        plant_stuck_ticks=kinds[STUCK],
+        plant_events=kinds[EVENT],
     )
 
 

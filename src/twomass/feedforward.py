@@ -50,7 +50,12 @@ __all__ = [
     "apply_tuning",
     "write_table_csv",
     "read_table_csv",
+    "MAX_STEPS",
 ]
+
+# The longest time grid of a run or a table: 10**7 steps is 83 minutes at
+# 2 kHz and about a gigabyte of trace columns.  A longer one is a config error.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -252,6 +257,10 @@ def solve_feedforward(
     if not 0.0 < horizon < math.inf:
         raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
     stepper = InverseModelStepper(params, spec, dt, opts)
+    if not horizon / dt <= MAX_STEPS:
+        raise ValidationError(
+            f"horizon {horizon} s at dt {dt} s is {horizon / dt:.3g} steps, more than {MAX_STEPS}"
+        )
     n_steps = round(horizon / dt)
     torques = np.empty(n_steps + 1)
     iterations = np.zeros(n_steps + 1, dtype=int)

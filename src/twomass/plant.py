@@ -32,9 +32,9 @@ __all__ = [
     "OscillatorParams",
     "ReducedRealization",
     "MinimumPhaseReport",
-    "accelerations",
     "system_matrices",
     "zoh_step_matrix",
+    "stick_step_matrix",
     "reduced_realization",
     "check_minimum_phase",
 ]
@@ -44,9 +44,11 @@ __all__ = [
 class FrictionModel:
     """Coulomb friction torque acting on flywheel 1.
 
-    A magnitude of zero disables friction.  The torque opposes motion and is
-    defined as zero at rest (no set-valued force; the simulator never dwells
-    exactly at zero velocity except at the initial instant).
+    A magnitude of zero disables friction.  Static and kinetic levels are
+    equal: while flywheel 1 slips the torque is ``-magnitude sign(v1)``; at
+    rest it is whatever holds the flywheel, as long as that needs at most
+    ``magnitude`` (the Filippov solution of the Coulomb law).  So the
+    simulator does dwell exactly at ``v1 = 0`` while the flywheel sticks.
     """
 
     magnitude: float = 0.0
@@ -94,39 +96,11 @@ class OscillatorParams:
             raise ValidationError(f"d must be >= 0, got {self.d}")
 
 
-def accelerations(
-    i1: float,
-    i2: float,
-    stiffness: float,
-    damping: float,
-    coulomb: float,
-    q1: float,
-    q2: float,
-    v1: float,
-    v2: float,
-    u: float,
-) -> tuple[float, float]:
-    """Angular accelerations of both flywheels, scalar form.
-
-    This is the single source of truth for the rig dynamics; the closed-loop
-    integrator calls it per stage, so it deliberately works on plain floats.
-    """
-    shaft = stiffness * (q1 - q2) + damping * (v1 - v2)
-    if v1 > 0.0:
-        fric = -coulomb
-    elif v1 < 0.0:
-        fric = coulomb
-    else:
-        fric = 0.0
-    return (u + fric - shaft) / i1, shaft / i2
-
-
 def system_matrices(params: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
     """``A`` (4x4) and ``B`` (4,) of ``xdot = A x + B (u + f)``, ``x = (q1, q2, v1, v2)``.
 
-    The same equations as :func:`accelerations`, with the Coulomb torque
-    ``f`` taken as an input: it is constant while ``sign(v1)`` holds, and then
-    the rig is linear.
+    The module's equations of motion, with the Coulomb torque ``f`` taken as an
+    input: it is constant while ``sign(v1)`` holds, and then the rig is linear.
     """
     i1, i2, k, d = params.I1, params.I2, params.k, params.d
     a = np.array(
@@ -153,6 +127,16 @@ def zoh_step_matrix(params: OscillatorParams, dt: float) -> np.ndarray:
     augmented[:4, :4] = a * dt
     augmented[:4, 4] = b * dt
     return _expm(augmented)[:4]
+
+
+def stick_step_matrix(params: OscillatorParams, dt: float) -> np.ndarray:
+    """``S`` (2x2): one exact step of ``(q2 - q1, v2)`` of length ``dt`` while flywheel 1 sticks.
+
+    With ``q1`` held and ``v1 = 0``, flywheel 2 swings on the shaft alone:
+    ``z' = v2``, ``I2 v2' = -k z - d v2`` for the twist ``z = q2 - q1``.
+    """
+    i2 = params.I2
+    return _expm(np.array([[0.0, dt], [-params.k / i2 * dt, -params.d / i2 * dt]]))
 
 
 def _expm(m: np.ndarray) -> np.ndarray:

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import assert_close
+from plant_oracle import accelerations, rk4_plant_tick
 from twomass.closedloop import (
+    EVENT,
+    SLIP,
+    STUCK,
     ControllerMode,
     FeedforwardSource,
     MeasurementModel,
@@ -14,7 +18,6 @@ from twomass.closedloop import (
     Trace,
     config_echo,
     integrate_plant_tick,
-    rk4_plant_tick,
     run_simulation,
     run_sweep,
     read_trace_csv,
@@ -23,7 +26,7 @@ from twomass.closedloop import (
 from twomass.errors import ValidationError
 from twomass.feedback import FunnelSpec
 from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, solve_feedforward
-from twomass.plant import FrictionModel, OscillatorParams, accelerations, zoh_step_matrix
+from twomass.plant import FrictionModel, OscillatorParams, stick_step_matrix, zoh_step_matrix
 from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
 from twomass.trajectory import TrajectorySpec
 
@@ -46,7 +49,7 @@ def base_config(**overrides):
 
 
 class TestFineIntegrator:
-    """The RK4 fallback, run on ticks where friction switches."""
+    """The RK4 oracle of ``plant_oracle``, which the exact tick is checked against."""
 
     def test_matches_generic_rk4_on_dynamics(self, rig_with_friction):
         # dual route: the inlined scalar loop against a straightforward RK4
@@ -101,38 +104,57 @@ class TestFineIntegrator:
         assert rk4_plant_tick(rig_with_friction, state, u, h, 10) == stepped
 
 
-def zoh_cells(params, dt):
-    return tuple(zoh_step_matrix(params, dt).ravel().tolist())
+def tick(params, state, u, dt):
+    """One exact plant tick, with the per-run matrices built here."""
+    zoh = tuple(zoh_step_matrix(params, dt).ravel().tolist())
+    stick = tuple(stick_step_matrix(params, dt).ravel().tolist())
+    return integrate_plant_tick(params, zoh, stick, state, u, dt)
+
+
+def shaft_torque(params, state):
+    q1, q2, v1, v2 = state
+    return params.k * (q1 - q2) + params.d * (v1 - v2)
+
+
+def oracle_distance(a, b, dt):
+    """Largest state difference in velocity units: angles count divided by ``dt``."""
+    return max(abs(a[0] - b[0]) / dt, abs(a[1] - b[1]) / dt, abs(a[2] - b[2]), abs(a[3] - b[3]))
 
 
 class TestExactStep:
-    """The closed-form tick and the rule that sends a tick to the RK4 fallback."""
+    """The exact tick: slip, stuck and event ticks against the RK4 oracle."""
 
     DT = 1e-3
 
     @pytest.mark.parametrize("state, u", [
-        ((0.0, 0.0, 0.0, 0.0), 0.5),      # starts at rest
+        ((0.0, 0.0, 0.0, 0.0), 0.5),      # starts at rest and breaks away
         ((0.1, 0.0, 1e-4, 0.2), -2.0),    # v1 > 0 reverses within the tick
         ((0.0, 0.1, -1e-4, -0.2), 2.0),   # v1 < 0 reverses within the tick
     ])
-    def test_sign_change_tick_is_the_rk4_fallback_bitwise(self, rig_with_friction, state, u):
+    def test_sign_change_tick_converges_to_the_rk4_oracle(self, rig_with_friction, state, u):
+        # RK4 is first order at a friction switch: its distance to the event
+        # tick shrinks in proportion to the substep
         p = rig_with_friction
-        stepped, exact = integrate_plant_tick(p, zoh_cells(p, self.DT), state, u, self.DT / 10, 10)
-        assert not exact
-        assert stepped == rk4_plant_tick(p, state, u, self.DT / 10, 10)
+        stepped, kind = tick(p, state, u, self.DT)
+        assert kind == EVENT
+        distances = [
+            oracle_distance(stepped, rk4_plant_tick(p, state, u, self.DT / n, n), self.DT)
+            for n in (160, 640, 2560)
+        ]
+        assert distances[2] < distances[1] < distances[0]
+        assert distances[2] <= 2.0 * p.friction.magnitude / p.I1 * self.DT / 2560
 
     def test_smooth_tick_matches_fine_rk4(self, rig_with_friction):
         # tolerance: 1e-13 relative (floor 1); the worst seen on the rig is 2.4e-15.
         # |v1| >= 1 with a small twist cannot reverse within one tick
         p = rig_with_friction
-        zoh = zoh_cells(p, self.DT)
         rng = np.random.default_rng(4)
         for _ in range(50):
             q1, q2, v1, v2 = rng.normal(size=4).tolist()
             state = (0.3 * q1, 0.3 * q2, math.copysign(1.0 + 3.0 * abs(v1), v1), 3.0 * v2)
             u = float(rng.normal())
-            stepped, exact = integrate_plant_tick(p, zoh, state, u, self.DT / 10, 10)
-            assert exact
+            stepped, kind = tick(p, state, u, self.DT)
+            assert kind == SLIP
             assert_close(stepped, rk4_plant_tick(p, state, u, self.DT / 160, 160), rel=1e-13)
 
     @settings(max_examples=200)
@@ -143,12 +165,98 @@ class TestExactStep:
         dt=st.sampled_from([5e-4, 1e-3]),
     )
     def test_agrees_with_fine_rk4_across_params(self, i1, i2, k, d, cf, state, u, dt):
-        # on every tick the rule accepts, the exact step equals RK4 with 160
-        # substeps to 1e-12 relative (floor 1) over these parameter ranges
+        # on every slip tick, the exact step equals RK4 with 160 substeps to
+        # 1e-12 relative (floor 1) over these parameter ranges
         p = OscillatorParams(I1=i1, I2=i2, k=k, d=d, friction=FrictionModel(cf))
-        stepped, exact = integrate_plant_tick(p, zoh_cells(p, dt), state, u, dt / 10, 10)
-        assume(exact)
+        stepped, kind = tick(p, state, u, dt)
+        assume(kind == SLIP)
         assert_close(stepped, rk4_plant_tick(p, state, u, dt / 160, 160), rel=1e-12)
+
+    @settings(max_examples=200)
+    @given(
+        i1=st.floats(0.05, 5.0), i2=st.floats(0.05, 5.0),
+        k=st.floats(0.0, 500.0), d=st.floats(0.0, 2.0), cf=st.floats(0.0, 1.0),
+        q1=st.floats(-1.0, 1.0),
+        twist=st.floats(-1e-3, 1e-3) | st.floats(-1.0, 1.0),
+        v1=st.just(0.0) | st.floats(-1e-2, 1e-2) | st.floats(-10.0, 10.0),
+        v2=st.floats(-1e-2, 1e-2) | st.floats(-10.0, 10.0),
+        near=st.booleans(), torque=st.floats(-5.0, 5.0),
+        dt=st.sampled_from([5e-4, 1e-3]),
+    )
+    def test_no_farther_from_fine_rk4_than_coarse_rk4(
+        self, i1, i2, k, d, cf, q1, twist, v1, v2, near, torque, dt
+    ):
+        # Slip, stuck and event ticks, starts from rest included: the exact
+        # tick is no farther from RK4 with 640 substeps than RK4 with 10 is.
+        # RK4 itself is first order at a friction switch (and chatters about
+        # a stuck v1): a switch inside a substep h leaves up to
+        # (2 cf / I1) h in v1.  So distances are in velocity units, and the
+        # bound adds that error of the 640-substep oracle and a floor of
+        # 1e-12 relative (floor 1).
+        p = OscillatorParams(I1=i1, I2=i2, k=k, d=d, friction=FrictionModel(cf))
+        state = (q1, q1 - twist, v1, v2)
+        # a held torque near the band edge |u - shaft| = cf, or anywhere
+        u = shaft_torque(p, state) + 0.4 * cf * torque if near else torque
+        stepped, _ = tick(p, state, u, dt)
+        fine = rk4_plant_tick(p, state, u, dt / 640, 640)
+        coarse = rk4_plant_tick(p, state, u, dt / 10, 10)
+        oracle_error = 2.0 * cf / i1 * dt / 640
+        floor = 1e-12 * max(1.0, *map(abs, fine)) / dt
+        assert (
+            oracle_distance(stepped, fine, dt)
+            <= oracle_distance(coarse, fine, dt) + oracle_error + floor
+        )
+
+    @settings(max_examples=100)
+    @given(
+        i1=st.floats(0.05, 5.0), i2=st.floats(0.05, 5.0),
+        k=st.floats(0.0, 500.0), d=st.floats(0.0, 2.0), cf=st.floats(0.1, 1.0),
+        q1=st.floats(-10.0, 10.0), twist=st.floats(-1e-3, 1e-3),
+        v1=st.sampled_from([0.0, -0.0]), v2=st.floats(-1e-3, 1e-3),
+        hold=st.floats(-0.5, 0.5), dt=st.sampled_from([5e-4, 1e-3]),
+    )
+    def test_stuck_tick_holds_flywheel_one_bitwise(
+        self, i1, i2, k, d, cf, q1, twist, v1, v2, hold, dt
+    ):
+        # At rest with the holding torque u - shaft inside half the band, the
+        # shaft torque -k z - d v2 moves by at most 0.026 < cf / 2 in a tick
+        # here (|v2'| <= 10, so |v2| <= 0.011), and flywheel 1 stays stuck.
+        # Its angle and speed come back bit for bit, and |u - shaft| <= cf
+        # at both ends.
+        p = OscillatorParams(I1=i1, I2=i2, k=k, d=d, friction=FrictionModel(cf))
+        state = (q1, q1 - twist, v1, v2)
+        u = shaft_torque(p, state) + hold * cf
+        stepped, kind = tick(p, state, u, dt)
+        assert kind == STUCK
+        assert (stepped[0].hex(), stepped[2].hex()) == (q1.hex(), v1.hex())
+        assert abs(u - shaft_torque(p, state)) <= cf
+        assert abs(u - shaft_torque(p, stepped)) <= cf
+
+    def test_double_sign_change_within_a_tick_is_an_event(self):
+        # v1 starts slightly negative, is pushed through zero, and the
+        # fast-swinging shaft pulls it back below zero before the tick ends:
+        # the sign at both ends agrees, yet friction switched twice
+        p = OscillatorParams(
+            I1=0.6064, I2=4.0105, k=412.0, d=1.0579, friction=FrictionModel(0.6966)
+        )
+        state = (0.2158, -0.2654, -5.48e-4, -9.641)
+        u = 209.63
+        stepped, kind = tick(p, state, u, self.DT)
+        fine = rk4_plant_tick(p, state, u, self.DT / 2560, 2560)
+        assert stepped[2] < 0.0 and fine[2] < 0.0
+        assert kind == EVENT
+        assert oracle_distance(stepped, fine, self.DT) <= 2.0 * 0.6966 / p.I1 * self.DT / 2560
+
+    def test_frictionless_tick_is_the_zoh_step_bitwise(self, rig):
+        # no friction, no switch: starts from rest and v1 reversals included
+        zoh = zoh_step_matrix(rig, self.DT).tolist()
+        for state, u in (((0.0, 0.0, 0.0, 0.0), 0.5), ((0.1, 0.0, 1e-4, 0.2), -2.0)):
+            q1, q2, v1, v2 = state
+            stepped, kind = tick(rig, state, u, self.DT)
+            assert kind == SLIP
+            assert stepped == tuple(
+                r[0] * q1 + r[1] * q2 + r[2] * v1 + r[3] * v2 + r[4] * u for r in zoh
+            )
 
 
 class TestRunSimulation:
@@ -282,13 +390,30 @@ class TestRunSimulation:
         assert trace.wall_us is not None and np.all(trace.wall_us >= 0.0)
 
 
-    def test_fallbacks_are_the_ticks_at_rest_on_a_frictionless_rig(self, rig):
-        # without friction v1 never reverses here, so only the ticks that
-        # start at v1 == 0 leave the exact step
+    def test_frictionless_rig_has_neither_stuck_nor_event_ticks(self, rig):
+        # without friction every tick is the exact ZOH step, from rest too
         trace = run_simulation(base_config(true_params=rig, duration=1.0))
-        at_rest = int(np.count_nonzero(trace.y_true[:-1] == 0.0))
-        assert at_rest >= 1
-        assert trace.plant_fallbacks == at_rest
+        assert trace.y_true[0] == 0.0
+        assert (trace.plant_stuck_ticks, trace.plant_events) == (0, 0)
+
+    @pytest.mark.parametrize("torque, counts", [
+        (0.5, (0, 1)),     # above cf: one start from rest, then v1 > 0 throughout
+        (0.1, (1000, 0)),  # below cf: stuck on every tick
+    ])
+    def test_counts_from_rest_under_a_constant_torque(self, rig_with_friction, torque, counts):
+        table = FeedforwardTable(
+            dt=1e-3, t=np.arange(1001) * 1e-3, u=np.full(1001, torque),
+            newton_iterations=np.zeros(1001, dtype=int),
+        )
+        cfg = base_config(
+            true_params=rig_with_friction,
+            mode=ControllerMode.feedforward_only(UNIT_TUNING),
+            feedforward_source=FeedforwardSource(table=table),
+            duration=1.0,
+        )
+        trace = run_simulation(cfg)
+        assert (trace.plant_stuck_ticks, trace.plant_events) == counts
+        assert np.all(trace.y_true[1:] > 0.0) if counts[1] else np.all(trace.y_true == 0.0)
 
 
 class TestFunnelInvariant:

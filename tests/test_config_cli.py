@@ -7,6 +7,7 @@ import pytest
 
 from conftest import NOT_UTF8
 from twomass.cli import main
+from twomass.closedloop import run_simulation
 from twomass.config import load_config, load_config_file
 from twomass.errors import ParseError, ValidationError
 from twomass.presets import ExperimentPreset, build_preset, preset_names
@@ -253,15 +254,18 @@ class TestCli:
         assert (run, mode, len(cells)) == ("demo", "combined", 5)
         assert all(math.isfinite(float(cell)) for cell in cells)
 
-    def test_summary_counts_plant_fallbacks(self, tmp_path):
-        # 0.5 s at 1 kHz: 501 ticks, the plant steps after the first 500;
-        # the run starts at rest, so at least its first step falls back
+    def test_summary_counts_stuck_and_event_ticks(self, tmp_path):
+        # 0.5 s at 1 kHz: 501 ticks, the plant steps after the first 500; the
+        # counts are the run's own, and its start from rest is an event
         cfg_path = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
         text = (out / "demo-summary.txt").read_text()
-        found = re.findall(r"^plant fallback ticks: (\d+) of 500$", text, re.MULTILINE)
-        assert len(found) == 1 and 1 <= int(found[0]) <= 500
+        line = r"^plant: (\d+) stuck ticks, (\d+) event ticks of 500$"
+        found = re.findall(line, text, re.MULTILINE)
+        trace = run_simulation(load_config_file(str(cfg_path)))
+        assert found == [(str(trace.plant_stuck_ticks), str(trace.plant_events))]
+        assert trace.plant_events >= 1
 
     def test_analyze_reproduces_metrics_bit_identically(self, tmp_path):
         text = FULL_CONFIG.replace("duration = 0.5", "duration = 15.0")
@@ -342,6 +346,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert err.count("\n") == 1
+
+    def test_overflowing_tick_count_exits_2_with_one_line(self, tmp_path, capsys):
+        text = FULL_CONFIG.replace("duration = 0.5", "duration = 1e200")
+        text = text.replace("control_frequency = 1000.0", "control_frequency = 1e200")
+        path = write_config(tmp_path, text)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration 1e+200 s at 1e+200 Hz is inf control ticks")
+        assert err.count("\n") == 1
+
+    def test_overflowing_feedforward_grid_exits_2_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert main(["feedforward", "--dt", "1e-320", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon 15.0 s at dt 1e-320 s is inf steps, more than ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--dt", "--horizon"])
     def test_non_finite_feedforward_grid_exits_2_with_one_line(self, tmp_path, capsys, flag):

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import assert_close
+from plant_oracle import accelerations
 from twomass.errors import ValidationError
 from twomass.plant import (
     FRICTIONLESS,
     FrictionModel,
     OscillatorParams,
-    accelerations,
     check_minimum_phase,
     reduced_realization,
+    stick_step_matrix,
     system_matrices,
     zoh_step_matrix,
 )
@@ -161,6 +162,25 @@ class TestZohStepMatrix:
             [0.0, 0.0, 0.0, 1.0, 0.0],
         ])
         assert_close(zoh_step_matrix(p, dt), expected, rel=1e-15)
+
+
+class TestStickStepMatrix:
+    @pytest.mark.parametrize("dt", [1e-4, 5e-4, 1e-3, 1e-2, 0.5])
+    def test_matches_scipy_expm(self, rig, dt):
+        # flywheel 2 alone on the shaft: z' = v2, I2 v2' = -k z - d v2
+        linalg = pytest.importorskip("scipy.linalg")
+        block = np.array([[0.0, 1.0], [-rig.k / rig.I2, -rig.d / rig.I2]])
+        expected = linalg.expm(block * dt)
+        assert_close(stick_step_matrix(rig, dt), expected, rel=1e-13, floor=np.abs(expected).max())
+
+    def test_is_the_zoh_step_with_flywheel_one_held(self):
+        # an infinitely heavy flywheel 1 at rest cannot move: the ZOH step of
+        # (q1, q2, v1, v2) then moves (q2 - q1, v2) by the stick matrix
+        dt = 1e-3
+        p = OscillatorParams(I1=1e12, I2=0.12, k=33.6, d=0.016)
+        phi = zoh_step_matrix(p, dt)[:, :4]
+        s = stick_step_matrix(p, dt)
+        assert_close(phi[[1, 3]][:, [1, 3]], s, rel=1e-9)
 
 
 class TestMinimumPhase:
