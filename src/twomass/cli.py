@@ -62,8 +62,9 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
             )
         if trace.wall_us is not None and len(trace.wall_us):
             p50, p90, p99 = np.percentile(trace.wall_us, [50, 90, 99])
+            budget = 1e6 / result.config.control_frequency  # one control tick
             lines.append(
-                "controller wall time per tick [us]: "
+                f"controller wall time per tick [us]: budget={budget:.1f} "
                 f"p50={p50:.1f} p90={p90:.1f} p99={p99:.1f} max={trace.wall_us.max():.1f}"
             )
         if result.metrics is not None:

@@ -498,39 +498,41 @@ def _root(poly):
 
 
 class _Sensor:
-    """Tick-rate measurement of the output velocity."""
+    """Tick-rate encoder measurement of the output velocity.
 
-    def __init__(self, model: MeasurementModel, dt: float, q1_0: float, v1_0: float, rng):
-        self.model = model
+    An ideal sensor needs none: the loop reads ``v1`` itself.  The velocity
+    noise does not depend on the plant, so all of a run's draws are made up
+    front, one per tick; they are the draws a per-tick ``standard_normal()``
+    would make, in the same order.
+    """
+
+    def __init__(self, model: MeasurementModel, dt: float, n_rows: int, q1_0: float,
+                 v1_0: float, rng):
+        self.quantum = model.angle_quantum
         self.dt = dt
-        self.rng = rng
-        if not model.is_ideal:
-            self._angle_prev = self._quantize(q1_0)
-            self._filtered = v1_0
-            tau = model.filter_time_constant
-            self._alpha = dt / (tau + dt) if tau > 0.0 else 1.0
+        self._angle_prev = self._quantize(q1_0)
+        self._filtered = v1_0
+        tau = model.filter_time_constant
+        self._alpha = dt / (tau + dt) if tau > 0.0 else 1.0
+        self._noise = None
+        if model.noise_std > 0.0:
+            self._noise = memoryview(model.noise_std * rng.standard_normal(n_rows))
 
     def _quantize(self, angle: float) -> float:
-        q = self.model.angle_quantum
+        q = self.quantum
         if q == 0.0:
             return angle
         return math.floor(angle / q) * q
 
-    def sample(self, tick: int, q1: float, v1: float) -> float:
-        model = self.model
-        if model.is_ideal:
-            return v1
-        if tick == 0:
-            value = self._filtered
-        else:
+    def sample(self, tick: int, q1: float) -> float:
+        if tick:
             angle = self._quantize(q1)
             raw = (angle - self._angle_prev) / self.dt
             self._angle_prev = angle
             self._filtered += self._alpha * (raw - self._filtered)
-            value = self._filtered
-        if model.noise_std > 0.0:
-            value += model.noise_std * self.rng.standard_normal()
-        return value
+        if self._noise is None:
+            return self._filtered
+        return self._filtered + self._noise[tick]
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
@@ -580,10 +582,14 @@ def run_simulation(config: SimulationConfig) -> Trace:
     Ticks run at ``t_k = k / control_frequency`` up to and including the
     horizon; the input computed at the final tick is recorded but no longer
     applied.  Identical configs (and seeds) give bit-identical traces.
+
+    The columns that do not depend on the plant are built once per run: the
+    tick times, the reference, the funnel width and a table's tuned torque.
+    The loop samples, runs the controller and steps the plant, storing into
+    the float64 columns through memoryviews; ``e`` is one subtraction after it.
     """
     config.validate()
-    mode = config.mode
-    traj = config.trajectory
+    tuning, funnel, u_max = config.mode.tuning, config.mode.funnel, config.u_max
     dt = 1.0 / config.control_frequency
     n_ticks = config.n_ticks
     n_rows = n_ticks + 1
@@ -592,97 +598,91 @@ def run_simulation(config: SimulationConfig) -> Trace:
     stick = tuple(stick_step_matrix(plant, dt).ravel().tolist())
     kinds = [0, 0, 0]  # ticks per SLIP, STUCK, EVENT
 
-    rng = np.random.default_rng(config.seed)
     q1, q2, v1, v2 = (float(x) for x in config.initial_state)
-    sensor = _Sensor(config.measurement, dt, q1, v1, rng)
+    sample = None
+    if not config.measurement.is_ideal:
+        rng = np.random.default_rng(config.seed)
+        sample = _Sensor(config.measurement, dt, n_rows, q1, v1, rng).sample
 
+    t = np.arange(n_rows) * dt
+    y_ref = trajectory_mod.y_ref_samples(config.trajectory, t)
+    y_meas, y_true, psi_col, u_ffw_col, u_fb_col, u_col, newton_col = (
+        np.full(n_rows, np.nan) for _ in range(7)
+    )
+    wall = np.zeros(n_rows)
     stepper = None
-    table = None
-    if mode.tuning is not None:
+    if tuning is not None:
         source = config.feedforward_source
         if source.is_online:
-            stepper = InverseModelStepper(config.nominal_params, traj, dt, source.newton)
+            stepper = InverseModelStepper(
+                config.nominal_params, config.trajectory, dt, source.newton
+            )
+            u_ffw_col[0] = apply_tuning(stepper.state.u, tuning)
+            newton_col[0] = 0.0
         else:
-            table = source.table
+            u_ffw_col[:] = apply_tuning(np.asarray(source.table.u[:n_rows], dtype=float), tuning)
+    if funnel is not None:
+        psi_col[:] = np.fromiter((psi(funnel, k * dt) for k in range(n_rows)), float, n_rows)
 
-    cols = {
-        name: np.full(n_rows, np.nan)
-        for name in ("t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u")
-    }
-    newton_col = np.full(n_rows, np.nan)
-    wall = np.zeros(n_rows)
+    y_ref_v, psi_v, ffw_v, fb_v, u_v, newton_v, wall_v, meas_v, true_v = map(
+        memoryview, (y_ref, psi_col, u_ffw_col, u_fb_col, u_col, newton_col, wall, y_meas, y_true)
+    )
+    perf = time.perf_counter
     status = RunStatus("completed")
-    rows = 0
-
+    # A branch that is off adds +0.0, so a lone -0.0 sums to 0.0.
+    u_ffw = u_fb = 0.0
     for k in range(n_rows):
-        t_k = k * dt
-        y_true = v1
-        y_meas = sensor.sample(k, q1, y_true)
-        y_ref = trajectory_mod.y_ref_at(traj, t_k)
-        e_k = y_meas - y_ref
+        y = v1 if sample is None else sample(k, q1)
+        meas_v[k] = y
+        true_v[k] = v1
 
-        cols["t"][k] = t_k
-        cols["y_measured"][k] = y_meas
-        cols["y_true"][k] = y_true
-        cols["y_ref"][k] = y_ref
-        cols["e"][k] = e_k
-        rows = k + 1
-
-        t_start = time.perf_counter()
-        u_ffw = None
-        if mode.tuning is not None:
-            if table is not None:
-                raw = float(table.u[k])
+        t_start = perf()
+        if tuning is not None:
+            if stepper is None or k == 0:
+                u_ffw = ffw_v[k]
             else:
-                if k == 0:
-                    raw = stepper.state.u
-                    newton_col[k] = 0.0
-                else:
-                    try:
-                        raw = stepper.advance(t_k).u
-                    except NewtonDiverged:
-                        status = RunStatus("newton_diverged", at=t_k)
-                        break
-                    newton_col[k] = stepper.last_iterations
-            u_ffw = apply_tuning(raw, mode.tuning)
-            cols["u_ffw"][k] = u_ffw
-
-        u_fb = None
-        if mode.funnel is not None:
-            psi_k = psi(mode.funnel, t_k)
-            cols["psi"][k] = psi_k
+                try:
+                    u_ffw = apply_tuning(stepper.advance(k * dt).u, tuning)
+                except NewtonDiverged:
+                    status = RunStatus("newton_diverged", at=k * dt)
+                    psi_col[k] = math.nan  # the funnel was not evaluated at this tick
+                    break
+                newton_v[k] = stepper.last_iterations
+                ffw_v[k] = u_ffw
+        if funnel is not None:
             try:
-                u_fb = funnel_law(y_meas, y_ref, psi_k)
+                u_fb = funnel_law(y, y_ref_v[k], psi_v[k])
             except FunnelViolation:
                 if k == 0:
                     raise ValidationError(
-                        f"initial error {e_k:.6g} is not inside the funnel width {psi_k:.6g}"
+                        f"initial error {y - y_ref_v[0]:.6g} is not inside the funnel "
+                        f"width {psi_v[0]:.6g}"
                     ) from None
-                status = RunStatus("funnel_violated", at=t_k)
+                status = RunStatus("funnel_violated", at=k * dt)
                 break
-            cols["u_fb"][k] = u_fb
-
-        u = (u_ffw if u_ffw is not None else 0.0) + (u_fb if u_fb is not None else 0.0)
-        if config.u_max is not None:
-            u = min(max(u, -config.u_max), config.u_max)
-        wall[k] = (time.perf_counter() - t_start) * 1e6
-        cols["u"][k] = u
+            fb_v[k] = u_fb
+        u = u_ffw + u_fb
+        if u_max is not None:
+            u = min(max(u, -u_max), u_max)
+        wall_v[k] = (perf() - t_start) * 1e6
+        u_v[k] = u
 
         if k == n_ticks:
             break
         (q1, q2, v1, v2), kind = integrate_plant_tick(plant, zoh, stick, (q1, q2, v1, v2), u, dt)
         kinds[kind] += 1
 
+    rows = k + 1
     return Trace(
-        t=cols["t"][:rows],
-        y_measured=cols["y_measured"][:rows],
-        y_true=cols["y_true"][:rows],
-        y_ref=cols["y_ref"][:rows],
-        e=cols["e"][:rows],
-        psi=cols["psi"][:rows],
-        u_ffw=cols["u_ffw"][:rows],
-        u_fb=cols["u_fb"][:rows],
-        u=cols["u"][:rows],
+        t=t[:rows],
+        y_measured=y_meas[:rows],
+        y_true=y_true[:rows],
+        y_ref=y_ref[:rows],
+        e=y_meas[:rows] - y_ref[:rows],
+        psi=psi_col[:rows],
+        u_ffw=u_ffw_col[:rows],
+        u_fb=u_fb_col[:rows],
+        u=u_col[:rows],
         newton_iterations=newton_col[:rows],
         status=status,
         run_config=config_echo(config),

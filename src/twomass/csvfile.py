@@ -47,11 +47,24 @@ def format_rows(arrays, int_columns=()):
     """Data rows in the cell format, one per index of the equally long ``arrays``.
 
     ``int_columns`` holds the positions of the columns written as integers.
+    Within a batch, a column whose values have the same kind, dtype and bits
+    as an earlier column's reuses that column's cells (an ideal sensor's
+    ``y_measured`` is its ``y_true``); equal bits make equal cells, so
+    ``-0.0``, NaN payloads and integer columns are never confused.
     """
     n = len(arrays[0])
     for start in range(0, n, _BATCH):
         stop = start + _BATCH
-        columns = [_cells(a[start:stop], i in int_columns) for i, a in enumerate(arrays)]
+        formatted = []  # (key, cells) of this batch's distinct columns
+        columns = []
+        for i, a in enumerate(arrays):
+            chunk = a[start:stop]
+            key = (i in int_columns, chunk.dtype, chunk.tobytes())
+            cells = next((done for seen, done in formatted if seen == key), None)
+            if cells is None:
+                cells = _cells(chunk, key[0])
+                formatted.append((key, cells))
+            columns.append(cells)
         yield from map(",".join, zip(*columns))
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "sigma",
     "sigma_samples",
     "y_ref_at",
+    "y_ref_samples",
     "y_ref_derivative",
 ]
 
@@ -101,8 +102,9 @@ def sigma(spec: TrajectorySpec, t: float) -> float:
 def sigma_samples(spec: TrajectorySpec, times: np.ndarray) -> np.ndarray:
     """Vectorized :func:`sigma` over an array of in-window times.
 
-    Same reflection rule as the scalar path, so the two agree bitwise; use
-    this for dense grids (plot data, monotonicity scans).
+    Same reflection rule as the scalar path, so the two agree bitwise.  The
+    closed loop builds its whole reference column from it (through
+    :func:`y_ref_samples`) once per run.
     """
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < spec.t0 or times.max() > spec.tf):
@@ -125,6 +127,15 @@ def y_ref_at(spec: TrajectorySpec, t: float) -> float:
     if t > spec.tf:
         return spec.yf
     return spec.y0 + sigma(spec, t) * (spec.yf - spec.y0)
+
+
+def y_ref_samples(spec: TrajectorySpec, times: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`y_ref_at`; agrees with it bitwise at every time."""
+    times = np.asarray(times, dtype=float)
+    values = np.where(times < spec.t0, spec.y0, spec.yf)
+    window = (times >= spec.t0) & (times <= spec.tf)
+    values[window] = spec.y0 + sigma_samples(spec, times[window]) * (spec.yf - spec.y0)
+    return values
 
 
 def y_ref_derivative(spec: TrajectorySpec, t: float) -> float:

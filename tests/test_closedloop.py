@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import assert_close
+from loop_oracle import run_simulation_per_tick
 from plant_oracle import accelerations, rk4_plant_tick
 from twomass.closedloop import (
     EVENT,
@@ -414,6 +415,101 @@ class TestRunSimulation:
         trace = run_simulation(cfg)
         assert (trace.plant_stuck_ticks, trace.plant_events) == counts
         assert np.all(trace.y_true[1:] > 0.0) if counts[1] else np.all(trace.y_true == 0.0)
+
+
+def _table(u, n=2001, dt=1e-3):
+    return FeedforwardTable(dt=dt, t=np.arange(n) * dt, u=np.full(n, u),
+                            newton_iterations=np.zeros(n, dtype=int))
+
+
+REST = TrajectorySpec(y0=0.0, yf=0.0, t0=0.0, tf=1.0)
+NOISY_ENCODER = MeasurementModel.encoder(noise_std=0.05)
+DIVERGING = FeedforwardSource(newton=NewtonOptions(residual_tolerance=1e-300))
+
+# name -> config overrides; 2 s at 1 kHz unless stated
+ORACLE_CASES = {
+    "feedback-ideal": {},
+    "feedback-noisy-encoder": dict(measurement=NOISY_ENCODER, seed=5),
+    "feedback-quiet-encoder": dict(measurement=MeasurementModel.encoder(noise_std=0.0)),
+    "feedback-2khz-late-window": dict(
+        control_frequency=2000.0, trajectory=TrajectorySpec(y0=1.0, yf=6.0, t0=0.3, tf=1.2)),
+    "online-feedforward": dict(mode=ControllerMode.feedforward_only(TuningFactors(0.08, 0.16))),
+    "table-feedforward": dict(
+        mode=ControllerMode.feedforward_only(TuningFactors(0.08, 0.16)),
+        feedforward_source=FeedforwardSource(
+            table=solve_feedforward(NOMINAL_PLANT, REFERENCE_TRAJECTORY, dt=1e-3, horizon=2.0))),
+    "combined-online-noisy": dict(
+        mode=ControllerMode.combined(TuningFactors(0.08, 0.16), FUNNEL_2),
+        measurement=NOISY_ENCODER, seed=9),
+    "combined-table": dict(
+        mode=ControllerMode.combined(UNIT_TUNING, FUNNEL_2),
+        feedforward_source=FeedforwardSource(table=_table(0.3))),
+    "u-max-clamp": dict(u_max=0.05),
+    "funnel-violation": dict(mode=ControllerMode.feedback_only(FunnelSpec(0.0, 0.0, 0.05)),
+                             duration=8.0),
+    "funnel-violation-combined-table": dict(
+        mode=ControllerMode.combined(UNIT_TUNING, FunnelSpec(0.0, 0.0, 0.05)),
+        feedforward_source=FeedforwardSource(table=_table(0.0, n=8001)), duration=8.0),
+    "newton-divergence": dict(mode=ControllerMode.feedforward_only(UNIT_TUNING),
+                              feedforward_source=DIVERGING),
+    "newton-divergence-combined": dict(mode=ControllerMode.combined(UNIT_TUNING, FUNNEL_2),
+                                       feedforward_source=DIVERGING),
+    # a table of -0.0 with f_fric = -0.0 makes u_ffw = -0.0 on every tick; at
+    # rest on a rest reference u_fb is -0.0 too
+    "negative-zero-feedforward": dict(
+        trajectory=REST, mode=ControllerMode.feedforward_only(TuningFactors(1.0, -0.0)),
+        feedforward_source=FeedforwardSource(table=_table(-0.0))),
+    "negative-zero-combined": dict(
+        trajectory=REST, mode=ControllerMode.combined(TuningFactors(1.0, -0.0), FUNNEL_2),
+        feedforward_source=FeedforwardSource(table=_table(-0.0))),
+}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestLoopOracle:
+    """``run_simulation`` against the per-tick loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_the_per_tick_loop(self, case):
+        cfg = base_config(label=case, **ORACLE_CASES[case])
+        ours, oracle = run_simulation(cfg), run_simulation_per_tick(cfg)
+        assert ours.status == oracle.status
+        assert len(ours.t) == len(oracle.t)
+        for name in _SERIES + ("newton_iterations",):
+            assert np.array_equal(_bits(getattr(ours, name)), _bits(getattr(oracle, name))), name
+        assert (ours.plant_stuck_ticks, ours.plant_events) == (
+            oracle.plant_stuck_ticks, oracle.plant_events)
+        assert ours.run_config == oracle.run_config
+        assert len(ours.wall_us) == len(ours.t)
+
+    def test_cases_reach_the_intended_states(self):
+        # each case above exercises what its name says
+        def run(case):
+            return run_simulation(base_config(label=case, **ORACLE_CASES[case]))
+
+        assert run("funnel-violation").status.kind == "funnel_violated"
+        assert run("funnel-violation-combined-table").status.kind == "funnel_violated"
+        diverged = run("newton-divergence-combined")
+        assert diverged.status.kind == "newton_diverged" and math.isnan(diverged.psi[-1])
+        assert np.abs(run("u-max-clamp").u).max() == 0.05
+        noisy = run("feedback-noisy-encoder")
+        assert not np.array_equal(noisy.y_measured, noisy.y_true)
+        lone = run("negative-zero-feedforward")
+        assert np.all(_bits(lone.u_ffw) == _bits(-0.0)) and np.all(_bits(lone.u) == _bits(0.0))
+        both = run("negative-zero-combined")
+        assert np.all(_bits(both.u_fb) == _bits(-0.0)) and np.all(_bits(both.u) == _bits(-0.0))
+
+    def test_initial_error_is_the_same_config_error(self):
+        cfg = base_config(initial_state=(0.0, 0.0, 100.0, 100.0))
+        with pytest.raises(ValidationError) as ours:
+            run_simulation(cfg)
+        with pytest.raises(ValidationError) as oracle:
+            run_simulation_per_tick(cfg)
+        assert str(ours.value) == str(oracle.value)
+        assert str(ours.value).startswith("initial error 100 is not inside the funnel width 1.5")
 
 
 class TestFunnelInvariant:

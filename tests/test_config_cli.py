@@ -267,6 +267,18 @@ class TestCli:
         assert found == [(str(trace.plant_stuck_ticks), str(trace.plant_events))]
         assert trace.plant_events >= 1
 
+    @pytest.mark.parametrize("frequency, budget", [("1000.0", "1000.0"), ("2000.0", "500.0")])
+    def test_summary_states_the_tick_budget(self, tmp_path, frequency, budget):
+        # the controller time per tick is reported against 1 / control_frequency
+        text = FULL_CONFIG.replace("frequency = 1000.0", f"frequency = {frequency}")
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        summary = (out / "demo-summary.txt").read_text()
+        number = r"\d+\.\d"
+        line = (rf"^controller wall time per tick \[us\]: budget={re.escape(budget)} "
+                rf"p50={number} p90={number} p99={number} max={number}$")
+        assert len(re.findall(line, summary, re.MULTILINE)) == 1
+
     def test_analyze_reproduces_metrics_bit_identically(self, tmp_path):
         text = FULL_CONFIG.replace("duration = 0.5", "duration = 15.0")
         text = text.replace("tf = 10.0", "tf = 2.0")

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import NOT_UTF8
 from twomass import csvfile
@@ -90,3 +92,65 @@ def test_cell_format(tmp_path):
     header, data = csvfile.read(path, "demo", ("a", "n"))
     assert header == {"k": "v: w"}
     assert np.array_equal(data, np.column_stack(arrays), equal_nan=True)
+
+
+QUIET_NAN = math.nan
+OTHER_NAN = float(np.array([0x7FF8_0000_0000_0001], dtype=np.int64).view(float)[0])
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0, -2.0, QUIET_NAN, OTHER_NAN, math.inf, 1e16]),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(allow_nan=False),
+)
+
+
+def _flip_zero_signs(a):
+    return np.where(a == 0.0, np.copysign(0.0, -np.copysign(1.0, a)), a)
+
+
+def _other_nan_payload(a):
+    bits = a.view(np.int64).copy()
+    bits[np.isnan(a)] ^= 1
+    return bits.view(float)
+
+
+def _reference_rows(arrays, int_columns):
+    """One cell at a time, without reuse: ``repr``, ``int`` or empty for NaN."""
+    for i in range(len(arrays[0])):
+        cells = []
+        for j, a in enumerate(arrays):
+            x = a[i].item()
+            cells.append("" if x != x else str(int(x)) if j in int_columns else repr(x))
+        yield ",".join(cells)
+
+
+@given(data=st.data())
+def test_format_rows_is_the_per_cell_format(data):
+    # columns are drawn fresh or derived from an earlier one: equal, with the
+    # signs of its zeros flipped, with another NaN payload, or the same bits
+    # written as integers; small batches put equal and unequal batches side by side
+    n = data.draw(st.integers(0, 12))
+    arrays, int_columns = [], []
+    for _ in range(data.draw(st.integers(1, 6))):
+        how = data.draw(st.sampled_from(["new", "copy", "zeros", "nan", "int"]) if arrays
+                        else st.just("new"))
+        if how in ("new", "int"):
+            column = np.array(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
+            if how == "int":
+                column = np.trunc(np.where(np.isfinite(column), column, math.nan))
+                arrays.append(column.copy())  # a float column with the same bits
+                int_columns.append(len(arrays))
+        else:
+            source = arrays[data.draw(st.integers(0, len(arrays) - 1))]
+            column = {"copy": np.copy, "zeros": _flip_zero_signs,
+                      "nan": _other_nan_payload}[how](source)
+        arrays.append(column)
+    batch = data.draw(st.sampled_from([1, 2, 3, 1024]))
+    with mock.patch.object(csvfile, "_BATCH", batch):
+        rows = list(csvfile.format_rows(arrays, tuple(int_columns)))
+    assert rows == list(_reference_rows(arrays, int_columns))
+
+
+def test_equal_bits_of_another_kind_are_formatted_apart():
+    zeros, two = np.array([0.0, 2.0]), np.array([-0.0, 2.0])
+    rows = list(csvfile.format_rows([zeros, two, zeros.copy(), zeros.copy()], (3,)))
+    assert rows == ["0.0,-0.0,0.0,0", "2.0,2.0,2.0,2"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twomass.errors import ValidationError
 from twomass.trajectory import (
@@ -12,6 +13,7 @@ from twomass.trajectory import (
     sigma_samples,
     y_ref_at,
     y_ref_derivative,
+    y_ref_samples,
 )
 
 
@@ -91,6 +93,41 @@ class TestYRef:
             outside = y_ref_at(reference, seam - 1e-12), y_ref_at(reference, seam + 1e-12)
             assert abs(inside - outside[0]) <= 1e-9
             assert abs(inside - outside[1]) <= 1e-9
+
+
+@st.composite
+def windows_on_tick_grids(draw):
+    """A reference with ``t0 > 0`` and the tick grid ``k * dt`` of a run past ``tf``.
+
+    Either seam may sit exactly on a grid point or between two.
+    """
+    dt = 1.0 / draw(st.sampled_from([1000.0, 2000.0]))
+    seam = st.one_of(st.integers(1, 2000).map(lambda j: j * dt), st.floats(1e-6, 1.0))
+    t0, tf = draw(seam), draw(seam)
+    assume(tf > t0)
+    level = st.floats(-100.0, 100.0)
+    spec = TrajectorySpec(y0=draw(level), yf=draw(level), t0=t0, tf=tf)
+    n_rows = math.ceil(tf / dt) + draw(st.integers(2, 50))
+    return spec, dt, n_rows
+
+
+class TestYRefSamples:
+    @settings(max_examples=150)
+    @given(case=windows_on_tick_grids())
+    def test_column_is_y_ref_at_bitwise(self, case):
+        spec, dt, n_rows = case
+        times = np.arange(n_rows) * dt  # the run's tick times
+        assert times[0] < spec.t0 and times[-1] > spec.tf
+        column = y_ref_samples(spec, times)
+        ticks = np.array([y_ref_at(spec, k * dt) for k in range(n_rows)])
+        assert np.array_equal(column.view(np.int64), ticks.view(np.int64))
+
+    def test_seams_and_outside(self):
+        spec = TrajectorySpec(y0=-1.0, yf=3.0, t0=0.5, tf=1.5)
+        times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+        assert y_ref_samples(spec, times).tolist() == [y_ref_at(spec, t) for t in times]
+        assert y_ref_samples(spec, times)[[0, -1]].tolist() == [-1.0, 3.0]
+        assert y_ref_samples(spec, np.array([])).size == 0
 
 
 class TestDerivative:
