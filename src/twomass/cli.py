@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import closedloop, csvfile, metrics as metrics_mod, presets
-from .config import load_config, load_config_file
+from .config import config_from_echo, load_config, load_config_file
 from .errors import EmptyWindow, NewtonDiverged, ParseError, ValidationError, WindowOutOfRange
 from .feedforward import NewtonOptions, solve_feedforward, write_table_csv
 from .plant import check_minimum_phase, reduced_realization
@@ -160,33 +160,19 @@ def _cmd_feedforward(args) -> int:
 
 def _cmd_analyze(args) -> int:
     trace = closedloop.read_trace_csv(args.trace)
-    echo = trace.run_config
-    try:
-        from .trajectory import TrajectorySpec
-
-        spec = TrajectorySpec(
-            y0=float(echo["trajectory.y0"]),
-            yf=float(echo["trajectory.yf"]),
-            t0=float(echo["trajectory.t0"]),
-            tf=float(echo["trajectory.tf"]),
-        )
-        label = echo["simulation.label"]
-        mode = echo["simulation.mode"]
-        frequency = float(echo["simulation.control_frequency"])
-    except KeyError as err:
-        raise ParseError(f"{args.trace}: header lacks config key {err}") from None
+    cfg = config_from_echo(trace.run_config, args.trace)
     if not trace.status.completed:
-        print(f"{label}: run ended {trace.status.kind}; no metrics", file=sys.stderr)
+        print(f"{cfg.label}: run ended {trace.status.kind}; no metrics", file=sys.stderr)
         return EXIT_RUN_FAILED
     try:
-        rep = metrics_mod.report(trace, spec, use_true_output=args.metrics_on_true)
+        rep = metrics_mod.report(trace, cfg.trajectory, use_true_output=args.metrics_on_true)
     except (WindowOutOfRange, EmptyWindow) as err:
         raise ValidationError(f"{args.trace}: {err}") from None
-    row = metrics_mod.metrics_csv_row(label, mode, frequency, rep)
+    row = metrics_mod.metrics_csv_row(cfg.label, cfg.mode.name, cfg.control_frequency, rep)
     print(",".join(metrics_mod.METRICS_COLUMNS))
     print(row)
     if args.output:
-        config_line = f"{label}: {csvfile.format_echo(echo)}"
+        config_line = f"{cfg.label}: {csvfile.format_echo(trace.run_config)}"
         metrics_mod.write_metrics_csv([row], args.output, [config_line])
     return EXIT_OK
 

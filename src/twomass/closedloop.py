@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -62,6 +64,8 @@ __all__ = [
     "SLIP",
     "STUCK",
     "EVENT",
+    "CONFIG_FIELDS",
+    "ConfigField",
     "config_echo",
     "write_trace_csv",
     "read_trace_csv",
@@ -184,10 +188,11 @@ class SimulationConfig:
     initial_state: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
     def validate(self) -> None:
-        # the label names output files and sits in |-joined headers and CSV rows
-        if not self.label or any(ch in "|,/\\\n\r" for ch in self.label):
+        # the label names output files and sits in |-joined headers, CSV rows
+        # and the metrics header's "config LABEL: " keys
+        if not self.label or any(ch in "|,/\\:\n\r" for ch in self.label):
             raise ValidationError(
-                f"label {self.label!r} must be non-empty, without | , / \\ or newlines"
+                f"label {self.label!r} must be non-empty, without | , / \\ : or newlines"
             )
         if not 0.0 < self.control_frequency < math.inf:
             raise ValidationError(
@@ -535,45 +540,117 @@ class _Sensor:
         return self._filtered + self._noise[tick]
 
 
+class FieldKind(NamedTuple):
+    """How a config value is written as text and read back."""
+
+    parse: Callable[[str], object]  # raises ValueError or KeyError on malformed text
+    format: Callable[[object], str] | None  # None: never echoed
+    noun: str  # what ``parse`` accepts, for error messages
+
+
+def _choice(values: dict) -> FieldKind:
+    """A value named by one of the keys of ``values``."""
+    names = {value: name for name, value in values.items()}
+    return FieldKind(values.__getitem__, names.__getitem__, "one of " + ", ".join(values))
+
+
+def _table_path(text: str) -> str | None:
+    if text == "online":
+        return None
+    if not text.startswith("table:"):
+        raise ValueError(text)
+    return text[len("table:"):]
+
+
+TEXT = FieldKind(str, str, "text")
+FLOAT = FieldKind(float, lambda x: "" if x is None else repr(x), "a number")
+INT = FieldKind(int, str, "an integer")
+MODE = _choice({name: name for name in ("feedforward", "feedback", "combined")})
+STATE = FieldKind(lambda text: tuple(map(float, text.split(";"))),
+                  lambda xs: ";".join(map(repr, xs)), "numbers joined by ';'")
+SOURCE = _choice({"online": True, "table": False})
+TABLE_PATH = FieldKind(_table_path, None, "'online' or 'table:PATH'")
+FFW, FB = "feedforward", "feedback"  # the branches of a ControllerMode
+
+
+class ConfigField(NamedTuple):
+    """One row of :data:`CONFIG_FIELDS`."""
+
+    name: str  # INI ``section.key`` (the section ends at the last dot) and echo key
+    path: str  # where the value sits in a SimulationConfig, as dotted attributes
+    kind: FieldKind
+    required: bool = True  # an absent or blank optional value keeps its dataclass default
+    branch: str | None = None  # FFW/FB: only in the modes that have that branch
+    ini: bool = True  # settable in a config file
+    echo: bool = True  # written by config_echo
+    derived: bool = False  # a property of the config: read back, never set
+
+
+# Every config value that a file sets or an echo records.  Not in the echo:
+# plant_substeps (no effect), a table's samples (the echo says only
+# whether one was used) and the nominal plant's friction (zero wherever the
+# nominal plant is used).  The mode row precedes every branch row.
+CONFIG_FIELDS = (
+    ConfigField("simulation.label", "label", TEXT),
+    # the branches present; it decides which branch rows a file must and may hold
+    ConfigField("simulation.mode", "mode.name", MODE, derived=True),
+    ConfigField("simulation.control_frequency", "control_frequency", FLOAT),
+    ConfigField("simulation.duration", "duration", FLOAT),
+    ConfigField("simulation.plant_substeps", "plant_substeps", INT, required=False, echo=False),
+    ConfigField("simulation.seed", "seed", INT, required=False),
+    ConfigField("simulation.u_max", "u_max", FLOAT, required=False),  # blank: None, no limit
+    ConfigField("simulation.feedforward", "feedforward_source.table", TABLE_PATH,
+                required=False, branch=FFW, echo=False),
+    ConfigField("feedforward.source", "feedforward_source.is_online", SOURCE,
+                required=False, branch=FFW, ini=False, derived=True),
+    ConfigField("simulation.initial_state", "initial_state", STATE, required=False, ini=False),
+    ConfigField("plant.true.I1", "true_params.I1", FLOAT),
+    ConfigField("plant.true.I2", "true_params.I2", FLOAT),
+    ConfigField("plant.true.k", "true_params.k", FLOAT),
+    ConfigField("plant.true.d", "true_params.d", FLOAT),
+    ConfigField("plant.true.coulomb_friction", "true_params.friction.magnitude", FLOAT,
+                required=False),
+    ConfigField("plant.nominal.I1", "nominal_params.I1", FLOAT),
+    ConfigField("plant.nominal.I2", "nominal_params.I2", FLOAT),
+    ConfigField("plant.nominal.k", "nominal_params.k", FLOAT),
+    ConfigField("plant.nominal.d", "nominal_params.d", FLOAT),
+    ConfigField("trajectory.y0", "trajectory.y0", FLOAT),
+    ConfigField("trajectory.yf", "trajectory.yf", FLOAT),
+    ConfigField("trajectory.t0", "trajectory.t0", FLOAT),
+    ConfigField("trajectory.tf", "trajectory.tf", FLOAT),
+    ConfigField("tuning.f_act", "mode.tuning.f_act", FLOAT, branch=FFW),
+    ConfigField("tuning.f_fric", "mode.tuning.f_fric", FLOAT, branch=FFW),
+    ConfigField("newton.max_iterations", "feedforward_source.newton.max_iterations", INT,
+                required=False, branch=FFW),
+    ConfigField("newton.residual_tolerance", "feedforward_source.newton.residual_tolerance",
+                FLOAT, required=False, branch=FFW),
+    ConfigField("funnel.s", "mode.funnel.s", FLOAT, branch=FB),
+    ConfigField("funnel.q_decay", "mode.funnel.q_decay", FLOAT, branch=FB),
+    ConfigField("funnel.c", "mode.funnel.c", FLOAT, branch=FB),
+    ConfigField("measurement.angle_quantum", "measurement.angle_quantum", FLOAT,
+                required=False),
+    ConfigField("measurement.filter_time_constant", "measurement.filter_time_constant", FLOAT,
+                required=False),
+    ConfigField("measurement.noise_std", "measurement.noise_std", FLOAT, required=False),
+)
+
+
+def has_branch(mode_name: str, branch: str | None) -> bool:
+    """Whether a controller mode of that name has the branch (None: every mode)."""
+    return branch is None or mode_name in (branch, "combined")
+
+
 def config_echo(cfg: SimulationConfig) -> dict:
-    """Flat, fully resolved key=value view of a config (embedded in file headers)."""
-    echo = {
-        "simulation.label": cfg.label,
-        "simulation.mode": cfg.mode.name,
-        "simulation.control_frequency": repr(cfg.control_frequency),
-        "simulation.duration": repr(cfg.duration),
-        "simulation.seed": str(cfg.seed),
-        "simulation.u_max": "" if cfg.u_max is None else repr(cfg.u_max),
-        "simulation.initial_state": ";".join(repr(x) for x in cfg.initial_state),
-        "plant.true.I1": repr(cfg.true_params.I1),
-        "plant.true.I2": repr(cfg.true_params.I2),
-        "plant.true.k": repr(cfg.true_params.k),
-        "plant.true.d": repr(cfg.true_params.d),
-        "plant.true.coulomb_friction": repr(cfg.true_params.friction.magnitude),
-        "plant.nominal.I1": repr(cfg.nominal_params.I1),
-        "plant.nominal.I2": repr(cfg.nominal_params.I2),
-        "plant.nominal.k": repr(cfg.nominal_params.k),
-        "plant.nominal.d": repr(cfg.nominal_params.d),
-        "trajectory.y0": repr(cfg.trajectory.y0),
-        "trajectory.yf": repr(cfg.trajectory.yf),
-        "trajectory.t0": repr(cfg.trajectory.t0),
-        "trajectory.tf": repr(cfg.trajectory.tf),
-        "measurement.angle_quantum": repr(cfg.measurement.angle_quantum),
-        "measurement.filter_time_constant": repr(cfg.measurement.filter_time_constant),
-        "measurement.noise_std": repr(cfg.measurement.noise_std),
+    """Flat, fully resolved key=value view of a config (embedded in file headers).
+
+    One pair per echoed row of :data:`CONFIG_FIELDS` in the config's branches.
+    """
+    mode = cfg.mode.name
+    return {
+        row.name: row.kind.format(reduce(getattr, row.path.split("."), cfg))
+        for row in CONFIG_FIELDS
+        if row.echo and has_branch(mode, row.branch)
     }
-    if cfg.mode.tuning is not None:
-        echo["tuning.f_act"] = repr(cfg.mode.tuning.f_act)
-        echo["tuning.f_fric"] = repr(cfg.mode.tuning.f_fric)
-        source = cfg.feedforward_source
-        echo["feedforward.source"] = "table" if source.table is not None else "online"
-        echo["newton.max_iterations"] = str(source.newton.max_iterations)
-        echo["newton.residual_tolerance"] = repr(source.newton.residual_tolerance)
-    if cfg.mode.funnel is not None:
-        echo["funnel.s"] = repr(cfg.mode.funnel.s)
-        echo["funnel.q_decay"] = repr(cfg.mode.funnel.q_decay)
-        echo["funnel.c"] = repr(cfg.mode.funnel.c)
-    return echo
 
 
 def run_simulation(config: SimulationConfig) -> Trace:

@@ -610,7 +610,7 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ControllerMode()
 
-    @pytest.mark.parametrize("label", ["", "fb|1=x", "a,b", "a/b", "a\\b", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("label", ["", "fb|1=x", "a,b", "a/b", "a\\b", "a\nb", "a\rb", "a: b"])
     def test_label_that_cannot_round_trip_rejected(self, label):
         with pytest.raises(ValidationError, match="label"):
             base_config(label=label).validate()

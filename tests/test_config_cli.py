@@ -1,16 +1,35 @@
+import configparser
+import dataclasses
 import math
 import os
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import NOT_UTF8
 from twomass.cli import main
-from twomass.closedloop import run_simulation
-from twomass.config import load_config, load_config_file
+from twomass.closedloop import (
+    CONFIG_FIELDS,
+    ControllerMode,
+    FeedforwardSource,
+    MeasurementModel,
+    SimulationConfig,
+    config_echo,
+    has_branch,
+    run_simulation,
+)
+from twomass.config import config_from_echo, load_config, load_config_file
+from twomass.csvfile import format_echo, parse_echo
 from twomass.errors import ParseError, ValidationError
+from twomass.feedback import FunnelSpec
+from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors
+from twomass.plant import FrictionModel, OscillatorParams
 from twomass.presets import ExperimentPreset, build_preset, preset_names
+from twomass.trajectory import TrajectorySpec
 
 FULL_CONFIG = """\
 [simulation]
@@ -51,6 +70,10 @@ c = 0.3
 [measurement]
 noise_std = 0.02
 """
+
+FEEDBACK_CONFIG = FULL_CONFIG.replace("mode = combined", "mode = feedback").replace(
+    "[tuning]\nf_act = 0.08\nf_fric = 0.16\n", ""
+)
 
 
 def write_config(tmp_path, text=FULL_CONFIG, name="run.ini"):
@@ -103,6 +126,20 @@ def _not_utf8_trace(tmp_path):
 def _not_utf8_table(tmp_path):
     text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:binary.csv")
     return ["simulate", str(write_config(tmp_path, text))], _not_utf8(tmp_path)
+
+
+def _trace_with_echo(key, value):
+    # a trace whose config header holds ``key=value`` (None: lacks the key)
+    def case(tmp_path):
+        echo = config_echo(load_config_file(write_config(tmp_path)))
+        echo[key] = value
+        echo = {k: v for k, v in echo.items() if v is not None}
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# twomass trace\n# config: {format_echo(echo)}\n"
+                        "# status: completed\n" + TRACE_COLUMNS)
+        return ["analyze", str(path)], path
+
+    return case
 
 
 def _table_with_torque(cell):
@@ -172,6 +209,17 @@ class TestLoadConfig:
         path = write_config(tmp_path, text)
         with pytest.raises(ParseError, match="tuning"):
             load_config_file(path)
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        cfg = load_config_file(write_config(tmp_path, FULL_CONFIG.replace("demo", "50%")))
+        assert cfg.label == "50%"
+
+    def test_blank_optional_value_takes_its_default(self, tmp_path):
+        text = FULL_CONFIG.replace("seed = 3", "seed =\nu_max =\nfeedforward =")
+        text = text.replace("noise_std = 0.02", "noise_std =")
+        cfg = load_config_file(write_config(tmp_path, text))
+        assert (cfg.seed, cfg.u_max, cfg.measurement) == (0, None, MeasurementModel())
+        assert cfg.feedforward_source == FeedforwardSource()
 
     def test_table_source(self, tmp_path):
         table_path = tmp_path / "table.csv"
@@ -327,7 +375,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "case",
         [_missing_trace, _status_without_time, _short_row, _missing_table, _output_in_missing_dir,
-         _not_utf8_trace, _not_utf8_table, _table_with_torque(""), _table_with_torque("inf")],
+         _not_utf8_trace, _not_utf8_table, _table_with_torque(""), _table_with_torque("inf"),
+         _trace_with_echo("trajectory.tf", "ten"),
+         _trace_with_echo("simulation.control_frequency", "fast"),
+         _trace_with_echo("simulation.mode", "both"),
+         _trace_with_echo("trajectory.y0", None)],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
@@ -357,6 +409,26 @@ class TestCli:
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, old, new, message", [
+        # the feedforward branch's keys and sections in a mode without it
+        (FEEDBACK_CONFIG, "seed = 3", "seed = 3\nfeedforward = garbage",
+         "simulation.feedforward not allowed for mode feedback"),
+        (FEEDBACK_CONFIG, "seed = 3", "seed = 3\nfeedforward = online",
+         "simulation.feedforward not allowed for mode feedback"),
+        (FEEDBACK_CONFIG, "[funnel]", "[newton]\nresidual_tolerance = 1e-9\n\n[funnel]",
+         "newton.residual_tolerance not allowed for mode feedback"),
+        (FEEDBACK_CONFIG, "[funnel]", "[newton]\n\n[funnel]",
+         "section [newton] not allowed for mode feedback"),
+        (FULL_CONFIG, "label = demo", "label = a: b", "label 'a: b' must be non-empty, without"),
+    ])
+    def test_rejected_config_exits_2_with_one_line(self, tmp_path, capsys, text, old, new,
+                                                   message):
+        path = write_config(tmp_path, text.replace(old, new))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
     def test_overflowing_tick_count_exits_2_with_one_line(self, tmp_path, capsys):
@@ -438,3 +510,115 @@ class TestCli:
         main(["simulate", str(cfg_path), "--out", str(out_b)])
         for name in ("demo-trace.csv", "metrics.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+modes = st.one_of(
+    st.builds(ControllerMode.feedforward_only, st.builds(TuningFactors, finite, finite)),
+    st.builds(ControllerMode.feedback_only, st.builds(FunnelSpec, non_negative, finite, positive)),
+    st.builds(ControllerMode.combined, st.builds(TuningFactors, finite, finite),
+              st.builds(FunnelSpec, non_negative, finite, positive)),
+)
+newton_options = st.builds(NewtonOptions, st.integers(1, 10**6), positive)
+true_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative,
+                        st.builds(FrictionModel, non_negative))
+nominal_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative)
+trajectories = st.builds(lambda y0, yf, ts: TrajectorySpec(y0, yf, *sorted(ts)), finite, finite,
+                         st.tuples(finite, finite).filter(lambda ts: ts[0] != ts[1]))
+labels = st.text(st.characters(blacklist_characters="|,/\\:\n\r"), min_size=1)
+
+
+@st.composite
+def configs(draw):
+    mode = draw(modes)
+    source = FeedforwardSource()  # a feedback-only run has no Newton options to echo
+    if mode.tuning is not None:
+        source = FeedforwardSource(newton=draw(newton_options))
+    return SimulationConfig(
+        label=draw(labels),
+        true_params=draw(true_plants),
+        nominal_params=draw(nominal_plants),
+        trajectory=draw(trajectories),
+        mode=mode,
+        control_frequency=draw(positive),
+        duration=draw(positive),
+        plant_substeps=draw(st.integers(1, 100)),
+        measurement=draw(st.builds(MeasurementModel, non_negative, non_negative, non_negative)),
+        feedforward_source=source,
+        seed=draw(st.integers(0, 2**64)),
+        u_max=draw(st.none() | positive),
+        initial_state=draw(st.tuples(finite, finite, finite, finite)),
+    )
+
+
+def _value(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def _bits(value):
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    return type(value), value
+
+
+def _leaf_paths(obj, prefix=""):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_paths(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+# Config fields the echo leaves out, and why a run does not need them back.
+NOT_ECHOED = {
+    "feedforward_source.table",  # the samples: the echo says only feedforward.source=table
+    "plant_substeps",  # no effect: the plant step is exact
+    "nominal_params.friction.magnitude",  # zero wherever the nominal plant is used
+}
+
+
+class TestFieldTable:
+    @given(cfg=configs())
+    def test_every_echoed_field_reads_back_bit_for_bit(self, cfg):
+        echo = parse_echo(format_echo(config_echo(cfg)))
+        back = config_from_echo(echo, "header")
+        rows = [row for row in CONFIG_FIELDS if row.echo and has_branch(cfg.mode.name, row.branch)]
+        assert set(echo) == {row.name for row in rows}
+        for row in rows:
+            assert _bits(_value(back, row.path)) == _bits(_value(cfg, row.path)), row.name
+        assert back == dataclasses.replace(cfg, plant_substeps=10)
+
+    def test_every_leaf_field_is_echoed_or_named(self, tmp_path):
+        # a combined config: both branches, so every optional part is present
+        cfg = load_config_file(write_config(tmp_path))
+        echoed = {row.path for row in CONFIG_FIELDS if row.echo and not row.derived}
+        assert set(_leaf_paths(cfg)) == echoed | NOT_ECHOED
+        assert not echoed & NOT_ECHOED
+
+    def test_table_source_is_echoed_as_table(self):
+        table = FeedforwardTable(dt=1e-3, t=np.arange(3) * 1e-3, u=np.zeros(3))
+        cfg = load_config("table2-ffw-sweep").configs[0]
+        cfg = dataclasses.replace(cfg, feedforward_source=FeedforwardSource(table=table))
+        echo = config_echo(cfg)
+        assert echo["feedforward.source"] == "table"
+        back = config_from_echo(echo, "header")
+        assert back == dataclasses.replace(cfg, feedforward_source=FeedforwardSource())
+
+    def test_readme_ini_block_names_exactly_the_table_keys(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        load_config_file(write_config(tmp_path, block))
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.optionxform = str
+        parser.read_string(block)
+        named = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert named == {tuple(row.name.rsplit(".", 1)) for row in CONFIG_FIELDS if row.ini}
