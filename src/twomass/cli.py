@@ -144,9 +144,12 @@ def _cmd_feedforward(args) -> int:
     if args.config:
         cfg = load_config_file(args.config)
         params, trajectory = cfg.nominal_params, cfg.trajectory
+        opts = cfg.feedforward_source.newton
     else:
         params, trajectory = NOMINAL_PLANT, REFERENCE_TRAJECTORY
-    opts = NewtonOptions(residual_tolerance=args.tolerance)
+        opts = NewtonOptions()
+    if args.tolerance is not None:
+        opts = NewtonOptions(opts.max_iterations, residual_tolerance=args.tolerance)
     table = solve_feedforward(params, trajectory, dt=args.dt, horizon=args.horizon, opts=opts)
     out = args.output or os.path.join(_out_dir(args), "feedforward-table.csv")
     write_table_csv(table, out)
@@ -220,10 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.set_defaults(func=_cmd_sweep)
 
     ffw = sub.add_parser("feedforward", help="solve the inverse model and dump the torque table")
-    ffw.add_argument("--config", help="take plant/trajectory from this config file")
+    ffw.add_argument("--config",
+                     help="take plant, trajectory and [newton] settings from this config file")
     ffw.add_argument("--dt", type=float, default=1e-3, help="grid step in seconds")
     ffw.add_argument("--horizon", type=float, default=15.0, help="table length in seconds")
-    ffw.add_argument("--tolerance", type=float, default=1e-10, help="newton residual tolerance")
+    ffw.add_argument("--tolerance", type=float,
+                     help="newton residual tolerance; overrides the config's [newton] "
+                          "residual_tolerance (default 1e-10)")
     ffw.add_argument("--output", help="table file path")
     ffw.add_argument("--out", help="output directory used when --output is not given")
     ffw.set_defaults(func=_cmd_feedforward)

@@ -49,8 +49,10 @@ def format_rows(arrays, int_columns=()):
     ``int_columns`` holds the positions of the columns written as integers.
     Within a batch, a column whose values have the same kind, dtype and bits
     as an earlier column's reuses that column's cells (an ideal sensor's
-    ``y_measured`` is its ``y_true``); equal bits make equal cells, so
-    ``-0.0``, NaN payloads and integer columns are never confused.
+    ``y_measured`` is its ``y_true``), and a column that holds one value
+    throughout formats it once (``y_ref`` after ``tf``); equal bits make
+    equal cells, so ``-0.0``, NaN payloads and integer columns are never
+    confused.
     """
     n = len(arrays[0])
     for start in range(0, n, _BATCH):
@@ -62,7 +64,11 @@ def format_rows(arrays, int_columns=()):
             key = (i in int_columns, chunk.dtype, chunk.tobytes())
             cells = next((done for seen, done in formatted if seen == key), None)
             if cells is None:
-                cells = _cells(chunk, key[0])
+                data = key[2]
+                if data == data[: chunk.itemsize] * len(chunk):
+                    cells = _cells(chunk[:1], key[0]) * len(chunk)
+                else:
+                    cells = _cells(chunk, key[0])
                 formatted.append((key, cells))
             columns.append(cells)
         yield from map(",".join, zip(*columns))

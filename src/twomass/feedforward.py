@@ -23,7 +23,10 @@ under validation.
 
 Unknown ordering is fixed as ``(q1, q2, v1, v2, u)``; iteration traces are
 reproducible against it.  No damping or line search is used, which is moot
-for a system linear in the unknowns.
+for a system linear in the unknowns.  The step runs once per control tick in
+the online mode, so it is written out on five Python floats: the residual,
+its scaled norm and the correction with the constant inverse Jacobian are
+spelled out term by term, with no array or tuple built per iteration.
 """
 
 from __future__ import annotations
@@ -186,45 +189,60 @@ class InverseModelStepper:
         )
         self._jac_inv = tuple(tuple(row) for row in np.linalg.inv(jac).tolist())
 
-    def _residual(self, z: tuple, prev: tuple, y_ref_next: float) -> tuple:
-        q1, q2, v1, v2, u = z
-        ki1, di1, ki2, di2, inv_i1 = self._coeffs
-        dt = self.dt
-        twist = q1 - q2
-        slip = v1 - v2
-        return (
-            q1 - prev[0] - dt * v1,
-            q2 - prev[1] - dt * v2,
-            v1 - prev[2] - dt * (-di1 * slip - ki1 * twist + inv_i1 * u),
-            v2 - prev[3] - dt * (di2 * slip + ki2 * twist),
-            v1 - y_ref_next,
-        )
-
     def advance(self, t_next: float) -> InverseModelState:
-        """One implicit Euler step of the constrained system to ``t_next``."""
-        (q1, q2), (v1, v2), u, _ = self.state
-        prev = (q1, q2, v1, v2)
-        z = (q1, q2, v1, v2, u)
+        """One implicit Euler step of the constrained system to ``t_next``.
+
+        Newton on five local floats ``z = (q1, q2, v1, v2, u)`` from the
+        previous point ``(p1, p2, p3, p4)``: the residual, its scaled infinity
+        norm and the correction ``z - J^-1 r`` are written out term by term,
+        each sum left to right (``sum()`` rounds differently across Python
+        versions).  On a :class:`NewtonDiverged` the state is left as it was.
+        """
+        (p1, p2), (p3, p4), u, _ = self.state
+        q1, q2, v1, v2 = p1, p2, p3, p4
         y_next = trajectory.y_ref_at(self.spec, t_next)
-        opts = self.opts
+        dt = self.dt
+        ki1, di1, ki2, di2, inv_i1 = self._coeffs
+        (
+            (a11, a12, a13, a14, a15),
+            (a21, a22, a23, a24, a25),
+            (a31, a32, a33, a34, a35),
+            (a41, a42, a43, a44, a45),
+            (a51, a52, a53, a54, a55),
+        ) = self._jac_inv
+        tolerance = self.opts.residual_tolerance
+        max_iterations = self.opts.max_iterations
         iterations = 0
         while True:
-            r = self._residual(z, prev, y_next)
+            twist = q1 - q2
+            slip = v1 - v2
+            r1 = q1 - p1 - dt * v1
+            r2 = q2 - p2 - dt * v2
+            r3 = v1 - p3 - dt * (-di1 * slip - ki1 * twist + inv_i1 * u)
+            r4 = v2 - p4 - dt * (di2 * slip + ki2 * twist)
+            r5 = v1 - y_next
             # scaled infinity norm: equation i over max(1, |z_i|)
-            norm = max(abs(ri) / max(1.0, abs(zi)) for ri, zi in zip(r, z))
-            if not norm > opts.residual_tolerance:
+            norm = max(
+                abs(r1) / max(1.0, abs(q1)),
+                abs(r2) / max(1.0, abs(q2)),
+                abs(r3) / max(1.0, abs(v1)),
+                abs(r4) / max(1.0, abs(v2)),
+                abs(r5) / max(1.0, abs(u)),
+            )
+            if not norm > tolerance:
                 break
-            if iterations >= opts.max_iterations:
+            if iterations >= max_iterations:
                 raise NewtonDiverged(t_next, norm, iterations)
-            # z - J^-1 r, written out: sum() rounds differently across Python versions
-            r1, r2, r3, r4, r5 = r
-            z = tuple(
-                zi - (a1 * r1 + a2 * r2 + a3 * r3 + a4 * r4 + a5 * r5)
-                for zi, (a1, a2, a3, a4, a5) in zip(z, self._jac_inv)
+            q1, q2, v1, v2, u = (
+                q1 - (a11 * r1 + a12 * r2 + a13 * r3 + a14 * r4 + a15 * r5),
+                q2 - (a21 * r1 + a22 * r2 + a23 * r3 + a24 * r4 + a25 * r5),
+                v1 - (a31 * r1 + a32 * r2 + a33 * r3 + a34 * r4 + a35 * r5),
+                v2 - (a41 * r1 + a42 * r2 + a43 * r3 + a44 * r4 + a45 * r5),
+                u - (a51 * r1 + a52 * r2 + a53 * r3 + a54 * r4 + a55 * r5),
             )
             iterations += 1
         self.last_iterations = iterations
-        self.state = InverseModelState((z[0], z[1]), (z[2], z[3]), z[4], t_next)
+        self.state = InverseModelState((q1, q2), (v1, v2), u, t_next)
         return self.state
 
 

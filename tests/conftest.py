@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from twomass.plant import FrictionModel, OscillatorParams
 from twomass.presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
@@ -12,7 +12,15 @@ NOT_UTF8 = bytes.fromhex(
 
 # Property tests draw the same examples on every run and never time out, so
 # the suite gives the same result each time; no example database is replayed.
-settings.register_profile("twomass", derandomize=True, deadline=None, database=None)
+# The explain phase is off: it traces every replayed call of a failing
+# example, which turns a report of seconds into minutes; it changes no verdict.
+settings.register_profile(
+    "twomass",
+    derandomize=True,
+    deadline=None,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.explain],
+)
 settings.load_profile("twomass")
 
 

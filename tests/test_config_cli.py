@@ -26,7 +26,7 @@ from twomass.config import config_from_echo, load_config, load_config_file
 from twomass.csvfile import format_echo, parse_echo
 from twomass.errors import ParseError, ValidationError
 from twomass.feedback import FunnelSpec
-from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors
+from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, read_table_csv
 from twomass.plant import FrictionModel, OscillatorParams
 from twomass.presets import ExperimentPreset, build_preset, preset_names
 from twomass.trajectory import TrajectorySpec
@@ -359,6 +359,23 @@ class TestCli:
                 if ln and not ln.startswith("#") and ln != "t,u_ffw"]
         assert len(body) == 15001
         assert all(float(ln.split(",")[1]) == 0.0 for ln in body)
+
+    @pytest.mark.parametrize("flags, tolerance", [([], "0.001"), (["--tolerance", "1e-8"], "1e-08")])
+    def test_feedforward_table_follows_the_config_newton_section(self, tmp_path, flags, tolerance):
+        newton = "[newton]\nmax_iterations = 1\nresidual_tolerance = 1e-3\n"
+        cfg_path = write_config(tmp_path, FULL_CONFIG + newton)
+        out_file = tmp_path / "table.csv"
+        argv = ["feedforward", "--config", str(cfg_path), "--horizon", "0.01",
+                "--output", str(out_file)]
+        assert main(argv + flags) == 0
+        assert read_table_csv(out_file).meta["tolerance"] == tolerance
+
+    def test_feedforward_tolerance_flag_keeps_the_config_iteration_cap(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, FULL_CONFIG + "[newton]\nmax_iterations = 1\n")
+        argv = ["feedforward", "--config", str(cfg_path), "--horizon", "0.01",
+                "--tolerance", "1e-300", "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == 2
+        assert "after 1 iterations" in capsys.readouterr().err
 
     def test_violation_exit_codes(self, tmp_path):
         text = FULL_CONFIG.replace("mode = combined", "mode = feedback")

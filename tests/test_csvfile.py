@@ -125,15 +125,22 @@ def _reference_rows(arrays, int_columns):
 
 @given(data=st.data())
 def test_format_rows_is_the_per_cell_format(data):
-    # columns are drawn fresh or derived from an earlier one: equal, with the
-    # signs of its zeros flipped, with another NaN payload, or the same bits
-    # written as integers; small batches put equal and unequal batches side by side
+    # columns are drawn fresh, drawn as one value throughout (one cell of it
+    # maybe with the other zero sign or NaN payload), or derived from an
+    # earlier one: equal, with the signs of its zeros flipped, with another
+    # NaN payload, or the same bits written as integers; small batches put
+    # equal and unequal batches side by side
     n = data.draw(st.integers(0, 12))
     arrays, int_columns = [], []
     for _ in range(data.draw(st.integers(1, 6))):
-        how = data.draw(st.sampled_from(["new", "copy", "zeros", "nan", "int"]) if arrays
-                        else st.just("new"))
-        if how in ("new", "int"):
+        how = data.draw(st.sampled_from(["new", "const", "copy", "zeros", "nan", "int"])
+                        if arrays else st.sampled_from(["new", "const"]))
+        if how == "const":
+            column = np.full(n, data.draw(VALUES))
+            if n and data.draw(st.booleans()):
+                i = data.draw(st.integers(0, n - 1))
+                column[i:i + 1] = _flip_zero_signs(_other_nan_payload(column[i:i + 1]))
+        elif how in ("new", "int"):
             column = np.array(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
             if how == "int":
                 column = np.trunc(np.where(np.isfinite(column), column, math.nan))
@@ -154,3 +161,14 @@ def test_equal_bits_of_another_kind_are_formatted_apart():
     zeros, two = np.array([0.0, 2.0]), np.array([-0.0, 2.0])
     rows = list(csvfile.format_rows([zeros, two, zeros.copy(), zeros.copy()], (3,)))
     assert rows == ["0.0,-0.0,0.0,0", "2.0,2.0,2.0,2"]
+
+
+def test_a_constant_batch_is_formatted_once():
+    # one value throughout, by bits: a zero of mixed sign or NaNs of mixed
+    # payload are not constant and are formatted cell by cell
+    arrays = [np.array([0.0, 0.0, -0.0]), np.full(3, -0.0),
+              np.array([QUIET_NAN, OTHER_NAN, QUIET_NAN]), np.full(3, 2.0)]
+    with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
+        rows = list(csvfile.format_rows(arrays, (3,)))
+    assert rows == list(_reference_rows(arrays, (3,)))
+    assert [len(call.args[0]) for call in cells.call_args_list] == [3, 1, 3, 1]

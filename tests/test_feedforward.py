@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import twomass.feedforward as ffw
 from conftest import assert_close
+from newton_oracle import TupleStepper
 from twomass.errors import InconsistentStart, NewtonDiverged, ValidationError
 from twomass.feedforward import (
+    InverseModelState,
     InverseModelStepper,
     NewtonOptions,
     TuningFactors,
@@ -16,6 +19,7 @@ from twomass.feedforward import (
     solve_feedforward,
     write_table_csv,
 )
+from twomass.plant import OscillatorParams
 from twomass.trajectory import TrajectorySpec, y_ref_at, y_ref_derivative
 
 
@@ -30,7 +34,7 @@ def step_from(prev, t_next, dt, params, spec, opts=NewtonOptions()):
 
 
 def fd_jacobian(stepper, z, prev, y_ref_next, h=1e-7):
-    """Forward-difference Jacobian of the stepper's discrete residual."""
+    """Forward-difference Jacobian of a ``TupleStepper``'s discrete residual."""
     base = np.array(stepper._residual(z, prev, y_ref_next))
     cols = []
     for j in range(5):
@@ -162,7 +166,7 @@ class TestImplicitEulerStep:
         assert err.value.iterations == 10
 
     def test_fd_jacobian_matches_analytic(self, rig, reference):
-        stepper = InverseModelStepper(rig, reference, 1e-3)
+        stepper = TupleStepper(rig, reference, 1e-3)
         jac = analytic_jacobian(rig, 1e-3)
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -175,15 +179,15 @@ class TestImplicitEulerStep:
 
     def test_fd_and_analytic_give_same_step(self, rig, reference):
         # Newton with the finite-difference Jacobian as an independent oracle
-        stepper = InverseModelStepper(rig, reference, 5e-3)
-        prev = stepper.state
+        oracle = TupleStepper(rig, reference, 5e-3)
+        prev = oracle.state
         prev_vec = (*prev.q, *prev.v)
         y_next = y_ref_at(reference, 5e-3)
         z = np.array([*prev.q, *prev.v, prev.u])
         for _ in range(NewtonOptions().max_iterations):
-            r = np.array(stepper._residual(z, prev_vec, y_next))
-            z = z - np.linalg.solve(fd_jacobian(stepper, z, prev_vec, y_next), r)
-        a = stepper.advance(5e-3)
+            r = np.array(oracle._residual(z, prev_vec, y_next))
+            z = z - np.linalg.solve(fd_jacobian(oracle, z, prev_vec, y_next), r)
+        a = InverseModelStepper(rig, reference, 5e-3).advance(5e-3)
         assert_close(z, np.r_[a.q, a.v, a.u], rel=1e-7, floor=1e-3)
 
     def test_matches_the_numpy_oracle_step_by_step(self, rig, reference):
@@ -197,6 +201,57 @@ class TestImplicitEulerStep:
             assert stepper.last_iterations == oracle.advance(i * 1e-3)
             assert abs(state.u - oracle.z[4]) <= 1e-12
             assert_close((*state.q, *state.v), oracle.z[:4], rel=1e-12)
+
+
+def _bits(state):
+    return tuple(float(x).hex() for x in (*state.q, *state.v, state.u, state.t))
+
+
+class TestStraightLineStep:
+    """``advance`` against the generic tuple Newton of ``newton_oracle``, bit for bit."""
+
+    @given(
+        params=st.builds(
+            OscillatorParams,
+            I1=st.floats(0.05, 5.0), I2=st.floats(0.05, 5.0),
+            k=st.floats(0.0, 500.0), d=st.floats(0.0, 2.0),
+        ),
+        dt=st.sampled_from([5e-4, 1e-3]) | st.floats(1e-5, 1e-2),
+        y0=st.floats(-1e3, 1e3), yf=st.floats(-1e3, 1e3),
+        t0=st.floats(0.0, 5.0), span=st.floats(0.1, 10.0),
+        start=st.tuples(*[st.floats(-10.0, 10.0) | st.floats(-1e4, 1e4)] * 5),
+        t_start=st.floats(0.0, 16.0),
+        steps=st.integers(1, 20),
+        # a tolerance under rounding level or a cap of one forces NewtonDiverged
+        opts=st.builds(
+            NewtonOptions,
+            max_iterations=st.integers(1, 10),
+            residual_tolerance=st.just(1e-10) | st.floats(1e-300, 1e-3),
+        ),
+    )
+    def test_bit_identical_to_the_tuple_oracle(
+        self, params, dt, y0, yf, t0, span, start, t_start, steps, opts
+    ):
+        spec = TrajectorySpec(y0=y0, yf=yf, t0=t0, tf=t0 + span)
+        stepper = InverseModelStepper(params, spec, dt, opts)
+        oracle = TupleStepper(params, spec, dt, opts)
+        q1, q2, v1, v2, u = start
+        stepper.state = oracle.state = InverseModelState((q1, q2), (v1, v2), u, t_start)
+        for i in range(1, steps + 1):
+            t_next = t_start + i * dt
+            before = stepper.state
+            try:
+                expected = oracle.advance(t_next)
+            except NewtonDiverged as oracle_err:
+                with pytest.raises(NewtonDiverged) as err:
+                    stepper.advance(t_next)
+                assert err.value.time == oracle_err.time
+                assert err.value.residual.hex() == oracle_err.residual.hex()
+                assert err.value.iterations == oracle_err.iterations
+                assert stepper.state is before
+                return
+            assert _bits(stepper.advance(t_next)) == _bits(expected)
+            assert stepper.last_iterations == oracle.last_iterations
 
 
 class TestSolveFeedforward:
