@@ -169,7 +169,7 @@ def _cmd_analyze(args) -> int:
         return EXIT_RUN_FAILED
     try:
         rep = metrics_mod.report(trace, cfg.trajectory, use_true_output=args.metrics_on_true)
-    except (WindowOutOfRange, EmptyWindow) as err:
+    except (WindowOutOfRange, EmptyWindow, ValidationError) as err:
         raise ValidationError(f"{args.trace}: {err}") from None
     row = metrics_mod.metrics_csv_row(cfg.label, cfg.mode.name, cfg.control_frequency, rep)
     print(",".join(metrics_mod.METRICS_COLUMNS))

@@ -13,9 +13,11 @@ exactly:
 * an event tick, where friction switches, is split at each root-located
   event into exact segments.
 
-Both matrices are built once per run; the trace counts stuck and event
-ticks.  The plant stands in for continuous hardware and must be much more
-accurate than the controller's own discretization.
+Each mode's motion is written once, as the Taylor series of :func:`_series`:
+event ticks sum it directly, and :func:`step_matrices` builds both matrices
+from its flows once per run.  The trace counts stuck and event ticks.  The
+plant stands in for continuous hardware and must be much more accurate than
+the controller's own discretization.
 
 Per tick: sample the output (ideal or encoder-style measurement), look up or
 compute one step of the feedforward torque, evaluate the funnel feedback on
@@ -47,7 +49,7 @@ from .feedforward import (
     TuningFactors,
     apply_tuning,
 )
-from .plant import OscillatorParams, stick_step_matrix, zoh_step_matrix
+from .plant import OscillatorParams
 from .trajectory import TrajectorySpec
 
 __all__ = [
@@ -61,6 +63,7 @@ __all__ = [
     "run_simulation",
     "run_sweep",
     "integrate_plant_tick",
+    "step_matrices",
     "SLIP",
     "STUCK",
     "EVENT",
@@ -294,9 +297,8 @@ def integrate_plant_tick(
 ) -> tuple[tuple[float, float, float, float], int]:
     """Advance the rig by one control tick of length ``dt`` under the held torque ``u``.
 
-    ``zoh`` is :func:`plant.zoh_step_matrix` and ``stick`` is
-    :func:`plant.stick_step_matrix` for the tick, row-major as 20 and 4
-    floats.  Returns the next state and the tick's kind:
+    ``zoh`` and ``stick`` are the run's :func:`step_matrices` for ``dt``.
+    Returns the next state and the tick's kind:
 
     * ``SLIP``: ``v1`` keeps one sign through the tick (or the rig has no
       friction), so the friction torque ``f = -cf sign(v1)`` is constant and
@@ -357,10 +359,9 @@ def _event_tick(params, state, u, dt):
     rest of the tick follows its mode unwatched.  Returns the next state and
     the number of events.
     """
-    i1, i2, k, d = params.I1, params.I2, params.k, params.d
+    k, d = params.k, params.d
     cf = params.friction.magnitude
-    mu = 1.0 / i1 + 1.0 / i2
-    rho = math.sqrt(k * mu) + d * mu
+    rho = _rate(params)
     piece = 1.0 / rho if rho > 0.0 else math.inf
     x, left, forced = state, dt, None
     for events in range(_MAX_SEGMENTS):
@@ -375,7 +376,7 @@ def _event_tick(params, state, u, dt):
         watch = events < _MAX_SEGMENTS - 1
         while left > 0.0:
             h = min(left, piece)
-            terms = _series(params, x, u, s, h, rho * h)
+            terms = _series(params, x, u - s * cf, s, h, rho * h)
             end = _value(terms, 1.0)
             if watch and s:
                 # s v1 must stay > 0; from rest, v1 = f g(f) and g must
@@ -422,11 +423,46 @@ def _fall(poly):
     return 0.0
 
 
-def _series(params, x, u, s, h, rho_h):
+def _rate(params):
+    """``sqrt(k mu) + d mu`` with ``mu = 1/I1 + 1/I2``: a bound on the twist mode's rate."""
+    mu = 1.0 / params.I1 + 1.0 / params.I2
+    return math.sqrt(params.k * mu) + params.d * mu
+
+
+def step_matrices(params: OscillatorParams, dt: float) -> tuple[tuple, tuple]:
+    """The exact slip and stick steps of length ``dt``, row-major as flat float tuples.
+
+    ``zoh`` is ``[Phi | Gam]`` (20 floats): ``x+ = Phi x + Gam w`` while the
+    net torque ``w = u - cf sign(v1)`` on flywheel 1 is held.  ``stick`` is
+    ``S`` (4 floats): ``(q2 - q1, v2)+ = S (q2 - q1, v2)`` while flywheel 1
+    sticks.  Their columns are mode flows of :func:`_series`: ``Phi`` the slip
+    flow of the unit states under ``w = 0``, ``Gam`` the slip flow from rest
+    under ``w = 1``, ``S`` the stick flow of a unit twist and a unit ``v2``.
+    Each flow runs ``ceil(rho dt)`` pieces, the ``1 / rho`` bound of
+    :func:`_event_tick`.
+    """
+    rho = _rate(params)
+    pieces = max(1, math.ceil(rho * dt))
+    h = dt / pieces
+
+    def flow(x, w, s):
+        for _ in range(pieces):
+            x = _value(_series(params, x, w, s, h, rho * h), 1.0)
+        return x
+
+    unit = [tuple(float(i == j) for j in range(4)) for i in range(4)]
+    columns = [flow(e, 0.0, 1.0) for e in unit] + [flow((0.0,) * 4, 1.0, 1.0)]
+    twist, speed = flow(unit[1], 0.0, 0.0), flow(unit[3], 0.0, 0.0)
+    zoh = tuple(column[i] for i in range(4) for column in columns)
+    return zoh, (twist[1], speed[1], twist[3], speed[3])
+
+
+def _series(params, x, w, s, h, rho_h):
     """Taylor terms ``a_n`` of one mode's solution from ``x``: ``x(f h) = sum a_n f**n``.
 
-    ``s`` is the slip direction (``+1`` or ``-1``), or 0 for stick, where
-    ``q1`` and ``v1`` are held.  The terms run to the order ``N >= 2`` at
+    ``s`` is nonzero for slip, where ``w`` is the net torque on flywheel 1
+    (input plus friction), or 0 for stick, where ``q1`` and ``v1`` are held
+    and ``w`` is unused.  The terms run to the order ``N >= 2`` at
     which ``(rho h)**(N + 1) / (N + 1)!`` falls below ``2**-60``; the rigid
     mode is exact from order 2.
     """
@@ -434,7 +470,7 @@ def _series(params, x, u, s, h, rho_h):
     q1, q2, v1, v2 = x
     shaft = k * (q1 - q2) + d * (v1 - v2)
     if s:
-        a = (v1 * h, v2 * h, (u - s * params.friction.magnitude - shaft) / i1 * h, shaft / i2 * h)
+        a = (v1 * h, v2 * h, (w - shaft) / i1 * h, shaft / i2 * h)
     else:
         a = (0.0, v2 * h, 0.0, shaft / i2 * h)
     terms = [x, a]
@@ -671,8 +707,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
     n_ticks = config.n_ticks
     n_rows = n_ticks + 1
     plant = config.true_params
-    zoh = tuple(zoh_step_matrix(plant, dt).ravel().tolist())
-    stick = tuple(stick_step_matrix(plant, dt).ravel().tolist())
+    zoh, stick = step_matrices(plant, dt)
     kinds = [0, 0, 0]  # ticks per SLIP, STUCK, EVENT
 
     q1, q2, v1, v2 = (float(x) for x in config.initial_state)

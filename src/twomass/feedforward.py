@@ -275,11 +275,14 @@ def solve_feedforward(
     if not 0.0 < horizon < math.inf:
         raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
     stepper = InverseModelStepper(params, spec, dt, opts)
-    if not horizon / dt <= MAX_STEPS:
+    steps = horizon / dt
+    if not steps <= MAX_STEPS:
         raise ValidationError(
-            f"horizon {horizon} s at dt {dt} s is {horizon / dt:.3g} steps, more than {MAX_STEPS}"
+            f"horizon {horizon} s at dt {dt} s is {steps:.3g} steps, more than {MAX_STEPS}"
         )
-    n_steps = round(horizon / dt)
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValidationError(f"horizon {horizon} s is not a whole number of steps of {dt} s")
+    n_steps = round(steps)
     torques = np.empty(n_steps + 1)
     iterations = np.zeros(n_steps + 1, dtype=int)
     torques[0] = stepper.state.u

@@ -10,7 +10,8 @@ Equations of motion (angles ``phi1``, ``phi2``)::
     I1*ddphi1 = -d*(dphi1 - dphi2) - k*(phi1 - phi2) + F_fric(dphi1) + u
     I2*ddphi2 =  d*(dphi1 - dphi2) + k*(phi1 - phi2)
 
-Beyond simulation, this module certifies that high-gain output feedback is
+This module holds the parameters; the motion in time is the mode series in
+:mod:`closedloop`.  It also certifies that high-gain output feedback is
 applicable: after removing the rigid-body mode, the dynamics split into the
 output channel and a two-dimensional internal subsystem (shaft deflection and
 second-flywheel speed) whose eigenvalues must have negative real part.
@@ -32,9 +33,6 @@ __all__ = [
     "OscillatorParams",
     "ReducedRealization",
     "MinimumPhaseReport",
-    "system_matrices",
-    "zoh_step_matrix",
-    "stick_step_matrix",
     "reduced_realization",
     "check_minimum_phase",
 ]
@@ -94,71 +92,6 @@ class OscillatorParams:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         if not (self.d >= 0.0 and math.isfinite(self.d)):
             raise ValidationError(f"d must be >= 0, got {self.d}")
-
-
-def system_matrices(params: OscillatorParams) -> tuple[np.ndarray, np.ndarray]:
-    """``A`` (4x4) and ``B`` (4,) of ``xdot = A x + B (u + f)``, ``x = (q1, q2, v1, v2)``.
-
-    The module's equations of motion, with the Coulomb torque ``f`` taken as an
-    input: it is constant while ``sign(v1)`` holds, and then the rig is linear.
-    """
-    i1, i2, k, d = params.I1, params.I2, params.k, params.d
-    a = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-k / i1, k / i1, -d / i1, d / i1],
-            [k / i2, -k / i2, d / i2, -d / i2],
-        ]
-    )
-    return a, np.array([0.0, 0.0, 1.0 / i1, 0.0])
-
-
-def zoh_step_matrix(params: OscillatorParams, dt: float) -> np.ndarray:
-    """``[Phi | Gam]`` (4x5): one exact step ``x+ = Phi x + Gam (u + f)`` of length ``dt``.
-
-    Valid while the input and the friction torque ``f`` are held over the
-    step.  Both blocks are the top rows of ``expm([[A, B], [0, 0]] dt)``
-    (Van Loan, "Computing integrals involving the matrix exponential",
-    IEEE TAC 1978).
-    """
-    a, b = system_matrices(params)
-    augmented = np.zeros((5, 5))
-    augmented[:4, :4] = a * dt
-    augmented[:4, 4] = b * dt
-    return _expm(augmented)[:4]
-
-
-def stick_step_matrix(params: OscillatorParams, dt: float) -> np.ndarray:
-    """``S`` (2x2): one exact step of ``(q2 - q1, v2)`` of length ``dt`` while flywheel 1 sticks.
-
-    With ``q1`` held and ``v1 = 0``, flywheel 2 swings on the shaft alone:
-    ``z' = v2``, ``I2 v2' = -k z - d v2`` for the twist ``z = q2 - q1``.
-    """
-    i2 = params.I2
-    return _expm(np.array([[0.0, dt], [-params.k / i2 * dt, -params.d / i2 * dt]]))
-
-
-def _expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential: Taylor series with scaling and squaring.
-
-    The argument is scaled by ``2**-s`` to an infinity norm of at most 1/2,
-    where the series is summed until a term no longer changes the sum, and
-    the result is squared ``s`` times.
-    """
-    norm = float(np.abs(m).sum(axis=1).max())
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
-    x = m / 2.0**squarings
-    term = np.eye(len(m))
-    result = term.copy()
-    for j in range(1, 40):
-        term = term @ x / j
-        if not np.any(result + term != result):
-            break
-        result += term
-    for _ in range(squarings):
-        result = result @ result
-    return result
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ from twomass.closedloop import (
     Trace,
     config_echo,
     integrate_plant_tick,
+    step_matrices,
 )
 from twomass.errors import FunnelViolation, NewtonDiverged, ValidationError
 from twomass.feedback import funnel_law, psi
 from twomass.feedforward import InverseModelStepper, apply_tuning
-from twomass.plant import stick_step_matrix, zoh_step_matrix
 
 
 class PerTickSensor:
@@ -76,8 +76,7 @@ def run_simulation_per_tick(config) -> Trace:
     n_ticks = config.n_ticks
     n_rows = n_ticks + 1
     plant = config.true_params
-    zoh = tuple(zoh_step_matrix(plant, dt).ravel().tolist())
-    stick = tuple(stick_step_matrix(plant, dt).ravel().tolist())
+    zoh, stick = step_matrices(plant, dt)
     kinds = [0, 0, 0]
 
     rng = np.random.default_rng(config.seed)

@@ -1,6 +1,6 @@
-"""Test oracles for the plant step: the rig's equations of motion on scalars,
-and the fixed-step 4th-order scheme that ``closedloop.integrate_plant_tick``
-replaced.
+"""Test oracles for the plant step: the rig's equations of motion on scalars
+and as the matrices of one slip mode, and the fixed-step 4th-order scheme that
+``closedloop.integrate_plant_tick`` replaced.
 
 RK4 with ``sign(0) = 0`` never sticks: at ``v1 = 0`` it chatters with an
 amplitude of about ``cf h / I1``, so it converges to the stick-slip solution
@@ -9,6 +9,8 @@ RK4 at a fine and a coarse substep, never bit for bit.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def accelerations(i1, i2, stiffness, damping, coulomb, q1, q2, v1, v2, u):
@@ -21,6 +23,27 @@ def accelerations(i1, i2, stiffness, damping, coulomb, q1, q2, v1, v2, u):
     else:
         fric = 0.0
     return (u + fric - shaft) / i1, shaft / i2
+
+
+def system_matrices(params):
+    """``A`` (4x4) and ``B`` (4,) of ``xdot = A x + B (u + f)``, ``x = (q1, q2, v1, v2)``.
+
+    The rig's equations of motion, with the Coulomb torque ``f`` taken as an
+    input: it is constant while ``sign(v1)`` holds, and then the rig is linear.
+    ``expm([[A, B], [0, 0]] dt)`` holds ``[Phi | Gam]`` in its top rows (Van
+    Loan, "Computing integrals involving the matrix exponential", IEEE TAC
+    1978).
+    """
+    i1, i2, k, d = params.I1, params.I2, params.k, params.d
+    a = np.array(
+        [
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [-k / i1, k / i1, -d / i1, d / i1],
+            [k / i2, -k / i2, d / i2, -d / i2],
+        ]
+    )
+    return a, np.array([0.0, 0.0, 1.0 / i1, 0.0])
 
 
 def rk4_plant_tick(params, state, u, h, substeps):

@@ -142,6 +142,28 @@ def _trace_with_echo(key, value):
     return case
 
 
+def _completed_trace_with_cell(column, cell):
+    # a completed trace on the grid 0, 0.5, ..., 6 s, which covers both metric
+    # windows of tf = 1 s, with ``cell`` in ``column`` of the row at 0.5 s
+    def case(tmp_path):
+        echo = config_echo(load_config_file(write_config(tmp_path)))
+        echo["trajectory.tf"] = "1.0"
+        names = TRACE_COLUMNS.strip().split(",")
+        rows = []
+        for i in range(13):
+            row = dict.fromkeys(names, "0.0")
+            row.update(t=repr(0.5 * i), psi="1.0", newton_iterations="0")
+            if i == 1:
+                row[column] = cell
+            rows.append(",".join(row[name] for name in names) + "\n")
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# twomass trace\n# config: {format_echo(echo)}\n"
+                        "# status: completed\n" + TRACE_COLUMNS + "".join(rows))
+        return ["analyze", str(path)], path
+
+    return case
+
+
 def _table_with_torque(cell):
     def case(tmp_path):
         path = tmp_path / "table.csv"
@@ -396,7 +418,8 @@ class TestCli:
          _trace_with_echo("trajectory.tf", "ten"),
          _trace_with_echo("simulation.control_frequency", "fast"),
          _trace_with_echo("simulation.mode", "both"),
-         _trace_with_echo("trajectory.y0", None)],
+         _trace_with_echo("trajectory.y0", None),
+         _completed_trace_with_cell("t", "0.75"), _completed_trace_with_cell("u", "inf")],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
@@ -471,6 +494,16 @@ class TestCli:
         assert main(["feedforward", flag, "inf", "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag[2:]} must be finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--dt", "0.3", "--horizon", "1"], ["--horizon", "1e-4"]])
+    def test_horizon_off_the_step_grid_exits_2_with_one_line(self, tmp_path, capsys, flags):
+        # the table's grid is 0, dt, ..., horizon: no horizon between two steps
+        out = tmp_path / "t.csv"
+        assert main(["feedforward", *flags, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: horizon ") and "not a whole number of steps" in err
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -1,8 +1,17 @@
+import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import twomass
 from conftest import assert_close
-from plant_oracle import accelerations
+from plant_oracle import accelerations, system_matrices
+from twomass.closedloop import step_matrices
 from twomass.errors import ValidationError
 from twomass.plant import (
     FRICTIONLESS,
@@ -10,14 +19,37 @@ from twomass.plant import (
     OscillatorParams,
     check_minimum_phase,
     reduced_realization,
-    stick_step_matrix,
-    system_matrices,
-    zoh_step_matrix,
 )
+
+# I1, I2 in [0.05, 5], k in [0, 500] and d in [0, 2], exact zeros included
+drawn_rigs = st.builds(
+    OscillatorParams,
+    I1=st.floats(0.05, 5.0),
+    I2=st.floats(0.05, 5.0),
+    k=st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+    d=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+drawn_dts = st.floats(1e-5, 1.0)
 
 
 def state(q1=0.0, q2=0.0, v1=0.0, v2=0.0):
     return (q1, q2, v1, v2)
+
+
+def step(params, dt):
+    """``[Phi | Gam]`` (4x5) and ``S`` (2x2) of :func:`closedloop.step_matrices` as arrays."""
+    zoh, stick = step_matrices(params, dt)
+    return np.array(zoh).reshape(4, 5), np.array(stick).reshape(2, 2)
+
+
+def scipy_step(linalg, params, dt):
+    """The same two matrices from scipy's Pade ``expm``: the Van Loan block and the stick block."""
+    a, b = system_matrices(params)
+    block = np.zeros((5, 5))
+    block[:4, :4] = a
+    block[:4, 4] = b
+    stick = np.array([[0.0, 1.0], [-params.k / params.I2, -params.d / params.I2]])
+    return linalg.expm(block * dt)[:4], linalg.expm(stick * dt)
 
 
 def eval_dynamics(params, state, u):
@@ -143,12 +175,8 @@ class TestZohStepMatrix:
         # independent route: scipy's Pade expm of the Van Loan block matrix;
         # 1e-13 relative to the largest entry of [Phi | Gam] (about 1)
         linalg = pytest.importorskip("scipy.linalg")
-        a, b = system_matrices(rig)
-        block = np.zeros((5, 5))
-        block[:4, :4] = a
-        block[:4, 4] = b
-        expected = linalg.expm(block * dt)[:4]
-        assert_close(zoh_step_matrix(rig, dt), expected, rel=1e-13, floor=np.abs(expected).max())
+        expected, _ = scipy_step(linalg, rig, dt)
+        assert_close(step(rig, dt)[0], expected, rel=1e-13, floor=np.abs(expected).max())
 
     def test_rigid_rotation_is_exact(self):
         # with no shaft the flywheels coast: Phi holds q += v dt, Gam the
@@ -161,7 +189,19 @@ class TestZohStepMatrix:
             [0.0, 0.0, 1.0, 0.0, dt / i1],
             [0.0, 0.0, 0.0, 1.0, 0.0],
         ])
-        assert_close(zoh_step_matrix(p, dt), expected, rel=1e-15)
+        assert_close(step(p, dt)[0], expected, rel=1e-15)
+
+    @settings(max_examples=300)
+    @given(params=drawn_rigs, dt=drawn_dts)
+    def test_both_matrices_match_scipy_expm(self, params, dt):
+        # 1e-12 relative to each matrix's largest entry; at dt near 1 s most
+        # of that gap is scipy's own error (an mpmath expm at 40 digits puts
+        # the series within 1e-14 where scipy is up to 5e-13 off)
+        linalg = pytest.importorskip("scipy.linalg")
+        zoh, stick = step(params, dt)
+        expected_zoh, expected_stick = scipy_step(linalg, params, dt)
+        assert_close(zoh, expected_zoh, rel=1e-12, floor=np.abs(expected_zoh).max())
+        assert_close(stick, expected_stick, rel=1e-12, floor=np.abs(expected_stick).max())
 
 
 class TestStickStepMatrix:
@@ -169,18 +209,29 @@ class TestStickStepMatrix:
     def test_matches_scipy_expm(self, rig, dt):
         # flywheel 2 alone on the shaft: z' = v2, I2 v2' = -k z - d v2
         linalg = pytest.importorskip("scipy.linalg")
-        block = np.array([[0.0, 1.0], [-rig.k / rig.I2, -rig.d / rig.I2]])
-        expected = linalg.expm(block * dt)
-        assert_close(stick_step_matrix(rig, dt), expected, rel=1e-13, floor=np.abs(expected).max())
+        _, expected = scipy_step(linalg, rig, dt)
+        assert_close(step(rig, dt)[1], expected, rel=1e-13, floor=np.abs(expected).max())
 
     def test_is_the_zoh_step_with_flywheel_one_held(self):
         # an infinitely heavy flywheel 1 at rest cannot move: the ZOH step of
         # (q1, q2, v1, v2) then moves (q2 - q1, v2) by the stick matrix
         dt = 1e-3
         p = OscillatorParams(I1=1e12, I2=0.12, k=33.6, d=0.016)
-        phi = zoh_step_matrix(p, dt)[:, :4]
-        s = stick_step_matrix(p, dt)
-        assert_close(phi[[1, 3]][:, [1, 3]], s, rel=1e-9)
+        zoh, s = step(p, dt)
+        assert_close(zoh[[1, 3]][:, [1, 3]], s, rel=1e-9)
+
+    @settings(max_examples=300)
+    @given(params=drawn_rigs, dt=drawn_dts)
+    def test_has_the_internal_dynamics_of_check_minimum_phase(self, params, dt):
+        # with flywheel 1 held, (twist, v2) follow lambda^2 + (d/I2) lambda +
+        # k/I2, whose roots check_minimum_phase reports: S = expm(Q dt) has
+        # the eigenvalues exp(l dt), so their sum and product
+        _, s = step(params, dt)
+        l1, l2 = check_minimum_phase(params).eigenvalues
+        trace = cmath.exp(l1 * dt) + cmath.exp(l2 * dt)
+        det = cmath.exp((l1 + l2) * dt)
+        for got, want in ((s[0, 0] + s[1, 1], trace), (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0], det)):
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestMinimumPhase:
@@ -242,3 +293,12 @@ class TestValidation:
         # a twist-free steady spin keeps spinning: no friction torque acts
         p = OscillatorParams(I1=1.0, I2=1.0, k=1.0, d=1.0, friction=FRICTIONLESS)
         assert np.all(eval_dynamics(p, state(v1=5.0, v2=5.0), 0.0) == 0.0)
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test-only dependency: the CLI's import must not pull it in
+    code = "import sys, twomass, twomass.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(twomass.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
