@@ -191,7 +191,7 @@ def _cmd_check_plant(args) -> int:
     print(f"plant: I1={params.I1} I2={params.I2} k={params.k} d={params.d}")
     print(f"high-frequency gain Gamma = C B = {real.Gamma:.6g}")
     print(f"R = {real.R:.6g}  S = [{real.S[0]:.6g} {real.S[1]:.6g}]")
-    print(f"Q = [[{real.Q[0,0]:.6g} {real.Q[0,1]:.6g}] [{real.Q[1,0]:.6g} {real.Q[1,1]:.6g}]]")
+    print(f"Q = [[{real.Q[0][0]:.6g} {real.Q[0][1]:.6g}] [{real.Q[1][0]:.6g} {real.Q[1][1]:.6g}]]")
     lam1, lam2 = report.eigenvalues
     print(f"internal-dynamics eigenvalues: {lam1:.6g} , {lam2:.6g}")
     verdict = "minimum phase" if report.is_minimum_phase else "NOT minimum phase"

@@ -216,6 +216,13 @@ class SimulationConfig:
                 f"duration {self.duration} s is not a whole number of control ticks "
                 f"at {self.control_frequency} Hz"
             )
+        tick, p = 1.0 / self.control_frequency, self.true_params
+        pieces = _rate(p) * tick  # step_matrices and event ticks walk ceil(pieces) series pieces
+        if not pieces <= 1000.0:  # the presets ask for at most 0.023
+            raise ValidationError(
+                f"true plant I1={p.I1} I2={p.I2} k={p.k} d={p.d} is too fast for the control "
+                f"tick {tick} s: {pieces:.6g} series pieces per tick, more than 1000"
+            )
         if self.u_max is not None and not self.u_max > 0.0:
             raise ValidationError(f"u_max must be > 0 when set, got {self.u_max}")
         if len(self.initial_state) != 4 or not all(math.isfinite(x) for x in self.initial_state):
@@ -224,7 +231,6 @@ class SimulationConfig:
             if not self.nominal_params.friction.is_none:
                 raise ValidationError("nominal model must be frictionless")
             source = self.feedforward_source
-            tick = 1.0 / self.control_frequency
             if source.table is not None:
                 if abs(source.table.dt - tick) > 1e-9 * tick:
                     raise ValidationError(

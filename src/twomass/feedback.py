@@ -22,9 +22,9 @@ __all__ = ["FunnelSpec", "psi", "funnel_gain", "funnel_law"]
 class FunnelSpec:
     """Exponentially shrinking error band ``psi(t) = s*exp(-q_decay*t) + c``.
 
-    ``c > 0`` and ``s >= 0`` keep the infimum of the band positive, as the
-    feasibility of the feedback law requires.  (The decay rate is named
-    ``q_decay`` to avoid colliding with the generalized coordinates ``q``.)
+    ``c > 0`` and ``s >= 0`` keep the band's infimum positive, as the feedback
+    law requires, and ``q_decay >= 0`` keeps it bounded, as the funnel class
+    requires.  (``q_decay`` is named apart from the generalized coordinates ``q``.)
     """
 
     s: float
@@ -36,8 +36,8 @@ class FunnelSpec:
             raise ValidationError(f"funnel offset c must be > 0, got {self.c}")
         if not (self.s >= 0.0 and math.isfinite(self.s)):
             raise ValidationError(f"funnel surplus s must be >= 0, got {self.s}")
-        if not math.isfinite(self.q_decay):
-            raise ValidationError(f"funnel decay rate must be finite, got {self.q_decay}")
+        if not (self.q_decay >= 0.0 and math.isfinite(self.q_decay)):
+            raise ValidationError(f"funnel decay rate q_decay must be >= 0, got {self.q_decay}")
 
 
 def psi(spec: FunnelSpec, t: float) -> float:

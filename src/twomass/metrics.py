@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import csvfile
-from .errors import EmptyWindow, ValidationError, WindowOutOfRange
+from .errors import ValidationError, WindowOutOfRange
 from .trajectory import TrajectorySpec
 
 if TYPE_CHECKING:
@@ -85,29 +85,36 @@ def _snap(t: np.ndarray, dt: float, a: float, b: float) -> tuple[int, int]:
     return ia, ib
 
 
-def integrate_square(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
-    """Trapezoidal integral of ``values**2`` over the (snapped) window."""
+def _window(t, values, window: tuple[float, float]) -> tuple[float, np.ndarray]:
+    """The span of the (snapped) window and the samples inside it, all finite."""
     t = np.asarray(t, dtype=float)
     values = np.asarray(values, dtype=float)
     dt = _grid_step(t)
     ia, ib = _snap(t, dt, window[0], window[1])
-    if ia == ib:
+    selected = values[ia : ib + 1]  # never empty: _snap keeps ia <= ib inside the grid
+    finite = np.isfinite(selected)
+    if not finite.all():  # checked before any sample is subtracted: inf - inf is nan
+        i = ia + int(np.argmin(finite))
+        raise ValidationError(
+            f"sample {float(values[i])} at t={float(t[i])} in window {window} is not finite"
+        )
+    return t[ib] - t[ia], selected
+
+
+def integrate_square(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
+    """Trapezoidal integral of ``values**2`` over the (snapped) window."""
+    span, selected = _window(t, values, window)
+    if len(selected) == 1:
         return 0.0
     # trapezoid weights written as span * mean: exact for constant signals
-    squares = values[ia : ib + 1] ** 2
+    squares = selected**2
     core = float(np.sum(squares)) - 0.5 * (squares[0] + squares[-1])
-    return (t[ib] - t[ia]) * (core / (ib - ia))
+    return span * (core / (len(selected) - 1))
 
 
 def variance(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
     """Population variance (divide by N) of the samples inside the window."""
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    dt = _grid_step(t)
-    ia, ib = _snap(t, dt, window[0], window[1])
-    selected = values[ia : ib + 1]
-    if len(selected) == 0:
-        raise EmptyWindow(f"no samples in window {window}")
+    _, selected = _window(t, values, window)
     # centering on a data point keeps constant signals at exactly zero
     centered = selected - selected[0]
     return float(np.var(centered))

@@ -12,9 +12,12 @@ Equations of motion (angles ``phi1``, ``phi2``)::
 
 This module holds the parameters; the motion in time is the mode series in
 :mod:`closedloop`.  It also certifies that high-gain output feedback is
-applicable: after removing the rigid-body mode, the dynamics split into the
-output channel and a two-dimensional internal subsystem (shaft deflection and
-second-flywheel speed) whose eigenvalues must have negative real part.
+applicable: after removing the rigid-body mode, the frictionless dynamics
+split into the output channel and a two-dimensional internal subsystem
+(shaft deflection and second-flywheel speed), ``ydot = R y + S eta + Gamma u``
+and ``etadot = Q eta + P y``.  That split, on plain floats, is the module's
+one description of the linear rig: the verdict reads its eigenvalues from
+``Q``, which must have negative real part.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -96,48 +97,32 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class ReducedRealization:
-    """State-space form after removing the rigid-body mode.
+    """The rig's input-output split after removing the rigid-body mode.
 
-    With ``x = (dphi, dphi1, dphi2)`` where ``dphi = phi1 - phi2``::
+    With the output ``y = dphi1`` and the internal state ``eta = (-dphi,
+    dphi2)``, where ``dphi = phi1 - phi2`` is the shaft twist::
 
-        xdot = A x + B u,   y = C x
+        ydot = R y + S eta + Gamma u,   etadot = Q eta + P y
 
-    and the input-output split ``ydot = R y + S eta + Gamma u``,
-    ``etadot = Q eta + P y`` with internal state ``eta = (-dphi, dphi2)``.
-    ``Gamma = C B = 1/I1 != 0``, so the input acts directly on the output rate.
+    in plain floats: ``S`` and ``P`` are pairs, ``Q`` is a 2x2 tuple of rows.
+    ``Gamma = 1/I1 != 0``, so the input acts directly on the output rate.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
     R: float
-    S: np.ndarray
-    Q: np.ndarray
-    P: np.ndarray
+    S: tuple[float, float]
+    Q: tuple[tuple[float, float], tuple[float, float]]
+    P: tuple[float, float]
     Gamma: float
-
-    def __post_init__(self):
-        for name in ("A", "B", "C", "S", "Q", "P"):
-            array = np.asarray(getattr(self, name), dtype=float)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
 
 
 def reduced_realization(params: OscillatorParams) -> ReducedRealization:
-    """Assemble the rigid-body-free realization and its input-output blocks."""
+    """The input-output blocks of the rigid-body-free rig."""
     i1, i2, k, d = params.I1, params.I2, params.k, params.d
-    mass = np.diag([1.0, i1, i2])
-    a_tilde = np.array([[0.0, 1.0, -1.0], [-k, -d, d], [k, d, -d]])
-    b_tilde = np.array([0.0, 1.0, 0.0])
-    m_inv = np.diag(1.0 / np.diag(mass))
     return ReducedRealization(
-        A=m_inv @ a_tilde,
-        B=m_inv @ b_tilde,
-        C=np.array([0.0, 1.0, 0.0]),
         R=-d / i1,
-        S=np.array([k / i1, d / i1]),
-        Q=np.array([[0.0, 1.0], [-k / i2, -d / i2]]),
-        P=np.array([-1.0, d / i2]),
+        S=(k / i1, d / i1),
+        Q=((0.0, 1.0), (-k / i2, -d / i2)),
+        P=(-1.0, d / i2),
         Gamma=1.0 / i1,
     )
 
@@ -151,19 +136,19 @@ class MinimumPhaseReport:
 
 
 def check_minimum_phase(params: OscillatorParams) -> MinimumPhaseReport:
-    """Decide whether the internal dynamics is exponentially stable.
+    """Decide whether the internal dynamics ``etadot = Q eta`` is exponentially stable.
 
-    The internal subsystem is a damped oscillator with characteristic
-    polynomial ``lambda^2 + (d/I2) lambda + k/I2``; the roots come from the
-    quadratic formula (the block is always 2x2 here, no general eigensolver
+    ``Q`` of :func:`reduced_realization` is 2x2, so its eigenvalues are the
+    roots of ``lambda^2 + b lambda + c`` with ``b = -trace(Q) = d/I2`` and
+    ``c = det(Q) = k/I2``, from the quadratic formula (no general eigensolver
     needed).  A marginal case (zero real part, e.g. d = 0) is reported as not
     minimum phase: the feedback concept needs bounded-input bounded-output
     internal dynamics.
     """
-    b = params.d / params.I2
-    c = params.k / params.I2
+    (q00, q01), (q10, q11) = reduced_realization(params).Q
+    b = -q00 - q11  # not -(q00 + q11): that is -0.0 at d = 0
+    c = q00 * q11 - q01 * q10
     disc = cmath.sqrt(b * b - 4.0 * c)
-    lam1 = (-b + disc) / 2.0
-    lam2 = (-b - disc) / 2.0
+    lam1, lam2 = (-b + disc) / 2.0, (-b - disc) / 2.0
     stable = lam1.real < 0.0 and lam2.real < 0.0
     return MinimumPhaseReport(eigenvalues=(lam1, lam2), is_minimum_phase=stable)

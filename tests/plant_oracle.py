@@ -1,6 +1,8 @@
-"""Test oracles for the plant step: the rig's equations of motion on scalars
-and as the matrices of one slip mode, and the fixed-step 4th-order scheme that
-``closedloop.integrate_plant_tick`` replaced.
+"""Test oracles for the plant: the rig's equations of motion on scalars, as
+the matrices of one slip mode and as the rigid-body-free state space that
+``plant.reduced_realization`` splits into output and internal dynamics, and
+the fixed-step 4th-order scheme that ``closedloop.integrate_plant_tick``
+replaced.
 
 RK4 with ``sign(0) = 0`` never sticks: at ``v1 = 0`` it chatters with an
 amplitude of about ``cf h / I1``, so it converges to the stick-slip solution
@@ -44,6 +46,23 @@ def system_matrices(params):
         ]
     )
     return a, np.array([0.0, 0.0, 1.0 / i1, 0.0])
+
+
+def reduced_matrices(params):
+    """``A`` (3x3), ``B`` and ``C`` of ``xdot = A x + B u``, ``y = C x``, ``x = (q1 - q2, v1, v2)``.
+
+    The frictionless rig without its rigid-body mode: the twist and the two
+    speeds.  ``C B = 1/I1`` is the high-frequency gain ``Gamma``.
+    """
+    i1, i2, k, d = params.I1, params.I2, params.k, params.d
+    a = np.array(
+        [
+            [0.0, 1.0, -1.0],
+            [-k / i1, -d / i1, d / i1],
+            [k / i2, d / i2, -d / i2],
+        ]
+    )
+    return a, np.array([0.0, 1.0 / i1, 0.0]), np.array([0.0, 1.0, 0.0])
 
 
 def rk4_plant_tick(params, state, u, h, substeps):

@@ -607,6 +607,18 @@ class TestValidation:
         cfg.validate()
         assert cfg.n_ticks == 600
 
+    @pytest.mark.parametrize("d, ok", [(512000.0, True), (512000.5, False)])
+    def test_true_plant_too_fast_for_the_tick_rejected(self, d, ok):
+        # rho = d (1/I1 + 1/I2) = 2 d, and the tick is 2**-10 s: 1000 series
+        # pieces per tick at d = 512000 are the most a config may ask for
+        cfg = base_config(true_params=OscillatorParams(I1=1.0, I2=1.0, k=0.0, d=d),
+                          control_frequency=1024.0)
+        if ok:
+            cfg.validate()
+        else:
+            with pytest.raises(ValidationError, match="series pieces per tick, more than 1000"):
+                cfg.validate()
+
     def test_mode_needs_a_branch(self):
         with pytest.raises(ValidationError):
             ControllerMode()

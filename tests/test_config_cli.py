@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -142,20 +143,20 @@ def _trace_with_echo(key, value):
     return case
 
 
-def _completed_trace_with_cell(column, cell):
+def _completed_trace_with_cell(column, cell, row=1):
     # a completed trace on the grid 0, 0.5, ..., 6 s, which covers both metric
-    # windows of tf = 1 s, with ``cell`` in ``column`` of the row at 0.5 s
+    # windows of tf = 1 s, with ``cell`` in ``column`` of the row at 0.5 ``row`` s
     def case(tmp_path):
         echo = config_echo(load_config_file(write_config(tmp_path)))
         echo["trajectory.tf"] = "1.0"
         names = TRACE_COLUMNS.strip().split(",")
         rows = []
         for i in range(13):
-            row = dict.fromkeys(names, "0.0")
-            row.update(t=repr(0.5 * i), psi="1.0", newton_iterations="0")
-            if i == 1:
-                row[column] = cell
-            rows.append(",".join(row[name] for name in names) + "\n")
+            cells = dict.fromkeys(names, "0.0")
+            cells.update(t=repr(0.5 * i), psi="1.0", newton_iterations="0")
+            if i == row:
+                cells[column] = cell
+            rows.append(",".join(cells[name] for name in names) + "\n")
         path = tmp_path / "trace.csv"
         path.write_text(f"# twomass trace\n# config: {format_echo(echo)}\n"
                         "# status: completed\n" + TRACE_COLUMNS + "".join(rows))
@@ -419,11 +420,15 @@ class TestCli:
          _trace_with_echo("simulation.control_frequency", "fast"),
          _trace_with_echo("simulation.mode", "both"),
          _trace_with_echo("trajectory.y0", None),
-         _completed_trace_with_cell("t", "0.75"), _completed_trace_with_cell("u", "inf")],
+         _completed_trace_with_cell("t", "0.75"), _completed_trace_with_cell("u", "inf"),
+         # at tf = 1 s, the end of one window and the start of the next
+         _completed_trace_with_cell("u", "inf", row=2)],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
-        assert main(argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a line of its own
+            assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
@@ -462,6 +467,14 @@ class TestCli:
         (FEEDBACK_CONFIG, "[funnel]", "[newton]\n\n[funnel]",
          "section [newton] not allowed for mode feedback"),
         (FULL_CONFIG, "label = demo", "label = a: b", "label 'a: b' must be non-empty, without"),
+        # psi grows without bound: outside the funnel class
+        pytest.param(FULL_CONFIG, "q_decay = 0.3", "q_decay = -1000",
+                     "funnel decay rate q_decay must be >= 0, got -1000.0",
+                     id="negative-q-decay"),
+        # about 1.6e5 series pieces per tick: rejected before any is walked
+        pytest.param(FULL_CONFIG, "[plant.true]\nI1 = 0.136", "[plant.true]\nI1 = 1e-10",
+                     "true plant I1=1e-10 I2=0.12 k=33.6 d=0.016 is too fast for the "
+                     "control tick 0.001 s", id="too-light-true-flywheel"),
     ])
     def test_rejected_config_exits_2_with_one_line(self, tmp_path, capsys, text, old, new,
                                                    message):
@@ -569,9 +582,9 @@ positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 modes = st.one_of(
     st.builds(ControllerMode.feedforward_only, st.builds(TuningFactors, finite, finite)),
-    st.builds(ControllerMode.feedback_only, st.builds(FunnelSpec, non_negative, finite, positive)),
+    st.builds(ControllerMode.feedback_only, st.builds(FunnelSpec, non_negative, non_negative, positive)),
     st.builds(ControllerMode.combined, st.builds(TuningFactors, finite, finite),
-              st.builds(FunnelSpec, non_negative, finite, positive)),
+              st.builds(FunnelSpec, non_negative, non_negative, positive)),
 )
 newton_options = st.builds(NewtonOptions, st.integers(1, 10**6), positive)
 true_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative,

@@ -105,3 +105,12 @@ class TestSpecValidation:
     def test_surplus_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             FunnelSpec(-1.0, 0.1, 0.5)
+
+    @pytest.mark.parametrize("q_decay", [-1e-3, -1000.0, float("nan"), float("inf")])
+    def test_decay_must_be_finite_and_nonnegative(self, q_decay):
+        # a negative decay makes psi grow without bound, outside the funnel class
+        with pytest.raises(ValidationError, match="q_decay must be >= 0"):
+            FunnelSpec(1.0, q_decay, 0.5)
+
+    def test_zero_decay_is_a_constant_band(self):
+        assert psi(FunnelSpec(1.0, 0.0, 0.5), 1e6) == 1.5

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,18 @@ class TestVariance:
 
 class TestReport:
     SPEC = TrajectorySpec(y0=0.0, yf=1.0, t0=0.0, tf=10.0)
+
+    # the first tick, tf (the end of one window and the start of the next), the last tick
+    @pytest.mark.parametrize("tick", [0, 1000, 1500])
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sample_is_named_without_a_warning(self, tick, cell):
+        t = np.linspace(0.0, 15.0, 1501)
+        u = np.zeros(1501)
+        u[tick] = cell
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^sample {cell} at t={t[tick]} in window"):
+                report(make_trace(t, u, np.zeros(1501)), self.SPEC)
 
     def test_perfect_tracking_all_zero(self):
         t = np.linspace(0.0, 15.0, 1501)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import twomass
 from conftest import assert_close
-from plant_oracle import accelerations, system_matrices
+from plant_oracle import accelerations, reduced_matrices, system_matrices
 from twomass.closedloop import step_matrices
 from twomass.errors import ValidationError
 from twomass.plant import (
@@ -20,6 +21,7 @@ from twomass.plant import (
     check_minimum_phase,
     reduced_realization,
 )
+from twomass.presets import NOMINAL_PLANT
 
 # I1, I2 in [0.05, 5], k in [0, 500] and d in [0, 2], exact zeros included
 drawn_rigs = st.builds(
@@ -43,12 +45,16 @@ def step(params, dt):
 
 
 def scipy_step(linalg, params, dt):
-    """The same two matrices from scipy's Pade ``expm``: the Van Loan block and the stick block."""
+    """The same two matrices from scipy's Pade ``expm``: of the Van Loan block and of ``Q``.
+
+    While flywheel 1 sticks, ``(q2 - q1, v2)`` is the internal state ``eta`` of
+    :func:`reduced_realization` and moves by ``etadot = Q eta``.
+    """
     a, b = system_matrices(params)
     block = np.zeros((5, 5))
     block[:4, :4] = a
     block[:4, 4] = b
-    stick = np.array([[0.0, 1.0], [-params.k / params.I2, -params.d / params.I2]])
+    stick = np.array(reduced_realization(params).Q)
     return linalg.expm(block * dt)[:4], linalg.expm(stick * dt)
 
 
@@ -125,33 +131,54 @@ class TestReducedRealization:
         p = OscillatorParams(I1=1.0, I2=1.0, k=0.0, d=0.0)
         real = reduced_realization(p)
         assert real.R == 0.0
-        assert np.all(real.S == 0.0)
-        assert np.all(real.A[1:, :1] == 0.0)  # no twist feedback into speeds
+        assert real.S == (0.0, 0.0)
+        a, _, _ = reduced_matrices(p)
+        assert np.all(a[1:, :1] == 0.0)  # no twist feedback into speeds
 
     def test_matches_eval_dynamics(self, rig):
-        # d/dt (twist, v1, v2) from A x + B u must equal the direct dynamics
+        # d/dt (twist, v1, v2) from the oracle's A x + B u must equal the direct dynamics
         rng = np.random.default_rng(3)
-        real = reduced_realization(rig)
+        a, b, _ = reduced_matrices(rig)
         for _ in range(50):
             q1, q2, v1, v2 = rng.normal(size=4) * 3.0
             u = rng.normal() * 2.0
             x = np.array([q1 - q2, v1, v2])
-            xdot = real.A @ x + real.B * u
+            xdot = a @ x + b * u
             acc = eval_dynamics(rig, state(q1, q2, v1, v2), u)
             assert_close(xdot, np.array([v1 - v2, acc[0], acc[1]]), rel=1e-12)
 
     def test_io_split_consistent_with_full_matrix(self, rig):
-        # [R S; P Q] in (y, eta) coordinates is a similarity transform of A
+        # [R S; P Q] in (y, eta) coordinates is a similarity transform of the
+        # oracle's A, and Gamma u is its B u on the output channel
         real = reduced_realization(rig)
+        a, b, c = reduced_matrices(rig)
+        assert_close(real.Gamma, c @ b, rel=1e-15)
         rng = np.random.default_rng(5)
         for _ in range(20):
             twist, v1, v2 = rng.normal(size=3)
+            u = rng.normal() * 2.0
             y, eta = v1, np.array([-twist, v2])
-            ydot = real.R * y + real.S @ eta + real.Gamma * 0.0
-            etadot = real.Q @ eta + real.P * y
-            xdot = real.A @ np.array([twist, v1, v2])
+            ydot = real.R * y + np.array(real.S) @ eta + real.Gamma * u
+            etadot = np.array(real.Q) @ eta + np.array(real.P) * y
+            xdot = a @ np.array([twist, v1, v2]) + b * u
             assert_close(ydot, xdot[1], rel=1e-12)
             assert_close(etadot, np.array([-xdot[0], xdot[2]]), rel=1e-12)
+
+    @given(params=drawn_rigs)
+    def test_fields_are_python_floats(self, params):
+        # check-plant formats these fields: no numpy scalar may stand in for a
+        # float (np.float64 passes isinstance(x, float), so compare types)
+        def leaves(value):
+            if type(value) is tuple:
+                assert len(value) == 2
+                return [x for item in value for x in leaves(item)]
+            return [value]
+
+        for p in (NOMINAL_PLANT, params):
+            real = reduced_realization(p)
+            values = [x for f in dataclasses.fields(real) for x in leaves(getattr(real, f.name))]
+            assert len(values) == 10  # R, Gamma, S and P, the four of Q
+            assert all(type(x) is float for x in values)
 
 
 class TestZohStepMatrix:
@@ -223,15 +250,17 @@ class TestStickStepMatrix:
     @settings(max_examples=300)
     @given(params=drawn_rigs, dt=drawn_dts)
     def test_has_the_internal_dynamics_of_check_minimum_phase(self, params, dt):
-        # with flywheel 1 held, (twist, v2) follow lambda^2 + (d/I2) lambda +
-        # k/I2, whose roots check_minimum_phase reports: S = expm(Q dt) has
-        # the eigenvalues exp(l dt), so their sum and product
+        # with flywheel 1 held, (q2 - q1, v2) is the internal state eta of
+        # reduced_realization, so S = expm(Q dt) has the eigenvalues exp(l dt)
+        # for Q's eigenvalues l: both those numpy finds in Q and the roots
+        # check_minimum_phase reports give S's trace and determinant
         _, s = step(params, dt)
-        l1, l2 = check_minimum_phase(params).eigenvalues
-        trace = cmath.exp(l1 * dt) + cmath.exp(l2 * dt)
-        det = cmath.exp((l1 + l2) * dt)
-        for got, want in ((s[0, 0] + s[1, 1], trace), (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0], det)):
-            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+        q = np.array(reduced_realization(params).Q)
+        for l1, l2 in (np.linalg.eigvals(q), check_minimum_phase(params).eigenvalues):
+            trace = cmath.exp(l1 * dt) + cmath.exp(l2 * dt)
+            det = cmath.exp((l1 + l2) * dt)
+            for got, want in ((np.trace(s), trace), (s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0], det)):
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
 class TestMinimumPhase:
@@ -255,6 +284,16 @@ class TestMinimumPhase:
         for lam in report.eigenvalues:
             assert abs(lam - (-1.0)) < 1e-12
         assert report.is_minimum_phase
+
+    @given(params=drawn_rigs)
+    def test_roots_are_the_quadratic_formula_on_d_and_k_bitwise(self, params):
+        # read from Q, b = d/I2 and c = k/I2 exactly, signed zeros included,
+        # so the roots of lambda^2 + (d/I2) lambda + k/I2 come out bit for bit
+        b, c = params.d / params.I2, params.k / params.I2
+        disc = cmath.sqrt(b * b - 4.0 * c)
+        expected = ((-b + disc) / 2.0, (-b - disc) / 2.0)
+        got = check_minimum_phase(params).eigenvalues
+        assert [repr(z) for z in got] == [repr(z) for z in expected]
 
     def test_eigenvalue_residuals(self):
         rng = np.random.default_rng(19)
