@@ -18,7 +18,6 @@ from .closedloop import (
     run_sweep,
 )
 from .errors import (
-    EmptyWindow,
     FunnelViolation,
     InconsistentStart,
     NewtonDiverged,

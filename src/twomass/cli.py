@@ -21,7 +21,7 @@ import numpy as np
 
 from . import closedloop, csvfile, metrics as metrics_mod, presets
 from .config import config_from_echo, load_config, load_config_file
-from .errors import EmptyWindow, NewtonDiverged, ParseError, ValidationError, WindowOutOfRange
+from .errors import NewtonDiverged, ParseError, ValidationError, WindowOutOfRange
 from .feedforward import NewtonOptions, solve_feedforward, write_table_csv
 from .plant import check_minimum_phase, reduced_realization
 from .presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
@@ -169,7 +169,7 @@ def _cmd_analyze(args) -> int:
         return EXIT_RUN_FAILED
     try:
         rep = metrics_mod.report(trace, cfg.trajectory, use_true_output=args.metrics_on_true)
-    except (WindowOutOfRange, EmptyWindow, ValidationError) as err:
+    except (WindowOutOfRange, ValidationError) as err:
         raise ValidationError(f"{args.trace}: {err}") from None
     row = metrics_mod.metrics_csv_row(cfg.label, cfg.mode.name, cfg.control_frequency, rep)
     print(",".join(metrics_mod.METRICS_COLUMNS))

@@ -28,6 +28,7 @@ would fabricate dynamics the controller cannot produce.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -258,6 +259,10 @@ class Trace:
     ``plant_stuck_ticks`` (plant steps with flywheel 1 stuck throughout) and
     ``plant_events`` (plant steps in which friction switched) are diagnostic
     only and never serialized, so files stay deterministic.
+
+    The plant-free columns ``t``, ``y_ref`` and ``psi`` are read-only: a
+    sweep's runs with bit-equal grids, references and funnels share one
+    array each.  Copy one before writing into it.
     """
 
     t: np.ndarray
@@ -702,10 +707,13 @@ def run_simulation(config: SimulationConfig) -> Trace:
     horizon; the input computed at the final tick is recorded but no longer
     applied.  Identical configs (and seeds) give bit-identical traces.
 
-    The columns that do not depend on the plant are built once per run: the
-    tick times, the reference, the funnel width and a table's tuned torque.
-    The loop samples, runs the controller and steps the plant, storing into
-    the float64 columns through memoryviews; ``e`` is one subtraction after it.
+    The columns that do not depend on the plant are built before the loop.
+    The tick times and the reference come from :func:`_reference_columns`,
+    the funnel width from :func:`_psi_column`: read-only arrays that every
+    run with bit-equal inputs shares, so a sweep builds them once per grid,
+    reference and funnel.  A table's tuned torque is built per run.  The loop
+    samples, runs the controller and steps the plant, storing into the
+    float64 columns through memoryviews; ``e`` is one subtraction after it.
     """
     config.validate()
     tuning, funnel, u_max = config.mode.tuning, config.mode.funnel, config.u_max
@@ -722,10 +730,10 @@ def run_simulation(config: SimulationConfig) -> Trace:
         rng = np.random.default_rng(config.seed)
         sample = _Sensor(config.measurement, dt, n_rows, q1, v1, rng).sample
 
-    t = np.arange(n_rows) * dt
-    y_ref = trajectory_mod.y_ref_samples(config.trajectory, t)
-    y_meas, y_true, psi_col, u_ffw_col, u_fb_col, u_col, newton_col = (
-        np.full(n_rows, np.nan) for _ in range(7)
+    t, y_ref = _reference_columns(config.trajectory, dt, n_rows)
+    (psi_col,) = _psi_column(funnel, dt, n_rows)
+    y_meas, y_true, u_ffw_col, u_fb_col, u_col, newton_col = (
+        np.full(n_rows, np.nan) for _ in range(6)
     )
     wall = np.zeros(n_rows)
     stepper = None
@@ -739,8 +747,6 @@ def run_simulation(config: SimulationConfig) -> Trace:
             newton_col[0] = 0.0
         else:
             u_ffw_col[:] = apply_tuning(np.asarray(source.table.u[:n_rows], dtype=float), tuning)
-    if funnel is not None:
-        psi_col[:] = np.fromiter((psi(funnel, k * dt) for k in range(n_rows)), float, n_rows)
 
     y_ref_v, psi_v, ffw_v, fb_v, u_v, newton_v, wall_v, meas_v, true_v = map(
         memoryview, (y_ref, psi_col, u_ffw_col, u_fb_col, u_col, newton_col, wall, y_meas, y_true)
@@ -760,10 +766,14 @@ def run_simulation(config: SimulationConfig) -> Trace:
                 u_ffw = ffw_v[k]
             else:
                 try:
-                    u_ffw = apply_tuning(stepper.advance(k * dt).u, tuning)
+                    u_ffw = apply_tuning(stepper.advance(k * dt, y_ref_v[k]).u, tuning)
                 except NewtonDiverged:
                     status = RunStatus("newton_diverged", at=k * dt)
-                    psi_col[k] = math.nan  # the funnel was not evaluated at this tick
+                    if funnel is not None:
+                        # not evaluated at this tick: mark a copy, the shared column stays whole
+                        psi_col = psi_col.copy()
+                        psi_col[k] = math.nan
+                        psi_col.flags.writeable = False
                     break
                 newton_v[k] = stepper.last_iterations
                 ffw_v[k] = u_ffw
@@ -810,6 +820,47 @@ def run_simulation(config: SimulationConfig) -> Trace:
     )
 
 
+def _shared(build):
+    """``build(spec, dt, n_rows)`` memoized for its most recent arguments only.
+
+    Keys are exact to the bit: ``repr`` tells ``-0.0`` from ``0.0`` (a
+    validated spec holds no NaN), where the spec's own equality does not.
+    The arrays built are made read-only, so every run that gets them can
+    share them.  Runs on one grid with one reference or funnel are adjacent
+    in a sweep, so one entry is enough.
+    """
+    last = (None, None)  # (key, arrays), replaced whole
+
+    @functools.wraps(build)
+    def cached(spec, dt, n_rows):
+        nonlocal last
+        key = (repr(spec), dt, n_rows)
+        held_key, arrays = last
+        if held_key != key:
+            arrays = build(spec, dt, n_rows)
+            for a in arrays:
+                a.flags.writeable = False
+            last = (key, arrays)
+        return arrays
+
+    return cached
+
+
+@_shared
+def _reference_columns(spec: TrajectorySpec, dt: float, n_rows: int):
+    """The tick times ``k dt`` and the reference at each."""
+    t = np.arange(n_rows) * dt
+    return t, trajectory_mod.y_ref_samples(spec, t)
+
+
+@_shared
+def _psi_column(funnel: FunnelSpec | None, dt: float, n_rows: int):
+    """The funnel width at each tick time ``k dt``; NaN throughout without a funnel."""
+    if funnel is None:
+        return (np.full(n_rows, np.nan),)
+    return (np.fromiter((psi(funnel, k * dt) for k in range(n_rows)), float, n_rows),)
+
+
 def _run_one(config: SimulationConfig) -> SweepResult:
     try:
         trace = run_simulation(config)
@@ -842,6 +893,8 @@ _TRACE_COLUMNS = (
     "newton_iterations",
 )
 _INT_COLUMNS = (_TRACE_COLUMNS.index("newton_iterations"),)
+# the plant-free columns, which repeat from run to run of a sweep
+_MEMO_COLUMNS = tuple(_TRACE_COLUMNS.index(name) for name in ("t", "y_ref", "psi"))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -852,7 +905,8 @@ def write_trace_csv(trace: Trace, path) -> None:
         ("status", "completed" if status.completed else f"{status.kind} at={status.at!r}"),
     ]
     arrays = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    csvfile.write(path, "trace", header, _TRACE_COLUMNS, csvfile.format_rows(arrays, _INT_COLUMNS))
+    rows = csvfile.format_rows(arrays, _INT_COLUMNS, _MEMO_COLUMNS)
+    csvfile.write(path, "trace", header, _TRACE_COLUMNS, rows)
 
 
 def read_trace_csv(path) -> Trace:

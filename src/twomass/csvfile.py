@@ -43,7 +43,12 @@ def _cells(values: np.ndarray, as_int: bool) -> list[str]:
     return ["" if x != x else fmt(x) for x in values.tolist()]
 
 
-def format_rows(arrays, int_columns=()):
+# key -> "\n"-joined cells of a memoized column batch, from the last call of
+# format_rows only; replaced whole when a call ends
+_memo: dict = {}
+
+
+def format_rows(arrays, int_columns=(), memo_columns=()):
     """Data rows in the cell format, one per index of the equally long ``arrays``.
 
     ``int_columns`` holds the positions of the columns written as integers.
@@ -53,7 +58,15 @@ def format_rows(arrays, int_columns=()):
     throughout formats it once (``y_ref`` after ``tf``); equal bits make
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
     confused.
+
+    The batches of the columns at ``memo_columns`` are also looked up under
+    the same key among those of the previous call, and kept for the next:
+    columns that repeat from file to file (the tick times of one grid) are
+    formatted once.  After a call has yielded its last row, the memo holds
+    that call's batches only.
     """
+    global _memo
+    previous, kept = _memo, {}
     n = len(arrays[0])
     for start in range(0, n, _BATCH):
         stop = start + _BATCH
@@ -64,14 +77,21 @@ def format_rows(arrays, int_columns=()):
             key = (i in int_columns, chunk.dtype, chunk.tobytes())
             cells = next((done for seen, done in formatted if seen == key), None)
             if cells is None:
-                data = key[2]
-                if data == data[: chunk.itemsize] * len(chunk):
-                    cells = _cells(chunk[:1], key[0]) * len(chunk)
+                joined = previous.get(key) if i in memo_columns else None
+                if joined is not None:
+                    cells = joined.split("\n")
                 else:
-                    cells = _cells(chunk, key[0])
+                    data = key[2]
+                    if data == data[: chunk.itemsize] * len(chunk):
+                        cells = _cells(chunk[:1], key[0]) * len(chunk)
+                    else:
+                        cells = _cells(chunk, key[0])
                 formatted.append((key, cells))
+            if i in memo_columns and key not in kept:
+                kept[key] = previous.get(key) or "\n".join(cells)
             columns.append(cells)
         yield from map(",".join, zip(*columns))
+    _memo = kept
 
 
 def write(path, kind: str, header, columns, rows) -> None:

@@ -48,7 +48,3 @@ class FunnelViolation(RuntimeError):
 
 class WindowOutOfRange(ValueError):
     """A metrics window does not lie inside the recorded sample range."""
-
-
-class EmptyWindow(ValueError):
-    """A metrics window contains no samples."""

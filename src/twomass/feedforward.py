@@ -189,8 +189,12 @@ class InverseModelStepper:
         )
         self._jac_inv = tuple(tuple(row) for row in np.linalg.inv(jac).tolist())
 
-    def advance(self, t_next: float) -> InverseModelState:
+    def advance(self, t_next: float, y_next: float | None = None) -> InverseModelState:
         """One implicit Euler step of the constrained system to ``t_next``.
+
+        ``y_next`` is the reference at ``t_next``; when omitted it is
+        evaluated here.  A caller that holds the reference column passes its
+        sample, which :func:`trajectory.y_ref_samples` makes bit-equal.
 
         Newton on five local floats ``z = (q1, q2, v1, v2, u)`` from the
         previous point ``(p1, p2, p3, p4)``: the residual, its scaled infinity
@@ -200,7 +204,8 @@ class InverseModelStepper:
         """
         (p1, p2), (p3, p4), u, _ = self.state
         q1, q2, v1, v2 = p1, p2, p3, p4
-        y_next = trajectory.y_ref_at(self.spec, t_next)
+        if y_next is None:
+            y_next = trajectory.y_ref_at(self.spec, t_next)
         dt = self.dt
         ki1, di1, ki2, di2, inv_i1 = self._coeffs
         (

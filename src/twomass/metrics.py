@@ -85,11 +85,12 @@ def _snap(t: np.ndarray, dt: float, a: float, b: float) -> tuple[int, int]:
     return ia, ib
 
 
-def _window(t, values, window: tuple[float, float]) -> tuple[float, np.ndarray]:
-    """The span of the (snapped) window and the samples inside it, all finite."""
-    t = np.asarray(t, dtype=float)
+def _window(t, dt, values, window: tuple[float, float]) -> tuple[float, np.ndarray]:
+    """The span of the (snapped) window and the samples inside it, all finite.
+
+    ``t`` is a float array on the grid of step ``dt`` (from :func:`_grid_step`).
+    """
     values = np.asarray(values, dtype=float)
-    dt = _grid_step(t)
     ia, ib = _snap(t, dt, window[0], window[1])
     selected = values[ia : ib + 1]  # never empty: _snap keeps ia <= ib inside the grid
     finite = np.isfinite(selected)
@@ -101,9 +102,24 @@ def _window(t, values, window: tuple[float, float]) -> tuple[float, np.ndarray]:
     return t[ib] - t[ia], selected
 
 
-def integrate_square(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
-    """Trapezoidal integral of ``values**2`` over the (snapped) window."""
-    span, selected = _window(t, values, window)
+def _window_metric(metric, t, dt, values, window: tuple[float, float]) -> float:
+    """``metric(span, selected)`` of the window, with a float overflow as one ValidationError.
+
+    Finite samples above about 1.3e154 have squares that overflow, where
+    numpy would warn and carry on with inf and nan.
+    """
+    span, selected = _window(t, dt, values, window)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return metric(span, selected)
+    except FloatingPointError:
+        peak = float(np.max(np.abs(selected)))
+        raise ValidationError(
+            f"squares of the samples in window {window} overflow (largest |sample| {peak!r})"
+        ) from None
+
+
+def _square_integral(span, selected) -> float:
     if len(selected) == 1:
         return 0.0
     # trapezoid weights written as span * mean: exact for constant signals
@@ -112,12 +128,22 @@ def integrate_square(t: np.ndarray, values: np.ndarray, window: tuple[float, flo
     return span * (core / (len(selected) - 1))
 
 
-def variance(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
-    """Population variance (divide by N) of the samples inside the window."""
-    _, selected = _window(t, values, window)
+def _variance(span, selected) -> float:
     # centering on a data point keeps constant signals at exactly zero
     centered = selected - selected[0]
     return float(np.var(centered))
+
+
+def integrate_square(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
+    """Trapezoidal integral of ``values**2`` over the (snapped) window."""
+    t = np.asarray(t, dtype=float)
+    return _window_metric(_square_integral, t, _grid_step(t), values, window)
+
+
+def variance(t: np.ndarray, values: np.ndarray, window: tuple[float, float]) -> float:
+    """Population variance (divide by N) of the samples inside the window."""
+    t = np.asarray(t, dtype=float)
+    return _window_metric(_variance, t, _grid_step(t), values, window)
 
 
 def report(trace: "Trace", spec: TrajectorySpec, use_true_output: bool = False) -> MetricsReport:
@@ -129,12 +155,17 @@ def report(trace: "Trace", spec: TrajectorySpec, use_true_output: bool = False) 
     """
     transient = (0.0, spec.tf)
     stationary = (spec.tf, spec.tf + STATIONARY_SPAN)
-    err = trace.y_true - trace.y_ref if use_true_output else trace.e
+    err = trace.e
+    if use_true_output:
+        with np.errstate(over="ignore", invalid="ignore"):  # _window names a non-finite error
+            err = trace.y_true - trace.y_ref
+    t = np.asarray(trace.t, dtype=float)
+    dt = _grid_step(t)  # once for all four metrics
     return MetricsReport(
-        u_sum_t=integrate_square(trace.t, trace.u, transient),
-        e_sum_t=integrate_square(trace.t, err, transient),
-        var_u_s=variance(trace.t, trace.u, stationary),
-        e_sum_s=integrate_square(trace.t, err, stationary),
+        u_sum_t=_window_metric(_square_integral, t, dt, trace.u, transient),
+        e_sum_t=_window_metric(_square_integral, t, dt, err, transient),
+        var_u_s=_window_metric(_variance, t, dt, trace.u, stationary),
+        e_sum_s=_window_metric(_square_integral, t, dt, err, stationary),
         windows=(transient, stationary),
     )
 

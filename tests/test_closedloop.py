@@ -26,7 +26,7 @@ from twomass.closedloop import (
     write_trace_csv,
 )
 from twomass.errors import ValidationError
-from twomass.feedback import FunnelSpec
+from twomass.feedback import FunnelSpec, psi
 from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, solve_feedforward
 from twomass.plant import FrictionModel, OscillatorParams
 from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
@@ -511,6 +511,52 @@ class TestLoopOracle:
             run_simulation_per_tick(cfg)
         assert str(ours.value) == str(oracle.value)
         assert str(ours.value).startswith("initial error 100 is not inside the funnel width 1.5")
+
+
+class TestSharedColumns:
+    """The plant-free columns are built once per input and shared, read-only."""
+
+    def test_runs_on_one_grid_share_their_columns(self):
+        feedback = run_simulation(base_config(label="fb"))
+        combined = run_simulation(base_config(
+            label="combined", mode=ControllerMode.combined(UNIT_TUNING, FUNNEL_2),
+            feedforward_source=FeedforwardSource(table=_table(0.3))))
+        for name in ("t", "y_ref", "psi"):
+            assert np.shares_memory(getattr(feedback, name), getattr(combined, name)), name
+
+    @pytest.mark.parametrize("case", ["feedback-ideal", "online-feedforward", "newton-divergence",
+                                      "newton-divergence-combined"])
+    def test_columns_are_read_only(self, case):
+        trace = run_simulation(base_config(label=case, **ORACLE_CASES[case]))
+        for name in ("t", "y_ref", "psi"):
+            column = getattr(trace, name)
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_a_divergence_leaves_the_shared_psi_whole(self):
+        diverged = run_simulation(
+            base_config(label="diverged", **ORACLE_CASES["newton-divergence-combined"]))
+        completed = run_simulation(base_config(label="completed"))
+        assert diverged.status.kind == "newton_diverged" and math.isnan(diverged.psi[-1])
+        assert completed.status.completed
+        dt = 1e-3
+        fresh = [psi(FUNNEL_2, k * dt) for k in range(len(completed.t))]
+        assert np.array_equal(_bits(completed.psi), _bits(fresh))
+
+    @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_reference_keys_are_exact_to_the_bit(self, tmp_path, zeros):
+        # equal as specs, different as cells: y_ref holds y0 until t0
+        cells = []
+        for y0 in zeros:
+            spec = TrajectorySpec(y0=y0, yf=1.0, t0=0.5, tf=1.0)
+            trace = run_simulation(base_config(trajectory=spec, duration=1.5))
+            assert np.signbit(trace.y_ref[0]) == np.signbit(y0)
+            path = tmp_path / "trace.csv"
+            write_trace_csv(trace, path)
+            rows = path.read_text().splitlines()[4:]
+            cells.append([row.split(",")[3] for row in rows[:500]])
+        assert cells == [[repr(y0)] * 500 for y0 in zeros]
 
 
 class TestFunnelInvariant:

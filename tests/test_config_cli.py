@@ -422,7 +422,9 @@ class TestCli:
          _trace_with_echo("trajectory.y0", None),
          _completed_trace_with_cell("t", "0.75"), _completed_trace_with_cell("u", "inf"),
          # at tf = 1 s, the end of one window and the start of the next
-         _completed_trace_with_cell("u", "inf", row=2)],
+         _completed_trace_with_cell("u", "inf", row=2),
+         # finite, but its square overflows
+         _completed_trace_with_cell("u", "1e200", row=2)],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)

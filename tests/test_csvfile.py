@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import NOT_UTF8
 from twomass import csvfile
@@ -172,3 +172,74 @@ def test_a_constant_batch_is_formatted_once():
         rows = list(csvfile.format_rows(arrays, (3,)))
     assert rows == list(_reference_rows(arrays, (3,)))
     assert [len(call.args[0]) for call in cells.call_args_list] == [3, 1, 3, 1]
+
+
+@st.composite
+def trace_sequences(draw):
+    """Traces that share and vary columns, as a sweep's runs do.
+
+    A pool holds the columns that repeat from trace to trace.  A trace of
+    ``n`` rows takes a column from the pool (cut to ``n`` rows, like a
+    truncated run, maybe with its zeros' signs or NaN payloads changed) or
+    draws a fresh one.  The pool is sometimes integer-valued, so the same
+    bits come as float and as integer columns.
+    """
+    length = draw(st.integers(0, 12))
+    integral = st.one_of(st.integers(-10**6, 10**6).map(float), st.just(math.nan))
+    pool = [np.array(draw(st.lists(st.one_of(VALUES, integral) if i else integral,
+                                   min_size=length, max_size=length)))
+            for i in range(draw(st.integers(1, 3)))]
+    traces = []
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(0, length))
+        arrays = []
+        for _ in range(draw(st.integers(1, 4))):
+            how = draw(st.sampled_from(["shared", "zeros", "nan", "new"]))
+            if how == "new":
+                column = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
+            else:
+                column = pool[draw(st.integers(0, len(pool) - 1))][:n]
+                if how != "shared":
+                    column = {"zeros": _flip_zero_signs, "nan": _other_nan_payload}[how](column)
+            arrays.append(column)
+        positions = st.lists(st.integers(0, len(arrays) - 1), unique=True).map(tuple)
+        int_columns, memo_columns = draw(positions), draw(positions)
+        for i in int_columns:
+            arrays[i] = np.trunc(np.where(np.isfinite(arrays[i]), arrays[i], math.nan))
+        traces.append((arrays, int_columns, memo_columns))
+    return traces
+
+
+@settings(max_examples=200)
+@given(traces=trace_sequences(), batch=st.sampled_from([1, 2, 3, 5, 1024]))
+def test_memoized_columns_are_written_as_a_fresh_process_writes_them(traces, batch):
+    # in the drawn order and reversed, so each trace follows another
+    with mock.patch.object(csvfile, "_BATCH", batch):
+        for arrays, int_columns, memo_columns in traces + traces[::-1]:
+            rows = list(csvfile.format_rows(arrays, int_columns, memo_columns))
+            assert rows == list(_reference_rows(arrays, int_columns))
+
+
+def _memo_keys(arrays, memo_columns):
+    return {(False, a.dtype, a[start:start + csvfile._BATCH].tobytes())
+            for i, a in enumerate(arrays) if i in memo_columns
+            for start in range(0, len(a), csvfile._BATCH)}
+
+
+def test_the_memo_holds_the_last_call_only():
+    first = [np.arange(3000.0)]
+    last = [np.arange(2500.0) * 0.5, np.arange(2500.0) * 0.25]
+    for arrays in (first, last):
+        list(csvfile.format_rows(arrays, (), (0,)))
+    assert set(csvfile._memo) == _memo_keys(last, (0,))
+
+
+def test_a_memoized_column_is_formatted_once_across_calls():
+    shared = np.arange(2500.0) * 1e-3
+    first, second = ([shared, shared * i + i] for i in (3, 5))
+    list(csvfile.format_rows(first, (), (0,)))
+    with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
+        rows = list(csvfile.format_rows(second, (), (0,)))
+    assert rows == list(_reference_rows(second, ()))
+    # the three batches of the second column only
+    assert len(cells.call_args_list) == 3

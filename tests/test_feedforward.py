@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import twomass.feedforward as ffw
 from conftest import assert_close
 from newton_oracle import TupleStepper
+from test_trajectory import windows_on_tick_grids
 from twomass.errors import InconsistentStart, NewtonDiverged, ValidationError
 from twomass.feedforward import (
     InverseModelState,
@@ -20,7 +21,8 @@ from twomass.feedforward import (
     write_table_csv,
 )
 from twomass.plant import OscillatorParams
-from twomass.trajectory import TrajectorySpec, y_ref_at, y_ref_derivative
+from twomass.presets import NOMINAL_PLANT
+from twomass.trajectory import TrajectorySpec, y_ref_at, y_ref_derivative, y_ref_samples
 
 
 def rest_spec(level=0.0):
@@ -252,6 +254,27 @@ class TestStraightLineStep:
                 return
             assert _bits(stepper.advance(t_next)) == _bits(expected)
             assert stepper.last_iterations == oracle.last_iterations
+
+
+class TestHandedReference:
+    """``advance(t, y)`` with the run's reference column is ``advance(t)``, bit for bit."""
+
+    @settings(max_examples=60)
+    @given(case=windows_on_tick_grids())
+    def test_column_sample_steps_as_the_evaluated_reference(self, case):
+        spec, dt, n_rows = case
+        column = y_ref_samples(spec, np.arange(n_rows) * dt)
+        evaluating, handed = (InverseModelStepper(NOMINAL_PLANT, spec, dt) for _ in range(2))
+        for k in range(1, n_rows):
+            try:
+                expected = evaluating.advance(k * dt)
+            except NewtonDiverged as evaluated_err:
+                with pytest.raises(NewtonDiverged) as err:
+                    handed.advance(k * dt, column[k].item())
+                assert err.value.residual.hex() == evaluated_err.residual.hex()
+                return
+            assert _bits(handed.advance(k * dt, column[k].item())) == _bits(expected)
+            assert handed.last_iterations == evaluating.last_iterations
 
 
 class TestSolveFeedforward:

@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from twomass import metrics
 from twomass.closedloop import Trace, RunStatus
-from twomass.errors import EmptyWindow, ValidationError, WindowOutOfRange
+from twomass.errors import ValidationError, WindowOutOfRange
 from twomass.metrics import (
     MetricsReport,
     integrate_square,
@@ -138,7 +140,7 @@ class TestVariance:
         assert abs(fast - slow) <= 1e-12 * max(1.0, slow)
 
     def test_empty_window(self):
-        with pytest.raises((EmptyWindow, WindowOutOfRange)):
+        with pytest.raises(WindowOutOfRange):
             variance(np.linspace(0.0, 1.0, 11), np.ones(11), (2.0, 3.0))
 
 
@@ -156,6 +158,39 @@ class TestReport:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match=f"^sample {cell} at t={t[tick]} in window"):
                 report(make_trace(t, u, np.zeros(1501)), self.SPEC)
+
+    # one square above the float range, or (tick None) squares that sum above it
+    @pytest.mark.parametrize("tick, big", [(0, 1e200), (1000, -1e200), (1500, 1e200),
+                                           (None, 1e154)])
+    @pytest.mark.parametrize("column", ["u", "e"])
+    def test_overflowing_squares_are_named_without_a_warning(self, column, tick, big):
+        t = np.linspace(0.0, 15.0, 1501)
+        values = {"u": np.zeros(1501), "e": np.zeros(1501)}
+        values[column][slice(None) if tick is None else tick] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^squares of the samples in window "
+                                                      r"\(.*\) overflow \(largest \|sample\| 1e\+"):
+                report(make_trace(t, values["u"], values["e"]), self.SPEC)
+
+    # finite cells whose difference overflows, and infinities whose difference is NaN
+    @pytest.mark.parametrize("y_true, y_ref, error", [(1e308, -1e308, "inf"),
+                                                      (np.inf, np.inf, "nan")])
+    def test_non_finite_true_error_is_named_without_a_warning(self, y_true, y_ref, error):
+        t = np.linspace(0.0, 15.0, 1501)
+        trace = make_trace(t, np.zeros(1501), np.zeros(1501))
+        trace.y_true, trace.y_ref = np.zeros(1501), np.zeros(1501)
+        trace.y_true[5], trace.y_ref[5] = y_true, y_ref
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=f"^sample {error} at t=0.05 in window"):
+                report(trace, self.SPEC, use_true_output=True)
+
+    def test_grid_is_checked_once(self):
+        t = np.linspace(0.0, 15.0, 1501)
+        with mock.patch.object(metrics, "_grid_step", wraps=metrics._grid_step) as grid:
+            report(make_trace(t, np.ones(1501), np.zeros(1501)), self.SPEC)
+        assert grid.call_count == 1
 
     def test_perfect_tracking_all_zero(self):
         t = np.linspace(0.0, 15.0, 1501)
