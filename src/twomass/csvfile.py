@@ -11,12 +11,17 @@ A cell holds ``repr`` of a float, so every value reads back bit for bit; NaN
 is an empty cell and integer columns hold ``int``.  Config echoes sit in
 header values as sorted ``key=value`` pairs joined by ``|``.  Files are
 UTF-8 on both read and write, whatever the locale.
+
+Both sides work on batches of rows, column by column, and reuse equal
+cells within a batch: the writer formats a repeated or constant column
+once, and the reader parses it once.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -26,6 +31,8 @@ __all__ = ["format_echo", "parse_echo", "format_rows", "write", "read"]
 
 # rows formatted per batch: bounds the strings alive at once while writing
 _BATCH = 1024
+# rows parsed per batch: bounds the cell strings alive at once while reading
+_READ_BATCH = 256
 
 
 def format_echo(echo: dict) -> str:
@@ -102,10 +109,61 @@ def write(path, kind: str, header, columns, rows) -> None:
         fh.writelines(f"{row}\n" for row in rows)
 
 
+def _floats(cells):
+    """The floats of one column's cells: a column of one cell throughout parses it once."""
+    first = cells[0]
+    if cells.count(first) == len(cells):
+        return float(first) if first else math.nan
+    if "" in cells:
+        return [float(c) if c else math.nan for c in cells]
+    return array("d", map(float, cells))
+
+
+def _parse_batch(lines, n: int) -> bytes:
+    """The data rows ``lines`` of ``n`` cells each as row-major float64 bytes.
+
+    Parses column by column.  A column whose cells equal an earlier column's
+    takes its floats (an ideal sensor's ``y_measured`` is its ``y_true``).
+    Raises ValueError on a row of the wrong length or a cell that is not a
+    float, without naming it.
+    """
+    if any(map((n - 1).__ne__, map(str.count, lines, repeat(",")))):
+        raise ValueError
+    cells = ",".join(lines).replace("\n", "").split(",")
+    block = np.empty((n, len(lines)))
+    parsed = []  # (cells, index) of this batch's distinct columns
+    for i in range(n):
+        column = cells[i::n]
+        j = next((j for seen, j in parsed if seen == column), None)
+        if j is None:
+            block[i] = _floats(column)
+            parsed.append((column, i))
+        else:
+            block[i] = block[j]
+    return block.T.tobytes()
+
+
+def _parse_rows(lines, n: int, values, path, kind: str) -> None:
+    """Append the data rows ``lines`` to ``values`` one by one, naming the first bad row."""
+    for line in lines:
+        row = line.rstrip("\n")
+        cells = row.split(",")
+        try:
+            if len(cells) != n:
+                raise ValueError
+            values.extend([float(c) if c else math.nan for c in cells])
+        except ValueError:
+            raise ParseError(f"{path}: malformed {kind} row {row!r}") from None
+
+
 def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
     """Read a file of ``kind`` with exactly ``columns``: its header dict and a float array.
 
-    The array has one row per data row; empty cells read as NaN.
+    The array has one row per data row; empty cells read as NaN.  Rows are
+    parsed in batches, column by column: within a batch, a column equal to an
+    earlier one reuses its floats and a column of one cell throughout parses
+    it once, as :func:`format_rows` formats them.  A batch with a bad row is
+    parsed again row by row, so the error names the first bad row.
     """
     column_line = ",".join(columns)
     n = len(columns)
@@ -127,15 +185,21 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
                 header[key] = value
             else:
                 raise ValidationError(f"{path}: no column line {column_line!r}")
-            for line in fh:
-                row = line.rstrip("\n")
-                cells = row.split(",")
+            while True:
+                lines = []
                 try:
-                    if len(cells) != n:
-                        raise ValueError
-                    values.extend([float(c) if c else math.nan for c in cells])
+                    lines.extend(islice(fh, _READ_BATCH))
+                except UnicodeDecodeError:
+                    # extend keeps the lines read before the undecodable one:
+                    # a bad row among them is named first
+                    _parse_rows(lines, n, values, path, kind)
+                    raise
+                if not lines:
+                    break
+                try:
+                    values.frombytes(_parse_batch(lines, n))
                 except ValueError:
-                    raise ParseError(f"{path}: malformed {kind} row {row!r}") from None
+                    _parse_rows(lines, n, values, path, kind)
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     return header, np.frombuffer(values).reshape(-1, n)

@@ -61,9 +61,14 @@ class MetricsReport:
 def _grid_step(t: np.ndarray) -> float:
     if len(t) < 2:
         raise WindowOutOfRange("need at least two samples to define a grid")
-    steps = np.diff(t)
-    dt = (t[-1] - t[0]) / (len(t) - 1)
-    if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
+    finite = np.isfinite(t)
+    if not finite.all():  # checked before any tick is subtracted: inf - inf is nan
+        i = int(np.argmin(finite))
+        raise ValidationError(f"tick time {float(t[i])} of sample {i} is not finite")
+    with np.errstate(over="ignore"):  # a step beyond the float range is inf: not a grid
+        steps = np.diff(t)
+        dt = (t[-1] - t[0]) / (len(t) - 1)
+    if not (math.isfinite(dt) and np.allclose(steps, dt, rtol=1e-9, atol=1e-12)):
         raise ValidationError("sample grid must be equidistant")
     return float(dt)
 

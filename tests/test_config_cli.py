@@ -1,5 +1,7 @@
 import configparser
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import re
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import NOT_UTF8
 from twomass.cli import main
@@ -84,6 +86,11 @@ def write_config(tmp_path, text=FULL_CONFIG, name="run.ini"):
 
 
 TRACE_COLUMNS = "t,y_measured,y_true,y_ref,e,psi,u_ffw,u_fb,u,newton_iterations\n"
+HOSTILE_CELLS = ["inf", "nan", "1e308", "-1e308", "1e200", "", "x"]
+
+
+def _negated(cell):
+    return cell[1:] if cell.startswith("-") else "-" + cell
 
 
 def _missing_trace(tmp_path):
@@ -145,7 +152,13 @@ def _trace_with_echo(key, value):
 
 def _completed_trace_with_cell(column, cell, row=1):
     # a completed trace on the grid 0, 0.5, ..., 6 s, which covers both metric
-    # windows of tf = 1 s, with ``cell`` in ``column`` of the row at 0.5 ``row`` s
+    # windows of tf = 1 s, with ``cell`` in ``column`` of the row at 0.5 ``row`` s;
+    # a tuple of cells goes into that row and the ones after it
+    return _completed_trace_with_runs({column: (row, (cell,) if isinstance(cell, str) else cell)})
+
+
+def _completed_trace_with_runs(runs):
+    # the trace above, where ``runs`` maps a column to ``(row, cells)``
     def case(tmp_path):
         echo = config_echo(load_config_file(write_config(tmp_path)))
         echo["trajectory.tf"] = "1.0"
@@ -154,8 +167,9 @@ def _completed_trace_with_cell(column, cell, row=1):
         for i in range(13):
             cells = dict.fromkeys(names, "0.0")
             cells.update(t=repr(0.5 * i), psi="1.0", newton_iterations="0")
-            if i == row:
-                cells[column] = cell
+            for column, (row, run) in runs.items():
+                if row <= i < row + len(run):
+                    cells[column] = run[i - row]
             rows.append(",".join(cells[name] for name in names) + "\n")
         path = tmp_path / "trace.csv"
         path.write_text(f"# twomass trace\n# config: {format_echo(echo)}\n"
@@ -424,7 +438,10 @@ class TestCli:
          # at tf = 1 s, the end of one window and the start of the next
          _completed_trace_with_cell("u", "inf", row=2),
          # finite, but its square overflows
-         _completed_trace_with_cell("u", "1e200", row=2)],
+         _completed_trace_with_cell("u", "1e200", row=2),
+         # finite tick times whose step overflows, and tick times that are all inf
+         _completed_trace_with_cell("t", ("1e308", "-1e308")),
+         _completed_trace_with_cell("t", ("inf",) * 13, row=0)],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
@@ -434,6 +451,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_hostile_trace_fails_closed(self, tmp_path_factory, data):
+        # the synthetic completed trace with a run of hostile cells in some
+        # columns (drawn one by one, one cell repeated, or one cell with its
+        # sign alternating), then maybe a truncated row, a config key
+        # dropped or bytes that are not UTF-8
+        runs = {}
+        for column in TRACE_COLUMNS.strip().split(","):
+            if data.draw(st.booleans()):
+                row = data.draw(st.integers(0, 12))
+                length = data.draw(st.integers(1, 13 - row))
+                cells = data.draw(st.lists(st.sampled_from(HOSTILE_CELLS),
+                                           min_size=length, max_size=length))
+                how = data.draw(st.sampled_from(["drawn", "repeated", "alternating"]))
+                if how != "drawn":
+                    other = cells[0] if how == "repeated" else _negated(cells[0])
+                    cells = [other if i % 2 else cells[0] for i in range(length)]
+                runs[column] = (row, cells)
+        tmp_path = tmp_path_factory.mktemp("hostile")
+        argv, path = _completed_trace_with_runs(runs)(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        how = data.draw(st.sampled_from(["cells", "truncated row", "dropped key", "not UTF-8"]))
+        if how == "truncated row":
+            k = data.draw(st.integers(4, len(lines) - 1))
+            lines[k] = lines[k][:data.draw(st.integers(0, len(lines[k]) - 1))] + b"\n"
+        elif how == "dropped key":
+            pairs = lines[1].rstrip(b"\n").split(b"|")
+            del pairs[data.draw(st.integers(0, len(pairs) - 1))]
+            lines[1] = b"|".join(pairs) + b"\n"
+        elif how == "not UTF-8":
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from([b"\xc0", NOT_UTF8])))
+        path.write_bytes(b"".join(lines))
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("error")  # a warning would print a line of its own
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unreachable_newton_tolerance_exits_2_with_one_line(self, tmp_path, capsys):
         argv = ["feedforward", "--horizon", "0.01", "--tolerance", "1e-300",

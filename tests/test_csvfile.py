@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import read_oracle
 from conftest import NOT_UTF8
 from twomass import csvfile
 from twomass.closedloop import read_trace_csv
@@ -243,3 +245,126 @@ def test_a_memoized_column_is_formatted_once_across_calls():
     assert rows == list(_reference_rows(second, ()))
     # the three batches of the second column only
     assert len(cells.call_args_list) == 3
+
+
+# row counts on both sides of the first two batch edges of the reader
+READ_ROWS = st.sampled_from([0, 1, 2, 3, 7] + [k * 256 + d for k in (1, 2) for d in (-1, 0, 1)])
+BAD_CELLS = ["x", " ", "nan", "-inf", " 1.5", "1_0", "1e999", "--1", "0x1p3", "1,5"]
+
+
+@st.composite
+def read_cases(draw):
+    """A file body and its columns: a written trace whose rows may then be broken.
+
+    Columns are drawn fresh, constant, empty, one value up to a row and
+    another after it, constant but for one cell, equal to an earlier
+    column, or equal to it but for one cell (its first kept), so that
+    columns that nearly repeat sit beside columns that do.
+    """
+    n = draw(st.integers(1, 12))
+    rows = draw(READ_ROWS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, -0.0, 2.0, -2.0, QUIET_NAN, OTHER_NAN, math.inf, 1e16, 0.1, 1e-300])
+    arrays = []
+    for _ in range(n):
+        how = draw(st.sampled_from(["new", "const", "empty", "step", "almost", "copy", "near"]))
+        if how in ("copy", "near") and not arrays:
+            how = "new"
+        if how == "new":
+            column = np.where(rng.random(rows) < 0.5, rng.choice(pool, rows), rng.normal(size=rows))
+        elif how == "const":
+            column = np.full(rows, draw(VALUES))
+        elif how == "empty":
+            column = np.full(rows, math.nan)
+        elif how == "step":
+            before, after = draw(VALUES), draw(VALUES)
+            column = np.where(np.arange(rows) < draw(st.integers(0, rows)), before, after)
+        else:
+            column = (np.full(rows, draw(VALUES)) if how == "almost"
+                      else arrays[draw(st.integers(0, len(arrays) - 1))].copy())
+            if how != "copy" and rows >= 3:
+                column[draw(st.integers(1, rows - 2))] = draw(VALUES)
+        arrays.append(column.astype(float))
+    int_columns = tuple(i for i, a in enumerate(arrays)
+                        if np.all(~np.isfinite(a) | (np.trunc(a) == a)) and draw(st.booleans()))
+    for i in int_columns:
+        arrays[i] = np.where(np.isfinite(arrays[i]), arrays[i], math.nan)
+    lines = [row + "\n" for row in csvfile.format_rows(arrays, int_columns)] if rows else []
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["blank", "cell", "short", "extra", "crlf", "no final newline"]))
+        if how == "crlf":
+            lines = [line.replace("\n", "\r\n") for line in lines]
+        elif how == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), "\n")
+        elif lines:
+            k = draw(st.integers(0, len(lines) - 1))
+            if how == "no final newline":
+                lines[-1] = lines[-1].rstrip("\r\n")
+            elif how == "cell":
+                cells = lines[k].rstrip("\r\n").split(",")
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(BAD_CELLS))
+                lines[k] = ",".join(cells) + "\n"
+            elif how == "short":
+                lines[k] = lines[k].rsplit(",", 1)[0] + "\n"
+            elif len(lines) > 1:
+                # an extra cell in one row and one too few in its neighbour:
+                # the batch holds as many cells as it should
+                j = k + 1 if k + 1 < len(lines) else k - 1
+                lines[k] = lines[k].rstrip("\r\n") + ",0.5\n"
+                lines[j] = lines[j].rsplit(",", 1)[0] + "\n"
+    body = [line.encode() for line in lines]
+    if draw(st.booleans()) and draw(st.booleans()):
+        # at the start of a row, maybe many rows after a bad one
+        at = draw(st.integers(0, len(body)))
+        body.insert(at, draw(st.sampled_from([b"\xc0", b"\xff\xfe", NOT_UTF8])))
+    return [f"c{i}" for i in range(n)], b"".join(body)
+
+
+def _read_outcome(reader, path, columns):
+    try:
+        header, data = reader(path, "trace", columns)
+    except (ParseError, ValidationError) as err:
+        return type(err), str(err)
+    return header, data.shape, data.tobytes()
+
+
+@settings(max_examples=200)
+@given(case=read_cases())
+def test_read_is_the_per_row_read(tmp_path_factory, case):
+    columns, body = case
+    path = tmp_path_factory.mktemp("read") / "trace.csv"
+    path.write_bytes(b"# twomass trace\n# status: completed\n" + ",".join(columns).encode()
+                     + b"\n" + body)
+    expected = _read_outcome(read_oracle.read, path, columns)
+    assert _read_outcome(csvfile.read, path, columns) == expected
+
+
+def test_a_bad_row_before_undecodable_bytes_is_named_first(tmp_path):
+    # the bytes sit 24 kB (three 8 kB decoding chunks) after the bad row, in its batch
+    row = ",".join([repr(0.1 + 0.2)] * 6) + "\n"
+    rows = [row, "x" + row[1:]] + [row] * 300
+    rows[200] = "\xff\n"
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"# twomass trace\na,b,c,d,e,f\n" + "".join(rows).encode("latin-1"))
+    with pytest.raises(ParseError, match="malformed trace row 'x.30000000000000004,"):
+        csvfile.read(path, "trace", tuple("abcdef"))
+
+
+def test_read_holds_little_beside_its_array(tmp_path):
+    # batches go straight into the one growing array: no per-batch blocks
+    # are kept and joined at the end, which would double the peak
+    rng = np.random.default_rng(0)
+    rows = 30_001
+    arrays = ([np.arange(rows) * 5e-4] + [rng.normal(size=rows) for _ in range(7)]
+              + [np.full(rows, math.nan), np.zeros(rows)])
+    columns = tuple(TRACE_COLUMNS.split(","))
+    path = tmp_path / "trace.csv"
+    csvfile.write(path, "trace", [], columns, csvfile.format_rows(arrays, (9,)))
+    tracemalloc.start()
+    try:
+        _, data = csvfile.read(path, "trace", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (rows, 10)
+    assert peak <= 1.3 * data.nbytes

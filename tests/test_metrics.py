@@ -109,6 +109,13 @@ class TestIntegrateSquare:
         with pytest.raises(ValidationError):
             integrate_square(t, np.ones(4), (0.0, 0.4))
 
+    def test_grid_of_steps_beyond_the_float_range_rejected(self):
+        # two ticks, one step, but that step is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="equidistant"):
+                integrate_square(np.array([-1e308, 1e308]), np.ones(2), (0.0, 0.4))
+
 
 class TestVariance:
     def test_constant(self):
