@@ -57,8 +57,10 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
             )
         iters = trace.newton_iterations[~np.isnan(trace.newton_iterations)]
         if len(iters):
+            # only the online inverse model fills the column, and it reports the residual
             lines.append(
-                f"newton iterations per tick: max={int(iters.max())} mean={iters.mean():.3f}"
+                f"newton iterations per tick: max={int(iters.max())} mean={iters.mean():.3f} "
+                f"last residual={trace.newton_last_residual:.6g}"
             )
         if trace.wall_us is not None and len(trace.wall_us):
             p50, p90, p99 = np.percentile(trace.wall_us, [50, 90, 99])

@@ -224,6 +224,8 @@ class SimulationConfig:
                 f"true plant I1={p.I1} I2={p.I2} k={p.k} d={p.d} is too fast for the control "
                 f"tick {tick} s: {pieces:.6g} series pieces per tick, more than 1000"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.u_max is not None and not self.u_max > 0.0:
             raise ValidationError(f"u_max must be > 0 when set, got {self.u_max}")
         if len(self.initial_state) != 4 or not all(math.isfinite(x) for x in self.initial_state):
@@ -256,9 +258,11 @@ class Trace:
     All series share the tick grid.  Columns that do not apply to the run's
     mode hold NaN.  ``e`` is the measured error, the quantity the controller
     acts on.  ``wall_us`` (controller compute time per tick, microseconds),
-    ``plant_stuck_ticks`` (plant steps with flywheel 1 stuck throughout) and
-    ``plant_events`` (plant steps in which friction switched) are diagnostic
-    only and never serialized, so files stay deterministic.
+    ``plant_stuck_ticks`` (plant steps with flywheel 1 stuck throughout),
+    ``plant_events`` (plant steps in which friction switched) and
+    ``newton_last_residual`` (the online inverse model's final scaled
+    residual norm, ``None`` without one) are diagnostic only and never
+    serialized, so files stay deterministic.
 
     The plant-free columns ``t``, ``y_ref`` and ``psi`` are read-only: a
     sweep's runs with bit-equal grids, references and funnels share one
@@ -280,6 +284,7 @@ class Trace:
     wall_us: np.ndarray | None = None
     plant_stuck_ticks: int | None = None
     plant_events: int | None = None
+    newton_last_residual: float | None = None
 
 
 @dataclass
@@ -568,13 +573,26 @@ class _Sensor:
         self._alpha = dt / (tau + dt) if tau > 0.0 else 1.0
         self._noise = None
         if model.noise_std > 0.0:
-            self._noise = memoryview(model.noise_std * rng.standard_normal(n_rows))
+            try:
+                with np.errstate(over="raise"):
+                    noise = model.noise_std * rng.standard_normal(n_rows)
+            except FloatingPointError:
+                raise ValidationError(
+                    f"noise_std {model.noise_std!r} is too large: its draws overflow"
+                ) from None
+            self._noise = memoryview(noise)
 
     def _quantize(self, angle: float) -> float:
         q = self.quantum
         if q == 0.0:
             return angle
-        return math.floor(angle / q) * q
+        try:
+            return math.floor(angle / q) * q
+        except OverflowError:
+            raise ValidationError(
+                f"angle_quantum {q!r} is too fine for the angle {angle!r} rad: "
+                "the count of quanta overflows"
+            ) from None
 
     def sample(self, tick: int, q1: float) -> float:
         if tick:
@@ -817,6 +835,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
         wall_us=wall[:rows],
         plant_stuck_ticks=kinds[STUCK],
         plant_events=kinds[EVENT],
+        newton_last_residual=None if stepper is None else stepper.last_residual,
     )
 
 

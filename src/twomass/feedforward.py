@@ -26,7 +26,9 @@ reproducible against it.  No damping or line search is used, which is moot
 for a system linear in the unknowns.  The step runs once per control tick in
 the online mode, so it is written out on five Python floats: the residual,
 its scaled norm and the correction with the constant inverse Jacobian are
-spelled out term by term, with no array or tuple built per iteration.
+spelled out term by term, with no array or tuple built per iteration and no
+function called.  The norm's ``abs`` and ``max`` are comparisons that keep
+``max``'s rules: a NaN first term is the norm, a later NaN term is passed over.
 """
 
 from __future__ import annotations
@@ -155,7 +157,9 @@ class InverseModelStepper:
     """Marches the servo-constrained inverse model on a fixed grid.
 
     Holds the warm-start state between steps; one instance per solve (or per
-    online controller).  Distinct instances are independent.
+    online controller).  Distinct instances are independent.  After each
+    step, ``last_iterations`` and ``last_residual`` hold its Newton count and
+    final scaled residual norm (NaN before the first step).
     """
 
     def __init__(
@@ -174,6 +178,7 @@ class InverseModelStepper:
         self.opts = opts
         self.state = consistent_initialization(params, spec)
         self.last_iterations = 0
+        self.last_residual = math.nan
         # Unknowns z = (q1, q2, v1, v2, u); the Jacobian of the discrete
         # residual is constant for fixed dt, so invert it once.
         i1, i2, k, d = params.I1, params.I2, params.k, params.d
@@ -200,7 +205,13 @@ class InverseModelStepper:
         previous point ``(p1, p2, p3, p4)``: the residual, its scaled infinity
         norm and the correction ``z - J^-1 r`` are written out term by term,
         each sum left to right (``sum()`` rounds differently across Python
-        versions).  On a :class:`NewtonDiverged` the state is left as it was.
+        versions).  The norm makes no call and equals the builtins' value:
+        ``abs(r)`` is ``-r if r < 0.0 else r + 0.0`` (``+ 0.0`` turns ``-0.0``
+        into ``0.0``), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and the
+        outer ``max`` keeps its NaN rule: the first term stands unless a later
+        one is greater, so a NaN first term ends the iteration.  On a
+        :class:`NewtonDiverged` the state and ``last_residual`` are left as
+        they were.
         """
         (p1, p2), (p3, p4), u, _ = self.state
         q1, q2, v1, v2 = p1, p2, p3, p4
@@ -226,14 +237,26 @@ class InverseModelStepper:
             r3 = v1 - p3 - dt * (-di1 * slip - ki1 * twist + inv_i1 * u)
             r4 = v2 - p4 - dt * (di2 * slip + ki2 * twist)
             r5 = v1 - y_next
-            # scaled infinity norm: equation i over max(1, |z_i|)
-            norm = max(
-                abs(r1) / max(1.0, abs(q1)),
-                abs(r2) / max(1.0, abs(q2)),
-                abs(r3) / max(1.0, abs(v1)),
-                abs(r4) / max(1.0, abs(v2)),
-                abs(r5) / max(1.0, abs(u)),
-            )
+            # scaled infinity norm: equation i over max(1, |z_i|), compared
+            # term by term; a later term replaces the norm only if greater
+            s = -q1 if q1 < 0.0 else q1
+            norm = (-r1 if r1 < 0.0 else r1 + 0.0) / (s if s > 1.0 else 1.0)
+            s = -q2 if q2 < 0.0 else q2
+            x = (-r2 if r2 < 0.0 else r2 + 0.0) / (s if s > 1.0 else 1.0)
+            if x > norm:
+                norm = x
+            s = -v1 if v1 < 0.0 else v1
+            x = (-r3 if r3 < 0.0 else r3 + 0.0) / (s if s > 1.0 else 1.0)
+            if x > norm:
+                norm = x
+            s = -v2 if v2 < 0.0 else v2
+            x = (-r4 if r4 < 0.0 else r4 + 0.0) / (s if s > 1.0 else 1.0)
+            if x > norm:
+                norm = x
+            s = -u if u < 0.0 else u
+            x = (-r5 if r5 < 0.0 else r5 + 0.0) / (s if s > 1.0 else 1.0)
+            if x > norm:
+                norm = x
             if not norm > tolerance:
                 break
             if iterations >= max_iterations:
@@ -247,6 +270,7 @@ class InverseModelStepper:
             )
             iterations += 1
         self.last_iterations = iterations
+        self.last_residual = norm
         self.state = InverseModelState((q1, q2), (v1, v2), u, t_next)
         return self.state
 

@@ -62,6 +62,10 @@ class TrajectorySpec:
                 raise ValidationError(f"trajectory field {name} must be finite")
         if not self.tf > self.t0:
             raise ValidationError(f"tf must exceed t0, got t0={self.t0}, tf={self.tf}")
+        if not math.isfinite(self.yf - self.y0):
+            raise ValidationError(
+                f"trajectory span yf - y0 must be finite, got y0={self.y0}, yf={self.yf}"
+            )
 
 
 def _polynomial(u: float) -> float:

@@ -168,4 +168,5 @@ def run_simulation_per_tick(config) -> Trace:
         wall_us=wall[:rows],
         plant_stuck_ticks=kinds[STUCK],
         plant_events=kinds[EVENT],
+        newton_last_residual=None if stepper is None else stepper.last_residual,
     )

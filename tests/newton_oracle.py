@@ -5,8 +5,9 @@
 residual in ``_residual``, takes the scaled infinity norm as a ``max`` over a
 generator and the correction ``z - J^-1 r`` as a tuple over the rows of
 ``_jac_inv``.  The stepper writes the same operations out on five local
-floats in the same order, so states, torques, Newton counts and the residual
-of a ``NewtonDiverged`` must equal this oracle's bit for bit.
+floats in the same order, so states, torques, Newton counts, the last
+residual and the residual of a ``NewtonDiverged`` must equal this oracle's
+bit for bit.
 """
 
 from __future__ import annotations
@@ -56,5 +57,6 @@ class TupleStepper(InverseModelStepper):
             )
             iterations += 1
         self.last_iterations = iterations
+        self.last_residual = norm
         self.state = InverseModelState((z[0], z[1]), (z[2], z[3]), z[4], t_next)
         return self.state

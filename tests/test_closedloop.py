@@ -483,8 +483,19 @@ class TestLoopOracle:
             assert np.array_equal(_bits(getattr(ours, name)), _bits(getattr(oracle, name))), name
         assert (ours.plant_stuck_ticks, ours.plant_events) == (
             oracle.plant_stuck_ticks, oracle.plant_events)
+        # None without an online stepper; repr tells floats apart to the bit, -0.0 included
+        assert repr(ours.newton_last_residual) == repr(oracle.newton_last_residual)
         assert ours.run_config == oracle.run_config
         assert len(ours.wall_us) == len(ours.t)
+
+    def test_last_newton_residual_is_an_online_diagnostic(self, tmp_path):
+        online = run_simulation(base_config(**ORACLE_CASES["online-feedforward"]))
+        assert 0.0 <= online.newton_last_residual <= NewtonOptions().residual_tolerance
+        # never serialized, like the other diagnostics
+        write_trace_csv(online, tmp_path / "trace.csv")
+        assert read_trace_csv(tmp_path / "trace.csv").newton_last_residual is None
+        for case in ("table-feedforward", "feedback-ideal"):
+            assert run_simulation(base_config(**ORACLE_CASES[case])).newton_last_residual is None
 
     def test_cases_reach_the_intended_states(self):
         # each case above exercises what its name says

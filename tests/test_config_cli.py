@@ -352,6 +352,18 @@ class TestCli:
         assert found == [(str(trace.plant_stuck_ticks), str(trace.plant_events))]
         assert trace.plant_events >= 1
 
+    def test_summary_reports_the_last_newton_residual(self, tmp_path):
+        # the online inverse model's last scaled residual norm, inside the tolerance
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+        text = (out / "demo-summary.txt").read_text()
+        line = r"^newton iterations per tick: max=\d+ mean=\d+\.\d{3} last residual=(\S+)$"
+        (found,) = re.findall(line, text, re.MULTILINE)
+        trace = run_simulation(load_config_file(str(cfg_path)))
+        assert found == f"{trace.newton_last_residual:.6g}"
+        assert 0.0 <= float(found) <= NewtonOptions().residual_tolerance
+
     @pytest.mark.parametrize("frequency, budget", [("1000.0", "1000.0"), ("2000.0", "500.0")])
     def test_summary_states_the_tick_budget(self, tmp_path, frequency, budget):
         # the controller time per tick is reported against 1 / control_frequency
@@ -538,13 +550,42 @@ class TestCli:
         pytest.param(FULL_CONFIG, "[plant.true]\nI1 = 0.136", "[plant.true]\nI1 = 1e-10",
                      "true plant I1=1e-10 I2=0.12 k=33.6 d=0.016 is too fast for the "
                      "control tick 0.001 s", id="too-light-true-flywheel"),
+        # yf - y0 overflows: the reference column would be NaN
+        pytest.param(FULL_CONFIG, "y0 = 0.0\nyf = 12.566370614359172", "y0 = -1e308\nyf = 1e308",
+                     "trajectory span yf - y0 must be finite, got y0=-1e+308, yf=1e+308",
+                     id="overflowing-reference-span"),
+        # named, whether or not the sensor draws noise
+        pytest.param(FULL_CONFIG, "seed = 3", "seed = -1", "seed must be >= 0, got -1",
+                     id="negative-seed"),
+        pytest.param(FEEDBACK_CONFIG.replace("[measurement]\nnoise_std = 0.02\n", ""),
+                     "seed = 3", "seed = -1", "seed must be >= 0, got -1",
+                     id="negative-seed-ideal-sensor"),
     ])
     def test_rejected_config_exits_2_with_one_line(self, tmp_path, capsys, text, old, new,
                                                    message):
         path = write_config(tmp_path, text.replace(old, new))
-        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a line of its own
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("old, new, message", [
+        # the quantum count of the first angle overflows the float range
+        pytest.param("noise_std = 0.02", "noise_std = 0.02\nangle_quantum = 1e-320",
+                     "angle_quantum 1e-320 is too fine for the angle", id="subnormal-angle-quantum"),
+        pytest.param("noise_std = 0.02", "noise_std = 1e308",
+                     "noise_std 1e+308 is too large: its draws overflow", id="overflowing-noise"),
+    ])
+    def test_run_that_cannot_proceed_exits_2_with_one_labelled_line(self, tmp_path, capsys, old,
+                                                                    new, message):
+        path = write_config(tmp_path, FULL_CONFIG.replace(old, new))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a line of its own
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("demo: error: ") and message in err
         assert err.count("\n") == 1
 
     def test_overflowing_tick_count_exits_2_with_one_line(self, tmp_path, capsys):
