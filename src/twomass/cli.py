@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``simulate`` one config, ``sweep`` a preset or config, ``feedforward``
-(solve and dump a lookup table), ``analyze`` (recompute metrics from a stored
-trace), ``check-plant`` (print the reduced realization and the internal-dynamics
+(solve and dump a lookup table), ``analyze`` (recompute metrics from stored
+traces), ``check-plant`` (print the reduced realization and the internal-dynamics
 stability verdict).
 
 The output directory can also come from the environment (``TWOMASS_OUT``).
@@ -55,6 +55,18 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
                 f"plant: {trace.plant_stuck_ticks} stuck ticks, "
                 f"{trace.plant_events} event ticks of {len(trace.t) - 1}"
             )
+        if status.kind == "funnel_violated":
+            lines.append(
+                f"funnel: violated at t={status.at:.6g} s, "
+                f"e={trace.e[-1]:.6g} psi={trace.psi[-1]:.6g}"
+            )
+        else:
+            funnel = metrics_mod.funnel_margin(trace)
+            if funnel is not None:
+                margin, at, gain = funnel
+                lines.append(
+                    f"funnel: min margin={margin:.6g} at t={at:.6g} s, peak gain={gain:.6g}"
+                )
         iters = trace.newton_iterations[~np.isnan(trace.newton_iterations)]
         if len(iters):
             # only the online inverse model fills the column, and it reports the residual
@@ -164,22 +176,30 @@ def _cmd_feedforward(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    trace = closedloop.read_trace_csv(args.trace)
-    cfg = config_from_echo(trace.run_config, args.trace)
-    if not trace.status.completed:
-        print(f"{cfg.label}: run ended {trace.status.kind}; no metrics", file=sys.stderr)
-        return EXIT_RUN_FAILED
-    try:
-        rep = metrics_mod.report(trace, cfg.trajectory, use_true_output=args.metrics_on_true)
-    except (WindowOutOfRange, ValidationError) as err:
-        raise ValidationError(f"{args.trace}: {err}") from None
-    row = metrics_mod.metrics_csv_row(cfg.label, cfg.mode.name, cfg.control_frequency, rep)
-    print(",".join(metrics_mod.METRICS_COLUMNS))
-    print(row)
-    if args.output:
-        config_line = f"{cfg.label}: {csvfile.format_echo(trace.run_config)}"
-        metrics_mod.write_metrics_csv([row], args.output, [config_line])
-    return EXIT_OK
+    # every file is read before any row is printed, so a bad file prints no rows
+    code = EXIT_OK
+    rows, config_lines = [], []
+    for path in args.trace:
+        trace = closedloop.read_trace_csv(path)
+        cfg = config_from_echo(trace.run_config, path)
+        if not trace.status.completed:
+            print(f"{cfg.label}: run ended {trace.status.kind}; no metrics", file=sys.stderr)
+            code = EXIT_RUN_FAILED
+            continue
+        try:
+            rep = metrics_mod.report(trace, cfg.trajectory, use_true_output=args.metrics_on_true)
+        except (WindowOutOfRange, ValidationError) as err:
+            raise ValidationError(f"{path}: {err}") from None
+        rows.append(
+            metrics_mod.metrics_csv_row(cfg.label, cfg.mode.name, cfg.control_frequency, rep)
+        )
+        config_lines.append(f"{cfg.label}: {csvfile.format_echo(trace.run_config)}")
+    if rows:
+        print(",".join(metrics_mod.METRICS_COLUMNS))
+        print("\n".join(rows))
+        if args.output:
+            metrics_mod.write_metrics_csv(rows, args.output, config_lines)
+    return code
 
 
 def _cmd_check_plant(args) -> int:
@@ -236,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ffw.add_argument("--out", help="output directory used when --output is not given")
     ffw.set_defaults(func=_cmd_feedforward)
 
-    ana = sub.add_parser("analyze", help="recompute metrics from a stored trace")
-    ana.add_argument("trace", help="trace CSV written by simulate/sweep")
-    ana.add_argument("--output", help="also write the row as a metrics CSV")
+    ana = sub.add_parser("analyze", help="recompute metrics from stored traces")
+    ana.add_argument("trace", nargs="+", help="trace CSVs written by simulate/sweep")
+    ana.add_argument("--output", help="also write the rows as a metrics CSV")
     ana.add_argument("--metrics-on-true", action="store_true")
     ana.set_defaults(func=_cmd_analyze)
 

@@ -27,6 +27,7 @@ __all__ = [
     "integrate_square",
     "variance",
     "report",
+    "funnel_margin",
     "METRICS_COLUMNS",
     "metrics_csv_row",
     "write_metrics_csv",
@@ -173,6 +174,28 @@ def report(trace: "Trace", spec: TrajectorySpec, use_true_output: bool = False) 
         e_sum_s=_window_metric(_square_integral, t, dt, err, stationary),
         windows=(transient, stationary),
     )
+
+
+def funnel_margin(trace: "Trace") -> tuple[float, float, float] | None:
+    """The smallest funnel margin ``psi - |e|``, the tick time where it first
+    occurs and the peak funnel gain ``psi^2 / (psi^2 - e^2)``, over the ticks
+    where the funnel law returned an input; None when it returned none.
+
+    ``psi`` is NaN on the ticks where the law did not run: all of a run
+    without a funnel, and the tick where a Newton step diverged.  On the
+    last tick of a ``funnel_violated`` run the law found the error outside.
+    """
+    ran = ~np.isnan(trace.psi)
+    if trace.status.kind == "funnel_violated":
+        ran[-1] = False
+    if not ran.any():
+        return None
+    psi, e = trace.psi[ran], trace.e[ran]
+    margin = psi - np.abs(e)
+    k = int(np.argmin(margin))
+    squared = psi * psi
+    gain = squared / (squared - e * e)
+    return float(margin[k]), float(trace.t[ran][k]), float(gain.max())
 
 
 METRICS_COLUMNS = ("run", "mode", "frequency", "u_sum_t", "e_sum_t", "var_u_s", "e_sum_s")

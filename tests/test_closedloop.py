@@ -28,6 +28,7 @@ from twomass.closedloop import (
 from twomass.errors import ValidationError
 from twomass.feedback import FunnelSpec, psi
 from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, solve_feedforward
+from twomass.metrics import funnel_margin
 from twomass.plant import FrictionModel, OscillatorParams
 from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
 from twomass.trajectory import TrajectorySpec
@@ -591,9 +592,14 @@ class TestFunnelInvariant:
         if trace.status.completed:
             assert len(trace.t) == round(duration * 1000.0) + 1
             assert inside.all()
+            # what the run summary reports
+            margin, at, gain = funnel_margin(trace)
+            assert margin > 0.0 and at in trace.t and gain >= 1.0
         else:
             assert trace.status.kind == "funnel_violated"
             assert inside[:-1].all() and not inside[-1]
+            # over the ticks before the violation
+            assert funnel_margin(trace)[0] > 0.0
 
 
 class TestMeasurement:

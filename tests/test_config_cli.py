@@ -23,6 +23,7 @@ from twomass.closedloop import (
     SimulationConfig,
     config_echo,
     has_branch,
+    read_trace_csv,
     run_simulation,
 )
 from twomass.config import config_from_echo, load_config, load_config_file
@@ -177,6 +178,27 @@ def _completed_trace_with_runs(runs):
         return ["analyze", str(path)], path
 
     return case
+
+
+@pytest.fixture(scope="module")
+def dichotomy(tmp_path_factory):
+    """Files of one sweep where fb-6-1khz leaves its funnel and combined-5-6-1khz completes."""
+    out = tmp_path_factory.mktemp("dichotomy")
+    argv = ["sweep", "tight-funnel-dichotomy-1khz", "--out", str(out), "--allow-failures"]
+    assert main(argv) == 0
+    return out
+
+
+def _second_of_two_traces(case):
+    # ``case``'s file analyzed after a good one: the error names the second file
+    def second(tmp_path):
+        first = tmp_path / "first"
+        first.mkdir()
+        _, good = _completed_trace_with_runs({})(first)
+        argv, path = case(tmp_path)
+        return ["analyze", str(good), *argv[1:]], path
+
+    return second
 
 
 def _table_with_torque(cell):
@@ -364,6 +386,36 @@ class TestCli:
         assert found == f"{trace.newton_last_residual:.6g}"
         assert 0.0 <= float(found) <= NewtonOptions().residual_tolerance
 
+    def test_summary_states_the_funnel_margin_or_the_violation(self, dichotomy):
+        # the lines are computed here from the traces written, which read
+        # back bit for bit
+        found = {}
+        for label in ("fb-6-1khz", "combined-5-6-1khz"):
+            text = (dichotomy / f"{label}-summary.txt").read_text()
+            (found[label],) = re.findall(r"^funnel: .*$", text, re.MULTILINE)
+        violated = read_trace_csv(dichotomy / "fb-6-1khz-trace.csv")
+        assert violated.status.kind == "funnel_violated"
+        assert found["fb-6-1khz"] == (
+            f"funnel: violated at t={violated.status.at:.6g} s, "
+            f"e={violated.e[-1]:.6g} psi={violated.psi[-1]:.6g}")
+        assert found["fb-6-1khz"] == "funnel: violated at t=11.93 s, e=-0.493938 psi=0.439518"
+        completed = read_trace_csv(dichotomy / "combined-5-6-1khz-trace.csv")
+        margins = completed.psi - np.abs(completed.e)
+        k = int(np.argmin(margins))
+        gains = completed.psi**2 / (completed.psi**2 - completed.e**2)
+        assert found["combined-5-6-1khz"] == (
+            f"funnel: min margin={margins[k]:.6g} at t={completed.t[k]:.6g} s, "
+            f"peak gain={gains.max():.6g}")
+        assert found["combined-5-6-1khz"] == (
+            "funnel: min margin=0.124797 at t=14.9 s, peak gain=2.33495")
+
+    def test_summary_has_no_funnel_line_without_a_funnel(self, tmp_path):
+        text = FULL_CONFIG.replace("mode = combined", "mode = feedforward")
+        text = text.replace("[funnel]\ns = 5.0\nq_decay = 0.3\nc = 0.3\n", "")
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path, text)), "--out", str(out)]) == 0
+        assert "funnel" not in (out / "demo-summary.txt").read_text()
+
     @pytest.mark.parametrize("frequency, budget", [("1000.0", "1000.0"), ("2000.0", "500.0")])
     def test_summary_states_the_tick_budget(self, tmp_path, frequency, budget):
         # the controller time per tick is reported against 1 / control_frequency
@@ -387,6 +439,43 @@ class TestCli:
                      "--output", str(out / "re.csv")]) == 0
         analyze_row = (out / "re.csv").read_text().strip().splitlines()[-1]
         assert analyze_row == simulate_row
+
+    def test_analyze_of_a_sweep_gives_its_completed_rows(self, dichotomy, tmp_path, capsys):
+        # the violated run gets its stderr note, the completed one its row,
+        # and the exit is 1
+        traces = [str(dichotomy / f"{label}-trace.csv")
+                  for label in ("fb-6-1khz", "combined-5-6-1khz")]
+        assert main(["analyze", *traces, "--output", str(tmp_path / "re.csv")]) == 1
+        printed = capsys.readouterr()
+        assert printed.err == "fb-6-1khz: run ended funnel_violated; no metrics\n"
+        swept = (dichotomy / "metrics.csv").read_text().splitlines()
+        completed = [line for line in swept
+                     if not line.startswith(("# config fb-6-1khz:", "fb-6-1khz,"))]
+        assert (tmp_path / "re.csv").read_text().splitlines() == completed
+        assert printed.out.splitlines() == completed[-2:]
+
+    def test_analyze_prints_one_header_and_a_row_per_trace_in_order(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "table3-fb-sweep-2khz", "--out", str(out)]) == 0
+        traces = [str(out / f"fb-{i}-2khz-trace.csv") for i in (3, 1, 2)]
+        capsys.readouterr()
+        assert main(["analyze", *traces, "--output", str(out / "re.csv")]) == 0
+        rows = {line.split(",", 1)[0]: line
+                for line in (out / "metrics.csv").read_text().splitlines()}
+        expected = [rows["run"]] + [rows[f"fb-{i}-2khz"] for i in (3, 1, 2)]
+        assert capsys.readouterr().out.splitlines() == expected
+        written = (out / "re.csv").read_text().splitlines()
+        assert written[-4:] == expected
+        assert [line.split(":", 1)[0] for line in written[1:4]] == [
+            f"# config fb-{i}-2khz" for i in (3, 1, 2)]
+
+    def test_a_bad_second_trace_prints_no_rows(self, tmp_path, capsys):
+        argv, path = _second_of_two_traces(_short_row)(tmp_path)
+        assert main(argv + ["--output", str(tmp_path / "re.csv")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: {path}: malformed trace row")
+        assert not (tmp_path / "re.csv").exists()
 
     def test_check_plant_output(self, capsys):
         assert main(["check-plant"]) == 0
@@ -453,7 +542,8 @@ class TestCli:
          _completed_trace_with_cell("u", "1e200", row=2),
          # finite tick times whose step overflows, and tick times that are all inf
          _completed_trace_with_cell("t", ("1e308", "-1e308")),
-         _completed_trace_with_cell("t", ("inf",) * 13, row=0)],
+         _completed_trace_with_cell("t", ("inf",) * 13, row=0),
+         _second_of_two_traces(_missing_trace)],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)

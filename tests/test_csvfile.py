@@ -368,3 +368,107 @@ def test_read_holds_little_beside_its_array(tmp_path):
         tracemalloc.stop()
     assert data.shape == (rows, 10)
     assert peak <= 1.3 * data.nbytes
+
+
+@st.composite
+def read_sequences(draw):
+    """Files that share and vary their memoized columns, as a sweep's traces do.
+
+    A pool holds the columns that repeat from file to file.  A file of
+    ``rows`` rows (cut like a truncated run, so its last batch is short)
+    takes each column from the pool, from the pool with the signs of its
+    zeros flipped or with some cells emptied, or draws a fresh one.  A file
+    may be broken by a bad cell or a short row.
+    """
+    n = draw(st.integers(1, 4))
+    memo_columns = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1).map(tuple))
+    length = draw(st.integers(1, 12))
+    pool = [np.array(draw(st.lists(VALUES, min_size=length, max_size=length)))
+            for _ in range(draw(st.integers(1, 3)))]
+    files = []
+    for _ in range(draw(st.integers(2, 4))):
+        rows = draw(st.integers(1, length))
+        arrays = []
+        for _ in range(n):
+            how = draw(st.sampled_from(["shared", "zeros", "empty", "new"]))
+            if how == "new":
+                column = np.array(draw(st.lists(VALUES, min_size=rows, max_size=rows)))
+            else:
+                column = pool[draw(st.integers(0, len(pool) - 1))][:rows].copy()
+                if how == "zeros":
+                    column = _flip_zero_signs(column)
+                elif how == "empty":
+                    column[draw(st.integers(0, rows - 1))] = math.nan
+            arrays.append(column)
+        lines = [row + "\n" for row in csvfile.format_rows(arrays)]
+        how = draw(st.sampled_from(["good", "good", "cell", "short"]))
+        if how != "good":
+            # a bad cell after the memoized ones of its row fails their batch late
+            k = draw(st.integers(0, rows - 1))
+            cells = lines[k].rstrip("\n").split(",")
+            if how == "cell":
+                cells[draw(st.integers(0, n - 1))] = "x"
+            else:
+                cells.pop()
+            lines[k] = ",".join(cells) + "\n"
+        files.append("".join(lines).encode())
+    return [f"c{i}" for i in range(n)], memo_columns, files
+
+
+@settings(max_examples=200)
+@given(case=read_sequences(), batch=st.sampled_from([1, 2, 3, 5, 256]))
+def test_memoized_columns_are_read_as_a_fresh_process_reads_them(tmp_path_factory, case, batch):
+    # in the drawn order and reversed, so each file follows another, and a
+    # broken file in the middle sits between two others both ways
+    columns, memo_columns, files = case
+    folder = tmp_path_factory.mktemp("memo")
+    paths = []
+    for k, body in enumerate(files):
+        path = folder / f"trace{k}.csv"
+        path.write_bytes(b"# twomass trace\n" + ",".join(columns).encode() + b"\n" + body)
+        paths.append(path)
+
+    def read(path, kind, columns):
+        return csvfile.read(path, kind, columns, memo_columns)
+
+    with mock.patch.object(csvfile, "_READ_BATCH", batch), \
+            mock.patch.object(csvfile, "_read_memo", {}):
+        for path in paths + paths[::-1]:
+            expected = _read_outcome(read_oracle.read, path, columns)
+            assert _read_outcome(read, path, columns) == expected
+
+
+def _write_trace_of(path, arrays):
+    columns = [f"c{i}" for i in range(len(arrays))]
+    csvfile.write(path, "trace", [], columns, csvfile.format_rows(arrays))
+    return columns
+
+
+def test_the_read_memo_holds_the_last_call_only(tmp_path):
+    # the batches of the last file's memoized column that are not one cell
+    # throughout, by their text; the first file's are gone
+    first = [np.arange(3000.0)]
+    last = [np.concatenate([np.arange(600.0) * 0.5, np.full(256, 2.0)])]
+    for k, arrays in enumerate((first, last)):
+        path = tmp_path / f"trace{k}.csv"
+        columns = _write_trace_of(path, arrays)
+        csvfile.read(path, "trace", columns, (0,))
+    cells = [repr(x) for x in last[0].tolist()]
+    batches = (cells[start:start + csvfile._READ_BATCH]
+               for start in range(0, len(cells), csvfile._READ_BATCH))
+    assert set(csvfile._read_memo) == {"\n".join(b) for b in batches if len(set(b)) > 1}
+
+
+def test_a_memoized_column_is_parsed_once_across_calls(tmp_path):
+    shared = np.arange(600.0) * 1e-3
+    paths = []
+    for k, arrays in enumerate([shared, shared * i + i] for i in (3, 5)):
+        paths.append(tmp_path / f"trace{k}.csv")
+        columns = _write_trace_of(paths[-1], arrays)
+    csvfile.read(paths[0], "trace", columns, (0,))
+    with mock.patch.object(csvfile, "_floats", wraps=csvfile._floats) as floats:
+        result = _read_outcome(lambda *a: csvfile.read(*a, (0,)), paths[1], columns)
+    assert result == _read_outcome(read_oracle.read, paths[1], columns)
+    # the three batches of the second column only
+    first_cells = [call.args[0][0] for call in floats.call_args_list]
+    assert first_cells == [repr(x) for x in arrays[1][::csvfile._READ_BATCH].tolist()]
