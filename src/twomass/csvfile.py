@@ -8,8 +8,10 @@ Trace, feedforward-table and metrics files all follow one grammar::
     1.5,,3                  (data rows)
 
 A cell holds ``repr`` of a float, so every value reads back bit for bit; NaN
-is an empty cell and integer columns hold ``int``.  Config echoes sit in
-header values as sorted ``key=value`` pairs joined by ``|``.  Files are
+is an empty cell and integer columns hold ``int``.  The reader is laxer: it
+takes any cell that ``float()`` takes, such as ``"1_0"``, ``" 1.5"``,
+``"nan"`` or ``"infinity"``, which the writer never writes.  Config echoes sit
+in header values as sorted ``key=value`` pairs joined by ``|``.  Files are
 UTF-8 on both read and write, whatever the locale.
 
 Both sides work on batches of rows, column by column, and reuse equal
@@ -181,7 +183,8 @@ def _parse_rows(lines, n: int, values, path, kind: str) -> None:
 def read(path, kind: str, columns, memo_columns=()) -> tuple[dict, np.ndarray]:
     """Read a file of ``kind`` with exactly ``columns``: its header dict and a float array.
 
-    The array has one row per data row; empty cells read as NaN.  Rows are
+    The array has one row per data row; empty cells read as NaN and any other
+    cell as ``float()`` reads it, so ``"1_0"`` is 10.0 and ``"nan"`` NaN.  Rows are
     parsed in batches, column by column: within a batch, a column equal to an
     earlier one reuses its floats and a column of one cell throughout parses
     it once, as :func:`format_rows` formats them.  A batch with a bad row is
@@ -233,6 +236,7 @@ def read(path, kind: str, columns, memo_columns=()) -> tuple[dict, np.ndarray]:
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     finally:
-        for key in [key for key, entry in _read_memo.items() if entry[1] is not stamp]:
-            del _read_memo[key]
+        # copy() runs no Python code, where items() may start the collector; pop: reads overlap
+        for key in [key for key, entry in _read_memo.copy().items() if entry[1] is not stamp]:
+            _read_memo.pop(key, None)
     return header, np.frombuffer(values).reshape(-1, n)

@@ -209,9 +209,9 @@ class InverseModelStepper:
         ``abs(r)`` is ``-r if r < 0.0 else r + 0.0`` (``+ 0.0`` turns ``-0.0``
         into ``0.0``), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and the
         outer ``max`` keeps its NaN rule: the first term stands unless a later
-        one is greater, so a NaN first term ends the iteration.  On a
-        :class:`NewtonDiverged` the state and ``last_residual`` are left as
-        they were.
+        one is greater, so a NaN first term ends the iteration.  An end point
+        that does not sum to a finite float raises :class:`NewtonDiverged`,
+        which leaves the state and ``last_residual`` as they were.
         """
         (p1, p2), (p3, p4), u, _ = self.state
         q1, q2, v1, v2 = p1, p2, p3, p4
@@ -269,6 +269,9 @@ class InverseModelStepper:
                 u - (a51 * r1 + a52 * r2 + a53 * r3 + a54 * r4 + a55 * r5),
             )
             iterations += 1
+        c = q1 + q2 + v1 + v2 + u
+        if c - c != 0.0:  # a NaN or an infinity, even one the norm passed over
+            raise NewtonDiverged(t_next, norm, iterations)
         self.last_iterations = iterations
         self.last_residual = norm
         self.state = InverseModelState((q1, q2), (v1, v2), u, t_next)

@@ -17,18 +17,11 @@ import time
 import numpy as np
 
 from twomass import trajectory as trajectory_mod
-from twomass.closedloop import (
-    STUCK,
-    EVENT,
-    RunStatus,
-    Trace,
-    config_echo,
-    integrate_plant_tick,
-    step_matrices,
-)
+from twomass.closedloop import RunStatus, Trace, config_echo
 from twomass.errors import FunnelViolation, NewtonDiverged, ValidationError
 from twomass.feedback import funnel_law, psi
 from twomass.feedforward import InverseModelStepper, apply_tuning
+from twomass.plant import EVENT, STUCK, integrate_plant_tick, step_matrices
 
 
 class PerTickSensor:

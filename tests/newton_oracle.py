@@ -56,6 +56,11 @@ class TupleStepper(InverseModelStepper):
                 for zi, (a1, a2, a3, a4, a5) in zip(z, self._jac_inv)
             )
             iterations += 1
+        # a non-finite end point raises, even one the norm passed over; the
+        # sum is the stepper's, so an overflowing one raises on both sides
+        c = z[0] + z[1] + z[2] + z[3] + z[4]
+        if c - c != 0.0:
+            raise NewtonDiverged(t_next, norm, iterations)
         self.last_iterations = iterations
         self.last_residual = norm
         self.state = InverseModelState((z[0], z[1]), (z[2], z[3]), z[4], t_next)

@@ -1,7 +1,7 @@
 """Test oracles for the plant: the rig's equations of motion on scalars, as
 the matrices of one slip mode and as the rigid-body-free state space that
 ``plant.reduced_realization`` splits into output and internal dynamics, and
-the fixed-step 4th-order scheme that ``closedloop.integrate_plant_tick``
+the fixed-step 4th-order scheme that ``plant.integrate_plant_tick``
 replaced.
 
 RK4 with ``sign(0) = 0`` never sticks: at ``v1 = 0`` it chatters with an

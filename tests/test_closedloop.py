@@ -8,9 +8,6 @@ from conftest import assert_close
 from loop_oracle import run_simulation_per_tick
 from plant_oracle import accelerations, rk4_plant_tick
 from twomass.closedloop import (
-    EVENT,
-    SLIP,
-    STUCK,
     ControllerMode,
     FeedforwardSource,
     MeasurementModel,
@@ -18,18 +15,24 @@ from twomass.closedloop import (
     SimulationConfig,
     Trace,
     config_echo,
-    integrate_plant_tick,
     run_simulation,
     run_sweep,
     read_trace_csv,
-    step_matrices,
     write_trace_csv,
 )
 from twomass.errors import ValidationError
 from twomass.feedback import FunnelSpec, psi
 from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, solve_feedforward
 from twomass.metrics import funnel_margin
-from twomass.plant import FrictionModel, OscillatorParams
+from twomass.plant import (
+    EVENT,
+    SLIP,
+    STUCK,
+    FrictionModel,
+    OscillatorParams,
+    integrate_plant_tick,
+    step_matrices,
+)
 from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
 from twomass.trajectory import TrajectorySpec
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -339,6 +341,21 @@ def test_read_is_the_per_row_read(tmp_path_factory, case):
     assert _read_outcome(csvfile.read, path, columns) == expected
 
 
+def test_read_takes_every_spelling_float_takes(tmp_path):
+    # cells the writer never writes: the reader is as lax as float(), so a
+    # stricter reader has to change this test on purpose
+    path = tmp_path / "trace.csv"
+    path.write_text("# twomass trace\na,b,c,d,e\n1_0, 1.5,nan,infinity,-Infinity\n"
+                    "2_5.0,1.5 ,NaN,inf,-1E+1_0\n")
+    columns = tuple("abcde")
+    header, data = csvfile.read(path, "trace", columns)
+    assert data[:, [0, 1, 3]].tolist() == [[10.0, 1.5, math.inf], [25.0, 1.5, math.inf]]
+    assert data[:, 4].tolist() == [-math.inf, -1e10]
+    assert np.isnan(data[:, 2]).all()
+    assert _read_outcome(csvfile.read, path, columns) == _read_outcome(read_oracle.read, path,
+                                                                       columns)
+
+
 def test_a_bad_row_before_undecodable_bytes_is_named_first(tmp_path):
     # the bytes sit 24 kB (three 8 kB decoding chunks) after the bad row, in its batch
     row = ",".join([repr(0.1 + 0.2)] * 6) + "\n"
@@ -472,3 +489,41 @@ def test_a_memoized_column_is_parsed_once_across_calls(tmp_path):
     # the three batches of the second column only
     first_cells = [call.args[0][0] for call in floats.call_args_list]
     assert first_cells == [repr(x) for x in arrays[1][::csvfile._READ_BATCH].tolist()]
+
+
+def test_concurrent_reads_are_the_per_row_read(tmp_path):
+    # two threads read three files over and over, switching as often as the
+    # interpreter allows; two-row batches fill the memo, so each read's
+    # clean-up meets the other thread's inserts and removals
+    rng = np.random.default_rng(0)
+    paths = []
+    for k in range(3):
+        paths.append(tmp_path / f"trace{k}.csv")
+        columns = _write_trace_of(paths[-1], [np.arange(2000) * (k + 1e-3), rng.normal(size=2000)])
+    expected = [_read_outcome(read_oracle.read, path, columns) for path in paths]
+    matches, errors = [], []
+
+    def reads():
+        try:
+            for _ in range(5):
+                for path, want in zip(paths, expected):
+                    got = _read_outcome(lambda *a: csvfile.read(*a, (0, 1)), path, columns)
+                    matches.append(got == want)
+        except Exception as err:
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(csvfile, "_READ_BATCH", 2), \
+                mock.patch.object(csvfile, "_read_memo", {}):
+            threads = [threading.Thread(target=reads) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert matches == [True] * 30

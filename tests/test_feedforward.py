@@ -267,6 +267,61 @@ class TestStraightLineStep:
             assert stepper.last_residual.hex() == oracle.last_residual.hex()
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestNonFiniteStart:
+    """The scaled norm passes over NaN terms, so a NaN point must not end a step as converged."""
+
+    def test_nan_q1_start_raises(self, rig):
+        # the NaN first term of the norm ends the iteration at once
+        prev = InverseModelState((math.nan, 0.0), (0.0, 0.0), 0.0, 1.0)
+        stepper = InverseModelStepper(rig, rest_spec(0.0), 1e-3)
+        stepper.state = prev
+        with pytest.raises(NewtonDiverged) as err:
+            stepper.advance(1.001)
+        assert err.value.iterations == 0 and math.isnan(err.value.residual)
+        assert stepper.state is prev
+
+    def test_nan_v2_start_raises(self, rig):
+        # the NaN terms of r2, r3 and r4 are passed over, and r1 and r5 are
+        # zero: the norm reads 0.0 after 0 iterations
+        prev = InverseModelState((0.0, 0.0), (0.0, math.nan), 0.0, 1.0)
+        stepper = InverseModelStepper(rig, rest_spec(0.0), 1e-3)
+        stepper.state = prev
+        with pytest.raises(NewtonDiverged) as err:
+            stepper.advance(1.001)
+        assert err.value.iterations == 0 and err.value.residual == 0.0
+        assert stepper.state is prev
+
+    @settings(max_examples=300)
+    @given(
+        params=st.builds(
+            OscillatorParams,
+            I1=st.floats(0.05, 5.0), I2=st.floats(0.05, 5.0),
+            k=st.floats(0.0, 500.0), d=st.floats(0.0, 2.0),
+        ),
+        dt=st.sampled_from([5e-4, 1e-3]) | st.floats(1e-5, 1e-2),
+        level=st.floats(-10.0, 10.0),
+        start=st.lists(st.floats(-10.0, 10.0) | st.sampled_from(EDGE_FLOATS),
+                       min_size=5, max_size=5),
+        bad=st.dictionaries(st.integers(0, 4), NON_FINITE, min_size=1),
+    )
+    def test_a_non_finite_start_raises_or_ends_finite(self, params, dt, level, start, bad):
+        for i, x in bad.items():
+            start[i] = x
+        q1, q2, v1, v2, u = start
+        prev = InverseModelState((q1, q2), (v1, v2), u, 1.0)
+        stepper = InverseModelStepper(params, rest_spec(level), dt)
+        stepper.state = prev
+        try:
+            state = stepper.advance(1.0 + dt)
+        except NewtonDiverged:
+            assert stepper.state is prev
+            return
+        assert all(math.isfinite(x) for x in (*state.q, *state.v, state.u))
+
+
 class TestHandedReference:
     """``advance(t, y)`` with the run's reference column is ``advance(t)``, bit for bit."""
 

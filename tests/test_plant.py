@@ -1,3 +1,4 @@
+import ast
 import cmath
 import dataclasses
 import os
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 import twomass
 from conftest import assert_close
 from plant_oracle import accelerations, reduced_matrices, system_matrices
-from twomass.closedloop import step_matrices
 from twomass.errors import ValidationError
 from twomass.plant import (
     FRICTIONLESS,
@@ -20,6 +20,7 @@ from twomass.plant import (
     OscillatorParams,
     check_minimum_phase,
     reduced_realization,
+    step_matrices,
 )
 from twomass.presets import NOMINAL_PLANT
 
@@ -39,7 +40,7 @@ def state(q1=0.0, q2=0.0, v1=0.0, v2=0.0):
 
 
 def step(params, dt):
-    """``[Phi | Gam]`` (4x5) and ``S`` (2x2) of :func:`closedloop.step_matrices` as arrays."""
+    """``[Phi | Gam]`` (4x5) and ``S`` (2x2) of :func:`plant.step_matrices` as arrays."""
     zoh, stick = step_matrices(params, dt)
     return np.array(zoh).reshape(4, 5), np.array(stick).reshape(2, 2)
 
@@ -341,3 +342,13 @@ def test_package_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_plant_module_imports_no_numpy():
+    # the rig's parameters, split and motion are computed on plain floats
+    tree = ast.parse(Path(twomass.plant.__file__).read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    assert modules and not [m for m in modules if m.split(".")[0] == "numpy"]
