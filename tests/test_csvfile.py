@@ -347,13 +347,10 @@ def test_read_takes_every_spelling_float_takes(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("# twomass trace\na,b,c,d,e\n1_0, 1.5,nan,infinity,-Infinity\n"
                     "2_5.0,1.5 ,NaN,inf,-1E+1_0\n")
-    columns = tuple("abcde")
-    header, data = csvfile.read(path, "trace", columns)
+    _, data = csvfile.read(path, "trace", tuple("abcde"))
     assert data[:, [0, 1, 3]].tolist() == [[10.0, 1.5, math.inf], [25.0, 1.5, math.inf]]
     assert data[:, 4].tolist() == [-math.inf, -1e10]
     assert np.isnan(data[:, 2]).all()
-    assert _read_outcome(csvfile.read, path, columns) == _read_outcome(read_oracle.read, path,
-                                                                       columns)
 
 
 def test_a_bad_row_before_undecodable_bytes_is_named_first(tmp_path):

@@ -273,25 +273,23 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 class TestNonFiniteStart:
     """The scaled norm passes over NaN terms, so a NaN point must not end a step as converged."""
 
-    def test_nan_q1_start_raises(self, rig):
-        # the NaN first term of the norm ends the iteration at once
-        prev = InverseModelState((math.nan, 0.0), (0.0, 0.0), 0.0, 1.0)
+    @pytest.mark.parametrize(
+        "q, v, residual",
+        [
+            # the NaN first term of the norm ends the iteration at once
+            ((math.nan, 0.0), (0.0, 0.0), math.nan),
+            # the NaN terms of r2, r3 and r4 are passed over, and r1 and r5 are zero
+            ((0.0, 0.0), (0.0, math.nan), 0.0),
+        ],
+        ids=["q1-nan", "v2-nan"],
+    )
+    def test_nan_start_raises_after_no_iteration(self, rig, q, v, residual):
+        prev = InverseModelState(q, v, 0.0, 1.0)
         stepper = InverseModelStepper(rig, rest_spec(0.0), 1e-3)
         stepper.state = prev
         with pytest.raises(NewtonDiverged) as err:
             stepper.advance(1.001)
-        assert err.value.iterations == 0 and math.isnan(err.value.residual)
-        assert stepper.state is prev
-
-    def test_nan_v2_start_raises(self, rig):
-        # the NaN terms of r2, r3 and r4 are passed over, and r1 and r5 are
-        # zero: the norm reads 0.0 after 0 iterations
-        prev = InverseModelState((0.0, 0.0), (0.0, math.nan), 0.0, 1.0)
-        stepper = InverseModelStepper(rig, rest_spec(0.0), 1e-3)
-        stepper.state = prev
-        with pytest.raises(NewtonDiverged) as err:
-            stepper.advance(1.001)
-        assert err.value.iterations == 0 and err.value.residual == 0.0
+        assert err.value.iterations == 0 and err.value.residual.hex() == residual.hex()
         assert stepper.state is prev
 
     @settings(max_examples=300)
