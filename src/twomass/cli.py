@@ -70,10 +70,16 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
         iters = trace.newton_iterations[~np.isnan(trace.newton_iterations)]
         if len(iters):
             # only the online inverse model fills the column, and it reports the residual
-            lines.append(
-                f"newton iterations per tick: max={int(iters.max())} mean={iters.mean():.3f} "
-                f"last residual={trace.newton_last_residual:.6g}"
-            )
+            line = f"newton iterations per tick: max={int(iters.max())} mean={iters.mean():.3f}"
+            if status.kind == "newton_diverged":
+                lines.append(line)
+                lines.append(
+                    f"newton: diverged at t={status.at:.6g} s after "
+                    f"{trace.newton_last_iterations} iterations, "
+                    f"residual={trace.newton_last_residual:.6g}"
+                )
+            else:
+                lines.append(f"{line} last residual={trace.newton_last_residual:.6g}")
         if trace.wall_us is not None and len(trace.wall_us):
             p50, p90, p99 = np.percentile(trace.wall_us, [50, 90, 99])
             budget = 1e6 / result.config.control_frequency  # one control tick

@@ -241,10 +241,12 @@ class Trace:
     mode hold NaN.  ``e`` is the measured error, the quantity the controller
     acts on.  ``wall_us`` (controller compute time per tick, microseconds),
     ``plant_stuck_ticks`` (plant steps with flywheel 1 stuck throughout),
-    ``plant_events`` (plant steps in which friction switched) and
-    ``newton_last_residual`` (the online inverse model's final scaled
-    residual norm, ``None`` without one) are diagnostic only and never
-    serialized, so files stay deterministic.
+    ``plant_events`` (plant steps in which friction switched),
+    ``newton_last_residual`` and ``newton_last_iterations`` (the scaled
+    residual norm and the Newton count of the online inverse model's last
+    step, the failing one on a ``newton_diverged`` run; ``None`` without an
+    online model) are diagnostic only and never serialized, so files stay
+    deterministic.
 
     The plant-free columns ``t``, ``y_ref`` and ``psi`` are read-only: a
     sweep's runs with bit-equal grids, references and funnels share one
@@ -267,6 +269,7 @@ class Trace:
     plant_stuck_ticks: int | None = None
     plant_events: int | None = None
     newton_last_residual: float | None = None
+    newton_last_iterations: int | None = None
 
 
 @dataclass
@@ -480,6 +483,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
     )
     wall = np.zeros(n_rows)
     stepper = None
+    newton_last = None  # (residual, iterations) of a step that raised NewtonDiverged
     if tuning is not None:
         source = config.feedforward_source
         if source.is_online:
@@ -510,8 +514,10 @@ def run_simulation(config: SimulationConfig) -> Trace:
             else:
                 try:
                     u_ffw = apply_tuning(stepper.advance(k * dt, y_ref_v[k]).u, tuning)
-                except NewtonDiverged:
+                except NewtonDiverged as err:
                     status = RunStatus("newton_diverged", at=k * dt)
+                    # the stepper keeps its last converged step's residual
+                    newton_last = err.residual, err.iterations
                     if funnel is not None:
                         # not evaluated at this tick: mark a copy, the shared column stays whole
                         psi_col = psi_col.copy()
@@ -544,6 +550,9 @@ def run_simulation(config: SimulationConfig) -> Trace:
         kinds[kind] += 1
 
     rows = k + 1
+    if newton_last is None and stepper is not None:
+        newton_last = stepper.last_residual, stepper.last_iterations
+    newton_residual, newton_iterations = newton_last or (None, None)
     return Trace(
         t=t[:rows],
         y_measured=y_meas[:rows],
@@ -560,7 +569,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
         wall_us=wall[:rows],
         plant_stuck_ticks=kinds[STUCK],
         plant_events=kinds[EVENT],
-        newton_last_residual=None if stepper is None else stepper.last_residual,
+        newton_last_residual=newton_residual,
+        newton_last_iterations=newton_iterations,
     )
 
 
@@ -653,8 +663,8 @@ def write_trace_csv(trace: Trace, path) -> None:
         ("status", "completed" if status.completed else f"{status.kind} at={status.at!r}"),
     ]
     arrays = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    rows = csvfile.format_rows(arrays, _INT_COLUMNS, _MEMO_COLUMNS)
-    csvfile.write(path, "trace", header, _TRACE_COLUMNS, rows)
+    blocks = csvfile.format_rows(arrays, _INT_COLUMNS, _MEMO_COLUMNS)
+    csvfile.write(path, "trace", header, _TRACE_COLUMNS, blocks)
 
 
 def read_trace_csv(path) -> Trace:

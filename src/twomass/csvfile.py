@@ -18,7 +18,9 @@ Both sides work on batches of rows, column by column, and reuse equal
 cells within a batch: the writer formats a repeated or constant column
 once, and the reader parses it once.  Both also keep the batches of the
 columns a caller names (a sweep's tick times) from one file to the next,
-so that a column repeated across files is formatted or parsed once.
+so that a column repeated across files is formatted or parsed once.  The
+writer joins each batch's rows into one newline-terminated text block, so
+no Python code runs per row between the cells and the file.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .errors import ParseError, ValidationError
 
 __all__ = ["format_echo", "parse_echo", "format_rows", "write", "read"]
 
-# rows formatted per batch: bounds the strings alive at once while writing
+# rows formatted per batch: bounds the strings alive at once while writing,
+# one batch's cells, rows and text block
 _BATCH = 1024
 # rows parsed per batch: bounds the cell strings alive at once while reading
 _READ_BATCH = 256
@@ -62,6 +65,9 @@ _memo: dict = {}
 def format_rows(arrays, int_columns=(), memo_columns=()):
     """Data rows in the cell format, one per index of the equally long ``arrays``.
 
+    Yields one text block per batch of ``_BATCH`` rows, the batch's rows each
+    ended by a newline, as :func:`write` takes them.
+
     ``int_columns`` holds the positions of the columns written as integers.
     Within a batch, a column whose values have the same kind, dtype and bits
     as an earlier column's reuses that column's cells (an ideal sensor's
@@ -73,7 +79,7 @@ def format_rows(arrays, int_columns=(), memo_columns=()):
     The batches of the columns at ``memo_columns`` are also looked up under
     the same key among those of the previous call, and kept for the next:
     columns that repeat from file to file (the tick times of one grid) are
-    formatted once.  After a call has yielded its last row, the memo holds
+    formatted once.  After a call has yielded its last block, the memo holds
     that call's batches only.
     """
     global _memo
@@ -101,16 +107,21 @@ def format_rows(arrays, int_columns=(), memo_columns=()):
             if i in memo_columns and key not in kept:
                 kept[key] = previous.get(key) or "\n".join(cells)
             columns.append(cells)
-        yield from map(",".join, zip(*columns))
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
     _memo = kept
 
 
-def write(path, kind: str, header, columns, rows) -> None:
-    """Write one file: ``header`` holds ``(key, value)`` pairs, ``rows`` the row strings."""
+def write(path, kind: str, header, columns, pieces) -> None:
+    """Write one file: ``header`` holds ``(key, value)`` pairs, ``pieces`` the data.
+
+    ``pieces`` is an iterable of newline-terminated pieces of whole rows,
+    written as they come: the blocks of :func:`format_rows`, or one row and
+    its newline per piece.
+    """
     head = [f"# twomass {kind}", *(f"# {key}: {value}" for key, value in header), ",".join(columns)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(head) + "\n")
-        fh.writelines(f"{row}\n" for row in rows)
+        fh.writelines(pieces)
 
 
 def _floats(cells):

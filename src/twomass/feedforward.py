@@ -357,8 +357,8 @@ def write_table_csv(table: FeedforwardTable, path) -> None:
     meta.setdefault("dt", repr(table.dt))
     meta.setdefault("samples", str(len(table)))
     header = [("config", csvfile.format_echo(meta))]
-    rows = csvfile.format_rows([table.t, table.u])
-    csvfile.write(path, "feedforward table", header, _TABLE_COLUMNS, rows)
+    blocks = csvfile.format_rows([table.t, table.u])
+    csvfile.write(path, "feedforward table", header, _TABLE_COLUMNS, blocks)
 
 
 def read_table_csv(path) -> FeedforwardTable:

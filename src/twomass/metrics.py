@@ -216,4 +216,4 @@ def write_metrics_csv(rows: list[str], path, config_lines: list[str] | None = No
     line per ``LABEL: ECHO`` entry of ``config_lines``."""
     pairs = (line.partition(": ") for line in config_lines or ())
     header = [("config " + label, echo) for label, _, echo in pairs]
-    csvfile.write(path, "metrics", header, METRICS_COLUMNS, rows)
+    csvfile.write(path, "metrics", header, METRICS_COLUMNS, (row + "\n" for row in rows))

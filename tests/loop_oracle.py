@@ -77,6 +77,7 @@ def run_simulation_per_tick(config) -> Trace:
     sensor = PerTickSensor(config.measurement, dt, q1, v1, rng)
 
     stepper = None
+    diverged = None
     table = None
     if mode.tuning is not None:
         source = config.feedforward_source
@@ -120,8 +121,9 @@ def run_simulation_per_tick(config) -> Trace:
                 else:
                     try:
                         raw = stepper.advance(t_k).u
-                    except NewtonDiverged:
+                    except NewtonDiverged as err:
                         status = RunStatus("newton_diverged", at=t_k)
+                        diverged = err
                         break
                     newton_col[k] = stepper.last_iterations
             u_ffw = apply_tuning(raw, mode.tuning)
@@ -161,5 +163,8 @@ def run_simulation_per_tick(config) -> Trace:
         wall_us=wall[:rows],
         plant_stuck_ticks=kinds[STUCK],
         plant_events=kinds[EVENT],
-        newton_last_residual=None if stepper is None else stepper.last_residual,
+        newton_last_residual=(None if stepper is None else stepper.last_residual
+                              if diverged is None else diverged.residual),
+        newton_last_iterations=(None if stepper is None else stepper.last_iterations
+                                if diverged is None else diverged.iterations),
     )

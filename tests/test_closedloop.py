@@ -20,9 +20,15 @@ from twomass.closedloop import (
     read_trace_csv,
     write_trace_csv,
 )
-from twomass.errors import ValidationError
+from twomass.errors import NewtonDiverged, ValidationError
 from twomass.feedback import FunnelSpec, psi
-from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, solve_feedforward
+from twomass.feedforward import (
+    FeedforwardTable,
+    InverseModelStepper,
+    NewtonOptions,
+    TuningFactors,
+    solve_feedforward,
+)
 from twomass.metrics import funnel_margin
 from twomass.plant import (
     EVENT,
@@ -459,6 +465,12 @@ ORACLE_CASES = {
                               feedforward_source=DIVERGING),
     "newton-divergence-combined": dict(mode=ControllerMode.combined(UNIT_TUNING, FUNNEL_2),
                                        feedforward_source=DIVERGING),
+    # one iteration per step meets 1e-30 on some steps only: the run diverges
+    # after converged steps
+    "newton-divergence-late": dict(
+        mode=ControllerMode.feedforward_only(UNIT_TUNING),
+        feedforward_source=FeedforwardSource(
+            newton=NewtonOptions(max_iterations=1, residual_tolerance=1e-30))),
     # a table of -0.0 with f_fric = -0.0 makes u_ffw = -0.0 on every tick; at
     # rest on a rest reference u_fb is -0.0 too
     "negative-zero-feedforward": dict(
@@ -489,6 +501,7 @@ class TestLoopOracle:
             oracle.plant_stuck_ticks, oracle.plant_events)
         # None without an online stepper; repr tells floats apart to the bit, -0.0 included
         assert repr(ours.newton_last_residual) == repr(oracle.newton_last_residual)
+        assert ours.newton_last_iterations == oracle.newton_last_iterations
         assert ours.run_config == oracle.run_config
         assert len(ours.wall_us) == len(ours.t)
 
@@ -501,6 +514,25 @@ class TestLoopOracle:
         for case in ("table-feedforward", "feedback-ideal"):
             assert run_simulation(base_config(**ORACLE_CASES[case])).newton_last_residual is None
 
+    @pytest.mark.parametrize("case", ["newton-divergence", "newton-divergence-late"])
+    def test_a_diverged_run_reports_its_failing_newton_step(self, case):
+        # the residual and count of the step that raised, not of the last
+        # converged one, which the stepper keeps
+        cfg = base_config(**ORACLE_CASES[case])
+        trace = run_simulation(cfg)
+        newton = cfg.feedforward_source.newton
+        dt = 1.0 / cfg.control_frequency
+        stepper = InverseModelStepper(cfg.nominal_params, cfg.trajectory, dt, newton)
+        with pytest.raises(NewtonDiverged) as failed:
+            for k in range(1, len(trace.t)):
+                stepper.advance(k * dt, trace.y_ref[k].item())
+        assert trace.status == RunStatus("newton_diverged", at=failed.value.time)
+        assert repr(trace.newton_last_residual) == repr(failed.value.residual)
+        assert trace.newton_last_iterations == failed.value.iterations
+        assert trace.newton_last_residual > newton.residual_tolerance
+        # the trace keeps no count at the failing tick
+        assert math.isnan(trace.newton_iterations[-1])
+
     def test_cases_reach_the_intended_states(self):
         # each case above exercises what its name says
         def run(case):
@@ -510,6 +542,9 @@ class TestLoopOracle:
         assert run("funnel-violation-combined-table").status.kind == "funnel_violated"
         diverged = run("newton-divergence-combined")
         assert diverged.status.kind == "newton_diverged" and math.isnan(diverged.psi[-1])
+        late = run("newton-divergence-late")
+        assert late.status.kind == "newton_diverged" and np.all(late.newton_iterations[1:-1] == 1)
+        assert len(late.t) > 3
         assert np.abs(run("u-max-clamp").u).max() == 0.05
         noisy = run("feedback-noisy-encoder")
         assert not np.array_equal(noisy.y_measured, noisy.y_true)

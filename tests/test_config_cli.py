@@ -386,6 +386,23 @@ class TestCli:
         assert found == f"{trace.newton_last_residual:.6g}"
         assert 0.0 <= float(found) <= NewtonOptions().residual_tolerance
 
+    @pytest.mark.parametrize("tolerance", ["1e-30", "1e-300"])
+    def test_summary_names_the_diverged_newton_step(self, tmp_path, tolerance):
+        # 1e-30 fails after converged steps, whose last residual is below it;
+        # 1e-300 fails on the first step, before any residual
+        newton = f"[newton]\nmax_iterations = 1\nresidual_tolerance = {tolerance}\n"
+        cfg_path = write_config(tmp_path, FULL_CONFIG + newton)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg_path), "--out", str(out), "--allow-failures"]) == 0
+        text = (out / "demo-summary.txt").read_text()
+        line = r"^newton: diverged at t=(\S+) s after (\d+) iterations, residual=(\S+)$"
+        (found,) = re.findall(line, text, re.MULTILINE)
+        trace = run_simulation(load_config_file(str(cfg_path)))
+        assert trace.status.kind == "newton_diverged"
+        assert found == (f"{trace.status.at:.6g}", "1", f"{trace.newton_last_residual:.6g}")
+        assert float(found[2]) > float(tolerance)
+        assert "last residual=" not in text
+
     def test_summary_states_the_funnel_margin_or_the_violation(self, dichotomy):
         # the lines are computed here from the traces written, which read
         # back bit for bit

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 import read_oracle
 from conftest import NOT_UTF8
 from twomass import csvfile
-from twomass.closedloop import read_trace_csv
+from twomass.closedloop import read_trace_csv, run_simulation, write_trace_csv
 from twomass.errors import ParseError, ValidationError
 from twomass.feedforward import read_table_csv
+from twomass.presets import build_preset
 
 TRACE_COLUMNS = "t,y_measured,y_true,y_ref,e,psi,u_ffw,u_fb,u,newton_iterations"
 
@@ -127,6 +128,13 @@ def _reference_rows(arrays, int_columns):
         yield ",".join(cells)
 
 
+def _rows(blocks):
+    """The rows of :func:`csvfile.format_rows`' blocks, each block checked to end a row."""
+    blocks = list(blocks)
+    assert all(block.endswith("\n") for block in blocks)
+    return "".join(blocks).split("\n")[:-1]
+
+
 @given(data=st.data())
 def test_format_rows_is_the_per_cell_format(data):
     # columns are drawn fresh, drawn as one value throughout (one cell of it
@@ -157,13 +165,17 @@ def test_format_rows_is_the_per_cell_format(data):
         arrays.append(column)
     batch = data.draw(st.sampled_from([1, 2, 3, 1024]))
     with mock.patch.object(csvfile, "_BATCH", batch):
-        rows = list(csvfile.format_rows(arrays, tuple(int_columns)))
-    assert rows == list(_reference_rows(arrays, int_columns))
+        blocks = list(csvfile.format_rows(arrays, tuple(int_columns)))
+    rows = list(_reference_rows(arrays, int_columns))
+    assert _rows(blocks) == rows
+    # one block of whole rows per batch, each row ended by its newline
+    assert blocks == ["".join(row + "\n" for row in rows[start:start + batch])
+                      for start in range(0, n, batch)]
 
 
 def test_equal_bits_of_another_kind_are_formatted_apart():
     zeros, two = np.array([0.0, 2.0]), np.array([-0.0, 2.0])
-    rows = list(csvfile.format_rows([zeros, two, zeros.copy(), zeros.copy()], (3,)))
+    rows = _rows(csvfile.format_rows([zeros, two, zeros.copy(), zeros.copy()], (3,)))
     assert rows == ["0.0,-0.0,0.0,0", "2.0,2.0,2.0,2"]
 
 
@@ -173,9 +185,26 @@ def test_a_constant_batch_is_formatted_once():
     arrays = [np.array([0.0, 0.0, -0.0]), np.full(3, -0.0),
               np.array([QUIET_NAN, OTHER_NAN, QUIET_NAN]), np.full(3, 2.0)]
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
-        rows = list(csvfile.format_rows(arrays, (3,)))
+        rows = _rows(csvfile.format_rows(arrays, (3,)))
     assert rows == list(_reference_rows(arrays, (3,)))
     assert [len(call.args[0]) for call in cells.call_args_list] == [3, 1, 3, 1]
+
+
+def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path):
+    # a sweep trace of 30,001 rows and 4.04 MiB, written with an empty memo:
+    # the writer holds one batch's cells, rows and text block at a time and
+    # the memo's batches (2.57 MiB in all), never the whole file's text
+    trace = run_simulation(build_preset("table3-fb-sweep-2khz").configs[0])
+    path = tmp_path / "trace.csv"
+    with mock.patch.object(csvfile, "_memo", {}):
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.stat().st_size > 4 * 2**20
+    assert peak < 3 * 2**20
 
 
 @st.composite
@@ -220,7 +249,7 @@ def test_memoized_columns_are_written_as_a_fresh_process_writes_them(traces, bat
     # in the drawn order and reversed, so each trace follows another
     with mock.patch.object(csvfile, "_BATCH", batch):
         for arrays, int_columns, memo_columns in traces + traces[::-1]:
-            rows = list(csvfile.format_rows(arrays, int_columns, memo_columns))
+            rows = _rows(csvfile.format_rows(arrays, int_columns, memo_columns))
             assert rows == list(_reference_rows(arrays, int_columns))
 
 
@@ -243,7 +272,7 @@ def test_a_memoized_column_is_formatted_once_across_calls():
     first, second = ([shared, shared * i + i] for i in (3, 5))
     list(csvfile.format_rows(first, (), (0,)))
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
-        rows = list(csvfile.format_rows(second, (), (0,)))
+        rows = _rows(csvfile.format_rows(second, (), (0,)))
     assert rows == list(_reference_rows(second, ()))
     # the three batches of the second column only
     assert len(cells.call_args_list) == 3
@@ -291,7 +320,7 @@ def read_cases(draw):
                         if np.all(~np.isfinite(a) | (np.trunc(a) == a)) and draw(st.booleans()))
     for i in int_columns:
         arrays[i] = np.where(np.isfinite(arrays[i]), arrays[i], math.nan)
-    lines = [row + "\n" for row in csvfile.format_rows(arrays, int_columns)] if rows else []
+    lines = [row + "\n" for row in _rows(csvfile.format_rows(arrays, int_columns))] if rows else []
     for _ in range(draw(st.integers(0, 2))):
         how = draw(st.sampled_from(["blank", "cell", "short", "extra", "crlf", "no final newline"]))
         if how == "crlf":
@@ -414,7 +443,7 @@ def read_sequences(draw):
                 elif how == "empty":
                     column[draw(st.integers(0, rows - 1))] = math.nan
             arrays.append(column)
-        lines = [row + "\n" for row in csvfile.format_rows(arrays)]
+        lines = [row + "\n" for row in _rows(csvfile.format_rows(arrays))]
         how = draw(st.sampled_from(["good", "good", "cell", "short"]))
         if how != "good":
             # a bad cell after the memoized ones of its row fails their batch late
