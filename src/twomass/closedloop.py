@@ -28,7 +28,7 @@ from . import csvfile
 from . import metrics as metrics_mod
 from . import trajectory as trajectory_mod
 from .errors import FunnelViolation, NewtonDiverged, ParseError, ValidationError
-from .feedback import FunnelSpec, funnel_law, psi
+from .feedback import FunnelSpec, funnel_law
 from .feedforward import (
     MAX_STEPS,
     FeedforwardTable,
@@ -248,9 +248,13 @@ class Trace:
     online model) are diagnostic only and never serialized, so files stay
     deterministic.
 
-    The plant-free columns ``t``, ``y_ref`` and ``psi`` are read-only: a
-    sweep's runs with bit-equal grids, references and funnels share one
-    array each.  Copy one before writing into it.
+    Only the columns a run computes are its own.  The others are read-only
+    and shared: a sweep's runs with bit-equal grids, references and funnels
+    share ``t``, ``y_ref`` and ``psi``; runs with one table and one tuning
+    share the tuned ``u_ffw``; and every column of an absent branch is one
+    NaN array per grid (``psi`` and ``u_fb`` without a funnel, ``u_ffw``
+    without tuning, ``newton_iterations`` without an online inverse model).
+    Copy one before writing into it.
     """
 
     t: np.ndarray
@@ -283,23 +287,22 @@ class SweepResult:
 
 
 class _Sensor:
-    """Tick-rate encoder measurement of the output velocity.
+    """Set-up of the tick-rate encoder measurement of the output velocity.
 
-    An ideal sensor needs none: the loop reads ``v1`` itself.  The velocity
+    An ideal sensor needs none: the loop reads ``v1`` itself.  The loop
+    unpacks ``quantum``, ``alpha``, ``noise`` and the first quantized angle
+    ``angle_0`` into locals and computes each sample inline.  The velocity
     noise does not depend on the plant, so all of a run's draws are made up
     front, one per tick; they are the draws a per-tick ``standard_normal()``
     would make, in the same order.
     """
 
-    def __init__(self, model: MeasurementModel, dt: float, n_rows: int, q1_0: float,
-                 v1_0: float, rng):
+    def __init__(self, model: MeasurementModel, dt: float, n_rows: int, q1_0: float, rng):
         self.quantum = model.angle_quantum
-        self.dt = dt
-        self._angle_prev = self._quantize(q1_0)
-        self._filtered = v1_0
+        self.angle_0 = self._quantize(q1_0)
         tau = model.filter_time_constant
-        self._alpha = dt / (tau + dt) if tau > 0.0 else 1.0
-        self._noise = None
+        self.alpha = dt / (tau + dt) if tau > 0.0 else 1.0
+        self.noise = None
         if model.noise_std > 0.0:
             try:
                 with np.errstate(over="raise"):
@@ -308,7 +311,7 @@ class _Sensor:
                 raise ValidationError(
                     f"noise_std {model.noise_std!r} is too large: its draws overflow"
                 ) from None
-            self._noise = memoryview(noise)
+            self.noise = memoryview(noise)
 
     def _quantize(self, angle: float) -> float:
         q = self.quantum
@@ -317,20 +320,14 @@ class _Sensor:
         try:
             return math.floor(angle / q) * q
         except OverflowError:
-            raise ValidationError(
-                f"angle_quantum {q!r} is too fine for the angle {angle!r} rad: "
-                "the count of quanta overflows"
-            ) from None
+            raise _quanta_overflow(q, angle) from None
 
-    def sample(self, tick: int, q1: float) -> float:
-        if tick:
-            angle = self._quantize(q1)
-            raw = (angle - self._angle_prev) / self.dt
-            self._angle_prev = angle
-            self._filtered += self._alpha * (raw - self._filtered)
-        if self._noise is None:
-            return self._filtered
-        return self._filtered + self._noise[tick]
+
+def _quanta_overflow(quantum: float, angle: float) -> ValidationError:
+    return ValidationError(
+        f"angle_quantum {quantum!r} is too fine for the angle {angle!r} rad: "
+        "the count of quanta overflows"
+    )
 
 
 class FieldKind(NamedTuple):
@@ -453,12 +450,13 @@ def run_simulation(config: SimulationConfig) -> Trace:
     horizon; the input computed at the final tick is recorded but no longer
     applied.  Identical configs (and seeds) give bit-identical traces.
 
-    The columns that do not depend on the plant are built before the loop.
-    The tick times and the reference come from :func:`_reference_columns`,
-    the funnel width from :func:`_psi_column`: read-only arrays that every
-    run with bit-equal inputs shares, so a sweep builds them once per grid,
-    reference and funnel.  A table's tuned torque is built per run.  The loop
-    samples, runs the controller and steps the plant, storing into the
+    A run allocates only the columns it computes.  The rest are read-only
+    arrays that every run with bit-equal inputs shares, so a sweep builds
+    each once: the tick times and the reference from
+    :func:`_reference_columns`, the funnel width from :func:`_psi_column`, a
+    table's tuned torque from :func:`_tuned_column`, and one NaN column from
+    :func:`_nan_column` for every branch the run does not have.  The loop
+    samples, runs the controller and steps the plant, storing into its own
     float64 columns through memoryviews; ``e`` is one subtraction after it.
     """
     config.validate()
@@ -471,16 +469,19 @@ def run_simulation(config: SimulationConfig) -> Trace:
     kinds = [0, 0, 0]  # ticks per SLIP, STUCK, EVENT
 
     q1, q2, v1, v2 = (float(x) for x in config.initial_state)
-    sample = None
+    sensor = None
     if not config.measurement.is_ideal:
         rng = np.random.default_rng(config.seed)
-        sample = _Sensor(config.measurement, dt, n_rows, q1, v1, rng).sample
+        sensor = _Sensor(config.measurement, dt, n_rows, q1, rng)
+        quantum, alpha, noise = sensor.quantum, sensor.alpha, sensor.noise
+        angle_prev, filtered = sensor.angle_0, v1
 
     t, y_ref = _reference_columns(config.trajectory, dt, n_rows)
-    (psi_col,) = _psi_column(funnel, dt, n_rows)
-    y_meas, y_true, u_ffw_col, u_fb_col, u_col, newton_col = (
-        np.full(n_rows, np.nan) for _ in range(6)
-    )
+    (nan,) = _nan_column(n_rows)
+    psi_col = nan if funnel is None else _psi_column(funnel, dt, n_rows)[0]
+    u_fb_col = nan if funnel is None else np.full(n_rows, np.nan)
+    y_meas, y_true, u_col = (np.full(n_rows, np.nan) for _ in range(3))
+    u_ffw_col = newton_col = nan
     wall = np.zeros(n_rows)
     stepper = None
     newton_last = None  # (residual, iterations) of a step that raised NewtonDiverged
@@ -490,20 +491,33 @@ def run_simulation(config: SimulationConfig) -> Trace:
             stepper = InverseModelStepper(
                 config.nominal_params, config.trajectory, dt, source.newton
             )
+            u_ffw_col, newton_col = np.full(n_rows, np.nan), np.full(n_rows, np.nan)
             u_ffw_col[0] = apply_tuning(stepper.state.u, tuning)
             newton_col[0] = 0.0
         else:
-            u_ffw_col[:] = apply_tuning(np.asarray(source.table.u[:n_rows], dtype=float), tuning)
+            u_ffw_col = _tuned_column(source.table, tuning, n_rows)
 
     y_ref_v, psi_v, ffw_v, fb_v, u_v, newton_v, wall_v, meas_v, true_v = map(
         memoryview, (y_ref, psi_col, u_ffw_col, u_fb_col, u_col, newton_col, wall, y_meas, y_true)
     )
-    perf = time.perf_counter
+    floor, perf = math.floor, time.perf_counter
     status = RunStatus("completed")
     # A branch that is off adds +0.0, so a lone -0.0 sums to 0.0.
     u_ffw = u_fb = 0.0
     for k in range(n_rows):
-        y = v1 if sample is None else sample(k, q1)
+        if sensor is None:
+            y = v1
+        else:
+            if k:
+                angle = q1
+                if quantum:
+                    try:
+                        angle = floor(q1 / quantum) * quantum
+                    except OverflowError:
+                        raise _quanta_overflow(quantum, q1) from None
+                filtered += alpha * ((angle - angle_prev) / dt - filtered)
+                angle_prev = angle
+            y = filtered if noise is None else filtered + noise[k]
         meas_v[k] = y
         true_v[k] = v1
 
@@ -575,7 +589,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
 
 
 def _shared(build):
-    """``build(spec, dt, n_rows)`` memoized for its most recent arguments only.
+    """``build(*args)`` memoized for its most recent arguments only.
 
     Keys are exact to the bit: ``repr`` tells ``-0.0`` from ``0.0`` (a
     validated spec holds no NaN), where the spec's own equality does not.
@@ -586,12 +600,12 @@ def _shared(build):
     last = (None, None)  # (key, arrays), replaced whole
 
     @functools.wraps(build)
-    def cached(spec, dt, n_rows):
+    def cached(*args):
         nonlocal last
-        key = (repr(spec), dt, n_rows)
+        key = repr(args)
         held_key, arrays = last
         if held_key != key:
-            arrays = build(spec, dt, n_rows)
+            arrays = build(*args)
             for a in arrays:
                 a.flags.writeable = False
             last = (key, arrays)
@@ -608,11 +622,46 @@ def _reference_columns(spec: TrajectorySpec, dt: float, n_rows: int):
 
 
 @_shared
-def _psi_column(funnel: FunnelSpec | None, dt: float, n_rows: int):
-    """The funnel width at each tick time ``k dt``; NaN throughout without a funnel."""
-    if funnel is None:
-        return (np.full(n_rows, np.nan),)
-    return (np.fromiter((psi(funnel, k * dt) for k in range(n_rows)), float, n_rows),)
+def _psi_column(funnel: FunnelSpec, dt: float, n_rows: int):
+    """The funnel width ``s exp(-q_decay k dt) + c`` at each tick time ``k dt``.
+
+    ``math.exp`` of each exponent, mapped in C: bit-equal to
+    :func:`feedback.psi` at every tick, where ``np.exp`` is not.
+    """
+    exponent = np.arange(n_rows) * dt
+    exponent *= -funnel.q_decay
+    column = np.fromiter(map(math.exp, memoryview(exponent)), float, n_rows)
+    column *= funnel.s
+    column += funnel.c
+    return (column,)
+
+
+@_shared
+def _nan_column(n_rows: int):
+    """NaN throughout: every column of a branch that the run does not have."""
+    return (np.full(n_rows, np.nan),)
+
+
+_tuned_last = (None, None, None)  # (table, key, column), replaced whole
+
+
+def _tuned_column(table: FeedforwardTable, tuning: TuningFactors, n_rows: int):
+    """The table's tuned torque on the first ``n_rows`` ticks, read-only.
+
+    Memoized, as :func:`_shared` is, for the most recent arguments only.  The
+    table is held and compared by identity, because its ``repr`` is not
+    exact; the tuning is compared by ``repr``, which tells ``-0.0`` from
+    ``0.0``.  A sweep's feedback-only runs never call this, so combined runs
+    that alternate with them still share one column.
+    """
+    global _tuned_last
+    key = (repr(tuning), n_rows)
+    held, held_key, column = _tuned_last
+    if held is not table or held_key != key:
+        column = apply_tuning(np.asarray(table.u[:n_rows], dtype=float), tuning)
+        column.flags.writeable = False
+        _tuned_last = (table, key, column)
+    return column
 
 
 def _run_one(config: SimulationConfig) -> SweepResult:

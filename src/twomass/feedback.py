@@ -25,6 +25,8 @@ class FunnelSpec:
     ``c > 0`` and ``s >= 0`` keep the band's infimum positive, as the feedback
     law requires, and ``q_decay >= 0`` keeps it bounded, as the funnel class
     requires.  (``q_decay`` is named apart from the generalized coordinates ``q``.)
+    The law squares the width, so ``(s + c)**2``, the square of the widest
+    band, must be finite and ``c*c``, that of the narrowest, must be positive.
     """
 
     s: float
@@ -38,6 +40,13 @@ class FunnelSpec:
             raise ValidationError(f"funnel surplus s must be >= 0, got {self.s}")
         if not (self.q_decay >= 0.0 and math.isfinite(self.q_decay)):
             raise ValidationError(f"funnel decay rate q_decay must be >= 0, got {self.q_decay}")
+        widest = self.s + self.c
+        if not math.isfinite(widest * widest):
+            raise ValidationError(
+                f"funnel width s + c must have a finite square, got s={self.s}, c={self.c}"
+            )
+        if not self.c * self.c > 0.0:
+            raise ValidationError(f"funnel offset c must have a positive square, got c={self.c}")
 
 
 def psi(spec: FunnelSpec, t: float) -> float:
@@ -59,5 +68,13 @@ def funnel_gain(y: float, y_ref: float, psi_t: float) -> float:
 
 
 def funnel_law(y: float, y_ref: float, psi_t: float) -> float:
-    """Feedback input ``-psi^2 e / (psi^2 - e^2)``, factored as -gain*e."""
-    return -funnel_gain(y, y_ref, psi_t) * (y - y_ref)
+    """Feedback input ``-psi^2 e / (psi^2 - e^2)``, factored as -gain*e.
+
+    :func:`funnel_gain` written out, so that a tick makes one call: the two
+    comparisons reject what ``abs(e) >= psi_t`` rejects, and pass NaN as it does.
+    """
+    e = y - y_ref
+    if e >= psi_t or -e >= psi_t:
+        raise FunnelViolation(math.nan, e, psi_t)
+    p2 = psi_t * psi_t
+    return -(p2 / (p2 - e * e)) * e

@@ -14,6 +14,7 @@ from twomass.closedloop import (
     RunStatus,
     SimulationConfig,
     Trace,
+    _psi_column,
     config_echo,
     run_simulation,
     run_sweep,
@@ -583,6 +584,86 @@ class TestSharedColumns:
             assert not column.flags.writeable, name
             with pytest.raises(ValueError):
                 column[0] = 1.0
+
+    ABSENT = {  # case -> the columns of the branches it does not have
+        "feedback-ideal": ("u_ffw", "newton_iterations"),
+        "table-feedforward": ("psi", "u_fb", "newton_iterations"),
+        "combined-table": ("newton_iterations",),
+        "online-feedforward": ("psi", "u_fb"),
+    }
+
+    def test_absent_branches_share_one_read_only_nan_column(self):
+        columns = []
+        for case, names in self.ABSENT.items():
+            trace = run_simulation(base_config(label=case, **ORACLE_CASES[case]))
+            assert trace.status.completed, case
+            columns += [getattr(trace, name) for name in names]
+        first = columns[0]
+        assert np.isnan(first).all() and len(first) == 2001
+        for column in columns:
+            assert column.base is first.base and np.shares_memory(column, first)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_table_runs_share_their_tuned_torque(self):
+        table = _table(0.3)
+        mode = ControllerMode.combined(TuningFactors(0.08, 0.16), FUNNEL_2)
+        source = FeedforwardSource(table=table)
+        first = run_simulation(base_config(label="a", mode=mode, feedforward_source=source))
+        run_simulation(base_config(label="between"))  # a feedback-only run leaves it alone
+        second = run_simulation(base_config(label="b", mode=mode, feedforward_source=source))
+        assert np.shares_memory(first.u_ffw, second.u_ffw)
+        assert not second.u_ffw.flags.writeable
+        with pytest.raises(ValueError):
+            second.u_ffw[0] = 1.0
+        assert np.array_equal(first.u_ffw, np.full(2001, 0.08 * 0.3 + 0.16))
+
+    def test_tuned_torque_keys_are_exact_to_the_bit(self):
+        # equal as tunings, different as cells: -0.0 + f_fric; and a new table is read anew
+        table = _table(-0.0)
+        runs = [
+            run_simulation(base_config(mode=ControllerMode.feedforward_only(tuning),
+                                       feedforward_source=FeedforwardSource(table=table)))
+            for tuning in (TuningFactors(1.0, 0.0), TuningFactors(1.0, -0.0))
+        ]
+        assert np.all(_bits(runs[0].u_ffw) == _bits(0.0))
+        assert np.all(_bits(runs[1].u_ffw) == _bits(-0.0))
+        # a table's repr elides the middle samples, so two tables can print alike
+        flat = _table(0.0)
+        bump = np.zeros(len(flat))
+        bump[1000] = 0.5
+        bumped = FeedforwardTable(dt=flat.dt, t=flat.t, u=bump,
+                                  newton_iterations=flat.newton_iterations)
+        assert repr(flat) == repr(bumped)
+        mode = ControllerMode.feedforward_only(UNIT_TUNING)
+        for table in (flat, bumped):
+            trace = run_simulation(base_config(mode=mode,
+                                               feedforward_source=FeedforwardSource(table=table)))
+            assert np.array_equal(trace.u_ffw, table.u)
+
+    def test_online_runs_own_their_feedforward_columns(self):
+        runs = [run_simulation(base_config(label=f"online-{i}", duration=0.2,
+                                           **ORACLE_CASES["online-feedforward"]))
+                for i in range(2)]
+        nan = run_simulation(base_config(duration=0.2)).u_ffw
+        for name in ("u_ffw", "newton_iterations"):
+            ours, theirs = (getattr(trace, name) for trace in runs)
+            assert ours.flags.writeable and not np.isnan(ours).any(), name
+            assert not np.shares_memory(ours, theirs) and not np.shares_memory(ours, nan), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        funnel=st.builds(FunnelSpec, s=st.floats(0.0, 100.0), q_decay=st.floats(0.0, 50.0),
+                         c=st.floats(1e-3, 10.0)),
+        frequency=st.floats(1.0, 20_000.0),
+        n_rows=st.integers(1, 3000),
+    )
+    def test_psi_column_is_the_width_at_each_tick_to_the_bit(self, funnel, frequency, n_rows):
+        dt = 1.0 / frequency
+        fresh = [psi(funnel, k * dt) for k in range(n_rows)]
+        (column,) = _psi_column(funnel, dt, n_rows)
+        assert np.array_equal(_bits(column), _bits(fresh))
 
     def test_a_divergence_leaves_the_shared_psi_whole(self):
         diverged = run_simulation(

@@ -653,6 +653,19 @@ class TestCli:
         pytest.param(FULL_CONFIG, "q_decay = 0.3", "q_decay = -1000",
                      "funnel decay rate q_decay must be >= 0, got -1000.0",
                      id="negative-q-decay"),
+        # the law squares the width: a square that overflows made every tick NaN
+        pytest.param(FULL_CONFIG, "s = 5.0\nq_decay = 0.3\nc = 0.3",
+                     "s = 1e308\nq_decay = 0.3\nc = 1e308",
+                     "funnel width s + c must have a finite square, got s=1e+308, c=1e+308",
+                     id="overflowing-funnel-width"),
+        pytest.param(FULL_CONFIG, "c = 0.3", "c = 1.5e154",
+                     "funnel width s + c must have a finite square, got s=5.0, c=1.5e+154",
+                     id="overflowing-funnel-offset"),
+        # c*c == 0: at rest on an ideal sensor the law divided 0 by 0
+        pytest.param(FULL_CONFIG.replace("[measurement]\nnoise_std = 0.02\n", ""),
+                     "s = 5.0\nq_decay = 0.3\nc = 0.3", "s = 0.0\nq_decay = 0.3\nc = 1e-200",
+                     "funnel offset c must have a positive square, got c=1e-200",
+                     id="underflowing-funnel-offset"),
         # about 1.6e5 series pieces per tick: rejected before any is walked
         pytest.param(FULL_CONFIG, "[plant.true]\nI1 = 0.136", "[plant.true]\nI1 = 1e-10",
                      "true plant I1=1e-10 I2=0.12 k=33.6 d=0.016 is too fast for the "
@@ -789,13 +802,14 @@ class TestCli:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# the widest band (s + c)**2 stays finite and the narrowest c*c positive
+funnels = st.builds(FunnelSpec, st.floats(0.0, 6e153), non_negative, st.floats(1e-161, 6e153))
 
 
 modes = st.one_of(
     st.builds(ControllerMode.feedforward_only, st.builds(TuningFactors, finite, finite)),
-    st.builds(ControllerMode.feedback_only, st.builds(FunnelSpec, non_negative, non_negative, positive)),
-    st.builds(ControllerMode.combined, st.builds(TuningFactors, finite, finite),
-              st.builds(FunnelSpec, non_negative, non_negative, positive)),
+    st.builds(ControllerMode.feedback_only, funnels),
+    st.builds(ControllerMode.combined, st.builds(TuningFactors, finite, finite), funnels),
 )
 newton_options = st.builds(NewtonOptions, st.integers(1, 10**6), positive)
 true_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative,

@@ -1,13 +1,48 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from twomass.errors import FunnelViolation, ValidationError
 from twomass.feedback import FunnelSpec, funnel_gain, funnel_law, psi
 
 FUNNEL_2 = FunnelSpec(1.0, 0.1, 0.5)
 FUNNEL_6 = FunnelSpec(5.0, 0.3, 0.3)
+
+
+def composed_funnel_law(y, y_ref, psi_t):
+    """Oracle: the law as the gain, with ``abs`` at the band, times the error."""
+
+    def gain(e):
+        if abs(e) >= psi_t:
+            raise FunnelViolation(math.nan, e, psi_t)
+        p2 = psi_t * psi_t
+        return p2 / (p2 - e * e)
+
+    return -gain(y - y_ref) * (y - y_ref)
+
+
+def _outcome(law, *args):
+    """The result's bits (any NaN alike: CPython does not keep a NaN's sign), or the exception."""
+    try:
+        value = law(*args)
+        return "nan" if math.isnan(value) else struct.pack("<d", value)
+    except FunnelViolation as err:
+        return FunnelViolation, struct.pack("<dd", err.error, err.width)
+    except ArithmeticError as err:
+        return type(err)
+
+
+@st.composite
+def law_arguments(draw):
+    """Any floats, or an error within a few ulps of the band's edge."""
+    psi_t = draw(st.floats(allow_nan=True) | st.floats(1e-300, 1e300))
+    y_ref = draw(st.floats(allow_nan=True) | st.floats(-1e3, 1e3))
+    near = psi_t * draw(st.sampled_from([1.0, 1.0 - 2**-52, 1.0 + 2**-52, 0.5, 0.0, -0.0]))
+    e = draw(st.floats(allow_nan=True) | st.sampled_from([near, -near]))
+    return y_ref + e, y_ref, psi_t
 
 
 class TestPsi:
@@ -70,6 +105,17 @@ class TestFunnelLaw:
                 continue
             assert funnel_law(y, y_ref, width) == -funnel_gain(y, y_ref, width) * e
 
+    @given(args=law_arguments())
+    @example(args=(1.0, 0.0, 1.0))  # on the band
+    @example(args=(-1.0, 0.0, 1.0))
+    @example(args=(0.0, 0.0, 1.0))  # -0.0
+    @example(args=(-0.0, 0.0, 1.0))  # +0.0
+    @example(args=(math.nan, 0.0, 1.0))  # abs passes NaN
+    @example(args=(0.5, 0.0, math.nan))
+    @example(args=(0.0, 0.0, 0.0))
+    def test_matches_the_composed_form(self, args):
+        assert _outcome(funnel_law, *args) == _outcome(composed_funnel_law, *args)
+
     def test_strictly_increasing_magnitude_and_unbounded(self):
         width = 1.0
         errors = np.linspace(1e-4, width * (1.0 - 1e-12), 500)
@@ -111,6 +157,16 @@ class TestSpecValidation:
         # a negative decay makes psi grow without bound, outside the funnel class
         with pytest.raises(ValidationError, match="q_decay must be >= 0"):
             FunnelSpec(1.0, q_decay, 0.5)
+
+    @pytest.mark.parametrize("s, c", [(1e308, 1e308), (0.0, 1.5e154), (1e154, 1e154)])
+    def test_widest_band_must_square_finite(self, s, c):
+        with pytest.raises(ValidationError, match="s \\+ c must have a finite square"):
+            FunnelSpec(s, 0.1, c)
+
+    @pytest.mark.parametrize("c", [1e-200, 5e-324, 1e-162])
+    def test_narrowest_band_must_square_positive(self, c):
+        with pytest.raises(ValidationError, match="c must have a positive square"):
+            FunnelSpec(0.0, 0.1, c)
 
     def test_zero_decay_is_a_constant_band(self):
         assert psi(FunnelSpec(1.0, 0.0, 0.5), 1e6) == 1.5
