@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     WindowOutOfRange,
 )
-from .feedback import FunnelSpec, funnel_gain, funnel_law, psi
+from .feedback import FunnelSpec, funnel_law
 from .feedforward import (
     FeedforwardTable,
     InverseModelState,

@@ -137,20 +137,13 @@ def _report_outcomes(results, allow_failures: bool) -> int:
     return code
 
 
-def _cmd_simulate(args) -> int:
-    loaded = load_config(args.config)
-    if isinstance(loaded, presets.ExperimentPreset):
-        print(f"{args.config} names a preset; use the sweep command", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _out_dir(args)
-    results = closedloop.run_sweep([loaded])
-    _emit_results(results, out, args.metrics_on_true)
-    return _report_outcomes(results, args.allow_failures)
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_run(args) -> int:
+    """``simulate`` one config file, or ``sweep`` a preset or a config file."""
     loaded = load_config(args.experiment)
     if isinstance(loaded, presets.ExperimentPreset):
+        if args.command == "simulate":
+            print(f"{args.experiment} names a preset; use the sweep command", file=sys.stderr)
+            return EXIT_CONFIG
         configs = list(loaded.configs)
     else:
         configs = [loaded]
@@ -235,20 +228,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one configuration file")
-    sim.add_argument("config", help="config file path")
-    sim.add_argument("--out", help="output directory (default TWOMASS_OUT or '.')")
-    sim.add_argument("--allow-failures", action="store_true",
-                     help="exit 0 even when the run ends in a violation")
-    sim.add_argument("--metrics-on-true", action="store_true",
-                     help="compute error metrics on the true output instead of the measured one")
-    sim.set_defaults(func=_cmd_simulate)
-
+    sim.add_argument("experiment", metavar="config", help="config file path")
     swp = sub.add_parser("sweep", help="run a preset (or a single config) as a batch")
     swp.add_argument("experiment", help=f"preset name ({', '.join(presets.preset_names())}) or config file")
-    swp.add_argument("--out", help="output directory (default TWOMASS_OUT or '.')")
-    swp.add_argument("--allow-failures", action="store_true")
-    swp.add_argument("--metrics-on-true", action="store_true")
-    swp.set_defaults(func=_cmd_sweep)
+    for run in (sim, swp):
+        run.add_argument("--out", help="output directory (default TWOMASS_OUT or '.')")
+        run.add_argument("--allow-failures", action="store_true",
+                         help="exit 0 even when a run ends in a violation")
+        run.add_argument("--metrics-on-true", action="store_true", help="compute error "
+                         "metrics on the true output instead of the measured one")
+        run.set_defaults(func=_cmd_run)
 
     ffw = sub.add_parser("feedforward", help="solve the inverse model and dump the torque table")
     ffw.add_argument("--config",
@@ -285,6 +274,10 @@ def main(argv=None) -> int:
     except OSError as err:
         where = f"{err.filename}: " if err.filename else ""
         print(f"error: {where}{err.strerror or err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except UnicodeEncodeError as err:
+        # a file name, made from a label, that the locale's encoding cannot spell
+        print(f"error: {err.object}: not {err.encoding} text ({err.reason})", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -57,17 +57,13 @@ __all__ = [
     "read_trace_csv",
 ]
 
-ENCODER_QUANTUM = 2.0 * math.pi / 4096.0
-
-
 @dataclass(frozen=True)
 class MeasurementModel:
     """How the controller sees the output velocity.
 
     The default (all fields zero) is an ideal sensor.  Nonzero fields model an
     incremental encoder: the angle is quantized, differentiated tick-to-tick,
-    low-pass filtered, and Gaussian velocity noise is added.  The encoder
-    constants are synthetic desk-scale defaults, not identified hardware.
+    low-pass filtered, and Gaussian velocity noise is added.
     """
 
     angle_quantum: float = 0.0
@@ -82,15 +78,6 @@ class MeasurementModel:
     @property
     def is_ideal(self) -> bool:
         return self.angle_quantum == 0.0 and self.filter_time_constant == 0.0 and self.noise_std == 0.0
-
-    @classmethod
-    def encoder(
-        cls,
-        angle_quantum: float = ENCODER_QUANTUM,
-        filter_time_constant: float = 5e-3,
-        noise_std: float = 0.02,
-    ) -> "MeasurementModel":
-        return cls(angle_quantum, filter_time_constant, noise_std)
 
 
 @dataclass(frozen=True)
@@ -286,43 +273,6 @@ class SweepResult:
     error: str | None = None
 
 
-class _Sensor:
-    """Set-up of the tick-rate encoder measurement of the output velocity.
-
-    An ideal sensor needs none: the loop reads ``v1`` itself.  The loop
-    unpacks ``quantum``, ``alpha``, ``noise`` and the first quantized angle
-    ``angle_0`` into locals and computes each sample inline.  The velocity
-    noise does not depend on the plant, so all of a run's draws are made up
-    front, one per tick; they are the draws a per-tick ``standard_normal()``
-    would make, in the same order.
-    """
-
-    def __init__(self, model: MeasurementModel, dt: float, n_rows: int, q1_0: float, rng):
-        self.quantum = model.angle_quantum
-        self.angle_0 = self._quantize(q1_0)
-        tau = model.filter_time_constant
-        self.alpha = dt / (tau + dt) if tau > 0.0 else 1.0
-        self.noise = None
-        if model.noise_std > 0.0:
-            try:
-                with np.errstate(over="raise"):
-                    noise = model.noise_std * rng.standard_normal(n_rows)
-            except FloatingPointError:
-                raise ValidationError(
-                    f"noise_std {model.noise_std!r} is too large: its draws overflow"
-                ) from None
-            self.noise = memoryview(noise)
-
-    def _quantize(self, angle: float) -> float:
-        q = self.quantum
-        if q == 0.0:
-            return angle
-        try:
-            return math.floor(angle / q) * q
-        except OverflowError:
-            raise _quanta_overflow(q, angle) from None
-
-
 def _quanta_overflow(quantum: float, angle: float) -> ValidationError:
     return ValidationError(
         f"angle_quantum {quantum!r} is too fine for the angle {angle!r} rad: "
@@ -469,12 +419,24 @@ def run_simulation(config: SimulationConfig) -> Trace:
     kinds = [0, 0, 0]  # ticks per SLIP, STUCK, EVENT
 
     q1, q2, v1, v2 = (float(x) for x in config.initial_state)
-    sensor = None
-    if not config.measurement.is_ideal:
-        rng = np.random.default_rng(config.seed)
-        sensor = _Sensor(config.measurement, dt, n_rows, q1, rng)
-        quantum, alpha, noise = sensor.quantum, sensor.alpha, sensor.noise
-        angle_prev, filtered = sensor.angle_0, v1
+    # The encoder: its velocity noise does not depend on the plant, so all of
+    # a run's draws are made up front, the ones a per-tick
+    # ``standard_normal()`` would make, in the same order.
+    measurement = config.measurement
+    encoder = not measurement.is_ideal
+    if encoder:
+        quantum, tau, filtered = measurement.angle_quantum, measurement.filter_time_constant, v1
+        alpha = dt / (tau + dt) if tau > 0.0 else 1.0
+        noise = None
+        if measurement.noise_std > 0.0:
+            rng = np.random.default_rng(config.seed)
+            try:
+                with np.errstate(over="raise"):
+                    noise = memoryview(measurement.noise_std * rng.standard_normal(n_rows))
+            except FloatingPointError:
+                raise ValidationError(
+                    f"noise_std {measurement.noise_std!r} is too large: its draws overflow"
+                ) from None
 
     t, y_ref = _reference_columns(config.trajectory, dt, n_rows)
     (nan,) = _nan_column(n_rows)
@@ -505,19 +467,19 @@ def run_simulation(config: SimulationConfig) -> Trace:
     # A branch that is off adds +0.0, so a lone -0.0 sums to 0.0.
     u_ffw = u_fb = 0.0
     for k in range(n_rows):
-        if sensor is None:
-            y = v1
-        else:
+        if encoder:
+            angle = q1
+            if quantum:
+                try:
+                    angle = floor(q1 / quantum) * quantum
+                except OverflowError:
+                    raise _quanta_overflow(quantum, q1) from None
             if k:
-                angle = q1
-                if quantum:
-                    try:
-                        angle = floor(q1 / quantum) * quantum
-                    except OverflowError:
-                        raise _quanta_overflow(quantum, q1) from None
                 filtered += alpha * ((angle - angle_prev) / dt - filtered)
-                angle_prev = angle
+            angle_prev = angle
             y = filtered if noise is None else filtered + noise[k]
+        else:
+            y = v1
         meas_v[k] = y
         true_v[k] = v1
 
@@ -625,8 +587,8 @@ def _reference_columns(spec: TrajectorySpec, dt: float, n_rows: int):
 def _psi_column(funnel: FunnelSpec, dt: float, n_rows: int):
     """The funnel width ``s exp(-q_decay k dt) + c`` at each tick time ``k dt``.
 
-    ``math.exp`` of each exponent, mapped in C: bit-equal to
-    :func:`feedback.psi` at every tick, where ``np.exp`` is not.
+    ``math.exp`` of each exponent, mapped in C: bit-equal to the scalar
+    ``s * math.exp(-q_decay * t) + c`` at every tick, where ``np.exp`` is not.
     """
     exponent = np.arange(n_rows) * dt
     exponent *= -funnel.q_decay

@@ -94,10 +94,12 @@ def load_config_file(path) -> SimulationConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (I1 vs i1)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
     except OSError as err:
         raise ParseError(f"{path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     except configparser.Error as err:
         raise ParseError(f"{path}: {err}") from None
     rows = [row for row in CONFIG_FIELDS if row.ini]

@@ -9,7 +9,7 @@ class ValidationError(ValueError):
     """A configuration or parameter set violates a documented invariant."""
 
 
-class InconsistentStart(ValueError):
+class InconsistentStart(ValidationError):
     """Initial inverse-model values cannot satisfy the output constraint."""
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import FunnelViolation, ValidationError
 
-__all__ = ["FunnelSpec", "psi", "funnel_gain", "funnel_law"]
+__all__ = ["FunnelSpec", "funnel_law"]
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,10 @@ class FunnelSpec:
             raise ValidationError(f"funnel offset c must have a positive square, got c={self.c}")
 
 
-def psi(spec: FunnelSpec, t: float) -> float:
-    """Half-width of the error band at time ``t`` (rad/s)."""
-    return spec.s * math.exp(-spec.q_decay * t) + spec.c
-
-
-def funnel_gain(y: float, y_ref: float, psi_t: float) -> float:
-    """Dimensionless gain ``psi^2 / (psi^2 - e^2)``; >= 1 inside the band.
-
-    Exposed separately for diagnostics: traces of the gain show how close the
-    loop operates to the band.
-    """
-    e = y - y_ref
-    if abs(e) >= psi_t:
-        raise FunnelViolation(math.nan, e, psi_t)
-    p2 = psi_t * psi_t
-    return p2 / (p2 - e * e)
-
-
 def funnel_law(y: float, y_ref: float, psi_t: float) -> float:
     """Feedback input ``-psi^2 e / (psi^2 - e^2)``, factored as -gain*e.
 
-    :func:`funnel_gain` written out, so that a tick makes one call: the two
+    The gain ``psi^2 / (psi^2 - e^2)`` is >= 1 inside the band.  The two
     comparisons reject what ``abs(e) >= psi_t`` rejects, and pass NaN as it does.
     """
     e = y - y_ref

@@ -86,75 +86,49 @@ class ExperimentPreset:
     configs: tuple[SimulationConfig, ...]
 
 
+def _config(label, mode, frequency, seed, **other) -> SimulationConfig:
+    """A run on the rig, its nominal model and the reference, over ``DURATION``."""
+    return SimulationConfig(
+        label=label,
+        true_params=DEFAULT_TRUE_PLANT,
+        nominal_params=NOMINAL_PLANT,
+        trajectory=REFERENCE_TRAJECTORY,
+        mode=mode,
+        control_frequency=frequency,
+        duration=DURATION,
+        seed=seed,
+        **other,
+    )
+
+
 def _ffw_sweep() -> tuple[SimulationConfig, ...]:
     return tuple(
-        SimulationConfig(
-            label=f"ffw-{i}-1khz",
-            true_params=DEFAULT_TRUE_PLANT,
-            nominal_params=NOMINAL_PLANT,
-            trajectory=REFERENCE_TRAJECTORY,
-            mode=ControllerMode.feedforward_only(tuning),
-            control_frequency=1000.0,
-            duration=DURATION,
-            seed=i,
-        )
+        _config(f"ffw-{i}-1khz", ControllerMode.feedforward_only(tuning), 1000.0, i)
         for i, tuning in enumerate(TUNING_SETS, start=1)
     )
 
 
 def _fb_sweep_2khz() -> tuple[SimulationConfig, ...]:
     return tuple(
-        SimulationConfig(
-            label=f"fb-{i}-2khz",
-            true_params=DEFAULT_TRUE_PLANT,
-            nominal_params=NOMINAL_PLANT,
-            trajectory=REFERENCE_TRAJECTORY,
-            mode=ControllerMode.feedback_only(funnel),
-            control_frequency=2000.0,
-            duration=DURATION,
-            seed=i,
-        )
+        _config(f"fb-{i}-2khz", ControllerMode.feedback_only(funnel), 2000.0, i)
         for i, funnel in enumerate(FUNNEL_SETS[:5], start=1)
     )
 
 
 def _tight_funnel_fb() -> tuple[SimulationConfig, ...]:
-    base = SimulationConfig(
-        label="fb-6-1khz",
-        true_params=DEFAULT_TRUE_PLANT,
-        nominal_params=NOMINAL_PLANT,
-        trajectory=REFERENCE_TRAJECTORY,
-        mode=ControllerMode.feedback_only(FUNNEL_SETS[5]),
-        control_frequency=1000.0,
-        duration=DURATION,
-        measurement=NOISY_MEASUREMENT,
-        seed=6,
+    mode = ControllerMode.feedback_only(FUNNEL_SETS[5])
+    return (
+        _config("fb-6-1khz", mode, 1000.0, 6, measurement=NOISY_MEASUREMENT),
+        _config("fb-6-2khz", mode, 2000.0, 7, measurement=NOISY_MEASUREMENT),
     )
-    return (base, replace(base, label="fb-6-2khz", control_frequency=2000.0, seed=7))
 
 
 def _tight_funnel_dichotomy_1khz() -> tuple[SimulationConfig, ...]:
-    common = dict(
-        true_params=DEFAULT_TRUE_PLANT,
-        nominal_params=NOMINAL_PLANT,
-        trajectory=REFERENCE_TRAJECTORY,
-        control_frequency=1000.0,
-        duration=DURATION,
-        measurement=NOISY_MEASUREMENT,
-    )
     return (
-        SimulationConfig(
-            label="fb-6-1khz",
-            mode=ControllerMode.feedback_only(FUNNEL_SETS[5]),
-            seed=6,
-            **common,
-        ),
-        SimulationConfig(
-            label="combined-5-6-1khz",
-            mode=ControllerMode.combined(TUNING_SETS[4], FUNNEL_SETS[5]),
-            seed=1012,
-            **common,
-        ),
+        _config("fb-6-1khz", ControllerMode.feedback_only(FUNNEL_SETS[5]), 1000.0, 6,
+                measurement=NOISY_MEASUREMENT),
+        _config("combined-5-6-1khz", ControllerMode.combined(TUNING_SETS[4], FUNNEL_SETS[5]),
+                1000.0, 1012, measurement=NOISY_MEASUREMENT),
     )
 
 
@@ -165,30 +139,11 @@ def _comparison_sweep_2khz() -> tuple[SimulationConfig, ...]:
     for i, funnel in enumerate(FUNNEL_SETS[:5], start=1):
         # Each feedback/combined pair shares one seed: identical noise draws
         # make the variance comparison a controlled experiment.
-        common = dict(
-            true_params=DEFAULT_TRUE_PLANT,
-            nominal_params=NOMINAL_PLANT,
-            trajectory=REFERENCE_TRAJECTORY,
-            control_frequency=2000.0,
-            duration=DURATION,
-            measurement=NOISY_MEASUREMENT,
-            seed=i,
-        )
-        configs.append(
-            SimulationConfig(
-                label=f"fb-{i}-2khz",
-                mode=ControllerMode.feedback_only(funnel),
-                **common,
-            )
-        )
-        configs.append(
-            SimulationConfig(
-                label=f"combined-5-{i}-2khz",
-                mode=ControllerMode.combined(TUNING_SETS[4], funnel),
-                feedforward_source=source,
-                **common,
-            )
-        )
+        configs.append(_config(f"fb-{i}-2khz", ControllerMode.feedback_only(funnel), 2000.0, i,
+                               measurement=NOISY_MEASUREMENT))
+        configs.append(_config(f"combined-5-{i}-2khz",
+                               ControllerMode.combined(TUNING_SETS[4], funnel), 2000.0, i,
+                               measurement=NOISY_MEASUREMENT, feedforward_source=source))
     return tuple(configs)
 
 

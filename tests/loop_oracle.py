@@ -16,10 +16,11 @@ import time
 
 import numpy as np
 
+from funnel_oracle import psi
 from twomass import trajectory as trajectory_mod
 from twomass.closedloop import RunStatus, Trace, config_echo
 from twomass.errors import FunnelViolation, NewtonDiverged, ValidationError
-from twomass.feedback import funnel_law, psi
+from twomass.feedback import funnel_law
 from twomass.feedforward import InverseModelStepper, apply_tuning
 from twomass.plant import EVENT, STUCK, integrate_plant_tick, step_matrices
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from conftest import assert_close
+from funnel_oracle import psi
 from loop_oracle import run_simulation_per_tick
 from plant_oracle import accelerations, rk4_plant_tick
 from twomass.closedloop import (
@@ -22,7 +23,7 @@ from twomass.closedloop import (
     write_trace_csv,
 )
 from twomass.errors import NewtonDiverged, ValidationError
-from twomass.feedback import FunnelSpec, psi
+from twomass.feedback import FunnelSpec
 from twomass.feedforward import (
     FeedforwardTable,
     InverseModelStepper,
@@ -45,6 +46,15 @@ from twomass.trajectory import TrajectorySpec
 
 FUNNEL_2 = FunnelSpec(1.0, 0.1, 0.5)
 UNIT_TUNING = TuningFactors(1.0, 0.0)
+ENCODER_QUANTUM = 2.0 * math.pi / 4096.0  # rad: 4096 counts per revolution
+
+
+def encoder(noise_std):
+    """An incremental encoder: 4096 counts per revolution, filtered over 5 ms.
+
+    These constants are synthetic desk-scale defaults, not identified hardware.
+    """
+    return MeasurementModel(ENCODER_QUANTUM, 5e-3, noise_std)
 
 
 def base_config(**overrides):
@@ -435,14 +445,14 @@ def _table(u, n=2001, dt=1e-3):
 
 
 REST = TrajectorySpec(y0=0.0, yf=0.0, t0=0.0, tf=1.0)
-NOISY_ENCODER = MeasurementModel.encoder(noise_std=0.05)
+NOISY_ENCODER = encoder(noise_std=0.05)
 DIVERGING = FeedforwardSource(newton=NewtonOptions(residual_tolerance=1e-300))
 
 # name -> config overrides; 2 s at 1 kHz unless stated
 ORACLE_CASES = {
     "feedback-ideal": {},
     "feedback-noisy-encoder": dict(measurement=NOISY_ENCODER, seed=5),
-    "feedback-quiet-encoder": dict(measurement=MeasurementModel.encoder(noise_std=0.0)),
+    "feedback-quiet-encoder": dict(measurement=encoder(noise_std=0.0)),
     "feedback-2khz-late-window": dict(
         control_frequency=2000.0, trajectory=TrajectorySpec(y0=1.0, yf=6.0, t0=0.3, tf=1.2)),
     "online-feedforward": dict(mode=ControllerMode.feedforward_only(TuningFactors(0.08, 0.16))),
@@ -487,24 +497,47 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _assert_same_run(ours, oracle):
+    """Bit for bit: the status, every column and the diagnostics."""
+    assert ours.status == oracle.status
+    assert len(ours.t) == len(oracle.t)
+    for name in _SERIES + ("newton_iterations",):
+        assert np.array_equal(_bits(getattr(ours, name)), _bits(getattr(oracle, name))), name
+    assert (ours.plant_stuck_ticks, ours.plant_events) == (
+        oracle.plant_stuck_ticks, oracle.plant_events)
+    # None without an online stepper; repr tells floats apart to the bit, -0.0 included
+    assert repr(ours.newton_last_residual) == repr(oracle.newton_last_residual)
+    assert ours.newton_last_iterations == oracle.newton_last_iterations
+    assert ours.run_config == oracle.run_config
+    assert len(ours.wall_us) == len(ours.t)
+
+
 class TestLoopOracle:
     """``run_simulation`` against the per-tick loop it replaced, bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_the_per_tick_loop(self, case):
         cfg = base_config(label=case, **ORACLE_CASES[case])
-        ours, oracle = run_simulation(cfg), run_simulation_per_tick(cfg)
-        assert ours.status == oracle.status
-        assert len(ours.t) == len(oracle.t)
-        for name in _SERIES + ("newton_iterations",):
-            assert np.array_equal(_bits(getattr(ours, name)), _bits(getattr(oracle, name))), name
-        assert (ours.plant_stuck_ticks, ours.plant_events) == (
-            oracle.plant_stuck_ticks, oracle.plant_events)
-        # None without an online stepper; repr tells floats apart to the bit, -0.0 included
-        assert repr(ours.newton_last_residual) == repr(oracle.newton_last_residual)
-        assert ours.newton_last_iterations == oracle.newton_last_iterations
-        assert ours.run_config == oracle.run_config
-        assert len(ours.wall_us) == len(ours.t)
+        _assert_same_run(run_simulation(cfg), run_simulation_per_tick(cfg))
+
+    @settings(max_examples=60)
+    @given(
+        # each field off or on; the angle starts off the quantum grid, so that
+        # the first tick's quantization shows in the second tick's rate
+        measurement=st.builds(
+            MeasurementModel,
+            st.just(0.0) | st.floats(1e-6, 0.1),
+            st.just(0.0) | st.floats(1e-5, 0.05),
+            st.just(0.0) | st.floats(1e-4, 0.2),
+        ),
+        seed=st.integers(0, 2**32),
+        ticks=st.integers(1, 500),
+        q1=st.floats(-10.0, 10.0),
+    )
+    def test_matches_the_per_tick_loop_on_drawn_sensors(self, measurement, seed, ticks, q1):
+        cfg = base_config(measurement=measurement, seed=seed, duration=ticks / 1000.0,
+                          initial_state=(q1, q1, 0.0, 0.0))
+        _assert_same_run(run_simulation(cfg), run_simulation_per_tick(cfg))
 
     def test_last_newton_residual_is_an_online_diagnostic(self, tmp_path):
         online = run_simulation(base_config(**ORACLE_CASES["online-feedforward"]))
@@ -734,12 +767,12 @@ class TestMeasurement:
             trajectory=TrajectorySpec(y0=5.0, yf=5.0, t0=0.0, tf=1.0),
             mode=ControllerMode.feedforward_only(TuningFactors(0.0, 0.0)),
             initial_state=(0.0, 0.0, 5.0, 5.0),
-            measurement=MeasurementModel.encoder(noise_std=0.0),
+            measurement=encoder(noise_std=0.0),
             duration=1.0,
         )
         trace = run_simulation(cfg)
         settled = trace.y_measured[100:]
-        quantum_rate = MeasurementModel.encoder().angle_quantum / 1e-3
+        quantum_rate = ENCODER_QUANTUM / 1e-3
         assert np.abs(settled - 5.0).max() <= quantum_rate
 
     def test_noise_is_seeded(self):

@@ -1,11 +1,14 @@
 import configparser
 import contextlib
 import dataclasses
+import hashlib
 import io
 import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twomass
 from conftest import NOT_UTF8
 from twomass.cli import main
 from twomass.closedloop import (
@@ -135,6 +139,16 @@ def _not_utf8_trace(tmp_path):
 def _not_utf8_table(tmp_path):
     text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:binary.csv")
     return ["simulate", str(write_config(tmp_path, text))], _not_utf8(tmp_path)
+
+
+def _latin1_config(*command):
+    # a config file in Latin-1, whose label "d\xe9mo" is not UTF-8, read by ``command``
+    def case(tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(FULL_CONFIG.replace("label = demo", "label = d\xe9mo").encode("latin-1"))
+        return [*command, str(path)], path
+
+    return case
 
 
 def _trace_with_echo(key, value):
@@ -302,7 +316,63 @@ class TestLoadConfig:
             load_config("no-such-thing.ini")
 
 
+# Each preset's configs in order: label, seed and the first 16 hex digits of
+# the SHA-256 of the config echo as files write it.
+PRESET_ECHOES = {
+    "table2-ffw-sweep": [
+        ("ffw-1-1khz", 1, "40405394a5fd7b01"),
+        ("ffw-2-1khz", 2, "70fb17600809b444"),
+        ("ffw-3-1khz", 3, "1d82b20e5a601cad"),
+        ("ffw-4-1khz", 4, "3c3df171950cc13f"),
+        ("ffw-5-1khz", 5, "04dd5d3516f3e125"),
+    ],
+    "table3-fb-sweep-2khz": [
+        ("fb-1-2khz", 1, "ff3797e8733e49c1"),
+        ("fb-2-2khz", 2, "f2b71cc1951535dc"),
+        ("fb-3-2khz", 3, "fbd56b92c346b682"),
+        ("fb-4-2khz", 4, "cf94a3098fc5e577"),
+        ("fb-5-2khz", 5, "e4ceacde9dab724b"),
+    ],
+    "tight-funnel-fb": [
+        ("fb-6-1khz", 6, "35d9aaa588ff0641"),
+        ("fb-6-2khz", 7, "d8da99ecc1020c11"),
+    ],
+    "tight-funnel-dichotomy-1khz": [
+        ("fb-6-1khz", 6, "35d9aaa588ff0641"),
+        ("combined-5-6-1khz", 1012, "20eb144dadf04c02"),
+    ],
+    "controller-comparison-2khz": [
+        ("fb-1-2khz", 1, "89c2e251fccabffd"),
+        ("combined-5-1-2khz", 1, "d914bdcfb1d70659"),
+        ("fb-2-2khz", 2, "9013d2afed7c4101"),
+        ("combined-5-2-2khz", 2, "fbccff346c11031a"),
+        ("fb-3-2khz", 3, "dc744b188a5a8ef2"),
+        ("combined-5-3-2khz", 3, "1f7fcd316b9b3f52"),
+        ("fb-4-2khz", 4, "c11445e5611dbafc"),
+        ("combined-5-4-2khz", 4, "f8b6c740cc175ed0"),
+        ("fb-5-2khz", 5, "4585afae6a80b02e"),
+        ("combined-5-5-2khz", 5, "23d93e810adffdfb"),
+    ],
+}
+
+
 class TestPresets:
+    def test_configs_are_pinned(self):
+        def pin(cfg):
+            echo = format_echo(config_echo(cfg)).encode()
+            return cfg.label, cfg.seed, hashlib.sha256(echo).hexdigest()[:16]
+
+        assert {name: [pin(cfg) for cfg in build_preset(name).configs]
+                for name in preset_names()} == PRESET_ECHOES
+
+    def test_comparison_runs_share_one_table(self):
+        combined = [cfg for cfg in build_preset("controller-comparison-2khz").configs
+                    if cfg.mode.tuning is not None]
+        assert len(combined) == 5
+        assert all(cfg.feedforward_source.table is combined[0].feedforward_source.table
+                   for cfg in combined)
+        assert combined[0].feedforward_source.table is not None
+
     def test_registry_names(self):
         names = preset_names()
         assert "table2-ffw-sweep" in names
@@ -560,7 +630,10 @@ class TestCli:
          # finite tick times whose step overflows, and tick times that are all inf
          _completed_trace_with_cell("t", ("1e308", "-1e308")),
          _completed_trace_with_cell("t", ("inf",) * 13, row=0),
-         _second_of_two_traces(_missing_trace)],
+         _second_of_two_traces(_missing_trace),
+         pytest.param(_latin1_config("simulate"), id="latin-1-config-simulate"),
+         pytest.param(_latin1_config("feedforward", "--config"), id="latin-1-config-feedforward"),
+         pytest.param(_latin1_config("check-plant", "--config"), id="latin-1-config-check-plant")],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
@@ -697,6 +770,10 @@ class TestCli:
                      "angle_quantum 1e-320 is too fine for the angle", id="subnormal-angle-quantum"),
         pytest.param("noise_std = 0.02", "noise_std = 1e308",
                      "noise_std 1e+308 is too large: its draws overflow", id="overflowing-noise"),
+        # a reference span of 2e-320 s: its rate at t=0 overflows
+        pytest.param("t0 = 0.0\ntf = 10.0", "t0 = -1e-320\ntf = 1e-320",
+                     "output constraint cannot be met at t=0: y_ref=6.283185307179586, u=inf",
+                     id="inconsistent-start"),
     ])
     def test_run_that_cannot_proceed_exits_2_with_one_labelled_line(self, tmp_path, capsys, old,
                                                                     new, message):
@@ -707,6 +784,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("demo: error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_inconsistent_start_of_a_table_exits_2_with_one_line(self, tmp_path, capsys):
+        text = FULL_CONFIG.replace("t0 = 0.0\ntf = 10.0", "t0 = -1e-320\ntf = 1e-320")
+        out = tmp_path / "t.csv"
+        argv = ["feedforward", "--config", str(write_config(tmp_path, text)), "--horizon", "0.01",
+                "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: output constraint cannot be met at t=0: "
+                       "y_ref=6.283185307179586, u=inf\n")
+        assert not out.exists()
+
+    def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # under the C locale without UTF-8 mode, the locale's encoding is ASCII
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(twomass.__file__).parents[1])}
+
+        def simulate(text):
+            path = tmp_path / "run.ini"
+            path.write_bytes(("# Drehzahlrampe f\u00fcr den Pr\u00fcfstand\n" + text).encode())
+            return subprocess.run(
+                [sys.executable, "-m", "twomass.cli", "simulate", str(path), "--out",
+                 str(tmp_path / "out")], capture_output=True, text=True, env=env)
+
+        done = simulate(FULL_CONFIG)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "out" / "demo-trace.csv").exists()
+        # that locale cannot spell a file name made from a non-ASCII label
+        refused = simulate(FULL_CONFIG.replace("label = demo", "label = d\u00e9mo"))
+        assert refused.returncode == 2
+        assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1
+        assert "-trace.csv: not ascii text" in refused.stderr
 
     def test_overflowing_tick_count_exits_2_with_one_line(self, tmp_path, capsys):
         text = FULL_CONFIG.replace("duration = 0.5", "duration = 1e200")

@@ -5,23 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from funnel_oracle import composed_funnel_law, funnel_gain, psi
 from twomass.errors import FunnelViolation, ValidationError
-from twomass.feedback import FunnelSpec, funnel_gain, funnel_law, psi
+from twomass.feedback import FunnelSpec, funnel_law
 
 FUNNEL_2 = FunnelSpec(1.0, 0.1, 0.5)
 FUNNEL_6 = FunnelSpec(5.0, 0.3, 0.3)
-
-
-def composed_funnel_law(y, y_ref, psi_t):
-    """Oracle: the law as the gain, with ``abs`` at the band, times the error."""
-
-    def gain(e):
-        if abs(e) >= psi_t:
-            raise FunnelViolation(math.nan, e, psi_t)
-        p2 = psi_t * psi_t
-        return p2 / (p2 - e * e)
-
-    return -gain(y - y_ref) * (y - y_ref)
 
 
 def _outcome(law, *args):
