@@ -44,11 +44,7 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
         lines.append(f"error: {result.error}")
     else:
         status = trace.status
-        if status.completed:
-            lines.append("status: completed")
-        else:
-            lines.append(f"status: {status.kind} at t={status.at:.6g} s")
-        lines.append(f"ticks: {len(trace.t)}")
+        lines += [f"status: {status}", f"ticks: {len(trace.t)}"]
         if trace.plant_stuck_ticks is not None:
             # the plant steps after every tick but the last recorded one
             lines.append(
@@ -127,13 +123,10 @@ def _report_outcomes(results, allow_failures: bool) -> int:
         if result.trace is None:
             print(f"{label}: error: {result.error}", file=sys.stderr)
             code = EXIT_CONFIG
-        elif not result.trace.status.completed:
-            status = result.trace.status
-            print(f"{label}: {status.kind} at t={status.at:.6g} s")
-            if not allow_failures and code == EXIT_OK:
-                code = EXIT_RUN_FAILED
         else:
-            print(f"{label}: completed")
+            print(f"{label}: {result.trace.status}")
+            if not (result.trace.status.completed or allow_failures) and code == EXIT_OK:
+                code = EXIT_RUN_FAILED
     return code
 
 

@@ -30,12 +30,12 @@ from . import trajectory as trajectory_mod
 from .errors import FunnelViolation, NewtonDiverged, ParseError, ValidationError
 from .feedback import FunnelSpec, funnel_law
 from .feedforward import (
-    MAX_STEPS,
     FeedforwardTable,
     InverseModelStepper,
     NewtonOptions,
     TuningFactors,
     apply_tuning,
+    step_count,
 )
 from .plant import EVENT, STUCK, OscillatorParams, integrate_plant_tick, rate_bound, step_matrices
 from .trajectory import TrajectorySpec
@@ -141,6 +141,9 @@ class RunStatus:
     def completed(self) -> bool:
         return self.kind == "completed"
 
+    def __str__(self) -> str:  # as the summary and the outcome lines state it
+        return "completed" if self.completed else f"{self.kind} at t={self.at:.6g} s"
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -175,17 +178,8 @@ class SimulationConfig:
             raise ValidationError(f"plant_substeps must be >= 1, got {self.plant_substeps}")
         if not 0.0 < self.duration < math.inf:
             raise ValidationError(f"duration must be finite and > 0, got {self.duration}")
-        ticks = self.duration * self.control_frequency
-        if not ticks <= MAX_STEPS:
-            raise ValidationError(
-                f"duration {self.duration} s at {self.control_frequency} Hz is "
-                f"{ticks:.3g} control ticks, more than {MAX_STEPS}"
-            )
-        if abs(ticks - round(ticks)) > 1e-9 * ticks:
-            raise ValidationError(
-                f"duration {self.duration} s is not a whole number of control ticks "
-                f"at {self.control_frequency} Hz"
-            )
+        step_count(self.duration * self.control_frequency,
+                   f"duration {self.duration} s at {self.control_frequency} Hz", "control ticks")
         tick, p = 1.0 / self.control_frequency, self.true_params
         pieces = rate_bound(p) * tick  # step_matrices and event ticks walk ceil(pieces) series pieces
         if not pieces <= 1000.0:  # the presets ask for at most 0.023
@@ -225,8 +219,10 @@ class Trace:
     """Per-tick record of one run; the unit of all metric computation.
 
     All series share the tick grid.  Columns that do not apply to the run's
-    mode hold NaN.  ``e`` is the measured error, the quantity the controller
-    acts on.  ``wall_us`` (controller compute time per tick, microseconds),
+    mode hold NaN; ``psi`` holds the width on every tick, and ``u_fb`` is a
+    number exactly where the funnel law returned an input.  ``e`` is the
+    measured error, the quantity the controller acts on.  ``wall_us``
+    (controller compute time per tick in microseconds, a failing tick's too),
     ``plant_stuck_ticks`` (plant steps with flywheel 1 stuck throughout),
     ``plant_events`` (plant steps in which friction switched),
     ``newton_last_residual`` and ``newton_last_iterations`` (the scaled
@@ -265,7 +261,7 @@ class Trace:
 
 @dataclass
 class SweepResult:
-    """One sweep entry: the run, its metrics, or the error that prevented them."""
+    """One sweep entry: the run, a completed run's metrics, or the error that prevented them."""
 
     config: SimulationConfig
     trace: Trace | None = None
@@ -407,7 +403,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
     table's tuned torque from :func:`_tuned_column`, and one NaN column from
     :func:`_nan_column` for every branch the run does not have.  The loop
     samples, runs the controller and steps the plant, storing into its own
-    float64 columns through memoryviews; ``e`` is one subtraction after it.
+    float64 columns through memoryviews, never into a shared one; ``e`` is
+    one subtraction after it.  A failing tick ends the loop, timed as any other.
     """
     config.validate()
     tuning, funnel, u_max = config.mode.tuning, config.mode.funnel, config.u_max
@@ -446,7 +443,6 @@ def run_simulation(config: SimulationConfig) -> Trace:
     u_ffw_col = newton_col = nan
     wall = np.zeros(n_rows)
     stepper = None
-    newton_last = None  # (residual, iterations) of a step that raised NewtonDiverged
     if tuning is not None:
         source = config.feedforward_source
         if source.is_online:
@@ -490,15 +486,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
             else:
                 try:
                     u_ffw = apply_tuning(stepper.advance(k * dt, y_ref_v[k]).u, tuning)
-                except NewtonDiverged as err:
+                except NewtonDiverged:
                     status = RunStatus("newton_diverged", at=k * dt)
-                    # the stepper keeps its last converged step's residual
-                    newton_last = err.residual, err.iterations
-                    if funnel is not None:
-                        # not evaluated at this tick: mark a copy, the shared column stays whole
-                        psi_col = psi_col.copy()
-                        psi_col[k] = math.nan
-                        psi_col.flags.writeable = False
                     break
                 newton_v[k] = stepper.last_iterations
                 ffw_v[k] = u_ffw
@@ -525,10 +514,9 @@ def run_simulation(config: SimulationConfig) -> Trace:
         (q1, q2, v1, v2), kind = integrate_plant_tick(plant, zoh, stick, (q1, q2, v1, v2), u, dt)
         kinds[kind] += 1
 
+    if not status.completed:  # the failing tick took controller time too
+        wall_v[k] = (perf() - t_start) * 1e6
     rows = k + 1
-    if newton_last is None and stepper is not None:
-        newton_last = stepper.last_residual, stepper.last_iterations
-    newton_residual, newton_iterations = newton_last or (None, None)
     return Trace(
         t=t[:rows],
         y_measured=y_meas[:rows],
@@ -545,8 +533,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
         wall_us=wall[:rows],
         plant_stuck_ticks=kinds[STUCK],
         plant_events=kinds[EVENT],
-        newton_last_residual=newton_residual,
-        newton_last_iterations=newton_iterations,
+        newton_last_residual=None if stepper is None else stepper.last_residual,
+        newton_last_iterations=None if stepper is None else stepper.last_iterations,
     )
 
 
@@ -637,8 +625,6 @@ def _run_one(config: SimulationConfig) -> SweepResult:
             result.metrics = metrics_mod.report(trace, config.trajectory)
         except (ValidationError, ValueError) as err:
             result.error = str(err)
-    else:
-        result.error = f"run ended {trace.status.kind} at t={trace.status.at:.6g} s"
     return result
 
 
@@ -653,6 +639,7 @@ def run_sweep(configs, workers: int = 1) -> list[SweepResult]:
     return [_run_one(cfg) for cfg in configs]
 
 
+_FAILURES = ("funnel_violated", "newton_diverged")  # the kinds of RunStatus but completed
 _TRACE_COLUMNS = (
     "t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u",
     "newton_iterations",
@@ -681,14 +668,15 @@ def write_trace_csv(trace: Trace, path) -> None:
 def read_trace_csv(path) -> Trace:
     """Load a trace written by :func:`write_trace_csv` (tick series only)."""
     header, data = csvfile.read(path, "trace", _TRACE_COLUMNS, _READ_MEMO_COLUMNS)
-    status = RunStatus("completed")
-    body = header.get("status", "completed")
-    if body != "completed":
-        kind, _, at = body.partition(" at=")
-        try:
-            status = RunStatus(kind, at=float(at))
-        except ValueError:
-            raise ParseError(f"{path}: malformed status line {body!r}") from None
+    body = header.get("status")  # "completed", or a failure and its finite tick time
+    kind, _, at = (body or "").partition(" at=")
+    try:
+        at = None if body == "completed" else float(at)
+    except ValueError:
+        at = math.nan
+    if body != "completed" and not (kind in _FAILURES and math.isfinite(at)):
+        problem = "no status line" if body is None else f"malformed status line {body!r}"
+        raise ParseError(f"{path}: {problem}")
     columns = {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
     run_config = csvfile.parse_echo(header.get("config", ""))
-    return Trace(status=status, run_config=run_config, **columns)
+    return Trace(status=RunStatus(kind, at), run_config=run_config, **columns)

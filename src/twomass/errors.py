@@ -37,13 +37,10 @@ class FunnelViolation(RuntimeError):
     decides the consequence (the simulator stops and records the time).
     """
 
-    def __init__(self, time: float, error: float, width: float):
-        self.time = time
+    def __init__(self, error: float, width: float):
         self.error = error
         self.width = width
-        super().__init__(
-            f"tracking error {error:.6g} outside funnel width {width:.6g} at t={time:.6g} s"
-        )
+        super().__init__(f"tracking error {error:.6g} outside funnel width {width:.6g}")
 
 
 class WindowOutOfRange(ValueError):

@@ -57,6 +57,6 @@ def funnel_law(y: float, y_ref: float, psi_t: float) -> float:
     """
     e = y - y_ref
     if e >= psi_t or -e >= psi_t:
-        raise FunnelViolation(math.nan, e, psi_t)
+        raise FunnelViolation(e, psi_t)
     p2 = psi_t * psi_t
     return -(p2 / (p2 - e * e)) * e

@@ -56,6 +56,7 @@ __all__ = [
     "write_table_csv",
     "read_table_csv",
     "MAX_STEPS",
+    "step_count",
 ]
 
 # The longest time grid of a run or a table: 10**7 steps is 83 minutes at
@@ -148,6 +149,15 @@ class FeedforwardTable:
         return len(self.t)
 
 
+def step_count(steps: float, span: str, unit: str) -> int:
+    """``steps`` rounded; a ValidationError naming ``span`` if not whole or above MAX_STEPS."""
+    if not steps <= MAX_STEPS:
+        raise ValidationError(f"{span} is {steps:.3g} {unit}, more than {MAX_STEPS}")
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValidationError(f"{span} is not a whole number of {unit}")
+    return round(steps)
+
+
 def _validate_nominal(params: OscillatorParams) -> None:
     if not params.friction.is_none:
         raise ValidationError("inverse model requires the frictionless nominal rig")
@@ -158,8 +168,8 @@ class InverseModelStepper:
 
     Holds the warm-start state between steps; one instance per solve (or per
     online controller).  Distinct instances are independent.  After each
-    step, ``last_iterations`` and ``last_residual`` hold its Newton count and
-    final scaled residual norm (NaN before the first step).
+    step, converged or failed, ``last_iterations`` and ``last_residual`` hold
+    its Newton count and final scaled residual norm (NaN before the first step).
     """
 
     def __init__(
@@ -211,7 +221,8 @@ class InverseModelStepper:
         outer ``max`` keeps its NaN rule: the first term stands unless a later
         one is greater, so a NaN first term ends the iteration.  An end point
         that does not sum to a finite float raises :class:`NewtonDiverged`,
-        which leaves the state and ``last_residual`` as they were.
+        as the iteration cap does.  A raise leaves the state as it was, and
+        ``last_iterations`` and ``last_residual`` hold the failing step's.
         """
         (p1, p2), (p3, p4), u, _ = self.state
         q1, q2, v1, v2 = p1, p2, p3, p4
@@ -260,6 +271,8 @@ class InverseModelStepper:
             if not norm > tolerance:
                 break
             if iterations >= max_iterations:
+                self.last_iterations = iterations
+                self.last_residual = norm
                 raise NewtonDiverged(t_next, norm, iterations)
             q1, q2, v1, v2, u = (
                 q1 - (a11 * r1 + a12 * r2 + a13 * r3 + a14 * r4 + a15 * r5),
@@ -269,11 +282,11 @@ class InverseModelStepper:
                 u - (a51 * r1 + a52 * r2 + a53 * r3 + a54 * r4 + a55 * r5),
             )
             iterations += 1
+        self.last_iterations = iterations
+        self.last_residual = norm
         c = q1 + q2 + v1 + v2 + u
         if c - c != 0.0:  # a NaN or an infinity, even one the norm passed over
             raise NewtonDiverged(t_next, norm, iterations)
-        self.last_iterations = iterations
-        self.last_residual = norm
         self.state = InverseModelState((q1, q2), (v1, v2), u, t_next)
         return self.state
 
@@ -307,14 +320,7 @@ def solve_feedforward(
     if not 0.0 < horizon < math.inf:
         raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
     stepper = InverseModelStepper(params, spec, dt, opts)
-    steps = horizon / dt
-    if not steps <= MAX_STEPS:
-        raise ValidationError(
-            f"horizon {horizon} s at dt {dt} s is {steps:.3g} steps, more than {MAX_STEPS}"
-        )
-    if abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValidationError(f"horizon {horizon} s is not a whole number of steps of {dt} s")
-    n_steps = round(steps)
+    n_steps = step_count(horizon / dt, f"horizon {horizon} s at dt {dt} s", "steps")
     torques = np.empty(n_steps + 1)
     iterations = np.zeros(n_steps + 1, dtype=int)
     torques[0] = stepper.state.u

@@ -181,13 +181,11 @@ def funnel_margin(trace: "Trace") -> tuple[float, float, float] | None:
     occurs and the peak funnel gain ``psi^2 / (psi^2 - e^2)``, over the ticks
     where the funnel law returned an input; None when it returned none.
 
-    ``psi`` is NaN on the ticks where the law did not run: all of a run
-    without a funnel, and the tick where a Newton step diverged.  On the
-    last tick of a ``funnel_violated`` run the law found the error outside.
+    Those are the ticks where ``u_fb`` is a number: it is NaN throughout a
+    run without a funnel, on the tick where the law found the error outside
+    and on the tick where a Newton step diverged before the law ran.
     """
-    ran = ~np.isnan(trace.psi)
-    if trace.status.kind == "funnel_violated":
-        ran[-1] = False
+    ran = ~np.isnan(trace.u_fb)
     if not ran.any():
         return None
     psi, e = trace.psi[ran], trace.e[ran]

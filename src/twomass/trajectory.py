@@ -68,9 +68,10 @@ class TrajectorySpec:
             )
 
 
-def _polynomial(u: float) -> float:
+def _polynomial(u):
     # Nested evaluation: the coefficients reach 1.6e5 with alternating signs,
-    # so naive monomial summation would lose digits to cancellation.
+    # so naive monomial summation would lose digits to cancellation.  ``u`` is
+    # a float or a float array; each element takes the same operations.
     acc = 0.0
     for c in SMOOTH_STEP_COEFFICIENTS:
         acc = acc * u + c
@@ -106,21 +107,16 @@ def sigma(spec: TrajectorySpec, t: float) -> float:
 def sigma_samples(spec: TrajectorySpec, times: np.ndarray) -> np.ndarray:
     """Vectorized :func:`sigma` over an array of in-window times.
 
-    Same reflection rule as the scalar path, so the two agree bitwise.  The
-    closed loop builds its whole reference column from it (through
-    :func:`y_ref_samples`) once per run.
+    Same reflection rule and polynomial as the scalar path, so the two agree
+    bitwise.  The closed loop builds its whole reference column from it
+    (through :func:`y_ref_samples`) once per run.
     """
     times = np.asarray(times, dtype=float)
     if times.size and (times.min() < spec.t0 or times.max() > spec.tf):
         raise ValueError(f"sigma evaluated outside [{spec.t0}, {spec.tf}]")
     u = (times - spec.t0) / (spec.tf - spec.t0)
     mirrored = u > 0.5
-    u = np.where(mirrored, 1.0 - u, u)
-    acc = np.zeros_like(u)
-    for c in SMOOTH_STEP_COEFFICIENTS:
-        acc = acc * u + c
-    u4 = (u * u) * (u * u)
-    values = acc * u4 * u4
+    values = _polynomial(np.where(mirrored, 1.0 - u, u))
     return np.where(mirrored, 1.0 - values, values)
 
 

@@ -21,7 +21,7 @@ def funnel_gain(y: float, y_ref: float, psi_t: float) -> float:
     """Dimensionless gain ``psi^2 / (psi^2 - e^2)``; >= 1 inside the band."""
     e = y - y_ref
     if abs(e) >= psi_t:
-        raise FunnelViolation(math.nan, e, psi_t)
+        raise FunnelViolation(e, psi_t)
     p2 = psi_t * psi_t
     return p2 / (p2 - e * e)
 

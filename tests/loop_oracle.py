@@ -108,6 +108,9 @@ def run_simulation_per_tick(config) -> Trace:
         cols["y_true"][k] = y_true
         cols["y_ref"][k] = y_ref
         cols["e"][k] = e_k
+        if mode.funnel is not None:  # the width of every recorded tick
+            psi_k = psi(mode.funnel, t_k)
+            cols["psi"][k] = psi_k
         rows = k + 1
 
         t_start = time.perf_counter()
@@ -132,8 +135,6 @@ def run_simulation_per_tick(config) -> Trace:
 
         u_fb = None
         if mode.funnel is not None:
-            psi_k = psi(mode.funnel, t_k)
-            cols["psi"][k] = psi_k
             try:
                 u_fb = funnel_law(y_meas, y_ref, psi_k)
             except FunnelViolation:

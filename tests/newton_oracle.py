@@ -7,7 +7,8 @@ generator and the correction ``z - J^-1 r`` as a tuple over the rows of
 ``_jac_inv``.  The stepper writes the same operations out on five local
 floats in the same order, so states, torques, Newton counts, the last
 residual and the residual of a ``NewtonDiverged`` must equal this oracle's
-bit for bit.
+bit for bit.  A failed step, as a converged one, leaves its count and
+residual in ``last_iterations`` and ``last_residual``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ class TupleStepper(InverseModelStepper):
             if not norm > opts.residual_tolerance:
                 break
             if iterations >= opts.max_iterations:
+                self.last_iterations = iterations
+                self.last_residual = norm
                 raise NewtonDiverged(t_next, norm, iterations)
             # z - J^-1 r, written out: sum() rounds differently across Python versions
             r1, r2, r3, r4, r5 = r
@@ -56,12 +59,12 @@ class TupleStepper(InverseModelStepper):
                 for zi, (a1, a2, a3, a4, a5) in zip(z, self._jac_inv)
             )
             iterations += 1
+        self.last_iterations = iterations
+        self.last_residual = norm
         # a non-finite end point raises, even one the norm passed over; the
         # sum is the stepper's, so an overflowing one raises on both sides
         c = z[0] + z[1] + z[2] + z[3] + z[4]
         if c - c != 0.0:
             raise NewtonDiverged(t_next, norm, iterations)
-        self.last_iterations = iterations
-        self.last_residual = norm
         self.state = InverseModelState((z[0], z[1]), (z[2], z[3]), z[4], t_next)
         return self.state

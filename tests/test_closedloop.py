@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conftest import assert_close
 from funnel_oracle import psi
@@ -551,7 +552,7 @@ class TestLoopOracle:
     @pytest.mark.parametrize("case", ["newton-divergence", "newton-divergence-late"])
     def test_a_diverged_run_reports_its_failing_newton_step(self, case):
         # the residual and count of the step that raised, not of the last
-        # converged one, which the stepper keeps
+        # converged one
         cfg = base_config(**ORACLE_CASES[case])
         trace = run_simulation(cfg)
         newton = cfg.feedforward_source.newton
@@ -575,7 +576,9 @@ class TestLoopOracle:
         assert run("funnel-violation").status.kind == "funnel_violated"
         assert run("funnel-violation-combined-table").status.kind == "funnel_violated"
         diverged = run("newton-divergence-combined")
-        assert diverged.status.kind == "newton_diverged" and math.isnan(diverged.psi[-1])
+        # the law never ran on the failing tick, whose width is recorded all the same
+        assert diverged.status.kind == "newton_diverged" and math.isnan(diverged.u_fb[-1])
+        assert diverged.psi[-1] == psi(FUNNEL_2, diverged.status.at)
         late = run("newton-divergence-late")
         assert late.status.kind == "newton_diverged" and np.all(late.newton_iterations[1:-1] == 1)
         assert len(late.t) > 3
@@ -702,11 +705,13 @@ class TestSharedColumns:
         diverged = run_simulation(
             base_config(label="diverged", **ORACLE_CASES["newton-divergence-combined"]))
         completed = run_simulation(base_config(label="completed"))
-        assert diverged.status.kind == "newton_diverged" and math.isnan(diverged.psi[-1])
-        assert completed.status.completed
+        assert diverged.status.kind == "newton_diverged" and completed.status.completed
+        # the diverged run reads the one shared column, its failing tick included
+        assert np.shares_memory(diverged.psi, completed.psi)
         dt = 1e-3
         fresh = [psi(FUNNEL_2, k * dt) for k in range(len(completed.t))]
         assert np.array_equal(_bits(completed.psi), _bits(fresh))
+        assert np.array_equal(_bits(diverged.psi), _bits(fresh[:len(diverged.t)]))
 
     @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
     def test_reference_keys_are_exact_to_the_bit(self, tmp_path, zeros):
@@ -752,6 +757,71 @@ class TestFunnelInvariant:
             assert inside[:-1].all() and not inside[-1]
             # over the ticks before the violation
             assert funnel_margin(trace)[0] > 0.0
+
+
+# one drawn run of each ending: (funnel, tuning, Newton options, ticks) at 1 kHz
+ENDINGS = {
+    "completed": (FunnelSpec(2.0, 1.0, 0.5), UNIT_TUNING, NewtonOptions(), 300),
+    "funnel_violated": (FunnelSpec(0.0, 0.0, 0.005), None, NewtonOptions(), 300),
+    "newton_diverged": (FUNNEL_2, UNIT_TUNING, NewtonOptions(1, 1e-30), 300),
+}
+
+
+def _ending_run(funnel, tuning, newton, ticks):
+    return run_simulation(base_config(
+        trajectory=TestFunnelInvariant.FAST, mode=ControllerMode(tuning, funnel),
+        feedforward_source=FeedforwardSource(newton=newton), duration=ticks / 1000.0))
+
+
+class TestRunEndings:
+    """Each fact of how a run ended is recorded once, and read from that record."""
+
+    @pytest.mark.parametrize("kind", sorted(ENDINGS))
+    def test_each_ending_is_reached(self, kind):
+        trace = _ending_run(*ENDINGS[kind])
+        assert trace.status.kind == kind
+        # the failing tick is timed like any other
+        assert trace.wall_us[-1] > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        funnel=st.none() | st.builds(FunnelSpec, s=st.floats(0.0, 2.0),
+                                     q_decay=st.floats(0.0, 5.0), c=st.floats(0.005, 1.0)),
+        tuning=st.none() | st.builds(TuningFactors, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+        # a tolerance under rounding level, or one iteration against 1e-30, diverges
+        newton=st.builds(NewtonOptions, max_iterations=st.integers(1, 10),
+                         residual_tolerance=st.sampled_from([1e-10, 1e-30, 1e-300])),
+        ticks=st.integers(1, 300),
+    )
+    @example(*ENDINGS["completed"])
+    @example(*ENDINGS["funnel_violated"])
+    @example(*ENDINGS["newton_diverged"])
+    def test_the_funnel_record_is_u_fb_on_the_shared_width(self, funnel, tuning, newton, ticks):
+        assume(funnel is not None or tuning is not None)
+        trace = _ending_run(funnel, tuning, newton, ticks)
+        ran = np.flatnonzero(~np.isnan(trace.u_fb))
+        if funnel is None:
+            assert len(ran) == 0 and funnel_margin(trace) is None
+            return
+        # the law returned an input on every recorded tick but a failing one
+        rows = len(trace.t)
+        assert ran.tolist() == list(range(rows if trace.status.completed else rows - 1))
+        # funnel_margin reads those ticks and no other: an infinite error elsewhere changes nothing
+        poisoned = dataclasses.replace(trace, e=np.where(np.isnan(trace.u_fb), np.inf, trace.e))
+        assert funnel_margin(poisoned) == funnel_margin(trace)
+        assert funnel_margin(trace)[1] in trace.t[ran]
+        # the width of every tick is the shared column, which no run writes
+        (column,) = _psi_column(funnel, 1e-3, ticks + 1)
+        assert np.shares_memory(trace.psi, column)
+        assert np.array_equal(_bits(trace.psi), _bits(column[:rows]))
+
+    @pytest.mark.parametrize("status, text", [
+        (RunStatus("completed"), "completed"),
+        (RunStatus("funnel_violated", at=11.93), "funnel_violated at t=11.93 s"),
+        (RunStatus("newton_diverged", at=0.1 + 0.2), "newton_diverged at t=0.3 s"),
+    ])
+    def test_a_status_states_its_ending(self, status, text):
+        assert str(status) == text
 
 
 class TestMeasurement:
@@ -862,7 +932,8 @@ class TestSweep:
         (result,) = run_sweep([cfg])
         assert result.trace.status.kind == "funnel_violated"
         assert result.metrics is None
-        assert "funnel_violated" in result.error
+        # the trace's status is the one record of how the run ended
+        assert result.error is None
 
     def test_feedforward_preset_sweep_all_complete(self):
         from twomass.presets import build_preset
@@ -908,7 +979,7 @@ def stored_traces(draw):
     status = draw(st.one_of(
         st.just(RunStatus("completed")),
         st.builds(RunStatus, st.sampled_from(["funnel_violated", "newton_diverged"]),
-                  st.floats(allow_nan=False)),
+                  st.floats(allow_nan=False, allow_infinity=False)),
     ))
     return Trace(status=status, run_config=config_echo(cfg), **columns)
 

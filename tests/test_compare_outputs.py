@@ -1,0 +1,44 @@
+"""``tools/compare_outputs.py``'s comparison of two output directories."""
+
+import importlib.util
+import pathlib
+
+TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+SUMMARY = "run: fb\nstatus: completed\ncontroller wall time per tick [us]: p50={}\nmetrics: x=1\n"
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return str(root)
+
+
+def test_only_the_measured_summary_line_may_differ(tmp_path):
+    same = {"p/fb-trace.csv": "t\n0.0\n", "p/fb-summary.txt": SUMMARY.format(1.5)}
+    parent = _tree(tmp_path / "parent", same)
+    change = _tree(tmp_path / "change", {**same, "p/fb-summary.txt": SUMMARY.format(9.0)})
+    assert compare_outputs.differences(parent, change) == []
+
+
+def test_each_difference_is_named(tmp_path):
+    parent = _tree(tmp_path / "parent", {
+        "p/fb-trace.csv": "t\n0.0\n", "p/fb-summary.txt": SUMMARY.format(1.5), "gone.csv": "",
+    })
+    change = _tree(tmp_path / "change", {
+        "p/fb-trace.csv": "t\n0.5\n", "p/fb-summary.txt": SUMMARY.format(1.5) + "note: x\n",
+        "new.csv": "",
+    })
+    found = compare_outputs.differences(parent, change)
+    assert [entry.split("\n")[0] for entry in found] == [
+        "gone.csv: only in the parent's outputs",
+        "new.csv: only in the change's outputs",
+        "p/fb-summary.txt: differs",
+        "p/fb-trace.csv: differs",
+    ]
+    assert "+note: x" in found[2] and "-0.0" in found[3] and "+0.5" in found[3]

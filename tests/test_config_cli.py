@@ -203,6 +203,17 @@ def dichotomy(tmp_path_factory):
     return out
 
 
+def _trace_with_status(body):
+    # the completed trace above with the status line ``body`` (None: without one)
+    def case(tmp_path):
+        argv, path = _completed_trace_with_runs({})(tmp_path)
+        status = "" if body is None else f"# status: {body}\n"
+        path.write_text(path.read_text().replace("# status: completed\n", status))
+        return argv, path
+
+    return case
+
+
 def _second_of_two_traces(case):
     # ``case``'s file analyzed after a good one: the error names the second file
     def second(tmp_path):
@@ -631,6 +642,11 @@ class TestCli:
          _completed_trace_with_cell("t", ("1e308", "-1e308")),
          _completed_trace_with_cell("t", ("inf",) * 13, row=0),
          _second_of_two_traces(_missing_trace),
+         pytest.param(_trace_with_status("bogus at=11.93"), id="status-of-no-kind"),
+         pytest.param(_trace_with_status("funnel_violated at=1e999"), id="status-at-inf"),
+         pytest.param(_trace_with_status("newton_diverged at=nan"), id="status-at-nan"),
+         pytest.param(_trace_with_status("completed at=1.0"), id="status-completed-at"),
+         pytest.param(_trace_with_status(None), id="status-line-missing"),
          pytest.param(_latin1_config("simulate"), id="latin-1-config-simulate"),
          pytest.param(_latin1_config("feedforward", "--config"), id="latin-1-config-feedforward"),
          pytest.param(_latin1_config("check-plant", "--config"), id="latin-1-config-check-plant")],

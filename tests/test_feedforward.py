@@ -320,6 +320,30 @@ class TestNonFiniteStart:
         assert all(math.isfinite(x) for x in (*state.q, *state.v, state.u))
 
 
+class TestFailedStep:
+    """A step that raises NewtonDiverged keeps the state and records its own count and residual."""
+
+    @pytest.mark.parametrize("start, opts", [
+        # a tolerance under rounding level exhausts the iteration cap
+        (((0.7, 0.69), (6.2, 6.1), 1.0), NewtonOptions(residual_tolerance=1e-300)),
+        # the norm passes over the NaN terms, and the end point is not finite
+        (((0.0, 0.0), (0.0, math.nan), 0.0), NewtonOptions()),
+    ], ids=["iteration-cap", "non-finite-end-point"])
+    def test_last_step_values_are_the_failed_steps(self, rig, reference, start, opts):
+        stepper = InverseModelStepper(rig, reference, 1e-3)
+        stepper.advance(5.0)  # mid-transition: one correction
+        converged = stepper.last_iterations, stepper.last_residual
+        assert converged[0] == 1
+        stepper.opts = opts
+        prev = stepper.state = InverseModelState(*start, 1.0)
+        with pytest.raises(NewtonDiverged) as err:
+            stepper.advance(1.001, 0.0)
+        assert stepper.state is prev
+        assert stepper.last_iterations == err.value.iterations
+        assert stepper.last_residual.hex() == err.value.residual.hex()
+        assert (stepper.last_iterations, stepper.last_residual) != converged
+
+
 class TestHandedReference:
     """``advance(t, y)`` with the run's reference column is ``advance(t)``, bit for bit."""
 

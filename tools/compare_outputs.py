@@ -1,0 +1,125 @@
+"""Compare what two source trees of the package write, file by file.
+
+Usage::
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the ``twomass``
+package (a checkout's ``src``).  For each tree, one Python subprocess with
+only that tree on ``PYTHONPATH`` runs these commands in-process, in a
+temporary directory of its own:
+
+* ``twomass sweep NAME`` for every preset (trace CSVs, summaries, ``metrics.csv``)
+* ``twomass feedforward`` with its defaults (the feedforward table)
+* ``twomass analyze --output`` of the ``table3-fb-sweep-2khz`` traces
+
+Each command's exit code, stdout and stderr go to a ``.out`` file beside its
+outputs.  The two directories are then compared byte for byte, except that a
+summary's ``controller wall time`` line, which is measured, is left out.
+Every difference is printed; the exit code is 0 when there is none, 1 when
+there is one.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+
+# Run by the subprocess in its output directory, with one tree on its path.
+_WRITER = r"""
+import contextlib, glob, io, os, sys
+import twomass
+from twomass import cli, presets
+
+tree = os.path.realpath(sys.argv[1])
+if not os.path.realpath(twomass.__file__).startswith(tree + os.sep):
+    sys.exit(f"imported {twomass.__file__}, not the package under {tree}")
+
+
+def run(name, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    with open(name + ".out", "w", encoding="utf-8") as fh:
+        fh.write(f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+for name in presets.preset_names():
+    run(f"sweep-{name}", ["sweep", name, "--out", name])
+run("feedforward", ["feedforward", "--output", "feedforward-table.csv"])
+traces = sorted(glob.glob(os.path.join("table3-fb-sweep-2khz", "*-trace.csv")))
+run("analyze", ["analyze", *traces, "--output", "analyze-metrics.csv"])
+"""
+
+_MEASURED = b"controller wall time"  # the summary line that differs from run to run
+_SHOWN_LINES = 12  # diff lines printed per file
+
+
+def write_outputs(src: str, out: str) -> None:
+    """Write every compared file of the package under ``src`` into ``out``."""
+    os.makedirs(out)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "TWOMASS_OUT")}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    subprocess.run([sys.executable, "-c", _WRITER, env["PYTHONPATH"]],
+                   cwd=out, env=env, check=True)
+
+
+def _files(root: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(folder, name), root)
+        for folder, _, names in os.walk(root) for name in names
+    }
+
+
+def _content(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if path.endswith("-summary.txt"):
+        lines = data.splitlines(keepends=True)
+        data = b"".join(line for line in lines if not line.startswith(_MEASURED))
+    return data
+
+
+def differences(parent: str, change: str) -> list[str]:
+    """One entry per file that is in one directory only or differs between the two."""
+    found = []
+    parent_files, change_files = _files(parent), _files(change)
+    for name in sorted(parent_files ^ change_files):
+        side = "parent" if name in parent_files else "change"
+        found.append(f"{name}: only in the {side}'s outputs")
+    for name in sorted(parent_files & change_files):
+        old, new = _content(os.path.join(parent, name)), _content(os.path.join(change, name))
+        if old != new:
+            diff = difflib.unified_diff(
+                old.decode("utf-8", "replace").splitlines(),
+                new.decode("utf-8", "replace").splitlines(),
+                "parent", "change", lineterm="", n=0,
+            )
+            shown = list(diff)[2:2 + _SHOWN_LINES]
+            found.append(f"{name}: differs\n" + "\n".join("    " + line for line in shown))
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", help="directory holding the parent's twomass package")
+    parser.add_argument("change_src", help="directory holding the changed twomass package")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as work:
+        parent, change = os.path.join(work, "parent"), os.path.join(work, "change")
+        write_outputs(args.parent_src, parent)
+        write_outputs(args.change_src, change)
+        found = differences(parent, change)
+        compared = len(_files(parent) | _files(change))
+    for entry in found:
+        print(entry)
+    print(f"{compared} files compared, {len(found)} differ")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
