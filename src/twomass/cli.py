@@ -7,8 +7,9 @@ stability verdict).
 
 The output directory can also come from the environment (``TWOMASS_OUT``).
 All outputs are plain CSV with ``#``-prefixed header comments; every file
-embeds its resolved configuration.  Sweeps run serially.  A bad file, config
-or output path exits 2 with one ``error:`` line.
+embeds its resolved configuration.  A sweep writes each run's files, and prints
+its outcome, before the next run starts; ``metrics.csv`` comes last.  A bad
+file, config or output path exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -52,10 +53,7 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
                 f"{trace.plant_events} event ticks of {len(trace.t) - 1}"
             )
         if status.kind == "funnel_violated":
-            lines.append(
-                f"funnel: violated at t={status.at:.6g} s, "
-                f"e={trace.e[-1]:.6g} psi={trace.psi[-1]:.6g}"
-            )
+            lines.append(f"funnel: violated, e={trace.e[-1]:.6g} psi={trace.psi[-1]:.6g}")
         else:
             funnel = metrics_mod.funnel_margin(trace)
             if funnel is not None:
@@ -68,12 +66,8 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
             # only the online inverse model fills the column, and it reports the residual
             line = f"newton iterations per tick: max={int(iters.max())} mean={iters.mean():.3f}"
             if status.kind == "newton_diverged":
-                lines.append(line)
-                lines.append(
-                    f"newton: diverged at t={status.at:.6g} s after "
-                    f"{trace.newton_last_iterations} iterations, "
-                    f"residual={trace.newton_last_residual:.6g}"
-                )
+                lines += [line, f"newton: diverged after {trace.newton_last_iterations} "
+                                f"iterations, residual={trace.newton_last_residual:.6g}"]
             else:
                 lines.append(f"{line} last residual={trace.newton_last_residual:.6g}")
         if trace.wall_us is not None and len(trace.wall_us):
@@ -95,41 +89,6 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _emit_results(results, out: str, use_true_output: bool) -> list[str]:
-    rows = []
-    config_lines = []
-    for result in results:
-        cfg = result.config
-        if result.trace is not None:
-            closedloop.write_trace_csv(result.trace, os.path.join(out, f"{cfg.label}-trace.csv"))
-            if use_true_output and result.trace.status.completed:
-                result.metrics = metrics_mod.report(result.trace, cfg.trajectory, use_true_output=True)
-        _write_summary(os.path.join(out, f"{cfg.label}-summary.txt"), result)
-        rows.append(
-            metrics_mod.metrics_csv_row(
-                cfg.label, cfg.mode.name, cfg.control_frequency, result.metrics
-            )
-        )
-        echo = csvfile.format_echo(closedloop.config_echo(cfg))
-        config_lines.append(f"{cfg.label}: {echo}")
-    metrics_mod.write_metrics_csv(rows, os.path.join(out, "metrics.csv"), config_lines)
-    return rows
-
-
-def _report_outcomes(results, allow_failures: bool) -> int:
-    code = EXIT_OK
-    for result in results:
-        label = result.config.label
-        if result.trace is None:
-            print(f"{label}: error: {result.error}", file=sys.stderr)
-            code = EXIT_CONFIG
-        else:
-            print(f"{label}: {result.trace.status}")
-            if not (result.trace.status.completed or allow_failures) and code == EXIT_OK:
-                code = EXIT_RUN_FAILED
-    return code
-
-
 def _cmd_run(args) -> int:
     """``simulate`` one config file, or ``sweep`` a preset or a config file."""
     loaded = load_config(args.experiment)
@@ -137,13 +96,29 @@ def _cmd_run(args) -> int:
         if args.command == "simulate":
             print(f"{args.experiment} names a preset; use the sweep command", file=sys.stderr)
             return EXIT_CONFIG
-        configs = list(loaded.configs)
+        configs = loaded.configs
     else:
         configs = [loaded]
     out = _out_dir(args)
-    results = closedloop.run_sweep(configs)
-    _emit_results(results, out, args.metrics_on_true)
-    return _report_outcomes(results, args.allow_failures)
+    code = EXIT_OK
+    rows, config_lines = [], []
+    for cfg in configs:
+        result = closedloop.run_one(cfg, args.metrics_on_true)
+        if result.trace is not None:
+            closedloop.write_trace_csv(result.trace, os.path.join(out, f"{cfg.label}-trace.csv"))
+        _write_summary(os.path.join(out, f"{cfg.label}-summary.txt"), result)
+        rows.append(metrics_mod.metrics_csv_row(
+            cfg.label, cfg.mode.name, cfg.control_frequency, result.metrics))
+        config_lines.append(f"{cfg.label}: {csvfile.format_echo(closedloop.config_echo(cfg))}")
+        if result.trace is None:
+            print(f"{cfg.label}: error: {result.error}", file=sys.stderr)
+            code = EXIT_CONFIG
+        else:
+            print(f"{cfg.label}: {result.trace.status}")
+            if not (result.trace.status.completed or args.allow_failures) and code == EXIT_OK:
+                code = EXIT_RUN_FAILED
+    metrics_mod.write_metrics_csv(rows, os.path.join(out, "metrics.csv"), config_lines)
+    return code
 
 
 def _cmd_feedforward(args) -> int:
@@ -175,7 +150,7 @@ def _cmd_analyze(args) -> int:
         trace = closedloop.read_trace_csv(path)
         cfg = config_from_echo(trace.run_config, path)
         if not trace.status.completed:
-            print(f"{cfg.label}: run ended {trace.status.kind}; no metrics", file=sys.stderr)
+            print(f"{cfg.label}: {trace.status}; no metrics", file=sys.stderr)
             code = EXIT_RUN_FAILED
             continue
         try:

@@ -49,6 +49,7 @@ __all__ = [
     "Trace",
     "SweepResult",
     "run_simulation",
+    "run_one",
     "run_sweep",
     "CONFIG_FIELDS",
     "ConfigField",
@@ -614,7 +615,9 @@ def _tuned_column(table: FeedforwardTable, tuning: TuningFactors, n_rows: int):
     return column
 
 
-def _run_one(config: SimulationConfig) -> SweepResult:
+def run_one(config: SimulationConfig, use_true_output: bool = False) -> SweepResult:
+    """Run one config and compute a completed run's metrics once, on the measured or
+    (``use_true_output``) the true output; a config or metrics error lands in ``error``."""
     try:
         trace = run_simulation(config)
     except (ValidationError, ValueError) as err:
@@ -622,21 +625,21 @@ def _run_one(config: SimulationConfig) -> SweepResult:
     result = SweepResult(config=config, trace=trace)
     if trace.status.completed:
         try:
-            result.metrics = metrics_mod.report(trace, config.trajectory)
+            result.metrics = metrics_mod.report(trace, config.trajectory, use_true_output)
         except (ValidationError, ValueError) as err:
             result.error = str(err)
     return result
 
 
 def run_sweep(configs, workers: int = 1) -> list[SweepResult]:
-    """Run a batch of configs in order; per-config failures land in that entry only.
+    """:func:`run_one` of each config in order, into a list that holds every trace.
 
     Runs are serial: the work is pure Python that holds the interpreter lock,
     so a thread pool made sweeps slower.  ``workers`` must be 1.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1 (sweeps run serially), got {workers}")
-    return [_run_one(cfg) for cfg in configs]
+    return [run_one(cfg) for cfg in configs]
 
 
 _FAILURES = ("funnel_violated", "newton_diverged")  # the kinds of RunStatus but completed
@@ -668,13 +671,13 @@ def write_trace_csv(trace: Trace, path) -> None:
 def read_trace_csv(path) -> Trace:
     """Load a trace written by :func:`write_trace_csv` (tick series only)."""
     header, data = csvfile.read(path, "trace", _TRACE_COLUMNS, _READ_MEMO_COLUMNS)
-    body = header.get("status")  # "completed", or a failure and its finite tick time
-    kind, _, at = (body or "").partition(" at=")
+    body = header.get("status")  # "completed", or a failure and the repr of its finite time
+    kind, _, text = (body or "").partition(" at=")
     try:
-        at = None if body == "completed" else float(at)
+        at = None if body == "completed" else float(text)
     except ValueError:
         at = math.nan
-    if body != "completed" and not (kind in _FAILURES and math.isfinite(at)):
+    if body != "completed" and not (kind in _FAILURES and math.isfinite(at) and repr(at) == text):
         problem = "no status line" if body is None else f"malformed status line {body!r}"
         raise ParseError(f"{path}: {problem}")
     columns = {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}

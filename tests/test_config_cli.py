@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import twomass
 from conftest import NOT_UTF8
+from twomass import cli, metrics
 from twomass.cli import main
 from twomass.closedloop import (
     CONFIG_FIELDS,
@@ -442,6 +444,45 @@ class TestCli:
         assert (run, mode, len(cells)) == ("demo", "combined", 5)
         assert all(math.isfinite(float(cell)) for cell in cells)
 
+    @pytest.mark.parametrize("flags", [[], ["--metrics-on-true"]])
+    def test_metrics_are_computed_once_on_the_chosen_output(self, tmp_path, monkeypatch, flags):
+        # duration 0.5 s < tf + 5: the one computation raises, and the run
+        # still completes, with a note and an empty row
+        calls = []
+        report = metrics.report
+
+        def counted(trace, spec, use_true_output=False):
+            calls.append(use_true_output)
+            return report(trace, spec, use_true_output)
+
+        monkeypatch.setattr(metrics, "report", counted)
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path)), "--out", str(out), *flags]) == 0
+        assert calls == [bool(flags)]
+        summary = (out / "demo-summary.txt").read_text().splitlines()
+        assert summary[-1].startswith("note: window [0.0, 10.0] not covered ")
+        assert (out / "metrics.csv").read_text().splitlines()[-1] == "demo,combined,1000.0,,,,"
+
+    def test_a_sweep_holds_one_run_at_a_time(self, tmp_path, monkeypatch):
+        # doubling a sweep from N to 2N runs raises its peak by less than two
+        # of a run's float columns: each trace goes before the next run starts
+        text = FEEDBACK_CONFIG.replace("duration = 0.5", "duration = 2.0")
+        cfg = load_config_file(write_config(tmp_path, text))
+        n_ticks = round(cfg.duration * cfg.control_frequency) + 1
+
+        def peak(n):
+            runs = tuple(dataclasses.replace(cfg, label=f"run-{i}") for i in range(n))
+            monkeypatch.setattr(cli, "load_config", lambda name: ExperimentPreset(name, runs))
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "copies", "--out", str(tmp_path / f"out-{n}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # fills the package's memos
+        assert peak(6) - peak(3) < 2 * 8 * n_ticks
+
     def test_summary_counts_stuck_and_event_ticks(self, tmp_path):
         # 0.5 s at 1 kHz: 501 ticks, the plant steps after the first 500; the
         # counts are the run's own, and its start from rest is an event
@@ -476,12 +517,14 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", str(cfg_path), "--out", str(out), "--allow-failures"]) == 0
         text = (out / "demo-summary.txt").read_text()
-        line = r"^newton: diverged at t=(\S+) s after (\d+) iterations, residual=(\S+)$"
+        line = r"^newton: diverged after (\d+) iterations, residual=(\S+)$"
         (found,) = re.findall(line, text, re.MULTILINE)
         trace = run_simulation(load_config_file(str(cfg_path)))
         assert trace.status.kind == "newton_diverged"
-        assert found == (f"{trace.status.at:.6g}", "1", f"{trace.newton_last_residual:.6g}")
-        assert float(found[2]) > float(tolerance)
+        assert found == ("1", f"{trace.newton_last_residual:.6g}")
+        assert float(found[1]) > float(tolerance)
+        # the time of the ending is stated on the status line only
+        assert re.findall(r"^status: .*$", text, re.MULTILINE) == [f"status: {trace.status}"]
         assert "last residual=" not in text
 
     def test_summary_states_the_funnel_margin_or_the_violation(self, dichotomy):
@@ -494,9 +537,13 @@ class TestCli:
         violated = read_trace_csv(dichotomy / "fb-6-1khz-trace.csv")
         assert violated.status.kind == "funnel_violated"
         assert found["fb-6-1khz"] == (
-            f"funnel: violated at t={violated.status.at:.6g} s, "
-            f"e={violated.e[-1]:.6g} psi={violated.psi[-1]:.6g}")
-        assert found["fb-6-1khz"] == "funnel: violated at t=11.93 s, e=-0.493938 psi=0.439518"
+            f"funnel: violated, e={violated.e[-1]:.6g} psi={violated.psi[-1]:.6g}")
+        assert found["fb-6-1khz"] == "funnel: violated, e=-0.493938 psi=0.439518"
+        # the time of the ending is stated once, on the status line
+        text = (dichotomy / "fb-6-1khz-summary.txt").read_text()
+        assert re.findall(r"^status: .*$", text, re.MULTILINE) == [
+            "status: funnel_violated at t=11.93 s"]
+        assert text.count(" at t=") == 1
         completed = read_trace_csv(dichotomy / "combined-5-6-1khz-trace.csv")
         margins = completed.psi - np.abs(completed.e)
         k = int(np.argmin(margins))
@@ -545,7 +592,7 @@ class TestCli:
                   for label in ("fb-6-1khz", "combined-5-6-1khz")]
         assert main(["analyze", *traces, "--output", str(tmp_path / "re.csv")]) == 1
         printed = capsys.readouterr()
-        assert printed.err == "fb-6-1khz: run ended funnel_violated; no metrics\n"
+        assert printed.err == "fb-6-1khz: funnel_violated at t=11.93 s; no metrics\n"
         swept = (dichotomy / "metrics.csv").read_text().splitlines()
         completed = [line for line in swept
                      if not line.startswith(("# config fb-6-1khz:", "fb-6-1khz,"))]
@@ -646,6 +693,11 @@ class TestCli:
          pytest.param(_trace_with_status("funnel_violated at=1e999"), id="status-at-inf"),
          pytest.param(_trace_with_status("newton_diverged at=nan"), id="status-at-nan"),
          pytest.param(_trace_with_status("completed at=1.0"), id="status-completed-at"),
+         # times that float() reads but repr() never writes
+         pytest.param(_trace_with_status("funnel_violated at=1_0"), id="status-at-underscore"),
+         pytest.param(_trace_with_status("funnel_violated at= 11.93"), id="status-at-space"),
+         pytest.param(_trace_with_status("funnel_violated at=11.930"), id="status-at-zero-padded"),
+         pytest.param(_trace_with_status("funnel_violated at=+11.93"), id="status-at-plus"),
          pytest.param(_trace_with_status(None), id="status-line-missing"),
          pytest.param(_latin1_config("simulate"), id="latin-1-config-simulate"),
          pytest.param(_latin1_config("feedforward", "--config"), id="latin-1-config-feedforward"),

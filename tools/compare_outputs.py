@@ -10,6 +10,7 @@ only that tree on ``PYTHONPATH`` runs these commands in-process, in a
 temporary directory of its own:
 
 * ``twomass sweep NAME`` for every preset (trace CSVs, summaries, ``metrics.csv``)
+* ``twomass sweep table2-ffw-sweep --metrics-on-true`` (metrics on the true output)
 * ``twomass feedforward`` with its defaults (the feedforward table)
 * ``twomass analyze --output`` of the ``table3-fb-sweep-2khz`` traces
 
@@ -50,6 +51,7 @@ def run(name, argv):
 
 for name in presets.preset_names():
     run(f"sweep-{name}", ["sweep", name, "--out", name])
+run("true-metrics", ["sweep", "table2-ffw-sweep", "--metrics-on-true", "--out", "true-metrics"])
 run("feedforward", ["feedforward", "--output", "feedforward-table.csv"])
 traces = sorted(glob.glob(os.path.join("table3-fb-sweep-2khz", "*-trace.csv")))
 run("analyze", ["analyze", *traces, "--output", "analyze-metrics.csv"])
