@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import closedloop, csvfile, metrics as metrics_mod, presets
-from .config import config_from_echo, load_config, load_config_file
+from .config import config_from_echo, load_config_file
 from .errors import NewtonDiverged, ParseError, ValidationError, WindowOutOfRange
 from .feedforward import NewtonOptions, solve_feedforward, write_table_csv
 from .plant import check_minimum_phase, reduced_realization
@@ -45,13 +45,10 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
         lines.append(f"error: {result.error}")
     else:
         status = trace.status
-        lines += [f"status: {status}", f"ticks: {len(trace.t)}"]
-        if trace.plant_stuck_ticks is not None:
-            # the plant steps after every tick but the last recorded one
-            lines.append(
-                f"plant: {trace.plant_stuck_ticks} stuck ticks, "
-                f"{trace.plant_events} event ticks of {len(trace.t) - 1}"
-            )
+        # the plant steps after every tick but the last recorded one
+        lines += [f"status: {status}", f"ticks: {len(trace.t)}",
+                  f"plant: {trace.plant_stuck_ticks} stuck ticks, "
+                  f"{trace.plant_events} event ticks of {len(trace.t) - 1}"]
         if status.kind == "funnel_violated":
             lines.append(f"funnel: violated, e={trace.e[-1]:.6g} psi={trace.psi[-1]:.6g}")
         else:
@@ -70,13 +67,12 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
                                 f"iterations, residual={trace.newton_last_residual:.6g}"]
             else:
                 lines.append(f"{line} last residual={trace.newton_last_residual:.6g}")
-        if trace.wall_us is not None and len(trace.wall_us):
-            p50, p90, p99 = np.percentile(trace.wall_us, [50, 90, 99])
-            budget = 1e6 / result.config.control_frequency  # one control tick
-            lines.append(
-                f"controller wall time per tick [us]: budget={budget:.1f} "
-                f"p50={p50:.1f} p90={p90:.1f} p99={p99:.1f} max={trace.wall_us.max():.1f}"
-            )
+        p50, p90, p99 = np.percentile(trace.wall_us, [50, 90, 99])
+        budget = 1e6 / result.config.control_frequency  # one control tick
+        lines.append(
+            f"controller wall time per tick [us]: budget={budget:.1f} "
+            f"p50={p50:.1f} p90={p90:.1f} p99={p99:.1f} max={trace.wall_us.max():.1f}"
+        )
         if result.metrics is not None:
             rep = result.metrics
             lines.append(
@@ -91,14 +87,17 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
 
 def _cmd_run(args) -> int:
     """``simulate`` one config file, or ``sweep`` a preset or a config file."""
-    loaded = load_config(args.experiment)
-    if isinstance(loaded, presets.ExperimentPreset):
+    name = args.experiment
+    if name in presets.preset_names():
         if args.command == "simulate":
-            print(f"{args.experiment} names a preset; use the sweep command", file=sys.stderr)
+            print(f"{name} names a preset; use the sweep command", file=sys.stderr)
             return EXIT_CONFIG
-        configs = loaded.configs
+        configs = presets.build_preset(name).configs
+    elif os.path.exists(name):
+        configs = [load_config_file(name)]
     else:
-        configs = [loaded]
+        raise ParseError(f"{name!r} is neither a config file nor a preset "
+                         f"(presets: {', '.join(presets.preset_names())})")
     out = _out_dir(args)
     code = EXIT_OK
     rows, config_lines = [], []
@@ -148,12 +147,12 @@ def _cmd_analyze(args) -> int:
     rows, config_lines = [], []
     for path in args.trace:
         trace = closedloop.read_trace_csv(path)
-        cfg = config_from_echo(trace.run_config, path)
-        if not trace.status.completed:
-            print(f"{cfg.label}: {trace.status}; no metrics", file=sys.stderr)
-            code = EXIT_RUN_FAILED
-            continue
-        try:
+        try:  # an echo that is not a valid config, or metrics that cannot be computed
+            cfg = config_from_echo(trace.run_config, path)
+            if not trace.status.completed:
+                print(f"{cfg.label}: {trace.status}; no metrics", file=sys.stderr)
+                code = EXIT_RUN_FAILED
+                continue
             rep = metrics_mod.report(trace, cfg.trajectory, use_true_output=args.metrics_on_true)
         except (WindowOutOfRange, ValidationError) as err:
             raise ValidationError(f"{path}: {err}") from None

@@ -164,7 +164,7 @@ class SimulationConfig:
     u_max: float | None = None
     initial_state: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # the label names output files and sits in |-joined headers, CSV rows
         # and the metrics header's "config LABEL: " keys
         if not self.label or any(ch in "|,/\\:\n\r" for ch in self.label):
@@ -268,13 +268,6 @@ class SweepResult:
     trace: Trace | None = None
     metrics: "metrics_mod.MetricsReport | None" = None
     error: str | None = None
-
-
-def _quanta_overflow(quantum: float, angle: float) -> ValidationError:
-    return ValidationError(
-        f"angle_quantum {quantum!r} is too fine for the angle {angle!r} rad: "
-        "the count of quanta overflows"
-    )
 
 
 class FieldKind(NamedTuple):
@@ -407,7 +400,6 @@ def run_simulation(config: SimulationConfig) -> Trace:
     float64 columns through memoryviews, never into a shared one; ``e`` is
     one subtraction after it.  A failing tick ends the loop, timed as any other.
     """
-    config.validate()
     tuning, funnel, u_max = config.mode.tuning, config.mode.funnel, config.u_max
     dt = 1.0 / config.control_frequency
     n_ticks = config.n_ticks
@@ -470,7 +462,10 @@ def run_simulation(config: SimulationConfig) -> Trace:
                 try:
                     angle = floor(q1 / quantum) * quantum
                 except OverflowError:
-                    raise _quanta_overflow(quantum, q1) from None
+                    raise ValidationError(
+                        f"angle_quantum {quantum!r} is too fine for the angle {q1!r} rad: "
+                        "the count of quanta overflows"
+                    ) from None
             if k:
                 filtered += alpha * ((angle - angle_prev) / dt - filtered)
             angle_prev = angle
@@ -617,16 +612,16 @@ def _tuned_column(table: FeedforwardTable, tuning: TuningFactors, n_rows: int):
 
 def run_one(config: SimulationConfig, use_true_output: bool = False) -> SweepResult:
     """Run one config and compute a completed run's metrics once, on the measured or
-    (``use_true_output``) the true output; a config or metrics error lands in ``error``."""
+    (``use_true_output``) the true output; a run-time or metrics error lands in ``error``."""
     try:
         trace = run_simulation(config)
-    except (ValidationError, ValueError) as err:
+    except ValueError as err:
         return SweepResult(config=config, error=str(err))
     result = SweepResult(config=config, trace=trace)
     if trace.status.completed:
         try:
             result.metrics = metrics_mod.report(trace, config.trajectory, use_true_output)
-        except (ValidationError, ValueError) as err:
+        except ValueError as err:
             result.error = str(err)
     return result
 

@@ -24,10 +24,9 @@ from .errors import ParseError
 from .feedback import FunnelSpec
 from .feedforward import NewtonOptions, TuningFactors, read_table_csv
 from .plant import FrictionModel, OscillatorParams
-from .presets import ExperimentPreset, build_preset, preset_names
 from .trajectory import TrajectorySpec
 
-__all__ = ["load_config", "load_config_file", "config_from_echo"]
+__all__ = ["load_config_file", "config_from_echo"]
 
 # the class of each attribute that a config path passes through
 _CLASSES = {
@@ -88,7 +87,7 @@ def _make(cls, node: dict):
 
 
 def load_config_file(path) -> SimulationConfig:
-    """Parse and fully validate one simulation config file."""
+    """Parse one simulation config file into its config."""
     path = os.fspath(path)
     # values are literal: no %-interpolation, so "%" is an ordinary character
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
@@ -123,9 +122,7 @@ def load_config_file(path) -> SimulationConfig:
     if table is not None:  # the one value in another file, named relative to this one
         table = read_table_csv(os.path.join(os.path.dirname(path), table))
         values["feedforward_source.table"] = table
-    config = _build(values)
-    config.validate()
-    return config
+    return _build(values)
 
 
 def config_from_echo(echo: dict, where) -> SimulationConfig:
@@ -133,20 +130,9 @@ def config_from_echo(echo: dict, where) -> SimulationConfig:
 
     The echo holds neither a feedforward table's samples (``feedforward.source``
     only says that a table was used) nor ``plant_substeps``: both read back as
-    their defaults.  ``where`` names the file in error messages.
+    their defaults.  ``where`` names the file in parse errors; an echo that
+    breaks an invariant raises the config's own :class:`ValidationError`.
     """
     rows = [row for row in CONFIG_FIELDS if row.echo]
     return _build(_read(rows, lambda row: echo.get(row.name), where))
 
-
-def load_config(path_or_preset) -> SimulationConfig | ExperimentPreset:
-    """Resolve a built-in preset name, or load and validate a config file."""
-    name = os.fspath(path_or_preset)
-    if name in preset_names():
-        return build_preset(name)
-    if not os.path.exists(name):
-        raise ParseError(
-            f"{name!r} is neither a config file nor a preset "
-            f"(presets: {', '.join(preset_names())})"
-        )
-    return load_config_file(name)

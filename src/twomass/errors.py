@@ -16,14 +16,13 @@ class InconsistentStart(ValidationError):
 class NewtonDiverged(RuntimeError):
     """Newton iteration failed to reach the residual tolerance within the cap.
 
-    Carries enough context to locate the failing step of a feedforward solve.
+    ``time`` is the grid time of the failing step.
     """
 
-    def __init__(self, time: float, residual: float, iterations: int, step_index: int = -1):
+    def __init__(self, time: float, residual: float, iterations: int):
         self.time = time
         self.residual = residual
         self.iterations = iterations
-        self.step_index = step_index
         super().__init__(
             f"Newton did not converge at t={time:.6g} s "
             f"(scaled residual {residual:.3e} after {iterations} iterations)"

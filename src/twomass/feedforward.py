@@ -158,11 +158,6 @@ def step_count(steps: float, span: str, unit: str) -> int:
     return round(steps)
 
 
-def _validate_nominal(params: OscillatorParams) -> None:
-    if not params.friction.is_none:
-        raise ValidationError("inverse model requires the frictionless nominal rig")
-
-
 class InverseModelStepper:
     """Marches the servo-constrained inverse model on a fixed grid.
 
@@ -179,7 +174,6 @@ class InverseModelStepper:
         dt: float,
         opts: NewtonOptions = NewtonOptions(),
     ):
-        _validate_nominal(params)
         if not 0.0 < dt < math.inf:
             raise ValidationError(f"dt must be finite and > 0, got {dt}")
         self.params = params
@@ -298,7 +292,8 @@ def consistent_initialization(params: OscillatorParams, spec: TrajectorySpec) ->
     initial torque covers the initial reference acceleration of flywheel 1.
     For a rest-to-rest reference this is the all-zero state with zero torque.
     """
-    _validate_nominal(params)
+    if not params.friction.is_none:
+        raise ValidationError("inverse model requires the frictionless nominal rig")
     y_start = trajectory.y_ref_at(spec, 0.0)
     rate_start = trajectory.y_ref_derivative(spec, 0.0)
     u_start = params.I1 * rate_start
@@ -325,11 +320,7 @@ def solve_feedforward(
     iterations = np.zeros(n_steps + 1, dtype=int)
     torques[0] = stepper.state.u
     for i in range(1, n_steps + 1):
-        try:
-            state = stepper.advance(i * dt)
-        except NewtonDiverged as err:
-            err.step_index = i
-            raise
+        state = stepper.advance(i * dt)
         torques[i] = state.u
         iterations[i] = stepper.last_iterations
     times = np.arange(n_steps + 1) * dt

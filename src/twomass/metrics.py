@@ -50,7 +50,6 @@ class MetricsReport:
     e_sum_t: float
     var_u_s: float
     e_sum_s: float
-    windows: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
         for name in ("u_sum_t", "e_sum_t", "var_u_s", "e_sum_s"):
@@ -172,7 +171,6 @@ def report(trace: "Trace", spec: TrajectorySpec, use_true_output: bool = False) 
         e_sum_t=_window_metric(_square_integral, t, dt, err, transient),
         var_u_s=_window_metric(_variance, t, dt, trace.u, stationary),
         e_sum_s=_window_metric(_square_integral, t, dt, err, stationary),
-        windows=(transient, stationary),
     )
 
 

@@ -63,7 +63,6 @@ class PerTickSensor:
 
 def run_simulation_per_tick(config) -> Trace:
     """One sampled-data run, every column computed and stored per tick."""
-    config.validate()
     mode = config.mode
     traj = config.trajectory
     dt = 1.0 / config.control_frequency

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import twomass
 from conftest import NOT_UTF8
-from twomass import cli, metrics
+from twomass import metrics, presets
 from twomass.cli import main
 from twomass.closedloop import (
     CONFIG_FIELDS,
@@ -32,12 +32,12 @@ from twomass.closedloop import (
     read_trace_csv,
     run_simulation,
 )
-from twomass.config import config_from_echo, load_config, load_config_file
+from twomass.config import config_from_echo, load_config_file
 from twomass.csvfile import format_echo, parse_echo
 from twomass.errors import ParseError, ValidationError
 from twomass.feedback import FunnelSpec
 from twomass.feedforward import FeedforwardTable, NewtonOptions, TuningFactors, read_table_csv
-from twomass.plant import FrictionModel, OscillatorParams
+from twomass.plant import FrictionModel, OscillatorParams, rate_bound
 from twomass.presets import ExperimentPreset, build_preset, preset_names
 from twomass.trajectory import TrajectorySpec
 
@@ -154,17 +154,9 @@ def _latin1_config(*command):
 
 
 def _trace_with_echo(key, value):
-    # a trace whose config header holds ``key=value`` (None: lacks the key)
-    def case(tmp_path):
-        echo = config_echo(load_config_file(write_config(tmp_path)))
-        echo[key] = value
-        echo = {k: v for k, v in echo.items() if v is not None}
-        path = tmp_path / "trace.csv"
-        path.write_text(f"# twomass trace\n# config: {format_echo(echo)}\n"
-                        "# status: completed\n" + TRACE_COLUMNS)
-        return ["analyze", str(path)], path
-
-    return case
+    # the completed trace below, with no hostile cell, whose config header holds
+    # ``key=value`` (None: lacks the key)
+    return _completed_trace_with_runs({}, {key: value})
 
 
 def _completed_trace_with_cell(column, cell, row=1):
@@ -174,11 +166,14 @@ def _completed_trace_with_cell(column, cell, row=1):
     return _completed_trace_with_runs({column: (row, (cell,) if isinstance(cell, str) else cell)})
 
 
-def _completed_trace_with_runs(runs):
-    # the trace above, where ``runs`` maps a column to ``(row, cells)``
+def _completed_trace_with_runs(runs, echo_edits=None):
+    # the trace above, where ``runs`` maps a column to ``(row, cells)`` and
+    # ``echo_edits`` a config key to its text in the header
     def case(tmp_path):
         echo = config_echo(load_config_file(write_config(tmp_path)))
         echo["trajectory.tf"] = "1.0"
+        echo.update(echo_edits or {})
+        echo = {k: v for k, v in echo.items() if v is not None}
         names = TRACE_COLUMNS.strip().split(",")
         rows = []
         for i in range(13):
@@ -320,13 +315,17 @@ class TestLoadConfig:
         assert cfg.feedforward_source.table.dt == 1e-3
 
     def test_preset_name_resolves(self):
-        loaded = load_config("table2-ffw-sweep")
+        loaded = build_preset("table2-ffw-sweep")
         assert isinstance(loaded, ExperimentPreset)
         assert len(loaded.configs) == 5
 
-    def test_unknown_path_or_preset(self):
-        with pytest.raises(ParseError):
-            load_config("no-such-thing.ini")
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unknown_path_or_preset(self, tmp_path, capsys, command):
+        assert main([command, "no-such-thing.ini", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'no-such-thing.ini' is neither a config file nor a preset "
+                              f"(presets: {', '.join(preset_names())})")
+        assert err.count("\n") == 1
 
 
 # Each preset's configs in order: label, seed and the first 16 hex digits of
@@ -472,7 +471,7 @@ class TestCli:
 
         def peak(n):
             runs = tuple(dataclasses.replace(cfg, label=f"run-{i}") for i in range(n))
-            monkeypatch.setattr(cli, "load_config", lambda name: ExperimentPreset(name, runs))
+            monkeypatch.setitem(presets._REGISTRY, "copies", lambda: runs)
             tracemalloc.start()
             try:
                 assert main(["sweep", "copies", "--out", str(tmp_path / f"out-{n}")]) == 0
@@ -680,6 +679,11 @@ class TestCli:
          _trace_with_echo("simulation.control_frequency", "fast"),
          _trace_with_echo("simulation.mode", "both"),
          _trace_with_echo("trajectory.y0", None),
+         # parsed, but not a valid config
+         pytest.param(_trace_with_echo("simulation.label", "a,b"), id="echo-label-with-comma"),
+         pytest.param(_trace_with_echo("simulation.control_frequency", "-3.0"),
+                      id="echo-negative-frequency"),
+         pytest.param(_trace_with_echo("funnel.c", "-1.0"), id="echo-negative-funnel-offset"),
          _completed_trace_with_cell("t", "0.75"), _completed_trace_with_cell("u", "inf"),
          # at tf = 1 s, the end of one window and the start of the next
          _completed_trace_with_cell("u", "inf", row=2),
@@ -989,7 +993,10 @@ modes = st.one_of(
     st.builds(ControllerMode.combined, st.builds(TuningFactors, finite, finite), funnels),
 )
 newton_options = st.builds(NewtonOptions, st.integers(1, 10**6), positive)
-true_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative,
+# moderate inertias, stiffness and damping, so that some control tick holds the
+# twist mode in at most 1000 series pieces
+true_plants = st.builds(OscillatorParams, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+                        st.floats(0.0, 1e3), st.floats(0.0, 1e3),
                         st.builds(FrictionModel, non_negative))
 nominal_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative)
 trajectories = st.builds(lambda y0, yf, ts: TrajectorySpec(y0, yf, *sorted(ts)), finite, finite,
@@ -1003,14 +1010,17 @@ def configs(draw):
     source = FeedforwardSource()  # a feedback-only run has no Newton options to echo
     if mode.tuning is not None:
         source = FeedforwardSource(newton=draw(newton_options))
+    true_params = draw(true_plants)
+    # a tick of at most 999 series pieces, and a run of a whole number of ticks
+    frequency = draw(st.floats(max(rate_bound(true_params) / 999.0, 1e-300), 1e300))
     return SimulationConfig(
         label=draw(labels),
-        true_params=draw(true_plants),
+        true_params=true_params,
         nominal_params=draw(nominal_plants),
         trajectory=draw(trajectories),
         mode=mode,
-        control_frequency=draw(positive),
-        duration=draw(positive),
+        control_frequency=frequency,
+        duration=draw(st.integers(1, 10**6)) / frequency,
         plant_substeps=draw(st.integers(1, 100)),
         measurement=draw(st.builds(MeasurementModel, non_negative, non_negative, non_negative)),
         feedforward_source=source,
@@ -1070,8 +1080,9 @@ class TestFieldTable:
         assert not echoed & NOT_ECHOED
 
     def test_table_source_is_echoed_as_table(self):
-        table = FeedforwardTable(dt=1e-3, t=np.arange(3) * 1e-3, u=np.zeros(3))
-        cfg = load_config("table2-ffw-sweep").configs[0]
+        cfg = build_preset("table2-ffw-sweep").configs[0]
+        n = cfg.n_ticks + 1  # a table long enough for the run, on its tick grid
+        table = FeedforwardTable(dt=1e-3, t=np.arange(n) * 1e-3, u=np.zeros(n))
         cfg = dataclasses.replace(cfg, feedforward_source=FeedforwardSource(table=table))
         echo = config_echo(cfg)
         assert echo["feedforward.source"] == "table"

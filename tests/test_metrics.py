@@ -211,11 +211,6 @@ class TestReport:
         assert rep.var_u_s == 0.0
         assert rep.e_sum_t == 0.0 and rep.e_sum_s == 0.0
 
-    def test_windows_recorded(self):
-        t = np.linspace(0.0, 15.0, 151)
-        rep = report(make_trace(t, np.zeros(151), np.zeros(151)), self.SPEC)
-        assert rep.windows == ((0.0, 10.0), (10.0, 15.0))
-
     def test_true_output_flag(self):
         t = np.linspace(0.0, 15.0, 1501)
         trace = make_trace(t, np.zeros(1501), np.ones(1501))
@@ -232,13 +227,12 @@ class TestReport:
 
     def test_nonnegative_guard(self):
         with pytest.raises(ValidationError):
-            MetricsReport(u_sum_t=-1.0, e_sum_t=0.0, var_u_s=0.0, e_sum_s=0.0,
-                          windows=((0.0, 1.0), (1.0, 2.0)))
+            MetricsReport(u_sum_t=-1.0, e_sum_t=0.0, var_u_s=0.0, e_sum_s=0.0)
 
 
 class TestCsvRow:
     def test_row_format(self):
-        rep = MetricsReport(1.5, 0.25, 0.0, 0.125, ((0.0, 10.0), (10.0, 15.0)))
+        rep = MetricsReport(1.5, 0.25, 0.0, 0.125)
         row = metrics_csv_row("run-a", "combined", 1000.0, rep)
         assert row == "run-a,combined,1000.0,1.5,0.25,0.0,0.125"
 

@@ -13,6 +13,9 @@ temporary directory of its own:
 * ``twomass sweep table2-ffw-sweep --metrics-on-true`` (metrics on the true output)
 * ``twomass feedforward`` with its defaults (the feedforward table)
 * ``twomass analyze --output`` of the ``table3-fb-sweep-2khz`` traces
+* ``twomass check-plant --config`` and ``twomass simulate`` of a small config
+  file that the subprocess writes (a 6 s combined run with the online
+  feedforward and a noisy encoder)
 
 Each command's exit code, stdout and stderr go to a ``.out`` file beside its
 outputs.  The two directories are then compared byte for byte, except that a
@@ -55,6 +58,53 @@ run("true-metrics", ["sweep", "table2-ffw-sweep", "--metrics-on-true", "--out", 
 run("feedforward", ["feedforward", "--output", "feedforward-table.csv"])
 traces = sorted(glob.glob(os.path.join("table3-fb-sweep-2khz", "*-trace.csv")))
 run("analyze", ["analyze", *traces, "--output", "analyze-metrics.csv"])
+with open("run.ini", "w", encoding="utf-8") as fh:
+    fh.write(sys.argv[2])
+run("check-plant", ["check-plant", "--config", "run.ini"])
+run("simulate", ["simulate", "run.ini", "--out", "simulate"])
+"""
+
+# The config file that ``simulate`` and ``check-plant`` read.
+_CONFIG = """\
+[simulation]
+label = demo
+mode = combined
+control_frequency = 1000.0
+duration = 6.0
+seed = 3
+
+[plant.true]
+I1 = 0.136
+I2 = 0.12
+k = 33.6
+d = 0.016
+coulomb_friction = 0.15
+
+[plant.nominal]
+I1 = 0.136
+I2 = 0.12
+k = 33.6
+d = 0.016
+
+[trajectory]
+y0 = 0.0
+yf = 12.566370614359172
+t0 = 0.0
+tf = 1.0
+
+[tuning]
+f_act = 0.08
+f_fric = 0.16
+
+[funnel]
+s = 5.0
+q_decay = 0.3
+c = 0.3
+
+[measurement]
+angle_quantum = 0.0015339807878856412
+filter_time_constant = 0.002
+noise_std = 0.02
 """
 
 _MEASURED = b"controller wall time"  # the summary line that differs from run to run
@@ -66,7 +116,7 @@ def write_outputs(src: str, out: str) -> None:
     os.makedirs(out)
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "TWOMASS_OUT")}
     env["PYTHONPATH"] = os.path.abspath(src)
-    subprocess.run([sys.executable, "-c", _WRITER, env["PYTHONPATH"]],
+    subprocess.run([sys.executable, "-c", _WRITER, env["PYTHONPATH"], _CONFIG],
                    cwd=out, env=env, check=True)
 
 
