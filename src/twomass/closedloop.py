@@ -238,7 +238,8 @@ class Trace:
     share the tuned ``u_ffw``; and every column of an absent branch is one
     NaN array per grid (``psi`` and ``u_fb`` without a funnel, ``u_ffw``
     without tuning, ``newton_iterations`` without an online inverse model).
-    Copy one before writing into it.
+    Copy one before writing into it.  An ideal sensor's ``y_measured`` is
+    its ``y_true``, one writable array: copy before writing into either.
     """
 
     t: np.ndarray
@@ -395,10 +396,12 @@ def run_simulation(config: SimulationConfig) -> Trace:
     each once: the tick times and the reference from
     :func:`_reference_columns`, the funnel width from :func:`_psi_column`, a
     table's tuned torque from :func:`_tuned_column`, and one NaN column from
-    :func:`_nan_column` for every branch the run does not have.  The loop
-    samples, runs the controller and steps the plant, storing into its own
-    float64 columns through memoryviews, never into a shared one; ``e`` is
-    one subtraction after it.  A failing tick ends the loop, timed as any other.
+    :func:`_nan_column` for every branch the run does not have.  An ideal
+    sensor's ``y_measured`` is its ``y_true``, one array stored once per
+    tick.  The loop samples, runs the controller and steps the plant,
+    storing into its own float64 columns through memoryviews, never into a
+    shared one; ``e`` is one subtraction after it.  A failing tick ends the
+    loop, timed as any other.
     """
     tuning, funnel, u_max = config.mode.tuning, config.mode.funnel, config.u_max
     dt = 1.0 / config.control_frequency
@@ -432,7 +435,8 @@ def run_simulation(config: SimulationConfig) -> Trace:
     (nan,) = _nan_column(n_rows)
     psi_col = nan if funnel is None else _psi_column(funnel, dt, n_rows)[0]
     u_fb_col = nan if funnel is None else np.full(n_rows, np.nan)
-    y_meas, y_true, u_col = (np.full(n_rows, np.nan) for _ in range(3))
+    y_true, u_col = np.full(n_rows, np.nan), np.full(n_rows, np.nan)
+    y_meas = np.full(n_rows, np.nan) if encoder else y_true
     u_ffw_col = newton_col = nan
     wall = np.zeros(n_rows)
     stepper = None
@@ -470,9 +474,9 @@ def run_simulation(config: SimulationConfig) -> Trace:
                 filtered += alpha * ((angle - angle_prev) / dt - filtered)
             angle_prev = angle
             y = filtered if noise is None else filtered + noise[k]
+            meas_v[k] = y
         else:
             y = v1
-        meas_v[k] = y
         true_v[k] = v1
 
         t_start = perf()
@@ -643,8 +647,9 @@ _TRACE_COLUMNS = (
     "newton_iterations",
 )
 _INT_COLUMNS = (_TRACE_COLUMNS.index("newton_iterations"),)
-# the plant-free columns, which repeat from run to run of a sweep
-_MEMO_COLUMNS = tuple(_TRACE_COLUMNS.index(name) for name in ("t", "y_ref", "psi"))
+# the plant-free columns, which repeat from run to run of a sweep: the grid,
+# the reference, the funnel width and a table's tuned torque
+_MEMO_COLUMNS = tuple(_TRACE_COLUMNS.index(name) for name in ("t", "y_ref", "psi", "u_ffw"))
 # the grid and the reference, which repeat from trace to trace of a sweep; the
 # reader leaves psi out: a sweep over funnels never repeats it, and keeping
 # its batches made repeated reads both slower and larger

@@ -16,9 +16,11 @@ UTF-8 on both read and write, whatever the locale.
 
 Both sides work on batches of rows, column by column, and reuse equal
 cells within a batch: the writer formats a repeated or constant column
-once, and the reader parses it once.  Both also keep the batches of the
-columns a caller names (a sweep's tick times) from one file to the next,
-so that a column repeated across files is formatted or parsed once.  The
+once, and the reader parses it once.  Both also remember the columns a
+caller names (a sweep's tick times) from one file to the next, so that a
+column repeated across files is formatted or parsed once: the writer keeps
+the last read-only column met at each named position, the array itself and
+its text, and the reader keeps each batch's floats under its text.  The
 writer joins each batch's rows into one newline-terminated text block, so
 no Python code runs per row between the cells and the file.
 """
@@ -57,9 +59,27 @@ def _cells(values: np.ndarray, as_int: bool) -> list[str]:
     return ["" if x != x else fmt(x) for x in values.tolist()]
 
 
-# key -> "\n"-joined cells of a memoized column batch, from the last call of
-# format_rows only; replaced whole when a call ends
+# memo position -> (column, as_int, "\n"-joined cells of each of its batches):
+# the last shared read-only column that format_rows formatted there in full
 _memo: dict = {}
+
+
+def _memo_bits(a: np.ndarray):
+    """The bits of a read-only 8-byte column that is not one value throughout, else None."""
+    if a.flags.writeable or a.itemsize != 8 or not len(a):
+        return None
+    bits = a.view(np.uint64)
+    return None if (bits == bits[0]).all() else bits
+
+
+def _kept_batches(i, a: np.ndarray, bits, as_int: bool):
+    """The batches kept at memo position ``i`` if ``a`` hits there; else None, the entry dropped."""
+    held, held_int, batches = _memo.get(i, (None, None, None))
+    if (held_int == as_int and held.dtype == a.dtype and len(bits) <= len(held)
+            and np.array_equal(bits, held[:len(bits)].view(np.uint64))):
+        return batches
+    _memo.pop(i, None)
+    return None
 
 
 def format_rows(arrays, int_columns=(), memo_columns=()):
@@ -76,15 +96,27 @@ def format_rows(arrays, int_columns=(), memo_columns=()):
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
     confused.
 
-    The batches of the columns at ``memo_columns`` are also looked up under
-    the same key among those of the previous call, and kept for the next:
-    columns that repeat from file to file (the tick times of one grid) are
-    formatted once.  After a call has yielded its last block, the memo holds
-    that call's batches only.
+    For each position in ``memo_columns``, the memo keeps the last read-only
+    column formatted there in full: the array itself, with no copy, and the
+    text of each of its batches.  So a column that repeats from file to file
+    (the tick times of one grid, a table's tuned torque) is formatted once.
+    A later read-only column of the same kind and dtype hits when it has the
+    kept column's bits over its own length, so a truncated run's prefix hits
+    too.  A miss drops the kept entry before formatting, so the old and the
+    new text are never held at once.  A writable column, or one of one value
+    throughout (an absent branch's NaN), neither hits nor displaces the
+    entry.  A read-only column must not change while the memo holds it.
     """
-    global _memo
-    previous, kept = _memo, {}
     n = len(arrays[0])
+    hits, fills = {}, {}  # position -> the kept batches it reads / the batches it keeps
+    for i in memo_columns:
+        bits = _memo_bits(arrays[i])
+        if bits is not None:
+            batches = _kept_batches(i, arrays[i], bits, i in int_columns)
+            if batches is None:
+                fills[i] = []
+            else:
+                hits[i] = batches
     for start in range(0, n, _BATCH):
         stop = start + _BATCH
         formatted = []  # (key, cells) of this batch's distinct columns
@@ -94,9 +126,8 @@ def format_rows(arrays, int_columns=(), memo_columns=()):
             key = (i in int_columns, chunk.dtype, chunk.tobytes())
             cells = next((done for seen, done in formatted if seen == key), None)
             if cells is None:
-                joined = previous.get(key) if i in memo_columns else None
-                if joined is not None:
-                    cells = joined.split("\n")
+                if i in hits:
+                    cells = hits[i][start // _BATCH].split("\n", len(chunk))[:len(chunk)]
                 else:
                     data = key[2]
                     if data == data[: chunk.itemsize] * len(chunk):
@@ -104,11 +135,12 @@ def format_rows(arrays, int_columns=(), memo_columns=()):
                     else:
                         cells = _cells(chunk, key[0])
                 formatted.append((key, cells))
-            if i in memo_columns and key not in kept:
-                kept[key] = previous.get(key) or "\n".join(cells)
+            if i in fills:
+                fills[i].append("\n".join(cells))
             columns.append(cells)
         yield "\n".join(map(",".join, zip(*columns))) + "\n"
-    _memo = kept
+    for i, batches in fills.items():
+        _memo[i] = (arrays[i], i in int_columns, batches)
 
 
 def write(path, kind: str, header, columns, pieces) -> None:

@@ -311,19 +311,24 @@ def solve_feedforward(
     horizon: float,
     opts: NewtonOptions = NewtonOptions(),
 ) -> FeedforwardTable:
-    """Precompute the feedforward torque on the grid ``0, dt, ..., horizon``."""
+    """Precompute the feedforward torque on the grid ``0, dt, ..., horizon``.
+
+    The reference column is built once on the grid and each step gets its
+    sample, bit-equal to evaluating the reference at ``i * dt``.
+    """
     if not 0.0 < horizon < math.inf:
         raise ValidationError(f"horizon must be finite and > 0, got {horizon}")
     stepper = InverseModelStepper(params, spec, dt, opts)
     n_steps = step_count(horizon / dt, f"horizon {horizon} s at dt {dt} s", "steps")
+    times = np.arange(n_steps + 1) * dt
+    y_ref = memoryview(trajectory.y_ref_samples(spec, times))
     torques = np.empty(n_steps + 1)
     iterations = np.zeros(n_steps + 1, dtype=int)
     torques[0] = stepper.state.u
     for i in range(1, n_steps + 1):
-        state = stepper.advance(i * dt)
+        state = stepper.advance(i * dt, y_ref[i])
         torques[i] = state.u
         iterations[i] = stepper.last_iterations
-    times = np.arange(n_steps + 1) * dt
     meta = {
         "dt": repr(dt),
         "samples": str(n_steps + 1),

@@ -211,34 +211,41 @@ def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path):
 def trace_sequences(draw):
     """Traces that share and vary columns, as a sweep's runs do.
 
-    A pool holds the columns that repeat from trace to trace.  A trace of
-    ``n`` rows takes a column from the pool (cut to ``n`` rows, like a
-    truncated run, maybe with its zeros' signs or NaN payloads changed) or
-    draws a fresh one.  The pool is sometimes integer-valued, so the same
-    bits come as float and as integer columns.
+    A pool holds the columns that repeat from trace to trace, read-only as
+    a sweep's shared columns are.  A trace of ``n`` rows takes a column from
+    the pool (cut to ``n`` rows, like a truncated run, maybe with its zeros'
+    signs or NaN payloads changed, or as a writable copy) or draws a fresh
+    one; only the writable copies are writable.  The pool is sometimes
+    integer-valued, so the same bits come as float and as integer columns.
     """
     length = draw(st.integers(0, 12))
     integral = st.one_of(st.integers(-10**6, 10**6).map(float), st.just(math.nan))
     pool = [np.array(draw(st.lists(st.one_of(VALUES, integral) if i else integral,
                                    min_size=length, max_size=length)))
             for i in range(draw(st.integers(1, 3)))]
+    for column in pool:
+        column.flags.writeable = False
     traces = []
     for _ in range(draw(st.integers(2, 4))):
         n = draw(st.integers(0, length))
         arrays = []
         for _ in range(draw(st.integers(1, 4))):
-            how = draw(st.sampled_from(["shared", "zeros", "nan", "new"]))
+            how = draw(st.sampled_from(["shared", "zeros", "nan", "writable", "new"]))
             if how == "new":
                 column = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
             else:
                 column = pool[draw(st.integers(0, len(pool) - 1))][:n]
                 if how != "shared":
-                    column = {"zeros": _flip_zero_signs, "nan": _other_nan_payload}[how](column)
+                    column = {"zeros": _flip_zero_signs, "nan": _other_nan_payload,
+                              "writable": np.copy}[how](column)
+            column.flags.writeable = how == "writable"
             arrays.append(column)
         positions = st.lists(st.integers(0, len(arrays) - 1), unique=True).map(tuple)
         int_columns, memo_columns = draw(positions), draw(positions)
         for i in int_columns:
+            writable = arrays[i].flags.writeable
             arrays[i] = np.trunc(np.where(np.isfinite(arrays[i]), arrays[i], math.nan))
+            arrays[i].flags.writeable = writable
         traces.append((arrays, int_columns, memo_columns))
     return traces
 
@@ -246,36 +253,100 @@ def trace_sequences(draw):
 @settings(max_examples=200)
 @given(traces=trace_sequences(), batch=st.sampled_from([1, 2, 3, 5, 1024]))
 def test_memoized_columns_are_written_as_a_fresh_process_writes_them(traces, batch):
-    # in the drawn order and reversed, so each trace follows another
-    with mock.patch.object(csvfile, "_BATCH", batch):
+    # in the drawn order and reversed, so each trace follows another; the
+    # memo starts empty, as its texts follow the batch size
+    with mock.patch.object(csvfile, "_BATCH", batch), mock.patch.object(csvfile, "_memo", {}):
         for arrays, int_columns, memo_columns in traces + traces[::-1]:
             rows = _rows(csvfile.format_rows(arrays, int_columns, memo_columns))
             assert rows == list(_reference_rows(arrays, int_columns))
 
 
-def _memo_keys(arrays, memo_columns):
-    return {(False, a.dtype, a[start:start + csvfile._BATCH].tobytes())
-            for i, a in enumerate(arrays) if i in memo_columns
-            for start in range(0, len(a), csvfile._BATCH)}
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
-def test_the_memo_holds_the_last_call_only():
-    first = [np.arange(3000.0)]
-    last = [np.arange(2500.0) * 0.5, np.arange(2500.0) * 0.25]
-    for arrays in (first, last):
-        list(csvfile.format_rows(arrays, (), (0,)))
-    assert set(csvfile._memo) == _memo_keys(last, (0,))
+def _batch_texts(a):
+    return ["\n".join(map(repr, a[start:start + csvfile._BATCH].tolist()))
+            for start in range(0, len(a), csvfile._BATCH)]
+
+
+def test_the_memo_holds_the_last_read_only_column_at_each_position():
+    first, last, other = (_read_only(np.arange(n) * x) for n, x in
+                          ((3000, 1.0), (2500, 0.5), (2500, 0.25)))
+    with mock.patch.object(csvfile, "_memo", {}):
+        for arrays in ([first, other], [last, other]):
+            list(csvfile.format_rows(arrays, (), (0,)))
+        # the column itself, never a copy, with the text of each batch
+        (column, as_int, batches), = csvfile._memo.values()
+        assert column is last and as_int is False and batches == _batch_texts(last)
+        # a writable column or one of one value throughout leaves the entry alone
+        for stranger in (np.arange(3000.0), _read_only(np.full(2500, math.nan))):
+            list(csvfile.format_rows([stranger], (), (0,)))
+            assert csvfile._memo[0][0] is last
+        # a miss drops the entry before it formats, kept again only once it is done
+        blocks = csvfile.format_rows([first], (), (0,))
+        next(blocks)
+        assert csvfile._memo == {}
+        list(blocks)
+        assert csvfile._memo[0][0] is first
+        # the same bits as integers or of another dtype are formatted anew
+        for arrays, int_columns in (([first], (0,)), ([first], ()),
+                                    ([_read_only(first.view(np.int64))], ())):
+            rows = _rows(csvfile.format_rows(arrays, int_columns, (0,)))
+            assert rows == list(_reference_rows(arrays, int_columns))
 
 
 def test_a_memoized_column_is_formatted_once_across_calls():
-    shared = np.arange(2500.0) * 1e-3
-    first, second = ([shared, shared * i + i] for i in (3, 5))
-    list(csvfile.format_rows(first, (), (0,)))
+    shared = _read_only(np.arange(2500.0) * 1e-3)
+    calls = [[shared, shared * 3 + 3],
+             [_read_only(shared.copy()), shared * 5 + 5],  # the same bits in another array
+             [shared[:1500], shared[:1500] * 7 + 7]]  # a truncated run's prefix
+    list(csvfile.format_rows(calls[0], (), (0,)))
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
-        rows = _rows(csvfile.format_rows(second, (), (0,)))
-    assert rows == list(_reference_rows(second, ()))
-    # the three batches of the second column only
-    assert len(cells.call_args_list) == 3
+        rows = [_rows(csvfile.format_rows(arrays, (), (0,))) for arrays in calls[1:]]
+    assert rows == [list(_reference_rows(arrays, ())) for arrays in calls[1:]]
+    # the batches of the second columns only: three, then two
+    assert [len(call.args[0]) for call in cells.call_args_list] == [1024, 1024, 452, 1024, 476]
+
+
+def test_a_shared_column_is_formatted_once_between_absent_branches():
+    # feedback, combined, feedback, combined: the feedback runs' u_ffw is the
+    # shared NaN column, the combined runs' one shared tuned torque
+    t = _read_only(np.arange(2500.0) * 5e-4)
+    u_ffw = _read_only(np.sin(t) + 0.16)
+    nan = _read_only(np.full(2500, math.nan))
+    runs = [[t, np.cos(t) * i, ffw] for i, ffw in enumerate((nan, u_ffw, nan, u_ffw))]
+    with mock.patch.object(csvfile, "_memo", {}), \
+            mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
+        for arrays in runs:
+            assert _rows(csvfile.format_rows(arrays, (), (0, 2))) == list(
+                _reference_rows(arrays, ()))
+    formatted = [call.args[0] for call in cells.call_args_list]
+    assert sum(np.shares_memory(chunk, u_ffw) for chunk in formatted) == 3
+    assert sum(np.shares_memory(chunk, t) for chunk in formatted) == 3
+
+
+def test_a_new_funnel_does_not_grow_the_memo(tmp_path):
+    # two sweep traces on one grid and reference with different funnels: the
+    # second replaces the first's psi text, never holding both
+    first, second = map(run_simulation, build_preset("table3-fb-sweep-2khz").configs[:2])
+    assert not np.array_equal(first.psi, second.psi)
+    with mock.patch.object(csvfile, "_memo", {}):
+        tracemalloc.start()
+        try:
+            write_trace_csv(first, tmp_path / "first.csv")
+            retained, first_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_trace_csv(second, tmp_path / "second.csv")
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # 1.33 MiB retained (1.81 MiB with byte keys); the psi texts differ in length by
+    # 10 KiB, and the second write peaks 0.08 MiB above the first (1.25 MiB with both texts)
+    assert retained < 1.5 * 2**20
+    assert now < retained + 2**16
+    assert peak < first_peak + 2**18
 
 
 # row counts on both sides of the first two batch edges of the reader

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -443,6 +444,34 @@ class TestSolveFeedforward:
         a = solve_feedforward(rig, reference, dt=1e-3, horizon=3.0)
         b = solve_feedforward(rig, reference, dt=1e-3, horizon=3.0)
         assert np.array_equal(a.u, b.u)
+
+    @settings(max_examples=40)
+    @given(case=windows_on_tick_grids())
+    def test_the_table_steps_the_reference_column(self, case):
+        # the solve evaluates y_ref_at once, for the start; its table and
+        # iteration counts are those of stepping with y_ref_at, bit for bit
+        spec, dt, n_rows = case
+        evaluating = InverseModelStepper(NOMINAL_PLANT, spec, dt)
+        torques, iterations = [evaluating.state.u], [0]
+        try:
+            for k in range(1, n_rows):
+                torques.append(evaluating.advance(k * dt).u)
+                iterations.append(evaluating.last_iterations)
+            diverged = None
+        except NewtonDiverged as err:
+            diverged = err
+        with mock.patch.object(ffw.trajectory, "y_ref_at", wraps=y_ref_at) as evaluated:
+            try:
+                table = solve_feedforward(NOMINAL_PLANT, spec, dt, (n_rows - 1) * dt)
+            except NewtonDiverged as err:
+                assert diverged is not None
+                assert (err.time, err.residual.hex()) == (diverged.time, diverged.residual.hex())
+                table = None
+        assert evaluated.call_args_list == [mock.call(spec, 0.0)]
+        if table is not None:
+            assert diverged is None
+            assert np.array_equal(table.u.view(np.int64), np.array(torques).view(np.int64))
+            assert table.newton_iterations.tolist() == iterations
 
     def test_newton_failure_names_its_grid_step(self, rig, reference):
         with pytest.raises(NewtonDiverged) as err:
