@@ -90,8 +90,7 @@ def _cmd_run(args) -> int:
     name = args.experiment
     if name in presets.preset_names():
         if args.command == "simulate":
-            print(f"{name} names a preset; use the sweep command", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ParseError(f"{name} names a preset; use the sweep command")
         configs = presets.build_preset(name).configs
     elif os.path.exists(name):
         configs = [load_config_file(name)]
@@ -232,20 +231,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every error that ends it prints one ``error:`` line and exits 2."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError, NewtonDiverged) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        message = str(err)
     except OSError as err:
         where = f"{err.filename}: " if err.filename else ""
-        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
-        return EXIT_CONFIG
+        message = f"{where}{err.strerror or err}"
     except UnicodeEncodeError as err:
         # a file name, made from a label, that the locale's encoding cannot spell
-        print(f"error: {err.object}: not {err.encoding} text ({err.reason})", file=sys.stderr)
-        return EXIT_CONFIG
+        message = f"{err.object}: not {err.encoding} text ({err.reason})"
+    # a configparser message spans lines
+    print("error: " + " ".join(line.strip() for line in message.splitlines()), file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

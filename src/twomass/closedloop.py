@@ -450,7 +450,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
             u_ffw_col[0] = apply_tuning(stepper.state.u, tuning)
             newton_col[0] = 0.0
         else:
-            u_ffw_col = _tuned_column(source.table, tuning, n_rows)
+            (u_ffw_col,) = _tuned_column(source.table.u, tuning, n_rows)
 
     y_ref_v, psi_v, ffw_v, fb_v, u_v, newton_v, wall_v, meas_v, true_v = map(
         memoryview, (y_ref, psi_col, u_ffw_col, u_fb_col, u_col, newton_col, wall, y_meas, y_true)
@@ -541,24 +541,28 @@ def run_simulation(config: SimulationConfig) -> Trace:
 def _shared(build):
     """``build(*args)`` memoized for its most recent arguments only.
 
-    Keys are exact to the bit: ``repr`` tells ``-0.0`` from ``0.0`` (a
-    validated spec holds no NaN), where the spec's own equality does not.
-    The arrays built are made read-only, so every run that gets them can
-    share them.  Runs on one grid with one reference or funnel are adjacent
-    in a sweep, so one entry is enough.
+    Keys are exact to the bit.  An array argument is keyed by identity, since
+    its ``repr`` elides the middle samples; the entry holds its arguments, so
+    no other array can take that ``id`` while it is held.  Any other argument
+    is keyed by ``repr``, which tells ``-0.0`` from ``0.0`` (a validated spec
+    holds no NaN), where the spec's own equality does not.  The arrays built
+    are made read-only, so every run that gets them can share them.  Runs
+    with one grid, reference, funnel or tuned table are adjacent in a sweep,
+    or have only runs that never call that build between them, so one entry
+    is enough.
     """
-    last = (None, None)  # (key, arrays), replaced whole
+    last = (None, None, None)  # (args, key, arrays), replaced whole
 
     @functools.wraps(build)
     def cached(*args):
         nonlocal last
-        key = repr(args)
-        held_key, arrays = last
+        key = repr(tuple(id(a) if isinstance(a, np.ndarray) else a for a in args))
+        _, held_key, arrays = last
         if held_key != key:
             arrays = build(*args)
             for a in arrays:
                 a.flags.writeable = False
-            last = (key, arrays)
+            last = (args, key, arrays)
         return arrays
 
     return cached
@@ -592,26 +596,14 @@ def _nan_column(n_rows: int):
     return (np.full(n_rows, np.nan),)
 
 
-_tuned_last = (None, None, None)  # (table, key, column), replaced whole
+@_shared
+def _tuned_column(u: np.ndarray, tuning: TuningFactors, n_rows: int):
+    """A table's torque ``u``, tuned, on the first ``n_rows`` ticks.
 
-
-def _tuned_column(table: FeedforwardTable, tuning: TuningFactors, n_rows: int):
-    """The table's tuned torque on the first ``n_rows`` ticks, read-only.
-
-    Memoized, as :func:`_shared` is, for the most recent arguments only.  The
-    table is held and compared by identity, because its ``repr`` is not
-    exact; the tuning is compared by ``repr``, which tells ``-0.0`` from
-    ``0.0``.  A sweep's feedback-only runs never call this, so combined runs
-    that alternate with them still share one column.
+    A sweep's feedback-only runs never call this, so combined runs that
+    alternate with them still share one column.
     """
-    global _tuned_last
-    key = (repr(tuning), n_rows)
-    held, held_key, column = _tuned_last
-    if held is not table or held_key != key:
-        column = apply_tuning(np.asarray(table.u[:n_rows], dtype=float), tuning)
-        column.flags.writeable = False
-        _tuned_last = (table, key, column)
-    return column
+    return (apply_tuning(u[:n_rows], tuning),)
 
 
 def run_one(config: SimulationConfig, use_true_output: bool = False) -> SweepResult:

@@ -95,8 +95,6 @@ def load_config_file(path) -> SimulationConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
-    except OSError as err:
-        raise ParseError(f"{path}: {err}") from None
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     except configparser.Error as err:

@@ -73,10 +73,13 @@ FUNNEL_SETS = (
 # near-boundary error out of the funnel between two ticks, and input
 # chattering (the stationary variance metric) is noise-driven; an ideal
 # sensor reproduces neither phenomenon, so these presets add a synthetic
-# 0.08 rad/s velocity-noise floor.  At that level the pure feedback run at
-# 1 kHz leaves the funnel in roughly two thirds of the seeds and hugs the
-# boundary in the rest, while the combined controller keeps a clear margin;
-# the preset seeds pin one representative run of each.
+# 0.08 rad/s velocity-noise floor.  At that level, over the seeds 0 to 39, the
+# pure feedback run at 1 kHz leaves the funnel in 30 and hugs the boundary in
+# the rest, while the combined controller leaves it in 1; the preset seeds pin
+# one representative run of each.  The counts, [30, 1], come from
+#   python -c "import dataclasses as d; from twomass import closedloop as c, presets as p;
+#   print([sum(not c.run_simulation(d.replace(cfg, seed=s)).status.completed
+#   for s in range(40)) for cfg in p.build_preset('tight-funnel-dichotomy-1khz').configs])"
 NOISY_MEASUREMENT = MeasurementModel(noise_std=0.08)
 
 

@@ -3,6 +3,8 @@
 import importlib.util
 import pathlib
 
+from twomass.cli import main
+
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
 compare_outputs = importlib.util.module_from_spec(_spec)
@@ -42,3 +44,13 @@ def test_each_difference_is_named(tmp_path):
         "p/fb-trace.csv: differs",
     ]
     assert "+note: x" in found[2] and "-0.0" in found[3] and "+0.5" in found[3]
+
+
+def test_each_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, files, argv in compare_outputs._BAD_INPUTS:
+        for file, text in files.items():
+            (tmp_path / file).write_text(text)
+        assert main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, name

@@ -153,6 +153,30 @@ def _latin1_config(*command):
     return case
 
 
+def _missing_config(*command):
+    # ``command`` given a config path where no file is
+    def case(tmp_path):
+        path = tmp_path / "missing.ini"
+        return [*command, str(path)], path
+
+    return case
+
+
+def _directory_config(tmp_path):
+    path = tmp_path / "run.ini"
+    path.mkdir()
+    return ["simulate", str(path)], path
+
+
+def _config_with(old, new):
+    # ``simulate`` of the full config with ``old`` replaced by ``new``
+    def case(tmp_path):
+        path = write_config(tmp_path, FULL_CONFIG.replace(old, new))
+        return ["simulate", str(path)], path
+
+    return case
+
+
 def _trace_with_echo(key, value):
     # the completed trace below, with no hostile cell, whose config header holds
     # ``key=value`` (None: lacks the key)
@@ -223,11 +247,11 @@ def _second_of_two_traces(case):
     return second
 
 
-def _table_with_torque(cell):
+def _table_with_torque(cell, dt="0.001"):
     def case(tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(
-            "# twomass feedforward table\n# config: dt=0.001|samples=2\n"
+            f"# twomass feedforward table\n# config: dt={dt}|samples=2\n"
             f"t,u_ffw\n0.0,{cell}\n0.001,0.0\n"
         )
         text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:table.csv")
@@ -319,13 +343,20 @@ class TestLoadConfig:
         assert isinstance(loaded, ExperimentPreset)
         assert len(loaded.configs) == 5
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_unknown_path_or_preset(self, tmp_path, capsys, command):
-        assert main([command, "no-such-thing.ini", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: 'no-such-thing.ini' is neither a config file nor a preset "
-                              f"(presets: {', '.join(preset_names())})")
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["simulate", "no-such-thing.ini"],
+                     "'no-such-thing.ini' is neither a config file nor a preset "
+                     f"(presets: {', '.join(preset_names())})", id="simulate"),
+        pytest.param(["sweep", "no-such-thing.ini"],
+                     "'no-such-thing.ini' is neither a config file nor a preset "
+                     f"(presets: {', '.join(preset_names())})", id="sweep"),
+        pytest.param(["simulate", "table2-ffw-sweep"],
+                     "table2-ffw-sweep names a preset; use the sweep command",
+                     id="simulate-preset"),
+    ])
+    def test_unknown_path_or_preset(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Each preset's configs in order: label, seed and the first 16 hex digits of
@@ -705,7 +736,25 @@ class TestCli:
          pytest.param(_trace_with_status(None), id="status-line-missing"),
          pytest.param(_latin1_config("simulate"), id="latin-1-config-simulate"),
          pytest.param(_latin1_config("feedforward", "--config"), id="latin-1-config-feedforward"),
-         pytest.param(_latin1_config("check-plant", "--config"), id="latin-1-config-check-plant")],
+         pytest.param(_latin1_config("check-plant", "--config"), id="latin-1-config-check-plant"),
+         pytest.param(_missing_config("feedforward", "--config"),
+                      id="missing-config-feedforward"),
+         pytest.param(_missing_config("check-plant", "--config"),
+                      id="missing-config-check-plant"),
+         pytest.param(_directory_config, id="config-is-a-directory"),
+         # configparser's own messages, which span lines
+         pytest.param(_config_with("[simulation]", "label = demo\n[simulation]"),
+                      id="config-without-section-header"),
+         pytest.param(_config_with("seed = 3", "seed = 3\njunk"), id="config-junk-line"),
+         pytest.param(_config_with("seed = 3", "seed = 3\nseed = 4"),
+                      id="config-duplicate-option"),
+         pytest.param(_config_with("[funnel]", "[tuning]\n[funnel]"),
+                      id="config-duplicate-section"),
+         pytest.param(_trace_with_echo("simulation.initial_state", "0.0;0.0;0.0"),
+                      id="echo-initial-state-of-three"),
+         pytest.param(_trace_with_echo("simulation.initial_state", "0.0;nan;0.0;0.0"),
+                      id="echo-initial-state-nan"),
+         pytest.param(_table_with_torque("0.0", dt="abc"), id="table-dt-not-a-number")],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
@@ -715,6 +764,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+        # an OSError is stated by its strerror, with its file named in the prefix only
+        assert "[Errno" not in err
 
     @settings(max_examples=300)
     @given(data=st.data())
@@ -760,29 +811,6 @@ class TestCli:
         if code == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_unreachable_newton_tolerance_exits_2_with_one_line(self, tmp_path, capsys):
-        argv = ["feedforward", "--horizon", "0.01", "--tolerance", "1e-300",
-                "--output", str(tmp_path / "t.csv")]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: Newton did not converge")
-        assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("old, new, key", [
-        ("control_frequency = 1000.0", "control_frequency = inf", "control_frequency"),
-        ("duration = 0.5", "duration = inf", "duration"),
-        ("noise_std = 0.02", "noise_std = nan", "measurement"),
-        ("noise_std = 0.02", "noise_std = 0.02\nangle_quantum = inf", "measurement"),
-        ("[measurement]", "[newton]\nresidual_tolerance = inf\n\n[measurement]",
-         "residual_tolerance"),
-    ])
-    def test_non_finite_config_value_exits_2_with_one_line(self, tmp_path, capsys, old, new, key):
-        path = write_config(tmp_path, FULL_CONFIG.replace(old, new))
-        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize("text, old, new, message", [
         # the feedforward branch's keys and sections in a mode without it
         (FEEDBACK_CONFIG, "seed = 3", "seed = 3\nfeedforward = garbage",
@@ -825,6 +853,33 @@ class TestCli:
         pytest.param(FEEDBACK_CONFIG.replace("[measurement]\nnoise_std = 0.02\n", ""),
                      "seed = 3", "seed = -1", "seed must be >= 0, got -1",
                      id="negative-seed-ideal-sensor"),
+        pytest.param(FULL_CONFIG, "c = 0.3", "c = 0.0", "funnel offset c must be > 0, got 0.0",
+                     id="zero-funnel-offset"),
+        # a number that is not finite where a finite one is needed
+        pytest.param(FULL_CONFIG, "control_frequency = 1000.0", "control_frequency = inf",
+                     "control_frequency", id="non-finite-control-frequency"),
+        pytest.param(FULL_CONFIG, "duration = 0.5", "duration = inf", "duration",
+                     id="non-finite-duration"),
+        pytest.param(FULL_CONFIG, "noise_std = 0.02", "noise_std = nan", "measurement",
+                     id="nan-noise"),
+        pytest.param(FULL_CONFIG, "noise_std = 0.02", "noise_std = 0.02\nangle_quantum = inf",
+                     "measurement", id="non-finite-angle-quantum"),
+        pytest.param(FULL_CONFIG, "[measurement]",
+                     "[newton]\nresidual_tolerance = inf\n\n[measurement]", "residual_tolerance",
+                     id="non-finite-newton-tolerance"),
+        pytest.param(FULL_CONFIG, "f_act = 0.08", "f_act = inf", "tuning factors must be finite",
+                     id="non-finite-tuning"),
+        pytest.param(FULL_CONFIG, "control_frequency = 1000.0\nduration = 0.5",
+                     "control_frequency = 1e200\nduration = 1e200",
+                     "error: duration 1e+200 s at 1e+200 Hz is inf control ticks",
+                     id="overflowing-tick-count"),
+        pytest.param(FULL_CONFIG, "seed = 3", "seed = 3\nu_max = 0.0",
+                     "u_max must be > 0 when set, got 0.0", id="zero-u-max"),
+        pytest.param(FULL_CONFIG, "[measurement]", "[newton]\nmax_iterations = 0\n\n[measurement]",
+                     "max_iterations must be >= 1, got 0", id="zero-newton-iterations"),
+        pytest.param(FULL_CONFIG, "seed = 3", "seed = 3\nfeedforward = garbage",
+                     "simulation.feedforward = 'garbage' is not 'online' or 'table:PATH'",
+                     id="malformed-feedforward-source"),
     ])
     def test_rejected_config_exits_2_with_one_line(self, tmp_path, capsys, text, old, new,
                                                    message):
@@ -857,17 +912,6 @@ class TestCli:
         assert err.startswith("demo: error: ") and message in err
         assert err.count("\n") == 1
 
-    def test_inconsistent_start_of_a_table_exits_2_with_one_line(self, tmp_path, capsys):
-        text = FULL_CONFIG.replace("t0 = 0.0\ntf = 10.0", "t0 = -1e-320\ntf = 1e-320")
-        out = tmp_path / "t.csv"
-        argv = ["feedforward", "--config", str(write_config(tmp_path, text)), "--horizon", "0.01",
-                "--output", str(out)]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err == ("error: output constraint cannot be met at t=0: "
-                       "y_ref=6.283185307179586, u=inf\n")
-        assert not out.exists()
-
     def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
         # under the C locale without UTF-8 mode, the locale's encoding is ASCII
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
@@ -889,40 +933,35 @@ class TestCli:
         assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1
         assert "-trace.csv: not ascii text" in refused.stderr
 
-    def test_overflowing_tick_count_exits_2_with_one_line(self, tmp_path, capsys):
-        text = FULL_CONFIG.replace("duration = 0.5", "duration = 1e200")
-        text = text.replace("control_frequency = 1000.0", "control_frequency = 1e200")
-        path = write_config(tmp_path, text)
-        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: duration 1e+200 s at 1e+200 Hz is inf control ticks")
-        assert err.count("\n") == 1
-
-    def test_overflowing_feedforward_grid_exits_2_with_one_line(self, tmp_path, capsys):
-        out = tmp_path / "t.csv"
-        assert main(["feedforward", "--dt", "1e-320", "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: horizon 15.0 s at dt 1e-320 s is inf steps, more than ")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag", ["--dt", "--horizon"])
-    def test_non_finite_feedforward_grid_exits_2_with_one_line(self, tmp_path, capsys, flag):
-        out = tmp_path / "t.csv"
-        assert main(["feedforward", flag, "inf", "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag[2:]} must be finite")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flags", [["--dt", "0.3", "--horizon", "1"], ["--horizon", "1e-4"]])
-    def test_horizon_off_the_step_grid_exits_2_with_one_line(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flags, config, expected", [
+        pytest.param(["--horizon", "0.01", "--tolerance", "1e-300"], None,
+                     r"error: Newton did not converge.*", id="unreachable-tolerance"),
+        # a reference span of 2e-320 s: its rate at t=0 overflows
+        pytest.param(["--horizon", "0.01"],
+                     FULL_CONFIG.replace("t0 = 0.0\ntf = 10.0", "t0 = -1e-320\ntf = 1e-320"),
+                     re.escape("error: output constraint cannot be met at t=0: "
+                               "y_ref=6.283185307179586, u=inf"), id="inconsistent-start"),
+        pytest.param(["--dt", "1e-320"], None,
+                     re.escape("error: horizon 15.0 s at dt 1e-320 s is inf steps, more than ")
+                     + ".*", id="overflowing-grid"),
+        pytest.param(["--dt", "inf"], None, r"error: dt must be finite.*", id="non-finite-dt"),
+        pytest.param(["--horizon", "inf"], None, r"error: horizon must be finite.*",
+                     id="non-finite-horizon"),
         # the table's grid is 0, dt, ..., horizon: no horizon between two steps
+        pytest.param(["--dt", "0.3", "--horizon", "1"], None,
+                     r"error: horizon .*not a whole number of steps.*", id="horizon-off-the-grid"),
+        pytest.param(["--horizon", "1e-4"], None,
+                     r"error: horizon .*not a whole number of steps.*",
+                     id="horizon-below-one-step"),
+    ])
+    def test_rejected_feedforward_request_exits_2_with_one_line(self, tmp_path, capsys, flags,
+                                                                config, expected):
         out = tmp_path / "t.csv"
+        if config is not None:
+            flags = ["--config", str(write_config(tmp_path, config)), *flags]
         assert main(["feedforward", *flags, "--output", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: horizon ") and "not a whole number of steps" in err
-        assert err.count("\n") == 1
+        assert re.fullmatch(expected + "\n", err)  # "." matches no line break: one line
         assert not out.exists()
 
     def test_analyze_of_a_trace_shorter_than_the_windows_exits_2_with_one_line(
@@ -938,10 +977,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {trace}: window ")
         assert err.count("\n") == 1
-
-    def test_config_error_exit_code(self, tmp_path):
-        path = write_config(tmp_path, FULL_CONFIG.replace("c = 0.3", "c = 0.0"))
-        assert main(["simulate", str(path)]) == 2
 
     def test_sweep_of_config_file(self, tmp_path):
         cfg_path = write_config(tmp_path)

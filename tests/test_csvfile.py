@@ -65,6 +65,10 @@ def _not_utf8(text):
     return NOT_UTF8
 
 
+def _no_column_line(text):
+    return "".join(_lines(text)[:-2]).encode()
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize(
     "broken, error, match",
@@ -75,6 +79,7 @@ def _not_utf8(text):
         (_non_numeric_row, ParseError, "malformed"),
         (_space_separated_header, ParseError, "header line"),
         (_not_utf8, ParseError, "not UTF-8"),
+        (_no_column_line, ValidationError, "no column line"),
     ],
 )
 def test_malformed_file_rejected_naming_the_path(tmp_path, kind, broken, error, match):
@@ -193,7 +198,8 @@ def test_a_constant_batch_is_formatted_once():
 def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path):
     # a sweep trace of 30,001 rows and 4.04 MiB, written with an empty memo:
     # the writer holds one batch's cells, rows and text block at a time and
-    # the memo's batches (2.57 MiB in all), never the whole file's text
+    # the memo's batch texts (a peak of 2.11 MiB in all), never the whole
+    # file's text
     trace = run_simulation(build_preset("table3-fb-sweep-2khz").configs[0])
     path = tmp_path / "trace.csv"
     with mock.patch.object(csvfile, "_memo", {}):

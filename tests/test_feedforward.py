@@ -509,6 +509,12 @@ class TestTableCsv:
         with pytest.raises(ValidationError):
             ffw.FeedforwardTable(dt=0.1, t=np.array([0.0, 0.1, 0.3]), u=np.zeros(3))
 
+    @pytest.mark.parametrize("t, u", [(np.zeros(3), np.zeros(2)),
+                                      (np.zeros((2, 2)), np.zeros((2, 2)))])
+    def test_table_arrays_of_another_shape_rejected(self, t, u):
+        with pytest.raises(ValidationError, match="1-D and equally long"):
+            ffw.FeedforwardTable(dt=0.1, t=t, u=u)
+
     def test_missing_dt_header_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"
         path.write_text("# twomass feedforward table\nt,u_ffw\n0.0,0.0\n")

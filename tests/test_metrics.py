@@ -104,6 +104,20 @@ class TestIntegrateSquare:
         with pytest.raises(WindowOutOfRange):
             integrate_square(t, np.ones(11), (0.8, 0.2))
 
+    def test_one_sample_defines_no_grid(self):
+        with pytest.raises(WindowOutOfRange, match="at least two samples"):
+            integrate_square(np.array([0.0]), np.ones(1), (0.0, 0.0))
+
+    def test_window_between_two_ticks_takes_one_of_them(self):
+        # [0.375, 0.375] lies halfway between the ticks 0.25 and 0.5, so its
+        # ends snap past each other; the window is the tick nearest its middle
+        t = np.arange(11) * 0.25
+        v = np.ones(11)
+        assert integrate_square(t, v, (0.375, 0.375)) == 0.0
+        v[2] = np.inf
+        with pytest.raises(ValidationError, match=r"at t=0\.5 "):
+            integrate_square(t, v, (0.375, 0.375))
+
     def test_non_equidistant_grid_rejected(self):
         t = np.array([0.0, 0.1, 0.3, 0.4])
         with pytest.raises(ValidationError):

@@ -163,3 +163,9 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             TrajectorySpec(y0=0.0, yf=1.0, t0=5.0, tf=5.0)
 
+    @pytest.mark.parametrize("name", ["y0", "yf", "t0", "tf"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_field_rejected(self, name, value):
+        fields = {"y0": 0.0, "yf": 1.0, "t0": 0.0, "tf": 10.0, name: value}
+        with pytest.raises(ValidationError, match=f"field {name} must be finite"):
+            TrajectorySpec(**fields)

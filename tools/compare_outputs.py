@@ -16,6 +16,9 @@ temporary directory of its own:
 * ``twomass check-plant --config`` and ``twomass simulate`` of a small config
   file that the subprocess writes (a 6 s combined run with the online
   feedforward and a noisy encoder)
+* the bad inputs of ``_BAD_INPUTS``, each of which should exit 2 with one
+  ``error:`` line: ``simulate`` of a preset, a missing config, a config
+  with no section header and a trace without a status line
 
 Each command's exit code, stdout and stderr go to a ``.out`` file beside its
 outputs.  The two directories are then compared byte for byte, except that a
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -35,7 +39,7 @@ import tempfile
 
 # Run by the subprocess in its output directory, with one tree on its path.
 _WRITER = r"""
-import contextlib, glob, io, os, sys
+import contextlib, glob, io, json, os, sys
 import twomass
 from twomass import cli, presets
 
@@ -62,6 +66,11 @@ with open("run.ini", "w", encoding="utf-8") as fh:
     fh.write(sys.argv[2])
 run("check-plant", ["check-plant", "--config", "run.ini"])
 run("simulate", ["simulate", "run.ini", "--out", "simulate"])
+for name, files, argv in json.loads(sys.argv[3]):
+    for file, text in files.items():
+        with open(file, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    run(name, argv)
 """
 
 # The config file that ``simulate`` and ``check-plant`` read.
@@ -107,6 +116,18 @@ filter_time_constant = 0.002
 noise_std = 0.02
 """
 
+# Inputs that the CLI rejects: (name of the .out file, files to write first, argv).
+_BAD_INPUTS = (
+    ("bad-simulate-preset", {}, ["simulate", "table2-ffw-sweep", "--out", "bad"]),
+    ("bad-missing-config", {}, ["check-plant", "--config", "missing.ini"]),
+    ("bad-no-section-header", {"no-header.ini": "label = demo\n" + _CONFIG},
+     ["check-plant", "--config", "no-header.ini"]),
+    ("bad-no-status-line", {"no-status.csv": "# twomass trace\n"
+                            "t,y_measured,y_true,y_ref,e,psi,u_ffw,u_fb,u,newton_iterations\n"
+                            "0.0,0.0,0.0,0.0,0.0,,,,0.0,\n"},
+     ["analyze", "no-status.csv"]),
+)
+
 _MEASURED = b"controller wall time"  # the summary line that differs from run to run
 _SHOWN_LINES = 12  # diff lines printed per file
 
@@ -116,8 +137,8 @@ def write_outputs(src: str, out: str) -> None:
     os.makedirs(out)
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "TWOMASS_OUT")}
     env["PYTHONPATH"] = os.path.abspath(src)
-    subprocess.run([sys.executable, "-c", _WRITER, env["PYTHONPATH"], _CONFIG],
-                   cwd=out, env=env, check=True)
+    subprocess.run([sys.executable, "-c", _WRITER, env["PYTHONPATH"], _CONFIG,
+                    json.dumps(_BAD_INPUTS)], cwd=out, env=env, check=True)
 
 
 def _files(root: str) -> set[str]:
