@@ -6,17 +6,8 @@ are pure functions; simulations own their state exclusively, so everything
 here is safe to share across concurrently running experiments.
 """
 
-from .closedloop import (
-    ControllerMode,
-    FeedforwardSource,
-    MeasurementModel,
-    RunStatus,
-    SimulationConfig,
-    SweepResult,
-    Trace,
-    run_simulation,
-    run_sweep,
-)
+from .closedloop import RunStatus, SweepResult, Trace, run_simulation, run_sweep
+from .config import ControllerMode, FeedforwardSource, MeasurementModel, SimulationConfig
 from .errors import (
     FunnelViolation,
     InconsistentStart,

@@ -9,7 +9,7 @@ The output directory can also come from the environment (``TWOMASS_OUT``).
 All outputs are plain CSV with ``#``-prefixed header comments; every file
 embeds its resolved configuration.  A sweep writes each run's files, and prints
 its outcome, before the next run starts; ``metrics.csv`` comes last.  A bad
-file, config or output path exits 2 with one ``error:`` line.
+file, config, output path or flag exits 2 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import closedloop, csvfile, metrics as metrics_mod, presets
-from .config import config_from_echo, load_config_file
+from .config import config_echo, config_from_echo, load_config_file
 from .errors import NewtonDiverged, ParseError, ValidationError, WindowOutOfRange
 from .feedforward import NewtonOptions, solve_feedforward, write_table_csv
 from .plant import check_minimum_phase, reduced_realization
@@ -107,7 +107,7 @@ def _cmd_run(args) -> int:
         _write_summary(os.path.join(out, f"{cfg.label}-summary.txt"), result)
         rows.append(metrics_mod.metrics_csv_row(
             cfg.label, cfg.mode.name, cfg.control_frequency, result.metrics))
-        config_lines.append(f"{cfg.label}: {csvfile.format_echo(closedloop.config_echo(cfg))}")
+        config_lines.append(f"{cfg.label}: {csvfile.format_echo(config_echo(cfg))}")
         if result.trace is None:
             print(f"{cfg.label}: error: {result.error}", file=sys.stderr)
             code = EXIT_CONFIG
@@ -186,8 +186,22 @@ def _cmd_check_plant(args) -> int:
     return EXIT_OK if report.is_minimum_phase else EXIT_RUN_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as one ParseError, named by the (sub)command at fault."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        # each subcommand rejects the arguments that it does not know itself
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twomass",
         description="Closed-loop tracking experiments on the two-flywheel torsional rig",
     )
@@ -232,8 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; every error that ends it prints one ``error:`` line and exits 2."""
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError, NewtonDiverged) as err:
         message = str(err)
@@ -243,7 +257,7 @@ def main(argv=None) -> int:
     except UnicodeEncodeError as err:
         # a file name, made from a label, that the locale's encoding cannot spell
         message = f"{err.object}: not {err.encoding} text ({err.reason})"
-    # a configparser message spans lines
+    # a file name may hold a line break
     print("error: " + " ".join(line.strip() for line in message.splitlines()), file=sys.stderr)
     return EXIT_CONFIG
 

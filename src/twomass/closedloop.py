@@ -1,5 +1,9 @@
 """Sampled-data closed loop: the controller around the rig under a zero-order hold.
 
+This module owns the run: its status, trace and sweep results, the tick loop,
+the shared columns, :func:`run_one`/:func:`run_sweep` and trace I/O.  The
+config that a run is asked to do, and its echo, are :mod:`twomass.config`'s.
+
 The controller updates its output at the control-loop frequency; between
 ticks the input is held constant, and the "true" rig (which, unlike the
 controller's nominal model, carries Coulomb friction) follows its exact
@@ -19,117 +23,30 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import csvfile
 from . import metrics as metrics_mod
 from . import trajectory as trajectory_mod
+# ControllerMode and FeedforwardSource are imported from here by the acceptance gate
+from .config import ControllerMode, FeedforwardSource, SimulationConfig, config_echo
 from .errors import FunnelViolation, NewtonDiverged, ParseError, ValidationError
 from .feedback import FunnelSpec, funnel_law
-from .feedforward import (
-    FeedforwardTable,
-    InverseModelStepper,
-    NewtonOptions,
-    TuningFactors,
-    apply_tuning,
-    step_count,
-)
-from .plant import EVENT, STUCK, OscillatorParams, integrate_plant_tick, rate_bound, step_matrices
+from .feedforward import InverseModelStepper, TuningFactors, apply_tuning
+from .plant import EVENT, STUCK, integrate_plant_tick, step_matrices
 from .trajectory import TrajectorySpec
 
 __all__ = [
-    "MeasurementModel",
-    "ControllerMode",
-    "FeedforwardSource",
-    "SimulationConfig",
     "RunStatus",
     "Trace",
     "SweepResult",
     "run_simulation",
     "run_one",
     "run_sweep",
-    "CONFIG_FIELDS",
-    "ConfigField",
-    "config_echo",
     "write_trace_csv",
     "read_trace_csv",
 ]
-
-@dataclass(frozen=True)
-class MeasurementModel:
-    """How the controller sees the output velocity.
-
-    The default (all fields zero) is an ideal sensor.  Nonzero fields model an
-    incremental encoder: the angle is quantized, differentiated tick-to-tick,
-    low-pass filtered, and Gaussian velocity noise is added.
-    """
-
-    angle_quantum: float = 0.0
-    filter_time_constant: float = 0.0
-    noise_std: float = 0.0
-
-    def __post_init__(self):
-        fields = (self.angle_quantum, self.filter_time_constant, self.noise_std)
-        if not all(0.0 <= x < math.inf for x in fields):
-            raise ValidationError("measurement model fields must be finite and >= 0")
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.angle_quantum == 0.0 and self.filter_time_constant == 0.0 and self.noise_std == 0.0
-
-
-@dataclass(frozen=True)
-class ControllerMode:
-    """Which controller branches are active: feedforward, feedback, or both."""
-
-    tuning: TuningFactors | None = None
-    funnel: FunnelSpec | None = None
-
-    def __post_init__(self):
-        if self.tuning is None and self.funnel is None:
-            raise ValidationError("controller mode needs a tuning set, a funnel, or both")
-
-    @classmethod
-    def feedforward_only(cls, tuning: TuningFactors) -> "ControllerMode":
-        return cls(tuning=tuning)
-
-    @classmethod
-    def feedback_only(cls, funnel: FunnelSpec) -> "ControllerMode":
-        return cls(funnel=funnel)
-
-    @classmethod
-    def combined(cls, tuning: TuningFactors, funnel: FunnelSpec) -> "ControllerMode":
-        return cls(tuning=tuning, funnel=funnel)
-
-    @property
-    def name(self) -> str:
-        if self.tuning is not None and self.funnel is not None:
-            return "combined"
-        if self.tuning is not None:
-            return "feedforward"
-        return "feedback"
-
-
-@dataclass(frozen=True)
-class FeedforwardSource:
-    """Where the feedforward torque comes from.
-
-    With a table, the loop reads precomputed samples (the lookup-table mode);
-    without one, it advances the inverse model by one implicit Euler step per
-    tick (the real-time mode).  The online solver is pure feedforward: it
-    never re-synchronizes to the plant state.
-    """
-
-    table: FeedforwardTable | None = None
-    newton: NewtonOptions = NewtonOptions()
-
-    @property
-    def is_online(self) -> bool:
-        return self.table is None
-
 
 @dataclass(frozen=True)
 class RunStatus:
@@ -144,75 +61,6 @@ class RunStatus:
 
     def __str__(self) -> str:  # as the summary and the outcome lines state it
         return "completed" if self.completed else f"{self.kind} at t={self.at:.6g} s"
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    label: str
-    true_params: OscillatorParams
-    nominal_params: OscillatorParams
-    trajectory: TrajectorySpec
-    mode: ControllerMode
-    control_frequency: float
-    duration: float
-    # Kept so that older callers and INI files still load: validated, but the
-    # plant step is exact and takes no substeps.
-    plant_substeps: int = 10
-    measurement: MeasurementModel = MeasurementModel()
-    feedforward_source: FeedforwardSource = FeedforwardSource()
-    seed: int = 0
-    u_max: float | None = None
-    initial_state: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        # the label names output files and sits in |-joined headers, CSV rows
-        # and the metrics header's "config LABEL: " keys
-        if not self.label or any(ch in "|,/\\:\n\r" for ch in self.label):
-            raise ValidationError(
-                f"label {self.label!r} must be non-empty, without | , / \\ : or newlines"
-            )
-        if not 0.0 < self.control_frequency < math.inf:
-            raise ValidationError(
-                f"control_frequency must be finite and > 0, got {self.control_frequency}"
-            )
-        if self.plant_substeps < 1:
-            raise ValidationError(f"plant_substeps must be >= 1, got {self.plant_substeps}")
-        if not 0.0 < self.duration < math.inf:
-            raise ValidationError(f"duration must be finite and > 0, got {self.duration}")
-        step_count(self.duration * self.control_frequency,
-                   f"duration {self.duration} s at {self.control_frequency} Hz", "control ticks")
-        tick, p = 1.0 / self.control_frequency, self.true_params
-        pieces = rate_bound(p) * tick  # step_matrices and event ticks walk ceil(pieces) series pieces
-        if not pieces <= 1000.0:  # the presets ask for at most 0.023
-            raise ValidationError(
-                f"true plant I1={p.I1} I2={p.I2} k={p.k} d={p.d} is too fast for the control "
-                f"tick {tick} s: {pieces:.6g} series pieces per tick, more than 1000"
-            )
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.u_max is not None and not self.u_max > 0.0:
-            raise ValidationError(f"u_max must be > 0 when set, got {self.u_max}")
-        if len(self.initial_state) != 4 or not all(math.isfinite(x) for x in self.initial_state):
-            raise ValidationError("initial_state must be four finite numbers")
-        if self.mode.tuning is not None:
-            if not self.nominal_params.friction.is_none:
-                raise ValidationError("nominal model must be frictionless")
-            source = self.feedforward_source
-            if source.table is not None:
-                if abs(source.table.dt - tick) > 1e-9 * tick:
-                    raise ValidationError(
-                        "feedforward table grid spacing must equal the control tick: "
-                        f"table dt {source.table.dt}, tick {tick}"
-                    )
-                if len(source.table) < self.n_ticks + 1:
-                    raise ValidationError(
-                        f"feedforward table too short: {len(source.table)} samples, "
-                        f"need {self.n_ticks + 1}"
-                    )
-
-    @property
-    def n_ticks(self) -> int:
-        return round(self.duration * self.control_frequency)
 
 
 @dataclass
@@ -269,119 +117,6 @@ class SweepResult:
     trace: Trace | None = None
     metrics: "metrics_mod.MetricsReport | None" = None
     error: str | None = None
-
-
-class FieldKind(NamedTuple):
-    """How a config value is written as text and read back."""
-
-    parse: Callable[[str], object]  # raises ValueError or KeyError on malformed text
-    format: Callable[[object], str] | None  # None: never echoed
-    noun: str  # what ``parse`` accepts, for error messages
-
-
-def _choice(values: dict) -> FieldKind:
-    """A value named by one of the keys of ``values``."""
-    names = {value: name for name, value in values.items()}
-    return FieldKind(values.__getitem__, names.__getitem__, "one of " + ", ".join(values))
-
-
-def _table_path(text: str) -> str | None:
-    if text == "online":
-        return None
-    if not text.startswith("table:"):
-        raise ValueError(text)
-    return text[len("table:"):]
-
-
-TEXT = FieldKind(str, str, "text")
-FLOAT = FieldKind(float, lambda x: "" if x is None else repr(x), "a number")
-INT = FieldKind(int, str, "an integer")
-MODE = _choice({name: name for name in ("feedforward", "feedback", "combined")})
-STATE = FieldKind(lambda text: tuple(map(float, text.split(";"))),
-                  lambda xs: ";".join(map(repr, xs)), "numbers joined by ';'")
-SOURCE = _choice({"online": True, "table": False})
-TABLE_PATH = FieldKind(_table_path, None, "'online' or 'table:PATH'")
-FFW, FB = "feedforward", "feedback"  # the branches of a ControllerMode
-
-
-class ConfigField(NamedTuple):
-    """One row of :data:`CONFIG_FIELDS`."""
-
-    name: str  # INI ``section.key`` (the section ends at the last dot) and echo key
-    path: str  # where the value sits in a SimulationConfig, as dotted attributes
-    kind: FieldKind
-    required: bool = True  # an absent or blank optional value keeps its dataclass default
-    branch: str | None = None  # FFW/FB: only in the modes that have that branch
-    ini: bool = True  # settable in a config file
-    echo: bool = True  # written by config_echo
-    derived: bool = False  # a property of the config: read back, never set
-
-
-# Every config value that a file sets or an echo records.  Not in the echo:
-# plant_substeps (no effect), a table's samples (the echo says only
-# whether one was used) and the nominal plant's friction (zero wherever the
-# nominal plant is used).  The mode row precedes every branch row.
-CONFIG_FIELDS = (
-    ConfigField("simulation.label", "label", TEXT),
-    # the branches present; it decides which branch rows a file must and may hold
-    ConfigField("simulation.mode", "mode.name", MODE, derived=True),
-    ConfigField("simulation.control_frequency", "control_frequency", FLOAT),
-    ConfigField("simulation.duration", "duration", FLOAT),
-    ConfigField("simulation.plant_substeps", "plant_substeps", INT, required=False, echo=False),
-    ConfigField("simulation.seed", "seed", INT, required=False),
-    ConfigField("simulation.u_max", "u_max", FLOAT, required=False),  # blank: None, no limit
-    ConfigField("simulation.feedforward", "feedforward_source.table", TABLE_PATH,
-                required=False, branch=FFW, echo=False),
-    ConfigField("feedforward.source", "feedforward_source.is_online", SOURCE,
-                required=False, branch=FFW, ini=False, derived=True),
-    ConfigField("simulation.initial_state", "initial_state", STATE, required=False, ini=False),
-    ConfigField("plant.true.I1", "true_params.I1", FLOAT),
-    ConfigField("plant.true.I2", "true_params.I2", FLOAT),
-    ConfigField("plant.true.k", "true_params.k", FLOAT),
-    ConfigField("plant.true.d", "true_params.d", FLOAT),
-    ConfigField("plant.true.coulomb_friction", "true_params.friction.magnitude", FLOAT,
-                required=False),
-    ConfigField("plant.nominal.I1", "nominal_params.I1", FLOAT),
-    ConfigField("plant.nominal.I2", "nominal_params.I2", FLOAT),
-    ConfigField("plant.nominal.k", "nominal_params.k", FLOAT),
-    ConfigField("plant.nominal.d", "nominal_params.d", FLOAT),
-    ConfigField("trajectory.y0", "trajectory.y0", FLOAT),
-    ConfigField("trajectory.yf", "trajectory.yf", FLOAT),
-    ConfigField("trajectory.t0", "trajectory.t0", FLOAT),
-    ConfigField("trajectory.tf", "trajectory.tf", FLOAT),
-    ConfigField("tuning.f_act", "mode.tuning.f_act", FLOAT, branch=FFW),
-    ConfigField("tuning.f_fric", "mode.tuning.f_fric", FLOAT, branch=FFW),
-    ConfigField("newton.max_iterations", "feedforward_source.newton.max_iterations", INT,
-                required=False, branch=FFW),
-    ConfigField("newton.residual_tolerance", "feedforward_source.newton.residual_tolerance",
-                FLOAT, required=False, branch=FFW),
-    ConfigField("funnel.s", "mode.funnel.s", FLOAT, branch=FB),
-    ConfigField("funnel.q_decay", "mode.funnel.q_decay", FLOAT, branch=FB),
-    ConfigField("funnel.c", "mode.funnel.c", FLOAT, branch=FB),
-    ConfigField("measurement.angle_quantum", "measurement.angle_quantum", FLOAT,
-                required=False),
-    ConfigField("measurement.filter_time_constant", "measurement.filter_time_constant", FLOAT,
-                required=False),
-    ConfigField("measurement.noise_std", "measurement.noise_std", FLOAT, required=False),
-)
-
-
-def has_branch(mode_name: str, branch: str | None) -> bool:
-    """Whether a controller mode of that name has the branch (None: every mode)."""
-    return branch is None or mode_name in (branch, "combined")
-
-
-def config_echo(cfg: SimulationConfig) -> dict:
-    """Flat, fully resolved key=value view of a config (embedded in file headers).
-
-    One pair per echoed row of :data:`CONFIG_FIELDS` in the config's branches.
-    """
-    mode = cfg.mode.name
-    return {
-        row.name: row.kind.format(reduce(getattr, row.path.split("."), cfg))
-        for row in CONFIG_FIELDS
-        if row.echo and has_branch(mode, row.branch)
-    }
 
 
 def run_simulation(config: SimulationConfig) -> Trace:

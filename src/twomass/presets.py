@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .closedloop import (
+from .config import (
     ControllerMode,
     FeedforwardSource,
     MeasurementModel,
@@ -77,8 +77,8 @@ FUNNEL_SETS = (
 # pure feedback run at 1 kHz leaves the funnel in 30 and hugs the boundary in
 # the rest, while the combined controller leaves it in 1; the preset seeds pin
 # one representative run of each.  The counts, [30, 1], come from
-#   python -c "import dataclasses as d; from twomass import closedloop as c, presets as p;
-#   print([sum(not c.run_simulation(d.replace(cfg, seed=s)).status.completed
+#   python -c "import dataclasses as d, twomass as t; from twomass import presets as p;
+#   print([sum(not t.run_simulation(d.replace(cfg, seed=s)).status.completed
 #   for s in range(40)) for cfg in p.build_preset('tight-funnel-dichotomy-1khz').configs])"
 NOISY_MEASUREMENT = MeasurementModel(noise_std=0.08)
 

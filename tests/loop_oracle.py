@@ -18,7 +18,8 @@ import numpy as np
 
 from funnel_oracle import psi
 from twomass import trajectory as trajectory_mod
-from twomass.closedloop import RunStatus, Trace, config_echo
+from twomass.closedloop import RunStatus, Trace
+from twomass.config import config_echo
 from twomass.errors import FunnelViolation, NewtonDiverged, ValidationError
 from twomass.feedback import funnel_law
 from twomass.feedforward import InverseModelStepper, apply_tuning

@@ -13,18 +13,20 @@ from loop_oracle import run_simulation_per_tick
 from plant_oracle import accelerations, rk4_plant_tick
 from twomass import csvfile
 from twomass.closedloop import (
-    ControllerMode,
-    FeedforwardSource,
-    MeasurementModel,
     RunStatus,
-    SimulationConfig,
     Trace,
     _psi_column,
-    config_echo,
     run_simulation,
     run_sweep,
     read_trace_csv,
     write_trace_csv,
+)
+from twomass.config import (
+    ControllerMode,
+    FeedforwardSource,
+    MeasurementModel,
+    SimulationConfig,
+    config_echo,
 )
 from twomass.errors import NewtonDiverged, ValidationError
 from twomass.feedback import FunnelSpec
@@ -991,7 +993,7 @@ _SERIES = ("t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u
 @st.composite
 def stored_traces(draw):
     # the header syntax characters that a label may hold are drawn often
-    safe = st.characters(blacklist_characters="|,/\\:\n\r") | st.sampled_from("=# ")
+    safe = st.characters(blacklist_characters="|,/\\:\n\r\0") | st.sampled_from("=# ")
     cfg = base_config(label=draw(st.text(safe, min_size=1, max_size=12)))
     n = draw(st.integers(0, 4))
     cell = st.floats(allow_nan=True, allow_infinity=True)

@@ -1,3 +1,4 @@
+import ast
 import configparser
 import contextlib
 import dataclasses
@@ -21,18 +22,18 @@ import twomass
 from conftest import NOT_UTF8
 from twomass import metrics, presets
 from twomass.cli import main
-from twomass.closedloop import (
+from twomass.closedloop import read_trace_csv, run_simulation
+from twomass.config import (
     CONFIG_FIELDS,
     ControllerMode,
     FeedforwardSource,
     MeasurementModel,
     SimulationConfig,
     config_echo,
+    config_from_echo,
     has_branch,
-    read_trace_csv,
-    run_simulation,
+    load_config_file,
 )
-from twomass.config import config_from_echo, load_config_file
 from twomass.csvfile import format_echo, parse_echo
 from twomass.errors import ParseError, ValidationError
 from twomass.feedback import FunnelSpec
@@ -357,6 +358,26 @@ class TestLoadConfig:
     def test_unknown_path_or_preset(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["check-plant", "--config", "x.ini", "--out", "o"],
+                     "twomass check-plant: unrecognized arguments: --out o", id="unknown-flag"),
+        pytest.param(["feedforward", "--dt", "abc"],
+                     "twomass feedforward: argument --dt: invalid float value: 'abc'",
+                     id="malformed-number"),
+        pytest.param([], "twomass: the following arguments are required: command",
+                     id="no-command"),
+    ])
+    def test_bad_flags_exit_2_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["feedforward", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: twomass")
 
 
 # Each preset's configs in order: label, seed and the first 16 hex digits of
@@ -764,6 +785,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
+        assert err.count(str(path)) == 1
         # an OSError is stated by its strerror, with its file named in the prefix only
         assert "[Errno" not in err
 
@@ -822,6 +844,10 @@ class TestCli:
         (FEEDBACK_CONFIG, "[funnel]", "[newton]\n\n[funnel]",
          "section [newton] not allowed for mode feedback"),
         (FULL_CONFIG, "label = demo", "label = a: b", "label 'a: b' must be non-empty, without"),
+        # open() would reject the output file's name
+        pytest.param(FULL_CONFIG, "label = demo", "label = de\0mo",
+                     "label 'de\\x00mo' must be non-empty, without | , / \\ :, NUL or newlines",
+                     id="label-with-nul"),
         # psi grows without bound: outside the funnel class
         pytest.param(FULL_CONFIG, "q_decay = 0.3", "q_decay = -1000",
                      "funnel decay rate q_decay must be >= 0, got -1000.0",
@@ -1036,7 +1062,7 @@ true_plants = st.builds(OscillatorParams, st.floats(1e-3, 1e3), st.floats(1e-3, 
 nominal_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative)
 trajectories = st.builds(lambda y0, yf, ts: TrajectorySpec(y0, yf, *sorted(ts)), finite, finite,
                          st.tuples(finite, finite).filter(lambda ts: ts[0] != ts[1]))
-labels = st.text(st.characters(blacklist_characters="|,/\\:\n\r"), min_size=1)
+labels = st.text(st.characters(blacklist_characters="|,/\\:\n\r\0"), min_size=1)
 
 
 @st.composite
@@ -1133,3 +1159,14 @@ class TestFieldTable:
         parser.read_string(block)
         named = {(section, key) for section in parser.sections() for key in parser[section]}
         assert named == {tuple(row.name.rsplit(".", 1)) for row in CONFIG_FIELDS if row.ini}
+
+
+@pytest.mark.parametrize("module", ["config", "presets"])
+def test_config_modules_import_nothing_from_closedloop(module):
+    # what a run is asked to do is spelled out without the loop that runs it
+    tree = ast.parse(Path(twomass.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for name in (node.module or "", *(alias.name for alias in node.names))]
+    assert names and not [name for name in names if "closedloop" in name.split(".")]

@@ -18,10 +18,12 @@ temporary directory of its own:
   feedforward and a noisy encoder)
 * the bad inputs of ``_BAD_INPUTS``, each of which should exit 2 with one
   ``error:`` line: ``simulate`` of a preset, a missing config, a config
-  with no section header and a trace without a status line
+  with no section header, a trace without a status line, a flag value that
+  is not a number and a config whose label holds a NUL byte
 
 Each command's exit code, stdout and stderr go to a ``.out`` file beside its
-outputs.  The two directories are then compared byte for byte, except that a
+outputs; a ``SystemExit`` or an exception that escapes the command is
+written there in place of its exit code.  The two directories are then compared byte for byte, except that a
 summary's ``controller wall time`` line, which is measured, is left out.
 Every difference is printed; the exit code is 0 when there is none, 1 when
 there is one.  Uses the standard library only.
@@ -51,7 +53,12 @@ if not os.path.realpath(twomass.__file__).startswith(tree + os.sep):
 def run(name, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:  # argparse's own exit
+            code = f"{exit_.code} (SystemExit)"
+        except Exception as exc:  # a crash is an output to compare, too
+            code = f"1 ({type(exc).__name__}: {exc})"
     with open(name + ".out", "w", encoding="utf-8") as fh:
         fh.write(f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
@@ -126,6 +133,9 @@ _BAD_INPUTS = (
                             "t,y_measured,y_true,y_ref,e,psi,u_ffw,u_fb,u,newton_iterations\n"
                             "0.0,0.0,0.0,0.0,0.0,,,,0.0,\n"},
      ["analyze", "no-status.csv"]),
+    ("bad-flag-value", {}, ["feedforward", "--dt", "abc"]),
+    ("bad-nul-label", {"nul-label.ini": _CONFIG.replace("label = demo", "label = de\0mo")},
+     ["simulate", "nul-label.ini", "--out", "bad"]),
 )
 
 _MEASURED = b"controller wall time"  # the summary line that differs from run to run
