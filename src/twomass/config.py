@@ -9,7 +9,6 @@ the constructed objects themselves, which state the violated invariant.
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 from dataclasses import dataclass
@@ -347,8 +346,10 @@ def _make(cls, node: dict):
                   for k, v in node.items()})
 
 
-def _configparser_message(err: configparser.Error) -> str:
+def _configparser_message(err) -> str:
     """configparser's message, less its second naming of the file."""
+    import configparser
+
     if isinstance(err, configparser.MissingSectionHeaderError):
         return f"line {err.lineno}: {err.line!r} precedes every section header"
     if isinstance(err, configparser.ParsingError):  # each line is a repr already
@@ -362,6 +363,8 @@ def _configparser_message(err: configparser.Error) -> str:
 
 def load_config_file(path) -> SimulationConfig:
     """Parse one simulation config file into its config."""
+    import configparser  # here, not at the top: only this reader needs it (2.3 ms to import)
+
     path = os.fspath(path)
     # values are literal: no %-interpolation, so "%" is an ordinary character
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)

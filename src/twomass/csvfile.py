@@ -14,6 +14,14 @@ takes any cell that ``float()`` takes, such as ``"1_0"``, ``" 1.5"``,
 in header values as sorted ``key=value`` pairs joined by ``|``.  Files are
 UTF-8 on both read and write, whatever the locale.
 
+The writer makes the float cells of a column chunk of 256 rows or more
+together in numpy, byte for byte what ``repr`` writes: the shortest digits
+that read back to the float, from a double-double product by a power of
+ten.  ``repr`` itself writes a shorter chunk's cells and each cell that the
+formatter cannot prove: within 1e-6 of a tie or of the rounding interval's
+edge, an exact power of two, a NaN, an infinity, or a magnitude outside
+``[1e-98, 1e7)``.
+
 Both sides work on batches of rows, column by column, and reuse equal
 cells within a batch: the writer formats a repeated or constant column
 once, and the reader parses it once.  Both also remember the columns a
@@ -54,9 +62,204 @@ def parse_echo(text: str) -> dict:
     return dict(chunk.split("=", 1) for chunk in text.split("|") if "=" in chunk)
 
 
+# The float cells of a column chunk are ``repr``'s shortest round-trip digits
+# (Steele and White, PLDI 1990), found a whole chunk at a time.  For each
+# cell, ``|x| * 10**(16 - e)`` with ``e = floor(log10|x|)`` is formed as a
+# Dekker double-double and cut into the nearest 17-digit integer ``N`` and
+# its fraction.  The nearest 15-digit and then 16-digit roundings of ``N``
+# are kept when they lie within half an ulp of ``x`` (then no shorter
+# string can, and trailing zeros are dropped); else ``N`` rounded is the
+# 17-digit answer.  Digits become ASCII four at a time from a table, words
+# from one row per exponent add the sign, the point, leading zeros and an
+# exponent, and one pass deletes the NUL bytes between them.  The cells
+# this cannot prove go to ``repr``, among them an exact power of two, whose
+# rounding interval is lopsided, and a cell whose ``log10`` is off by one.
+
+# decimal exponents laid out, from scientific ``d.ddde-99`` to ``ddddddd.d``
+_EXP_MIN, _EXP_MAX = -99, 6
+# shorter chunks go to repr: the vector set-up costs more than it saves there
+_VECTOR_MIN = 256
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _word(text: str) -> int:
+    """Up to eight ASCII bytes as one little-endian word, NUL-padded."""
+    return int.from_bytes(text.encode("ascii").ljust(8, b"\0"), "little")
+
+
+def _tables():
+    """Per decimal exponent ``e``: ``10**(16 - e)`` as a double-double, and its cells' layout.
+
+    The float rows hold the power's nearest double, that double's two Dekker
+    halves and the power's remainder, from Python ints.  The word rows hold
+    the divisor and multiplier that split the 17 digits at the point, the
+    mask of the integer digits, the point word's index base, its offset when
+    no digit follows the point, and the word that ends the cell.
+    """
+    scale, layout = [], []
+    for e in range(_EXP_MIN, _EXP_MAX + 1):
+        power = 10 ** (16 - e)
+        hi = float(power)
+        c = hi * _SPLIT
+        upper = c - (c - hi)
+        scale.append((hi, upper, hi - upper, float(power - int(hi))))
+        scientific = e < -4  # repr's switch: a decimal point position below -3
+        before = 1 if scientific else max(e + 1, 0)  # digits before the point
+        zeros = 0 if scientific else max(-1 - e, 0)  # zeros after it
+        shown = max(before, 1)  # "0.001" shows one integer digit
+        layout.append((
+            10 ** (17 - before),
+            10**before,
+            ((1 << 8 * shown) - 1) << 8 * (8 - shown),
+            10 * zeros,
+            40 if scientific else 0,
+            _word(f"e{e:+03d}\n" if scientific else "\n"),
+        ))
+    layout = np.array(layout, dtype=np.uint64).view(np.int64)
+    return np.array(scale).T.copy(), layout.T.copy()
+
+
+def _four_digits() -> np.ndarray:
+    """The four ASCII digits of each of 0..9999 as one word, the first in the lowest byte."""
+    pairs = np.array([_word(f"{i:02d}") for i in range(100)], dtype=np.uint32)
+    return (pairs[:, None] | pairs << 16).ravel()
+
+
+_SCALE, _LAYOUT = _tables()
+_DIGITS = _four_digits()
+_ASCII_ZEROS = 0x3030303030303030
+# the first k bytes of a word, k = 0..8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64).view(np.int64)
+# the point word: "." then z zeros then the first fraction digit g at index
+# 10 z + g; the ten words from 40 on are empty (scientific, one digit)
+_POINT = np.array([_word("." + "0" * z + str(g)) for z in range(4) for g in range(10)]
+                  + [0] * 10)
+
+
+def _shortest(x: np.ndarray):
+    """The 17-digit integer of each cell's shortest digits, its exponent's table row, and the unproven cells.
+
+    The digits of an unproven cell are 0, as are a zero's.
+    """
+    ax = np.abs(x)
+    tiny = ax < 1e-98
+    ax[tiny] = 1.0
+    e = np.log10(ax)
+    np.floor(e, out=e)
+    row = e.astype(np.intp)
+    row -= _EXP_MIN
+    hi, upper, lower, lo = _SCALE.take(row, axis=1, mode="clip")
+    # y = ax * 10**(16 - e) = p + err, exact to double-double precision
+    a_up = ax * _SPLIT
+    a_lo = a_up - ax
+    a_up -= a_lo
+    np.subtract(ax, a_up, out=a_lo)
+    p = ax * hi
+    err = a_up * upper
+    err -= p
+    a_up *= lower
+    err += a_up
+    upper *= a_lo
+    err += upper
+    a_lo *= lower
+    err += a_lo
+    lo *= ax
+    err += lo
+    whole = np.floor(err, out=a_up)
+    frac = err
+    frac -= whole
+    n17 = p.astype(np.int64)
+    n17 += whole.astype(np.int64)
+    bits = ax.view(np.int64)
+    half_ulp = p.view(np.int64)  # 2**(E - 53) for ax in [2**E, 2**(E + 1))
+    np.bitwise_and(bits, 0x7FF << 52, out=half_ulp)
+    half_ulp -= 53 << 52
+    half_ulp = p
+    half_ulp *= hi
+    # the distances to the 15- and 16-digit roundings less half an ulp, of
+    # the 16-digit one from a tie, of the fraction from a tie: near 0 is unproven
+    gap = np.empty((4, len(x)))
+    n15 = n17 + 50
+    n15 //= 100
+    n15 *= 100
+    np.subtract(n17, n15, out=gap[0], casting="unsafe")
+    n16 = n17 + 5
+    n16 //= 10
+    n16 *= 10
+    np.subtract(n17, n16, out=gap[1], casting="unsafe")
+    gap[:2] += frac
+    np.abs(gap[:2], out=gap[:2])
+    np.subtract(gap[1], 5.0, out=gap[2])
+    np.subtract(frac, 0.5, out=gap[3])
+    gap[:2] -= half_ulp
+    digits = n17 + (gap[3] >= 0.0)
+    np.copyto(digits, n16, where=gap[1] < 0.0)
+    np.copyto(digits, n15, where=gap[0] < 0.0)
+    np.abs(gap, out=gap)
+    unproven = gap.min(axis=0) <= 1e-6
+    n17 -= 10**16  # not 17 digits (log10 off by one, out of range), or rounds up to 18
+    unproven |= n17.view(np.uint64) >= 9 * 10**16 - 50
+    unproven |= (bits & (2**52 - 1)) == 0
+    unproven |= tiny
+    np.copyto(digits, 0, where=unproven)
+    unproven &= x != 0.0
+    return digits, row, unproven
+
+
+def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
+    """The cells of ``x`` from their 17 digits and table rows; 0 digits write a zero."""
+    divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1, mode="clip")
+    n = len(x)
+    words = np.empty((3, n), dtype=np.int64)  # integer digits, fraction digits 2-9 and 10-17
+    np.floor_divide(digits, divide, out=words[0])
+    fraction = words[0] * divide
+    np.subtract(digits, fraction, out=fraction)
+    fraction *= multiply
+    first = fraction // 10**16
+    fraction -= first * 10**16
+    np.floor_divide(fraction, 10**8, out=words[1])
+    np.multiply(words[1], 10**8, out=words[2])
+    np.subtract(fraction, words[2], out=words[2])
+    # each word as its two groups of four digits, the first in the low half
+    high = words // 10**4
+    words -= high * 10**4
+    words <<= 32
+    words |= high
+    words = _DIGITS.take(words.view(np.int32)).view(np.int64)
+    # the fraction up to its last non-zero digit: with "0" as 0, a byte is
+    # below 16, so a word's bit length as a double never rounds across a byte
+    kept = np.frexp((words[1:] ^ _ASCII_ZEROS).astype(np.float64))[1]
+    kept += 7
+    kept >>= 3
+    np.copyto(kept[0], 8, where=kept[1] != 0)
+    words[1:] &= _LOW_BYTES.take(kept)
+    words[0] &= int_mask
+    words[0] |= np.signbit(x) * ord("-")
+    fraction += first
+    point += first
+    point += (fraction == 0) * no_fraction
+    block = np.empty((n, 5), dtype=np.int64)  # per cell: integer, point, fraction, end
+    block[:, 0] = words[0]
+    block[:, 1] = _POINT.take(point)
+    block[:, 2:4] = words[1:].T
+    block[:, 4] = end
+    cells = block.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    cells.pop()
+    return cells
+
+
 def _cells(values: np.ndarray, as_int: bool) -> list[str]:
-    fmt = (lambda x: str(int(x))) if as_int else repr
-    return ["" if x != x else fmt(x) for x in values.tolist()]
+    """The cells of one column chunk: ``repr`` of each float, ``int`` if ``as_int``, NaN empty."""
+    if as_int or values.dtype != np.float64 or len(values) < _VECTOR_MIN:
+        fmt = (lambda x: str(int(x))) if as_int else repr
+        return ["" if x != x else fmt(x) for x in values.tolist()]
+    with np.errstate(all="ignore"):  # NaN, inf and zero cells compute garbage, then repr
+        digits, row, unproven = _shortest(values)
+        cells = _text(values, digits, row)
+    for i in np.flatnonzero(unproven).tolist():
+        x = values[i].item()
+        cells[i] = "" if x != x else repr(x)
+    return cells
 
 
 # memo position -> (column, as_int, "\n"-joined cells of each of its batches):

@@ -3,9 +3,11 @@
 import importlib.util
 import pathlib
 
+import twomass
 from twomass.cli import main
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+MANIFEST = pathlib.Path(__file__).with_name("outputs.sha256")
 _spec = importlib.util.spec_from_file_location("compare_outputs", TOOL)
 compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
@@ -54,3 +56,17 @@ def test_each_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsy
         assert main(argv) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, name
+
+
+def test_every_output_matches_the_manifest(tmp_path):
+    # the tree under test writes every compared file in one subprocess; a
+    # change that alters outputs on purpose regenerates the manifest with
+    # ``tools/compare_outputs.py --manifest tests/outputs.sha256 src``
+    out = str(tmp_path / "out")
+    compare_outputs.write_outputs(str(pathlib.Path(twomass.__file__).parents[1]), out)
+    pinned = dict(line.split("  ", 1)[::-1] for line in MANIFEST.read_text("utf-8").splitlines())
+    written = dict(line.split("  ", 1)[::-1] for line in compare_outputs.manifest(out).splitlines())
+    differing = sorted(name for name in pinned.keys() | written.keys()
+                       if pinned.get(name) != written.get(name))
+    assert not differing, f"{len(differing)} of {len(pinned)} files differ: {', '.join(differing)}"
+    assert len(pinned) > 80

@@ -1170,3 +1170,13 @@ def test_config_modules_import_nothing_from_closedloop(module):
     names += [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
               for name in (node.module or "", *(alias.name for alias in node.names))]
     assert names and not [name for name in names if "closedloop" in name.split(".")]
+
+
+def test_the_cli_import_loads_no_ini_reader_or_fractions():
+    # every run and sweep imports the package; only a config file needs
+    # configparser, and the cell formatter builds its table without fractions
+    code = "import sys, twomass.cli; print(sorted({'configparser', 'fractions'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(twomass.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,9 @@
 import math
+import struct
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import read_oracle
+import write_oracle
 from conftest import NOT_UTF8
 from twomass import csvfile
 from twomass.closedloop import read_trace_csv, run_simulation, write_trace_csv
@@ -195,11 +198,111 @@ def test_a_constant_batch_is_formatted_once():
     assert [len(call.args[0]) for call in cells.call_args_list] == [3, 1, 3, 1]
 
 
+def _float(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _step(x, k):
+    """``x`` moved ``k`` floats up (or down, for a negative ``k``)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# the edges of repr's layouts (1e-4, 1e16), of the formatter's range (1e-98,
+# 1e7) and of the float range, and the decimals between them
+BOUNDS = [1e-98, 1e-5, 1e-4, 0.1, 1.0, 10.0, 1e6, 1e7, 1e16, 5e-324, 2.2250738585072014e-308,
+          1.7976931348623157e308]
+# float64 bit patterns over all exponents: any bits (subnormals, infinities
+# and NaN payloads among them), any exponent with any mantissa, powers of two,
+# the neighbours of the bounds, short decimals, the floats nearest the
+# midpoints of 15-, 16- and 17-digit decimals (near-ties) and dyadic
+# fractions with few bits, many of which are such midpoints exactly (ties)
+CELL_VALUES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_float),
+    st.builds(lambda sign, exponent, mantissa: _float(sign << 63 | exponent << 52 | mantissa),
+              st.integers(0, 1), st.integers(0, 2047), st.integers(0, 2**52 - 1)),
+    st.builds(lambda sign, k: sign * math.ldexp(1.0, k), st.sampled_from([1.0, -1.0]),
+              st.integers(-1074, 1023)),
+    st.builds(_step, st.sampled_from(BOUNDS), st.integers(-3, 3)),
+    st.builds(lambda m, k: m / 10**k, st.integers(-10**9, 10**9), st.integers(0, 12)),
+    st.builds(lambda m, e: float(f"{m}5e{e}"), st.integers(10**14, 10**17 - 1),
+              st.integers(-120, 20)),
+    st.builds(lambda k, j: k / 2**j, st.integers(-2**21, 2**21), st.integers(0, 60)),
+    st.builds(lambda k, j: k / 2**j, st.integers(2**19, 2**21), st.integers(0, 60)),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=300)
+@given(values=st.lists(CELL_VALUES, min_size=1, max_size=64),
+       n=st.integers(csvfile._VECTOR_MIN, 1100), strided=st.booleans())
+def test_cells_are_the_oracles_cell_for_cell(values, n, strided):
+    # the drawn values repeated to a chunk the formatter takes whole, maybe as
+    # a strided column view
+    chunk = np.resize(np.array(values), n)
+    if strided:
+        chunk = np.column_stack([chunk, chunk])[:, 1]
+    assert csvfile._cells(chunk, False) == write_oracle.cells(chunk, False)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, OTHER_NAN, math.inf, -math.inf, 5e-324, -5e-324,
+    2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-99, 9.999999999999999e-99, 1e-98, 1.0000000000000001e-98, 1e-5, 9.999999999999999e-05,
+    1e-4, 0.00010000000000000002, 0.001, 0.1, 0.2, 0.30000000000000004, 1 / 3, 0.5, 1.0, 1.5,
+    2.0, 2.5, 9.5, 0.15, 123456.789, 999999.9999999999, 9999999.999999998, 1e7, 1.0000000000000002e7,
+    9999999999999998.0, 1e16, 1e22, 1e23, math.pi, -math.e, 5e-5, 1.5e-7, 9.99e-5,
+    0.0015339807878856412, 12.566370614359172, math.ldexp(1.0, -326), math.ldexp(1.0, 23),
+    65537 / 2**17, 0.50000762939453125 + 2**-53, 3 / 2**18,  # ties of 16 digits
+    655361 / 2**16, 655363 / 2**16,  # ties of 17 digits, rounded down and up to even
+]
+
+
+def test_edge_values_are_the_oracles():
+    # each edge value in a chunk of its own and all of them side by side
+    chunks = [np.full(csvfile._VECTOR_MIN, x) for x in EDGE_VALUES]
+    chunks.append(np.resize(np.array(EDGE_VALUES) * [[1.0], [-1.0]], 2 * csvfile._VECTOR_MIN))
+    with mock.patch.object(csvfile, "_shortest", wraps=csvfile._shortest) as vector:
+        for chunk in chunks:
+            assert csvfile._cells(chunk, False) == write_oracle.cells(chunk, False)
+    assert vector.call_count == len(chunks)
+
+
+def test_extreme_cells_leak_no_floating_point_state():
+    # inf, NaN, zeros and the float range's ends make the vector arithmetic
+    # overflow and compare NaN; the formatter keeps that to itself, so even a
+    # caller that makes every floating-point error raise gets the cells
+    chunk = np.resize(np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
+                                1.7976931348623157e308, -1e300, 1e-300, 0.5]), 300)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csvfile._cells(chunk, False) == write_oracle.cells(chunk, False)
+        assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise",
+                               "invalid": "raise"}
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_long_columns_are_the_per_cell_format(data):
+    # whole batches through the formatter: fresh columns, an equal column, a
+    # column of one value and an integer column, over more than one batch
+    n = data.draw(st.integers(csvfile._VECTOR_MIN, 2 * 1024 + 10))
+    values = data.draw(st.lists(CELL_VALUES, min_size=1, max_size=32))
+    fresh = np.resize(np.array(values), n)
+    arrays = [fresh, data.draw(st.sampled_from([fresh.copy(), fresh[::-1].copy()])),
+              np.full(n, data.draw(CELL_VALUES)),
+              np.trunc(np.where(np.abs(fresh) < 1e15, fresh, math.nan))]
+    rows = _rows(csvfile.format_rows(arrays, (3,)))
+    assert rows == list(_reference_rows(arrays, (3,)))
+
+
 def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path):
     # a sweep trace of 30,001 rows and 4.04 MiB, written with an empty memo:
     # the writer holds one batch's cells, rows and text block at a time and
-    # the memo's batch texts (a peak of 2.11 MiB in all), never the whole
-    # file's text
+    # the memo's batch texts, never the whole file's text.  The peak is
+    # 2.11 MiB with the whole-chunk cell formatter, as it was with repr per
+    # cell: the formatter's arrays for one chunk are gone before the next
     trace = run_simulation(build_preset("table3-fb-sweep-2khz").configs[0])
     path = tmp_path / "trace.csv"
     with mock.patch.object(csvfile, "_memo", {}):

@@ -3,6 +3,7 @@
 Usage::
 
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+    python tools/compare_outputs.py --manifest FILE SRC
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are directories that hold the ``twomass``
 package (a checkout's ``src``).  For each tree, one Python subprocess with
@@ -26,13 +27,20 @@ outputs; a ``SystemExit`` or an exception that escapes the command is
 written there in place of its exit code.  The two directories are then compared byte for byte, except that a
 summary's ``controller wall time`` line, which is measured, is left out.
 Every difference is printed; the exit code is 0 when there is none, 1 when
-there is one.  Uses the standard library only.
+there is one.
+
+With ``--manifest FILE``, the outputs of the one tree ``SRC`` are written and
+``FILE`` gets one ``sha256`` line per file, ``DIGEST  NAME`` in name order,
+each summary hashed without its measured line.  ``tests/outputs.sha256`` is
+that manifest for the package as committed, and a test compares every file
+of the tree under test with it.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import json
 import os
 import subprocess
@@ -167,6 +175,12 @@ def _content(path: str) -> bytes:
     return data
 
 
+def manifest(root: str) -> str:
+    """One ``DIGEST  NAME`` line per file under ``root``, in name order."""
+    return "".join(f"{hashlib.sha256(_content(os.path.join(root, name))).hexdigest()}  {name}\n"
+                   for name in sorted(_files(root)))
+
+
 def differences(parent: str, change: str) -> list[str]:
     """One entry per file that is in one directory only or differs between the two."""
     found = []
@@ -190,9 +204,21 @@ def differences(parent: str, change: str) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", help="directory holding the parent's twomass package")
-    parser.add_argument("change_src", help="directory holding the changed twomass package")
+    parser.add_argument("change_src", nargs="?",
+                        help="directory holding the changed twomass package")
+    parser.add_argument("--manifest", metavar="FILE",
+                        help="write the digests of PARENT_SRC's outputs to FILE instead")
     args = parser.parse_args(argv)
+    if (args.manifest is None) == (args.change_src is None):
+        parser.error("give either CHANGE_SRC or --manifest FILE")
     with tempfile.TemporaryDirectory() as work:
+        if args.manifest is not None:
+            write_outputs(args.parent_src, os.path.join(work, "out"))
+            lines = manifest(os.path.join(work, "out"))
+            with open(args.manifest, "w", encoding="utf-8") as fh:
+                fh.write(lines)
+            print(f"{len(lines.splitlines())} files hashed into {args.manifest}")
+            return 0
         parent, change = os.path.join(work, "parent"), os.path.join(work, "change")
         write_outputs(args.parent_src, parent)
         write_outputs(args.change_src, change)
