@@ -13,7 +13,10 @@ temporary directory of its own:
 * ``twomass sweep NAME`` for every preset (trace CSVs, summaries, ``metrics.csv``)
 * ``twomass sweep table2-ffw-sweep --metrics-on-true`` (metrics on the true output)
 * ``twomass feedforward`` with its defaults (the feedforward table)
-* ``twomass analyze --output`` of the ``table3-fb-sweep-2khz`` traces
+* ``twomass analyze --output`` of the traces of ``table3-fb-sweep-2khz``
+  (ideal sensor), ``controller-comparison-2khz`` (noisy and scientific
+  cells, a table's ``u_ffw``) and ``table2-ffw-sweep`` (the integer
+  ``newton_iterations`` column), which the trace reader parses
 * ``twomass check-plant --config`` and ``twomass simulate`` of a small config
   file that the subprocess writes (a 6 s combined run with the online
   feedforward and a noisy encoder)
@@ -75,8 +78,11 @@ for name in presets.preset_names():
     run(f"sweep-{name}", ["sweep", name, "--out", name])
 run("true-metrics", ["sweep", "table2-ffw-sweep", "--metrics-on-true", "--out", "true-metrics"])
 run("feedforward", ["feedforward", "--output", "feedforward-table.csv"])
-traces = sorted(glob.glob(os.path.join("table3-fb-sweep-2khz", "*-trace.csv")))
-run("analyze", ["analyze", *traces, "--output", "analyze-metrics.csv"])
+for name, preset in [("analyze", "table3-fb-sweep-2khz"),
+                     ("analyze-comparison", "controller-comparison-2khz"),
+                     ("analyze-ffw", "table2-ffw-sweep")]:
+    traces = sorted(glob.glob(os.path.join(preset, "*-trace.csv")))
+    run(name, ["analyze", *traces, "--output", f"{name}-metrics.csv"])
 with open("run.ini", "w", encoding="utf-8") as fh:
     fh.write(sys.argv[2])
 run("check-plant", ["check-plant", "--config", "run.ini"])
