@@ -377,10 +377,6 @@ _INT_COLUMNS = (_TRACE_COLUMNS.index("newton_iterations"),)
 # the plant-free columns, which repeat from run to run of a sweep: the grid,
 # the reference, the funnel width and a table's tuned torque
 _MEMO_COLUMNS = tuple(_TRACE_COLUMNS.index(name) for name in ("t", "y_ref", "psi", "u_ffw"))
-# the grid and the reference, which repeat from trace to trace of a sweep; the
-# reader leaves psi out: a sweep over funnels never repeats it, and keeping
-# its batches made repeated reads both slower and larger
-_READ_MEMO_COLUMNS = tuple(_TRACE_COLUMNS.index(name) for name in ("t", "y_ref"))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -397,7 +393,7 @@ def write_trace_csv(trace: Trace, path) -> None:
 
 def read_trace_csv(path) -> Trace:
     """Load a trace written by :func:`write_trace_csv` (tick series only)."""
-    header, data = csvfile.read(path, "trace", _TRACE_COLUMNS, _READ_MEMO_COLUMNS)
+    header, data = csvfile.read(path, "trace", _TRACE_COLUMNS)
     body = header.get("status")  # "completed", or a failure and the repr of its finite time
     kind, _, text = (body or "").partition(" at=")
     try:

@@ -22,22 +22,31 @@ formatter cannot prove: within 1e-6 of a tie or of the rounding interval's
 edge, an exact power of two, a NaN, an infinity, or a magnitude outside
 ``[1e-98, 1e7)``.
 
-Both sides work on batches of rows, column by column, and reuse equal
-cells within a batch: the writer formats a repeated or constant column
-once, and the reader parses it once.  Both also remember the columns a
-caller names (a sweep's tick times) from one file to the next, so that a
-column repeated across files is formatted or parsed once: the writer keeps
-the last read-only column met at each named position, the array itself and
-its text, and the reader keeps each batch's floats under its text.  The
-writer joins each batch's rows into one newline-terminated text block, so
-no Python code runs per row between the cells and the file.
+The writer works on batches of rows, column by column, and formats a
+repeated or constant column of a batch once.  It also remembers the columns
+a caller names (a sweep's tick times) from one file to the next, so that a
+column repeated across files is formatted once: it keeps the last read-only
+column met at each named position, the array itself and its text.  It joins
+each batch's rows into one newline-terminated text block, so no Python code
+runs per row between the cells and the file.
+
+The reader parses every cell of a batch of rows together in numpy, bit for
+bit what ``float()`` reads: the digits and the exponent of each cell, then
+one rounding of their double-double product.  It keeps nothing from one
+file to the next.  ``float()`` itself reads each cell that the parser
+cannot prove: any spelling but ``-ddd.ddde-dd`` (sign, point and repr's
+exponent optional, fewer than 24 bytes before the exponent besides the sign, at
+most 19 digits), a product within 1e-6 of a tie between two floats, an
+exact power of two, or a magnitude outside ``[2**-900, 2**900)``.  A batch
+that is not ASCII, or whose rows are not all ``n`` cells long, is read row
+by row with ``float()``.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -48,7 +57,7 @@ __all__ = ["format_echo", "parse_echo", "format_rows", "write", "read"]
 # rows formatted per batch: bounds the strings alive at once while writing,
 # one batch's cells, rows and text block
 _BATCH = 1024
-# rows parsed per batch: bounds the cell strings alive at once while reading
+# rows parsed per batch: bounds the text and the arrays alive at once while reading
 _READ_BATCH = 256
 
 
@@ -359,62 +368,248 @@ def write(path, kind: str, header, columns, pieces) -> None:
         fh.writelines(pieces)
 
 
-def _floats(cells):
-    """The floats of one column's cells: a column of one cell throughout parses it once."""
-    first = cells[0]
-    if cells.count(first) == len(cells):
-        return float(first) if first else math.nan
-    if "" in cells:
-        return [float(c) if c else math.nan for c in cells]
-    return array("d", map(float, cells))
+# The reader parses a batch's cells together in numpy, each to the float
+# that ``float()`` reads: the digits ``w`` and the exponent ``q`` of
+# ``w * 10**q``, then one rounding of their product (Clinger, "How to read
+# floating point numbers accurately", PLDI 1990; Lemire, "Number parsing at
+# a gigabyte per second", Softw. Pract. Exp. 2021).  Each cell's mantissa
+# is gathered as the three little-endian words of the 24 bytes that end
+# where it ends; the bytes before it, its sign among them, become 0 digits.
+# The point is cut out by moving the bytes below it up one place, and each
+# word of eight digits becomes its integer in three multiply-shift steps.
+# ``w`` times ``10**q`` is a Dekker double-double, as in ``_shortest``, and
+# its rounding to a double is kept unless what the rounding left out lies
+# within 1e-6 of half an ulp (a tie) or the double is an exact power of two
+# (its lower ulp is half the upper).  The module docstring lists the cells
+# that go to ``float()`` instead.
+
+_WINDOW = 24  # mantissa bytes parsed in numpy: three words of eight digits
+_Q_MIN, _Q_MAX = -300, 300  # the exponents of the powers of ten held
+_ALL = np.uint64(2**64 - 1)
+_WORDS = np.arange(4)[:, None]  # the four aligned words that hold a window
+# per word of a window, the most significant first: the bit count that,
+# less 8 per mantissa byte, shifts its mask of the mantissa
+_KEEP_SHIFTS = np.array([[192], [128], [64]])
+_EXPONENT_DIGITS = np.array([[-3], [-2], [-1]])  # from the end of "e+300"
 
 
-# "\n"-joined cells -> [floats, stamp of the last call of read that met them]
-# of a memoized column batch.  Entries are stamped in place, not moved into a
-# new dict per call as format_rows does: moving them raised the peak RSS of
-# 15 s of repeated analyze-traces passes by 3.5 MB, stamping by 0.5 MB.  The
-# keys are the whole text on purpose: unlike the writer, the reader holds no
-# column to compare bits with, so the text is its only exact hit test (after
-# one table3-fb-sweep-2khz trace, 196 entries hold 0.62 MiB of key text
-# beside 0.38 MiB of floats).
-_read_memo: dict = {}
+def _powers():
+    """Per q in [_Q_MIN, _Q_MAX]: ``10**q`` as a double-double, its nearest double, that double's Dekker halves and the remainder."""
+    rows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        hi = num / den  # int / int rounds correctly
+        a, b = hi.as_integer_ratio()
+        c = hi * _SPLIT
+        upper = c - (c - hi)
+        rows.append((hi, upper, hi - upper, (num * b - a * den) / (den * b)))
+    return np.array(rows)
 
 
-def _parse_batch(lines, n: int, memo_columns, stamp) -> bytes:
-    """The data rows ``lines`` of ``n`` cells each as row-major float64 bytes.
+_POWERS = _powers()
 
-    Parses column by column.  A column whose cells equal an earlier column's
-    takes its floats (an ideal sensor's ``y_measured`` is its ``y_true``).
-    Any other column at ``memo_columns`` that is not one cell throughout is
-    looked up by its text in the memo, and stored there once parsed; either
-    way its entry gets ``stamp``.  Raises ValueError on a row of the wrong
-    length or a cell that is not a float, without naming it.
+
+def _windows(buf: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The ``_WINDOW`` bytes of ``buf`` that end at each of ``stops``, as three little-endian words, the first word first.
+
+    Each is shifted out of the four aligned words that hold it; ``buf``
+    spans whole words.
     """
-    if any(map((n - 1).__ne__, map(str.count, lines, repeat(",")))):
+    start = stops - _WINDOW
+    shift = (start & 7).astype(np.uint64)
+    shift <<= 3
+    start >>= 3
+    index = start + _WORDS
+    del start
+    held = buf.view(np.uint64).take(index)
+    del index
+    x = held[:3] >> shift
+    held = held[1:]
+    np.subtract(64, shift, out=shift)
+    held <<= shift  # by 64: 0
+    x |= held
+    return x
+
+
+def _significands(x: np.ndarray, size: np.ndarray):
+    """The integer of each mantissa of ``size`` bytes that ends its window ``x``, its digits after the point, and the mantissas that are not ``ddd.ddd``.
+
+    Also not proven: no digit, more than 19 digits, or ``_WINDOW`` bytes or
+    more.  Spends ``x``.
+    """
+    # bytes to digits ("." to 0x1E), and the bytes before the mantissa to 0
+    x ^= 0x3030303030303030
+    t = np.maximum(_KEEP_SHIFTS - size * 8, 0).view(np.uint64)
+    np.left_shift(_ALL, t, out=t)
+    x &= t
+    # the point: 0x01 in its byte by haszero on x ^ 0x1E (each byte is below
+    # 0x80; a false hit lies above a true one), then the bytes below it, as
+    # one 192-bit number less one
+    below = x ^ 0x1E1E1E1E1E1E1E1E
+    below -= 0x0101010101010101
+    below &= 0x8080808080808080
+    below >>= 7
+    no_point = below == 0
+    no_point[1] &= no_point[0]
+    no_point[2] &= no_point[1]
+    below[0] -= 1
+    below[1:] -= no_point[:2]
+    point = ~no_point[2]
+    del no_point
+    below *= point
+    bits = np.bitwise_count(below)  # 8 a byte below the point
+    after = bits[0] + bits[1]
+    after += bits[2]
+    del bits
+    after >>= 3
+    np.subtract(_WINDOW - 1, after, out=after)
+    after *= point
+    # cut the point out: the bytes below it move up one place, over the 0
+    # that the window's first byte holds
+    np.bitwise_and(x, below, out=t)
+    carry = below[:2] >> 56
+    below <<= 8
+    below[1:] |= carry
+    np.invert(below, out=below)
+    x &= below
+    del below
+    np.right_shift(t[:2], 56, out=carry)
+    t <<= 8
+    t[1:] |= carry
+    del carry
+    x |= t
+    # each byte 0 to 9, then eight digits a word
+    np.add(x, 0x7676767676767676, out=t)
+    t &= 0x8080808080808080
+    t[0] |= t[1]
+    t[0] |= t[2]
+    bad = t[0] != 0
+    del t
+    x *= 2561
+    x >>= 8
+    x &= 0x00FF00FF00FF00FF
+    x *= 6553601
+    x >>= 16
+    x &= 0x0000FFFF0000FFFF
+    x *= 42949672960001
+    x >>= 32
+    bad |= x[0] > 921  # below 9.22e18 < 2**63: at most 19 digits
+    bad |= size - point < 1
+    bad |= size >= _WINDOW
+    w = x[0] * 10**16
+    x[1] *= 10**8
+    w += x[1]
+    w += x[2]
+    return w, after, bad
+
+
+def _scaled(w: np.ndarray, q: np.ndarray):
+    """``w * 10**q`` rounded once, and the products that rounding cannot prove.
+
+    ``q`` holds ``q - _Q_MIN``.  A ``q`` out of the table's range, or a
+    product out of the range proven, computes garbage, unproven; the caller
+    holds the floating-point errors that this raises.
+    """
+    hi, upper, lower, lo = _POWERS.take(q, axis=0, mode="clip").T
+    unproven = q.view(np.uint64) > _Q_MAX - _Q_MIN
+    a = w.astype(np.float64)
+    err = (w - a.astype(np.uint64)).view(np.int64).astype(np.float64)  # w - a, exact
+    err *= hi
+    err += lo * a
+    # a = up + dn (Dekker's split), then a * hi = r + rem, exact
+    up = a * _SPLIT
+    dn = up - a
+    up -= dn
+    np.subtract(a, up, out=dn)
+    r = np.multiply(a, hi, out=a)
+    rem = up * upper
+    rem -= r
+    up *= lower
+    rem += up
+    np.multiply(dn, upper, out=up)
+    rem += up
+    dn *= lower
+    rem += dn
+    err += rem
+    # round r + err once; err becomes what the rounding left out
+    np.add(r, err, out=up)
+    r -= up
+    err += r
+    r = up
+    bits = r.view(np.int64)
+    ulp = bits & 0x7FF << 52
+    ulp -= 52 << 52
+    # r outside [2**-900, 2**900), where every term above stays normal, or NaN
+    np.subtract(ulp, 1023 - 900 - 52 << 52, out=rem.view(np.int64))
+    unproven |= rem.view(np.uint64) >= 1800 << 52
+    np.abs(err, out=err)
+    unproven |= err >= (0.5 - 1e-6) * ulp.view(np.float64)  # near a tie
+    unproven |= (bits & 2**52 - 1) == 0  # a power of two: its lower ulp is half
+    return r, unproven
+
+
+def _parse_batch(lines, n: int) -> np.ndarray:
+    """The data rows ``lines`` of ``n`` cells each as row-major float64s.
+
+    Raises ValueError on a row of the wrong length or a cell that is not a
+    float, without naming it, and on a batch that is not ASCII: encoding it
+    raises UnicodeEncodeError, a ValueError.
+    """
+    text = "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"
+    data = text.encode("ascii")
+    del text
+    # the text after one window of "0" (the first cell's), in whole aligned words
+    buf = np.zeros((_WINDOW + len(data)) // 8 + 1, dtype=np.uint64).view(np.uint8)
+    buf[:_WINDOW] = ord("0")
+    buf[_WINDOW:_WINDOW + len(data)] = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if len(ends) != n * len(lines) or (buf[ends[n - 1::n]] != ord("\n")).any():
         raise ValueError
-    cells = ",".join(lines).replace("\n", "").split(",")
-    block = np.empty((n, len(lines)))
-    parsed = []  # (cells, index) of this batch's distinct columns
-    for i in range(n):
-        column = cells[i::n]
-        j = next((j for seen, j in parsed if seen == column), None)
-        if j is not None:
-            block[i] = block[j]
-            continue
-        parsed.append((column, i))
-        if i in memo_columns and column.count(column[0]) != len(column):
-            # text keys: "-0.0" is not "0.0", and an empty cell is no number
-            key = "\n".join(column)
-            entry = _read_memo.get(key)
-            if entry is None:
-                block[i] = _floats(column)
-                _read_memo[key] = [block[i].copy(), stamp]
-            else:
-                block[i] = entry[0]
-                entry[1] = stamp
-        else:
-            block[i] = _floats(column)
-    return block.T.tobytes()
+    starts = np.empty_like(ends)
+    starts[0] = _WINDOW
+    np.add(ends[:-1], 1, out=starts[1:])
+    negative = buf[starts] == ord("-")
+    # repr's exponents, "e-05" and "e+300": the mantissa ends before them
+    narrow = buf[ends - 4] == ord("e")
+    scientific = np.flatnonzero(narrow | (buf[ends - 5] == ord("e")))
+    stops = ends.copy()
+    q = np.full(len(ends), -_Q_MIN)
+    if len(scientific):
+        at = ends[scientific]
+        wide = ~narrow[scientific]
+        sign = buf[at - 3 - wide]
+        digits = buf[at + _EXPONENT_DIGITS].astype(np.intp)
+        digits -= ord("0")
+        digits[0] *= wide  # in "e-05" the sign
+        value = digits[0] * 100 + digits[1] * 10 + digits[2]
+        q[scientific] += np.where(sign == ord("-"), -value, value)
+        # a wrong exponent leaves no mantissa
+        wrong = ((digits < 0) | (digits > 9)).any(axis=0) | (
+            (sign != ord("-")) & (sign != ord("+")))
+        stops[scientific] = np.where(wrong, starts[scientific], at - 4 - wide)
+    size = stops - starts  # below 0 if an "e" lies before the cell
+    size -= negative  # the window reads the sign as a leading 0
+    empty = starts == ends
+    del starts
+    x = _windows(buf, stops)
+    del buf, stops
+    w, after, unproven = _significands(x, size)
+    del x, size
+    q -= after
+    with np.errstate(all="ignore"):
+        r, inexact = _scaled(w, q)
+    inexact &= w != 0
+    unproven |= inexact
+    np.greater(unproven, empty, out=unproven)
+    bits = r.view(np.int64)
+    bits |= np.left_shift(negative, 63, dtype=np.int64)  # the sign
+    np.putmask(r, empty, math.nan)
+    for i in np.flatnonzero(unproven).tolist():
+        start = ends[i - 1] + 1 - _WINDOW if i else 0
+        r[i] = float(data[start:ends[i] - _WINDOW].decode())
+    return r
 
 
 def _parse_rows(lines, n: int, values, path, kind: str) -> None:
@@ -430,24 +625,15 @@ def _parse_rows(lines, n: int, values, path, kind: str) -> None:
             raise ParseError(f"{path}: malformed {kind} row {row!r}") from None
 
 
-def read(path, kind: str, columns, memo_columns=()) -> tuple[dict, np.ndarray]:
+def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
     """Read a file of ``kind`` with exactly ``columns``: its header dict and a float array.
 
     The array has one row per data row; empty cells read as NaN and any other
     cell as ``float()`` reads it, so ``"1_0"`` is 10.0 and ``"nan"`` NaN.  Rows are
-    parsed in batches, column by column: within a batch, a column equal to an
-    earlier one reuses its floats and a column of one cell throughout parses
-    it once, as :func:`format_rows` formats them.  A batch with a bad row is
-    parsed again row by row, so the error names the first bad row.
-
-    The other batches of the columns at ``memo_columns`` are looked up by
-    their text among those of the previous call, and kept for the next:
-    columns that repeat from file to file (the tick times of one grid) are
-    parsed once.  Equal text parses to equal bits, so a hit is exact.  When a
-    call ends, by a return or an error, the memo holds that call's batches
-    only.
+    parsed ``_READ_BATCH`` at a time, every cell of a batch together in numpy
+    (the module docstring says which cells go to ``float()``).  A batch with a
+    bad row is parsed again row by row, so the error names the first bad row.
     """
-    stamp = object()
     column_line = ",".join(columns)
     n = len(columns)
     header: dict = {}
@@ -480,13 +666,9 @@ def read(path, kind: str, columns, memo_columns=()) -> tuple[dict, np.ndarray]:
                 if not lines:
                     break
                 try:
-                    values.frombytes(_parse_batch(lines, n, memo_columns, stamp))
+                    values.frombytes(_parse_batch(lines, n).view(np.uint8))
                 except ValueError:
                     _parse_rows(lines, n, values, path, kind)
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
-    finally:
-        # copy() runs no Python code, where items() may start the collector; pop: reads overlap
-        for key in [key for key, entry in _read_memo.copy().items() if entry[1] is not stamp]:
-            _read_memo.pop(key, None)
     return header, np.frombuffer(values).reshape(-1, n)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import Phase, settings, strategies as st
 
+from twomass.config import ControllerMode, SimulationConfig
+from twomass.errors import ValidationError
+from twomass.feedback import FunnelSpec
 from twomass.plant import FrictionModel, OscillatorParams
-from twomass.presets import NOMINAL_PLANT, REFERENCE_TRAJECTORY
+from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
 
 # the first 32 bytes of an x86-64 ELF executable: 0xc0 never starts UTF-8
 NOT_UTF8 = bytes.fromhex(
@@ -22,6 +27,28 @@ settings.register_profile(
     phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 settings.load_profile("twomass")
+
+
+_LABELLED = SimulationConfig(
+    label="x", true_params=DEFAULT_TRUE_PLANT, nominal_params=NOMINAL_PLANT,
+    trajectory=REFERENCE_TRAJECTORY, mode=ControllerMode.feedback_only(FunnelSpec(1.0, 0.1, 0.5)),
+    control_frequency=1000.0, duration=1.0,
+)
+
+
+def _takes_label(text):
+    """Whether a config takes ``text`` as its label: the package's own check decides."""
+    try:
+        dataclasses.replace(_LABELLED, label=text)
+    except ValidationError:
+        return False
+    return True
+
+
+# labels that a config takes, with the header syntax characters that a label
+# may hold drawn often
+labels = st.text(st.characters() | st.sampled_from("=# "), min_size=1, max_size=12).filter(
+    _takes_label)
 
 
 @pytest.fixture

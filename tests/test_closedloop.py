@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from conftest import assert_close
+from conftest import assert_close, labels
 from funnel_oracle import psi
 from loop_oracle import run_simulation_per_tick
 from plant_oracle import accelerations, rk4_plant_tick
@@ -992,9 +992,7 @@ _SERIES = ("t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u
 
 @st.composite
 def stored_traces(draw):
-    # the header syntax characters that a label may hold are drawn often
-    safe = st.characters(blacklist_characters="|,/\\:\n\r\0") | st.sampled_from("=# ")
-    cfg = base_config(label=draw(st.text(safe, min_size=1, max_size=12)))
+    cfg = base_config(label=draw(labels))
     n = draw(st.integers(0, 4))
     cell = st.floats(allow_nan=True, allow_infinity=True)
     columns = {name: np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)

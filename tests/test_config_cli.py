@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twomass
-from conftest import NOT_UTF8
+from conftest import NOT_UTF8, labels
 from twomass import metrics, presets
 from twomass.cli import main
 from twomass.closedloop import read_trace_csv, run_simulation
@@ -1062,7 +1062,6 @@ true_plants = st.builds(OscillatorParams, st.floats(1e-3, 1e3), st.floats(1e-3, 
 nominal_plants = st.builds(OscillatorParams, positive, positive, non_negative, non_negative)
 trajectories = st.builds(lambda y0, yf, ts: TrajectorySpec(y0, yf, *sorted(ts)), finite, finite,
                          st.tuples(finite, finite).filter(lambda ts: ts[0] != ts[1]))
-labels = st.text(st.characters(blacklist_characters="|,/\\:\n\r\0"), min_size=1)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -595,16 +596,15 @@ def test_read_holds_little_beside_its_array(tmp_path):
 
 @st.composite
 def read_sequences(draw):
-    """Files that share and vary their memoized columns, as a sweep's traces do.
+    """Files that share and vary their columns, as a sweep's traces do.
 
     A pool holds the columns that repeat from file to file.  A file of
-    ``rows`` rows (cut like a truncated run, so its last batch is short)
-    takes each column from the pool, from the pool with the signs of its
-    zeros flipped or with some cells emptied, or draws a fresh one.  A file
-    may be broken by a bad cell or a short row.
+    ``rows`` rows (cut like a truncated run) takes each column from the
+    pool, from the pool with the signs of its zeros flipped or with some
+    cells emptied, or draws a fresh one.  A file may be broken by a bad
+    cell or a short row.
     """
     n = draw(st.integers(1, 4))
-    memo_columns = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1).map(tuple))
     length = draw(st.integers(1, 12))
     pool = [np.array(draw(st.lists(VALUES, min_size=length, max_size=length)))
             for _ in range(draw(st.integers(1, 3)))]
@@ -626,7 +626,6 @@ def read_sequences(draw):
         lines = [row + "\n" for row in _rows(csvfile.format_rows(arrays))]
         how = draw(st.sampled_from(["good", "good", "cell", "short"]))
         if how != "good":
-            # a bad cell after the memoized ones of its row fails their batch late
             k = draw(st.integers(0, rows - 1))
             cells = lines[k].rstrip("\n").split(",")
             if how == "cell":
@@ -635,30 +634,24 @@ def read_sequences(draw):
                 cells.pop()
             lines[k] = ",".join(cells) + "\n"
         files.append("".join(lines).encode())
-    return [f"c{i}" for i in range(n)], memo_columns, files
+    return [f"c{i}" for i in range(n)], files
 
 
 @settings(max_examples=200)
-@given(case=read_sequences(), batch=st.sampled_from([1, 2, 3, 5, 256]))
-def test_memoized_columns_are_read_as_a_fresh_process_reads_them(tmp_path_factory, case, batch):
+@given(case=read_sequences())
+def test_reads_in_turn_are_each_the_per_row_read(tmp_path_factory, case):
     # in the drawn order and reversed, so each file follows another, and a
     # broken file in the middle sits between two others both ways
-    columns, memo_columns, files = case
-    folder = tmp_path_factory.mktemp("memo")
+    columns, files = case
+    folder = tmp_path_factory.mktemp("turns")
     paths = []
     for k, body in enumerate(files):
         path = folder / f"trace{k}.csv"
         path.write_bytes(b"# twomass trace\n" + ",".join(columns).encode() + b"\n" + body)
         paths.append(path)
-
-    def read(path, kind, columns):
-        return csvfile.read(path, kind, columns, memo_columns)
-
-    with mock.patch.object(csvfile, "_READ_BATCH", batch), \
-            mock.patch.object(csvfile, "_read_memo", {}):
-        for path in paths + paths[::-1]:
-            expected = _read_outcome(read_oracle.read, path, columns)
-            assert _read_outcome(read, path, columns) == expected
+    for path in paths + paths[::-1]:
+        expected = _read_outcome(read_oracle.read, path, columns)
+        assert _read_outcome(csvfile.read, path, columns) == expected
 
 
 def _write_trace_of(path, arrays):
@@ -667,40 +660,182 @@ def _write_trace_of(path, arrays):
     return columns
 
 
-def test_the_read_memo_holds_the_last_call_only(tmp_path):
-    # the batches of the last file's memoized column that are not one cell
-    # throughout, by their text; the first file's are gone
-    first = [np.arange(3000.0)]
-    last = [np.concatenate([np.arange(600.0) * 0.5, np.full(256, 2.0)])]
-    for k, arrays in enumerate((first, last)):
-        path = tmp_path / f"trace{k}.csv"
-        columns = _write_trace_of(path, arrays)
-        csvfile.read(path, "trace", columns, (0,))
-    cells = [repr(x) for x in last[0].tolist()]
-    batches = (cells[start:start + csvfile._READ_BATCH]
-               for start in range(0, len(cells), csvfile._READ_BATCH))
-    assert set(csvfile._read_memo) == {"\n".join(b) for b in batches if len(set(b)) > 1}
+def _module_state():
+    """Each global of ``csvfile`` by identity, a dict's values by identity and an array's bytes."""
+    state = {}
+    for name, value in vars(csvfile).items():
+        if isinstance(value, dict):
+            value = (id(value), {key: id(item) for key, item in value.items()})
+        elif isinstance(value, np.ndarray):
+            value = (id(value), value.tobytes())
+        else:
+            value = id(value)
+        state[name] = value
+    return state
 
 
-def test_a_memoized_column_is_parsed_once_across_calls(tmp_path):
-    shared = np.arange(600.0) * 1e-3
+def test_read_keeps_nothing_between_calls(tmp_path):
+    # the tick times of one grid in three files, then other columns: each
+    # read is its own, and no read changes the module's globals
+    grid = np.arange(3000.0) * 5e-4
     paths = []
-    for k, arrays in enumerate([shared, shared * i + i] for i in (3, 5)):
+    for k in range(3):
         paths.append(tmp_path / f"trace{k}.csv")
-        columns = _write_trace_of(paths[-1], arrays)
-    csvfile.read(paths[0], "trace", columns, (0,))
-    with mock.patch.object(csvfile, "_floats", wraps=csvfile._floats) as floats:
-        result = _read_outcome(lambda *a: csvfile.read(*a, (0,)), paths[1], columns)
-    assert result == _read_outcome(read_oracle.read, paths[1], columns)
-    # the three batches of the second column only
-    first_cells = [call.args[0][0] for call in floats.call_args_list]
-    assert first_cells == [repr(x) for x in arrays[1][::csvfile._READ_BATCH].tolist()]
+        columns = _write_trace_of(paths[-1], [grid[:3000 - 700 * k], grid[:3000 - 700 * k] * k])
+    expected = [_read_outcome(read_oracle.read, path, columns) for path in paths]
+    before = _module_state()
+    for path, want in zip(paths + paths[::-1], expected + expected[::-1]):
+        assert _read_outcome(csvfile.read, path, columns) == want
+    assert _module_state() == before
+
+
+# cells that the block parser leaves to float(): powers of two, exact
+# midpoints between two floats (2**53 + 1 and 10**23), more than 19 digits,
+# 24 bytes or more before the exponent, magnitudes outside [2**-900, 2**900)
+# and the spellings that only float() reads
+FLOAT_CELLS = ["0.5", "-2.0", "1.0", "0.0001220703125", "9007199254740993.0", "1e+23",
+               "12345678901234567890.0", "0.000000000000000000001234", "1e-300", "1.5e+280",
+               "+1.5", " 1.5", "1_0", "nan", "-inf", "1E+05", "1e5", "1.5e-0005"]
+# cells that it proves: repr's fixed and scientific layouts, signs, zeros,
+# integers, a point at either end, leading zeros and 19 digits
+PROVEN_CELLS = ["0.1", "-0.30000000000000004", "12.566370614359172", "1e-05", "-9.99e-05",
+                "1.2345678901234567e-100", "3.3e+16", "0.0", "-0.0", "3", "12", "5.", "-.75",
+                "007.25", "1234567890123456789", "0.00012345678901234567"]
+
+
+def test_float_reads_only_the_cells_the_parser_cannot_prove(tmp_path):
+    cells = FLOAT_CELLS + PROVEN_CELLS + [""]
+    path = tmp_path / "trace.csv"
+    body = "".join(f"{cell},{cell}\n" for cell in cells * 20)
+    path.write_text("# twomass trace\na,b\n" + body)
+    with mock.patch.object(csvfile, "float", create=True, wraps=float) as parsed:
+        result = _read_outcome(csvfile.read, path, ("a", "b"))
+    assert result == _read_outcome(read_oracle.read, path, ("a", "b"))
+    assert sorted(call.args[0] for call in parsed.call_args_list) == sorted(FLOAT_CELLS * 40)
+
+
+def _float_cells(text):
+    """``text`` if ``float()`` reads it, else None."""
+    try:
+        float(text)
+    except ValueError:
+        return None
+    return text
+
+
+def _with_point(digits, at, sign, zeros):
+    """``digits`` with a point after ``at`` of them, ``zeros`` leading zeros and ``sign``."""
+    at = min(at, len(digits))
+    return sign + "0" * zeros + digits[:at] + "." + digits[at:]
+
+
+def _decimal(value):
+    """The exact decimal digits of a Decimal, with no exponent."""
+    return format(value, "f")
+
+
+# exact midpoints between two floats of [2**48, 2**63) in full: odd
+# multiples of half their spacing, most often 19 digits with four after the
+# point, where the double-double product is inexact and comes nearest to a
+# tie; and the midpoints just below powers of two, where the spacing halves
+MIDPOINTS = st.one_of(
+    st.builds(lambda j, s: _decimal(Decimal(2 * j + 1) * Decimal(2) ** s),
+              st.integers(2**52, 8 * 10**15 - 1), st.sampled_from([-4, -4, -4, -3, -2, -1, 0, 9])),
+    st.builds(lambda e: _decimal(Decimal(2) ** e - Decimal(2) ** (e - 54)), st.integers(49, 63)),
+)
+CELL_TEXTS = st.one_of(
+    # repr of float64 bit patterns over all exponents, zeros of both signs
+    st.builds(repr, CELL_VALUES),
+    # the lax spellings that float() reads
+    st.sampled_from(["007.5", "-.5", "5.", "+1.5", " 1.5", "1.5 ", "1_0", "nan", "-nan", "inf",
+                     "1E+05", "1e5", "1e-0005", "0e-400", "-0", ".5e+10", "5.e-05"]),
+    # any count of digits with a point anywhere, up to cells far beyond 24 bytes
+    st.builds(_with_point, st.text("0123456789", min_size=1, max_size=30), st.integers(0, 30),
+              st.sampled_from(["", "-"]), st.integers(0, 3)),
+    # scientific cells with any mantissa and repr's or other exponents
+    st.builds(lambda m, e: f"{m}e{e:+03d}", st.integers(-10**25, 10**25), st.integers(-340, 320)),
+    # the midpoints and their neighbours one unit in the last place away
+    st.builds(lambda cell, k: cell[:-1] + str(int(cell[-1]) + k) if 0 <= int(cell[-1]) + k <= 9
+              else cell, MIDPOINTS, st.sampled_from([0, 0, -1, 1])),
+    st.sampled_from(["1e+23", "1e23", "-9007199254740993", "9007199254740993.0"]),
+).map(_float_cells).filter(lambda cell: cell is not None)
+
+
+@settings(max_examples=300)
+@given(cells=st.lists(CELL_TEXTS, min_size=1, max_size=48), ties=st.lists(MIDPOINTS, max_size=64),
+       n=st.integers(1, 6))
+def test_block_parser_is_float_cell_for_cell(cells, ties, n):
+    # the drawn cells, and as many midpoints again, repeated over a full
+    # batch of rows
+    cells += ties
+    rows = csvfile._READ_BATCH
+    grid = [cells[k % len(cells)] for k in range(rows * n)]
+    lines = [",".join(grid[k:k + n]) + "\n" for k in range(0, len(grid), n)]
+    expected = np.array([float(cell) for cell in grid])
+    assert csvfile._parse_batch(lines, n).tobytes() == expected.tobytes()
+
+
+def test_extreme_cells_parse_with_floating_point_errors_raised():
+    # NaN, infinities, subnormals, the float range's ends, values beyond it
+    # and empty cells make the parser's arithmetic overflow, underflow and
+    # compare NaN; it keeps that to itself
+    cells = ["inf", "-inf", "nan", "", "0.0", "-0.0", "5e-324", "2.2250738585072014e-308",
+             "1.7976931348623157e+308", "1e+400", "-1e-400", "9999999999999999999",
+             "1e-300", "1e+300", "0.5", "1.5"]
+    lines = [",".join(cells) + "\n"] * 300
+    expected = np.array([float(cell) if cell else math.nan for cell in cells] * 300)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csvfile._parse_batch(lines, len(cells)).tobytes() == expected.tobytes()
+        assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise",
+                               "invalid": "raise"}
+
+
+def _long_trace(rows=700):
+    """The lines of a written trace of ``rows`` rows, noisy and scientific cells among them."""
+    rng = np.random.default_rng(5)
+    arrays = [np.arange(rows) * 5e-4, rng.normal(size=rows), rng.normal(size=rows) * 1e-6,
+              np.full(rows, math.nan), np.floor(rng.random(rows) * 4)]
+    return [row + "\n" for row in _rows(csvfile.format_rows(arrays, (4,)))]
+
+
+def _short_row(lines):
+    lines[400] = lines[400].rsplit(",", 1)[0] + "\n"
+    return "".join(lines).encode()
+
+
+def _non_ascii_digit(lines):
+    # float() reads the Arabic-Indic digit three
+    lines[300] = "\u0663" + lines[300][lines[300].index(","):]
+    return "".join(lines).encode()
+
+
+def _crlf(lines):
+    return "".join(lines).replace("\n", "\r\n").encode()
+
+
+def _no_final_newline(lines):
+    return "".join(lines).rstrip("\n").encode()
+
+
+def _undecodable_after_malformed_row(lines):
+    lines[100] = "x" + lines[100]
+    return "".join(lines[:300]).encode() + b"\xff\n" + "".join(lines[300:]).encode()
+
+
+@pytest.mark.parametrize("hostile", [_short_row, _non_ascii_digit, _crlf, _no_final_newline,
+                                     _undecodable_after_malformed_row])
+def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile):
+    # each fault inside batches that are otherwise parsed whole
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"# twomass trace\n# status: completed\na,b,c,d,e\n" + hostile(_long_trace()))
+    expected = _read_outcome(read_oracle.read, path, tuple("abcde"))
+    assert _read_outcome(csvfile.read, path, tuple("abcde")) == expected
 
 
 def test_concurrent_reads_are_the_per_row_read(tmp_path):
     # two threads read three files over and over, switching as often as the
-    # interpreter allows; two-row batches fill the memo, so each read's
-    # clean-up meets the other thread's inserts and removals
+    # interpreter allows; the reader shares no state between calls
     rng = np.random.default_rng(0)
     paths = []
     for k in range(3):
@@ -713,7 +848,7 @@ def test_concurrent_reads_are_the_per_row_read(tmp_path):
         try:
             for _ in range(5):
                 for path, want in zip(paths, expected):
-                    got = _read_outcome(lambda *a: csvfile.read(*a, (0, 1)), path, columns)
+                    got = _read_outcome(csvfile.read, path, columns)
                     matches.append(got == want)
         except Exception as err:
             errors.append(err)
@@ -721,13 +856,11 @@ def test_concurrent_reads_are_the_per_row_read(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(csvfile, "_READ_BATCH", 2), \
-                mock.patch.object(csvfile, "_read_memo", {}):
-            threads = [threading.Thread(target=reads) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+        threads = [threading.Thread(target=reads) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
