@@ -410,7 +410,7 @@ _POWERS = _powers()
 
 
 def _windows(buf: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The ``_WINDOW`` bytes of ``buf`` that end at each of ``stops``, as three little-endian words, the first word first.
+    """The ``_WINDOW`` bytes of ``buf`` that end at each of ``stops``: (3, cells) little-endian words, the first bytes in the first.
 
     Each is shifted out of the four aligned words that hold it; ``buf``
     spans whole words.
@@ -457,7 +457,7 @@ def _significands(x: np.ndarray, size: np.ndarray):
     point = ~no_point[2]
     del no_point
     below *= point
-    bits = np.bitwise_count(below)  # 8 a byte below the point
+    bits = np.bitwise_count(below)  # 8 for each byte below the point
     after = bits[0] + bits[1]
     after += bits[2]
     del bits
@@ -506,9 +506,9 @@ def _significands(x: np.ndarray, size: np.ndarray):
 def _scaled(w: np.ndarray, q: np.ndarray):
     """``w * 10**q`` rounded once, and the products that rounding cannot prove.
 
-    ``q`` holds ``q - _Q_MIN``.  A ``q`` out of the table's range, or a
-    product out of the range proven, computes garbage, unproven; the caller
-    holds the floating-point errors that this raises.
+    ``q`` holds ``q - _Q_MIN``, and is spent.  A ``q`` out of the table's
+    range, or a product out of the range proven, computes garbage,
+    unproven; the caller holds the floating-point errors that this raises.
     """
     hi, upper, lower, lo = _POWERS.take(q, axis=0, mode="clip").T
     unproven = q.view(np.uint64) > _Q_MAX - _Q_MIN
@@ -541,10 +541,18 @@ def _scaled(w: np.ndarray, q: np.ndarray):
     ulp -= 52 << 52
     # r outside [2**-900, 2**900), where every term above stays normal, or NaN
     np.subtract(ulp, 1023 - 900 - 52 << 52, out=rem.view(np.int64))
-    unproven |= rem.view(np.uint64) >= 1800 << 52
+    inexact = rem.view(np.uint64) >= 1800 << 52
     np.abs(err, out=err)
-    unproven |= err >= (0.5 - 1e-6) * ulp.view(np.float64)  # near a tie
-    unproven |= (bits & 2**52 - 1) == 0  # a power of two: its lower ulp is half
+    inexact |= err >= (0.5 - 1e-6) * ulp.view(np.float64)  # near a tie
+    inexact |= (bits & 2**52 - 1) == 0  # a power of two: its lower ulp is half
+    # an exact product needs none of these: a zero, or w and 10**q both
+    # doubles, as in Clinger's fast path (an integer column's cells)
+    q += _Q_MIN
+    exact = q.view(np.uint64) <= 22
+    exact &= w <= 2**53
+    exact |= w == 0
+    np.greater(inexact, exact, out=inexact)
+    unproven |= inexact
     return r, unproven
 
 
@@ -553,7 +561,9 @@ def _parse_batch(lines, n: int) -> np.ndarray:
 
     Raises ValueError on a row of the wrong length or a cell that is not a
     float, without naming it, and on a batch that is not ASCII: encoding it
-    raises UnicodeEncodeError, a ValueError.
+    raises UnicodeEncodeError, a ValueError.  Each array is dropped once
+    spent: what a batch holds at once is what the reader holds beside its
+    result.
     """
     text = "".join(lines)
     if not text.endswith("\n"):
@@ -600,7 +610,6 @@ def _parse_batch(lines, n: int) -> np.ndarray:
     q -= after
     with np.errstate(all="ignore"):
         r, inexact = _scaled(w, q)
-    inexact &= w != 0
     unproven |= inexact
     np.greater(unproven, empty, out=unproven)
     bits = r.view(np.int64)

@@ -1,5 +1,5 @@
 """Test oracle for the trace reader: the per-row loop that ``csvfile.read``'s
-batched, column-wise parse replaced.
+batched numpy parse replaced.
 
 Each data row is split on its own and every cell goes through ``float``
 (an empty cell reads as NaN), so the header, the array bits and the error

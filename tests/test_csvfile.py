@@ -689,18 +689,21 @@ def test_read_keeps_nothing_between_calls(tmp_path):
     assert _module_state() == before
 
 
-# cells that the block parser leaves to float(): powers of two, exact
-# midpoints between two floats (2**53 + 1 and 10**23), more than 19 digits,
-# 24 bytes or more before the exponent, magnitudes outside [2**-900, 2**900)
-# and the spellings that only float() reads
-FLOAT_CELLS = ["0.5", "-2.0", "1.0", "0.0001220703125", "9007199254740993.0", "1e+23",
-               "12345678901234567890.0", "0.000000000000000000001234", "1e-300", "1.5e+280",
-               "+1.5", " 1.5", "1_0", "nan", "-inf", "1E+05", "1e5", "1.5e-0005"]
+# cells that the block parser leaves to float(): powers of two from an
+# inexact product, exact midpoints between two floats (2**53 + 1 and
+# 10**23), more than 19 digits, 24 bytes or more before the exponent,
+# magnitudes outside [2**-900, 2**900) and the spellings that only float()
+# reads
+FLOAT_CELLS = ["0.5", "-2.0", "1.0", "0.0001220703125", "9007199254740993", "9007199254740993.0",
+               "1e+23", "12345678901234567890.0", "0.000000000000000000001234", "1e-300",
+               "1.5e+280", "+1.5", " 1.5", "1_0", "nan", "-inf", "1E+05", "1e5", "1.5e-0005"]
 # cells that it proves: repr's fixed and scientific layouts, signs, zeros,
-# integers, a point at either end, leading zeros and 19 digits
+# integers (powers of two among them: an exact product), a point at either
+# end, leading zeros and 19 digits
 PROVEN_CELLS = ["0.1", "-0.30000000000000004", "12.566370614359172", "1e-05", "-9.99e-05",
-                "1.2345678901234567e-100", "3.3e+16", "0.0", "-0.0", "3", "12", "5.", "-.75",
-                "007.25", "1234567890123456789", "0.00012345678901234567"]
+                "1.2345678901234567e-100", "3.3e+16", "0.0", "-0.0", "3", "12", "1", "8",
+                "9007199254740992", "1e+22", "5.", "-.75", "007.25", "1234567890123456789",
+                "0.00012345678901234567"]
 
 
 def test_float_reads_only_the_cells_the_parser_cannot_prove(tmp_path):
