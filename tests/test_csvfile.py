@@ -717,7 +717,7 @@ def test_float_reads_only_the_cells_the_parser_cannot_prove(tmp_path):
     assert sorted(call.args[0] for call in parsed.call_args_list) == sorted(FLOAT_CELLS * 40)
 
 
-def _float_cells(text):
+def _if_float(text):
     """``text`` if ``float()`` reads it, else None."""
     try:
         float(text)
@@ -761,15 +761,14 @@ CELL_TEXTS = st.one_of(
     st.builds(lambda cell, k: cell[:-1] + str(int(cell[-1]) + k) if 0 <= int(cell[-1]) + k <= 9
               else cell, MIDPOINTS, st.sampled_from([0, 0, -1, 1])),
     st.sampled_from(["1e+23", "1e23", "-9007199254740993", "9007199254740993.0"]),
-).map(_float_cells).filter(lambda cell: cell is not None)
+).map(_if_float).filter(lambda cell: cell is not None)
 
 
 @settings(max_examples=300)
 @given(cells=st.lists(CELL_TEXTS, min_size=1, max_size=48), ties=st.lists(MIDPOINTS, max_size=64),
        n=st.integers(1, 6))
 def test_block_parser_is_float_cell_for_cell(cells, ties, n):
-    # the drawn cells, and as many midpoints again, repeated over a full
-    # batch of rows
+    # the drawn cells and midpoints, repeated over a full batch of rows
     cells += ties
     rows = csvfile._READ_BATCH
     grid = [cells[k % len(cells)] for k in range(rows * n)]
