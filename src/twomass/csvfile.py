@@ -96,27 +96,21 @@ def _word(text: str) -> int:
     return int.from_bytes(text.encode("ascii").ljust(8, b"\0"), "little")
 
 
-def _tables():
-    """Per decimal exponent ``e``: ``10**(16 - e)`` as a double-double, and its cells' layout.
+def _layout():
+    """Per decimal exponent ``e``: the layout of its cells.
 
-    The float rows hold the power's nearest double, that double's two Dekker
-    halves and the power's remainder, from Python ints.  The word rows hold
-    the divisor and multiplier that split the 17 digits at the point, the
-    mask of the integer digits, the point word's index base, its offset when
-    no digit follows the point, and the word that ends the cell.
+    Each row holds the divisor and multiplier that split the 17 digits at
+    the point, the mask of the integer digits, the point word's index base,
+    its offset when no digit follows the point, and the word that ends the
+    cell.
     """
-    scale, layout = [], []
+    rows = []
     for e in range(_EXP_MIN, _EXP_MAX + 1):
-        power = 10 ** (16 - e)
-        hi = float(power)
-        c = hi * _SPLIT
-        upper = c - (c - hi)
-        scale.append((hi, upper, hi - upper, float(power - int(hi))))
         scientific = e < -4  # repr's switch: a decimal point position below -3
         before = 1 if scientific else max(e + 1, 0)  # digits before the point
         zeros = 0 if scientific else max(-1 - e, 0)  # zeros after it
         shown = max(before, 1)  # "0.001" shows one integer digit
-        layout.append((
+        rows.append((
             10 ** (17 - before),
             10**before,
             ((1 << 8 * shown) - 1) << 8 * (8 - shown),
@@ -124,8 +118,38 @@ def _tables():
             40 if scientific else 0,
             _word(f"e{e:+03d}\n" if scientific else "\n"),
         ))
-    layout = np.array(layout, dtype=np.uint64).view(np.int64)
-    return np.array(scale).T.copy(), layout.T.copy()
+    return np.array(rows, dtype=np.uint64).view(np.int64).T.copy()
+
+
+def _powers():
+    """Per q in [_Q_MIN, _Q_MAX], one column: ``10**q``'s nearest double, that double's Dekker halves and the remainder."""
+    rows = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+        hi = num / den  # int / int rounds correctly
+        a, b = hi.as_integer_ratio()
+        c = hi * _SPLIT
+        upper = c - (c - hi)
+        rows.append((hi, upper, hi - upper, (num * b - a * den) / (den * b)))
+    return np.array(rows).T.copy()
+
+
+def _two_product(a: np.ndarray, hi, upper, lower):
+    """``a * hi`` as ``p + err``, exact but for underflow (Dekker); ``upper`` and ``lower`` are ``hi``'s halves, and are spent."""
+    up = a * _SPLIT
+    dn = up - a
+    up -= dn
+    np.subtract(a, up, out=dn)
+    p = a * hi
+    err = up * upper
+    err -= p
+    up *= lower
+    err += up
+    upper *= dn
+    err += upper
+    lower *= dn
+    err += lower
+    return p, err
 
 
 def _four_digits() -> np.ndarray:
@@ -134,7 +158,9 @@ def _four_digits() -> np.ndarray:
     return (pairs[:, None] | pairs << 16).ravel()
 
 
-_SCALE, _LAYOUT = _tables()
+_Q_MIN, _Q_MAX = -300, 300  # the exponents of the powers of ten held
+_POWERS = _powers()
+_LAYOUT = _layout()
 _DIGITS = _four_digits()
 _ASCII_ZEROS = 0x3030303030303030
 # the first k bytes of a word, k = 0..8
@@ -157,24 +183,13 @@ def _shortest(x: np.ndarray):
     np.floor(e, out=e)
     row = e.astype(np.intp)
     row -= _EXP_MIN
-    hi, upper, lower, lo = _SCALE.take(row, axis=1, mode="clip")
+    np.clip(row, 0, _EXP_MAX - _EXP_MIN, out=row)
     # y = ax * 10**(16 - e) = p + err, exact to double-double precision
-    a_up = ax * _SPLIT
-    a_lo = a_up - ax
-    a_up -= a_lo
-    np.subtract(ax, a_up, out=a_lo)
-    p = ax * hi
-    err = a_up * upper
-    err -= p
-    a_up *= lower
-    err += a_up
-    upper *= a_lo
-    err += upper
-    a_lo *= lower
-    err += a_lo
+    hi, upper, lower, lo = _POWERS.take(16 - _EXP_MIN - _Q_MIN - row, axis=1)
+    p, err = _two_product(ax, hi, upper, lower)
     lo *= ax
     err += lo
-    whole = np.floor(err, out=a_up)
+    whole = np.floor(err, out=lo)
     frac = err
     frac -= whole
     n17 = p.astype(np.int64)
@@ -217,7 +232,7 @@ def _shortest(x: np.ndarray):
 
 def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
     """The cells of ``x`` from their 17 digits and table rows; 0 digits write a zero."""
-    divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1, mode="clip")
+    divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1)
     n = len(x)
     words = np.empty((3, n), dtype=np.int64)  # integer digits, fraction digits 2-9 and 10-17
     np.floor_divide(digits, divide, out=words[0])
@@ -377,36 +392,19 @@ def write(path, kind: str, header, columns, pieces) -> None:
 # where it ends; the bytes before it, its sign among them, become 0 digits.
 # The point is cut out by moving the bytes below it up one place, and each
 # word of eight digits becomes its integer in three multiply-shift steps.
-# ``w`` times ``10**q`` is a Dekker double-double, as in ``_shortest``, and
+# ``w`` times ``10**q`` is a Dekker double-double (``_two_product``), and
 # its rounding to a double is kept unless what the rounding left out lies
 # within 1e-6 of half an ulp (a tie) or the double is an exact power of two
 # (its lower ulp is half the upper).  The module docstring lists the cells
 # that go to ``float()`` instead.
 
 _WINDOW = 24  # mantissa bytes parsed in numpy: three words of eight digits
-_Q_MIN, _Q_MAX = -300, 300  # the exponents of the powers of ten held
 _ALL = np.uint64(2**64 - 1)
 _WORDS = np.arange(4)[:, None]  # the four aligned words that hold a window
 # per word of a window, the most significant first: the bit count that,
 # less 8 per mantissa byte, shifts its mask of the mantissa
 _KEEP_SHIFTS = np.array([[192], [128], [64]])
 _EXPONENT_DIGITS = np.array([[-3], [-2], [-1]])  # from the end of "e+300"
-
-
-def _powers():
-    """Per q in [_Q_MIN, _Q_MAX]: ``10**q`` as a double-double, its nearest double, that double's Dekker halves and the remainder."""
-    rows = []
-    for q in range(_Q_MIN, _Q_MAX + 1):
-        num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
-        hi = num / den  # int / int rounds correctly
-        a, b = hi.as_integer_ratio()
-        c = hi * _SPLIT
-        upper = c - (c - hi)
-        rows.append((hi, upper, hi - upper, (num * b - a * den) / (den * b)))
-    return np.array(rows)
-
-
-_POWERS = _powers()
 
 
 def _windows(buf: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -457,11 +455,14 @@ def _significands(x: np.ndarray, size: np.ndarray):
     point = ~no_point[2]
     del no_point
     below *= point
-    bits = np.bitwise_count(below)  # 8 for each byte below the point
-    after = bits[0] + bits[1]
-    after += bits[2]
-    del bits
-    after >>= 3
+    # the bytes below the point: their low bits summed over the three words
+    # (at most 3 a byte), then over the bytes of the sum
+    after = below[0] & 0x0101010101010101
+    after += below[1] & 0x0101010101010101
+    after += below[2] & 0x0101010101010101
+    after *= 0x0101010101010101
+    after >>= 56
+    after = after.view(np.int64)
     np.subtract(_WINDOW - 1, after, out=after)
     after *= point
     # cut the point out: the bytes below it move up one place, over the 0
@@ -510,29 +511,17 @@ def _scaled(w: np.ndarray, q: np.ndarray):
     range, or a product out of the range proven, computes garbage,
     unproven; the caller holds the floating-point errors that this raises.
     """
-    hi, upper, lower, lo = _POWERS.take(q, axis=0, mode="clip").T
+    hi, upper, lower, lo = _POWERS.take(q, axis=1, mode="clip")
     unproven = q.view(np.uint64) > _Q_MAX - _Q_MIN
     a = w.astype(np.float64)
     err = (w - a.astype(np.uint64)).view(np.int64).astype(np.float64)  # w - a, exact
     err *= hi
-    err += lo * a
-    # a = up + dn (Dekker's split), then a * hi = r + rem, exact
-    up = a * _SPLIT
-    dn = up - a
-    up -= dn
-    np.subtract(a, up, out=dn)
-    r = np.multiply(a, hi, out=a)
-    rem = up * upper
-    rem -= r
-    up *= lower
-    rem += up
-    np.multiply(dn, upper, out=up)
-    rem += up
-    dn *= lower
-    rem += dn
+    lo *= a
+    err += lo
+    r, rem = _two_product(a, hi, upper, lower)
     err += rem
     # round r + err once; err becomes what the rounding left out
-    np.add(r, err, out=up)
+    up = np.add(r, err, out=a)
     r -= up
     err += r
     r = up
