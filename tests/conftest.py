@@ -45,10 +45,13 @@ def _takes_label(text):
     return True
 
 
-# labels that a config takes, with the header syntax characters that a label
-# may hold drawn often
-labels = st.text(st.characters() | st.sampled_from("=# "), min_size=1, max_size=12).filter(
-    _takes_label)
+def labels(max_size=None):
+    """Labels that a config takes, of at most ``max_size`` characters.
+
+    The header syntax characters that a label may hold are drawn often.
+    """
+    return st.text(st.characters() | st.sampled_from("=# "), min_size=1,
+                   max_size=max_size).filter(_takes_label)
 
 
 @pytest.fixture

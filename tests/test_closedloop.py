@@ -992,7 +992,7 @@ _SERIES = ("t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u
 
 @st.composite
 def stored_traces(draw):
-    cfg = base_config(label=draw(labels))
+    cfg = base_config(label=draw(labels(max_size=12)))
     n = draw(st.integers(0, 4))
     cell = st.floats(allow_nan=True, allow_infinity=True)
     columns = {name: np.array(draw(st.lists(cell, min_size=n, max_size=n)), dtype=float)

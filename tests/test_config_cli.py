@@ -1074,7 +1074,7 @@ def configs(draw):
     # a tick of at most 999 series pieces, and a run of a whole number of ticks
     frequency = draw(st.floats(max(rate_bound(true_params) / 999.0, 1e-300), 1e300))
     return SimulationConfig(
-        label=draw(labels),
+        label=draw(labels()),
         true_params=true_params,
         nominal_params=draw(nominal_plants),
         trajectory=draw(trajectories),
