@@ -32,20 +32,21 @@ runs per row between the cells and the file.
 
 The reader parses every cell of a batch of rows together in numpy, bit for
 bit what ``float()`` reads: the digits and the exponent of each cell, then
-one rounding of their double-double product.  It keeps nothing from one
-file to the next.  ``float()`` itself reads each cell that the parser
-cannot prove: any spelling but ``-ddd.ddde-dd`` (sign, point and repr's
-exponent optional, fewer than 24 bytes before the exponent besides the sign, at
-most 19 digits), a product within 1e-6 of a tie between two floats, an
-exact power of two, or a magnitude outside ``[2**-900, 2**900)``.  A batch
-that is not ASCII, or whose rows are not all ``n`` cells long, is read row
-by row with ``float()``.
+one rounding of their double-double product.  It counts a file's lines
+first and fills one array of that many rows, so the array is never moved
+or copied as it grows, and it keeps nothing from one file to the next.
+``float()`` itself reads each cell that the parser cannot prove: any
+spelling but ``-ddd.ddde-dd`` (sign, point and repr's exponent optional,
+fewer than 24 bytes before the exponent besides the sign, at most 19
+digits), a product within 1e-6 of a tie between two floats, an exact power
+of two, or a magnitude outside ``[2**-900, 2**900)``.  A batch that is not
+ASCII, or whose rows are not all ``n`` cells long, is read row by row with
+``float()``.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from itertools import islice
 
 import numpy as np
@@ -610,8 +611,9 @@ def _parse_batch(lines, n: int) -> np.ndarray:
     return r
 
 
-def _parse_rows(lines, n: int, values, path, kind: str) -> None:
-    """Append the data rows ``lines`` to ``values`` one by one, naming the first bad row."""
+def _parse_rows(lines, n: int, path, kind: str) -> list:
+    """The data rows ``lines`` read one by one, row-major; the first bad row is named."""
+    values = []
     for line in lines:
         row = line.rstrip("\n")
         cells = row.split(",")
@@ -621,6 +623,17 @@ def _parse_rows(lines, n: int, values, path, kind: str) -> None:
             values.extend([float(c) if c else math.nan for c in cells])
         except ValueError:
             raise ParseError(f"{path}: malformed {kind} row {row!r}") from None
+    return values
+
+
+def _line_count(path) -> int:
+    """The lines of a file as text mode splits them, less those ended by a lone ``"\\r"``."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+            last = block[-1:]
+    return count + (last != b"\n")
 
 
 def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
@@ -629,13 +642,15 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
     The array has one row per data row; empty cells read as NaN and any other
     cell as ``float()`` reads it, so ``"1_0"`` is 10.0 and ``"nan"`` NaN.  Rows are
     parsed ``_READ_BATCH`` at a time, every cell of a batch together in numpy
-    (the module docstring says which cells go to ``float()``).  A batch with a
-    bad row is parsed again row by row, so the error names the first bad row.
+    (the module docstring says which cells go to ``float()``), into an array
+    sized by a count of the file's newlines; it grows only if lines end in a
+    lone ``"\\r"`` or the file grows while read.  A batch with a bad row is
+    parsed again row by row, so the error names the first bad row.
     """
     column_line = ",".join(columns)
     n = len(columns)
     header: dict = {}
-    values = array("d")
+    seen = 2  # the kind line and the column line
     try:
         with open(path, encoding="utf-8") as fh:
             if fh.readline().rstrip("\n") != f"# twomass {kind}":
@@ -650,8 +665,11 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
                 if not (line.startswith("# ") and sep):
                     raise ParseError(f"{path}: malformed header line {line!r}")
                 header[key] = value
+                seen += 1
             else:
                 raise ValidationError(f"{path}: no column line {column_line!r}")
+            data = np.empty((max(_line_count(path) - seen, 0), n))
+            rows = 0
             while True:
                 lines = []
                 try:
@@ -659,14 +677,19 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
                 except UnicodeDecodeError:
                     # extend keeps the lines read before the undecodable one:
                     # a bad row among them is named first
-                    _parse_rows(lines, n, values, path, kind)
+                    _parse_rows(lines, n, path, kind)
                     raise
                 if not lines:
                     break
                 try:
-                    values.frombytes(_parse_batch(lines, n).view(np.uint8))
+                    block = _parse_batch(lines, n)
                 except ValueError:
-                    _parse_rows(lines, n, values, path, kind)
+                    block = _parse_rows(lines, n, path, kind)
+                stop = rows + len(lines)
+                if stop > len(data):  # lines ended by a lone "\r", or a file that grew
+                    data = np.concatenate((data[:rows], np.empty((2 * stop - rows, n))))
+                data[rows:stop] = np.reshape(block, (-1, n))
+                rows = stop
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
-    return header, np.frombuffer(values).reshape(-1, n)
+    return header, data[:rows]

@@ -503,9 +503,10 @@ def read_cases(draw):
         arrays[i] = np.where(np.isfinite(arrays[i]), arrays[i], math.nan)
     lines = [row + "\n" for row in _rows(csvfile.format_rows(arrays, int_columns))] if rows else []
     for _ in range(draw(st.integers(0, 2))):
-        how = draw(st.sampled_from(["blank", "cell", "short", "extra", "crlf", "no final newline"]))
-        if how == "crlf":
-            lines = [line.replace("\n", "\r\n") for line in lines]
+        how = draw(st.sampled_from(["blank", "cell", "short", "extra", "crlf", "cr",
+                                    "no final newline"]))
+        if how in ("crlf", "cr"):
+            lines = [line.replace("\n", "\r\n" if how == "crlf" else "\r") for line in lines]
         elif how == "blank":
             lines.insert(draw(st.integers(0, len(lines))), "\n")
         elif lines:
@@ -575,8 +576,9 @@ def test_a_bad_row_before_undecodable_bytes_is_named_first(tmp_path):
 
 
 def test_read_holds_little_beside_its_array(tmp_path):
-    # batches go straight into the one growing array: no per-batch blocks
-    # are kept and joined at the end, which would double the peak
+    # batches go straight into the one array, sized by the file's newlines:
+    # no per-batch blocks are kept and joined at the end, which would double
+    # the peak
     rng = np.random.default_rng(0)
     rows = 30_001
     arrays = ([np.arange(rows) * 5e-4] + [rng.normal(size=rows) for _ in range(7)]
@@ -816,6 +818,12 @@ def _crlf(lines):
     return "".join(lines).replace("\n", "\r\n").encode()
 
 
+def _lone_cr_endings(lines):
+    # text mode ends a line at a lone "\r" too, so the file holds fewer
+    # newlines than rows and the array they sized grows
+    return "".join(lines[:200] + [line.replace("\n", "\r") for line in lines[200:]]).encode()
+
+
 def _no_final_newline(lines):
     return "".join(lines).rstrip("\n").encode()
 
@@ -825,8 +833,8 @@ def _undecodable_after_malformed_row(lines):
     return "".join(lines[:300]).encode() + b"\xff\n" + "".join(lines[300:]).encode()
 
 
-@pytest.mark.parametrize("hostile", [_short_row, _non_ascii_digit, _crlf, _no_final_newline,
-                                     _undecodable_after_malformed_row])
+@pytest.mark.parametrize("hostile", [_short_row, _non_ascii_digit, _crlf, _lone_cr_endings,
+                                     _no_final_newline, _undecodable_after_malformed_row])
 def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile):
     # each fault inside batches that are otherwise parsed whole
     path = tmp_path / "trace.csv"
