@@ -161,6 +161,9 @@ def _four_digits() -> np.ndarray:
 
 _Q_MIN, _Q_MAX = -300, 300  # the exponents of the powers of ten held
 _POWERS = _powers()
+# the writer's columns of it, 10**(16 - e) for e = _EXP_MIN.._EXP_MAX, in
+# one block that a cell's layout row indexes
+_SCALE = _POWERS[:, 16 - _EXP_MIN - _Q_MIN:15 - _EXP_MAX - _Q_MIN:-1].copy()
 _LAYOUT = _layout()
 _DIGITS = _four_digits()
 _ASCII_ZEROS = 0x3030303030303030
@@ -184,9 +187,8 @@ def _shortest(x: np.ndarray):
     np.floor(e, out=e)
     row = e.astype(np.intp)
     row -= _EXP_MIN
-    np.clip(row, 0, _EXP_MAX - _EXP_MIN, out=row)
     # y = ax * 10**(16 - e) = p + err, exact to double-double precision
-    hi, upper, lower, lo = _POWERS.take(16 - _EXP_MIN - _Q_MIN - row, axis=1)
+    hi, upper, lower, lo = _SCALE.take(row, axis=1, mode="clip")
     p, err = _two_product(ax, hi, upper, lower)
     lo *= ax
     err += lo
@@ -233,7 +235,7 @@ def _shortest(x: np.ndarray):
 
 def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
     """The cells of ``x`` from their 17 digits and table rows; 0 digits write a zero."""
-    divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1)
+    divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1, mode="clip")
     n = len(x)
     words = np.empty((3, n), dtype=np.int64)  # integer digits, fraction digits 2-9 and 10-17
     np.floor_divide(digits, divide, out=words[0])
