@@ -459,7 +459,8 @@ def _significands(x: np.ndarray, size: np.ndarray):
     del no_point
     below *= point
     # the bytes below the point: their low bits summed over the three words
-    # (at most 3 a byte), then over the bytes of the sum
+    # (at most 3 a byte), then over the bytes of the sum; a false hit's byte
+    # counts too, but only a "/" makes one, and the digit check rejects it
     after = below[0] & 0x0101010101010101
     after += below[1] & 0x0101010101010101
     after += below[2] & 0x0101010101010101
