@@ -374,9 +374,6 @@ _TRACE_COLUMNS = (
     "newton_iterations",
 )
 _INT_COLUMNS = (_TRACE_COLUMNS.index("newton_iterations"),)
-# the plant-free columns, which repeat from run to run of a sweep: the grid,
-# the reference, the funnel width and a table's tuned torque
-_MEMO_COLUMNS = tuple(_TRACE_COLUMNS.index(name) for name in ("t", "y_ref", "psi", "u_ffw"))
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -387,7 +384,7 @@ def write_trace_csv(trace: Trace, path) -> None:
         ("status", "completed" if status.completed else f"{status.kind} at={status.at!r}"),
     ]
     arrays = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    blocks = csvfile.format_rows(arrays, _INT_COLUMNS, _MEMO_COLUMNS)
+    blocks = csvfile.format_rows(arrays, _INT_COLUMNS)
     csvfile.write(path, "trace", header, _TRACE_COLUMNS, blocks)
 
 

@@ -23,29 +23,30 @@ edge, an exact power of two, a NaN, an infinity, or a magnitude outside
 ``[1e-98, 1e7)``.
 
 The writer works on batches of rows, column by column, and formats a
-repeated or constant column of a batch once.  It also remembers the columns
-a caller names (a sweep's tick times) from one file to the next, so that a
-column repeated across files is formatted once: it keeps the last read-only
-column met at each named position, the array itself and its text.  It joins
-each batch's rows into one newline-terminated text block, so no Python code
-runs per row between the cells and the file.
+repeated or constant column of a batch once.  It also remembers read-only
+columns (a sweep's tick times) from one file to the next, so that a column
+repeated across files is formatted once: it keeps the last read-only column
+of more than one value met at each position, the array itself and its
+text.  It joins each batch's rows into one newline-terminated text block,
+so no Python code runs per row between the cells and the file.
 
 The reader parses every cell of a batch of rows together in numpy, bit for
 bit what ``float()`` reads: the digits and the exponent of each cell, then
 one rounding of their double-double product.  It counts a file's lines
-first and fills one array of that many rows, so the array is never moved
-or copied as it grows, and it keeps nothing from one file to the next.
+first, unless it is a pipe, and fills one array of that many rows, so the
+array is never moved or copied as it grows; it keeps nothing between files.
 ``float()`` itself reads each cell that the parser cannot prove: any
-spelling but ``-ddd.ddde-dd`` (sign, point and repr's exponent optional,
-fewer than 24 bytes before the exponent besides the sign, at most 19
-digits), a product within 1e-6 of a tie between two floats, an exact power
-of two, or a magnitude outside ``[2**-900, 2**900)``.  A batch that is not
-ASCII, or whose rows are not all ``n`` cells long, is read row by row with
+spelling but ``-ddd.ddde-dd`` (sign, point and repr's two-digit exponent
+optional, fewer than 24 bytes before the exponent besides the sign, at most
+19 digits), so also a three-digit exponent, a product within 1e-6 of a tie
+between two floats, or an exact power of two.  A batch that is not ASCII, or
+whose rows are not all ``n`` cells long, is read row by row with
 ``float()``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from itertools import islice
 
@@ -159,7 +160,9 @@ def _four_digits() -> np.ndarray:
     return (pairs[:, None] | pairs << 16).ravel()
 
 
-_Q_MIN, _Q_MAX = -300, 300  # the exponents of the powers of ten held
+# the exponents of the powers of ten held: a read cell has fewer than 24 digits
+# after its point and an exponent of -99 or more; the writer scales by 10**(16 - e)
+_Q_MIN, _Q_MAX = -122, 16 - _EXP_MIN
 _POWERS = _powers()
 # the writer's columns of it, 10**(16 - e) for e = _EXP_MIN.._EXP_MAX, in
 # one block that a cell's layout row indexes
@@ -289,8 +292,8 @@ def _cells(values: np.ndarray, as_int: bool) -> list[str]:
     return cells
 
 
-# memo position -> (column, as_int, "\n"-joined cells of each of its batches):
-# the last shared read-only column that format_rows formatted there in full
+# position -> (column, as_int, "\n"-joined cells of each of its batches): the
+# last read-only column of more than one value that format_rows formatted there
 _memo: dict = {}
 
 
@@ -312,7 +315,7 @@ def _kept_batches(i, a: np.ndarray, bits, as_int: bool):
     return None
 
 
-def format_rows(arrays, int_columns=(), memo_columns=()):
+def format_rows(arrays, int_columns=()):
     """Data rows in the cell format, one per index of the equally long ``arrays``.
 
     Yields one text block per batch of ``_BATCH`` rows, the batch's rows each
@@ -326,10 +329,10 @@ def format_rows(arrays, int_columns=(), memo_columns=()):
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
     confused.
 
-    For each position in ``memo_columns``, the memo keeps the last read-only
-    column formatted there in full: the array itself, with no copy, and the
-    text of each of its batches.  So a column that repeats from file to file
-    (the tick times of one grid, a table's tuned torque) is formatted once.
+    At each position, the memo keeps the last read-only column formatted
+    there in full: the array itself, with no copy, and the text of each of
+    its batches.  So a column that repeats from file to file (the tick times
+    of one grid, a table's tuned torque) is formatted once.
     A later read-only column of the same kind and dtype hits when it has the
     kept column's bits over its own length, so a truncated run's prefix hits
     too.  A miss drops the kept entry before formatting, so the old and the
@@ -339,10 +342,10 @@ def format_rows(arrays, int_columns=(), memo_columns=()):
     """
     n = len(arrays[0])
     hits, fills = {}, {}  # position -> the kept batches it reads / the batches it keeps
-    for i in memo_columns:
-        bits = _memo_bits(arrays[i])
+    for i, a in enumerate(arrays):
+        bits = _memo_bits(a)
         if bits is not None:
-            batches = _kept_batches(i, arrays[i], bits, i in int_columns)
+            batches = _kept_batches(i, a, bits, i in int_columns)
             if batches is None:
                 fills[i] = []
             else:
@@ -407,7 +410,7 @@ _WORDS = np.arange(4)[:, None]  # the four aligned words that hold a window
 # per word of a window, the most significant first: the bit count that,
 # less 8 per mantissa byte, shifts its mask of the mantissa
 _KEEP_SHIFTS = np.array([[192], [128], [64]])
-_EXPONENT_DIGITS = np.array([[-3], [-2], [-1]])  # from the end of "e+300"
+_EXPONENT_DIGITS = np.array([[-2], [-1]])  # from the end of "e-05"
 
 
 def _windows(buf: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -512,8 +515,8 @@ def _scaled(w: np.ndarray, q: np.ndarray):
     """``w * 10**q`` rounded once, and the products that rounding cannot prove.
 
     ``q`` holds ``q - _Q_MIN``, and is spent.  A ``q`` out of the table's
-    range, or a product out of the range proven, computes garbage,
-    unproven; the caller holds the floating-point errors that this raises.
+    range computes garbage, unproven.  Within it, with ``0 < w < 2**63``, every
+    product lies in [1e-122, 1e134], where every term below stays normal.
     """
     hi, upper, lower, lo = _POWERS.take(q, axis=1, mode="clip")
     unproven = q.view(np.uint64) > _Q_MAX - _Q_MIN
@@ -532,11 +535,8 @@ def _scaled(w: np.ndarray, q: np.ndarray):
     bits = r.view(np.int64)
     ulp = bits & 0x7FF << 52
     ulp -= 52 << 52
-    # r outside [2**-900, 2**900), where every term above stays normal, or NaN
-    np.subtract(ulp, 1023 - 900 - 52 << 52, out=rem.view(np.int64))
-    inexact = rem.view(np.uint64) >= 1800 << 52
     np.abs(err, out=err)
-    inexact |= err >= (0.5 - 1e-6) * ulp.view(np.float64)  # near a tie
+    inexact = err >= (0.5 - 1e-6) * ulp.view(np.float64)  # near a tie
     inexact |= (bits & 2**52 - 1) == 0  # a power of two: its lower ulp is half
     # an exact product needs none of these: a zero, or w and 10**q both
     # doubles, as in Clinger's fast path (an integer column's cells)
@@ -574,24 +574,21 @@ def _parse_batch(lines, n: int) -> np.ndarray:
     starts[0] = _WINDOW
     np.add(ends[:-1], 1, out=starts[1:])
     negative = buf[starts] == ord("-")
-    # repr's exponents, "e-05" and "e+300": the mantissa ends before them
-    narrow = buf[ends - 4] == ord("e")
-    scientific = np.flatnonzero(narrow | (buf[ends - 5] == ord("e")))
+    # repr's two-digit exponent, "e-05": the mantissa ends before it
+    scientific = np.flatnonzero(buf[ends - 4] == ord("e"))
     stops = ends.copy()
     q = np.full(len(ends), -_Q_MIN)
     if len(scientific):
         at = ends[scientific]
-        wide = ~narrow[scientific]
-        sign = buf[at - 3 - wide]
+        sign = buf[at - 3]
         digits = buf[at + _EXPONENT_DIGITS].astype(np.intp)
         digits -= ord("0")
-        digits[0] *= wide  # in "e-05" the sign
-        value = digits[0] * 100 + digits[1] * 10 + digits[2]
+        value = digits[0] * 10 + digits[1]
         q[scientific] += np.where(sign == ord("-"), -value, value)
         # a wrong exponent leaves no mantissa
         wrong = ((digits < 0) | (digits > 9)).any(axis=0) | (
             (sign != ord("-")) & (sign != ord("+")))
-        stops[scientific] = np.where(wrong, starts[scientific], at - 4 - wide)
+        stops[scientific] = np.where(wrong, starts[scientific], at - 4)
     size = stops - starts  # below 0 if an "e" lies before the cell
     size -= negative  # the window reads the sign as a leading 0
     empty = starts == ends
@@ -629,13 +626,15 @@ def _parse_rows(lines, n: int, path, kind: str) -> list:
     return values
 
 
-def _line_count(path) -> int:
-    """The lines of a file as text mode splits them, less those ended by a lone ``"\\r"``."""
+def _line_count(raw) -> int:
+    """The lines of binary file ``raw`` as text mode splits them, less those ended by a lone ``"\\r"``, and ``raw`` back at its start; 0 if it cannot seek (a pipe)."""
+    if not raw.seekable():
+        return 0
     count, last = 0, b"\n"
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 16):
-            count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-            last = block[-1:]
+    while block := raw.read(1 << 16):
+        count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+        last = block[-1:]
+    raw.seek(0)
     return count + (last != b"\n")
 
 
@@ -647,15 +646,18 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
     parsed ``_READ_BATCH`` at a time, every cell of a batch together in numpy
     (the module docstring says which cells go to ``float()``), into an array
     sized by a count of the file's newlines; it grows only if lines end in a
-    lone ``"\\r"`` or the file grows while read.  A batch with a bad row is
-    parsed again row by row, so the error names the first bad row.
+    lone ``"\\r"``, the file grows while read or it is a pipe, not counted.
+    A batch with a bad row is parsed again row by row, so the error names the
+    first bad row.
     """
     column_line = ",".join(columns)
     n = len(columns)
     header: dict = {}
     seen = 2  # the kind line and the column line
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as raw:
+            count = _line_count(raw)
+            fh = io.TextIOWrapper(raw, encoding="utf-8")
             if fh.readline().rstrip("\n") != f"# twomass {kind}":
                 raise ValidationError(f"{path}: not a twomass {kind} file")
             for line in fh:
@@ -671,7 +673,7 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
                 seen += 1
             else:
                 raise ValidationError(f"{path}: no column line {column_line!r}")
-            data = np.empty((max(_line_count(path) - seen, 0), n))
+            data = np.empty((max(count - seen, 0), n))
             rows = 0
             while True:
                 lines = []
@@ -689,7 +691,7 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
                 except ValueError:
                     block = _parse_rows(lines, n, path, kind)
                 stop = rows + len(lines)
-                if stop > len(data):  # lines ended by a lone "\r", or a file that grew
+                if stop > len(data):  # lines ended by a lone "\r", a file that grew, a pipe
                     data = np.concatenate((data[:rows], np.empty((2 * stop - rows, n))))
                 data[rows:stop] = np.reshape(block, (-1, n))
                 rows = stop

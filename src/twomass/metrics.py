@@ -207,9 +207,9 @@ def metrics_csv_row(run_id: str, mode: str, frequency: float, rep: "MetricsRepor
     return ",".join([run_id, mode, repr(float(frequency))] + cells)
 
 
-def write_metrics_csv(rows: list[str], path, config_lines: list[str] | None = None) -> None:
+def write_metrics_csv(rows: list[str], path, config_lines: list[str]) -> None:
     """Write :func:`metrics_csv_row` rows under one ``# config LABEL: ECHO`` header
     line per ``LABEL: ECHO`` entry of ``config_lines``."""
-    pairs = (line.partition(": ") for line in config_lines or ())
+    pairs = (line.partition(": ") for line in config_lines)
     header = [("config " + label, echo) for label, _, echo in pairs]
     csvfile.write(path, "metrics", header, METRICS_COLUMNS, (row + "\n" for row in rows))

@@ -1,4 +1,7 @@
+import contextlib
 import dataclasses
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -84,3 +87,28 @@ def assert_close(actual, expected, rel=1e-12, floor=1.0):
     assert np.all(np.abs(actual - expected) <= bound), (
         f"max deviation {np.max(np.abs(actual - expected))} exceeds {np.max(bound)}"
     )
+
+
+@contextlib.contextmanager
+def piped(path):
+    """A ``/dev/fd`` name for a pipe that a thread feeds with the bytes of ``path``.
+
+    The pipe cannot seek, so a reader that opens the name twice drains it.
+    """
+    data = path.read_bytes()
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with open(w, "wb") as sink:
+                sink.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join()

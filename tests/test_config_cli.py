@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twomass
-from conftest import NOT_UTF8, labels
+from conftest import NOT_UTF8, labels, piped
 from twomass import metrics, presets
 from twomass.cli import main
 from twomass.closedloop import read_trace_csv, run_simulation
@@ -649,6 +649,14 @@ class TestCli:
                      if not line.startswith(("# config fb-6-1khz:", "fb-6-1khz,"))]
         assert (tmp_path / "re.csv").read_text().splitlines() == completed
         assert printed.out.splitlines() == completed[-2:]
+
+    def test_analyze_reads_a_pipe_as_its_file(self, dichotomy, capsys):
+        trace = dichotomy / "combined-5-6-1khz-trace.csv"
+        assert main(["analyze", str(trace)]) == 0
+        expected = capsys.readouterr()
+        with piped(trace) as name:
+            assert main(["analyze", name]) == 0
+        assert capsys.readouterr() == expected
 
     def test_analyze_prints_one_header_and_a_row_per_trace_in_order(self, tmp_path, capsys):
         out = tmp_path / "out"

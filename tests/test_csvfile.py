@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from unittest import mock
 
@@ -13,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 import read_oracle
 import write_oracle
-from conftest import NOT_UTF8
+from conftest import NOT_UTF8, piped
 from twomass import csvfile
 from twomass.closedloop import read_trace_csv, run_simulation, write_trace_csv
 from twomass.errors import ParseError, ValidationError
-from twomass.feedforward import read_table_csv
+from twomass.feedforward import read_table_csv, solve_feedforward, write_table_csv
 from twomass.presets import build_preset
 
 TRACE_COLUMNS = "t,y_measured,y_true,y_ref,e,psi,u_ffw,u_fb,u,newton_iterations"
@@ -324,8 +325,9 @@ def trace_sequences(draw):
     A pool holds the columns that repeat from trace to trace, read-only as
     a sweep's shared columns are.  A trace of ``n`` rows takes a column from
     the pool (cut to ``n`` rows, like a truncated run, maybe with its zeros'
-    signs or NaN payloads changed, or as a writable copy) or draws a fresh
-    one; only the writable copies are writable.  The pool is sometimes
+    signs or NaN payloads changed, or as a copy) or draws a fresh one; which
+    of the columns not taken as they are is read-only is drawn too, so the
+    memo meets read-only columns at every position.  The pool is sometimes
     integer-valued, so the same bits come as float and as integer columns.
     """
     length = draw(st.integers(0, 12))
@@ -340,23 +342,22 @@ def trace_sequences(draw):
         n = draw(st.integers(0, length))
         arrays = []
         for _ in range(draw(st.integers(1, 4))):
-            how = draw(st.sampled_from(["shared", "zeros", "nan", "writable", "new"]))
+            how = draw(st.sampled_from(["shared", "zeros", "nan", "copy", "new"]))
             if how == "new":
                 column = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
             else:
                 column = pool[draw(st.integers(0, len(pool) - 1))][:n]
                 if how != "shared":
                     column = {"zeros": _flip_zero_signs, "nan": _other_nan_payload,
-                              "writable": np.copy}[how](column)
-            column.flags.writeable = how == "writable"
+                              "copy": np.copy}[how](column)
+            column.flags.writeable = how != "shared" and draw(st.booleans())
             arrays.append(column)
-        positions = st.lists(st.integers(0, len(arrays) - 1), unique=True).map(tuple)
-        int_columns, memo_columns = draw(positions), draw(positions)
+        int_columns = draw(st.lists(st.integers(0, len(arrays) - 1), unique=True).map(tuple))
         for i in int_columns:
             writable = arrays[i].flags.writeable
             arrays[i] = np.trunc(np.where(np.isfinite(arrays[i]), arrays[i], math.nan))
             arrays[i].flags.writeable = writable
-        traces.append((arrays, int_columns, memo_columns))
+        traces.append((arrays, int_columns))
     return traces
 
 
@@ -366,8 +367,8 @@ def test_memoized_columns_are_written_as_a_fresh_process_writes_them(traces, bat
     # in the drawn order and reversed, so each trace follows another; the
     # memo starts empty, as its texts follow the batch size
     with mock.patch.object(csvfile, "_BATCH", batch), mock.patch.object(csvfile, "_memo", {}):
-        for arrays, int_columns, memo_columns in traces + traces[::-1]:
-            rows = _rows(csvfile.format_rows(arrays, int_columns, memo_columns))
+        for arrays, int_columns in traces + traces[::-1]:
+            rows = _rows(csvfile.format_rows(arrays, int_columns))
             assert rows == list(_reference_rows(arrays, int_columns))
 
 
@@ -386,16 +387,20 @@ def test_the_memo_holds_the_last_read_only_column_at_each_position():
                           ((3000, 1.0), (2500, 0.5), (2500, 0.25)))
     with mock.patch.object(csvfile, "_memo", {}):
         for arrays in ([first, other], [last, other]):
-            list(csvfile.format_rows(arrays, (), (0,)))
-        # the column itself, never a copy, with the text of each batch
-        (column, as_int, batches), = csvfile._memo.values()
+            list(csvfile.format_rows(arrays))
+        # the column itself, never a copy, with the text of each batch; each
+        # position keeps its own
+        assert csvfile._memo.keys() == {0, 1}
+        column, as_int, batches = csvfile._memo[0]
         assert column is last and as_int is False and batches == _batch_texts(last)
+        assert csvfile._memo[1][0] is other
         # a writable column or one of one value throughout leaves the entry alone
         for stranger in (np.arange(3000.0), _read_only(np.full(2500, math.nan))):
-            list(csvfile.format_rows([stranger], (), (0,)))
-            assert csvfile._memo[0][0] is last
+            list(csvfile.format_rows([stranger, stranger]))
+            assert csvfile._memo[0][0] is last and csvfile._memo[1][0] is other
         # a miss drops the entry before it formats, kept again only once it is done
-        blocks = csvfile.format_rows([first], (), (0,))
+        del csvfile._memo[1]
+        blocks = csvfile.format_rows([first])
         next(blocks)
         assert csvfile._memo == {}
         list(blocks)
@@ -403,7 +408,7 @@ def test_the_memo_holds_the_last_read_only_column_at_each_position():
         # the same bits as integers or of another dtype are formatted anew
         for arrays, int_columns in (([first], (0,)), ([first], ()),
                                     ([_read_only(first.view(np.int64))], ())):
-            rows = _rows(csvfile.format_rows(arrays, int_columns, (0,)))
+            rows = _rows(csvfile.format_rows(arrays, int_columns))
             assert rows == list(_reference_rows(arrays, int_columns))
 
 
@@ -412,9 +417,9 @@ def test_a_memoized_column_is_formatted_once_across_calls():
     calls = [[shared, shared * 3 + 3],
              [_read_only(shared.copy()), shared * 5 + 5],  # the same bits in another array
              [shared[:1500], shared[:1500] * 7 + 7]]  # a truncated run's prefix
-    list(csvfile.format_rows(calls[0], (), (0,)))
+    list(csvfile.format_rows(calls[0]))
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
-        rows = [_rows(csvfile.format_rows(arrays, (), (0,))) for arrays in calls[1:]]
+        rows = [_rows(csvfile.format_rows(arrays)) for arrays in calls[1:]]
     assert rows == [list(_reference_rows(arrays, ())) for arrays in calls[1:]]
     # the batches of the second columns only: three, then two
     assert [len(call.args[0]) for call in cells.call_args_list] == [1024, 1024, 452, 1024, 476]
@@ -430,11 +435,28 @@ def test_a_shared_column_is_formatted_once_between_absent_branches():
     with mock.patch.object(csvfile, "_memo", {}), \
             mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         for arrays in runs:
-            assert _rows(csvfile.format_rows(arrays, (), (0, 2))) == list(
+            assert _rows(csvfile.format_rows(arrays)) == list(
                 _reference_rows(arrays, ()))
     formatted = [call.args[0] for call in cells.call_args_list]
     assert sum(np.shares_memory(chunk, u_ffw) for chunk in formatted) == 3
     assert sum(np.shares_memory(chunk, t) for chunk in formatted) == 3
+
+
+def test_a_trace_after_a_table_on_its_grid_is_written_as_a_fresh_process_writes_it(tmp_path):
+    # a table's columns are read-only, so the memo keeps its grid, and the
+    # tick times of a trace on that grid hit it; the memo is the writer's
+    # only state, so an empty one writes what a fresh process writes
+    cfg = replace(build_preset("table3-fb-sweep-2khz").configs[0], duration=1.0)
+    table = solve_feedforward(cfg.nominal_params, cfg.trajectory, 1 / cfg.control_frequency, 1.0)
+    trace = run_simulation(cfg)
+    with mock.patch.object(csvfile, "_memo", {}):
+        write_trace_csv(trace, tmp_path / "fresh.csv")
+    with mock.patch.object(csvfile, "_memo", {}):
+        write_table_csv(table, tmp_path / "table.csv")
+        assert csvfile._memo[0][0] is table.t
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert csvfile._memo[0][0] is table.t  # a hit keeps the entry
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_a_new_funnel_does_not_grow_the_memo(tmp_path):
@@ -694,16 +716,17 @@ def test_read_keeps_nothing_between_calls(tmp_path):
 # cells that the block parser leaves to float(): powers of two from an
 # inexact product, exact midpoints between two floats (2**53 + 1 and
 # 10**23), more than 19 digits, 24 bytes or more before the exponent,
-# magnitudes outside [2**-900, 2**900) and the spellings that only float()
+# three-digit exponents (repr's too) and the spellings that only float()
 # reads
 FLOAT_CELLS = ["0.5", "-2.0", "1.0", "0.0001220703125", "9007199254740993", "9007199254740993.0",
                "1e+23", "12345678901234567890.0", "0.000000000000000000001234", "1e-300",
-               "1.5e+280", "+1.5", " 1.5", "1_0", "nan", "-inf", "1E+05", "1e5", "1.5e-0005"]
+               "1.5e+280", "1.2345678901234567e-100", "+1.5", " 1.5", "1_0", "nan", "-inf",
+               "1E+05", "1e5", "1.5e-0005"]
 # cells that it proves: repr's fixed and scientific layouts, signs, zeros,
 # integers (powers of two among them: an exact product), a point at either
 # end, leading zeros and 19 digits
 PROVEN_CELLS = ["0.1", "-0.30000000000000004", "12.566370614359172", "1e-05", "-9.99e-05",
-                "1.2345678901234567e-100", "3.3e+16", "0.0", "-0.0", "3", "12", "1", "8",
+                "1.2345678901234567e-99", "3.3e+16", "0.0", "-0.0", "3", "12", "1", "8",
                 "9007199254740992", "1e+22", "5.", "-.75", "007.25", "1234567890123456789",
                 "0.00012345678901234567"]
 
@@ -795,6 +818,57 @@ def test_extreme_cells_parse_with_floating_point_errors_raised():
                                "invalid": "raise"}
 
 
+@pytest.mark.parametrize("w", [1, 9_219_999_999_999_999_999])
+@pytest.mark.parametrize("q", [csvfile._Q_MIN, csvfile._Q_MAX])
+def test_the_table_corners_scale_with_floating_point_errors_raised(w, q):
+    # the least and the greatest digits the parser proves, at either end of
+    # the powers of ten: every term of the product stays a normal float
+    with np.errstate(all="raise"):
+        r, unproven = csvfile._scaled(np.array([w], dtype=np.uint64),
+                                      np.array([q - csvfile._Q_MIN]))
+    assert not unproven[0]
+    assert r[0] == float(f"{w}e{q}")
+
+
+@pytest.mark.parametrize("q", [csvfile._Q_MIN - 1, csvfile._Q_MAX + 1])
+def test_a_power_past_the_table_goes_to_float(q):
+    with np.errstate(all="ignore"):
+        _, unproven = csvfile._scaled(np.array([1], dtype=np.uint64),
+                                      np.array([q - csvfile._Q_MIN]))
+    assert unproven[0]
+
+
+# cells of fewer than 24 bytes besides the sign, with repr's two-digit
+# exponent or none: the point anywhere or nowhere, as many leading zeros as fit
+TWO_DIGIT_CELLS = st.builds(
+    lambda sign, digits, at, exponent: sign + (digits if at is None else
+                                               digits[:at] + "." + digits[at:])
+    + ("" if exponent is None else f"e{exponent:+03d}"),
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=22),
+    st.none() | st.integers(0, 22), st.none() | st.integers(-99, 99))
+# the least and the greatest q these form, -99 - 22 and 99
+TWO_DIGIT_ENDS = [".0000000000000000000001e-99", "-.9999999999999999999999e-99",
+                  "9999999999999999999e+99", "1e+99"]
+
+
+@settings(max_examples=300)
+@given(cells=st.lists(TWO_DIGIT_CELLS, min_size=1, max_size=48))
+def test_every_two_digit_cell_forms_a_power_in_the_table(cells):
+    cells += TWO_DIGIT_ENDS
+    formed = []
+
+    def scaled(w, q):
+        formed.append(q + csvfile._Q_MIN)  # before _scaled spends it
+        return unspied(w, q)
+
+    unspied = csvfile._scaled
+    with mock.patch.object(csvfile, "_scaled", scaled):
+        parsed = csvfile._parse_batch([cell + "\n" for cell in cells], 1)
+    assert parsed.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
+    q = np.concatenate(formed)
+    assert csvfile._Q_MIN <= q.min() <= -121 and 99 <= q.max() <= csvfile._Q_MAX
+
+
 def _long_trace(rows=700):
     """The lines of a written trace of ``rows`` rows, noisy and scientific cells among them."""
     rng = np.random.default_rng(5)
@@ -841,6 +915,18 @@ def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile):
     path.write_bytes(b"# twomass trace\n# status: completed\na,b,c,d,e\n" + hostile(_long_trace()))
     expected = _read_outcome(read_oracle.read, path, tuple("abcde"))
     assert _read_outcome(csvfile.read, path, tuple("abcde")) == expected
+
+
+def test_a_pipe_reads_as_its_file_does(tmp_path):
+    # a pipe cannot seek: its lines are not counted before the read, and the
+    # array grows as its batches come; 3,000 rows of 280 KiB fill the pipe
+    path = tmp_path / "trace.csv"
+    rng = np.random.default_rng(3)
+    columns = _write_trace_of(path, [np.arange(3000) * 5e-4, *rng.normal(size=(4, 3000))])
+    expected = _read_outcome(csvfile.read, path, columns)
+    assert expected[1] == (3000, 5)
+    with piped(path) as name:
+        assert _read_outcome(csvfile.read, name, columns) == expected
 
 
 def test_concurrent_reads_are_the_per_row_read(tmp_path):
