@@ -30,25 +30,32 @@ of more than one value met at each position, the array itself and its
 text.  It joins each batch's rows into one newline-terminated text block,
 so no Python code runs per row between the cells and the file.
 
-The reader parses every cell of a batch of rows together in numpy, bit for
-bit what ``float()`` reads: the digits and the exponent of each cell, then
-one rounding of their double-double product.  It counts a file's lines
-first, unless it is a pipe, and fills one array of that many rows, so the
-array is never moved or copied as it grows; it keeps nothing between files.
-``float()`` itself reads each cell that the parser cannot prove: any
-spelling but ``-ddd.ddde-dd`` (sign, point and repr's two-digit exponent
-optional, fewer than 24 bytes before the exponent besides the sign, at most
-19 digits), so also a three-digit exponent, a product within 1e-6 of a tie
-between two floats, or an exact power of two.  A batch that is not ASCII, or
-whose rows are not all ``n`` cells long, is read row by row with
-``float()``.
+The reader first scans a file's bytes: it counts the newlines, and finds
+whether text mode would read its lines as they are, with no ``"\r"`` and
+UTF-8 throughout.  Such a file's rows are read 64 KiB at a time straight
+into one buffer and cut after the last newline, and every cell of a block
+is parsed together in numpy, bit for bit what ``float()`` reads: the digits
+and the exponent of each cell, then one rounding of their double-double
+product.  No line or cell string is made, and the rows fill one array sized
+by the newline count, so the array is never moved or copied as it grows;
+the reader keeps nothing between files.  ``float()`` itself reads each cell
+that the parser cannot prove: any spelling but ``-ddd.ddde-dd`` (sign,
+point and repr's two-digit exponent optional, fewer than 24 bytes before
+the exponent besides the sign, at most 19 digits), so also a three-digit
+exponent, a product within 1e-6 of a tie between two floats, or an exact
+power of two.  A block that is not ASCII, or whose rows are not all ``n``
+cells long, is read row by row with ``float()``.  A file with a ``"\r"`` or
+bytes that are not UTF-8 is read row by row in text mode, so its line ends
+and which error comes first are text mode's.  A pipe is read into memory,
+then as its file would be.
 """
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
-from itertools import islice
+from array import array
 
 import numpy as np
 
@@ -59,8 +66,8 @@ __all__ = ["format_echo", "parse_echo", "format_rows", "write", "read"]
 # rows formatted per batch: bounds the strings alive at once while writing,
 # one batch's cells, rows and text block
 _BATCH = 1024
-# rows parsed per batch: bounds the text and the arrays alive at once while reading
-_READ_BATCH = 256
+# bytes read and parsed per block: bounds the text and the arrays alive at once while reading
+_BLOCK = 1 << 16
 
 
 def format_echo(echo: dict) -> str:
@@ -389,7 +396,7 @@ def write(path, kind: str, header, columns, pieces) -> None:
         fh.writelines(pieces)
 
 
-# The reader parses a batch's cells together in numpy, each to the float
+# The reader parses a block's cells together in numpy, each to the float
 # that ``float()`` reads: the digits ``w`` and the exponent ``q`` of
 # ``w * 10**q``, then one rounding of their product (Clinger, "How to read
 # floating point numbers accurately", PLDI 1990; Lemire, "Number parsing at
@@ -406,7 +413,6 @@ def write(path, kind: str, header, columns, pieces) -> None:
 
 _WINDOW = 24  # mantissa bytes parsed in numpy: three words of eight digits
 _ALL = np.uint64(2**64 - 1)
-_WORDS = np.arange(4)[:, None]  # the four aligned words that hold a window
 # per word of a window, the most significant first: the bit count that,
 # less 8 per mantissa byte, shifts its mask of the mantissa
 _KEEP_SHIFTS = np.array([[192], [128], [64]])
@@ -416,22 +422,28 @@ _EXPONENT_DIGITS = np.array([[-2], [-1]])  # from the end of "e-05"
 def _windows(buf: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The ``_WINDOW`` bytes of ``buf`` that end at each of ``stops``: (3, cells) little-endian words, the first bytes in the first.
 
-    Each is shifted out of the four aligned words that hold it; ``buf``
-    spans whole words.
+    Each word is shifted out of the two aligned words that hold it,
+    gathered through one base word index per cell; ``buf`` spans whole
+    words.  Spends ``stops``.
     """
-    start = stops - _WINDOW
-    shift = (start & 7).astype(np.uint64)
+    base = stops
+    base -= _WINDOW
+    shift = (base & 7).view(np.uint64)
     shift <<= 3
-    start >>= 3
-    index = start + _WORDS
-    del start
-    held = buf.view(np.uint64).take(index)
-    del index
-    x = held[:3] >> shift
-    held = held[1:]
-    np.subtract(64, shift, out=shift)
-    held <<= shift  # by 64: 0
-    x |= held
+    base >>= 3
+    words = buf.view(np.uint64)
+    x = np.empty((3, len(base)), dtype=np.uint64)
+    words.take(base, out=x[0], mode="clip")
+    x[0] >>= shift
+    up = np.subtract(64, shift)
+    spill = np.empty_like(shift)
+    for k in (1, 2, 3):
+        base += 1
+        words.take(base, out=spill, mode="clip")
+        if k < 3:
+            np.right_shift(spill, shift, out=x[k])
+        spill <<= up  # by 64: 0
+        x[k - 1] |= spill
     return x
 
 
@@ -439,13 +451,21 @@ def _significands(x: np.ndarray, size: np.ndarray):
     """The integer of each mantissa of ``size`` bytes that ends its window ``x``, its digits after the point, and the mantissas that are not ``ddd.ddd``.
 
     Also not proven: no digit, more than 19 digits, or ``_WINDOW`` bytes or
-    more.  Spends ``x``.
+    more.  Spends ``x`` and ``size``: the digits after the point are
+    returned in ``size``'s place.
     """
+    bad = size < 1
+    bad |= size >= _WINDOW
+    lone = size == 1  # no digit if it is the point
     # bytes to digits ("." to 0x1E), and the bytes before the mantissa to 0
     x ^= 0x3030303030303030
-    t = np.maximum(_KEEP_SHIFTS - size * 8, 0).view(np.uint64)
+    size <<= 3
+    t = np.subtract(_KEEP_SHIFTS, size)
+    np.maximum(t, 0, out=t)
+    t = t.view(np.uint64)
     np.left_shift(_ALL, t, out=t)
     x &= t
+    del t
     # the point: 0x01 in its byte by haszero on x ^ 0x1E (each byte is below
     # 0x80; a false hit lies above a true one), then the bytes below it, as
     # one 192-bit number less one
@@ -464,34 +484,41 @@ def _significands(x: np.ndarray, size: np.ndarray):
     # the bytes below the point: their low bits summed over the three words
     # (at most 3 a byte), then over the bytes of the sum; a false hit's byte
     # counts too, but only a "/" makes one, and the digit check rejects it
-    after = below[0] & 0x0101010101010101
-    after += below[1] & 0x0101010101010101
-    after += below[2] & 0x0101010101010101
+    t = below & 0x0101010101010101
+    t[0] += t[1]
+    after = size.view(np.uint64)
+    np.add(t[0], t[2], out=after)
+    del t
     after *= 0x0101010101010101
     after >>= 56
     after = after.view(np.int64)
     np.subtract(_WINDOW - 1, after, out=after)
     after *= point
     # cut the point out: the bytes below it move up one place, over the 0
-    # that the window's first byte holds
-    np.bitwise_and(x, below, out=t)
-    carry = below[:2] >> 56
-    below <<= 8
-    below[1:] |= carry
-    np.invert(below, out=below)
-    x &= below
-    del below
-    np.right_shift(t[:2], 56, out=carry)
-    t <<= 8
-    t[1:] |= carry
-    del carry
-    x |= t
+    # that the window's first byte holds; from the last word down, so that
+    # each reads its lower neighbour as it was
+    moved = np.empty_like(below[0])
+    carry = np.empty_like(moved)
+    for k in (2, 1, 0):
+        np.bitwise_and(x[k], below[k], out=moved)
+        moved <<= 8
+        below[k] <<= 8
+        if k:
+            np.bitwise_and(x[k - 1], below[k - 1], out=carry)
+            carry >>= 56
+            moved |= carry
+            np.right_shift(below[k - 1], 56, out=carry)
+            below[k] |= carry
+        np.invert(below[k], out=below[k])
+        x[k] &= below[k]
+        x[k] |= moved
+    del below, moved, carry
     # each byte 0 to 9, then eight digits a word
-    np.add(x, 0x7676767676767676, out=t)
+    t = x + 0x7676767676767676
     t &= 0x8080808080808080
     t[0] |= t[1]
     t[0] |= t[2]
-    bad = t[0] != 0
+    bad |= t[0] != 0
     del t
     x *= 2561
     x >>= 8
@@ -502,8 +529,8 @@ def _significands(x: np.ndarray, size: np.ndarray):
     x *= 42949672960001
     x >>= 32
     bad |= x[0] > 921  # below 9.22e18 < 2**63: at most 19 digits
-    bad |= size - point < 1
-    bad |= size >= _WINDOW
+    lone &= point
+    bad |= lone
     w = x[0] * 10**16
     x[1] *= 10**8
     w += x[1]
@@ -517,16 +544,22 @@ def _scaled(w: np.ndarray, q: np.ndarray):
     ``q`` holds ``q - _Q_MIN``, and is spent.  A ``q`` out of the table's
     range computes garbage, unproven.  Within it, with ``0 < w < 2**63``, every
     product lies in [1e-122, 1e134], where every term below stays normal.
+    Each row of the table is gathered when it is needed.
     """
-    hi, upper, lower, lo = _POWERS.take(q, axis=1, mode="clip")
     unproven = q.view(np.uint64) > _Q_MAX - _Q_MIN
     a = w.astype(np.float64)
+    hi = _POWERS[0].take(q, mode="clip")
+    r, rem = _two_product(a, hi, _POWERS[1].take(q, mode="clip"),
+                          _POWERS[2].take(q, mode="clip"))
     err = (w - a.astype(np.uint64)).view(np.int64).astype(np.float64)  # w - a, exact
     err *= hi
+    del hi
+    lo = _POWERS[3].take(q, mode="clip")
     lo *= a
     err += lo
-    r, rem = _two_product(a, hi, upper, lower)
+    del lo
     err += rem
+    del rem
     # round r + err once; err becomes what the rounding left out
     up = np.add(r, err, out=a)
     r -= up
@@ -549,71 +582,73 @@ def _scaled(w: np.ndarray, q: np.ndarray):
     return r, unproven
 
 
-def _parse_batch(lines, n: int) -> np.ndarray:
-    """The data rows ``lines`` of ``n`` cells each as row-major float64s.
+def _parse_block(buf: np.ndarray, stop: int, n: int) -> np.ndarray:
+    """The cells of the rows ``buf[_WINDOW:stop]``, ``n`` to a row, as row-major float64s.
 
-    Raises ValueError on a row of the wrong length or a cell that is not a
-    float, without naming it, and on a batch that is not ASCII: encoding it
-    raises UnicodeEncodeError, a ValueError.  Each array is dropped once
-    spent: what a batch holds at once is what the reader holds beside its
-    result.
+    ``buf`` starts with one window of ``"0"`` (the first cell's), its last
+    row ends in ``"\n"`` at ``stop - 1``, and it spans whole words past
+    ``stop``.  Raises ValueError on a byte that is not ASCII, a row of the
+    wrong length or a cell that is not a float, without naming it.  Each
+    array is dropped once spent: what a block holds at once is what the
+    reader holds beside its result.
     """
-    text = "".join(lines)
-    if not text.endswith("\n"):
-        text += "\n"
-    data = text.encode("ascii")
-    del text
-    # the text after one window of "0" (the first cell's), in whole aligned words
-    buf = np.zeros((_WINDOW + len(data)) // 8 + 1, dtype=np.uint64).view(np.uint8)
-    buf[:_WINDOW] = ord("0")
-    buf[_WINDOW:_WINDOW + len(data)] = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    if len(ends) != n * len(lines) or (buf[ends[n - 1::n]] != ord("\n")).any():
+    text = buf[:stop]
+    if text.max() >= 0x80:
         raise ValueError
-    starts = np.empty_like(ends)
-    starts[0] = _WINDOW
-    np.add(ends[:-1], 1, out=starts[1:])
-    negative = buf[starts] == ord("-")
+    ends = text == ord("\n")
+    rows = np.count_nonzero(ends)
+    ends |= text == ord(",")
+    ends = np.flatnonzero(ends)
+    if len(ends) != n * rows or (text[ends[n - 1::n]] != ord("\n")).any():
+        raise ValueError
+    size = np.empty_like(ends)  # the cells' starts, until they become their sizes
+    size[0] = _WINDOW
+    np.add(ends[:-1], 1, out=size[1:])
+    negative = text[size] == ord("-")
+    empty = size == ends
     # repr's two-digit exponent, "e-05": the mantissa ends before it
-    scientific = np.flatnonzero(buf[ends - 4] == ord("e"))
+    scientific = np.flatnonzero(text[ends - 4] == ord("e"))
     stops = ends.copy()
-    q = np.full(len(ends), -_Q_MIN)
     if len(scientific):
         at = ends[scientific]
-        sign = buf[at - 3]
-        digits = buf[at + _EXPONENT_DIGITS].astype(np.intp)
+        sign = text[at - 3]
+        digits = text[at + _EXPONENT_DIGITS].astype(np.intp)
         digits -= ord("0")
-        value = digits[0] * 10 + digits[1]
-        q[scientific] += np.where(sign == ord("-"), -value, value)
+        exponent = digits[0] * 10 + digits[1]
+        np.negative(exponent, out=exponent, where=sign == ord("-"))
         # a wrong exponent leaves no mantissa
         wrong = ((digits < 0) | (digits > 9)).any(axis=0) | (
             (sign != ord("-")) & (sign != ord("+")))
-        stops[scientific] = np.where(wrong, starts[scientific], at - 4)
-    size = stops - starts  # below 0 if an "e" lies before the cell
+        stops[scientific] = np.where(wrong, size[scientific], at - 4)
+        del at, sign, digits, wrong
+    np.subtract(stops, size, out=size)  # below 0 if an "e" lies before the cell
     size -= negative  # the window reads the sign as a leading 0
-    empty = starts == ends
-    del starts
     x = _windows(buf, stops)
-    del buf, stops
-    w, after, unproven = _significands(x, size)
+    del stops
+    w, q, unproven = _significands(x, size)
     del x, size
-    q -= after
+    # q holds the digits after the point, then the power of ten less _Q_MIN
+    np.negative(q, out=q)
+    if len(scientific):
+        q[scientific] += exponent
+    q -= _Q_MIN
     with np.errstate(all="ignore"):
         r, inexact = _scaled(w, q)
+    del w, q
     unproven |= inexact
     np.greater(unproven, empty, out=unproven)
     bits = r.view(np.int64)
     bits |= np.left_shift(negative, 63, dtype=np.int64)  # the sign
     np.putmask(r, empty, math.nan)
     for i in np.flatnonzero(unproven).tolist():
-        start = ends[i - 1] + 1 - _WINDOW if i else 0
-        r[i] = float(data[start:ends[i] - _WINDOW].decode())
+        start = ends[i - 1] + 1 if i else _WINDOW
+        r[i] = float(text[start:ends[i]].tobytes().decode())
     return r
 
 
-def _parse_rows(lines, n: int, path, kind: str) -> list:
+def _parse_rows(lines, n: int, path, kind: str) -> np.ndarray:
     """The data rows ``lines`` read one by one, row-major; the first bad row is named."""
-    values = []
+    values = array("d")
     for line in lines:
         row = line.rstrip("\n")
         cells = row.split(",")
@@ -623,78 +658,126 @@ def _parse_rows(lines, n: int, path, kind: str) -> list:
             values.extend([float(c) if c else math.nan for c in cells])
         except ValueError:
             raise ParseError(f"{path}: malformed {kind} row {row!r}") from None
-    return values
+    return np.frombuffer(values)
 
 
-def _line_count(raw) -> int:
-    """The lines of binary file ``raw`` as text mode splits them, less those ended by a lone ``"\\r"``, and ``raw`` back at its start; 0 if it cannot seek (a pipe)."""
-    if not raw.seekable():
-        return 0
-    count, last = 0, b"\n"
-    while block := raw.read(1 << 16):
+def _scan(raw) -> tuple[int, bool]:
+    """The lines of binary file ``raw`` split at ``"\\n"``, whether text mode reads them as they are, and ``raw`` back at its start.
+
+    Text mode reads them as they are when the file holds no ``"\\r"`` and
+    is UTF-8 throughout.
+    """
+    count, last, plain = 0, b"\n", True
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    while block := raw.read(_BLOCK):
         count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
         last = block[-1:]
+        plain = plain and b"\r" not in block
+        # an ASCII block is UTF-8 unless a character began before it
+        if plain and (decoder.getstate()[0] or not block.isascii()):
+            try:
+                decoder.decode(block)
+            except UnicodeDecodeError:
+                plain = False
+    try:
+        decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        plain = False
     raw.seek(0)
-    return count + (last != b"\n")
+    return count + (last != b"\n"), plain
+
+
+def _header(lines, path, kind: str, column_line: str) -> tuple[dict, int]:
+    """The header of a file's text ``lines``, read through its column line, and the lines read."""
+    if next(lines, "").rstrip("\n") != f"# twomass {kind}":
+        raise ValidationError(f"{path}: not a twomass {kind} file")
+    header: dict = {}
+    seen = 2  # the kind line and the column line
+    for line in lines:
+        line = line.rstrip("\n")
+        if line == column_line:
+            return header, seen
+        if not line.startswith("#"):
+            raise ValidationError(f"{path}: unexpected {kind} columns {line!r}")
+        key, sep, value = line[2:].partition(": ")
+        if not (line.startswith("# ") and sep):
+            raise ParseError(f"{path}: malformed header line {line!r}")
+        header[key] = value
+        seen += 1
+    raise ValidationError(f"{path}: no column line {column_line!r}")
+
+
+def _read_blocks(raw, n: int, rows: int, path, kind: str) -> np.ndarray:
+    """The data rows of binary file ``raw`` from where it stands, in an array sized for ``rows``.
+
+    Reads up to ``_BLOCK`` bytes at a time into one buffer, after the
+    partial row that the last block left, and parses the rows up to the
+    last ``"\\n"``.  The buffer doubles while one row fills it.
+    """
+    data = np.empty((rows, n))
+    done = 0
+    # the first window, then the block in whole words and one word to spare
+    text = bytearray(b"0" * _WINDOW + bytes((_BLOCK + 15) // 8 * 8))
+    held = _WINDOW  # the end of the partial row carried over
+    while True:
+        got = raw.readinto(memoryview(text)[held:len(text) - 8])
+        end = held + got
+        cut = text.rfind(b"\n", held, end) + 1
+        if not got:
+            if held == _WINDOW:
+                return data[:done]
+            text[held] = ord("\n")  # the last row, not ended by a newline
+            end = cut = held + 1
+        elif not cut:
+            if end == len(text) - 8:  # a row longer than the buffer
+                text += bytes(len(text))
+            held = end
+            continue
+        buf = np.frombuffer(text, dtype=np.uint8)
+        try:
+            block = _parse_block(buf, cut, n)
+        except ValueError:
+            block = _parse_rows(text[_WINDOW:cut - 1].decode().split("\n"), n, path, kind)
+        del buf
+        stop = done + len(block) // n
+        if stop > len(data):  # the file grew while read
+            data = np.concatenate((data[:done], np.empty((2 * stop - done, n))))
+        data[done:stop] = np.reshape(block, (-1, n))
+        done = stop
+        text[_WINDOW:_WINDOW + end - cut] = text[cut:end]
+        held = _WINDOW + end - cut
 
 
 def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
     """Read a file of ``kind`` with exactly ``columns``: its header dict and a float array.
 
     The array has one row per data row; empty cells read as NaN and any other
-    cell as ``float()`` reads it, so ``"1_0"`` is 10.0 and ``"nan"`` NaN.  Rows are
-    parsed ``_READ_BATCH`` at a time, every cell of a batch together in numpy
-    (the module docstring says which cells go to ``float()``), into an array
-    sized by a count of the file's newlines; it grows only if lines end in a
-    lone ``"\\r"``, the file grows while read or it is a pipe, not counted.
-    A batch with a bad row is parsed again row by row, so the error names the
-    first bad row.
+    cell as ``float()`` reads it, so ``"1_0"`` is 10.0 and ``"nan"`` NaN.  A
+    first pass counts the file's newlines and finds whether text mode reads
+    its lines as they are: no ``"\\r"`` and UTF-8 throughout.  Such a file's
+    rows are read ``_BLOCK`` bytes at a time, every cell of a block parsed
+    together in numpy (the module docstring says which cells go to
+    ``float()``), into one array of that many rows.  A block with a bad row
+    or a byte that is not ASCII is parsed again row by row, so the error
+    names the first bad row.  Any other file is read row by row in text
+    mode, so its lines, its first bad row and its first undecodable byte
+    are text mode's.  A pipe is read into memory first, then read as its
+    file would be.
     """
     column_line = ",".join(columns)
     n = len(columns)
-    header: dict = {}
-    seen = 2  # the kind line and the column line
     try:
         with open(path, "rb") as raw:
-            count = _line_count(raw)
-            fh = io.TextIOWrapper(raw, encoding="utf-8")
-            if fh.readline().rstrip("\n") != f"# twomass {kind}":
-                raise ValidationError(f"{path}: not a twomass {kind} file")
-            for line in fh:
-                line = line.rstrip("\n")
-                if line == column_line:
-                    break
-                if not line.startswith("#"):
-                    raise ValidationError(f"{path}: unexpected {kind} columns {line!r}")
-                key, sep, value = line[2:].partition(": ")
-                if not (line.startswith("# ") and sep):
-                    raise ParseError(f"{path}: malformed header line {line!r}")
-                header[key] = value
-                seen += 1
+            if not raw.seekable():
+                raw = io.BytesIO(raw.read())
+            count, plain = _scan(raw)
+            if plain:
+                header, seen = _header((line.decode() for line in raw), path, kind, column_line)
+                data = _read_blocks(raw, n, max(count - seen, 0), path, kind)
             else:
-                raise ValidationError(f"{path}: no column line {column_line!r}")
-            data = np.empty((max(count - seen, 0), n))
-            rows = 0
-            while True:
-                lines = []
-                try:
-                    lines.extend(islice(fh, _READ_BATCH))
-                except UnicodeDecodeError:
-                    # extend keeps the lines read before the undecodable one:
-                    # a bad row among them is named first
-                    _parse_rows(lines, n, path, kind)
-                    raise
-                if not lines:
-                    break
-                try:
-                    block = _parse_batch(lines, n)
-                except ValueError:
-                    block = _parse_rows(lines, n, path, kind)
-                stop = rows + len(lines)
-                if stop > len(data):  # lines ended by a lone "\r", a file that grew, a pipe
-                    data = np.concatenate((data[:rows], np.empty((2 * stop - rows, n))))
-                data[rows:stop] = np.reshape(block, (-1, n))
-                rows = stop
+                lines = io.TextIOWrapper(raw, encoding="utf-8")
+                header, _ = _header(lines, path, kind, column_line)
+                data = _parse_rows(lines, n, path, kind).reshape(-1, n)
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
-    return header, data[:rows]
+    return header, data

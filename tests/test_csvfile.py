@@ -299,18 +299,23 @@ def test_long_columns_are_the_per_cell_format(data):
     assert rows == list(_reference_rows(arrays, (3,)))
 
 
-def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path):
+@pytest.fixture(scope="module")
+def sweep_trace():
+    """The first run of ``table3-fb-sweep-2khz``: 30,001 rows, most cells 12 bytes."""
+    return run_simulation(build_preset("table3-fb-sweep-2khz").configs[0])
+
+
+def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path, sweep_trace):
     # a sweep trace of 30,001 rows and 4.04 MiB, written with an empty memo:
     # the writer holds one batch's cells, rows and text block at a time and
     # the memo's batch texts, never the whole file's text.  The peak is
     # 2.11 MiB with the whole-chunk cell formatter, as it was with repr per
     # cell: the formatter's arrays for one chunk are gone before the next
-    trace = run_simulation(build_preset("table3-fb-sweep-2khz").configs[0])
     path = tmp_path / "trace.csv"
     with mock.patch.object(csvfile, "_memo", {}):
         tracemalloc.start()
         try:
-            write_trace_csv(trace, path)
+            write_trace_csv(sweep_trace, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -481,14 +486,14 @@ def test_a_new_funnel_does_not_grow_the_memo(tmp_path):
     assert peak < first_peak + 2**18
 
 
-# row counts on both sides of the first two batch edges of the reader
+# row counts from none to two blocks of the reader's for the widest rows
 READ_ROWS = st.sampled_from([0, 1, 2, 3, 7] + [k * 256 + d for k in (1, 2) for d in (-1, 0, 1)])
 BAD_CELLS = ["x", " ", "nan", "-inf", " 1.5", "1_0", "1e999", "--1", "0x1p3", "1,5"]
 
 
 @st.composite
-def read_cases(draw):
-    """A file body and its columns: a written trace whose rows may then be broken.
+def read_cases(draw, rows=READ_ROWS):
+    """A file body and its columns: a written trace of ``rows`` rows that may then be broken.
 
     Columns are drawn fresh, constant, empty, one value up to a row and
     another after it, constant but for one cell, equal to an earlier
@@ -496,7 +501,7 @@ def read_cases(draw):
     columns that nearly repeat sit beside columns that do.
     """
     n = draw(st.integers(1, 12))
-    rows = draw(READ_ROWS)
+    rows = draw(rows)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.array([0.0, -0.0, 2.0, -2.0, QUIET_NAN, OTHER_NAN, math.inf, 1e16, 0.1, 1e-300])
     arrays = []
@@ -543,7 +548,7 @@ def read_cases(draw):
                 lines[k] = lines[k].rsplit(",", 1)[0] + "\n"
             elif len(lines) > 1:
                 # an extra cell in one row and one too few in its neighbour:
-                # the batch holds as many cells as it should
+                # the block holds as many cells as it should
                 j = k + 1 if k + 1 < len(lines) else k - 1
                 lines[k] = lines[k].rstrip("\r\n") + ",0.5\n"
                 lines[j] = lines[j].rsplit(",", 1)[0] + "\n"
@@ -563,6 +568,13 @@ def _read_outcome(reader, path, columns):
     return header, data.shape, data.tobytes()
 
 
+def _named(outcome, path, name):
+    """The outcome of reading ``path`` as reading the same bytes under ``name`` gives it: an error names the file."""
+    if isinstance(outcome[0], type):
+        return outcome[0], outcome[1].replace(str(path), name, 1)
+    return outcome
+
+
 @settings(max_examples=200)
 @given(case=read_cases())
 def test_read_is_the_per_row_read(tmp_path_factory, case):
@@ -572,6 +584,20 @@ def test_read_is_the_per_row_read(tmp_path_factory, case):
                      + b"\n" + body)
     expected = _read_outcome(read_oracle.read, path, columns)
     assert _read_outcome(csvfile.read, path, columns) == expected
+
+
+@settings(max_examples=200)
+@given(case=read_cases(rows=st.integers(0, 12)), block=st.integers(1, 300))
+def test_read_in_small_blocks_is_the_per_row_read(tmp_path_factory, case, block):
+    # blocks of a few bytes to a few rows: rows straddle blocks, and a row
+    # longer than a block makes the buffer grow
+    columns, body = case
+    path = tmp_path_factory.mktemp("blocks") / "trace.csv"
+    path.write_bytes(b"# twomass trace\n# status: completed\n" + ",".join(columns).encode()
+                     + b"\n" + body)
+    expected = _read_outcome(read_oracle.read, path, columns)
+    with mock.patch.object(csvfile, "_BLOCK", block):
+        assert _read_outcome(csvfile.read, path, columns) == expected
 
 
 def test_read_takes_every_spelling_float_takes(tmp_path):
@@ -587,7 +613,7 @@ def test_read_takes_every_spelling_float_takes(tmp_path):
 
 
 def test_a_bad_row_before_undecodable_bytes_is_named_first(tmp_path):
-    # the bytes sit 24 kB (three 8 kB decoding chunks) after the bad row, in its batch
+    # the bytes sit 24 kB (three 8 kB decoding chunks) after the bad row
     row = ",".join([repr(0.1 + 0.2)] * 6) + "\n"
     rows = [row, "x" + row[1:]] + [row] * 300
     rows[200] = "\xff\n"
@@ -615,6 +641,23 @@ def test_read_holds_little_beside_its_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert data.shape == (rows, 10)
+    assert peak <= 1.3 * data.nbytes
+
+
+def test_reading_a_sweep_trace_holds_little_beside_its_array(tmp_path, sweep_trace):
+    # short cells put the most cells in a block, so the parser's arrays for
+    # one block are at their largest beside the array: 1.27 times it
+    path = tmp_path / "trace.csv"
+    with mock.patch.object(csvfile, "_memo", {}):
+        write_trace_csv(sweep_trace, path)
+    columns = tuple(TRACE_COLUMNS.split(","))
+    tracemalloc.start()
+    try:
+        _, data = csvfile.read(path, "trace", columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (30_001, 10)
     assert peak <= 1.3 * data.nbytes
 
 
@@ -789,17 +832,27 @@ CELL_TEXTS = st.one_of(
 ).map(_if_float).filter(lambda cell: cell is not None)
 
 
+def _parse_block(lines, n):
+    """``csvfile._parse_block`` on the rows ``lines``, laid out in a buffer as the reader lays out a block."""
+    body = "".join(lines).encode()
+    text = bytearray(b"0" * csvfile._WINDOW + body + bytes(8 + -len(body) % 8))
+    return csvfile._parse_block(np.frombuffer(text, dtype=np.uint8), csvfile._WINDOW + len(body), n)
+
+
 @settings(max_examples=300)
 @given(cells=st.lists(CELL_TEXTS, min_size=1, max_size=48), ties=st.lists(MIDPOINTS, max_size=64),
        n=st.integers(1, 6))
 def test_block_parser_is_float_cell_for_cell(cells, ties, n):
-    # the drawn cells and midpoints, repeated over a full batch of rows
+    # the drawn cells and midpoints, repeated over rows that fill a block
     cells += ties
-    rows = csvfile._READ_BATCH
-    grid = [cells[k % len(cells)] for k in range(rows * n)]
-    lines = [",".join(grid[k:k + n]) + "\n" for k in range(0, len(grid), n)]
+    grid, lines, size = [], [], 0
+    while size < csvfile._BLOCK:
+        row = [cells[(len(grid) + k) % len(cells)] for k in range(n)]
+        grid += row
+        lines.append(",".join(row) + "\n")
+        size += len(lines[-1])
     expected = np.array([float(cell) for cell in grid])
-    assert csvfile._parse_batch(lines, n).tobytes() == expected.tobytes()
+    assert _parse_block(lines, n).tobytes() == expected.tobytes()
 
 
 def test_extreme_cells_parse_with_floating_point_errors_raised():
@@ -813,7 +866,7 @@ def test_extreme_cells_parse_with_floating_point_errors_raised():
     expected = np.array([float(cell) if cell else math.nan for cell in cells] * 300)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert csvfile._parse_batch(lines, len(cells)).tobytes() == expected.tobytes()
+        assert _parse_block(lines, len(cells)).tobytes() == expected.tobytes()
         assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise",
                                "invalid": "raise"}
 
@@ -863,7 +916,7 @@ def test_every_two_digit_cell_forms_a_power_in_the_table(cells):
 
     unspied = csvfile._scaled
     with mock.patch.object(csvfile, "_scaled", scaled):
-        parsed = csvfile._parse_batch([cell + "\n" for cell in cells], 1)
+        parsed = _parse_block([cell + "\n" for cell in cells], 1)
     assert parsed.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
     q = np.concatenate(formed)
     assert csvfile._Q_MIN <= q.min() <= -121 and 99 <= q.max() <= csvfile._Q_MAX
@@ -894,7 +947,7 @@ def _crlf(lines):
 
 def _lone_cr_endings(lines):
     # text mode ends a line at a lone "\r" too, so the file holds fewer
-    # newlines than rows and the array they sized grows
+    # newlines than rows
     return "".join(lines[:200] + [line.replace("\n", "\r") for line in lines[200:]]).encode()
 
 
@@ -903,23 +956,98 @@ def _no_final_newline(lines):
 
 
 def _undecodable_after_malformed_row(lines):
+    # the byte lies two 8 kB decoding chunks after the row: text mode reads
+    # the row first
     lines[100] = "x" + lines[100]
     return "".join(lines[:300]).encode() + b"\xff\n" + "".join(lines[300:]).encode()
 
 
-@pytest.mark.parametrize("hostile", [_short_row, _non_ascii_digit, _crlf, _lone_cr_endings,
-                                     _no_final_newline, _undecodable_after_malformed_row])
+def _undecodable_in_the_chunk_of_a_malformed_row(lines):
+    # the byte lies in the 8 kB decoding chunk that ends the row: text mode
+    # fails to decode it before it reads the row
+    lines[100] = "x" + lines[100]
+    return "".join(lines[:102]).encode() + b"\xff\n" + "".join(lines[102:]).encode()
+
+
+def _blank_last_line(lines):
+    return "".join(lines + ["\n"]).encode()
+
+
+def _line_separator_in_a_row(lines):
+    # U+2028 ends a line for str.splitlines, not for text mode; float() takes
+    # it as white space before a cell
+    lines[300] = lines[300].replace(",", ",\u2028", 1)
+    return "".join(lines).encode()
+
+
+def _nul_byte(lines):
+    lines[500] = lines[500].replace(",", "\0,", 1)
+    return "".join(lines).encode()
+
+
+HOSTILE = [_short_row, _non_ascii_digit, _crlf, _lone_cr_endings, _no_final_newline,
+           _undecodable_after_malformed_row, _undecodable_in_the_chunk_of_a_malformed_row,
+           _blank_last_line, _line_separator_in_a_row, _nul_byte]
+
+
+@pytest.mark.parametrize("hostile", HOSTILE)
 def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile):
-    # each fault inside batches that are otherwise parsed whole
+    # each fault inside blocks that are otherwise parsed whole: one block of
+    # the whole file, or blocks of about 40 rows; from the file and a pipe
     path = tmp_path / "trace.csv"
     path.write_bytes(b"# twomass trace\n# status: completed\na,b,c,d,e\n" + hostile(_long_trace()))
     expected = _read_outcome(read_oracle.read, path, tuple("abcde"))
+    for block in (csvfile._BLOCK, 2000):
+        with mock.patch.object(csvfile, "_BLOCK", block):
+            assert _read_outcome(csvfile.read, path, tuple("abcde")) == expected
+            with piped(path) as name:
+                assert _read_outcome(csvfile.read, name, tuple("abcde")) == _named(expected, path, name)
+
+
+@pytest.mark.parametrize("hostile, error", [
+    (_undecodable_after_malformed_row, "malformed trace row 'x"),
+    (_undecodable_in_the_chunk_of_a_malformed_row, r"not UTF-8 text \(invalid start byte\)"),
+])
+def test_text_mode_orders_a_bad_row_and_undecodable_bytes(tmp_path, hostile, error):
+    # which error comes first is text mode's, by its 8 kB decoding chunks
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"# twomass trace\na,b,c,d,e\n" + hostile(_long_trace()))
+    with pytest.raises(ParseError, match=error):
+        csvfile.read(path, "trace", tuple("abcde"))
+
+
+def test_a_character_cut_at_a_block_end_is_decoded_whole(tmp_path):
+    # two bytes of a three-byte character end the second 16-byte block, and
+    # the byte that would end it follows an ASCII block: the file is not
+    # UTF-8, and text mode finds that before it reads the bad row "x"
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"# twomass trace\na\nx\n1.5\n2.5\n3.\xe2\x82\n4.5\n5.5\n6.5\n7.\n\xac\n")
+    assert path.read_bytes().index(b"\xe2") == 30
+    expected = _read_outcome(read_oracle.read, path, ("a",))
+    assert expected[1] == f"{path}: not UTF-8 text (invalid continuation byte)"
+    with mock.patch.object(csvfile, "_BLOCK", 16):
+        assert _read_outcome(csvfile.read, path, ("a",)) == expected
+
+
+@pytest.mark.parametrize("head, rows", [
+    ("# twomass trace\n# label: \u03a9 \u0663 \U0001f642\na,b,c,d,e\n", 700),
+    ("# twomass trace\n# status: completed\na,b,c,d,e\n", 0),
+    ("# twomass trace\na,b,c,d,e", 0),
+])
+def test_named_headers_are_the_per_row_read(tmp_path, head, rows):
+    # a label that is not ASCII, a file with no rows, a column line with no newline
+    path = tmp_path / "trace.csv"
+    path.write_bytes(head.encode() + "".join(_long_trace()[:rows]).encode())
+    expected = _read_outcome(read_oracle.read, path, tuple("abcde"))
+    assert expected[1] == (rows, 5)
     assert _read_outcome(csvfile.read, path, tuple("abcde")) == expected
+    with piped(path) as name:
+        assert _read_outcome(csvfile.read, name, tuple("abcde")) == _named(expected, path, name)
 
 
 def test_a_pipe_reads_as_its_file_does(tmp_path):
-    # a pipe cannot seek: its lines are not counted before the read, and the
-    # array grows as its batches come; 3,000 rows of 280 KiB fill the pipe
+    # a pipe cannot seek: it is read into memory, then as its file is;
+    # 3,000 rows of 280 KiB fill the pipe
     path = tmp_path / "trace.csv"
     rng = np.random.default_rng(3)
     columns = _write_trace_of(path, [np.arange(3000) * 5e-4, *rng.normal(size=(4, 3000))])
