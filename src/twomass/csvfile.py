@@ -55,7 +55,6 @@ from __future__ import annotations
 import codecs
 import io
 import math
-from array import array
 
 import numpy as np
 
@@ -648,6 +647,8 @@ def _parse_block(buf: np.ndarray, stop: int, n: int) -> np.ndarray:
 
 def _parse_rows(lines, n: int, path, kind: str) -> np.ndarray:
     """The data rows ``lines`` read one by one, row-major; the first bad row is named."""
+    from array import array  # here, not at the top: its library loads only for rows read one by one
+
     values = array("d")
     for line in lines:
         row = line.rstrip("\n")
