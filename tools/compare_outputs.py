@@ -16,7 +16,9 @@ temporary directory of its own:
 * ``twomass analyze --output`` of the traces of ``table3-fb-sweep-2khz``
   (ideal sensor), ``controller-comparison-2khz`` (noisy and scientific
   cells, a table's ``u_ffw``) and ``table2-ffw-sweep`` (the integer
-  ``newton_iterations`` column), which the trace reader parses
+  ``newton_iterations`` column), which the trace reader parses, and of a
+  CRLF copy and a lone-CR copy of the ``table3-fb-sweep-2khz`` traces,
+  whose line ends the reader translates (the copies are deleted after)
 * ``twomass check-plant --config`` and ``twomass simulate`` of a small config
   file that the subprocess writes (a 6 s combined run with the online
   feedforward and a noisy encoder)
@@ -83,6 +85,17 @@ for name, preset in [("analyze", "table3-fb-sweep-2khz"),
                      ("analyze-ffw", "table2-ffw-sweep")]:
     traces = sorted(glob.glob(os.path.join(preset, "*-trace.csv")))
     run(name, ["analyze", *traces, "--output", f"{name}-metrics.csv"])
+for name, end in [("analyze-crlf", b"\r\n"), ("analyze-cr", b"\r")]:
+    os.makedirs(name)
+    copies = []
+    for trace in sorted(glob.glob(os.path.join("table3-fb-sweep-2khz", "*-trace.csv"))):
+        copies.append(os.path.join(name, os.path.basename(trace)))
+        with open(trace, "rb") as src, open(copies[-1], "wb") as dst:
+            dst.write(src.read().replace(b"\n", end))
+    run(name, ["analyze", *copies, "--output", f"{name}-metrics.csv"])
+    for copy in copies:
+        os.remove(copy)
+    os.rmdir(name)
 with open("run.ini", "w", encoding="utf-8") as fh:
     fh.write(sys.argv[2])
 run("check-plant", ["check-plant", "--config", "run.ini"])
