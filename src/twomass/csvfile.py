@@ -30,29 +30,29 @@ of more than one value met at each position, the array itself and its
 text.  It joins each batch's rows into one newline-terminated text block,
 so no Python code runs per row between the cells and the file.
 
-The reader first scans a file's bytes: it counts the newlines, and finds
-whether text mode would read its lines as they are, with no ``"\r"`` and
-UTF-8 throughout.  Such a file's rows are read 64 KiB at a time straight
-into one buffer and cut after the last newline, and every cell of a block
-is parsed together in numpy, bit for bit what ``float()`` reads: the digits
-and the exponent of each cell, then one rounding of their double-double
-product.  No line or cell string is made, and the rows fill one array sized
-by the newline count, so the array is never moved or copied as it grows;
-the reader keeps nothing between files.  ``float()`` itself reads each cell
+The reader first scans a file's bytes: it counts the newlines and finds
+whether any ``"\\r"`` is there.  A file with one is read into memory, as a
+pipe is, and its ``"\\r\\n"`` and lone ``"\\r"`` become ``"\\n"``, as in
+text mode.  The rows are read 64 KiB at a time straight into one buffer
+and cut after the last newline, and every cell of a block is parsed
+together in numpy, bit for bit what ``float()`` reads: the digits and the
+exponent of each cell, then one rounding of their double-double product.
+No line or cell string is made, and the rows fill one array sized by the
+newline count, so the array is never moved or copied as it grows; the
+reader keeps nothing between files.  ``float()`` itself reads each cell
 that the parser cannot prove: any spelling but ``-ddd.ddde-dd`` (sign,
 point and repr's two-digit exponent optional, fewer than 24 bytes before
 the exponent besides the sign, at most 19 digits), so also a three-digit
 exponent, a product within 1e-6 of a tie between two floats, or an exact
 power of two.  A block that is not ASCII, or whose rows are not all ``n``
-cells long, is read row by row with ``float()``.  A file with a ``"\r"`` or
-bytes that are not UTF-8 is read row by row in text mode, so its line ends
-and which error comes first are text mode's.  A pipe is read into memory,
-then as its file would be.
+cells long, is read row by row with ``float()``.  Each header line and
+each such row is decoded from UTF-8 on its own, which gives the text that
+decoding the whole file gives, as a ``"\\n"`` byte never lies inside a
+character; so the first bad row or undecodable byte in row order is named.
 """
 
 from __future__ import annotations
 
-import codecs
 import io
 import math
 
@@ -646,12 +646,12 @@ def _parse_block(buf: np.ndarray, stop: int, n: int) -> np.ndarray:
 
 
 def _parse_rows(lines, n: int, path, kind: str) -> np.ndarray:
-    """The data rows ``lines`` read one by one, row-major; the first bad row is named."""
+    """The data rows ``lines``, bytes without their ``"\\n"``, read one by one, row-major; the first bad row is named."""
     from array import array  # here, not at the top: its library loads only for rows read one by one
 
     values = array("d")
     for line in lines:
-        row = line.rstrip("\n")
+        row = line.decode()
         cells = row.split(",")
         try:
             if len(cells) != n:
@@ -663,39 +663,24 @@ def _parse_rows(lines, n: int, path, kind: str) -> np.ndarray:
 
 
 def _scan(raw) -> tuple[int, bool]:
-    """The lines of binary file ``raw`` split at ``"\\n"``, whether text mode reads them as they are, and ``raw`` back at its start.
-
-    Text mode reads them as they are when the file holds no ``"\\r"`` and
-    is UTF-8 throughout.
-    """
-    count, last, plain = 0, b"\n", True
-    decoder = codecs.getincrementaldecoder("utf-8")()
+    """The lines of binary file ``raw`` split at ``"\\n"``, whether it holds a ``"\\r"``, and ``raw`` back at its start."""
+    count, last, cr = 0, b"\n", False
     while block := raw.read(_BLOCK):
         count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
         last = block[-1:]
-        plain = plain and b"\r" not in block
-        # an ASCII block is UTF-8 unless a character began before it
-        if plain and (decoder.getstate()[0] or not block.isascii()):
-            try:
-                decoder.decode(block)
-            except UnicodeDecodeError:
-                plain = False
-    try:
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError:
-        plain = False
+        cr = cr or b"\r" in block
     raw.seek(0)
-    return count + (last != b"\n"), plain
+    return count + (last != b"\n"), cr
 
 
-def _header(lines, path, kind: str, column_line: str) -> tuple[dict, int]:
-    """The header of a file's text ``lines``, read through its column line, and the lines read."""
-    if next(lines, "").rstrip("\n") != f"# twomass {kind}":
+def _header(raw, path, kind: str, column_line: str) -> tuple[dict, int]:
+    """The header of binary file ``raw``, read through its column line, and the lines read."""
+    lines = (line.rstrip(b"\n").decode() for line in raw)
+    if next(lines, "") != f"# twomass {kind}":
         raise ValidationError(f"{path}: not a twomass {kind} file")
     header: dict = {}
     seen = 2  # the kind line and the column line
     for line in lines:
-        line = line.rstrip("\n")
         if line == column_line:
             return header, seen
         if not line.startswith("#"):
@@ -738,7 +723,7 @@ def _read_blocks(raw, n: int, rows: int, path, kind: str) -> np.ndarray:
         try:
             block = _parse_block(buf, cut, n)
         except ValueError:
-            block = _parse_rows(text[_WINDOW:cut - 1].decode().split("\n"), n, path, kind)
+            block = _parse_rows(text[_WINDOW:cut - 1].split(b"\n"), n, path, kind)
         del buf
         stop = done + len(block) // n
         if stop > len(data):  # the file grew while read
@@ -754,16 +739,15 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
 
     The array has one row per data row; empty cells read as NaN and any other
     cell as ``float()`` reads it, so ``"1_0"`` is 10.0 and ``"nan"`` NaN.  A
-    first pass counts the file's newlines and finds whether text mode reads
-    its lines as they are: no ``"\\r"`` and UTF-8 throughout.  Such a file's
-    rows are read ``_BLOCK`` bytes at a time, every cell of a block parsed
-    together in numpy (the module docstring says which cells go to
-    ``float()``), into one array of that many rows.  A block with a bad row
-    or a byte that is not ASCII is parsed again row by row, so the error
-    names the first bad row.  Any other file is read row by row in text
-    mode, so its lines, its first bad row and its first undecodable byte
-    are text mode's.  A pipe is read into memory first, then read as its
-    file would be.
+    first pass counts the file's newlines and finds whether it holds a
+    ``"\\r"``.  A pipe, or a file with a ``"\\r"``, is read into memory
+    first; there ``"\\r\\n"`` and a lone ``"\\r"`` become ``"\\n"``, as text
+    mode reads them, and the newlines are counted again.  The rows are
+    read ``_BLOCK`` bytes at a time, every cell of a block parsed together
+    in numpy (the module docstring says which cells go to ``float()``),
+    into one array of that many rows.  A block with a bad row or a byte
+    that is not ASCII is parsed again row by row, each row decoded on its
+    own, so the error names the first bad row or undecodable byte.
     """
     column_line = ",".join(columns)
     n = len(columns)
@@ -771,14 +755,12 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
         with open(path, "rb") as raw:
             if not raw.seekable():
                 raw = io.BytesIO(raw.read())
-            count, plain = _scan(raw)
-            if plain:
-                header, seen = _header((line.decode() for line in raw), path, kind, column_line)
-                data = _read_blocks(raw, n, max(count - seen, 0), path, kind)
-            else:
-                lines = io.TextIOWrapper(raw, encoding="utf-8")
-                header, _ = _header(lines, path, kind, column_line)
-                data = _parse_rows(lines, n, path, kind).reshape(-1, n)
+            count, cr = _scan(raw)
+            if cr:
+                raw = io.BytesIO(raw.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+                count, _ = _scan(raw)
+            header, seen = _header(raw, path, kind, column_line)
+            data = _read_blocks(raw, n, max(count - seen, 0), path, kind)
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from None
     return header, data

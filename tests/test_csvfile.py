@@ -613,7 +613,7 @@ def test_read_takes_every_spelling_float_takes(tmp_path):
 
 
 def test_a_bad_row_before_undecodable_bytes_is_named_first(tmp_path):
-    # the bytes sit 24 kB (three 8 kB decoding chunks) after the bad row
+    # the bytes sit 24 kB, 200 rows, after the bad row
     row = ",".join([repr(0.1 + 0.2)] * 6) + "\n"
     rows = [row, "x" + row[1:]] + [row] * 300
     rows[200] = "\xff\n"
@@ -946,8 +946,8 @@ def _crlf(lines):
 
 
 def _lone_cr_endings(lines):
-    # text mode ends a line at a lone "\r" too, so the file holds fewer
-    # newlines than rows
+    # a lone "\r" ends a line, as in text mode: the file holds fewer
+    # newlines than rows until each "\r" becomes one
     return "".join(lines[:200] + [line.replace("\n", "\r") for line in lines[200:]]).encode()
 
 
@@ -956,15 +956,13 @@ def _no_final_newline(lines):
 
 
 def _undecodable_after_malformed_row(lines):
-    # the byte lies two 8 kB decoding chunks after the row: text mode reads
-    # the row first
+    # the byte lies 200 rows after the bad row, several blocks of 2000 bytes on
     lines[100] = "x" + lines[100]
     return "".join(lines[:300]).encode() + b"\xff\n" + "".join(lines[300:]).encode()
 
 
 def _undecodable_in_the_chunk_of_a_malformed_row(lines):
-    # the byte lies in the 8 kB decoding chunk that ends the row: text mode
-    # fails to decode it before it reads the row
+    # the byte lies two rows after the bad row
     lines[100] = "x" + lines[100]
     return "".join(lines[:102]).encode() + b"\xff\n" + "".join(lines[102:]).encode()
 
@@ -974,7 +972,7 @@ def _blank_last_line(lines):
 
 
 def _line_separator_in_a_row(lines):
-    # U+2028 ends a line for str.splitlines, not for text mode; float() takes
+    # U+2028 ends a line for str.splitlines, not for the reader; float() takes
     # it as white space before a cell
     lines[300] = lines[300].replace(",", ",\u2028", 1)
     return "".join(lines).encode()
@@ -1004,29 +1002,60 @@ def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile):
                 assert _read_outcome(csvfile.read, name, tuple("abcde")) == _named(expected, path, name)
 
 
-@pytest.mark.parametrize("hostile, error", [
-    (_undecodable_after_malformed_row, "malformed trace row 'x"),
-    (_undecodable_in_the_chunk_of_a_malformed_row, r"not UTF-8 text \(invalid start byte\)"),
-])
-def test_text_mode_orders_a_bad_row_and_undecodable_bytes(tmp_path, hostile, error):
-    # which error comes first is text mode's, by its 8 kB decoding chunks
-    path = tmp_path / "trace.csv"
-    path.write_bytes(b"# twomass trace\na,b,c,d,e\n" + hostile(_long_trace()))
-    with pytest.raises(ParseError, match=error):
-        csvfile.read(path, "trace", tuple("abcde"))
+@settings(max_examples=100)
+@given(rows=st.integers(2, 40), data=st.data(),
+       block=st.one_of(st.integers(1, 300), st.just(csvfile._BLOCK)))
+def test_the_earlier_of_a_bad_row_and_undecodable_bytes_is_named(tmp_path_factory, rows, data,
+                                                                  block):
+    # whichever comes first in row order, whatever the block size
+    lines = [line.encode() for line in _long_trace(rows)]
+    bad, undecodable = data.draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2,
+                                          unique=True))
+    lines[bad] = b"x" + lines[bad]
+    lines[undecodable] = lines[undecodable].replace(b",", b",\xff", 1)
+    path = tmp_path_factory.mktemp("order") / "trace.csv"
+    path.write_bytes(b"# twomass trace\na,b,c,d,e\n" + b"".join(lines))
+    error = (f"malformed trace row {lines[bad][:-1].decode()!r}" if bad < undecodable
+             else "not UTF-8 text (invalid start byte)")
+    expected = _read_outcome(read_oracle.read, path, tuple("abcde"))
+    assert expected == (ParseError, f"{path}: {error}")
+    with mock.patch.object(csvfile, "_BLOCK", block):
+        assert _read_outcome(csvfile.read, path, tuple("abcde")) == expected
 
 
 def test_a_character_cut_at_a_block_end_is_decoded_whole(tmp_path):
     # two bytes of a three-byte character end the second 16-byte block, and
-    # the byte that would end it follows an ASCII block: the file is not
-    # UTF-8, and text mode finds that before it reads the bad row "x"
+    # the byte that would end it follows an ASCII block; the bad row "x"
+    # comes before the undecodable rows, so it is named
     path = tmp_path / "trace.csv"
     path.write_bytes(b"# twomass trace\na\nx\n1.5\n2.5\n3.\xe2\x82\n4.5\n5.5\n6.5\n7.\n\xac\n")
     assert path.read_bytes().index(b"\xe2") == 30
     expected = _read_outcome(read_oracle.read, path, ("a",))
-    assert expected[1] == f"{path}: not UTF-8 text (invalid continuation byte)"
+    assert expected[1] == f"{path}: malformed trace row 'x'"
     with mock.patch.object(csvfile, "_BLOCK", 16):
         assert _read_outcome(csvfile.read, path, ("a",)) == expected
+
+
+@pytest.mark.parametrize("block", [csvfile._BLOCK, 2000])
+def test_rows_added_while_a_file_is_read_are_read(tmp_path, block):
+    # the file gains rows after the scan that sizes the array, so the array grows
+    lines = [line.encode() for line in _long_trace()]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"# twomass trace\na,b,c,d,e\n" + b"".join(lines[:300]))
+    scan = csvfile._scan
+
+    def scan_then_grow(raw):
+        counted = scan(raw)
+        with open(path, "ab") as fh:
+            fh.write(b"".join(lines[300:]))
+        return counted
+
+    with mock.patch.object(csvfile, "_scan", scan_then_grow), \
+            mock.patch.object(csvfile, "_BLOCK", block):
+        got = _read_outcome(csvfile.read, path, tuple("abcde"))
+    expected = _read_outcome(read_oracle.read, path, tuple("abcde"))
+    assert expected[1] == (700, 5)
+    assert got == expected
 
 
 @pytest.mark.parametrize("head, rows", [
