@@ -1002,6 +1002,21 @@ def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile):
                 assert _read_outcome(csvfile.read, name, tuple("abcde")) == _named(expected, path, name)
 
 
+@pytest.mark.parametrize("hostile, error", [
+    (_undecodable_after_malformed_row, "malformed trace row 'x"),
+    (_undecodable_in_the_chunk_of_a_malformed_row, "malformed trace row 'x"),
+])
+def test_text_mode_orders_a_bad_row_and_undecodable_bytes(tmp_path, hostile, error):
+    # text mode named the undecodable byte first when it shared an 8 kB
+    # decoding chunk with the bad row; the reader names the bad row, the
+    # earlier of the two in row order, in both files and at any block size
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"# twomass trace\na,b,c,d,e\n" + hostile(_long_trace()))
+    for block in (csvfile._BLOCK, 2000):
+        with mock.patch.object(csvfile, "_BLOCK", block), pytest.raises(ParseError, match=error):
+            csvfile.read(path, "trace", tuple("abcde"))
+
+
 @settings(max_examples=100)
 @given(rows=st.integers(2, 40), data=st.data(),
        block=st.one_of(st.integers(1, 300), st.just(csvfile._BLOCK)))
