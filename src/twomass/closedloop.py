@@ -401,5 +401,5 @@ def read_trace_csv(path) -> Trace:
         problem = "no status line" if body is None else f"malformed status line {body!r}"
         raise ParseError(f"{path}: {problem}")
     columns = {name: data[:, i] for i, name in enumerate(_TRACE_COLUMNS)}
-    run_config = csvfile.parse_echo(header.get("config", ""))
+    run_config = csvfile.parse_echo(header.get("config", ""), path)
     return Trace(status=RunStatus(kind, at), run_config=run_config, **columns)

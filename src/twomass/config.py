@@ -2,9 +2,10 @@
 table, the echo writer and both readers.
 
 Both readers follow :data:`CONFIG_FIELDS`, the table that also writes the
-echo.  Unknown sections or keys are rejected by name; type errors name the
-offending key.  Invariant violations surface as :class:`ValidationError` from
-the constructed objects themselves, which state the violated invariant.
+echo.  Unknown sections or keys, in a file or an echo, are rejected by
+name; type errors name the offending key.  Invariant violations surface as
+:class:`ValidationError` from the constructed objects themselves, which
+state the violated invariant.
 """
 
 from __future__ import annotations
@@ -405,9 +406,14 @@ def config_from_echo(echo: dict, where) -> SimulationConfig:
 
     The echo holds neither a feedforward table's samples (``feedforward.source``
     only says that a table was used) nor ``plant_substeps``: both read back as
-    their defaults.  ``where`` names the file in parse errors; an echo that
-    breaks an invariant raises the config's own :class:`ValidationError`.
+    their defaults.  ``where`` names the file in parse errors, among them a
+    key that no echoed row names; an echo that breaks an invariant raises
+    the config's own :class:`ValidationError`.
     """
     rows = [row for row in CONFIG_FIELDS if row.echo]
+    names = {row.name for row in rows}
+    for key in echo:
+        if key not in names:
+            raise ParseError(f"{where}: unknown key {key!r} in config echo")
     return _build(_read(rows, lambda row: echo.get(row.name), where))
 

@@ -11,8 +11,10 @@ A cell holds ``repr`` of a float, so every value reads back bit for bit; NaN
 is an empty cell and integer columns hold ``int``.  The reader is laxer: it
 takes any cell that ``float()`` takes, such as ``"1_0"``, ``" 1.5"``,
 ``"nan"`` or ``"infinity"``, which the writer never writes.  Config echoes sit
-in header values as sorted ``key=value`` pairs joined by ``|``.  Files are
-UTF-8 on both read and write, whatever the locale.
+in header values as sorted ``key=value`` pairs joined by ``|``.  A header
+key, or a key within an echo, appears once: a second copy is a parse error
+naming the key, never a value that replaces the first.  Files are UTF-8 on
+both read and write, whatever the locale.
 
 The writer makes the float cells of a column chunk of 256 rows or more
 together in numpy, byte for byte what ``repr`` writes: the shortest digits
@@ -74,9 +76,21 @@ def format_echo(echo: dict) -> str:
     return "|".join(f"{k}={v}" for k, v in sorted(echo.items()))
 
 
-def parse_echo(text: str) -> dict:
-    """Inverse of :func:`format_echo`; a value may itself hold ``=``."""
-    return dict(chunk.split("=", 1) for chunk in text.split("|") if "=" in chunk)
+def parse_echo(text: str, where) -> dict:
+    """Inverse of :func:`format_echo`; a value may itself hold ``=``.
+
+    ``where`` names the file in parse errors: a pair without ``=`` or a
+    repeated key is one.  An empty text is the empty echo.
+    """
+    echo: dict = {}
+    for pair in text.split("|") if text else ():
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ParseError(f"{where}: malformed config echo pair {pair!r}")
+        if key in echo:
+            raise ParseError(f"{where}: duplicate config echo key {key!r}")
+        echo[key] = value
+    return echo
 
 
 # The float cells of a column chunk are ``repr``'s shortest round-trip digits
@@ -688,6 +702,8 @@ def _header(raw, path, kind: str, column_line: str) -> tuple[dict, int]:
         key, sep, value = line[2:].partition(": ")
         if not (line.startswith("# ") and sep):
             raise ParseError(f"{path}: malformed header line {line!r}")
+        if key in header:
+            raise ParseError(f"{path}: duplicate header key {key!r}")
         header[key] = value
         seen += 1
     raise ValidationError(f"{path}: no column line {column_line!r}")

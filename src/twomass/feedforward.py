@@ -366,7 +366,7 @@ def write_table_csv(table: FeedforwardTable, path) -> None:
 def read_table_csv(path) -> FeedforwardTable:
     """Load a table written by :func:`write_table_csv`."""
     header, data = csvfile.read(path, "feedforward table", _TABLE_COLUMNS)
-    meta = csvfile.parse_echo(header.get("config", ""))
+    meta = csvfile.parse_echo(header.get("config", ""), path)
     if "dt" not in meta:
         raise ValidationError(f"{path}: missing dt in table header")
     try:

@@ -43,6 +43,8 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
             key, sep, value = line[2:].partition(": ")
             if not (line.startswith("# ") and sep):
                 raise ParseError(f"{path}: malformed header line {line!r}")
+            if key in header:
+                raise ParseError(f"{path}: duplicate header key {key!r}")
             header[key] = value
         else:
             raise ValidationError(f"{path}: no column line {column_line!r}")

@@ -225,15 +225,22 @@ def dichotomy(tmp_path_factory):
     return out
 
 
-def _trace_with_status(body):
-    # the completed trace above with the status line ``body`` (None: without one)
+def _trace_with_header(old, new):
+    # the completed trace above with ``old`` in its header replaced by ``new``
     def case(tmp_path):
         argv, path = _completed_trace_with_runs({})(tmp_path)
-        status = "" if body is None else f"# status: {body}\n"
-        path.write_text(path.read_text().replace("# status: completed\n", status))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
         return argv, path
 
     return case
+
+
+def _trace_with_status(body):
+    # the completed trace above with the status line ``body`` (None: without one)
+    status = "" if body is None else f"# status: {body}\n"
+    return _trace_with_header("# status: completed\n", status)
 
 
 def _second_of_two_traces(case):
@@ -763,6 +770,18 @@ class TestCli:
          pytest.param(_trace_with_status("funnel_violated at=11.930"), id="status-at-zero-padded"),
          pytest.param(_trace_with_status("funnel_violated at=+11.93"), id="status-at-plus"),
          pytest.param(_trace_with_status(None), id="status-line-missing"),
+         # a second copy of a key replaces no value: the run completed
+         pytest.param(_trace_with_status("completed\n# status: funnel_violated at=1.0"),
+                      id="trace-duplicate-header-key"),
+         pytest.param(_trace_with_header("|simulation.seed=3|", "|garbage|simulation.seed=3|"),
+                      id="echo-pair-without-equals"),
+         pytest.param(_trace_with_header("|simulation.seed=3|",
+                                         "|simulation.seed=3|simulation.seed=99|"),
+                      id="echo-duplicate-key"),
+         pytest.param(_trace_with_echo("zzz.unknown", "1"), id="echo-unknown-key"),
+         # a table's echo holds no config, so no unknown key masks the pair
+         pytest.param(_table_with_torque("0.0", dt="0.001|garbage"),
+                      id="table-echo-pair-without-equals"),
          pytest.param(_latin1_config("simulate"), id="latin-1-config-simulate"),
          pytest.param(_latin1_config("feedforward", "--config"), id="latin-1-config-feedforward"),
          pytest.param(_latin1_config("check-plant", "--config"), id="latin-1-config-check-plant"),
@@ -1132,13 +1151,17 @@ NOT_ECHOED = {
 class TestFieldTable:
     @given(cfg=configs())
     def test_every_echoed_field_reads_back_bit_for_bit(self, cfg):
-        echo = parse_echo(format_echo(config_echo(cfg)))
+        echo = parse_echo(format_echo(config_echo(cfg)), "header")
         back = config_from_echo(echo, "header")
         rows = [row for row in CONFIG_FIELDS if row.echo and has_branch(cfg.mode.name, row.branch)]
         assert set(echo) == {row.name for row in rows}
         for row in rows:
             assert _bits(_value(back, row.path)) == _bits(_value(cfg, row.path)), row.name
         assert back == dataclasses.replace(cfg, plant_substeps=10)
+
+    def test_an_empty_echo_reads_as_no_pairs(self):
+        # the echo of a file without a config line, or with an empty one
+        assert parse_echo("", "header") == {}
 
     def test_every_leaf_field_is_echoed_or_named(self, tmp_path):
         # a combined config: both branches, so every optional part is present

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import struct
 import sys
@@ -74,6 +75,10 @@ def _no_column_line(text):
     return "".join(_lines(text)[:-2]).encode()
 
 
+def _duplicate_header_key(text):
+    return "".join(_lines(text)[:2] + _lines(text)[1:]).encode()
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize(
     "broken, error, match",
@@ -85,6 +90,7 @@ def _no_column_line(text):
         (_space_separated_header, ParseError, "header line"),
         (_not_utf8, ParseError, "not UTF-8"),
         (_no_column_line, ValidationError, "no column line"),
+        (_duplicate_header_key, ParseError, "duplicate header key 'config'"),
     ],
 )
 def test_malformed_file_rejected_naming_the_path(tmp_path, kind, broken, error, match):
@@ -305,6 +311,15 @@ def sweep_trace():
     return run_simulation(build_preset("table3-fb-sweep-2khz").configs[0])
 
 
+def _peak(call, *args):
+    """What ``call(*args)`` returns, and the peak that tracemalloc traced during the call."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path, sweep_trace):
     # a sweep trace of 30,001 rows and 4.04 MiB, written with an empty memo:
     # the writer holds one batch's cells, rows and text block at a time and
@@ -313,12 +328,7 @@ def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path, sweep_trace):
     # cell: the formatter's arrays for one chunk are gone before the next
     path = tmp_path / "trace.csv"
     with mock.patch.object(csvfile, "_memo", {}):
-        tracemalloc.start()
-        try:
-            write_trace_csv(sweep_trace, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _peak(write_trace_csv, sweep_trace, path)
     assert path.stat().st_size > 4 * 2**20
     assert peak < 3 * 2**20
 
@@ -489,28 +499,43 @@ def test_a_new_funnel_does_not_grow_the_memo(tmp_path):
 # row counts from none to two blocks of the reader's for the widest rows
 READ_ROWS = st.sampled_from([0, 1, 2, 3, 7] + [k * 256 + d for k in (1, 2) for d in (-1, 0, 1)])
 BAD_CELLS = ["x", " ", "nan", "-inf", " 1.5", "1_0", "1e999", "--1", "0x1p3", "1,5"]
+NOISY_VALUES = np.array([0.0, -0.0, 2.0, -2.0, QUIET_NAN, OTHER_NAN, math.inf, 1e16, 0.1, 1e-300])
+
+
+def _noisy(rng, rows):
+    """``rows`` cells, each from ``NOISY_VALUES`` or normal, evenly."""
+    return np.where(rng.random(rows) < 0.5, rng.choice(NOISY_VALUES, rows), rng.normal(size=rows))
 
 
 @st.composite
-def read_cases(draw, rows=READ_ROWS):
+def read_cases(draw, pool, rows=READ_ROWS):
     """A file body and its columns: a written trace of ``rows`` rows that may then be broken.
 
     Columns are drawn fresh, constant, empty, one value up to a row and
     another after it, constant but for one cell, equal to an earlier
     column, or equal to it but for one cell (its first kept), so that
-    columns that nearly repeat sit beside columns that do.
+    columns that nearly repeat sit beside columns that do.  Or a column
+    comes from ``pool``, the columns that the files of one example share
+    as a sweep's traces do: cut to the file's rows like a truncated run,
+    maybe with the signs of its zeros flipped or one cell emptied.
     """
     n = draw(st.integers(1, 12))
     rows = draw(rows)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = np.array([0.0, -0.0, 2.0, -2.0, QUIET_NAN, OTHER_NAN, math.inf, 1e16, 0.1, 1e-300])
     arrays = []
     for _ in range(n):
-        how = draw(st.sampled_from(["new", "const", "empty", "step", "almost", "copy", "near"]))
+        how = draw(st.sampled_from(["new", "const", "empty", "step", "almost", "copy", "near",
+                                    "shared", "zeros", "emptied"]))
         if how in ("copy", "near") and not arrays:
             how = "new"
         if how == "new":
-            column = np.where(rng.random(rows) < 0.5, rng.choice(pool, rows), rng.normal(size=rows))
+            column = _noisy(rng, rows)
+        elif how in ("shared", "zeros", "emptied"):
+            column = pool[draw(st.integers(0, len(pool) - 1))][:rows].copy()
+            if how == "zeros":
+                column = _flip_zero_signs(column)
+            elif rows and how == "emptied":
+                column[draw(st.integers(0, rows - 1))] = math.nan
         elif how == "const":
             column = np.full(rows, draw(VALUES))
         elif how == "empty":
@@ -576,28 +601,29 @@ def _named(outcome, path, name):
 
 
 @settings(max_examples=200)
-@given(case=read_cases())
-def test_read_is_the_per_row_read(tmp_path_factory, case):
-    columns, body = case
-    path = tmp_path_factory.mktemp("read") / "trace.csv"
-    path.write_bytes(b"# twomass trace\n# status: completed\n" + ",".join(columns).encode()
-                     + b"\n" + body)
-    expected = _read_outcome(read_oracle.read, path, columns)
-    assert _read_outcome(csvfile.read, path, columns) == expected
-
-
-@settings(max_examples=200)
-@given(case=read_cases(rows=st.integers(0, 12)), block=st.integers(1, 300))
-def test_read_in_small_blocks_is_the_per_row_read(tmp_path_factory, case, block):
-    # blocks of a few bytes to a few rows: rows straddle blocks, and a row
-    # longer than a block makes the buffer grow
-    columns, body = case
-    path = tmp_path_factory.mktemp("blocks") / "trace.csv"
-    path.write_bytes(b"# twomass trace\n# status: completed\n" + ",".join(columns).encode()
-                     + b"\n" + body)
-    expected = _read_outcome(read_oracle.read, path, columns)
+@given(data=st.data())
+def test_read_is_the_per_row_read(tmp_path_factory, data):
+    # one to four files that share columns, read in the drawn order and
+    # reversed, so each file follows another; whole blocks, or blocks of a
+    # few bytes to a few rows, where rows straddle blocks and a row longer
+    # than a block makes the buffer grow; from each file or through a pipe
+    block = data.draw(st.just(csvfile._BLOCK) | st.integers(1, 300))
+    rows = READ_ROWS if block == csvfile._BLOCK else st.integers(0, 12)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pool = [_noisy(rng, 2 * 256 + 1) for _ in range(data.draw(st.integers(1, 3)))]
+    folder = tmp_path_factory.mktemp("read")
+    files = []
+    for k, (columns, body) in enumerate(data.draw(st.lists(read_cases(pool, rows), min_size=1,
+                                                           max_size=4))):
+        path = folder / f"trace{k}.csv"
+        path.write_bytes(b"# twomass trace\n# status: completed\n" + ",".join(columns).encode()
+                         + b"\n" + body)
+        files.append((path, columns, _read_outcome(read_oracle.read, path, columns)))
+    pipe = data.draw(st.booleans())
     with mock.patch.object(csvfile, "_BLOCK", block):
-        assert _read_outcome(csvfile.read, path, columns) == expected
+        for path, columns, expected in files + files[::-1]:
+            with piped(path) if pipe else contextlib.nullcontext(str(path)) as name:
+                assert _read_outcome(csvfile.read, name, columns) == _named(expected, path, name)
 
 
 def test_read_takes_every_spelling_float_takes(tmp_path):
@@ -634,12 +660,7 @@ def test_read_holds_little_beside_its_array(tmp_path):
     columns = tuple(TRACE_COLUMNS.split(","))
     path = tmp_path / "trace.csv"
     csvfile.write(path, "trace", [], columns, csvfile.format_rows(arrays, (9,)))
-    tracemalloc.start()
-    try:
-        _, data = csvfile.read(path, "trace", columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, data), peak = _peak(csvfile.read, path, "trace", columns)
     assert data.shape == (rows, 10)
     assert peak <= 1.3 * data.nbytes
 
@@ -650,75 +671,9 @@ def test_reading_a_sweep_trace_holds_little_beside_its_array(tmp_path, sweep_tra
     path = tmp_path / "trace.csv"
     with mock.patch.object(csvfile, "_memo", {}):
         write_trace_csv(sweep_trace, path)
-    columns = tuple(TRACE_COLUMNS.split(","))
-    tracemalloc.start()
-    try:
-        _, data = csvfile.read(path, "trace", columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, data), peak = _peak(csvfile.read, path, "trace", tuple(TRACE_COLUMNS.split(",")))
     assert data.shape == (30_001, 10)
     assert peak <= 1.3 * data.nbytes
-
-
-@st.composite
-def read_sequences(draw):
-    """Files that share and vary their columns, as a sweep's traces do.
-
-    A pool holds the columns that repeat from file to file.  A file of
-    ``rows`` rows (cut like a truncated run) takes each column from the
-    pool, from the pool with the signs of its zeros flipped or with some
-    cells emptied, or draws a fresh one.  A file may be broken by a bad
-    cell or a short row.
-    """
-    n = draw(st.integers(1, 4))
-    length = draw(st.integers(1, 12))
-    pool = [np.array(draw(st.lists(VALUES, min_size=length, max_size=length)))
-            for _ in range(draw(st.integers(1, 3)))]
-    files = []
-    for _ in range(draw(st.integers(2, 4))):
-        rows = draw(st.integers(1, length))
-        arrays = []
-        for _ in range(n):
-            how = draw(st.sampled_from(["shared", "zeros", "empty", "new"]))
-            if how == "new":
-                column = np.array(draw(st.lists(VALUES, min_size=rows, max_size=rows)))
-            else:
-                column = pool[draw(st.integers(0, len(pool) - 1))][:rows].copy()
-                if how == "zeros":
-                    column = _flip_zero_signs(column)
-                elif how == "empty":
-                    column[draw(st.integers(0, rows - 1))] = math.nan
-            arrays.append(column)
-        lines = [row + "\n" for row in _rows(csvfile.format_rows(arrays))]
-        how = draw(st.sampled_from(["good", "good", "cell", "short"]))
-        if how != "good":
-            k = draw(st.integers(0, rows - 1))
-            cells = lines[k].rstrip("\n").split(",")
-            if how == "cell":
-                cells[draw(st.integers(0, n - 1))] = "x"
-            else:
-                cells.pop()
-            lines[k] = ",".join(cells) + "\n"
-        files.append("".join(lines).encode())
-    return [f"c{i}" for i in range(n)], files
-
-
-@settings(max_examples=200)
-@given(case=read_sequences())
-def test_reads_in_turn_are_each_the_per_row_read(tmp_path_factory, case):
-    # in the drawn order and reversed, so each file follows another, and a
-    # broken file in the middle sits between two others both ways
-    columns, files = case
-    folder = tmp_path_factory.mktemp("turns")
-    paths = []
-    for k, body in enumerate(files):
-        path = folder / f"trace{k}.csv"
-        path.write_bytes(b"# twomass trace\n" + ",".join(columns).encode() + b"\n" + body)
-        paths.append(path)
-    for path in paths + paths[::-1]:
-        expected = _read_outcome(read_oracle.read, path, columns)
-        assert _read_outcome(csvfile.read, path, columns) == expected
 
 
 def _write_trace_of(path, arrays):
@@ -839,20 +794,46 @@ def _parse_block(lines, n):
     return csvfile._parse_block(np.frombuffer(text, dtype=np.uint8), csvfile._WINDOW + len(body), n)
 
 
+# cells of fewer than 24 bytes besides the sign, with repr's two-digit
+# exponent or none: the point anywhere or nowhere, as many leading zeros as fit
+TWO_DIGIT_CELLS = st.builds(
+    lambda sign, digits, at, exponent: sign + (digits if at is None else
+                                               digits[:at] + "." + digits[at:])
+    + ("" if exponent is None else f"e{exponent:+03d}"),
+    st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=22),
+    st.none() | st.integers(0, 22), st.none() | st.integers(-99, 99))
+# the least and the greatest q these form, -99 - 22 and 99
+TWO_DIGIT_ENDS = [".0000000000000000000001e-99", "-.9999999999999999999999e-99",
+                  "9999999999999999999e+99", "1e+99"]
+
+
 @settings(max_examples=300)
 @given(cells=st.lists(CELL_TEXTS, min_size=1, max_size=48), ties=st.lists(MIDPOINTS, max_size=64),
-       n=st.integers(1, 6))
-def test_block_parser_is_float_cell_for_cell(cells, ties, n):
-    # the drawn cells and midpoints, repeated over rows that fill a block
-    cells += ties
-    grid, lines, size = [], [], 0
-    while size < csvfile._BLOCK:
-        row = [cells[(len(grid) + k) % len(cells)] for k in range(n)]
-        grid += row
-        lines.append(",".join(row) + "\n")
-        size += len(lines[-1])
-    expected = np.array([float(cell) for cell in grid])
-    assert _parse_block(lines, n).tobytes() == expected.tobytes()
+       two_digit=st.lists(TWO_DIGIT_CELLS, min_size=1, max_size=48), n=st.integers(1, 6))
+def test_block_parser_is_float_cell_for_cell(cells, ties, two_digit, n):
+    # the drawn two-digit cells with the ends, cells and midpoints, repeated
+    # over rows that fill a block: each cell is float()'s, and each two-digit
+    # cell forms a q in the table, both ends of which are reached
+    two_digit += TWO_DIGIT_ENDS
+    cells = two_digit + cells + ties
+    cycle = cells * n  # len(cells) rows of n cells, after which the rows repeat
+    rows = [",".join(cycle[k:k + n]) + "\n" for k in range(0, len(cycle), n)]
+    lines = rows * -(-csvfile._BLOCK // sum(map(len, rows)))  # whole cycles that fill a block
+    formed = []
+
+    def scaled(w, q, unspied=csvfile._scaled):
+        formed.append(q + csvfile._Q_MIN)  # before _scaled spends it
+        return unspied(w, q)
+
+    with mock.patch.object(csvfile, "_scaled", scaled):
+        parsed = _parse_block(lines, n)
+    cell = np.arange(len(lines) * n) % len(cells)  # the index in cells of each parsed cell
+    assert parsed.tobytes() == np.array([float(text) for text in cells])[cell].tobytes()
+    # the two-digit cells open the block: a short cell's exponent check reads
+    # the bytes before it, and after a cell such as "1e5" its q means nothing
+    (q,) = formed
+    q = q[:len(two_digit)]
+    assert csvfile._Q_MIN <= q.min() <= -121 and 99 <= q.max() <= csvfile._Q_MAX
 
 
 def test_extreme_cells_parse_with_floating_point_errors_raised():
@@ -889,37 +870,6 @@ def test_a_power_past_the_table_goes_to_float(q):
         _, unproven = csvfile._scaled(np.array([1], dtype=np.uint64),
                                       np.array([q - csvfile._Q_MIN]))
     assert unproven[0]
-
-
-# cells of fewer than 24 bytes besides the sign, with repr's two-digit
-# exponent or none: the point anywhere or nowhere, as many leading zeros as fit
-TWO_DIGIT_CELLS = st.builds(
-    lambda sign, digits, at, exponent: sign + (digits if at is None else
-                                               digits[:at] + "." + digits[at:])
-    + ("" if exponent is None else f"e{exponent:+03d}"),
-    st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=22),
-    st.none() | st.integers(0, 22), st.none() | st.integers(-99, 99))
-# the least and the greatest q these form, -99 - 22 and 99
-TWO_DIGIT_ENDS = [".0000000000000000000001e-99", "-.9999999999999999999999e-99",
-                  "9999999999999999999e+99", "1e+99"]
-
-
-@settings(max_examples=300)
-@given(cells=st.lists(TWO_DIGIT_CELLS, min_size=1, max_size=48))
-def test_every_two_digit_cell_forms_a_power_in_the_table(cells):
-    cells += TWO_DIGIT_ENDS
-    formed = []
-
-    def scaled(w, q):
-        formed.append(q + csvfile._Q_MIN)  # before _scaled spends it
-        return unspied(w, q)
-
-    unspied = csvfile._scaled
-    with mock.patch.object(csvfile, "_scaled", scaled):
-        parsed = _parse_block([cell + "\n" for cell in cells], 1)
-    assert parsed.tobytes() == np.array([float(cell) for cell in cells]).tobytes()
-    q = np.concatenate(formed)
-    assert csvfile._Q_MIN <= q.min() <= -121 and 99 <= q.max() <= csvfile._Q_MAX
 
 
 def _long_trace(rows=700):
@@ -983,38 +933,40 @@ def _nul_byte(lines):
     return "".join(lines).encode()
 
 
-HOSTILE = [_short_row, _non_ascii_digit, _crlf, _lone_cr_endings, _no_final_newline,
-           _undecodable_after_malformed_row, _undecodable_in_the_chunk_of_a_malformed_row,
-           _blank_last_line, _line_separator_in_a_row, _nul_byte]
+def _character_cut_at_a_block_end(lines):
+    # one column: two bytes of a three-byte character end the file's second
+    # 16-byte block, and the byte that would end it follows an ASCII block
+    return b"x\n1.5\n2.5\n3.\xe2\x82\n4.5\n5.5\n6.5\n7.\n\xac\n"
 
 
-@pytest.mark.parametrize("hostile", HOSTILE)
-def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile):
+def _hostile(rows, columns="abcde", blocks=(csvfile._BLOCK, 2000), error=None):
+    """A hostile case: its rows from a long trace's lines, its columns, blocks and error's start."""
+    return pytest.param(rows, tuple(columns), blocks, error, id=rows.__name__)
+
+
+HOSTILE = [*map(_hostile, [_short_row, _non_ascii_digit, _crlf, _lone_cr_endings,
+                           _no_final_newline, _blank_last_line, _line_separator_in_a_row,
+                           _nul_byte]),
+           # the bad row comes before the undecodable bytes, so it is named
+           _hostile(_undecodable_after_malformed_row, error="malformed trace row 'x"),
+           _hostile(_undecodable_in_the_chunk_of_a_malformed_row, error="malformed trace row 'x"),
+           _hostile(_character_cut_at_a_block_end, "a", (16,), "malformed trace row 'x'")]
+
+
+@pytest.mark.parametrize("hostile, columns, blocks, error", HOSTILE)
+def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile, columns, blocks, error):
     # each fault inside blocks that are otherwise parsed whole: one block of
-    # the whole file, or blocks of about 40 rows; from the file and a pipe
+    # the whole file, or blocks of about 40 rows, unless the case names its
+    # own; from the file and a pipe
     path = tmp_path / "trace.csv"
-    path.write_bytes(b"# twomass trace\n# status: completed\na,b,c,d,e\n" + hostile(_long_trace()))
-    expected = _read_outcome(read_oracle.read, path, tuple("abcde"))
-    for block in (csvfile._BLOCK, 2000):
+    path.write_bytes(f"# twomass trace\n{','.join(columns)}\n".encode() + hostile(_long_trace()))
+    expected = _read_outcome(read_oracle.read, path, columns)
+    assert not error or expected[0] is ParseError and expected[1].startswith(f"{path}: {error}")
+    for block in blocks:
         with mock.patch.object(csvfile, "_BLOCK", block):
-            assert _read_outcome(csvfile.read, path, tuple("abcde")) == expected
+            assert _read_outcome(csvfile.read, path, columns) == expected
             with piped(path) as name:
-                assert _read_outcome(csvfile.read, name, tuple("abcde")) == _named(expected, path, name)
-
-
-@pytest.mark.parametrize("hostile, error", [
-    (_undecodable_after_malformed_row, "malformed trace row 'x"),
-    (_undecodable_in_the_chunk_of_a_malformed_row, "malformed trace row 'x"),
-])
-def test_text_mode_orders_a_bad_row_and_undecodable_bytes(tmp_path, hostile, error):
-    # text mode named the undecodable byte first when it shared an 8 kB
-    # decoding chunk with the bad row; the reader names the bad row, the
-    # earlier of the two in row order, in both files and at any block size
-    path = tmp_path / "trace.csv"
-    path.write_bytes(b"# twomass trace\na,b,c,d,e\n" + hostile(_long_trace()))
-    for block in (csvfile._BLOCK, 2000):
-        with mock.patch.object(csvfile, "_BLOCK", block), pytest.raises(ParseError, match=error):
-            csvfile.read(path, "trace", tuple("abcde"))
+                assert _read_outcome(csvfile.read, name, columns) == _named(expected, path, name)
 
 
 @settings(max_examples=100)
@@ -1036,19 +988,6 @@ def test_the_earlier_of_a_bad_row_and_undecodable_bytes_is_named(tmp_path_factor
     assert expected == (ParseError, f"{path}: {error}")
     with mock.patch.object(csvfile, "_BLOCK", block):
         assert _read_outcome(csvfile.read, path, tuple("abcde")) == expected
-
-
-def test_a_character_cut_at_a_block_end_is_decoded_whole(tmp_path):
-    # two bytes of a three-byte character end the second 16-byte block, and
-    # the byte that would end it follows an ASCII block; the bad row "x"
-    # comes before the undecodable rows, so it is named
-    path = tmp_path / "trace.csv"
-    path.write_bytes(b"# twomass trace\na\nx\n1.5\n2.5\n3.\xe2\x82\n4.5\n5.5\n6.5\n7.\n\xac\n")
-    assert path.read_bytes().index(b"\xe2") == 30
-    expected = _read_outcome(read_oracle.read, path, ("a",))
-    assert expected[1] == f"{path}: malformed trace row 'x'"
-    with mock.patch.object(csvfile, "_BLOCK", 16):
-        assert _read_outcome(csvfile.read, path, ("a",)) == expected
 
 
 @pytest.mark.parametrize("block", [csvfile._BLOCK, 2000])
