@@ -144,6 +144,7 @@ def _cmd_analyze(args) -> int:
     # every file is read before any row is printed, so a bad file prints no rows
     code = EXIT_OK
     rows, config_lines = [], []
+    labelled = {}  # label -> the path of the written row of that label
     for path in args.trace:
         trace = closedloop.read_trace_csv(path)
         try:  # an echo that is not a valid config, or metrics that cannot be computed
@@ -155,6 +156,13 @@ def _cmd_analyze(args) -> int:
             rep = metrics_mod.report(trace, cfg.trajectory, use_true_output=args.metrics_on_true)
         except (WindowOutOfRange, ValidationError) as err:
             raise ValidationError(f"{path}: {err}") from None
+        if args.output and cfg.label in labelled:
+            # the metrics file has one config header line per label
+            raise ValidationError(
+                f"{path}: run label {cfg.label!r} is also that of {labelled[cfg.label]}; "
+                "--output takes one trace per label"
+            )
+        labelled[cfg.label] = path
         rows.append(
             metrics_mod.metrics_csv_row(cfg.label, cfg.mode.name, cfg.control_frequency, rep)
         )

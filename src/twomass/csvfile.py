@@ -22,7 +22,8 @@ that read back to the float, from a double-double product by a power of
 ten.  ``repr`` itself writes a shorter chunk's cells and each cell that the
 formatter cannot prove: within 1e-6 of a tie or of the rounding interval's
 edge, an exact power of two, a NaN, an infinity, or a magnitude outside
-``[1e-98, 1e7)``.
+``[1e-98, 1e7)``.  An integer chunk of 256 rows or more formats each of its
+distinct values once.
 
 The writer works on batches of rows, column by column, and formats a
 repeated or constant column of a batch once.  It also remembers read-only
@@ -299,8 +300,17 @@ def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
 
 
 def _cells(values: np.ndarray, as_int: bool) -> list[str]:
-    """The cells of one column chunk: ``repr`` of each float, ``int`` if ``as_int``, NaN empty."""
-    if as_int or values.dtype != np.float64 or len(values) < _VECTOR_MIN:
+    """The cells of one column chunk: ``repr`` of each float, ``int`` if ``as_int``, NaN empty.
+
+    An integer chunk of ``_VECTOR_MIN`` cells or more formats each distinct
+    value once (a Newton count column holds few); values that compare equal,
+    ``0.0`` and ``-0.0`` or two NaNs, make equal cells.
+    """
+    if as_int and len(values) >= _VECTOR_MIN:
+        distinct, at = np.unique(values, return_inverse=True)
+        text = ["" if x != x else str(int(x)) for x in distinct.tolist()]
+        return np.array(text, dtype=object).take(at).tolist()
+    if values.dtype != np.float64 or len(values) < _VECTOR_MIN:
         fmt = (lambda x: str(int(x))) if as_int else repr
         return ["" if x != x else fmt(x) for x in values.tolist()]
     with np.errstate(all="ignore"):  # NaN, inf and zero cells compute garbage, then repr
@@ -347,7 +357,9 @@ def format_rows(arrays, int_columns=()):
     ``y_measured`` is its ``y_true``), and a column that holds one value
     throughout formats it once (``y_ref`` after ``tf``); equal bits make
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
-    confused.
+    confused.  An integer chunk of ``_VECTOR_MIN`` rows or more is formatted
+    once per distinct value (a Newton count column holds 0s and 1s), a
+    shorter one cell by cell.
 
     At each position, the memo keeps the last read-only column formatted
     there in full: the array itself, with no copy, and the text of each of
@@ -619,8 +631,11 @@ def _parse_block(buf: np.ndarray, stop: int, n: int) -> np.ndarray:
     np.add(ends[:-1], 1, out=size[1:])
     negative = text[size] == ord("-")
     empty = size == ends
-    # repr's two-digit exponent, "e-05": the mantissa ends before it
+    # repr's two-digit exponent, "e-05": the mantissa ends before it.  A
+    # cell of fewer than four bytes reads the "e" of the cell before it
+    # ("0" after "1e5"), so only an "e" inside the cell counts
     scientific = np.flatnonzero(text[ends - 4] == ord("e"))
+    scientific = scientific[ends[scientific] - 4 >= size[scientific]]
     stops = ends.copy()
     if len(scientific):
         at = ends[scientific]
@@ -634,7 +649,7 @@ def _parse_block(buf: np.ndarray, stop: int, n: int) -> np.ndarray:
             (sign != ord("-")) & (sign != ord("+")))
         stops[scientific] = np.where(wrong, size[scientific], at - 4)
         del at, sign, digits, wrong
-    np.subtract(stops, size, out=size)  # below 0 if an "e" lies before the cell
+    np.subtract(stops, size, out=size)
     size -= negative  # the window reads the sign as a leading 0
     x = _windows(buf, stops)
     del stops

@@ -29,6 +29,10 @@ its scaled norm and the correction with the constant inverse Jacobian are
 spelled out term by term, with no array or tuple built per iteration and no
 function called.  The norm's ``abs`` and ``max`` are comparisons that keep
 ``max``'s rules: a NaN first term is the norm, a later NaN term is passed over.
+The stepper holds the warm start as one flat tuple ``(q1, q2, v1, v2, u)``
+beside its state, and the step's constants (``dt``, the five model
+coefficients and the 25 entries of the inverse Jacobian) as another, so a
+step unpacks each once.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ __all__ = [
 # The longest time grid of a run or a table: 10**7 steps is 83 minutes at
 # 2 kHz and about a gigabyte of trace columns.  A longer one is a config error.
 MAX_STEPS = 10_000_000
+
+# builds a step's InverseModelState without the NamedTuple's Python-level __new__
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -162,9 +169,10 @@ class InverseModelStepper:
     """Marches the servo-constrained inverse model on a fixed grid.
 
     Holds the warm-start state between steps; one instance per solve (or per
-    online controller).  Distinct instances are independent.  After each
-    step, converged or failed, ``last_iterations`` and ``last_residual`` hold
-    its Newton count and final scaled residual norm (NaN before the first step).
+    online controller).  Distinct instances are independent.  Assigning
+    ``state`` sets the point the next step starts from.  After each step,
+    converged or failed, ``last_iterations`` and ``last_residual`` hold its
+    Newton count and final scaled residual norm (NaN before the first step).
     """
 
     def __init__(
@@ -197,6 +205,20 @@ class InverseModelStepper:
             ]
         )
         self._jac_inv = tuple(tuple(row) for row in np.linalg.inv(jac).tolist())
+        ki1, di1, ki2, di2, inv_i1 = self._coeffs
+        self._constants = (dt, ki1, -di1, ki2, di2, inv_i1,
+                           *(a for row in self._jac_inv for a in row))
+
+    @property
+    def state(self) -> InverseModelState:
+        """The point the next step starts from."""
+        return self._state
+
+    @state.setter
+    def state(self, state: InverseModelState) -> None:
+        (q1, q2), (v1, v2), u, _ = state
+        self._z = (q1, q2, v1, v2, u)
+        self._state = state
 
     def advance(self, t_next: float, y_next: float | None = None) -> InverseModelState:
         """One implicit Euler step of the constrained system to ``t_next``.
@@ -209,57 +231,65 @@ class InverseModelStepper:
         previous point ``(p1, p2, p3, p4)``: the residual, its scaled infinity
         norm and the correction ``z - J^-1 r`` are written out term by term,
         each sum left to right (``sum()`` rounds differently across Python
-        versions).  The norm makes no call and equals the builtins' value:
-        ``abs(r)`` is ``-r if r < 0.0 else r + 0.0`` (``+ 0.0`` turns ``-0.0``
-        into ``0.0``), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and the
-        outer ``max`` keeps its NaN rule: the first term stands unless a later
-        one is greater, so a NaN first term ends the iteration.  An end point
-        that does not sum to a finite float raises :class:`NewtonDiverged`,
-        as the iteration cap does.  A raise leaves the state as it was, and
-        ``last_iterations`` and ``last_residual`` hold the failing step's.
+        versions).  The previous point and the step's constants come from two
+        flat tuples, each unpacked once: the warm start ``(q1, q2, v1, v2,
+        u)`` that the ``state`` setter and each step refresh, and ``dt``, the
+        model coefficients and the inverse Jacobian row by row, fixed at
+        construction (``di1`` negated, as the residual uses it).  ``opts`` is
+        read on every step.  The norm makes no call and equals the builtins'
+        value: ``abs(r)`` is ``-r if r < 0.0 else r + 0.0`` (``+ 0.0`` turns
+        ``-0.0`` into ``0.0``; a later term drops it, as a ``-0.0`` never
+        exceeds the norm), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and
+        the outer ``max`` keeps its NaN rule: the first term stands unless a
+        later one is greater, so a NaN first term ends the iteration.  An end
+        point that does not sum to a finite float raises
+        :class:`NewtonDiverged`, as the iteration cap does.  A raise leaves
+        the state and its warm start as they were, and ``last_iterations``
+        and ``last_residual`` hold the failing step's.
         """
-        (p1, p2), (p3, p4), u, _ = self.state
+        p1, p2, p3, p4, u = self._z
         q1, q2, v1, v2 = p1, p2, p3, p4
         if y_next is None:
             y_next = trajectory.y_ref_at(self.spec, t_next)
-        dt = self.dt
-        ki1, di1, ki2, di2, inv_i1 = self._coeffs
         (
-            (a11, a12, a13, a14, a15),
-            (a21, a22, a23, a24, a25),
-            (a31, a32, a33, a34, a35),
-            (a41, a42, a43, a44, a45),
-            (a51, a52, a53, a54, a55),
-        ) = self._jac_inv
-        tolerance = self.opts.residual_tolerance
-        max_iterations = self.opts.max_iterations
+            dt, ki1, neg_di1, ki2, di2, inv_i1,
+            a11, a12, a13, a14, a15,
+            a21, a22, a23, a24, a25,
+            a31, a32, a33, a34, a35,
+            a41, a42, a43, a44, a45,
+            a51, a52, a53, a54, a55,
+        ) = self._constants
+        opts = self.opts
+        tolerance = opts.residual_tolerance
+        max_iterations = opts.max_iterations
         iterations = 0
         while True:
             twist = q1 - q2
             slip = v1 - v2
             r1 = q1 - p1 - dt * v1
             r2 = q2 - p2 - dt * v2
-            r3 = v1 - p3 - dt * (-di1 * slip - ki1 * twist + inv_i1 * u)
+            r3 = v1 - p3 - dt * (neg_di1 * slip - ki1 * twist + inv_i1 * u)
             r4 = v2 - p4 - dt * (di2 * slip + ki2 * twist)
             r5 = v1 - y_next
             # scaled infinity norm: equation i over max(1, |z_i|), compared
-            # term by term; a later term replaces the norm only if greater
+            # term by term; a later term replaces the norm only if greater,
+            # which a -0.0 never is, so only the first term adds 0.0
             s = -q1 if q1 < 0.0 else q1
             norm = (-r1 if r1 < 0.0 else r1 + 0.0) / (s if s > 1.0 else 1.0)
             s = -q2 if q2 < 0.0 else q2
-            x = (-r2 if r2 < 0.0 else r2 + 0.0) / (s if s > 1.0 else 1.0)
+            x = (-r2 if r2 < 0.0 else r2) / (s if s > 1.0 else 1.0)
             if x > norm:
                 norm = x
             s = -v1 if v1 < 0.0 else v1
-            x = (-r3 if r3 < 0.0 else r3 + 0.0) / (s if s > 1.0 else 1.0)
+            x = (-r3 if r3 < 0.0 else r3) / (s if s > 1.0 else 1.0)
             if x > norm:
                 norm = x
             s = -v2 if v2 < 0.0 else v2
-            x = (-r4 if r4 < 0.0 else r4 + 0.0) / (s if s > 1.0 else 1.0)
+            x = (-r4 if r4 < 0.0 else r4) / (s if s > 1.0 else 1.0)
             if x > norm:
                 norm = x
             s = -u if u < 0.0 else u
-            x = (-r5 if r5 < 0.0 else r5 + 0.0) / (s if s > 1.0 else 1.0)
+            x = (-r5 if r5 < 0.0 else r5) / (s if s > 1.0 else 1.0)
             if x > norm:
                 norm = x
             if not norm > tolerance:
@@ -281,8 +311,10 @@ class InverseModelStepper:
         c = q1 + q2 + v1 + v2 + u
         if c - c != 0.0:  # a NaN or an infinity, even one the norm passed over
             raise NewtonDiverged(t_next, norm, iterations)
-        self.state = InverseModelState((q1, q2), (v1, v2), u, t_next)
-        return self.state
+        state = _new_tuple(InverseModelState, ((q1, q2), (v1, v2), u, t_next))
+        self._z = (q1, q2, v1, v2, u)
+        self._state = state
+        return state
 
 
 def consistent_initialization(params: OscillatorParams, spec: TrajectorySpec) -> InverseModelState:

@@ -255,6 +255,16 @@ def _second_of_two_traces(case):
     return second
 
 
+def _repeated_label_with_output(tmp_path):
+    # two completed traces of one label analyzed into one metrics file: the
+    # error names the second file, and the first after it
+    first = tmp_path / "first"
+    first.mkdir()
+    _, good = _completed_trace_with_runs({})(first)
+    argv, path = _completed_trace_with_runs({})(tmp_path)
+    return ["analyze", str(good), str(path), "--output", str(tmp_path / "re.csv")], path
+
+
 def _table_with_torque(cell, dt="0.001"):
     def case(tmp_path):
         path = tmp_path / "table.csv"
@@ -680,6 +690,20 @@ class TestCli:
         assert [line.split(":", 1)[0] for line in written[1:4]] == [
             f"# config fb-{i}-2khz" for i in (3, 1, 2)]
 
+    @pytest.mark.parametrize("twice", [False, True], ids=["two-files", "one-file-twice"])
+    def test_a_repeated_label_writes_no_metrics_file(self, tmp_path, capsys, twice):
+        argv, path = _repeated_label_with_output(tmp_path)
+        good = path if twice else argv[1]
+        assert main(["analyze", str(good), *argv[2:]]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == (f"error: {path}: run label 'demo' is also that of {good}; "
+                               "--output takes one trace per label\n")
+        assert not (tmp_path / "re.csv").exists()
+        # without --output the rows of both are printed
+        assert main(["analyze", str(good), str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_a_bad_second_trace_prints_no_rows(self, tmp_path, capsys):
         argv, path = _second_of_two_traces(_short_row)(tmp_path)
         assert main(argv + ["--output", str(tmp_path / "re.csv")]) == 2
@@ -802,7 +826,9 @@ class TestCli:
                       id="echo-initial-state-of-three"),
          pytest.param(_trace_with_echo("simulation.initial_state", "0.0;nan;0.0;0.0"),
                       id="echo-initial-state-nan"),
-         pytest.param(_table_with_torque("0.0", dt="abc"), id="table-dt-not-a-number")],
+         pytest.param(_table_with_torque("0.0", dt="abc"), id="table-dt-not-a-number"),
+         # the metrics file would hold two config lines of that label
+         pytest.param(_repeated_label_with_output, id="analyze-output-repeated-label")],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)

@@ -254,6 +254,41 @@ def test_cells_are_the_oracles_cell_for_cell(values, n, strided):
     assert csvfile._cells(chunk, False) == write_oracle.cells(chunk, False)
 
 
+# integer-valued floats: small and wide integers, zeros of both signs, NaNs,
+# the neighbours of 2**53 (2**53 + 1 rounds to 2**53) and 1e300
+INTEGER_FLOATS = st.one_of(
+    st.integers(-10**6, 10**6).map(float),
+    st.integers(-2**64, 2**64).map(float),
+    st.sampled_from([math.nan, OTHER_NAN, 0.0, -0.0, 2.0**53 - 1, 2.0**53, float(2**53 + 1),
+                     -(2.0**53 - 1), -(2.0**53), float(-(2**53 + 1)), 1e300, -1e300]),
+)
+
+
+@settings(max_examples=200)
+@given(values=st.lists(INTEGER_FLOATS, min_size=1, max_size=3)
+       | st.lists(INTEGER_FLOATS, min_size=1, max_size=400),
+       n=st.integers(csvfile._VECTOR_MIN - 3, csvfile._VECTOR_MIN + 3) | st.integers(1, 1100),
+       strided=st.booleans(),
+       infinity=st.none() | st.tuples(st.integers(0, 1100), st.sampled_from([math.inf, -math.inf])))
+def test_integer_cells_are_the_oracles_cell_for_cell(values, n, strided, infinity):
+    # few or many distinct values repeated to a chunk around the length from
+    # which they are formatted by distinct value, maybe as a strided column
+    # view; an infinity has no integer cell, on either side
+    chunk = np.resize(np.array(values), n)
+    if infinity is not None:
+        at, x = infinity
+        chunk[at % n] = x
+    if strided:
+        chunk = np.column_stack([chunk, chunk])[:, 1]
+    if infinity is None:
+        assert csvfile._cells(chunk, True) == write_oracle.cells(chunk, True)
+        return
+    with pytest.raises(OverflowError):
+        csvfile._cells(chunk, True)
+    with pytest.raises(OverflowError):
+        write_oracle.cells(chunk, True)
+
+
 EDGE_VALUES = [
     0.0, -0.0, math.nan, OTHER_NAN, math.inf, -math.inf, 5e-324, -5e-324,
     2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -834,6 +869,32 @@ def test_block_parser_is_float_cell_for_cell(cells, ties, two_digit, n):
     (q,) = formed
     q = q[:len(two_digit)]
     assert csvfile._Q_MIN <= q.min() <= -121 and 99 <= q.max() <= csvfile._Q_MAX
+
+
+@pytest.mark.parametrize("rows", [["1e5,0\n"], ["0,1e5\n"], ["1e5\n", "0\n"]],
+                         ids=["comma", "newline", "rows-of-one"])
+def test_a_short_cell_after_a_scientific_one_is_not_scientific(rows):
+    # the byte four before the end of "0" is the "e" of "1e5" before it,
+    # which is no exponent of "0": its q is 0, inside the table, and the
+    # parser proves it without float()
+    lines = rows * 64
+    n = rows[0].count(",") + 1
+    formed = []
+
+    def scaled(w, q, unspied=csvfile._scaled):
+        formed.append(q + csvfile._Q_MIN)  # before _scaled spends it
+        return unspied(w, q)
+
+    with mock.patch.object(csvfile, "_scaled", scaled), \
+            mock.patch.object(csvfile, "float", create=True, wraps=float) as parsed:
+        values = _parse_block(lines, n)
+    texts = "".join(lines).replace("\n", ",").split(",")[:-1]
+    assert values.tolist() == [float(text) for text in texts]
+    (q,) = formed
+    assert csvfile._Q_MIN <= q.min() and q.max() <= csvfile._Q_MAX
+    assert [k for text, k in zip(texts, q.tolist()) if text == "0"] == [0] * 64
+    # "1e5" is not repr's two-digit exponent, so float() reads it, and only it
+    assert [call.args[0] for call in parsed.call_args_list] == ["1e5"] * 64
 
 
 def test_extreme_cells_parse_with_floating_point_errors_raised():

@@ -216,6 +216,17 @@ EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310
                -2.2250738585072014e-308, 1e300, -1e300)
 
 
+START_POINTS = st.tuples(
+    *[st.floats(-10.0, 10.0) | st.floats(-1e4, 1e4) | st.sampled_from(EDGE_FLOATS)] * 5
+)
+# a tolerance under rounding level or a cap of one forces NewtonDiverged
+NEWTON_OPTIONS = st.builds(
+    NewtonOptions,
+    max_iterations=st.integers(1, 10),
+    residual_tolerance=st.just(1e-10) | st.floats(1e-300, 1e-3),
+)
+
+
 class TestStraightLineStep:
     """``advance`` against the generic tuple Newton of ``newton_oracle``, bit for bit."""
 
@@ -229,21 +240,18 @@ class TestStraightLineStep:
         dt=st.sampled_from([5e-4, 1e-3]) | st.floats(1e-5, 1e-2),
         y0=st.floats(-1e3, 1e3), yf=st.floats(-1e3, 1e3),
         t0=st.floats(0.0, 5.0), span=st.floats(0.1, 10.0),
-        start=st.tuples(
-            *[st.floats(-10.0, 10.0) | st.floats(-1e4, 1e4) | st.sampled_from(EDGE_FLOATS)] * 5
-        ),
+        start=START_POINTS,
         t_start=st.floats(0.0, 16.0),
         steps=st.integers(1, 20),
-        # a tolerance under rounding level or a cap of one forces NewtonDiverged
-        opts=st.builds(
-            NewtonOptions,
-            max_iterations=st.integers(1, 10),
-            residual_tolerance=st.just(1e-10) | st.floats(1e-300, 1e-3),
-        ),
+        opts=NEWTON_OPTIONS,
+        # before which step a new state and new options are assigned, if at all
+        restart=st.none() | st.tuples(st.integers(2, 20), START_POINTS),
+        reopt=st.none() | st.tuples(st.integers(2, 20), NEWTON_OPTIONS),
     )
     def test_bit_identical_to_the_tuple_oracle(
-        self, params, dt, y0, yf, t0, span, start, t_start, steps, opts
+        self, params, dt, y0, yf, t0, span, start, t_start, steps, opts, restart, reopt
     ):
+        # a failed step keeps the state, and the steps after it start from there
         spec = TrajectorySpec(y0=y0, yf=yf, t0=t0, tf=t0 + span)
         stepper = InverseModelStepper(params, spec, dt, opts)
         oracle = TupleStepper(params, spec, dt, opts)
@@ -251,6 +259,13 @@ class TestStraightLineStep:
         stepper.state = oracle.state = InverseModelState((q1, q2), (v1, v2), u, t_start)
         for i in range(1, steps + 1):
             t_next = t_start + i * dt
+            if restart is not None and restart[0] == i:
+                q1, q2, v1, v2, u = restart[1]
+                point = InverseModelState((q1, q2), (v1, v2), u, t_next - dt)
+                stepper.state = oracle.state = point
+                assert stepper.state is point
+            if reopt is not None and reopt[0] == i:
+                stepper.opts = oracle.opts = reopt[1]
             before = stepper.state
             try:
                 expected = oracle.advance(t_next)
@@ -262,7 +277,7 @@ class TestStraightLineStep:
                 assert err.value.iterations == oracle_err.iterations
                 assert stepper.state is before
                 assert stepper.last_residual.hex() == oracle.last_residual.hex()
-                return
+                continue
             assert _bits(stepper.advance(t_next)) == _bits(expected)
             assert stepper.last_iterations == oracle.last_iterations
             assert stepper.last_residual.hex() == oracle.last_residual.hex()
