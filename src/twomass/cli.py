@@ -141,7 +141,7 @@ def _cmd_feedforward(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    # every file is read before any row is printed, so a bad file prints no rows
+    # rows are printed last, so a bad file or an unwritable output prints none
     code = EXIT_OK
     rows, config_lines = [], []
     labelled = {}  # label -> the path of the written row of that label
@@ -168,10 +168,10 @@ def _cmd_analyze(args) -> int:
         )
         config_lines.append(f"{cfg.label}: {csvfile.format_echo(trace.run_config)}")
     if rows:
-        print(",".join(metrics_mod.METRICS_COLUMNS))
-        print("\n".join(rows))
         if args.output:
             metrics_mod.write_metrics_csv(rows, args.output, config_lines)
+        print(",".join(metrics_mod.METRICS_COLUMNS))
+        print("\n".join(rows))
     return code
 
 

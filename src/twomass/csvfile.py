@@ -27,11 +27,11 @@ distinct values once.
 
 The writer works on batches of rows, column by column, and formats a
 repeated or constant column of a batch once.  It also remembers read-only
-columns (a sweep's tick times) from one file to the next, so that a column
-repeated across files is formatted once: it keeps the last read-only column
-of more than one value met at each position, the array itself and its
-text.  It joins each batch's rows into one newline-terminated text block,
-so no Python code runs per row between the cells and the file.
+columns (a sweep's tick times) from one file to the next: it keeps the last
+read-only column of more than one value met at each position, the array
+itself and its text, for a later column of the same kind, dtype and bits.
+It joins each batch's rows into one newline-terminated text block, so no
+Python code runs per row between the cells and the file.
 
 The reader first scans a file's bytes: it counts the newlines and finds
 whether any ``"\\r"`` is there.  A file with one is read into memory, as a
@@ -336,10 +336,9 @@ def _memo_bits(a: np.ndarray):
 
 
 def _kept_batches(i, a: np.ndarray, bits, as_int: bool):
-    """The batches kept at memo position ``i`` if ``a`` hits there; else None, the entry dropped."""
+    """The batches kept at memo position ``i`` if ``a`` has the kept column's kind, dtype and bits; else None, the entry dropped."""
     held, held_int, batches = _memo.get(i, (None, None, None))
-    if (held_int == as_int and held.dtype == a.dtype and len(bits) <= len(held)
-            and np.array_equal(bits, held[:len(bits)].view(np.uint64))):
+    if held_int == as_int and held.dtype == a.dtype and np.array_equal(bits, held.view(np.uint64)):
         return batches
     _memo.pop(i, None)
     return None
@@ -364,11 +363,11 @@ def format_rows(arrays, int_columns=()):
     At each position, the memo keeps the last read-only column formatted
     there in full: the array itself, with no copy, and the text of each of
     its batches.  So a column that repeats from file to file (the tick times
-    of one grid, a table's tuned torque) is formatted once.
-    A later read-only column of the same kind and dtype hits when it has the
-    kept column's bits over its own length, so a truncated run's prefix hits
-    too.  A miss drops the kept entry before formatting, so the old and the
-    new text are never held at once.  A writable column, or one of one value
+    of one grid, a table's tuned torque) is formatted once.  A later
+    read-only column hits only when it has the kept column's kind, dtype
+    and bits, all of them: a truncated run's prefix is formatted anew.  A
+    miss drops the kept entry before formatting, so the old and the new
+    text are never held at once.  A writable column, or one of one value
     throughout (an absent branch's NaN), neither hits nor displaces the
     entry.  A read-only column must not change while the memo holds it.
     """
@@ -392,7 +391,7 @@ def format_rows(arrays, int_columns=()):
             cells = next((done for seen, done in formatted if seen == key), None)
             if cells is None:
                 if i in hits:
-                    cells = hits[i][start // _BATCH].split("\n", len(chunk))[:len(chunk)]
+                    cells = hits[i][start // _BATCH].split("\n")
                 else:
                     data = key[2]
                     if data == data[: chunk.itemsize] * len(chunk):

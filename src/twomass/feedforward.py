@@ -194,7 +194,6 @@ class InverseModelStepper:
         # Unknowns z = (q1, q2, v1, v2, u); the Jacobian of the discrete
         # residual is constant for fixed dt, so invert it once.
         i1, i2, k, d = params.I1, params.I2, params.k, params.d
-        self._coeffs = (k / i1, d / i1, k / i2, d / i2, 1.0 / i1)
         jac = np.array(
             [
                 [1.0, 0.0, -dt, 0.0, 0.0],
@@ -204,10 +203,8 @@ class InverseModelStepper:
                 [0.0, 0.0, 1.0, 0.0, 0.0],
             ]
         )
-        self._jac_inv = tuple(tuple(row) for row in np.linalg.inv(jac).tolist())
-        ki1, di1, ki2, di2, inv_i1 = self._coeffs
-        self._constants = (dt, ki1, -di1, ki2, di2, inv_i1,
-                           *(a for row in self._jac_inv for a in row))
+        self._constants = (dt, k / i1, -(d / i1), k / i2, d / i2, 1.0 / i1,
+                           *np.linalg.inv(jac).ravel().tolist())
 
     @property
     def state(self) -> InverseModelState:
@@ -237,9 +234,12 @@ class InverseModelStepper:
         model coefficients and the inverse Jacobian row by row, fixed at
         construction (``di1`` negated, as the residual uses it).  ``opts`` is
         read on every step.  The norm makes no call and equals the builtins'
-        value: ``abs(r)`` is ``-r if r < 0.0 else r + 0.0`` (``+ 0.0`` turns
-        ``-0.0`` into ``0.0``; a later term drops it, as a ``-0.0`` never
-        exceeds the norm), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and
+        value but for a NaN's sign: ``abs(r)`` is ``-r if r < 0.0 else r``,
+        which keeps a ``-0.0`` that never reaches the norm (``r1`` is never
+        ``-0.0``, as ``q1 - p1`` never is: ``q1`` starts as ``p1``, a
+        correction gives ``-0.0`` only from a ``q1`` of ``-0.0``, and ``x -
+        x`` is ``0.0``; a later term replaces the norm only if greater, which
+        ``-0.0`` never is), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and
         the outer ``max`` keeps its NaN rule: the first term stands unless a
         later one is greater, so a NaN first term ends the iteration.  An end
         point that does not sum to a finite float raises
@@ -272,10 +272,10 @@ class InverseModelStepper:
             r4 = v2 - p4 - dt * (di2 * slip + ki2 * twist)
             r5 = v1 - y_next
             # scaled infinity norm: equation i over max(1, |z_i|), compared
-            # term by term; a later term replaces the norm only if greater,
-            # which a -0.0 never is, so only the first term adds 0.0
+            # term by term; r1 is never -0.0, and a later term replaces the
+            # norm only if greater, which a -0.0 never is
             s = -q1 if q1 < 0.0 else q1
-            norm = (-r1 if r1 < 0.0 else r1 + 0.0) / (s if s > 1.0 else 1.0)
+            norm = (-r1 if r1 < 0.0 else r1) / (s if s > 1.0 else 1.0)
             s = -q2 if q2 < 0.0 else q2
             x = (-r2 if r2 < 0.0 else r2) / (s if s > 1.0 else 1.0)
             if x > norm:

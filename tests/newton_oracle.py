@@ -4,22 +4,46 @@
 ``TupleStepper`` keeps ``z = (q1, q2, v1, v2, u)`` as a 5-tuple, builds the
 residual in ``_residual``, takes the scaled infinity norm as a ``max`` over a
 generator and the correction ``z - J^-1 r`` as a tuple over the rows of
-``_jac_inv``.  The stepper writes the same operations out on five local
-floats in the same order, so states, torques, Newton counts, the last
-residual and the residual of a ``NewtonDiverged`` must equal this oracle's
-bit for bit.  A failed step, as a converged one, leaves its count and
-residual in ``last_iterations`` and ``last_residual``.
+``_jac_inv``.  It builds its model coefficients and its inverse Jacobian
+itself, from :func:`analytic_jacobian`, so it shares no constant with the
+stepper.  The stepper writes the same operations out on five local floats in
+the same order, from the same expressions, so states, torques, Newton
+counts, the last residual and the residual of a ``NewtonDiverged`` must
+equal this oracle's bit for bit.  A failed step, as a converged one, leaves
+its count and residual in ``last_iterations`` and ``last_residual``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from twomass import trajectory
 from twomass.errors import NewtonDiverged
-from twomass.feedforward import InverseModelState, InverseModelStepper
+from twomass.feedforward import InverseModelState, InverseModelStepper, NewtonOptions
+
+
+def analytic_jacobian(params, dt):
+    """Jacobian of the discrete residual in the unknowns (q1, q2, v1, v2, u)."""
+    i1, i2, k, d = params.I1, params.I2, params.k, params.d
+    return np.array(
+        [
+            [1.0, 0.0, -dt, 0.0, 0.0],
+            [0.0, 1.0, 0.0, -dt, 0.0],
+            [dt * k / i1, -dt * k / i1, 1.0 + dt * d / i1, -dt * d / i1, -dt / i1],
+            [-dt * k / i2, dt * k / i2, -dt * d / i2, 1.0 + dt * d / i2, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+        ]
+    )
 
 
 class TupleStepper(InverseModelStepper):
     """The inverse-model stepper with the generic tuple Newton step."""
+
+    def __init__(self, params, spec, dt, opts=NewtonOptions()):
+        super().__init__(params, spec, dt, opts)
+        i1, i2, k, d = params.I1, params.I2, params.k, params.d
+        self._coeffs = (k / i1, d / i1, k / i2, d / i2, 1.0 / i1)
+        self._jac_inv = tuple(map(tuple, np.linalg.inv(analytic_jacobian(params, dt)).tolist()))
 
     def _residual(self, z: tuple, prev: tuple, y_ref_next: float) -> tuple:
         q1, q2, v1, v2, u = z

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from conftest import assert_close, labels
 from funnel_oracle import psi
 from loop_oracle import run_simulation_per_tick
 from plant_oracle import accelerations, rk4_plant_tick
-from twomass import csvfile
 from twomass.closedloop import (
     RunStatus,
     Trace,
@@ -659,25 +657,6 @@ class TestSharedColumns:
         with pytest.raises(ValueError):
             second.u_ffw[0] = 1.0
         assert np.array_equal(first.u_ffw, np.full(2001, 0.08 * 0.3 + 0.16))
-
-    def test_a_tuned_torque_is_written_once_between_feedback_runs(self, tmp_path):
-        # feedback, combined, feedback, combined: the combined runs' tuned
-        # torque is formatted for the first trace only
-        table = ORACLE_CASES["table-feedforward"]["feedforward_source"].table
-        combined = dict(mode=ControllerMode.combined(TuningFactors(0.08, 0.16), FUNNEL_2),
-                        feedforward_source=FeedforwardSource(table=table))
-        traces = [run_simulation(base_config(label=f"run-{i}", **(combined if i % 2 else {})))
-                  for i in range(4)]
-        assert np.shares_memory(traces[1].u_ffw, traces[3].u_ffw)
-        with mock.patch.object(csvfile, "_memo", {}), \
-                mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
-            for i, trace in enumerate(traces):
-                write_trace_csv(trace, tmp_path / f"{i}.csv")
-        formatted = [call.args[0] for call in cells.call_args_list]
-        assert sum(np.shares_memory(chunk, traces[1].u_ffw) for chunk in formatted) == 2
-        for i, trace in enumerate(traces):
-            read = read_trace_csv(tmp_path / f"{i}.csv")
-            assert np.array_equal(_bits(read.u_ffw), _bits(trace.u_ffw))
 
     def test_tuned_torque_keys_are_exact_to_the_bit(self):
         # equal as tunings, different as cells: -0.0 + f_fric; and a new table is read anew

@@ -712,6 +712,14 @@ class TestCli:
         assert printed.err.startswith(f"error: {path}: malformed trace row")
         assert not (tmp_path / "re.csv").exists()
 
+    def test_an_output_that_cannot_be_written_prints_no_rows(self, tmp_path, capsys):
+        # the output path is a directory: the error comes before any row
+        argv, _ = _completed_trace_with_runs({})(tmp_path)
+        assert main(argv + ["--output", str(tmp_path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith(f"error: {tmp_path}: ") and printed.err.count("\n") == 1
+
     def test_check_plant_output(self, capsys):
         assert main(["check-plant"]) == 0
         text = capsys.readouterr().out

@@ -135,13 +135,9 @@ def _other_nan_payload(a):
 
 
 def _reference_rows(arrays, int_columns):
-    """One cell at a time, without reuse: ``repr``, ``int`` or empty for NaN."""
-    for i in range(len(arrays[0])):
-        cells = []
-        for j, a in enumerate(arrays):
-            x = a[i].item()
-            cells.append("" if x != x else str(int(x)) if j in int_columns else repr(x))
-        yield ",".join(cells)
+    """The rows of the oracle's cells, one column at a time, without reuse."""
+    columns = [write_oracle.cells(a, i in int_columns) for i, a in enumerate(arrays)]
+    return list(map(",".join, zip(*columns)))
 
 
 def _rows(blocks):
@@ -149,44 +145,6 @@ def _rows(blocks):
     blocks = list(blocks)
     assert all(block.endswith("\n") for block in blocks)
     return "".join(blocks).split("\n")[:-1]
-
-
-@given(data=st.data())
-def test_format_rows_is_the_per_cell_format(data):
-    # columns are drawn fresh, drawn as one value throughout (one cell of it
-    # maybe with the other zero sign or NaN payload), or derived from an
-    # earlier one: equal, with the signs of its zeros flipped, with another
-    # NaN payload, or the same bits written as integers; small batches put
-    # equal and unequal batches side by side
-    n = data.draw(st.integers(0, 12))
-    arrays, int_columns = [], []
-    for _ in range(data.draw(st.integers(1, 6))):
-        how = data.draw(st.sampled_from(["new", "const", "copy", "zeros", "nan", "int"])
-                        if arrays else st.sampled_from(["new", "const"]))
-        if how == "const":
-            column = np.full(n, data.draw(VALUES))
-            if n and data.draw(st.booleans()):
-                i = data.draw(st.integers(0, n - 1))
-                column[i:i + 1] = _flip_zero_signs(_other_nan_payload(column[i:i + 1]))
-        elif how in ("new", "int"):
-            column = np.array(data.draw(st.lists(VALUES, min_size=n, max_size=n)))
-            if how == "int":
-                column = np.trunc(np.where(np.isfinite(column), column, math.nan))
-                arrays.append(column.copy())  # a float column with the same bits
-                int_columns.append(len(arrays))
-        else:
-            source = arrays[data.draw(st.integers(0, len(arrays) - 1))]
-            column = {"copy": np.copy, "zeros": _flip_zero_signs,
-                      "nan": _other_nan_payload}[how](source)
-        arrays.append(column)
-    batch = data.draw(st.sampled_from([1, 2, 3, 1024]))
-    with mock.patch.object(csvfile, "_BATCH", batch):
-        blocks = list(csvfile.format_rows(arrays, tuple(int_columns)))
-    rows = list(_reference_rows(arrays, int_columns))
-    assert _rows(blocks) == rows
-    # one block of whole rows per batch, each row ended by its newline
-    assert blocks == ["".join(row + "\n" for row in rows[start:start + batch])
-                      for start in range(0, n, batch)]
 
 
 def test_equal_bits_of_another_kind_are_formatted_apart():
@@ -202,7 +160,7 @@ def test_a_constant_batch_is_formatted_once():
               np.array([QUIET_NAN, OTHER_NAN, QUIET_NAN]), np.full(3, 2.0)]
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         rows = _rows(csvfile.format_rows(arrays, (3,)))
-    assert rows == list(_reference_rows(arrays, (3,)))
+    assert rows == _reference_rows(arrays, (3,))
     assert [len(call.args[0]) for call in cells.call_args_list] == [3, 1, 3, 1]
 
 
@@ -325,19 +283,114 @@ def test_extreme_cells_leak_no_floating_point_state():
                                "invalid": "raise"}
 
 
-@settings(max_examples=60)
-@given(data=st.data())
-def test_long_columns_are_the_per_cell_format(data):
-    # whole batches through the formatter: fresh columns, an equal column, a
-    # column of one value and an integer column, over more than one batch
-    n = data.draw(st.integers(csvfile._VECTOR_MIN, 2 * 1024 + 10))
-    values = data.draw(st.lists(CELL_VALUES, min_size=1, max_size=32))
-    fresh = np.resize(np.array(values), n)
-    arrays = [fresh, data.draw(st.sampled_from([fresh.copy(), fresh[::-1].copy()])),
-              np.full(n, data.draw(CELL_VALUES)),
-              np.trunc(np.where(np.abs(fresh) < 1e15, fresh, math.nan))]
-    rows = _rows(csvfile.format_rows(arrays, (3,)))
-    assert rows == list(_reference_rows(arrays, (3,)))
+INTEGRAL = st.integers(-10**6, 10**6).map(float) | st.just(math.nan)
+# a column derived from an earlier one or a pool column: equal in another
+# array, its zeros' signs flipped, another NaN payload, truncated and written
+# as integers (a non-finite value as NaN), or the same bits as int64
+DERIVED = {"copy": np.copy, "zeros": _flip_zero_signs, "nan": _other_nan_payload,
+           "int": lambda a: np.trunc(np.where(np.isfinite(a), a, math.nan)),
+           "bits": lambda a: a.view(np.int64).copy()}
+
+
+@st.composite
+def format_calls(draw):
+    """A batch size and calls of :func:`csvfile.format_rows` that share and vary columns, as a sweep's traces do.
+
+    A pool holds the columns that repeat from call to call, read-only as a
+    sweep's shared columns are.  They are short (up to 12 rows, in batches
+    of 1, 2, 3, 5 or 1024 rows) or long (256 to 2,058 rows in batches of
+    1024, so the vector formatter runs over more than one batch), and the
+    first holds integers, so the same bits come as float and as integer
+    columns.  Each position has a home column in the pool.  A call has the
+    pool's length or one shorter length (a truncated run); at each position
+    it takes its home column cut to that length (the first maybe written as
+    integers), draws a fresh column or one of one value (one cell of it maybe
+    with the other zero sign or NaN payload), or derives one (``DERIVED``)
+    from its home column or an earlier column of the call.  Whether a column
+    that is not the pool's own is read-only is drawn too, so the memo meets
+    read-only columns of every kind at every position.
+    """
+    long = draw(st.booleans())
+    length = draw(st.integers(csvfile._VECTOR_MIN, 2 * 1024 + 10) if long else st.integers(0, 12))
+    batch = 1024 if long else draw(st.sampled_from([1, 2, 3, 5, 1024]))
+
+    def fresh(n):
+        if long:  # a few values repeated, so that long columns cost few draws
+            return np.resize(np.array(draw(st.lists(CELL_VALUES, min_size=1, max_size=32))), n)
+        return np.array(draw(st.lists(VALUES, min_size=n, max_size=n)), dtype=float)
+
+    pool = [np.resize(np.array(draw(st.lists(INTEGRAL, min_size=1, max_size=12))), length),
+            *(fresh(length) for _ in range(draw(st.integers(0, 2))))]
+    for column in pool:
+        column.flags.writeable = False
+    calls = []
+    homes = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+    cut = draw(st.integers(0, length))
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.sampled_from([length, cut]))
+        arrays, int_columns = [], []
+        for i, home in enumerate(homes):
+            how = draw(st.sampled_from(["shared", "new", "const", *DERIVED]))
+            if how == "shared":
+                column = pool[home][:n]
+                if home == 0 and draw(st.booleans()):
+                    int_columns.append(i)
+            else:
+                if how == "new":
+                    column = fresh(n)
+                elif how == "const":
+                    column = np.full(n, draw(VALUES))
+                    if n and draw(st.booleans()):
+                        at = draw(st.integers(0, n - 1))
+                        column[at:at + 1] = _flip_zero_signs(_other_nan_payload(column[at:at + 1]))
+                else:
+                    sources = [pool[home][:n], *arrays]
+                    column = DERIVED[how](sources[draw(st.integers(0, len(sources) - 1))])
+                    if how == "int":
+                        int_columns.append(i)
+                column.flags.writeable = draw(st.booleans())
+            arrays.append(column)
+        calls.append((arrays, tuple(int_columns)))
+    return batch, calls
+
+
+def _memo_model(model, arrays, int_columns):
+    """The memo's policy on ``model``, position -> (column, as_int), for one call.
+
+    A read-only column of more than one value is kept, unless the kept one
+    has its kind, dtype and bits.
+    """
+    for i, a in enumerate(arrays):
+        bits = a.view(np.uint64)
+        if a.flags.writeable or not len(a) or (bits == bits[0]).all():
+            continue
+        held, as_int = model.get(i, (None, None))
+        if not (as_int == (i in int_columns) and held.dtype == a.dtype
+                and np.array_equal(held.view(np.uint64), bits)):
+            model[i] = (a, i in int_columns)
+
+
+@settings(max_examples=200)
+@given(drawn=format_calls())
+def test_format_rows_is_the_per_cell_format(drawn):
+    # the calls in the drawn order and then reversed, from an empty memo, as
+    # its texts follow the batch size: each batch is one block of the
+    # oracle's rows, and after each call the memo holds at each position what
+    # its policy keeps, the column itself and the text of each of its batches
+    batch, calls = drawn
+    blocks = [["".join(row + "\n" for row in rows[start:start + batch])
+               for start in range(0, len(rows), batch)]
+              for rows in (_reference_rows(*call) for call in calls)]
+    model = {}
+    with mock.patch.object(csvfile, "_BATCH", batch), mock.patch.object(csvfile, "_memo", {}):
+        for (arrays, int_columns), expected in zip(calls + calls[::-1], blocks + blocks[::-1]):
+            assert list(csvfile.format_rows(arrays, int_columns)) == expected
+            _memo_model(model, arrays, int_columns)
+            assert csvfile._memo.keys() == model.keys()
+            for i, (held, as_int, texts) in csvfile._memo.items():
+                assert held is model[i][0] and as_int == model[i][1]
+                assert texts == ["\n".join(write_oracle.cells(held[start:start + batch], as_int))
+                                 for start in range(0, len(held), batch)]
 
 
 @pytest.fixture(scope="module")
@@ -368,98 +421,22 @@ def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path, sweep_trace):
     assert peak < 3 * 2**20
 
 
-@st.composite
-def trace_sequences(draw):
-    """Traces that share and vary columns, as a sweep's runs do.
-
-    A pool holds the columns that repeat from trace to trace, read-only as
-    a sweep's shared columns are.  A trace of ``n`` rows takes a column from
-    the pool (cut to ``n`` rows, like a truncated run, maybe with its zeros'
-    signs or NaN payloads changed, or as a copy) or draws a fresh one; which
-    of the columns not taken as they are is read-only is drawn too, so the
-    memo meets read-only columns at every position.  The pool is sometimes
-    integer-valued, so the same bits come as float and as integer columns.
-    """
-    length = draw(st.integers(0, 12))
-    integral = st.one_of(st.integers(-10**6, 10**6).map(float), st.just(math.nan))
-    pool = [np.array(draw(st.lists(st.one_of(VALUES, integral) if i else integral,
-                                   min_size=length, max_size=length)))
-            for i in range(draw(st.integers(1, 3)))]
-    for column in pool:
-        column.flags.writeable = False
-    traces = []
-    for _ in range(draw(st.integers(2, 4))):
-        n = draw(st.integers(0, length))
-        arrays = []
-        for _ in range(draw(st.integers(1, 4))):
-            how = draw(st.sampled_from(["shared", "zeros", "nan", "copy", "new"]))
-            if how == "new":
-                column = np.array(draw(st.lists(VALUES, min_size=n, max_size=n)))
-            else:
-                column = pool[draw(st.integers(0, len(pool) - 1))][:n]
-                if how != "shared":
-                    column = {"zeros": _flip_zero_signs, "nan": _other_nan_payload,
-                              "copy": np.copy}[how](column)
-            column.flags.writeable = how != "shared" and draw(st.booleans())
-            arrays.append(column)
-        int_columns = draw(st.lists(st.integers(0, len(arrays) - 1), unique=True).map(tuple))
-        for i in int_columns:
-            writable = arrays[i].flags.writeable
-            arrays[i] = np.trunc(np.where(np.isfinite(arrays[i]), arrays[i], math.nan))
-            arrays[i].flags.writeable = writable
-        traces.append((arrays, int_columns))
-    return traces
-
-
-@settings(max_examples=200)
-@given(traces=trace_sequences(), batch=st.sampled_from([1, 2, 3, 5, 1024]))
-def test_memoized_columns_are_written_as_a_fresh_process_writes_them(traces, batch):
-    # in the drawn order and reversed, so each trace follows another; the
-    # memo starts empty, as its texts follow the batch size
-    with mock.patch.object(csvfile, "_BATCH", batch), mock.patch.object(csvfile, "_memo", {}):
-        for arrays, int_columns in traces + traces[::-1]:
-            rows = _rows(csvfile.format_rows(arrays, int_columns))
-            assert rows == list(_reference_rows(arrays, int_columns))
-
-
 def _read_only(a):
     a.flags.writeable = False
     return a
 
 
-def _batch_texts(a):
-    return ["\n".join(map(repr, a[start:start + csvfile._BATCH].tolist()))
-            for start in range(0, len(a), csvfile._BATCH)]
-
-
-def test_the_memo_holds_the_last_read_only_column_at_each_position():
-    first, last, other = (_read_only(np.arange(n) * x) for n, x in
-                          ((3000, 1.0), (2500, 0.5), (2500, 0.25)))
+def test_a_miss_drops_the_kept_entry_before_formatting():
+    # the old and the new text are never held at once: the entry is gone
+    # when the first block is out, and the new one is kept once all are
+    first, other = (_read_only(np.arange(3000) * x) for x in (1.0, 0.5))
     with mock.patch.object(csvfile, "_memo", {}):
-        for arrays in ([first, other], [last, other]):
-            list(csvfile.format_rows(arrays))
-        # the column itself, never a copy, with the text of each batch; each
-        # position keeps its own
-        assert csvfile._memo.keys() == {0, 1}
-        column, as_int, batches = csvfile._memo[0]
-        assert column is last and as_int is False and batches == _batch_texts(last)
-        assert csvfile._memo[1][0] is other
-        # a writable column or one of one value throughout leaves the entry alone
-        for stranger in (np.arange(3000.0), _read_only(np.full(2500, math.nan))):
-            list(csvfile.format_rows([stranger, stranger]))
-            assert csvfile._memo[0][0] is last and csvfile._memo[1][0] is other
-        # a miss drops the entry before it formats, kept again only once it is done
-        del csvfile._memo[1]
-        blocks = csvfile.format_rows([first])
+        list(csvfile.format_rows([first]))
+        blocks = csvfile.format_rows([other])
         next(blocks)
         assert csvfile._memo == {}
         list(blocks)
-        assert csvfile._memo[0][0] is first
-        # the same bits as integers or of another dtype are formatted anew
-        for arrays, int_columns in (([first], (0,)), ([first], ()),
-                                    ([_read_only(first.view(np.int64))], ())):
-            rows = _rows(csvfile.format_rows(arrays, int_columns))
-            assert rows == list(_reference_rows(arrays, int_columns))
+        assert csvfile._memo[0][0] is other
 
 
 def test_a_memoized_column_is_formatted_once_across_calls():
@@ -470,9 +447,11 @@ def test_a_memoized_column_is_formatted_once_across_calls():
     list(csvfile.format_rows(calls[0]))
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         rows = [_rows(csvfile.format_rows(arrays)) for arrays in calls[1:]]
-    assert rows == [list(_reference_rows(arrays, ())) for arrays in calls[1:]]
-    # the batches of the second columns only: three, then two
-    assert [len(call.args[0]) for call in cells.call_args_list] == [1024, 1024, 452, 1024, 476]
+    assert rows == [_reference_rows(arrays, ()) for arrays in calls[1:]]
+    # the second column's three batches, then both columns' two: a prefix of
+    # the kept bits is a miss
+    assert [len(call.args[0]) for call in cells.call_args_list] == [1024, 1024, 452,
+                                                                     1024, 1024, 476, 476]
 
 
 def test_a_shared_column_is_formatted_once_between_absent_branches():
@@ -485,8 +464,7 @@ def test_a_shared_column_is_formatted_once_between_absent_branches():
     with mock.patch.object(csvfile, "_memo", {}), \
             mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         for arrays in runs:
-            assert _rows(csvfile.format_rows(arrays)) == list(
-                _reference_rows(arrays, ()))
+            assert _rows(csvfile.format_rows(arrays)) == _reference_rows(arrays, ())
     formatted = [call.args[0] for call in cells.call_args_list]
     assert sum(np.shares_memory(chunk, u_ffw) for chunk in formatted) == 3
     assert sum(np.shares_memory(chunk, t) for chunk in formatted) == 3
@@ -509,10 +487,10 @@ def test_a_trace_after_a_table_on_its_grid_is_written_as_a_fresh_process_writes_
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
-def test_a_new_funnel_does_not_grow_the_memo(tmp_path):
+def test_a_new_funnel_does_not_grow_the_memo(tmp_path, sweep_trace):
     # two sweep traces on one grid and reference with different funnels: the
     # second replaces the first's psi text, never holding both
-    first, second = map(run_simulation, build_preset("table3-fb-sweep-2khz").configs[:2])
+    first, second = sweep_trace, run_simulation(build_preset("table3-fb-sweep-2khz").configs[1])
     assert not np.array_equal(first.psi, second.psi)
     with mock.patch.object(csvfile, "_memo", {}):
         tracemalloc.start()

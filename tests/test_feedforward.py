@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import twomass.feedforward as ffw
 from conftest import assert_close
-from newton_oracle import TupleStepper
+from newton_oracle import TupleStepper, analytic_jacobian
 from test_trajectory import windows_on_tick_grids
 from twomass.errors import InconsistentStart, NewtonDiverged, ValidationError
 from twomass.feedforward import (
@@ -45,20 +45,6 @@ def fd_jacobian(stepper, z, prev, y_ref_next, h=1e-7):
         bumped[j] += h
         cols.append((np.array(stepper._residual(bumped, prev, y_ref_next)) - base) / h)
     return np.column_stack(cols)
-
-
-def analytic_jacobian(params, dt):
-    """Jacobian of the discrete residual in the unknowns (q1, q2, v1, v2, u)."""
-    i1, i2, k, d = params.I1, params.I2, params.k, params.d
-    return np.array(
-        [
-            [1.0, 0.0, -dt, 0.0, 0.0],
-            [0.0, 1.0, 0.0, -dt, 0.0],
-            [dt * k / i1, -dt * k / i1, 1.0 + dt * d / i1, -dt * d / i1, -dt / i1],
-            [-dt * k / i2, dt * k / i2, -dt * d / i2, 1.0 + dt * d / i2, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0],
-        ]
-    )
 
 
 class NumpyStepper:
@@ -177,8 +163,9 @@ class TestImplicitEulerStep:
             prev = rng.normal(size=4) * 4.0
             fd = fd_jacobian(stepper, z, prev, 1.0)
             assert np.max(np.abs(fd - jac)) <= 1e-5
-        # the stepper's stored inverse is the inverse of that Jacobian
-        assert np.max(np.abs(np.array(stepper._jac_inv) @ jac - np.eye(5))) <= 1e-12
+        # the package stepper's inverse, among its step constants, is the inverse of that Jacobian
+        jac_inv = np.reshape(InverseModelStepper(rig, reference, 1e-3)._constants[6:], (5, 5))
+        assert np.max(np.abs(jac_inv @ jac - np.eye(5))) <= 1e-12
 
     def test_fd_and_analytic_give_same_step(self, rig, reference):
         # Newton with the finite-difference Jacobian as an independent oracle
@@ -281,6 +268,7 @@ class TestStraightLineStep:
             assert _bits(stepper.advance(t_next)) == _bits(expected)
             assert stepper.last_iterations == oracle.last_iterations
             assert stepper.last_residual.hex() == oracle.last_residual.hex()
+            assert math.copysign(1.0, stepper.last_residual) == 1.0  # never -0.0
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
