@@ -426,6 +426,28 @@ def _read_only(a):
     return a
 
 
+def test_the_memo_holds_the_last_read_only_column_at_each_position():
+    # the column itself, never a copy; a writable column or one of one value
+    # throughout leaves the entry alone
+    first, last, other = (_read_only(np.arange(2500) * x) for x in (1.0, 0.5, 0.25))
+    with mock.patch.object(csvfile, "_memo", {}):
+        for arrays in ([first, other], [last, other], [first.copy()] * 2,
+                       [_read_only(np.full(2500, math.nan))] * 2):
+            list(csvfile.format_rows(arrays))
+        assert csvfile._memo[0][0] is last and csvfile._memo[1][0] is other
+
+
+def test_a_hit_needs_the_kept_columns_kind_dtype_and_every_bit():
+    # the kept bits as integers, as int64 or cut short are formatted anew
+    # and replace the entry
+    kept = _read_only(np.arange(2500.0))
+    for other, as_int in ((kept, (0,)), (_read_only(kept.view(np.int64)), ()), (kept[:-1], ())):
+        with mock.patch.object(csvfile, "_memo", {}):
+            list(csvfile.format_rows([kept]))
+            assert _rows(csvfile.format_rows([other], as_int)) == _reference_rows([other], as_int)
+            assert csvfile._memo[0][0] is other
+
+
 def test_a_miss_drops_the_kept_entry_before_formatting():
     # the old and the new text are never held at once: the entry is gone
     # when the first block is out, and the new one is kept once all are
