@@ -81,7 +81,7 @@ def _write_summary(path, result: closedloop.SweepResult) -> None:
             )
         elif result.error:
             lines.append(f"note: {result.error}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

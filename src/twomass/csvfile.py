@@ -25,13 +25,15 @@ edge, an exact power of two, a NaN, an infinity, or a magnitude outside
 ``[1e-98, 1e7)``.  An integer chunk of 256 rows or more formats each of its
 distinct values once.
 
-The writer works on batches of rows, column by column, and formats a
-repeated or constant column of a batch once.  It also remembers read-only
-columns (a sweep's tick times) from one file to the next: it keeps the last
-read-only column of more than one value met at each position, the array
-itself and its text, for a later column of the same kind, dtype and bits.
-It joins each batch's rows into one newline-terminated text block, so no
-Python code runs per row between the cells and the file.
+The writer takes float64 columns only.  It works on batches of rows,
+column by column, and formats a repeated or constant column of a batch
+once.  It also remembers read-only float columns (a sweep's tick times)
+from one file to the next: it keeps the last one of more than one value met
+at each position, the array itself and its text, for a later float column
+of the same bits; a column written as integers is never kept.  It joins
+each batch's rows into one newline-terminated text block, so no Python code
+runs per row between the cells and the file, and ends every line with
+``"\\n"`` on every platform.
 
 The reader first scans a file's bytes: it counts the newlines and finds
 whether any ``"\\r"`` is there.  A file with one is read into memory, as a
@@ -300,7 +302,7 @@ def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
 
 
 def _cells(values: np.ndarray, as_int: bool) -> list[str]:
-    """The cells of one column chunk: ``repr`` of each float, ``int`` if ``as_int``, NaN empty.
+    """The cells of one float64 column chunk: ``repr`` of each float, ``int`` if ``as_int``, NaN empty.
 
     An integer chunk of ``_VECTOR_MIN`` cells or more formats each distinct
     value once (a Newton count column holds few); values that compare equal,
@@ -310,7 +312,7 @@ def _cells(values: np.ndarray, as_int: bool) -> list[str]:
         distinct, at = np.unique(values, return_inverse=True)
         text = ["" if x != x else str(int(x)) for x in distinct.tolist()]
         return np.array(text, dtype=object).take(at).tolist()
-    if values.dtype != np.float64 or len(values) < _VECTOR_MIN:
+    if len(values) < _VECTOR_MIN:
         fmt = (lambda x: str(int(x))) if as_int else repr
         return ["" if x != x else fmt(x) for x in values.tolist()]
     with np.errstate(all="ignore"):  # NaN, inf and zero cells compute garbage, then repr
@@ -322,37 +324,30 @@ def _cells(values: np.ndarray, as_int: bool) -> list[str]:
     return cells
 
 
-# position -> (column, as_int, "\n"-joined cells of each of its batches): the
-# last read-only column of more than one value that format_rows formatted there
+# position -> (column, "\n"-joined cells of each of its batches): the last
+# read-only float column of more than one value that format_rows formatted there
 _memo: dict = {}
 
 
-def _memo_bits(a: np.ndarray):
-    """The bits of a read-only 8-byte column that is not one value throughout, else None."""
-    if a.flags.writeable or a.itemsize != 8 or not len(a):
-        return None
-    bits = a.view(np.uint64)
-    return None if (bits == bits[0]).all() else bits
-
-
-def _kept_batches(i, a: np.ndarray, bits, as_int: bool):
-    """The batches kept at memo position ``i`` if ``a`` has the kept column's kind, dtype and bits; else None, the entry dropped."""
-    held, held_int, batches = _memo.get(i, (None, None, None))
-    if held_int == as_int and held.dtype == a.dtype and np.array_equal(bits, held.view(np.uint64)):
+def _kept_batches(i, bits):
+    """The batches kept at memo position ``i`` if its column has ``bits``, all of them; else None, the entry dropped."""
+    held, batches = _memo.get(i, (None, None))
+    if held is not None and np.array_equal(bits, held.view(np.uint64)):
         return batches
     _memo.pop(i, None)
     return None
 
 
 def format_rows(arrays, int_columns=()):
-    """Data rows in the cell format, one per index of the equally long ``arrays``.
+    """Data rows in the cell format, one per index of the equally long float64 ``arrays``.
 
     Yields one text block per batch of ``_BATCH`` rows, the batch's rows each
-    ended by a newline, as :func:`write` takes them.
+    ended by a newline, as :func:`write` takes them.  A column that is not
+    float64 raises TypeError before the first block.
 
     ``int_columns`` holds the positions of the columns written as integers.
-    Within a batch, a column whose values have the same kind, dtype and bits
-    as an earlier column's reuses that column's cells (an ideal sensor's
+    Within a batch, a column whose values have the same kind and bits as an
+    earlier column's reuses that column's cells (an ideal sensor's
     ``y_measured`` is its ``y_true``), and a column that holds one value
     throughout formats it once (``y_ref`` after ``tf``); equal bits make
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
@@ -360,51 +355,52 @@ def format_rows(arrays, int_columns=()):
     once per distinct value (a Newton count column holds 0s and 1s), a
     shorter one cell by cell.
 
-    At each position, the memo keeps the last read-only column formatted
-    there in full: the array itself, with no copy, and the text of each of
-    its batches.  So a column that repeats from file to file (the tick times
-    of one grid, a table's tuned torque) is formatted once.  A later
-    read-only column hits only when it has the kept column's kind, dtype
-    and bits, all of them: a truncated run's prefix is formatted anew.  A
-    miss drops the kept entry before formatting, so the old and the new
-    text are never held at once.  A writable column, or one of one value
-    throughout (an absent branch's NaN), neither hits nor displaces the
+    At each position, the memo keeps the last read-only float column
+    formatted there in full: the array itself, with no copy, and the text
+    of each of its batches.  So a column that repeats from file to file (the
+    tick times of one grid, a table's tuned torque) is formatted once.  A
+    later read-only float column hits only when it has the kept column's
+    bits, all of them: a truncated run's prefix is formatted anew.  A miss
+    drops the kept entry before formatting, so the old and the new text are
+    never held at once.  A writable column, an integer column, or one of one
+    value throughout (an absent branch's NaN) neither hits nor displaces the
     entry.  A read-only column must not change while the memo holds it.
     """
     n = len(arrays[0])
     hits, fills = {}, {}  # position -> the kept batches it reads / the batches it keeps
     for i, a in enumerate(arrays):
-        bits = _memo_bits(a)
-        if bits is not None:
-            batches = _kept_batches(i, a, bits, i in int_columns)
-            if batches is None:
-                fills[i] = []
-            else:
-                hits[i] = batches
+        if a.dtype != np.float64:
+            raise TypeError(f"column {i} is {a.dtype}, not float64")
+        bits = a.view(np.uint64)
+        if a.flags.writeable or i in int_columns or not n or (bits == bits[0]).all():
+            continue
+        batches = _kept_batches(i, bits)
+        if batches is None:
+            fills[i] = []
+        else:
+            hits[i] = batches
     for start in range(0, n, _BATCH):
         stop = start + _BATCH
         formatted = []  # (key, cells) of this batch's distinct columns
         columns = []
         for i, a in enumerate(arrays):
             chunk = a[start:stop]
-            key = (i in int_columns, chunk.dtype, chunk.tobytes())
+            key = (i in int_columns, chunk.tobytes())
             cells = next((done for seen, done in formatted if seen == key), None)
             if cells is None:
                 if i in hits:
                     cells = hits[i][start // _BATCH].split("\n")
+                elif key[1] == key[1][:8] * len(chunk):  # one float's bytes throughout
+                    cells = _cells(chunk[:1], key[0]) * len(chunk)
                 else:
-                    data = key[2]
-                    if data == data[: chunk.itemsize] * len(chunk):
-                        cells = _cells(chunk[:1], key[0]) * len(chunk)
-                    else:
-                        cells = _cells(chunk, key[0])
+                    cells = _cells(chunk, key[0])
                 formatted.append((key, cells))
             if i in fills:
                 fills[i].append("\n".join(cells))
             columns.append(cells)
         yield "\n".join(map(",".join, zip(*columns))) + "\n"
     for i, batches in fills.items():
-        _memo[i] = (arrays[i], i in int_columns, batches)
+        _memo[i] = (arrays[i], batches)
 
 
 def write(path, kind: str, header, columns, pieces) -> None:
@@ -415,7 +411,7 @@ def write(path, kind: str, header, columns, pieces) -> None:
     its newline per piece.
     """
     head = [f"# twomass {kind}", *(f"# {key}: {value}" for key, value in header), ",".join(columns)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(head) + "\n")
         fh.writelines(pieces)
 

@@ -234,18 +234,19 @@ class InverseModelStepper:
         model coefficients and the inverse Jacobian row by row, fixed at
         construction (``di1`` negated, as the residual uses it).  ``opts`` is
         read on every step.  The norm makes no call and equals the builtins'
-        value but for a NaN's sign: ``abs(r)`` is ``-r if r < 0.0 else r``,
-        which keeps a ``-0.0`` that never reaches the norm (``r1`` is never
-        ``-0.0``, as ``q1 - p1`` never is: ``q1`` starts as ``p1``, a
-        correction gives ``-0.0`` only from a ``q1`` of ``-0.0``, and ``x -
-        x`` is ``0.0``; a later term replaces the norm only if greater, which
-        ``-0.0`` never is), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and
-        the outer ``max`` keeps its NaN rule: the first term stands unless a
-        later one is greater, so a NaN first term ends the iteration.  An end
-        point that does not sum to a finite float raises
-        :class:`NewtonDiverged`, as the iteration cap does.  A raise leaves
-        the state and its warm start as they were, and ``last_iterations``
-        and ``last_residual`` hold the failing step's.
+        value: ``abs(r)`` is ``-r if r < 0.0 else r``, which keeps a
+        ``-0.0`` that never reaches the norm (``r1`` is never ``-0.0``, as
+        ``q1 - p1`` never is: ``q1`` starts as ``p1``, a correction gives
+        ``-0.0`` only from a ``q1`` of ``-0.0``, and ``x - x`` is ``0.0``; a
+        later term replaces the norm only if greater, which ``-0.0`` never
+        is), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and the outer
+        ``max`` keeps its NaN rule: the first term stands unless a later one
+        is greater, so a NaN first term ends the iteration.  An end point
+        that does not sum to a finite float raises :class:`NewtonDiverged`,
+        as the iteration cap does; every NaN norm ends there, and is
+        reported through ``abs``, with no sign.  A raise leaves the state
+        and its warm start as they were, and ``last_iterations`` and
+        ``last_residual`` hold the failing step's.
         """
         p1, p2, p3, p4, u = self._z
         q1, q2, v1, v2 = p1, p2, p3, p4
@@ -310,6 +311,7 @@ class InverseModelStepper:
         self.last_residual = norm
         c = q1 + q2 + v1 + v2 + u
         if c - c != 0.0:  # a NaN or an infinity, even one the norm passed over
+            self.last_residual = norm = abs(norm)  # every NaN norm ends here: abs clears its sign
             raise NewtonDiverged(t_next, norm, iterations)
         state = _new_tuple(InverseModelState, ((q1, q2), (v1, v2), u, t_next))
         self._z = (q1, q2, v1, v2, u)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import twomass
 from conftest import NOT_UTF8, labels, piped
-from twomass import metrics, presets
+from twomass import cli, csvfile, metrics, presets
 from twomass.cli import main
 from twomass.closedloop import read_trace_csv, run_simulation
 from twomass.config import (
@@ -493,6 +493,21 @@ class TestCli:
         assert "# status: completed" in trace
         assert (out / "demo-summary.txt").exists()
         assert (out / "metrics.csv").exists()
+
+    def test_every_output_line_ends_in_a_newline_alone(self, tmp_path, monkeypatch):
+        # as on a platform whose os.linesep is "\r\n": there a file opened
+        # for writing in text mode with no newline argument ends lines so
+        def crlf_open(file, mode="r", **kwargs):
+            if "b" not in mode and "r" not in mode:
+                kwargs.setdefault("newline", "\r\n")
+            return open(file, mode, **kwargs)
+
+        for module in (cli, csvfile):
+            monkeypatch.setattr(module, "open", crlf_open, raising=False)
+        out = tmp_path / "out"
+        assert main(["simulate", str(write_config(tmp_path)), "--out", str(out)]) == 0
+        for name in ("demo-trace.csv", "demo-summary.txt", "metrics.csv"):
+            assert b"\r" not in (out / name).read_bytes()
 
     def test_metrics_row_needs_full_horizon(self, tmp_path):
         # duration 0.5 < tf + 5: metrics cells stay empty but the run reports

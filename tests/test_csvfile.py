@@ -285,11 +285,10 @@ def test_extreme_cells_leak_no_floating_point_state():
 
 INTEGRAL = st.integers(-10**6, 10**6).map(float) | st.just(math.nan)
 # a column derived from an earlier one or a pool column: equal in another
-# array, its zeros' signs flipped, another NaN payload, truncated and written
-# as integers (a non-finite value as NaN), or the same bits as int64
+# array, its zeros' signs flipped, another NaN payload, or truncated and
+# written as integers (a non-finite value as NaN)
 DERIVED = {"copy": np.copy, "zeros": _flip_zero_signs, "nan": _other_nan_payload,
-           "int": lambda a: np.trunc(np.where(np.isfinite(a), a, math.nan)),
-           "bits": lambda a: a.view(np.int64).copy()}
+           "int": lambda a: np.trunc(np.where(np.isfinite(a), a, math.nan))}
 
 
 @st.composite
@@ -355,19 +354,17 @@ def format_calls(draw):
 
 
 def _memo_model(model, arrays, int_columns):
-    """The memo's policy on ``model``, position -> (column, as_int), for one call.
+    """The memo's policy on ``model``, position -> column, for one call.
 
-    A read-only column of more than one value is kept, unless the kept one
-    has its kind, dtype and bits.
+    A read-only float column of more than one value is kept, unless the
+    kept one has its bits.
     """
     for i, a in enumerate(arrays):
         bits = a.view(np.uint64)
-        if a.flags.writeable or not len(a) or (bits == bits[0]).all():
+        if a.flags.writeable or i in int_columns or not len(a) or (bits == bits[0]).all():
             continue
-        held, as_int = model.get(i, (None, None))
-        if not (as_int == (i in int_columns) and held.dtype == a.dtype
-                and np.array_equal(held.view(np.uint64), bits)):
-            model[i] = (a, i in int_columns)
+        if i not in model or not np.array_equal(model[i].view(np.uint64), bits):
+            model[i] = a
 
 
 @settings(max_examples=200)
@@ -387,9 +384,9 @@ def test_format_rows_is_the_per_cell_format(drawn):
             assert list(csvfile.format_rows(arrays, int_columns)) == expected
             _memo_model(model, arrays, int_columns)
             assert csvfile._memo.keys() == model.keys()
-            for i, (held, as_int, texts) in csvfile._memo.items():
-                assert held is model[i][0] and as_int == model[i][1]
-                assert texts == ["\n".join(write_oracle.cells(held[start:start + batch], as_int))
+            for i, (held, texts) in csvfile._memo.items():
+                assert held is model[i]
+                assert texts == ["\n".join(write_oracle.cells(held[start:start + batch], False))
                                  for start in range(0, len(held), batch)]
 
 
@@ -437,15 +434,39 @@ def test_the_memo_holds_the_last_read_only_column_at_each_position():
         assert csvfile._memo[0][0] is last and csvfile._memo[1][0] is other
 
 
-def test_a_hit_needs_the_kept_columns_kind_dtype_and_every_bit():
-    # the kept bits as integers, as int64 or cut short are formatted anew
-    # and replace the entry
+def test_a_hit_needs_every_bit():
+    # the kept column cut short is formatted anew and replaces the entry
     kept = _read_only(np.arange(2500.0))
-    for other, as_int in ((kept, (0,)), (_read_only(kept.view(np.int64)), ()), (kept[:-1], ())):
-        with mock.patch.object(csvfile, "_memo", {}):
-            list(csvfile.format_rows([kept]))
-            assert _rows(csvfile.format_rows([other], as_int)) == _reference_rows([other], as_int)
-            assert csvfile._memo[0][0] is other
+    short = kept[:-1]
+    with mock.patch.object(csvfile, "_memo", {}):
+        list(csvfile.format_rows([kept]))
+        assert _rows(csvfile.format_rows([short])) == _reference_rows([short], ())
+        assert csvfile._memo[0][0] is short
+
+
+def test_an_integer_column_is_never_kept():
+    # the kept column's bits written as integers are formatted as integers
+    # and leave the entry alone, so a later float column with those bits hits
+    kept = _read_only(np.arange(2500.0))
+    with mock.patch.object(csvfile, "_memo", {}):
+        list(csvfile.format_rows([kept]))
+        entry = csvfile._memo[0]
+        assert _rows(csvfile.format_rows([kept], (0,))) == _reference_rows([kept], (0,))
+        assert csvfile._memo[0] is entry
+        again = _read_only(kept.copy())
+        with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
+            assert _rows(csvfile.format_rows([again])) == _reference_rows([again], ())
+        assert cells.call_count == 0
+
+
+def test_a_column_that_is_not_float64_is_rejected():
+    # before the first block is yielded
+    for dtype in (np.int64, np.float32):
+        blocks = []
+        with pytest.raises(TypeError) as err:
+            blocks.extend(csvfile.format_rows([np.arange(2500.0), np.arange(2500, dtype=dtype)]))
+        assert str(err.value) == f"column 1 is {np.dtype(dtype)}, not float64"
+        assert blocks == []
 
 
 def test_a_miss_drops_the_kept_entry_before_formatting():

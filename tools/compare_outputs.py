@@ -72,7 +72,7 @@ def run(name, argv):
             code = f"{exit_.code} (SystemExit)"
         except Exception as exc:  # a crash is an output to compare, too
             code = f"1 ({type(exc).__name__}: {exc})"
-    with open(name + ".out", "w", encoding="utf-8") as fh:
+    with open(name + ".out", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
 
 
@@ -96,13 +96,13 @@ for name, end in [("analyze-crlf", b"\r\n"), ("analyze-cr", b"\r")]:
     for copy in copies:
         os.remove(copy)
     os.rmdir(name)
-with open("run.ini", "w", encoding="utf-8") as fh:
+with open("run.ini", "w", encoding="utf-8", newline="\n") as fh:
     fh.write(sys.argv[2])
 run("check-plant", ["check-plant", "--config", "run.ini"])
 run("simulate", ["simulate", "run.ini", "--out", "simulate"])
 for name, files, argv in json.loads(sys.argv[3]):
     for file, text in files.items():
-        with open(file, "w", encoding="utf-8") as fh:
+        with open(file, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     run(name, argv)
 """
@@ -234,7 +234,7 @@ def main(argv=None) -> int:
         if args.manifest is not None:
             write_outputs(args.parent_src, os.path.join(work, "out"))
             lines = manifest(os.path.join(work, "out"))
-            with open(args.manifest, "w", encoding="utf-8") as fh:
+            with open(args.manifest, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(lines)
             print(f"{len(lines.splitlines())} files hashed into {args.manifest}")
             return 0
