@@ -9,14 +9,13 @@ here is safe to share across concurrently running experiments.
 from .closedloop import RunStatus, SweepResult, Trace, run_simulation, run_sweep
 from .config import ControllerMode, FeedforwardSource, MeasurementModel, SimulationConfig
 from .errors import (
-    FunnelViolation,
     InconsistentStart,
     NewtonDiverged,
     ParseError,
     ValidationError,
     WindowOutOfRange,
 )
-from .feedback import FunnelSpec, funnel_law
+from .feedback import FunnelSpec
 from .feedforward import (
     FeedforwardTable,
     InverseModelState,

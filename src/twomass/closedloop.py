@@ -7,14 +7,18 @@ config that a run is asked to do, and its echo, are :mod:`twomass.config`'s.
 The controller updates its output at the control-loop frequency; between
 ticks the input is held constant, and the "true" rig (which, unlike the
 controller's nominal model, carries Coulomb friction) follows its exact
-stick-slip step, :func:`plant.integrate_plant_tick`.  The trace counts the
+stick-slip step, :func:`plant.integrate_plant_tick`, on the state's four
+floats and the run's :func:`plant.tick_constants`.  The trace counts the
 rig's stuck and event ticks.
 
 Per tick: sample the output (ideal or encoder-style measurement), look up or
-compute one step of the feedforward torque, evaluate the funnel feedback on
-the measured error, sum, hold.  A funnel violation or a failed feedforward
-step terminates the run and stamps the status: continuing past either event
-would fabricate dynamics the controller cannot produce.
+compute one step of the feedforward torque, evaluate the funnel law
+``-psi^2 e / (psi^2 - e^2)`` on the measured error, sum, hold.  The loop
+writes the sensor and the law itself, so that a tick makes one call into
+the plant and, with an online inverse model, one into the stepper.  A
+funnel violation (``|e| >= psi``) or a failed feedforward step terminates
+the run and stamps the status: continuing past either event would fabricate
+dynamics the controller cannot produce.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from . import metrics as metrics_mod
 from . import trajectory as trajectory_mod
 # ControllerMode and FeedforwardSource are imported from here by the acceptance gate
 from .config import ControllerMode, FeedforwardSource, SimulationConfig, config_echo
-from .errors import FunnelViolation, NewtonDiverged, ParseError, ValidationError
-from .feedback import FunnelSpec, funnel_law
+from .errors import NewtonDiverged, ParseError, ValidationError
+from .feedback import FunnelSpec
 from .feedforward import InverseModelStepper, TuningFactors, apply_tuning
-from .plant import EVENT, STUCK, integrate_plant_tick, step_matrices
+from .plant import EVENT, STUCK, integrate_plant_tick, tick_constants
 from .trajectory import TrajectorySpec
 
 __all__ = [
@@ -135,15 +139,16 @@ def run_simulation(config: SimulationConfig) -> Trace:
     sensor's ``y_measured`` is its ``y_true``, one array stored once per
     tick.  The loop samples, runs the controller and steps the plant,
     storing into its own float64 columns through memoryviews, never into a
-    shared one; ``e`` is one subtraction after it.  A failing tick ends the
-    loop, timed as any other.
+    shared one; ``e`` is one subtraction after it.  The state stays four
+    floats, stepped on :func:`plant.tick_constants` built once per run, and
+    the funnel law is written in the loop.  A failing tick ends the loop,
+    timed as any other.
     """
     tuning, funnel, u_max = config.mode.tuning, config.mode.funnel, config.u_max
     dt = 1.0 / config.control_frequency
     n_ticks = config.n_ticks
     n_rows = n_ticks + 1
-    plant = config.true_params
-    zoh, stick = step_matrices(plant, dt)
+    constants = tick_constants(config.true_params, dt)
     kinds = [0, 0, 0]  # ticks per SLIP, STUCK, EVENT
 
     q1, q2, v1, v2 = (float(x) for x in config.initial_state)
@@ -227,16 +232,18 @@ def run_simulation(config: SimulationConfig) -> Trace:
                 newton_v[k] = stepper.last_iterations
                 ffw_v[k] = u_ffw
         if funnel is not None:
-            try:
-                u_fb = funnel_law(y, y_ref_v[k], psi_v[k])
-            except FunnelViolation:
+            # undefined from the band edge out: the two tests reject what
+            # abs(e) >= psi rejects, and pass NaN as it does
+            e, psi_k = y - y_ref_v[k], psi_v[k]
+            if e >= psi_k or -e >= psi_k:
                 if k == 0:
                     raise ValidationError(
-                        f"initial error {y - y_ref_v[0]:.6g} is not inside the funnel "
-                        f"width {psi_v[0]:.6g}"
-                    ) from None
+                        f"initial error {e:.6g} is not inside the funnel width {psi_k:.6g}"
+                    )
                 status = RunStatus("funnel_violated", at=k * dt)
                 break
+            p2 = psi_k * psi_k
+            u_fb = -(p2 / (p2 - e * e)) * e
             fb_v[k] = u_fb
         u = u_ffw + u_fb
         if u_max is not None:
@@ -246,7 +253,7 @@ def run_simulation(config: SimulationConfig) -> Trace:
 
         if k == n_ticks:
             break
-        (q1, q2, v1, v2), kind = integrate_plant_tick(plant, zoh, stick, (q1, q2, v1, v2), u, dt)
+        q1, q2, v1, v2, kind = integrate_plant_tick(constants, q1, q2, v1, v2, u)
         kinds[kind] += 1
 
     if not status.completed:  # the failing tick took controller time too

@@ -143,7 +143,7 @@ class SimulationConfig:
         step_count(self.duration * self.control_frequency,
                    f"duration {self.duration} s at {self.control_frequency} Hz", "control ticks")
         tick, p = 1.0 / self.control_frequency, self.true_params
-        pieces = rate_bound(p) * tick  # step_matrices and event ticks walk ceil(pieces) series pieces
+        pieces = rate_bound(p) * tick  # tick_constants and event ticks walk ceil(pieces) series pieces
         if not pieces <= 1000.0:  # the presets ask for at most 0.023
             raise ValidationError(
                 f"true plant I1={p.I1} I2={p.I2} k={p.k} d={p.d} is too fast for the control "

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 
 import numpy as np
 
@@ -408,12 +409,21 @@ def write(path, kind: str, header, columns, pieces) -> None:
 
     ``pieces`` is an iterable of newline-terminated pieces of whole rows,
     written as they come: the blocks of :func:`format_rows`, or one row and
-    its newline per piece.
+    its newline per piece.  If anything raises while the file is written (a
+    column that ``format_rows`` rejects, an infinite integer cell), the file
+    is removed before the error goes on, so no partial file is left; a
+    symlink or a device named by ``path`` is left in place.
     """
     head = [f"# twomass {kind}", *(f"# {key}: {value}" for key, value in header), ",".join(columns)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(head) + "\n")
-        fh.writelines(pieces)
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write("\n".join(head) + "\n")
+            fh.writelines(pieces)
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
 
 
 # The reader parses a block's cells together in numpy, each to the float

@@ -29,18 +29,5 @@ class NewtonDiverged(RuntimeError):
         )
 
 
-class FunnelViolation(RuntimeError):
-    """The tracking error reached or left the performance funnel.
-
-    The feedback law is undefined at such a sample; whoever runs the loop
-    decides the consequence (the simulator stops and records the time).
-    """
-
-    def __init__(self, error: float, width: float):
-        self.error = error
-        self.width = width
-        super().__init__(f"tracking error {error:.6g} outside funnel width {width:.6g}")
-
-
 class WindowOutOfRange(ValueError):
     """A metrics window does not lie inside the recorded sample range."""

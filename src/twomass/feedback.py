@@ -1,11 +1,13 @@
 """Funnel feedback: a model-free high-gain law with a prescribed error bound.
 
 The controller confines the tracking error ``e = y - y_ref`` to the time
-varying band ``|e(t)| < psi(t)``.  It uses no plant parameters; the gain grows
-without bound as the error approaches the band, which is what pushes the
-error back.  Outside the band the law is undefined; evaluation there raises
-:class:`~twomass.errors.FunnelViolation` and the caller decides what a
-violation means (the closed-loop simulator stops the run).
+varying band ``|e(t)| < psi(t)`` with the law ``u = -psi^2 e / (psi^2 - e^2)``
+(Berger, Ilchmann and Ryan, "Funnel control of nonlinear systems", MCSS
+2021).  It uses no plant parameters; the gain grows without bound as the
+error approaches the band, which is what pushes the error back.  Outside the
+band the law is undefined.  This module holds the band; the law is written
+once, in the tick loop of :func:`twomass.closedloop.run_simulation`, which
+stops the run at a violation.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FunnelViolation, ValidationError
+from .errors import ValidationError
 
-__all__ = ["FunnelSpec", "funnel_law"]
+__all__ = ["FunnelSpec"]
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,3 @@ class FunnelSpec:
         if not self.c * self.c > 0.0:
             raise ValidationError(f"funnel offset c must have a positive square, got c={self.c}")
 
-
-def funnel_law(y: float, y_ref: float, psi_t: float) -> float:
-    """Feedback input ``-psi^2 e / (psi^2 - e^2)``, factored as -gain*e.
-
-    The gain ``psi^2 / (psi^2 - e^2)`` is >= 1 inside the band.  The two
-    comparisons reject what ``abs(e) >= psi_t`` rejects, and pass NaN as it does.
-    """
-    e = y - y_ref
-    if e >= psi_t or -e >= psi_t:
-        raise FunnelViolation(e, psi_t)
-    p2 = psi_t * psi_t
-    return -(p2 / (p2 - e * e)) * e

@@ -30,9 +30,11 @@ is linear in each friction mode, and every tick follows the stick-slip
   event into exact segments.
 
 Each mode's motion is written once, as the Taylor series of :func:`_series`:
-event ticks sum it directly, and :func:`step_matrices` builds both matrices
-from its flows once per run.  The plant stands in for continuous hardware
-and must be much more accurate than the controller's own discretization.
+event ticks sum it directly, and :func:`tick_constants` builds both matrices
+from its flows once per run, into the one flat tuple of per-run constants
+that :func:`integrate_plant_tick` takes beside the state's four floats.  The
+plant stands in for continuous hardware and must be much more accurate than
+the controller's own discretization.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ __all__ = [
     "STUCK",
     "EVENT",
     "integrate_plant_tick",
-    "step_matrices",
+    "tick_constants",
     "rate_bound",
 ]
 
@@ -182,17 +184,13 @@ _MAX_SEGMENTS = 8
 
 
 def integrate_plant_tick(
-    params: OscillatorParams,
-    zoh: tuple,
-    stick: tuple,
-    state: tuple[float, float, float, float],
-    u: float,
-    dt: float,
-) -> tuple[tuple[float, float, float, float], int]:
-    """Advance the rig by one control tick of length ``dt`` under the held torque ``u``.
+    constants: tuple, q1: float, q2: float, v1: float, v2: float, u: float
+) -> tuple:
+    """Advance the rig by one control tick under the held torque ``u``.
 
-    ``zoh`` and ``stick`` are the run's :func:`step_matrices` for ``dt``.
-    Returns the next state and the tick's kind:
+    ``constants`` is the run's :func:`tick_constants`; the state and the
+    torque come as plain floats.  Returns the next ``(q1, q2, v1, v2)`` and
+    the tick's kind, as one flat tuple:
 
     * ``SLIP``: ``v1`` keeps one sign through the tick (or the rig has no
       friction), so the friction torque ``f = -cf sign(v1)`` is constant and
@@ -203,33 +201,33 @@ def integrate_plant_tick(
     * ``EVENT``: friction switches inside the tick (a zero crossing of
       ``v1``, a breakaway, or a start from rest); see :func:`_event_tick`.
     """
-    q1, q2, v1, v2 = state
-    cf = params.friction.magnitude
+    (params, cf, k, d, i1, dt,
+     p00, p01, p02, p03, g0, p10, p11, p12, p13, g1,
+     p20, p21, p22, p23, g2, p30, p31, p32, p33, g3,
+     s00, s01, s10, s11) = constants
     if v1 != 0.0 or cf == 0.0:
-        (p00, p01, p02, p03, g0, p10, p11, p12, p13, g1,
-         p20, p21, p22, p23, g2, p30, p31, p32, p33, g3) = zoh
         w = u - cf if v1 > 0.0 else u + cf
         v1n = p20 * q1 + p21 * q2 + p22 * v1 + p23 * v2 + g2 * w
         # v1 keeps its sign at both ends.  While v1' is monotone over the
         # tick, v1 cannot reach zero in between if v1 + v1' dt, with the
         # start acceleration v1', keeps that sign too.
-        reach = v1 + (w - (params.k * (q1 - q2) + params.d * (v1 - v2))) * dt / params.I1
+        reach = v1 + (w - (k * (q1 - q2) + d * (v1 - v2))) * dt / i1
         if cf == 0.0 or ((v1n > 0.0 < reach) if v1 > 0.0 else (v1n < 0.0 > reach)):
             return (
                 p00 * q1 + p01 * q2 + p02 * v1 + p03 * v2 + g0 * w,
                 p10 * q1 + p11 * q2 + p12 * v1 + p13 * v2 + g1 * w,
                 v1n,
                 p30 * q1 + p31 * q2 + p32 * v1 + p33 * v2 + g3 * w,
-            ), SLIP
-    elif abs(u - (params.k * (q1 - q2) + params.d * (v1 - v2))) <= cf:
-        s00, s01, s10, s11 = stick
+                SLIP,
+            )
+    elif abs(u - (k * (q1 - q2) + d * (v1 - v2))) <= cf:
         z = q2 - q1
         q2n = q1 + (s00 * z + s01 * v2)
         v2n = s10 * z + s11 * v2
-        if abs(u - (params.k * (q1 - q2n) + params.d * (v1 - v2n))) <= cf:
-            return (q1, q2n, v1, v2n), STUCK
-    state, events = _event_tick(params, state, u, dt)
-    return state, (EVENT if events or v1 == 0.0 else SLIP)
+        if abs(u - (k * (q1 - q2n) + d * (v1 - v2n))) <= cf:
+            return q1, q2n, v1, v2n, STUCK
+    state, events = _event_tick(params, (q1, q2, v1, v2), u, dt)
+    return (*state, EVENT if events or v1 == 0.0 else SLIP)
 
 
 def _event_tick(params, state, u, dt):
@@ -323,16 +321,19 @@ def rate_bound(params: OscillatorParams) -> float:
     return math.sqrt(params.k * mu) + params.d * mu
 
 
-def step_matrices(params: OscillatorParams, dt: float) -> tuple[tuple, tuple]:
-    """The exact slip and stick steps of length ``dt``, row-major as flat float tuples.
+def tick_constants(params: OscillatorParams, dt: float) -> tuple:
+    """What :func:`integrate_plant_tick` needs of a run, as one flat tuple built once per run.
 
-    ``zoh`` is ``[Phi | Gam]`` (20 floats): ``x+ = Phi x + Gam w`` while the
-    net torque ``w = u - cf sign(v1)`` on flywheel 1 is held.  ``stick`` is
-    ``S`` (4 floats): ``(q2 - q1, v2)+ = S (q2 - q1, v2)`` while flywheel 1
-    sticks.  Their columns are mode flows of :func:`_series`: ``Phi`` the slip
-    flow of the unit states under ``w = 0``, ``Gam`` the slip flow from rest
-    under ``w = 1``, ``S`` the stick flow of a unit twist and a unit ``v2``.
-    Each flow runs ``ceil(rho dt)`` pieces, the ``1 / rho`` bound of
+    ``(params, cf, k, d, I1, dt, *zoh, *stick)``: the rig, its friction
+    magnitude and the three constants of the ``reach`` test, the tick, then
+    the exact slip and stick steps of length ``dt``, row-major.  ``zoh`` is
+    ``[Phi | Gam]`` (20 floats): ``x+ = Phi x + Gam w`` while the net torque
+    ``w = u - cf sign(v1)`` on flywheel 1 is held.  ``stick`` is ``S`` (4
+    floats): ``(q2 - q1, v2)+ = S (q2 - q1, v2)`` while flywheel 1 sticks.
+    Their columns are mode flows of :func:`_series`: ``Phi`` the slip flow of
+    the unit states under ``w = 0``, ``Gam`` the slip flow from rest under
+    ``w = 1``, ``S`` the stick flow of a unit twist and a unit ``v2``.  Each
+    flow runs ``ceil(rho dt)`` pieces, the ``1 / rho`` bound of
     :func:`_event_tick`.
     """
     rho = rate_bound(params)
@@ -347,8 +348,11 @@ def step_matrices(params: OscillatorParams, dt: float) -> tuple[tuple, tuple]:
     unit = [tuple(float(i == j) for j in range(4)) for i in range(4)]
     columns = [flow(e, 0.0, 1.0) for e in unit] + [flow((0.0,) * 4, 1.0, 1.0)]
     twist, speed = flow(unit[1], 0.0, 0.0), flow(unit[3], 0.0, 0.0)
-    zoh = tuple(column[i] for i in range(4) for column in columns)
-    return zoh, (twist[1], speed[1], twist[3], speed[3])
+    return (
+        params, params.friction.magnitude, params.k, params.d, params.I1, dt,
+        *(column[i] for i in range(4) for column in columns),
+        twist[1], speed[1], twist[3], speed[3],
+    )
 
 
 def _series(params, x, w, s, h, rho_h):

@@ -4,7 +4,9 @@ replaced.
 Every column is computed and stored tick by tick: ``t_k = k * dt``, the
 reference from ``y_ref_at``, the funnel width from ``psi`` and the error
 ``e = y_measured - y_ref`` inside the loop, and each value goes into a numpy
-column by item store.  ``run_simulation`` builds the columns that do not
+column by item store.  The funnel law is ``funnel_oracle.funnel_law``, one
+call per tick, and the plant step is ``plant_oracle.integrate_plant_tick``
+on a state tuple.  ``run_simulation`` builds the columns that do not
 depend on the plant once per run; its traces must equal this loop's bit for
 bit, on every column, the status and the row count.
 """
@@ -16,14 +18,14 @@ import time
 
 import numpy as np
 
-from funnel_oracle import psi
+from funnel_oracle import FunnelViolation, funnel_law, psi
+from plant_oracle import integrate_plant_tick, step_matrices
 from twomass import trajectory as trajectory_mod
 from twomass.closedloop import RunStatus, Trace
 from twomass.config import config_echo
-from twomass.errors import FunnelViolation, NewtonDiverged, ValidationError
-from twomass.feedback import funnel_law
+from twomass.errors import NewtonDiverged, ValidationError
 from twomass.feedforward import InverseModelStepper, apply_tuning
-from twomass.plant import EVENT, STUCK, integrate_plant_tick, step_matrices
+from twomass.plant import EVENT, STUCK
 
 
 class PerTickSensor:

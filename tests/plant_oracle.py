@@ -1,8 +1,13 @@
 """Test oracles for the plant: the rig's equations of motion on scalars, as
 the matrices of one slip mode and as the rigid-body-free state space that
-``plant.reduced_realization`` splits into output and internal dynamics, and
-the fixed-step 4th-order scheme that ``plant.integrate_plant_tick``
-replaced.
+``plant.reduced_realization`` splits into output and internal dynamics, the
+fixed-step 4th-order scheme that ``plant.integrate_plant_tick`` replaced,
+and the exact tick on tuples that its flat form replaced.
+
+:func:`integrate_plant_tick` here takes the state as a tuple and the rig,
+the step matrices and ``dt`` apart, and reads the rig's constants from
+``params`` on every call.  The package's flat step must equal it bit for
+bit, on the next state and the tick's kind.
 
 RK4 with ``sign(0) = 0`` never sticks: at ``v1 = 0`` it chatters with an
 amplitude of about ``cf h / I1``, so it converges to the stick-slip solution
@@ -13,6 +18,8 @@ RK4 at a fine and a coarse substep, never bit for bit.
 from __future__ import annotations
 
 import numpy as np
+
+from twomass.plant import EVENT, SLIP, STUCK, _event_tick, tick_constants
 
 
 def accelerations(i1, i2, stiffness, damping, coulomb, q1, q2, v1, v2, u):
@@ -94,3 +101,38 @@ def rk4_plant_tick(params, state, u, h, substeps):
         v1 += h6 * (a1 + 2.0 * (a2 + a3) + a4)
         v2 += h6 * (b1 + 2.0 * (b2 + b3) + b4)
     return q1, q2, v1, v2
+
+
+def step_matrices(params, dt):
+    """``zoh`` (``[Phi | Gam]``, 20 floats) and ``stick`` (``S``, 4 floats), row-major,
+    as :func:`plant.tick_constants` holds them after its six scalars."""
+    constants = tick_constants(params, dt)
+    return constants[6:26], constants[26:30]
+
+
+def integrate_plant_tick(params, zoh, stick, state, u, dt):
+    """The exact tick on tuples: the next state and the tick's kind."""
+    q1, q2, v1, v2 = state
+    cf = params.friction.magnitude
+    if v1 != 0.0 or cf == 0.0:
+        (p00, p01, p02, p03, g0, p10, p11, p12, p13, g1,
+         p20, p21, p22, p23, g2, p30, p31, p32, p33, g3) = zoh
+        w = u - cf if v1 > 0.0 else u + cf
+        v1n = p20 * q1 + p21 * q2 + p22 * v1 + p23 * v2 + g2 * w
+        reach = v1 + (w - (params.k * (q1 - q2) + params.d * (v1 - v2))) * dt / params.I1
+        if cf == 0.0 or ((v1n > 0.0 < reach) if v1 > 0.0 else (v1n < 0.0 > reach)):
+            return (
+                p00 * q1 + p01 * q2 + p02 * v1 + p03 * v2 + g0 * w,
+                p10 * q1 + p11 * q2 + p12 * v1 + p13 * v2 + g1 * w,
+                v1n,
+                p30 * q1 + p31 * q2 + p32 * v1 + p33 * v2 + g3 * w,
+            ), SLIP
+    elif abs(u - (params.k * (q1 - q2) + params.d * (v1 - v2))) <= cf:
+        s00, s01, s10, s11 = stick
+        z = q2 - q1
+        q2n = q1 + (s00 * z + s01 * v2)
+        v2n = s10 * z + s11 * v2
+        if abs(u - (params.k * (q1 - q2n) + params.d * (v1 - v2n))) <= cf:
+            return (q1, q2n, v1, v2n), STUCK
+    state, events = _event_tick(params, state, u, dt)
+    return state, (EVENT if events or v1 == 0.0 else SLIP)

@@ -1,15 +1,19 @@
 import contextlib
 import dataclasses
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+import plant_oracle
 from conftest import assert_close, labels
 from funnel_oracle import psi
 from loop_oracle import run_simulation_per_tick
 from plant_oracle import accelerations, rk4_plant_tick
+from twomass import trajectory
 from twomass.closedloop import (
     RunStatus,
     Trace,
@@ -43,10 +47,10 @@ from twomass.plant import (
     FrictionModel,
     OscillatorParams,
     integrate_plant_tick,
-    step_matrices,
+    tick_constants,
 )
 from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
-from twomass.trajectory import TrajectorySpec
+from twomass.trajectory import TrajectorySpec, y_ref_at
 
 FUNNEL_2 = FunnelSpec(1.0, 0.1, 0.5)
 UNIT_TUNING = TuningFactors(1.0, 0.0)
@@ -132,9 +136,9 @@ class TestFineIntegrator:
 
 
 def tick(params, state, u, dt):
-    """One exact plant tick, with the per-run matrices built here."""
-    zoh, stick = step_matrices(params, dt)
-    return integrate_plant_tick(params, zoh, stick, state, u, dt)
+    """One exact plant tick, with the per-run constants built here: the next state and the kind."""
+    *stepped, kind = integrate_plant_tick(tick_constants(params, dt), *state, u)
+    return tuple(stepped), kind
 
 
 def shaft_torque(params, state):
@@ -273,9 +277,52 @@ class TestExactStep:
         assert kind == EVENT
         assert oracle_distance(stepped, fine, self.DT) <= 2.0 * 0.6966 / p.I1 * self.DT / 2560
 
+    def test_flat_step_is_the_tuple_oracle_bit_for_bit(self):
+        # The step on flat floats and per-run constants against
+        # plant_oracle's step on tuples, which reads the rig's constants on
+        # every call: the next state's bits and the kind.  Rigs without
+        # friction and starts from rest of either sign are drawn, and the
+        # torque is anywhere, near the band edge |u - shaft| = cf, or such
+        # that the start acceleration brings v1 near zero at the tick's end
+        # (the reach test), so that slip, stuck and event ticks all come.
+        seen = [0, 0, 0]  # examples per SLIP, STUCK, EVENT
+
+        @settings(max_examples=300)
+        @given(
+            i1=st.floats(0.05, 5.0), i2=st.floats(0.05, 5.0),
+            k=st.just(0.0) | st.floats(0.0, 500.0), d=st.just(0.0) | st.floats(0.0, 2.0),
+            cf=st.just(0.0) | st.floats(0.0, 1.0),
+            q1=st.floats(-10.0, 10.0),
+            twist=st.floats(-1e-3, 1e-3) | st.floats(-1.0, 1.0),
+            v1=(st.sampled_from([0.0, -0.0]) | st.floats(-1e-4, 1e-4) | st.floats(-1e-2, 1e-2)
+                | st.floats(-10.0, 10.0)),
+            v2=st.floats(-1e-2, 1e-2) | st.floats(-10.0, 10.0),
+            aim=st.sampled_from(["any", "band", "reach"]), torque=st.floats(-5.0, 5.0),
+            dt=st.sampled_from([5e-4, 1e-3]) | st.floats(1e-5, 1e-2),
+        )
+        def check(i1, i2, k, d, cf, q1, twist, v1, v2, aim, torque, dt):
+            p = OscillatorParams(I1=i1, I2=i2, k=k, d=d, friction=FrictionModel(cf))
+            state = (q1, q1 - twist, v1, v2)
+            u = {
+                "any": torque,
+                "band": shaft_torque(p, state) + 0.4 * cf * torque,
+                # v1 + v1' dt = v1 (1 - f) with f in [0.5, 1.5]
+                "reach": (shaft_torque(p, state) + math.copysign(cf, v1)
+                          - (1.0 + 0.1 * torque) * v1 * i1 / dt),
+            }[aim]
+            *stepped, kind = integrate_plant_tick(tick_constants(p, dt), *state, u)
+            expected, expected_kind = plant_oracle.integrate_plant_tick(
+                p, *plant_oracle.step_matrices(p, dt), state, u, dt)
+            assert _bits(stepped).tolist() == _bits(expected).tolist()
+            assert kind == expected_kind
+            seen[kind] += 1
+
+        check()
+        assert all(seen), seen
+
     def test_frictionless_tick_is_the_zoh_step_bitwise(self, rig):
         # no friction, no switch: starts from rest and v1 reversals included
-        zoh, _ = step_matrices(rig, self.DT)
+        zoh, _ = plant_oracle.step_matrices(rig, self.DT)
         for state, u in (((0.0, 0.0, 0.0, 0.0), 0.5), ((0.1, 0.0, 1e-4, 0.2), -2.0)):
             q1, q2, v1, v2 = state
             stepped, kind = tick(rig, state, u, self.DT)
@@ -524,24 +571,79 @@ class TestLoopOracle:
         cfg = base_config(label=case, **ORACLE_CASES[case])
         _assert_same_run(run_simulation(cfg), run_simulation_per_tick(cfg))
 
-    @settings(max_examples=60)
-    @given(
-        # each field off or on; the angle starts off the quantum grid, so that
-        # the first tick's quantization shows in the second tick's rate
-        measurement=st.builds(
-            MeasurementModel,
-            st.just(0.0) | st.floats(1e-6, 0.1),
-            st.just(0.0) | st.floats(1e-5, 0.05),
-            st.just(0.0) | st.floats(1e-4, 0.2),
-        ),
-        seed=st.integers(0, 2**32),
-        ticks=st.integers(1, 500),
-        q1=st.floats(-10.0, 10.0),
-    )
-    def test_matches_the_per_tick_loop_on_drawn_sensors(self, measurement, seed, ticks, q1):
-        cfg = base_config(measurement=measurement, seed=seed, duration=ticks / 1000.0,
-                          initial_state=(q1, q1, 0.0, 0.0))
-        _assert_same_run(run_simulation(cfg), run_simulation_per_tick(cfg))
+    def test_matches_the_per_tick_loop_on_drawn_runs(self):
+        # Drawn rigs (frictionless ones included), funnels, sensors, torque
+        # limits and lengths at either frequency.  A tight funnel, a noisy
+        # sensor or a low limit ends a run in a violation, or the first
+        # sample outside the funnel is the same config error on both sides.
+        seen = set()  # the endings reached, and the plant's stuck and event ticks
+
+        @settings(max_examples=150)
+        @given(
+            plant=st.builds(
+                OscillatorParams,
+                I1=st.floats(0.05, 0.5), I2=st.floats(0.05, 0.5),
+                k=st.just(0.0) | st.floats(0.0, 100.0), d=st.just(0.0) | st.floats(0.0, 0.5),
+                friction=st.builds(FrictionModel, st.just(0.0) | st.floats(0.0, 0.5)),
+            ),
+            funnel=st.builds(
+                FunnelSpec,
+                st.just(0.0) | st.floats(0.0, 5.0),
+                st.floats(0.0, 2.0),
+                st.floats(1e-3, 0.05) | st.floats(0.05, 2.0),
+            ),
+            # each field off or on; the angle starts off the quantum grid, so
+            # that the first tick's quantization shows in the second tick's rate
+            measurement=st.builds(
+                MeasurementModel,
+                st.just(0.0) | st.floats(1e-6, 0.1),
+                st.just(0.0) | st.floats(1e-5, 0.05),
+                st.just(0.0) | st.floats(1e-4, 0.2),
+            ),
+            u_max=st.none() | st.floats(1e-3, 5.0),
+            seed=st.integers(0, 2**32),
+            frequency=st.sampled_from([1000.0, 2000.0]),
+            ticks=st.integers(1, 50) | st.integers(50, 1000),
+            q1=st.floats(-10.0, 10.0),
+        )
+        def check(plant, funnel, measurement, u_max, seed, frequency, ticks, q1):
+            cfg = base_config(
+                true_params=plant, mode=ControllerMode.feedback_only(funnel),
+                measurement=measurement, u_max=u_max, seed=seed, control_frequency=frequency,
+                duration=ticks / frequency, initial_state=(q1, q1, 0.0, 0.0),
+            )
+            try:
+                ours = run_simulation(cfg)
+            except ValidationError as err:
+                with pytest.raises(ValidationError) as oracle:
+                    run_simulation_per_tick(cfg)
+                assert str(err) == str(oracle.value)
+                seen.add("config error")
+                return
+            _assert_same_run(ours, run_simulation_per_tick(cfg))
+            seen.add(ours.status.kind)
+            seen.update(name for name in ("plant_stuck_ticks", "plant_events")
+                        if getattr(ours, name))
+
+        check()
+        assert seen == {"completed", "funnel_violated", "config error",
+                        "plant_stuck_ticks", "plant_events"}
+
+    def test_the_online_stepper_is_handed_its_reference_sample(self):
+        # the loop passes each tick's y_ref sample to advance, so that no
+        # online tick evaluates the reference again: an online run's one
+        # y_ref_at call is consistent_initialization's
+        callers = []
+
+        def counted(spec, t):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return y_ref_at(spec, t)
+
+        cfg = base_config(duration=0.05, **ORACLE_CASES["online-feedforward"])
+        with mock.patch.object(trajectory, "y_ref_at", counted):
+            trace = run_simulation(cfg)
+        assert trace.status.completed and len(trace.t) == 51
+        assert callers == ["consistent_initialization"]
 
     def test_last_newton_residual_is_an_online_diagnostic(self, tmp_path):
         online = run_simulation(base_config(**ORACLE_CASES["online-feedforward"]))
@@ -593,14 +695,15 @@ class TestLoopOracle:
         both = run("negative-zero-combined")
         assert np.all(_bits(both.u_fb) == _bits(-0.0)) and np.all(_bits(both.u) == _bits(-0.0))
 
-    def test_initial_error_is_the_same_config_error(self):
-        cfg = base_config(initial_state=(0.0, 0.0, 100.0, 100.0))
+    @pytest.mark.parametrize("v1", [100.0, 1.5, -1.5])  # outside, and on either band edge
+    def test_initial_error_is_the_same_config_error(self, v1):
+        cfg = base_config(initial_state=(0.0, 0.0, v1, v1))
         with pytest.raises(ValidationError) as ours:
             run_simulation(cfg)
         with pytest.raises(ValidationError) as oracle:
             run_simulation_per_tick(cfg)
         assert str(ours.value) == str(oracle.value)
-        assert str(ours.value).startswith("initial error 100 is not inside the funnel width 1.5")
+        assert str(ours.value) == f"initial error {v1:g} is not inside the funnel width 1.5"
 
 
 class TestSharedColumns:

@@ -469,6 +469,22 @@ def test_a_column_that_is_not_float64_is_rejected():
         assert blocks == []
 
 
+def test_a_write_that_raises_leaves_no_file(tmp_path):
+    # an int64 column fails before the first block, after the header is
+    # out; an infinite integer cell fails in the second batch, after the
+    # first batch's rows are out
+    infinite = np.zeros(csvfile._BATCH + 10)
+    infinite[-1] = math.inf
+    for arrays, int_columns, error in (
+        ([np.arange(3.0), np.arange(3)], (), TypeError),
+        ([np.arange(len(infinite), dtype=float), infinite], (1,), OverflowError),
+    ):
+        path = tmp_path / "partial.csv"
+        with pytest.raises(error):
+            csvfile.write(path, "trace", [], ("a", "n"), csvfile.format_rows(arrays, int_columns))
+        assert not path.exists()
+
+
 def test_a_miss_drops_the_kept_entry_before_formatting():
     # the old and the new text are never held at once: the entry is gone
     # when the first block is out, and the new one is kept once all are

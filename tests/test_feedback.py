@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from funnel_oracle import composed_funnel_law, funnel_gain, psi
-from twomass.errors import FunnelViolation, ValidationError
-from twomass.feedback import FunnelSpec, funnel_law
+from funnel_oracle import FunnelViolation, composed_funnel_law, funnel_gain, funnel_law, psi
+from twomass.errors import ValidationError
+from twomass.feedback import FunnelSpec
 
 FUNNEL_2 = FunnelSpec(1.0, 0.1, 0.5)
 FUNNEL_6 = FunnelSpec(5.0, 0.3, 0.3)

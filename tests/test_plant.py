@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import twomass
 from conftest import assert_close
-from plant_oracle import accelerations, reduced_matrices, system_matrices
+from plant_oracle import accelerations, reduced_matrices, step_matrices, system_matrices
 from twomass.errors import ValidationError
 from twomass.plant import (
     FRICTIONLESS,
@@ -20,7 +20,6 @@ from twomass.plant import (
     OscillatorParams,
     check_minimum_phase,
     reduced_realization,
-    step_matrices,
 )
 from twomass.presets import NOMINAL_PLANT
 
@@ -40,7 +39,7 @@ def state(q1=0.0, q2=0.0, v1=0.0, v2=0.0):
 
 
 def step(params, dt):
-    """``[Phi | Gam]`` (4x5) and ``S`` (2x2) of :func:`plant.step_matrices` as arrays."""
+    """``[Phi | Gam]`` (4x5) and ``S`` (2x2) of :func:`plant.tick_constants` as arrays."""
     zoh, stick = step_matrices(params, dt)
     return np.array(zoh).reshape(4, 5), np.array(stick).reshape(2, 2)
 
