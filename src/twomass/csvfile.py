@@ -8,13 +8,14 @@ Trace, feedforward-table and metrics files all follow one grammar::
     1.5,,3                  (data rows)
 
 A cell holds ``repr`` of a float, so every value reads back bit for bit; NaN
-is an empty cell and integer columns hold ``int``.  The reader is laxer: it
-takes any cell that ``float()`` takes, such as ``"1_0"``, ``" 1.5"``,
-``"nan"`` or ``"infinity"``, which the writer never writes.  Config echoes sit
-in header values as sorted ``key=value`` pairs joined by ``|``.  A header
-key, or a key within an echo, appears once: a second copy is a parse error
-naming the key, never a value that replaces the first.  Files are UTF-8 on
-both read and write, whatever the locale.
+is an empty cell and integer columns hold ``int``.  The reader takes these
+cells and no others: empty, or an optional ``-`` and then ``inf`` or ASCII
+digits with at most one point and at least one digit, then maybe ``e``, a
+sign and digits.  Config echoes sit in header values as sorted
+``key=value`` pairs joined by ``|``.  A header key, or a key within an
+echo, appears once: a second copy is a parse error naming the key, never a
+value that replaces the first.  Files are UTF-8 on both read and write,
+whatever the locale.
 
 The writer makes the float cells of a column chunk of 256 rows or more
 together in numpy, byte for byte what ``repr`` writes: the shortest digits
@@ -44,16 +45,16 @@ together in numpy, bit for bit what ``float()`` reads: the digits and the
 exponent of each cell, then one rounding of their double-double product.
 No line or cell string is made, and the rows fill one array sized by the
 newline count, so the array is never moved or copied as it grows; the
-reader keeps nothing between files.  ``float()`` itself reads each cell
-that the parser cannot prove: any spelling but ``-ddd.ddde-dd`` (sign,
+reader keeps nothing between files.  ``float()`` itself reads each cell of
+the grammar that the parser cannot prove: any but ``-ddd.ddde-dd`` (sign,
 point and repr's two-digit exponent optional, fewer than 24 bytes before
-the exponent besides the sign, at most 19 digits), so also a three-digit
-exponent, a product within 1e-6 of a tie between two floats, or an exact
-power of two.  A block that is not ASCII, or whose rows are not all ``n``
-cells long, is read row by row with ``float()``.  Each header line and
-each such row is decoded from UTF-8 on its own, which gives the text that
-decoding the whole file gives, as a ``"\\n"`` byte never lies inside a
-character; so the first bad row or undecodable byte in row order is named.
+the exponent besides the sign, at most 19 digits), so ``inf``, a
+three-digit exponent, a product within 1e-6 of a tie, or an exact power
+of two.  A block with a byte that is not ASCII, a row not ``n`` cells long
+or a cell off the grammar is an error, and only then are its rows checked
+one by one.  Each header line and each such row is decoded from UTF-8 on
+its own, as a ``"\\n"`` byte never lies inside a character; so the first
+bad row or undecodable byte in row order is named.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 
 import numpy as np
 
@@ -441,6 +443,8 @@ def write(path, kind: str, header, columns, pieces) -> None:
 # (its lower ulp is half the upper).  The module docstring lists the cells
 # that go to ``float()`` instead.
 
+# a cell of the grammar that the module docstring states
+_CELL = re.compile(rb"(?:-?(?:inf|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+][0-9]+)?))?")
 _WINDOW = 24  # mantissa bytes parsed in numpy: three words of eight digits
 _ALL = np.uint64(2**64 - 1)
 # per word of a window, the most significant first: the bit count that,
@@ -618,7 +622,7 @@ def _parse_block(buf: np.ndarray, stop: int, n: int) -> np.ndarray:
     ``buf`` starts with one window of ``"0"`` (the first cell's), its last
     row ends in ``"\n"`` at ``stop - 1``, and it spans whole words past
     ``stop``.  Raises ValueError on a byte that is not ASCII, a row of the
-    wrong length or a cell that is not a float, without naming it.  Each
+    wrong length or a cell off the grammar, without naming it.  Each
     array is dropped once spent: what a block holds at once is what the
     reader holds beside its result.
     """
@@ -675,25 +679,20 @@ def _parse_block(buf: np.ndarray, stop: int, n: int) -> np.ndarray:
     np.putmask(r, empty, math.nan)
     for i in np.flatnonzero(unproven).tolist():
         start = ends[i - 1] + 1 if i else _WINDOW
-        r[i] = float(text[start:ends[i]].tobytes().decode())
+        cell = text[start:ends[i]].tobytes()
+        if not _CELL.fullmatch(cell):
+            raise ValueError
+        r[i] = float(cell.decode())
     return r
 
 
-def _parse_rows(lines, n: int, path, kind: str) -> np.ndarray:
-    """The data rows ``lines``, bytes without their ``"\\n"``, read one by one, row-major; the first bad row is named."""
-    from array import array  # here, not at the top: its library loads only for rows read one by one
-
-    values = array("d")
+def _bad_row(lines, n: int, path, kind: str) -> None:
+    """Raise ParseError on the first row of ``lines`` (bytes, no ``"\\n"``, each decoded on its own) not of ``n`` grammar cells."""
     for line in lines:
         row = line.decode()
-        cells = row.split(",")
-        try:
-            if len(cells) != n:
-                raise ValueError
-            values.extend([float(c) if c else math.nan for c in cells])
-        except ValueError:
+        cells = line.split(b",")
+        if len(cells) != n or not all(map(_CELL.fullmatch, cells)):
             raise ParseError(f"{path}: malformed {kind} row {row!r}") from None
-    return np.frombuffer(values)
 
 
 def _scan(raw) -> tuple[int, bool]:
@@ -734,7 +733,8 @@ def _read_blocks(raw, n: int, rows: int, path, kind: str) -> np.ndarray:
 
     Reads up to ``_BLOCK`` bytes at a time into one buffer, after the
     partial row that the last block left, and parses the rows up to the
-    last ``"\\n"``.  The buffer doubles while one row fills it.
+    last ``"\\n"``.  The buffer doubles while one row fills it.  A block
+    that does not parse is searched for its first bad row, which raises.
     """
     data = np.empty((rows, n))
     done = 0
@@ -759,7 +759,8 @@ def _read_blocks(raw, n: int, rows: int, path, kind: str) -> np.ndarray:
         try:
             block = _parse_block(buf, cut, n)
         except ValueError:
-            block = _parse_rows(text[_WINDOW:cut - 1].split(b"\n"), n, path, kind)
+            _bad_row(text[_WINDOW:cut - 1].split(b"\n"), n, path, kind)
+            raise
         del buf
         stop = done + len(block) // n
         if stop > len(data):  # the file grew while read
@@ -773,17 +774,16 @@ def _read_blocks(raw, n: int, rows: int, path, kind: str) -> np.ndarray:
 def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
     """Read a file of ``kind`` with exactly ``columns``: its header dict and a float array.
 
-    The array has one row per data row; empty cells read as NaN and any other
-    cell as ``float()`` reads it, so ``"1_0"`` is 10.0 and ``"nan"`` NaN.  A
-    first pass counts the file's newlines and finds whether it holds a
+    The array has one row per data row, each cell read bit for bit, an empty
+    one as NaN; a cell off the module docstring's grammar raises.  A first
+    pass counts the file's newlines and finds whether it holds a
     ``"\\r"``.  A pipe, or a file with a ``"\\r"``, is read into memory
     first; there ``"\\r\\n"`` and a lone ``"\\r"`` become ``"\\n"``, as text
     mode reads them, and the newlines are counted again.  The rows are
     read ``_BLOCK`` bytes at a time, every cell of a block parsed together
     in numpy (the module docstring says which cells go to ``float()``),
-    into one array of that many rows.  A block with a bad row or a byte
-    that is not ASCII is parsed again row by row, each row decoded on its
-    own, so the error names the first bad row or undecodable byte.
+    into one array of that many rows.  A ParseError names the first bad
+    row or undecodable byte.
     """
     column_line = ",".join(columns)
     n = len(columns)

@@ -143,6 +143,10 @@ class FeedforwardTable:
             raise ValidationError("table arrays must be 1-D and equally long")
         if not np.all(np.isfinite(u)):
             raise ValidationError("table torque samples must be finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValidationError(f"table spacing dt must be finite and > 0, got {self.dt!r}")
+        if len(t) and not abs(t[0]) <= 1e-9 * self.dt:  # sample k is applied at tick k
+            raise ValidationError(f"table grid starts at t = {t[0].item()!r}, not 0")
         if len(t) > 1:
             spacing = np.diff(t)
             if not np.allclose(spacing, self.dt, rtol=1e-9, atol=1e-12):

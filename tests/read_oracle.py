@@ -3,10 +3,13 @@ batched numpy parse replaced.
 
 The file's bytes are read whole, ``"\\r\\n"`` and a lone ``"\\r"`` become
 ``"\\n"`` as in text mode, and the bytes are split into lines at ``"\\n"``.
-Each line is decoded from UTF-8 on its own, each data row is split on its
-own and every cell goes through ``float`` (an empty cell reads as NaN), so
-the header, the array bits and the error of any file must equal this
-oracle's.
+Each line is decoded from UTF-8 on its own and each data row is split on
+its own.  A cell must be what the writer writes, checked character by
+character here: empty (NaN), or an optional ``-`` and then ``inf`` or a
+number; a number is ASCII digits with at most one point and at least one
+digit, then maybe ``e``, a sign and ASCII digits.  Such a cell goes through
+``float``; any other makes its row malformed.  So the header, the array bits
+and the error of any file must equal this oracle's.
 """
 
 from __future__ import annotations
@@ -17,6 +20,27 @@ from array import array
 import numpy as np
 
 from twomass.errors import ParseError, ValidationError
+
+
+DIGITS = frozenset("0123456789")
+
+
+def _digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits."""
+    return bool(text) and set(text) <= DIGITS
+
+
+def _cell(text: str) -> float:
+    """The value of one cell; ValueError if the writer would not write it."""
+    if not text:
+        return math.nan
+    body = text[1:] if text[0] == "-" else text
+    mantissa, e, exponent = body.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if body != "inf" and not (_digits(whole + fraction) and (
+            not e or exponent[:1] in ("+", "-") and _digits(exponent[1:]))):
+        raise ValueError(text)
+    return float(text)
 
 
 def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
@@ -54,7 +78,7 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
             try:
                 if len(cells) != n:
                     raise ValueError
-                values.extend([float(c) if c else math.nan for c in cells])
+                values.extend(map(_cell, cells))
             except ValueError:
                 raise ParseError(f"{path}: malformed {kind} row {row!r}") from None
     except UnicodeDecodeError as err:

@@ -285,6 +285,8 @@ class TestExactStep:
         # torque is anywhere, near the band edge |u - shaft| = cf, or such
         # that the start acceleration brings v1 near zero at the tick's end
         # (the reach test), so that slip, stuck and event ticks all come.
+        # The draws change with the modules loaded, so one pinned example of
+        # each kind makes every kind come in any test selection.
         seen = [0, 0, 0]  # examples per SLIP, STUCK, EVENT
 
         @settings(max_examples=300)
@@ -300,6 +302,9 @@ class TestExactStep:
             aim=st.sampled_from(["any", "band", "reach"]), torque=st.floats(-5.0, 5.0),
             dt=st.sampled_from([5e-4, 1e-3]) | st.floats(1e-5, 1e-2),
         )
+        @example(1.0, 1.0, 100.0, 0.5, 0.0, 0.5, 1e-2, 1.0, -1.0, "any", 1.0, 1e-3)  # slip
+        @example(1.0, 1.0, 100.0, 0.5, 0.5, 0.5, 1e-4, 0.0, 1e-3, "band", 0.5, 1e-3)  # stuck
+        @example(1.0, 1.0, 100.0, 0.5, 0.5, 0.5, 1e-4, 1e-2, 1e-3, "reach", 0.5, 1e-3)  # event
         def check(i1, i2, k, d, cf, q1, twist, v1, v2, aim, torque, dt):
             p = OscillatorParams(I1=i1, I2=i2, k=k, d=d, friction=FrictionModel(cf))
             state = (q1, q1 - twist, v1, v2)
@@ -496,6 +501,7 @@ def _table(u, n=2001, dt=1e-3):
 
 
 REST = TrajectorySpec(y0=0.0, yf=0.0, t0=0.0, tf=1.0)
+LIGHT_RIG = OscillatorParams(I1=0.1, I2=0.1, k=10.0, d=0.1, friction=FrictionModel(0.01))
 NOISY_ENCODER = encoder(noise_std=0.05)
 DIVERGING = FeedforwardSource(newton=NewtonOptions(residual_tolerance=1e-300))
 
@@ -576,6 +582,8 @@ class TestLoopOracle:
         # limits and lengths at either frequency.  A tight funnel, a noisy
         # sensor or a low limit ends a run in a violation, or the first
         # sample outside the funnel is the same config error on both sides.
+        # The draws change with the modules loaded, so pinned examples reach
+        # each ending, and stuck and event ticks, in any test selection.
         seen = set()  # the endings reached, and the plant's stuck and event ticks
 
         @settings(max_examples=150)
@@ -606,6 +614,15 @@ class TestLoopOracle:
             ticks=st.integers(1, 50) | st.integers(50, 1000),
             q1=st.floats(-10.0, 10.0),
         )
+        # a noisy sensor: a run with stuck and event ticks that completes,
+        # one that leaves its funnel, and a first sample outside the funnel
+        @example(LIGHT_RIG, FunnelSpec(0.0, 0.0, 0.05), MeasurementModel(0.0, 0.0, 0.005),
+                 None, 0, 1000.0, 50, 0.0)
+        @example(dataclasses.replace(LIGHT_RIG, friction=FrictionModel(0.0)),
+                 FunnelSpec(0.0, 0.0, 0.05), MeasurementModel(0.0, 0.0, 0.02),
+                 None, 0, 1000.0, 300, 0.0)
+        @example(LIGHT_RIG, FunnelSpec(0.0, 0.0, 1e-3), MeasurementModel(0.0, 0.0, 0.1),
+                 None, 0, 2000.0, 50, 0.0)
         def check(plant, funnel, measurement, u_max, seed, frequency, ticks, q1):
             cfg = base_config(
                 true_params=plant, mode=ControllerMode.feedback_only(funnel),

@@ -210,7 +210,7 @@ def _completed_trace_with_runs(runs, echo_edits=None):
             rows.append(",".join(cells[name] for name in names) + "\n")
         path = tmp_path / "trace.csv"
         path.write_text(f"# twomass trace\n# config: {format_echo(echo)}\n"
-                        "# status: completed\n" + TRACE_COLUMNS + "".join(rows))
+                        "# status: completed\n" + TRACE_COLUMNS + "".join(rows), encoding="utf-8")
         return ["analyze", str(path)], path
 
     return case
@@ -265,17 +265,27 @@ def _repeated_label_with_output(tmp_path):
     return ["analyze", str(good), str(path), "--output", str(tmp_path / "re.csv")], path
 
 
-def _table_with_torque(cell, dt="0.001"):
+def _table_with_torque(cell, dt="0.001", start=0.0):
+    # a two-sample table on the grid from ``start`` s with ``cell`` as its first torque
     def case(tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(
             f"# twomass feedforward table\n# config: dt={dt}|samples=2\n"
-            f"t,u_ffw\n0.0,{cell}\n0.001,0.0\n"
+            f"t,u_ffw\n{start!r},{cell}\n{start + 0.001!r},0.0\n"
         )
         text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:table.csv")
         return ["simulate", str(write_config(tmp_path, text))], path
 
     return case
+
+
+# cells that float() reads and the writer never writes, each in a row of a
+# file that is otherwise good
+OFF_GRAMMAR = [
+    *(pytest.param(_completed_trace_with_cell("y_measured", cell), id=f"trace-cell-{name}")
+      for cell, name in (("1_0", "underscore"), ("nan", "nan"), ("\u0663", "non-ascii"))),
+    pytest.param(_table_with_torque("1E-3"), id="table-cell-capital-e"),
+]
 
 
 class TestLoadConfig:
@@ -850,6 +860,9 @@ class TestCli:
          pytest.param(_trace_with_echo("simulation.initial_state", "0.0;nan;0.0;0.0"),
                       id="echo-initial-state-nan"),
          pytest.param(_table_with_torque("0.0", dt="abc"), id="table-dt-not-a-number"),
+         # run_simulation applies sample k at tick k
+         pytest.param(_table_with_torque("0.0", start=5.0), id="table-grid-not-from-zero"),
+         *OFF_GRAMMAR,
          # the metrics file would hold two config lines of that label
          pytest.param(_repeated_label_with_output, id="analyze-output-repeated-label")],
     )
@@ -864,6 +877,15 @@ class TestCli:
         assert err.count(str(path)) == 1
         # an OSError is stated by its strerror, with its file named in the prefix only
         assert "[Errno" not in err
+
+    @pytest.mark.parametrize("case", OFF_GRAMMAR)
+    def test_a_cell_off_the_grammar_names_its_row(self, tmp_path, capsys, case):
+        argv, path = case(tmp_path)
+        assert main(argv) == 2
+        head, *lines = path.read_text(encoding="utf-8").splitlines()
+        kind = head.removeprefix("# twomass ")
+        rows = [f"error: {path}: malformed {kind} row {line!r}\n" for line in lines]
+        assert capsys.readouterr().err in rows
 
     @settings(max_examples=300)
     @given(data=st.data())

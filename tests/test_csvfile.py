@@ -698,16 +698,23 @@ def test_read_is_the_per_row_read(tmp_path_factory, data):
                 assert _read_outcome(csvfile.read, name, columns) == _named(expected, path, name)
 
 
-def test_read_takes_every_spelling_float_takes(tmp_path):
-    # cells the writer never writes: the reader is as lax as float(), so a
-    # stricter reader has to change this test on purpose
+# spellings that the writer never writes, all but "0x1p3" read by float()
+LAX_CELLS = ["1_0", " 1.5", "1.5 ", "nan", "NaN", "infinity", "-Infinity", "+1.5", "1E+05", "1e5",
+             "0x1p3", "\u0663", "-1e+1_0", "1.5e5"]
+
+
+@pytest.mark.parametrize("cell", LAX_CELLS)
+def test_read_rejects_each_spelling_the_writer_never_writes(tmp_path, cell):
+    # after rows that the block parser proves, so float() is never called:
+    # the grammar rejects the cell before float() could read it
     path = tmp_path / "trace.csv"
-    path.write_text("# twomass trace\na,b,c,d,e\n1_0, 1.5,nan,infinity,-Infinity\n"
-                    "2_5.0,1.5 ,NaN,inf,-1E+1_0\n")
-    _, data = csvfile.read(path, "trace", tuple("abcde"))
-    assert data[:, [0, 1, 3]].tolist() == [[10.0, 1.5, math.inf], [25.0, 1.5, math.inf]]
-    assert data[:, 4].tolist() == [-math.inf, -1e10]
-    assert np.isnan(data[:, 2]).all()
+    body = "".join(f"{proven},{proven}\n" for proven in PROVEN_CELLS) + f"0.1,{cell}\n"
+    path.write_text("# twomass trace\na,b\n" + body + "0.1,0.1\n", encoding="utf-8")
+    expected = (ParseError, f"{path}: malformed trace row {'0.1,' + cell!r}")
+    with mock.patch.object(csvfile, "float", create=True, wraps=float) as parsed:
+        assert _read_outcome(csvfile.read, path, ("a", "b")) == expected
+    assert parsed.call_args_list == []
+    assert _read_outcome(read_oracle.read, path, ("a", "b")) == expected
 
 
 def test_a_bad_row_before_undecodable_bytes_is_named_first(tmp_path):
@@ -786,12 +793,10 @@ def test_read_keeps_nothing_between_calls(tmp_path):
 # cells that the block parser leaves to float(): powers of two from an
 # inexact product, exact midpoints between two floats (2**53 + 1 and
 # 10**23), more than 19 digits, 24 bytes or more before the exponent,
-# three-digit exponents (repr's too) and the spellings that only float()
-# reads
+# three-digit exponents (repr's too), a one-digit exponent and infinities
 FLOAT_CELLS = ["0.5", "-2.0", "1.0", "0.0001220703125", "9007199254740993", "9007199254740993.0",
                "1e+23", "12345678901234567890.0", "0.000000000000000000001234", "1e-300",
-               "1.5e+280", "1.2345678901234567e-100", "+1.5", " 1.5", "1_0", "nan", "-inf",
-               "1E+05", "1e5", "1.5e-0005"]
+               "1.5e+280", "1.2345678901234567e-100", "inf", "-inf", "1e+5", "1.5e-0005"]
 # cells that it proves: repr's fixed and scientific layouts, signs, zeros,
 # integers (powers of two among them: an exact product), a point at either
 # end, leading zeros and 19 digits
@@ -812,13 +817,13 @@ def test_float_reads_only_the_cells_the_parser_cannot_prove(tmp_path):
     assert sorted(call.args[0] for call in parsed.call_args_list) == sorted(FLOAT_CELLS * 40)
 
 
-def _if_float(text):
-    """``text`` if ``float()`` reads it, else None."""
+def _in_grammar(text):
+    """Whether the oracle reads ``text`` as a cell."""
     try:
-        float(text)
+        read_oracle._cell(text)
     except ValueError:
-        return None
-    return text
+        return False
+    return True
 
 
 def _with_point(digits, at, sign, zeros):
@@ -844,9 +849,9 @@ MIDPOINTS = st.one_of(
 CELL_TEXTS = st.one_of(
     # repr of float64 bit patterns over all exponents, zeros of both signs
     st.builds(repr, CELL_VALUES),
-    # the lax spellings that float() reads
-    st.sampled_from(["007.5", "-.5", "5.", "+1.5", " 1.5", "1.5 ", "1_0", "nan", "-nan", "inf",
-                     "1E+05", "1e5", "1e-0005", "0e-400", "-0", ".5e+10", "5.e-05"]),
+    # spellings of the grammar that repr never writes
+    st.sampled_from(["007.5", "-.5", "5.", "inf", "-inf", "1e+5", "1e-0005", "0e-400", "-0",
+                     ".5e+10", "5.e-05"]),
     # any count of digits with a point anywhere, up to cells far beyond 24 bytes
     st.builds(_with_point, st.text("0123456789", min_size=1, max_size=30), st.integers(0, 30),
               st.sampled_from(["", "-"]), st.integers(0, 3)),
@@ -855,8 +860,8 @@ CELL_TEXTS = st.one_of(
     # the midpoints and their neighbours one unit in the last place away
     st.builds(lambda cell, k: cell[:-1] + str(int(cell[-1]) + k) if 0 <= int(cell[-1]) + k <= 9
               else cell, MIDPOINTS, st.sampled_from([0, 0, -1, 1])),
-    st.sampled_from(["1e+23", "1e23", "-9007199254740993", "9007199254740993.0"]),
-).map(_if_float).filter(lambda cell: cell is not None)
+    st.sampled_from(["1e+23", "-9007199254740993", "9007199254740993.0"]),
+).filter(_in_grammar)
 
 
 def _parse_block(lines, n):
@@ -902,18 +907,18 @@ def test_block_parser_is_float_cell_for_cell(cells, ties, two_digit, n):
     cell = np.arange(len(lines) * n) % len(cells)  # the index in cells of each parsed cell
     assert parsed.tobytes() == np.array([float(text) for text in cells])[cell].tobytes()
     # the two-digit cells open the block: a short cell's exponent check reads
-    # the bytes before it, and after a cell such as "1e5" its q means nothing
+    # the bytes before it, and a cell such as "1e+5" forms a q that means nothing
     (q,) = formed
     q = q[:len(two_digit)]
     assert csvfile._Q_MIN <= q.min() <= -121 and 99 <= q.max() <= csvfile._Q_MAX
 
 
-@pytest.mark.parametrize("rows", [["1e5,0\n"], ["0,1e5\n"], ["1e5\n", "0\n"]],
+@pytest.mark.parametrize("rows", [["1e+5,\n"], [",1e+5\n"], ["1e+5\n", "\n"]],
                          ids=["comma", "newline", "rows-of-one"])
 def test_a_short_cell_after_a_scientific_one_is_not_scientific(rows):
-    # the byte four before the end of "0" is the "e" of "1e5" before it,
-    # which is no exponent of "0": its q is 0, inside the table, and the
-    # parser proves it without float()
+    # the byte four before the end of the empty cell is the "e" of "1e+5"
+    # before it, which is no exponent of the empty cell: its q is 0, inside
+    # the table, and it reads as NaN without float()
     lines = rows * 64
     n = rows[0].count(",") + 1
     formed = []
@@ -926,20 +931,20 @@ def test_a_short_cell_after_a_scientific_one_is_not_scientific(rows):
             mock.patch.object(csvfile, "float", create=True, wraps=float) as parsed:
         values = _parse_block(lines, n)
     texts = "".join(lines).replace("\n", ",").split(",")[:-1]
-    assert values.tolist() == [float(text) for text in texts]
+    assert values.tobytes() == np.array([float(text or "nan") for text in texts]).tobytes()
     (q,) = formed
     assert csvfile._Q_MIN <= q.min() and q.max() <= csvfile._Q_MAX
-    assert [k for text, k in zip(texts, q.tolist()) if text == "0"] == [0] * 64
-    # "1e5" is not repr's two-digit exponent, so float() reads it, and only it
-    assert [call.args[0] for call in parsed.call_args_list] == ["1e5"] * 64
+    assert [k for text, k in zip(texts, q.tolist()) if text == ""] == [0] * 64
+    # "1e+5" is not repr's two-digit exponent, so float() reads it, and only it
+    assert [call.args[0] for call in parsed.call_args_list] == ["1e+5"] * 64
 
 
 def test_extreme_cells_parse_with_floating_point_errors_raised():
-    # NaN, infinities, subnormals, the float range's ends, values beyond it
-    # and empty cells make the parser's arithmetic overflow, underflow and
-    # compare NaN; it keeps that to itself
-    cells = ["inf", "-inf", "nan", "", "0.0", "-0.0", "5e-324", "2.2250738585072014e-308",
-             "1.7976931348623157e+308", "1e+400", "-1e-400", "9999999999999999999",
+    # infinities, subnormals, the float range's ends, values beyond it, more
+    # than 19 digits and empty (NaN) cells make the parser's arithmetic
+    # overflow, underflow and compare NaN; it keeps that to itself
+    cells = ["inf", "-inf", "99999999999999999999", "", "0.0", "-0.0", "5e-324",
+             "2.2250738585072014e-308", "1.7976931348623157e+308", "1e+400", "-1e-400", "9999999999999999999",
              "1e-300", "1e+300", "0.5", "1.5"]
     lines = [",".join(cells) + "\n"] * 300
     expected = np.array([float(cell) if cell else math.nan for cell in cells] * 300)
@@ -984,7 +989,7 @@ def _short_row(lines):
 
 
 def _non_ascii_digit(lines):
-    # float() reads the Arabic-Indic digit three
+    # float() reads the Arabic-Indic digit three; the grammar's digits are ASCII
     lines[300] = "\u0663" + lines[300][lines[300].index(","):]
     return "".join(lines).encode()
 
@@ -1021,7 +1026,7 @@ def _blank_last_line(lines):
 
 def _line_separator_in_a_row(lines):
     # U+2028 ends a line for str.splitlines, not for the reader; float() takes
-    # it as white space before a cell
+    # it as white space before a cell, the grammar does not
     lines[300] = lines[300].replace(",", ",\u2028", 1)
     return "".join(lines).encode()
 
@@ -1042,9 +1047,10 @@ def _hostile(rows, columns="abcde", blocks=(csvfile._BLOCK, 2000), error=None):
     return pytest.param(rows, tuple(columns), blocks, error, id=rows.__name__)
 
 
-HOSTILE = [*map(_hostile, [_short_row, _non_ascii_digit, _crlf, _lone_cr_endings,
-                           _no_final_newline, _blank_last_line, _line_separator_in_a_row,
-                           _nul_byte]),
+HOSTILE = [*map(_hostile, [_short_row, _crlf, _lone_cr_endings, _no_final_newline,
+                           _blank_last_line, _nul_byte]),
+           _hostile(_non_ascii_digit, error="malformed trace row '\u0663,"),
+           _hostile(_line_separator_in_a_row, error="malformed trace row '0.15,\\u2028"),
            # the bad row comes before the undecodable bytes, so it is named
            _hostile(_undecodable_after_malformed_row, error="malformed trace row 'x"),
            _hostile(_undecodable_in_the_chunk_of_a_malformed_row, error="malformed trace row 'x"),

@@ -517,6 +517,19 @@ class TestTableCsv:
         with pytest.raises(ValidationError):
             ffw.FeedforwardTable(dt=0.1, t=np.array([0.0, 0.1, 0.3]), u=np.zeros(3))
 
+    @pytest.mark.parametrize("t", [np.arange(3) * 0.1 + 5.0, np.array([0.1]), np.array([np.nan]),
+                                   np.arange(3) * 0.1 - 2e-10])
+    def test_grid_off_zero_rejected(self, t):
+        # the run applies sample k at tick k, so the grid starts at 0
+        with pytest.raises(ValidationError, match="table grid starts at t = .*, not 0"):
+            ffw.FeedforwardTable(dt=0.1, t=t, u=np.zeros(len(t)))
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1, math.inf])
+    def test_spacing_that_is_not_a_positive_number_rejected(self, dt):
+        # the grid checks take their tolerance from dt
+        with pytest.raises(ValidationError, match="table spacing dt must be finite and > 0"):
+            ffw.FeedforwardTable(dt=dt, t=np.zeros(1), u=np.zeros(1))
+
     @pytest.mark.parametrize("t, u", [(np.zeros(3), np.zeros(2)),
                                       (np.zeros((2, 2)), np.zeros((2, 2)))])
     def test_table_arrays_of_another_shape_rejected(self, t, u):
