@@ -26,9 +26,11 @@ edge, an exact power of two, a NaN, an infinity, or a magnitude outside
 ``[1e-98, 1e7)``.  An integer chunk of 256 rows or more formats each of its
 distinct values once.
 
-The writer takes float64 columns only.  It works on batches of rows,
-column by column, and formats a repeated or constant column of a batch
-once.  It also remembers read-only float columns (a sweep's tick times)
+The writer takes float64 columns only.  It works on batches of rows and
+formats a repeated or constant column of a batch once.  The batch's other
+float columns that it does not remember are formatted in one call, their
+chunks end to end, so the formatter's fixed cost is paid once a batch.  It
+also remembers read-only float columns (a sweep's tick times)
 from one file to the next: it keeps the last one of more than one value met
 at each position, the array itself and its text, for a later float column
 of the same bits; a column written as integers is never kept.  It joins
@@ -71,7 +73,8 @@ from .errors import ParseError, ValidationError
 __all__ = ["format_echo", "parse_echo", "format_rows", "write", "read"]
 
 # rows formatted per batch: bounds the strings alive at once while writing,
-# one batch's cells, rows and text block
+# one batch's cells, rows and text block, and the formatter's arrays for
+# the batch's new float columns, which it formats in one call
 _BATCH = 1024
 # bytes read and parsed per block: bounds the text and the arrays alive at once while reading
 _BLOCK = 1 << 16
@@ -262,14 +265,16 @@ def _shortest(x: np.ndarray):
     return digits, row, unproven
 
 
-def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
-    """The cells of ``x`` from their 17 digits and table rows; 0 digits write a zero."""
+def _text(x: np.ndarray) -> tuple[list[str], list[int]]:
+    """The cells of ``x`` and the indices of those it cannot prove, which read as a zero; drops each array once spent."""
+    digits, row, unproven = _shortest(x)
     divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1, mode="clip")
+    del row
     n = len(x)
     words = np.empty((3, n), dtype=np.int64)  # integer digits, fraction digits 2-9 and 10-17
     np.floor_divide(digits, divide, out=words[0])
-    fraction = words[0] * divide
-    np.subtract(digits, fraction, out=fraction)
+    divide *= words[0]
+    fraction = np.subtract(digits, divide, out=digits)
     fraction *= multiply
     first = fraction // 10**16
     fraction -= first * 10**16
@@ -281,6 +286,7 @@ def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
     words -= high * 10**4
     words <<= 32
     words |= high
+    del high
     words = _DIGITS.take(words.view(np.int32)).view(np.int64)
     # the fraction up to its last non-zero digit: with "0" as 0, a byte is
     # below 16, so a word's bit length as a double never rounds across a byte
@@ -294,14 +300,18 @@ def _text(x: np.ndarray, digits: np.ndarray, row: np.ndarray) -> list[str]:
     fraction += first
     point += first
     point += (fraction == 0) * no_fraction
+    del digits, fraction, first, kept
     block = np.empty((n, 5), dtype=np.int64)  # per cell: integer, point, fraction, end
     block[:, 0] = words[0]
     block[:, 1] = _POINT.take(point)
     block[:, 2:4] = words[1:].T
     block[:, 4] = end
-    cells = block.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    del words, divide, multiply, int_mask, point, no_fraction, end
+    text = block.tobytes().translate(None, b"\0")
+    del block
+    cells = text.decode("ascii").split("\n")
     cells.pop()
-    return cells
+    return cells, np.flatnonzero(unproven).tolist()
 
 
 def _cells(values: np.ndarray, as_int: bool) -> list[str]:
@@ -319,9 +329,8 @@ def _cells(values: np.ndarray, as_int: bool) -> list[str]:
         fmt = (lambda x: str(int(x))) if as_int else repr
         return ["" if x != x else fmt(x) for x in values.tolist()]
     with np.errstate(all="ignore"):  # NaN, inf and zero cells compute garbage, then repr
-        digits, row, unproven = _shortest(values)
-        cells = _text(values, digits, row)
-    for i in np.flatnonzero(unproven).tolist():
+        cells, unproven = _text(values)
+    for i in unproven:
         x = values[i].item()
         cells[i] = "" if x != x else repr(x)
     return cells
@@ -356,7 +365,8 @@ def format_rows(arrays, int_columns=()):
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
     confused.  An integer chunk of ``_VECTOR_MIN`` rows or more is formatted
     once per distinct value (a Newton count column holds 0s and 1s), a
-    shorter one cell by cell.
+    shorter one cell by cell.  The batch's other float chunks that the memo
+    below does not hold are formatted in one call, end to end.
 
     At each position, the memo keeps the last read-only float column
     formatted there in full: the array itself, with no copy, and the text
@@ -383,24 +393,29 @@ def format_rows(arrays, int_columns=()):
         else:
             hits[i] = batches
     for start in range(0, n, _BATCH):
-        stop = start + _BATCH
-        formatted = []  # (key, cells) of this batch's distinct columns
-        columns = []
-        for i, a in enumerate(arrays):
-            chunk = a[start:stop]
-            key = (i in int_columns, chunk.tobytes())
-            cells = next((done for seen, done in formatted if seen == key), None)
-            if cells is None:
-                if i in hits:
-                    cells = hits[i][start // _BATCH].split("\n")
-                elif key[1] == key[1][:8] * len(chunk):  # one float's bytes throughout
-                    cells = _cells(chunk[:1], key[0]) * len(chunk)
-                else:
-                    cells = _cells(chunk, key[0])
-                formatted.append((key, cells))
-            if i in fills:
-                fills[i].append("\n".join(cells))
+        chunks = [a[start:start + _BATCH] for a in arrays]
+        m = len(chunks[0])
+        keys = [(i in int_columns, chunk.tobytes()) for i, chunk in enumerate(chunks)]
+        columns, new = [], []  # per column its cells, or its place among the new float chunks
+        for i, (chunk, key) in enumerate(zip(chunks, keys)):
+            first = keys.index(key)
+            if first < i:
+                cells = columns[first]
+            elif i in hits:
+                cells = hits[i][start // _BATCH].split("\n")
+            elif key[1] == key[1][:8] * m:  # one float's bytes throughout
+                cells = _cells(chunk[:1], key[0]) * m
+            elif key[0]:
+                cells = _cells(chunk, True)
+            else:
+                cells = len(new)
+                new.append(chunk)
             columns.append(cells)
+        if new:
+            cells = _cells(np.concatenate(new), False)
+            columns = [cells[c * m:c * m + m] if type(c) is int else c for c in columns]
+        for i, batches in fills.items():
+            batches.append("\n".join(columns[i]))
         yield "\n".join(map(",".join, zip(*columns))) + "\n"
     for i, batches in fills.items():
         _memo[i] = (arrays[i], batches)

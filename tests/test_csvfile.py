@@ -161,7 +161,37 @@ def test_a_constant_batch_is_formatted_once():
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         rows = _rows(csvfile.format_rows(arrays, (3,)))
     assert rows == _reference_rows(arrays, (3,))
-    assert [len(call.args[0]) for call in cells.call_args_list] == [3, 1, 3, 1]
+    # each constant column's one value, then the other two columns in one call
+    assert [len(call.args[0]) for call in cells.call_args_list] == [1, 1, 6]
+
+
+# cells that the formatter cannot prove, so that repr writes them: a power of
+# two, NaN, the infinities, a magnitude below 1e-98 and a tie (the float is
+# 19.3258209228515625 exactly, halfway between two 17-digit decimals)
+REPR_CELLS = [0.5, math.nan, math.inf, -math.inf, 1e-300, 19.325820922851562]
+
+
+def test_a_batchs_new_float_columns_are_formatted_in_one_call():
+    # three new float columns, with the cells that repr writes in the 2nd
+    # and 3rd in both batches; the last batch's columns are each shorter
+    # than _VECTOR_MIN but longer together
+    rows = csvfile._BATCH + 100
+    assert 100 < csvfile._VECTOR_MIN <= 300
+    with np.errstate(all="ignore"):
+        assert csvfile._shortest(np.array(REPR_CELLS))[2].all()
+    rng = np.random.default_rng(5)
+    arrays = [rng.normal(size=rows) for _ in range(3)]
+    placed = {}  # (row, column) -> value
+    for column, base in ((1, 3), (2, 40)):
+        for k, x in enumerate(REPR_CELLS):
+            for row in (base + 7 * k, csvfile._BATCH + base + 5 * k):
+                arrays[column][row] = placed[row, column] = x
+    with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
+        got = _rows(csvfile.format_rows(arrays))
+    assert [len(call.args[0]) for call in cells.call_args_list] == [3 * csvfile._BATCH, 300]
+    assert got == _reference_rows(arrays, ())
+    for (row, column), x in placed.items():
+        assert got[row].split(",")[column] == write_oracle.cells(np.array([x]), False)[0]
 
 
 def _float(bits):
@@ -409,8 +439,9 @@ def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path, sweep_trace):
     # a sweep trace of 30,001 rows and 4.04 MiB, written with an empty memo:
     # the writer holds one batch's cells, rows and text block at a time and
     # the memo's batch texts, never the whole file's text.  The peak is
-    # 2.11 MiB with the whole-chunk cell formatter, as it was with repr per
-    # cell: the formatter's arrays for one chunk are gone before the next
+    # 2.20 MiB with each batch's new float columns formatted in one call
+    # (2.11 MiB a column at a time, as with repr per cell): the formatter
+    # drops each array once spent, and a batch's are gone before the next
     path = tmp_path / "trace.csv"
     with mock.patch.object(csvfile, "_memo", {}):
         _, peak = _peak(write_trace_csv, sweep_trace, path)
@@ -507,10 +538,9 @@ def test_a_memoized_column_is_formatted_once_across_calls():
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         rows = [_rows(csvfile.format_rows(arrays)) for arrays in calls[1:]]
     assert rows == [_reference_rows(arrays, ()) for arrays in calls[1:]]
-    # the second column's three batches, then both columns' two: a prefix of
-    # the kept bits is a miss
-    assert [len(call.args[0]) for call in cells.call_args_list] == [1024, 1024, 452,
-                                                                     1024, 1024, 476, 476]
+    # the second column's three batches, then both columns' two, each batch
+    # in one call: a prefix of the kept bits is a miss
+    assert [len(call.args[0]) for call in cells.call_args_list] == [1024, 1024, 452, 2048, 952]
 
 
 def test_a_shared_column_is_formatted_once_between_absent_branches():
@@ -524,9 +554,11 @@ def test_a_shared_column_is_formatted_once_between_absent_branches():
             mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         for arrays in runs:
             assert _rows(csvfile.format_rows(arrays)) == _reference_rows(arrays, ())
-    formatted = [call.args[0] for call in cells.call_args_list]
-    assert sum(np.shares_memory(chunk, u_ffw) for chunk in formatted) == 3
-    assert sum(np.shares_memory(chunk, t) for chunk in formatted) == 3
+    # each batch of t and of u_ffw is among the values handed to _cells once
+    handed = b"".join(call.args[0].tobytes() for call in cells.call_args_list)
+    for column in (t, u_ffw):
+        assert [handed.count(column[start:start + csvfile._BATCH].tobytes())
+                for start in range(0, 2500, csvfile._BATCH)] == [1, 1, 1]
 
 
 def test_a_trace_after_a_table_on_its_grid_is_written_as_a_fresh_process_writes_it(tmp_path):
@@ -562,7 +594,7 @@ def test_a_new_funnel_does_not_grow_the_memo(tmp_path, sweep_trace):
         finally:
             tracemalloc.stop()
     # 1.33 MiB retained (1.81 MiB with byte keys); the psi texts differ in length by
-    # 10 KiB, and the second write peaks 0.08 MiB above the first (1.25 MiB with both texts)
+    # 10 KiB, and the second write peaks 0.05 MiB above the first (1.25 MiB with both texts)
     assert retained < 1.5 * 2**20
     assert now < retained + 2**16
     assert peak < first_peak + 2**18
