@@ -17,14 +17,14 @@ echo, appears once: a second copy is a parse error naming the key, never a
 value that replaces the first.  Files are UTF-8 on both read and write,
 whatever the locale.
 
-The writer makes the float cells of a column chunk of 256 rows or more
-together in numpy, byte for byte what ``repr`` writes: the shortest digits
-that read back to the float, from a double-double product by a power of
-ten.  ``repr`` itself writes a shorter chunk's cells and each cell that the
-formatter cannot prove: within 1e-6 of a tie or of the rounding interval's
-edge, an exact power of two, a NaN, an infinity, or a magnitude outside
-``[1e-98, 1e7)``.  An integer chunk of 256 rows or more formats each of its
-distinct values once.
+The writer makes the cells of every float column chunk together in numpy,
+byte for byte what ``repr`` writes: the shortest digits that read back to
+the float, from a double-double product by a power of ten.  One scalar
+rule, ``repr`` of a float or ``int`` of an integer and NaN empty, writes a
+constant column's one cell, every integer cell and each float cell that
+the formatter cannot prove: within 1e-6 of a tie or of the rounding
+interval's edge, an exact power of two, a NaN, an infinity, or a magnitude
+outside ``[1e-98, 1e7)``.
 
 The writer takes float64 columns only.  It works on batches of rows and
 formats a repeated or constant column of a batch once.  The batch's other
@@ -112,13 +112,13 @@ def parse_echo(text: str, where) -> dict:
 # 17-digit answer.  Digits become ASCII four at a time from a table, words
 # from one row per exponent add the sign, the point, leading zeros and an
 # exponent, and one pass deletes the NUL bytes between them.  The cells
-# this cannot prove go to ``repr``, among them an exact power of two, whose
-# rounding interval is lopsided, and a cell whose ``log10`` is off by one.
+# this cannot prove go to ``_cell``, among them an exact power of two, whose
+# rounding interval is lopsided, a cell whose ``log10`` is off by one, and
+# one outside ``[1e-98, 1e7)`` (its 17 digits could overflow an int64), which
+# the arithmetic takes as 1.0, so no cell raises a floating-point error.
 
 # decimal exponents laid out, from scientific ``d.ddde-99`` to ``ddddddd.d``
 _EXP_MIN, _EXP_MAX = -99, 6
-# shorter chunks go to repr: the vector set-up costs more than it saves there
-_VECTOR_MIN = 256
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
 
 
@@ -213,8 +213,8 @@ def _shortest(x: np.ndarray):
     The digits of an unproven cell are 0, as are a zero's.
     """
     ax = np.abs(x)
-    tiny = ax < 1e-98
-    ax[tiny] = 1.0
+    outside = ~((ax >= 1e-98) & (ax < 1e7))  # zero, NaN and inf among them
+    ax[outside] = 1.0
     e = np.log10(ax)
     np.floor(e, out=e)
     row = e.astype(np.intp)
@@ -256,10 +256,10 @@ def _shortest(x: np.ndarray):
     np.copyto(digits, n15, where=gap[0] < 0.0)
     np.abs(gap, out=gap)
     unproven = gap.min(axis=0) <= 1e-6
-    n17 -= 10**16  # not 17 digits (log10 off by one, out of range), or rounds up to 18
+    n17 -= 10**16  # not 17 digits (log10 off by one), or rounds up to 18
     unproven |= n17.view(np.uint64) >= 9 * 10**16 - 50
     unproven |= (bits & (2**52 - 1)) == 0
-    unproven |= tiny
+    unproven |= outside
     np.copyto(digits, 0, where=unproven)
     unproven &= x != 0.0
     return digits, row, unproven
@@ -314,25 +314,16 @@ def _text(x: np.ndarray) -> tuple[list[str], list[int]]:
     return cells, np.flatnonzero(unproven).tolist()
 
 
-def _cells(values: np.ndarray, as_int: bool) -> list[str]:
-    """The cells of one float64 column chunk: ``repr`` of each float, ``int`` if ``as_int``, NaN empty.
+def _cell(x: float, as_int: bool) -> str:
+    """One cell: ``repr`` of ``x``, ``int`` if ``as_int``, NaN empty."""
+    return "" if x != x else str(int(x)) if as_int else repr(x)
 
-    An integer chunk of ``_VECTOR_MIN`` cells or more formats each distinct
-    value once (a Newton count column holds few); values that compare equal,
-    ``0.0`` and ``-0.0`` or two NaNs, make equal cells.
-    """
-    if as_int and len(values) >= _VECTOR_MIN:
-        distinct, at = np.unique(values, return_inverse=True)
-        text = ["" if x != x else str(int(x)) for x in distinct.tolist()]
-        return np.array(text, dtype=object).take(at).tolist()
-    if len(values) < _VECTOR_MIN:
-        fmt = (lambda x: str(int(x))) if as_int else repr
-        return ["" if x != x else fmt(x) for x in values.tolist()]
-    with np.errstate(all="ignore"):  # NaN, inf and zero cells compute garbage, then repr
-        cells, unproven = _text(values)
+
+def _cells(values: np.ndarray) -> list[str]:
+    """The cells of one float64 column chunk, each what :func:`_cell` writes."""
+    cells, unproven = _text(values)
     for i in unproven:
-        x = values[i].item()
-        cells[i] = "" if x != x else repr(x)
+        cells[i] = _cell(values[i].item(), False)
     return cells
 
 
@@ -363,10 +354,10 @@ def format_rows(arrays, int_columns=()):
     ``y_measured`` is its ``y_true``), and a column that holds one value
     throughout formats it once (``y_ref`` after ``tf``); equal bits make
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
-    confused.  An integer chunk of ``_VECTOR_MIN`` rows or more is formatted
-    once per distinct value (a Newton count column holds 0s and 1s), a
-    shorter one cell by cell.  The batch's other float chunks that the memo
-    below does not hold are formatted in one call, end to end.
+    confused.  A constant column's one cell and every cell of an integer
+    column are written by :func:`_cell`.  The batch's other float chunks
+    that the memo below does not hold go through the vector formatter in
+    one call, end to end.
 
     At each position, the memo keeps the last read-only float column
     formatted there in full: the array itself, with no copy, and the text
@@ -404,15 +395,15 @@ def format_rows(arrays, int_columns=()):
             elif i in hits:
                 cells = hits[i][start // _BATCH].split("\n")
             elif key[1] == key[1][:8] * m:  # one float's bytes throughout
-                cells = _cells(chunk[:1], key[0]) * m
+                cells = [_cell(chunk[0].item(), key[0])] * m
             elif key[0]:
-                cells = _cells(chunk, True)
+                cells = [_cell(x, True) for x in chunk.tolist()]
             else:
                 cells = len(new)
                 new.append(chunk)
             columns.append(cells)
         if new:
-            cells = _cells(np.concatenate(new), False)
+            cells = _cells(np.concatenate(new))
             columns = [cells[c * m:c * m + m] if type(c) is int else c for c in columns]
         for i, batches in fills.items():
             batches.append("\n".join(columns[i]))

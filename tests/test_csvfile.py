@@ -161,24 +161,22 @@ def test_a_constant_batch_is_formatted_once():
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         rows = _rows(csvfile.format_rows(arrays, (3,)))
     assert rows == _reference_rows(arrays, (3,))
-    # each constant column's one value, then the other two columns in one call
-    assert [len(call.args[0]) for call in cells.call_args_list] == [1, 1, 6]
+    # the constant columns' one cell each by _cell, the other two columns
+    # in one call
+    assert [len(call.args[0]) for call in cells.call_args_list] == [6]
 
 
-# cells that the formatter cannot prove, so that repr writes them: a power of
+# cells that the formatter cannot prove, so that _cell writes them: a power of
 # two, NaN, the infinities, a magnitude below 1e-98 and a tie (the float is
 # 19.3258209228515625 exactly, halfway between two 17-digit decimals)
 REPR_CELLS = [0.5, math.nan, math.inf, -math.inf, 1e-300, 19.325820922851562]
 
 
 def test_a_batchs_new_float_columns_are_formatted_in_one_call():
-    # three new float columns, with the cells that repr writes in the 2nd
-    # and 3rd in both batches; the last batch's columns are each shorter
-    # than _VECTOR_MIN but longer together
+    # three new float columns, with the cells that _cell writes in the 2nd
+    # and 3rd in both batches
     rows = csvfile._BATCH + 100
-    assert 100 < csvfile._VECTOR_MIN <= 300
-    with np.errstate(all="ignore"):
-        assert csvfile._shortest(np.array(REPR_CELLS))[2].all()
+    assert csvfile._shortest(np.array(REPR_CELLS))[2].all()
     rng = np.random.default_rng(5)
     arrays = [rng.normal(size=rows) for _ in range(3)]
     placed = {}  # (row, column) -> value
@@ -212,8 +210,9 @@ BOUNDS = [1e-98, 1e-5, 1e-4, 0.1, 1.0, 10.0, 1e6, 1e7, 1e16, 5e-324, 2.225073858
 # float64 bit patterns over all exponents: any bits (subnormals, infinities
 # and NaN payloads among them), any exponent with any mantissa, powers of two,
 # the neighbours of the bounds, short decimals, the floats nearest the
-# midpoints of 15-, 16- and 17-digit decimals (near-ties) and dyadic
-# fractions with few bits, many of which are such midpoints exactly (ties)
+# midpoints of 15-, 16- and 17-digit decimals (near-ties), dyadic
+# fractions with few bits, many of which are such midpoints exactly (ties),
+# and magnitudes in [1e7, 1e30], whose 17 digits overflow an int64
 CELL_VALUES = st.one_of(
     st.integers(0, 2**64 - 1).map(_float),
     st.builds(lambda sign, exponent, mantissa: _float(sign << 63 | exponent << 52 | mantissa),
@@ -226,20 +225,21 @@ CELL_VALUES = st.one_of(
               st.integers(-120, 20)),
     st.builds(lambda k, j: k / 2**j, st.integers(-2**21, 2**21), st.integers(0, 60)),
     st.builds(lambda k, j: k / 2**j, st.integers(2**19, 2**21), st.integers(0, 60)),
+    st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), st.floats(1e7, 1e30)),
     st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]),
 )
 
 
 @settings(max_examples=300)
 @given(values=st.lists(CELL_VALUES, min_size=1, max_size=64),
-       n=st.integers(csvfile._VECTOR_MIN, 1100), strided=st.booleans())
+       n=st.integers(1, 1100), strided=st.booleans())
 def test_cells_are_the_oracles_cell_for_cell(values, n, strided):
-    # the drawn values repeated to a chunk the formatter takes whole, maybe as
-    # a strided column view
+    # the drawn values repeated to a chunk of any length, maybe as a strided
+    # column view
     chunk = np.resize(np.array(values), n)
     if strided:
         chunk = np.column_stack([chunk, chunk])[:, 1]
-    assert csvfile._cells(chunk, False) == write_oracle.cells(chunk, False)
+    assert csvfile._cells(chunk) == write_oracle.cells(chunk, False)
 
 
 # integer-valued floats: small and wide integers, zeros of both signs, NaNs,
@@ -255,13 +255,12 @@ INTEGER_FLOATS = st.one_of(
 @settings(max_examples=200)
 @given(values=st.lists(INTEGER_FLOATS, min_size=1, max_size=3)
        | st.lists(INTEGER_FLOATS, min_size=1, max_size=400),
-       n=st.integers(csvfile._VECTOR_MIN - 3, csvfile._VECTOR_MIN + 3) | st.integers(1, 1100),
-       strided=st.booleans(),
+       n=st.integers(1, 1100), strided=st.booleans(),
        infinity=st.none() | st.tuples(st.integers(0, 1100), st.sampled_from([math.inf, -math.inf])))
 def test_integer_cells_are_the_oracles_cell_for_cell(values, n, strided, infinity):
-    # few or many distinct values repeated to a chunk around the length from
-    # which they are formatted by distinct value, maybe as a strided column
-    # view; an infinity has no integer cell, on either side
+    # few or many distinct values repeated to an integer column of one or
+    # two batches, maybe as a strided column view; an infinity has no
+    # integer cell, on either side
     chunk = np.resize(np.array(values), n)
     if infinity is not None:
         at, x = infinity
@@ -269,10 +268,10 @@ def test_integer_cells_are_the_oracles_cell_for_cell(values, n, strided, infinit
     if strided:
         chunk = np.column_stack([chunk, chunk])[:, 1]
     if infinity is None:
-        assert csvfile._cells(chunk, True) == write_oracle.cells(chunk, True)
+        assert _rows(csvfile.format_rows([chunk], (0,))) == write_oracle.cells(chunk, True)
         return
     with pytest.raises(OverflowError):
-        csvfile._cells(chunk, True)
+        list(csvfile.format_rows([chunk], (0,)))
     with pytest.raises(OverflowError):
         write_oracle.cells(chunk, True)
 
@@ -287,28 +286,40 @@ EDGE_VALUES = [
     0.0015339807878856412, 12.566370614359172, math.ldexp(1.0, -326), math.ldexp(1.0, 23),
     65537 / 2**17, 0.50000762939453125 + 2**-53, 3 / 2**18,  # ties of 16 digits
     655361 / 2**16, 655363 / 2**16,  # ties of 17 digits, rounded down and up to even
+    # past 1e7, where the 17-digit integer overflows an int64 and can wrap
+    # back into range, to a 7-digit decimal for each of these
+    9.033089772464208e+24, 1.0934747854442911e+25, -7.96909913515981e+25, 3.1890815396574803e+25,
 ]
 
 
-def test_edge_values_are_the_oracles():
+def test_edge_values_are_the_oracles(tmp_path):
     # each edge value in a chunk of its own and all of them side by side
-    chunks = [np.full(csvfile._VECTOR_MIN, x) for x in EDGE_VALUES]
-    chunks.append(np.resize(np.array(EDGE_VALUES) * [[1.0], [-1.0]], 2 * csvfile._VECTOR_MIN))
+    chunks = [np.array([x]) for x in EDGE_VALUES]
+    chunks.append((np.array(EDGE_VALUES) * [[1.0], [-1.0]]).ravel())
     with mock.patch.object(csvfile, "_shortest", wraps=csvfile._shortest) as vector:
         for chunk in chunks:
-            assert csvfile._cells(chunk, False) == write_oracle.cells(chunk, False)
+            assert csvfile._cells(chunk) == write_oracle.cells(chunk, False)
     assert vector.call_count == len(chunks)
+    # and written to a file of one batch and read back, bit for bit
+    column = np.resize(chunks[-1], csvfile._BATCH)
+    path = tmp_path / "edge.csv"
+    csvfile.write(path, "trace", [], ("x",), csvfile.format_rows([column]))
+    assert path.read_text(encoding="utf-8").splitlines()[2:] == write_oracle.cells(column, False)
+    _, data = csvfile.read(path, "trace", ("x",))
+    numbers = ~np.isnan(column)
+    assert np.array_equal(np.isnan(data[:, 0]), ~numbers)
+    assert np.array_equal(data[numbers, 0].view(np.uint64), column[numbers].view(np.uint64))
 
 
 def test_extreme_cells_leak_no_floating_point_state():
-    # inf, NaN, zeros and the float range's ends make the vector arithmetic
-    # overflow and compare NaN; the formatter keeps that to itself, so even a
-    # caller that makes every floating-point error raise gets the cells
+    # the formatter takes inf, NaN, zeros and the float range's ends as 1.0
+    # before its arithmetic, so even a caller that makes every floating-point
+    # error raise gets the cells
     chunk = np.resize(np.array([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
                                 1.7976931348623157e308, -1e300, 1e-300, 0.5]), 300)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert csvfile._cells(chunk, False) == write_oracle.cells(chunk, False)
+        assert csvfile._cells(chunk) == write_oracle.cells(chunk, False)
         assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise",
                                "invalid": "raise"}
 
@@ -340,7 +351,7 @@ def format_calls(draw):
     read-only columns of every kind at every position.
     """
     long = draw(st.booleans())
-    length = draw(st.integers(csvfile._VECTOR_MIN, 2 * 1024 + 10) if long else st.integers(0, 12))
+    length = draw(st.integers(256, 2 * 1024 + 10) if long else st.integers(0, 12))
     batch = 1024 if long else draw(st.sampled_from([1, 2, 3, 5, 1024]))
 
     def fresh(n):

@@ -1,8 +1,10 @@
-"""Test oracle for the cell writer: the per-cell ``repr`` that ``csvfile._cells``'
-whole-chunk formatter replaced.
+"""Test oracle for the cell writer: the per-cell ``repr`` that the vector formatter replaced.
 
 Each float goes through ``repr`` on its own (``int`` for an integer column)
-and NaN is an empty cell, so the formatter's cells must equal this oracle's
+and NaN is an empty cell.  The writer sends every float column chunk
+through its vector formatter, ``csvfile._cells``, and ``csvfile._cell``
+writes a constant column's cell, every integer cell and each float cell that
+the formatter cannot prove; so the writer's cells must equal this oracle's
 for every chunk, bit pattern and length.
 """
 
