@@ -28,8 +28,11 @@ outside ``[1e-98, 1e7)``.
 
 The writer takes float64 columns only.  It works on batches of rows and
 formats a repeated or constant column of a batch once.  The batch's other
-float columns that it does not remember are formatted in one call, their
-chunks end to end, so the formatter's fixed cost is paid once a batch.  It
+float columns that it does not remember go to the formatter end to end, in
+calls of at most 4,096 cells, so its fixed cost is paid once for every four
+columns.  The formatter works in one arena that a write holds from its
+first batch to its last and drops when it ends, is closed or raises, so no
+batch hands memory back to the system only to touch it again.  It
 also remembers read-only float columns (a sweep's tick times)
 from one file to the next: it keeps the last one of more than one value met
 at each position, the array itself and its text, for a later float column
@@ -73,9 +76,11 @@ from .errors import ParseError, ValidationError
 __all__ = ["format_echo", "parse_echo", "format_rows", "write", "read"]
 
 # rows formatted per batch: bounds the strings alive at once while writing,
-# one batch's cells, rows and text block, and the formatter's arrays for
-# the batch's new float columns, which it formats in one call
+# one batch's cells, rows and text block
 _BATCH = 1024
+# cells per formatter call, four columns of a batch, and the words a cell of
+# the formatter's arena, which one write holds for all its calls
+_CELLS, _ARENA_ROWS = 4 * _BATCH, 17
 # bytes read and parsed per block: bounds the text and the arrays alive at once while reading
 _BLOCK = 1 << 16
 
@@ -207,10 +212,11 @@ _POINT = np.array([_word("." + "0" * z + str(g)) for z in range(4) for g in rang
                   + [0] * 10)
 
 
-def _shortest(x: np.ndarray):
+def _shortest(x: np.ndarray, arena: np.ndarray):
     """The 17-digit integer of each cell's shortest digits, its exponent's table row, and the unproven cells.
 
-    The digits of an unproven cell are 0, as are a zero's.
+    The digits of an unproven cell are 0, as are a zero's.  The scale and gap
+    rows are the first 8 rows of ``len(x)`` words of the write's ``arena``.
     """
     ax = np.abs(x)
     outside = ~((ax >= 1e-98) & (ax < 1e7))  # zero, NaN and inf among them
@@ -220,7 +226,8 @@ def _shortest(x: np.ndarray):
     row = e.astype(np.intp)
     row -= _EXP_MIN
     # y = ax * 10**(16 - e) = p + err, exact to double-double precision
-    hi, upper, lower, lo = _SCALE.take(row, axis=1, mode="clip")
+    work = arena[:8 * len(x)].view(np.float64).reshape(8, len(x))
+    hi, upper, lower, lo = _SCALE.take(row, axis=1, mode="clip", out=work[:4])
     p, err = _two_product(ax, hi, upper, lower)
     lo *= ax
     err += lo
@@ -237,7 +244,7 @@ def _shortest(x: np.ndarray):
     half_ulp *= hi
     # the distances to the 15- and 16-digit roundings less half an ulp, of
     # the 16-digit one from a tie, of the fraction from a tie: near 0 is unproven
-    gap = np.empty((4, len(x)))
+    gap = work[4:]
     n15 = n17 + 50
     n15 //= 100
     n15 *= 100
@@ -265,13 +272,20 @@ def _shortest(x: np.ndarray):
     return digits, row, unproven
 
 
-def _text(x: np.ndarray) -> tuple[list[str], list[int]]:
-    """The cells of ``x`` and the indices of those it cannot prove, which read as a zero; drops each array once spent."""
-    digits, row, unproven = _shortest(x)
-    divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1, mode="clip")
-    del row
+def _text(x: np.ndarray, arena: np.ndarray) -> tuple[list[str], list[int]]:
+    """The cells of ``x`` and the indices of those it cannot prove, which read as a zero.
+
+    Its large arrays are rows of ``len(x)`` words in ``arena``, which a write
+    holds for all its calls of at most ``_CELLS`` cells: ``_shortest``'s, then
+    the layout, the digit words, their halves and then ASCII, and the block.
+    """
     n = len(x)
-    words = np.empty((3, n), dtype=np.int64)  # integer digits, fraction digits 2-9 and 10-17
+    work = arena[:_ARENA_ROWS * n].reshape(_ARENA_ROWS, n)
+    digits, row, unproven = _shortest(x, arena)
+    # words: the integer digits, fraction digits 2-9 and 10-17
+    layout, words, high = work[:6], work[6:9], work[9:12]
+    divide, multiply, int_mask, point, no_fraction, end = _LAYOUT.take(row, axis=1, mode="clip", out=layout)
+    del row
     np.floor_divide(digits, divide, out=words[0])
     divide *= words[0]
     fraction = np.subtract(digits, divide, out=digits)
@@ -281,35 +295,33 @@ def _text(x: np.ndarray) -> tuple[list[str], list[int]]:
     np.floor_divide(fraction, 10**8, out=words[1])
     np.multiply(words[1], 10**8, out=words[2])
     np.subtract(fraction, words[2], out=words[2])
-    # each word as its two groups of four digits, the first in the low half
-    high = words // 10**4
-    words -= high * 10**4
+    # each word as its two groups of four digits, the first in the low half,
+    # then as their ASCII in the rows of the spent high halves
+    np.floor_divide(words, 10**4, out=high)
+    words -= np.multiply(high, 10**4, out=work[12:15])
     words <<= 32
     words |= high
-    del high
-    words = _DIGITS.take(words.view(np.int32)).view(np.int64)
+    _DIGITS.take(words.view(np.int32), out=high.view(np.uint32), mode="clip")
+    spent, words = words, high
     # the fraction up to its last non-zero digit: with "0" as 0, a byte is
     # below 16, so a word's bit length as a double never rounds across a byte
     kept = np.frexp((words[1:] ^ _ASCII_ZEROS).astype(np.float64))[1]
     kept += 7
     kept >>= 3
     np.copyto(kept[0], 8, where=kept[1] != 0)
-    words[1:] &= _LOW_BYTES.take(kept)
+    words[1:] &= _LOW_BYTES.take(kept, out=spent[1:], mode="clip")
     words[0] &= int_mask
     words[0] |= np.signbit(x) * ord("-")
     fraction += first
     point += first
     point += (fraction == 0) * no_fraction
     del digits, fraction, first, kept
-    block = np.empty((n, 5), dtype=np.int64)  # per cell: integer, point, fraction, end
+    block = work[12:].reshape(n, 5)  # per cell: integer, point, fraction, end
     block[:, 0] = words[0]
     block[:, 1] = _POINT.take(point)
     block[:, 2:4] = words[1:].T
     block[:, 4] = end
-    del words, divide, multiply, int_mask, point, no_fraction, end
-    text = block.tobytes().translate(None, b"\0")
-    del block
-    cells = text.decode("ascii").split("\n")
+    cells = block.tobytes().translate(None, b"\0").decode("ascii").split("\n")
     cells.pop()
     return cells, np.flatnonzero(unproven).tolist()
 
@@ -319,9 +331,9 @@ def _cell(x: float, as_int: bool) -> str:
     return "" if x != x else str(int(x)) if as_int else repr(x)
 
 
-def _cells(values: np.ndarray) -> list[str]:
-    """The cells of one float64 column chunk, each what :func:`_cell` writes."""
-    cells, unproven = _text(values)
+def _cells(values: np.ndarray, arena: np.ndarray) -> list[str]:
+    """The cells of one float64 column chunk, each what :func:`_cell` writes, in ``arena``'s first ``_ARENA_ROWS`` words a cell."""
+    cells, unproven = _text(values, arena)
     for i in unproven:
         cells[i] = _cell(values[i].item(), False)
     return cells
@@ -356,8 +368,9 @@ def format_rows(arrays, int_columns=()):
     equal cells, so ``-0.0``, NaN payloads and integer columns are never
     confused.  A constant column's one cell and every cell of an integer
     column are written by :func:`_cell`.  The batch's other float chunks
-    that the memo below does not hold go through the vector formatter in
-    one call, end to end.
+    that the memo below does not hold go through the vector formatter end
+    to end, in calls of at most ``_CELLS`` cells.  Every call works in one
+    arena that this generator holds until it ends, is closed or raises.
 
     At each position, the memo keeps the last read-only float column
     formatted there in full: the array itself, with no copy, and the text
@@ -383,6 +396,7 @@ def format_rows(arrays, int_columns=()):
             fills[i] = []
         else:
             hits[i] = batches
+    arena = np.empty(_ARENA_ROWS * _CELLS, dtype=np.int64)
     for start in range(0, n, _BATCH):
         chunks = [a[start:start + _BATCH] for a in arrays]
         m = len(chunks[0])
@@ -403,7 +417,9 @@ def format_rows(arrays, int_columns=()):
                 new.append(chunk)
             columns.append(cells)
         if new:
-            cells = _cells(np.concatenate(new))
+            values, cells = np.concatenate(new), []
+            for at in range(0, len(values), _CELLS):
+                cells += _cells(values[at:at + _CELLS], arena)
             columns = [cells[c * m:c * m + m] if type(c) is int else c for c in columns]
         for i, batches in fills.items():
             batches.append("\n".join(columns[i]))
