@@ -1,9 +1,15 @@
 """Two-flywheel torsional rig: inverse-model feedforward, funnel feedback,
 sampled-data closed-loop simulation, and experiment metrics.
 
-All value types are immutable after construction and the operations on them
-are pure functions; simulations own their state exclusively, so everything
-here is safe to share across concurrently running experiments.
+Configs, specs, feedforward tables and metric reports are frozen
+dataclasses.  ``Trace`` and ``SweepResult`` are mutable records that each
+run makes for itself; the columns that runs share are read-only arrays, and
+an ``InverseModelStepper`` holds the state of one solve.  Two module caches
+keep state between calls: ``closedloop`` keeps the shared columns it built
+last, and the file writer in ``csvfile`` keeps the last read-only column at
+each position with its text.  Each cache is used only on an exact match, so
+runs and file writes in concurrently running threads write the bytes that
+serial ones write.
 """
 
 from .closedloop import RunStatus, SweepResult, Trace, run_simulation, run_sweep

@@ -380,7 +380,6 @@ _TRACE_COLUMNS = (
     "t", "y_measured", "y_true", "y_ref", "e", "psi", "u_ffw", "u_fb", "u",
     "newton_iterations",
 )
-_INT_COLUMNS = (_TRACE_COLUMNS.index("newton_iterations"),)
 
 
 def write_trace_csv(trace: Trace, path) -> None:
@@ -391,7 +390,7 @@ def write_trace_csv(trace: Trace, path) -> None:
         ("status", "completed" if status.completed else f"{status.kind} at={status.at!r}"),
     ]
     arrays = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    blocks = csvfile.format_rows(arrays, _INT_COLUMNS)
+    blocks = csvfile.format_rows(arrays)
     csvfile.write(path, "trace", header, _TRACE_COLUMNS, blocks)
 
 

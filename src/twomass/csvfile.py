@@ -8,38 +8,37 @@ Trace, feedforward-table and metrics files all follow one grammar::
     1.5,,3                  (data rows)
 
 A cell holds ``repr`` of a float, so every value reads back bit for bit; NaN
-is an empty cell and integer columns hold ``int``.  The reader takes these
-cells and no others: empty, or an optional ``-`` and then ``inf`` or ASCII
-digits with at most one point and at least one digit, then maybe ``e``, a
-sign and digits.  Config echoes sit in header values as sorted
-``key=value`` pairs joined by ``|``.  A header key, or a key within an
-echo, appears once: a second copy is a parse error naming the key, never a
-value that replaces the first.  Files are UTF-8 on both read and write,
-whatever the locale.
+is an empty cell.  The reader takes these cells and no others: empty, or an
+optional ``-`` and then ``inf`` or ASCII digits with at most one point and
+at least one digit, then maybe ``e``, a sign and digits.  So it also takes
+the integer cells (``0``, ``1``) of the ``newton_iterations`` column of
+trace files written while that column had a cell rule of its own.  Config
+echoes sit in header values as sorted ``key=value`` pairs joined by ``|``.
+A header key, or a key within an echo, appears once: a second copy is a
+parse error naming the key, never a value that replaces the first.  Files
+are UTF-8 on both read and write, whatever the locale.
 
-The writer makes the cells of every float column chunk together in numpy,
-byte for byte what ``repr`` writes: the shortest digits that read back to
-the float, from a double-double product by a power of ten.  One scalar
-rule, ``repr`` of a float or ``int`` of an integer and NaN empty, writes a
-constant column's one cell, every integer cell and each float cell that
+The writer takes float64 columns only and writes every cell by one rule:
+``repr``, and NaN empty.  It makes the cells of every column chunk together
+in numpy, byte for byte what ``repr`` writes: the shortest digits that read
+back to the float, from a double-double product by a power of ten.  The
+scalar rule itself writes a constant column's one cell and each cell that
 the formatter cannot prove: within 1e-6 of a tie or of the rounding
 interval's edge, an exact power of two, a NaN, an infinity, or a magnitude
 outside ``[1e-98, 1e7)``.
 
-The writer takes float64 columns only.  It works on batches of rows and
-formats a repeated or constant column of a batch once.  The batch's other
-float columns that it does not remember go to the formatter end to end, in
-calls of at most 4,096 cells, so its fixed cost is paid once for every four
-columns.  The formatter works in one arena that a write holds from its
-first batch to its last and drops when it ends, is closed or raises, so no
-batch hands memory back to the system only to touch it again.  It
-also remembers read-only float columns (a sweep's tick times)
-from one file to the next: it keeps the last one of more than one value met
-at each position, the array itself and its text, for a later float column
-of the same bits; a column written as integers is never kept.  It joins
-each batch's rows into one newline-terminated text block, so no Python code
-runs per row between the cells and the file, and ends every line with
-``"\\n"`` on every platform.
+The writer works on batches of rows and formats a repeated or constant
+column of a batch once.  The batch's other columns that it does not
+remember go to the formatter end to end, in calls of at most 4,096 cells,
+so its fixed cost is paid once for every four columns.  The formatter works
+in one arena that a write holds from its first batch to its last and drops
+when it ends, is closed or raises, so no batch hands memory back to the
+system only to touch it again.  It also remembers read-only columns (a
+sweep's tick times) from one file to the next: it keeps the last one of
+more than one value met at each position, the array itself and its text,
+for a later column of the same bits.  It joins each batch's rows into one
+newline-terminated text block, so no Python code runs per row between the
+cells and the file, and ends every line with ``"\\n"`` on every platform.
 
 The reader first scans a file's bytes: it counts the newlines and finds
 whether any ``"\\r"`` is there.  A file with one is read into memory, as a
@@ -163,7 +162,8 @@ def _powers():
     for q in range(_Q_MIN, _Q_MAX + 1):
         num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
         hi = num / den  # int / int rounds correctly
-        a, b = hi.as_integer_ratio()
+        m, e = math.frexp(hi)  # hi = a / b exactly
+        a, b = int(m * 2**53) << max(e - 53, 0), 1 << max(53 - e, 0)
         c = hi * _SPLIT
         upper = c - (c - hi)
         rows.append((hi, upper, hi - upper, (num * b - a * den) / (den * b)))
@@ -272,12 +272,18 @@ def _shortest(x: np.ndarray, arena: np.ndarray):
     return digits, row, unproven
 
 
-def _text(x: np.ndarray, arena: np.ndarray) -> tuple[list[str], list[int]]:
-    """The cells of ``x`` and the indices of those it cannot prove, which read as a zero.
+def _cell(x: float) -> str:
+    """One cell: ``repr`` of ``x``, NaN empty."""
+    return "" if x != x else repr(x)
+
+
+def _cells(x: np.ndarray, arena: np.ndarray) -> list[str]:
+    """The cells of one float64 column chunk, each what :func:`_cell` writes.
 
     Its large arrays are rows of ``len(x)`` words in ``arena``, which a write
     holds for all its calls of at most ``_CELLS`` cells: ``_shortest``'s, then
     the layout, the digit words, their halves and then ASCII, and the block.
+    The cells that ``_shortest`` cannot prove go to :func:`_cell`.
     """
     n = len(x)
     work = arena[:_ARENA_ROWS * n].reshape(_ARENA_ROWS, n)
@@ -323,24 +329,13 @@ def _text(x: np.ndarray, arena: np.ndarray) -> tuple[list[str], list[int]]:
     block[:, 4] = end
     cells = block.tobytes().translate(None, b"\0").decode("ascii").split("\n")
     cells.pop()
-    return cells, np.flatnonzero(unproven).tolist()
-
-
-def _cell(x: float, as_int: bool) -> str:
-    """One cell: ``repr`` of ``x``, ``int`` if ``as_int``, NaN empty."""
-    return "" if x != x else str(int(x)) if as_int else repr(x)
-
-
-def _cells(values: np.ndarray, arena: np.ndarray) -> list[str]:
-    """The cells of one float64 column chunk, each what :func:`_cell` writes, in ``arena``'s first ``_ARENA_ROWS`` words a cell."""
-    cells, unproven = _text(values, arena)
-    for i in unproven:
-        cells[i] = _cell(values[i].item(), False)
+    for i in np.flatnonzero(unproven).tolist():
+        cells[i] = _cell(x[i].item())
     return cells
 
 
 # position -> (column, "\n"-joined cells of each of its batches): the last
-# read-only float column of more than one value that format_rows formatted there
+# read-only column of more than one value that format_rows formatted there
 _memo: dict = {}
 
 
@@ -353,35 +348,33 @@ def _kept_batches(i, bits):
     return None
 
 
-def format_rows(arrays, int_columns=()):
+def format_rows(arrays):
     """Data rows in the cell format, one per index of the equally long float64 ``arrays``.
 
     Yields one text block per batch of ``_BATCH`` rows, the batch's rows each
     ended by a newline, as :func:`write` takes them.  A column that is not
     float64 raises TypeError before the first block.
 
-    ``int_columns`` holds the positions of the columns written as integers.
-    Within a batch, a column whose values have the same kind and bits as an
-    earlier column's reuses that column's cells (an ideal sensor's
-    ``y_measured`` is its ``y_true``), and a column that holds one value
-    throughout formats it once (``y_ref`` after ``tf``); equal bits make
-    equal cells, so ``-0.0``, NaN payloads and integer columns are never
-    confused.  A constant column's one cell and every cell of an integer
-    column are written by :func:`_cell`.  The batch's other float chunks
-    that the memo below does not hold go through the vector formatter end
-    to end, in calls of at most ``_CELLS`` cells.  Every call works in one
-    arena that this generator holds until it ends, is closed or raises.
+    Every cell is what :func:`_cell` writes.  Within a batch, a column whose
+    values have the same bits as an earlier column's reuses that column's
+    cells (an ideal sensor's ``y_measured`` is its ``y_true``), and a column
+    that holds one value throughout formats it once with :func:`_cell`
+    (``y_ref`` after ``tf``); equal bits make equal cells, so ``-0.0`` and
+    NaN payloads are never confused.  The batch's other chunks that the memo
+    below does not hold go through the vector formatter end to end, in calls
+    of at most ``_CELLS`` cells.  Every call works in one arena that this
+    generator holds until it ends, is closed or raises.
 
-    At each position, the memo keeps the last read-only float column
-    formatted there in full: the array itself, with no copy, and the text
-    of each of its batches.  So a column that repeats from file to file (the
-    tick times of one grid, a table's tuned torque) is formatted once.  A
-    later read-only float column hits only when it has the kept column's
-    bits, all of them: a truncated run's prefix is formatted anew.  A miss
-    drops the kept entry before formatting, so the old and the new text are
-    never held at once.  A writable column, an integer column, or one of one
-    value throughout (an absent branch's NaN) neither hits nor displaces the
-    entry.  A read-only column must not change while the memo holds it.
+    At each position, the memo keeps the last read-only column formatted
+    there in full: the array itself, with no copy, and the text of each of
+    its batches.  So a column that repeats from file to file (the tick times
+    of one grid, a table's tuned torque) is formatted once.  A later
+    read-only column hits only when it has the kept column's bits, all of
+    them: a truncated run's prefix is formatted anew.  A miss drops the kept
+    entry before formatting, so the old and the new text are never held at
+    once.  A writable column, or one of one value throughout (an absent
+    branch's NaN), neither hits nor displaces the entry.  A read-only column
+    must not change while the memo holds it.
     """
     n = len(arrays[0])
     hits, fills = {}, {}  # position -> the kept batches it reads / the batches it keeps
@@ -389,7 +382,7 @@ def format_rows(arrays, int_columns=()):
         if a.dtype != np.float64:
             raise TypeError(f"column {i} is {a.dtype}, not float64")
         bits = a.view(np.uint64)
-        if a.flags.writeable or i in int_columns or not n or (bits == bits[0]).all():
+        if a.flags.writeable or not n or (bits == bits[0]).all():
             continue
         batches = _kept_batches(i, bits)
         if batches is None:
@@ -400,18 +393,16 @@ def format_rows(arrays, int_columns=()):
     for start in range(0, n, _BATCH):
         chunks = [a[start:start + _BATCH] for a in arrays]
         m = len(chunks[0])
-        keys = [(i in int_columns, chunk.tobytes()) for i, chunk in enumerate(chunks)]
-        columns, new = [], []  # per column its cells, or its place among the new float chunks
+        keys = [chunk.tobytes() for chunk in chunks]
+        columns, new = [], []  # per column its cells, or its place among the new chunks
         for i, (chunk, key) in enumerate(zip(chunks, keys)):
             first = keys.index(key)
             if first < i:
                 cells = columns[first]
             elif i in hits:
                 cells = hits[i][start // _BATCH].split("\n")
-            elif key[1] == key[1][:8] * m:  # one float's bytes throughout
-                cells = [_cell(chunk[0].item(), key[0])] * m
-            elif key[0]:
-                cells = [_cell(x, True) for x in chunk.tolist()]
+            elif key == key[:8] * m:  # one float's bytes throughout
+                cells = [_cell(chunk[0].item())] * m
             else:
                 cells = len(new)
                 new.append(chunk)
@@ -434,9 +425,9 @@ def write(path, kind: str, header, columns, pieces) -> None:
     ``pieces`` is an iterable of newline-terminated pieces of whole rows,
     written as they come: the blocks of :func:`format_rows`, or one row and
     its newline per piece.  If anything raises while the file is written (a
-    column that ``format_rows`` rejects, an infinite integer cell), the file
-    is removed before the error goes on, so no partial file is left; a
-    symlink or a device named by ``path`` is left in place.
+    column that ``format_rows`` rejects, a ``pieces`` that fails partway),
+    the file is removed before the error goes on, so no partial file is
+    left; a symlink or a device named by ``path`` is left in place.
     """
     head = [f"# twomass {kind}", *(f"# {key}: {value}" for key, value in header), ",".join(columns)]
     fh = open(path, "w", encoding="utf-8", newline="\n")

@@ -188,9 +188,7 @@ class InverseModelStepper:
     ):
         if not 0.0 < dt < math.inf:
             raise ValidationError(f"dt must be finite and > 0, got {dt}")
-        self.params = params
         self.spec = spec
-        self.dt = dt
         self.opts = opts
         self.state = consistent_initialization(params, spec)
         self.last_iterations = 0

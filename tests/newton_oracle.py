@@ -41,6 +41,7 @@ class TupleStepper(InverseModelStepper):
 
     def __init__(self, params, spec, dt, opts=NewtonOptions()):
         super().__init__(params, spec, dt, opts)
+        self.dt = dt
         i1, i2, k, d = params.I1, params.I2, params.k, params.d
         self._coeffs = (k / i1, d / i1, k / i2, d / i2, 1.0 / i1)
         self._jac_inv = tuple(map(tuple, np.linalg.inv(analytic_jacobian(params, dt)).tolist()))

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -49,7 +50,7 @@ from twomass.plant import (
     integrate_plant_tick,
     tick_constants,
 )
-from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY
+from twomass.presets import DEFAULT_TRUE_PLANT, NOMINAL_PLANT, REFERENCE_TRAJECTORY, build_preset
 from twomass.trajectory import TrajectorySpec, y_ref_at
 
 FUNNEL_2 = FunnelSpec(1.0, 0.1, 0.5)
@@ -849,6 +850,51 @@ class TestSharedColumns:
             rows = path.read_text().splitlines()[4:]
             cells.append([row.split(",")[3] for row in rows[:500]])
         assert cells == [[repr(y0)] * 500 for y0 in zeros]
+
+
+def _run_and_write(configs, folder):
+    for cfg in configs:
+        write_trace_csv(run_simulation(cfg), folder / f"{cfg.label}-trace.csv")
+
+
+def test_runs_written_from_two_threads_are_the_serial_bytes(tmp_path):
+    # the shared columns and the writer's memo are module state that both
+    # threads meet: each runs and writes two short runs of other presets
+    # (online feedforward, feedback at 2 kHz, combined with noise, feedback
+    # with noise), the 1 kHz grid in both, while the interpreter switches
+    # threads often
+    picks = [[("table2-ffw-sweep", 0), ("table3-fb-sweep-2khz", 0)],
+             [("tight-funnel-dichotomy-1khz", 1), ("tight-funnel-fb", 1)]]
+    work = [[dataclasses.replace(build_preset(name).configs[k], label=f"{name}-{k}", duration=0.6)
+             for name, k in pick] for pick in picks]
+    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+    serial.mkdir()
+    threaded.mkdir()
+    _run_and_write([cfg for configs in work for cfg in configs], serial)
+    errors, start = [], threading.Barrier(len(work))
+
+    def write(configs):
+        start.wait()
+        try:
+            _run_and_write(configs, threaded)
+        except BaseException as err:  # re-raised by the test thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=write, args=(configs,)) for configs in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    names = sorted(path.name for path in serial.iterdir())
+    assert len(names) == 4 and sorted(path.name for path in threaded.iterdir()) == names
+    for name in names:
+        assert (threaded / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 class TestFunnelInvariant:

@@ -58,6 +58,25 @@ def test_each_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, capsy
         assert err.startswith("error: ") and err.count("\n") == 1, name
 
 
+def test_a_new_manifest_names_each_changed_file(tmp_path, monkeypatch, capsys):
+    # against the manifest that the file held: one file changed, one gone
+    # and one new, and one the same, which goes unnamed
+    old = _tree(tmp_path / "old", {"p/a.csv": "t\n0.0\n", "p/b.csv": "t\n0.0\n", "gone.csv": ""})
+    files = {"p/a.csv": "t\n0.0\n", "p/b.csv": "t\n0.5\n", "new.csv": ""}
+    target = tmp_path / "outputs.sha256"
+    target.write_text(compare_outputs.manifest(old))
+    monkeypatch.setattr(compare_outputs, "write_outputs",
+                        lambda src, out: _tree(pathlib.Path(out), files))
+    assert compare_outputs.main(["--manifest", str(target), "src"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "gone.csv: no longer written",
+        "new.csv: new",
+        "p/b.csv: digest changed",
+        f"3 files hashed into {target}, 3 changed",
+    ]
+    assert target.read_text() == compare_outputs.manifest(_tree(tmp_path / "new", files))
+
+
 def test_every_output_matches_the_manifest(tmp_path):
     # the tree under test writes every compared file in one subprocess; a
     # change that alters outputs on purpose regenerates the manifest with

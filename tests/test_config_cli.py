@@ -692,6 +692,29 @@ class TestCli:
         assert (tmp_path / "re.csv").read_text().splitlines() == completed
         assert printed.out.splitlines() == completed[-2:]
 
+    def test_an_online_trace_of_integer_cells_reads_as_before(self, dichotomy, tmp_path, capsys):
+        # traces written before every column was a float spelt the online
+        # model's newton_iterations as integers ("1", not "1.0"): such a copy
+        # reads to the same bits and analyzes to the same metrics row
+        trace = dichotomy / "combined-5-6-1khz-trace.csv"
+        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        start = lines.index(TRACE_COLUMNS) + 1
+        rows = [line[:-1].rsplit(",", 1) for line in lines[start:]]
+        assert {cell for _, cell in rows} == {"0.0", "1.0"}
+        older = tmp_path / "combined-5-6-1khz-trace.csv"
+        older.write_text("".join(lines[:start] + [f"{head},{int(float(cell))}\n"
+                                                  for head, cell in rows]), encoding="utf-8")
+        new, old = read_trace_csv(trace), read_trace_csv(older)
+        assert (new.status, new.run_config) == (old.status, old.run_config)
+        for name in TRACE_COLUMNS.strip().split(","):
+            assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+        printed = []
+        for path in (trace, older):
+            assert main(["analyze", str(path)]) == 0
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1]
+        assert printed[0].out.splitlines()[-1].startswith("combined-5-6-1khz,combined,1000.0,")
+
     def test_analyze_reads_a_pipe_as_its_file(self, dichotomy, capsys):
         trace = dichotomy / "combined-5-6-1khz-trace.csv"
         assert main(["analyze", str(trace)]) == 0

@@ -108,8 +108,8 @@ def test_malformed_file_rejected_naming_the_path(tmp_path, kind, broken, error, 
 def test_cell_format(tmp_path):
     path = tmp_path / "f.csv"
     arrays = [np.array([0.1, math.nan, -math.inf]), np.array([3.0, math.nan, 0.0])]
-    csvfile.write(path, "demo", [("k", "v: w")], ("a", "n"), csvfile.format_rows(arrays, (1,)))
-    assert path.read_text(encoding="utf-8") == "# twomass demo\n# k: v: w\na,n\n0.1,3\n,\n-inf,0\n"
+    csvfile.write(path, "demo", [("k", "v: w")], ("a", "n"), csvfile.format_rows(arrays))
+    assert path.read_text(encoding="utf-8") == "# twomass demo\n# k: v: w\na,n\n0.1,3.0\n,\n-inf,0.0\n"
     header, data = csvfile.read(path, "demo", ("a", "n"))
     assert header == {"k": "v: w"}
     assert np.array_equal(data, np.column_stack(arrays), equal_nan=True)
@@ -134,10 +134,9 @@ def _other_nan_payload(a):
     return bits.view(float)
 
 
-def _reference_rows(arrays, int_columns):
+def _reference_rows(arrays):
     """The rows of the oracle's cells, one column at a time, without reuse."""
-    columns = [write_oracle.cells(a, i in int_columns) for i, a in enumerate(arrays)]
-    return list(map(",".join, zip(*columns)))
+    return list(map(",".join, zip(*map(write_oracle.cells, arrays))))
 
 
 def _arena(n):
@@ -152,10 +151,13 @@ def _rows(blocks):
     return "".join(blocks).split("\n")[:-1]
 
 
-def test_equal_bits_of_another_kind_are_formatted_apart():
-    zeros, two = np.array([0.0, 2.0]), np.array([-0.0, 2.0])
-    rows = _rows(csvfile.format_rows([zeros, two, zeros.copy(), zeros.copy()], (3,)))
-    assert rows == ["0.0,-0.0,0.0,0", "2.0,2.0,2.0,2"]
+def _integer_rows(arrays, columns):
+    """The rows that :func:`csvfile.format_rows` writes, with the cells of ``columns`` in the integer spelling of older traces' ``newton_iterations``: ``int``, NaN empty."""
+    rows = [row.split(",") for row in _rows(csvfile.format_rows(arrays))]
+    for i in columns:
+        for row, x in zip(rows, arrays[i].tolist()):
+            row[i] = "" if x != x else str(int(x))
+    return [",".join(row) for row in rows]
 
 
 def test_a_constant_batch_is_formatted_once():
@@ -164,8 +166,8 @@ def test_a_constant_batch_is_formatted_once():
     arrays = [np.array([0.0, 0.0, -0.0]), np.full(3, -0.0),
               np.array([QUIET_NAN, OTHER_NAN, QUIET_NAN]), np.full(3, 2.0)]
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
-        rows = _rows(csvfile.format_rows(arrays, (3,)))
-    assert rows == _reference_rows(arrays, (3,))
+        rows = _rows(csvfile.format_rows(arrays))
+    assert rows == _reference_rows(arrays)
     # the constant columns' one cell each by _cell, the other two columns
     # in one call
     assert [len(call.args[0]) for call in cells.call_args_list] == [6]
@@ -192,9 +194,9 @@ def test_a_batchs_new_float_columns_are_formatted_in_one_call():
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         got = _rows(csvfile.format_rows(arrays))
     assert [len(call.args[0]) for call in cells.call_args_list] == [3 * csvfile._BATCH, 300]
-    assert got == _reference_rows(arrays, ())
+    assert got == _reference_rows(arrays)
     for (row, column), x in placed.items():
-        assert got[row].split(",")[column] == write_oracle.cells(np.array([x]), False)[0]
+        assert got[row].split(",")[column] == write_oracle.cells(np.array([x]))[0]
 
 
 def test_a_batchs_new_float_columns_go_to_the_formatter_in_capped_calls(tmp_path):
@@ -211,7 +213,7 @@ def test_a_batchs_new_float_columns_go_to_the_formatter_in_capped_calls(tmp_path
     assert [len(call.args[0]) for call in cells.call_args_list] == [4096, 4096, 1024, 900]
     text = (tmp_path / "wide.csv").read_text(encoding="utf-8")
     assert text == "# twomass trace\na,b,c,d,e,f,g,h,i\n" + "".join(
-        row + "\n" for row in _reference_rows(arrays, ()))
+        row + "\n" for row in _reference_rows(arrays))
     _, data = csvfile.read(tmp_path / "wide.csv", "trace", "abcdefghi")
     expected = np.column_stack(arrays)
     numbers = ~np.isnan(expected)
@@ -266,41 +268,7 @@ def test_cells_are_the_oracles_cell_for_cell(values, n, strided):
     chunk = np.resize(np.array(values), n)
     if strided:
         chunk = np.column_stack([chunk, chunk])[:, 1]
-    assert csvfile._cells(chunk, _arena(len(chunk))) == write_oracle.cells(chunk, False)
-
-
-# integer-valued floats: small and wide integers, zeros of both signs, NaNs,
-# the neighbours of 2**53 (2**53 + 1 rounds to 2**53) and 1e300
-INTEGER_FLOATS = st.one_of(
-    st.integers(-10**6, 10**6).map(float),
-    st.integers(-2**64, 2**64).map(float),
-    st.sampled_from([math.nan, OTHER_NAN, 0.0, -0.0, 2.0**53 - 1, 2.0**53, float(2**53 + 1),
-                     -(2.0**53 - 1), -(2.0**53), float(-(2**53 + 1)), 1e300, -1e300]),
-)
-
-
-@settings(max_examples=200)
-@given(values=st.lists(INTEGER_FLOATS, min_size=1, max_size=3)
-       | st.lists(INTEGER_FLOATS, min_size=1, max_size=400),
-       n=st.integers(1, 1100), strided=st.booleans(),
-       infinity=st.none() | st.tuples(st.integers(0, 1100), st.sampled_from([math.inf, -math.inf])))
-def test_integer_cells_are_the_oracles_cell_for_cell(values, n, strided, infinity):
-    # few or many distinct values repeated to an integer column of one or
-    # two batches, maybe as a strided column view; an infinity has no
-    # integer cell, on either side
-    chunk = np.resize(np.array(values), n)
-    if infinity is not None:
-        at, x = infinity
-        chunk[at % n] = x
-    if strided:
-        chunk = np.column_stack([chunk, chunk])[:, 1]
-    if infinity is None:
-        assert _rows(csvfile.format_rows([chunk], (0,))) == write_oracle.cells(chunk, True)
-        return
-    with pytest.raises(OverflowError):
-        list(csvfile.format_rows([chunk], (0,)))
-    with pytest.raises(OverflowError):
-        write_oracle.cells(chunk, True)
+    assert csvfile._cells(chunk, _arena(len(chunk))) == write_oracle.cells(chunk)
 
 
 EDGE_VALUES = [
@@ -325,13 +293,13 @@ def test_edge_values_are_the_oracles(tmp_path):
     chunks.append((np.array(EDGE_VALUES) * [[1.0], [-1.0]]).ravel())
     with mock.patch.object(csvfile, "_shortest", wraps=csvfile._shortest) as vector:
         for chunk in chunks:
-            assert csvfile._cells(chunk, _arena(len(chunk))) == write_oracle.cells(chunk, False)
+            assert csvfile._cells(chunk, _arena(len(chunk))) == write_oracle.cells(chunk)
     assert vector.call_count == len(chunks)
     # and written to a file of one batch and read back, bit for bit
     column = np.resize(chunks[-1], csvfile._BATCH)
     path = tmp_path / "edge.csv"
     csvfile.write(path, "trace", [], ("x",), csvfile.format_rows([column]))
-    assert path.read_text(encoding="utf-8").splitlines()[2:] == write_oracle.cells(column, False)
+    assert path.read_text(encoding="utf-8").splitlines()[2:] == write_oracle.cells(column)
     _, data = csvfile.read(path, "trace", ("x",))
     numbers = ~np.isnan(column)
     assert np.array_equal(np.isnan(data[:, 0]), ~numbers)
@@ -346,17 +314,17 @@ def test_extreme_cells_leak_no_floating_point_state():
                                 1.7976931348623157e308, -1e300, 1e-300, 0.5]), 300)
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert csvfile._cells(chunk, _arena(len(chunk))) == write_oracle.cells(chunk, False)
+        assert csvfile._cells(chunk, _arena(len(chunk))) == write_oracle.cells(chunk)
         assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise",
                                "invalid": "raise"}
 
 
 INTEGRAL = st.integers(-10**6, 10**6).map(float) | st.just(math.nan)
 # a column derived from an earlier one or a pool column: equal in another
-# array, its zeros' signs flipped, another NaN payload, or truncated and
-# written as integers (a non-finite value as NaN)
+# array, its zeros' signs flipped, another NaN payload, or truncated to
+# integers (a non-finite value as NaN)
 DERIVED = {"copy": np.copy, "zeros": _flip_zero_signs, "nan": _other_nan_payload,
-           "int": lambda a: np.trunc(np.where(np.isfinite(a), a, math.nan))}
+           "trunc": lambda a: np.trunc(np.where(np.isfinite(a), a, math.nan))}
 
 
 @st.composite
@@ -367,13 +335,12 @@ def format_calls(draw):
     sweep's shared columns are.  They are short (up to 12 rows, in batches
     of 1, 2, 3, 5 or 1024 rows) or long (256 to 2,058 rows in batches of
     1024, so the vector formatter runs over more than one batch), and the
-    first holds integers, so the same bits come as float and as integer
-    columns.  Each position has a home column in the pool.  A call has the
-    pool's length or one shorter length (a truncated run); at each position
-    it takes its home column cut to that length (the first maybe written as
-    integers), draws a fresh column or one of one value (one cell of it maybe
-    with the other zero sign or NaN payload), or derives one (``DERIVED``)
-    from its home column or an earlier column of the call.  Whether a column
+    first holds integers.  Each position has a home column in the pool.  A
+    call has the pool's length or one shorter length (a truncated run); at
+    each position it takes its home column cut to that length, draws a
+    fresh column or one of one value (one cell of it maybe with the other
+    zero sign or NaN payload), or derives one (``DERIVED``) from its home
+    column or an earlier column of the call.  Whether a column
     that is not the pool's own is read-only is drawn too, so the memo meets
     read-only columns of every kind at every position.
     """
@@ -395,13 +362,11 @@ def format_calls(draw):
     cut = draw(st.integers(0, length))
     for _ in range(draw(st.integers(2, 4))):
         n = draw(st.sampled_from([length, cut]))
-        arrays, int_columns = [], []
-        for i, home in enumerate(homes):
+        arrays = []
+        for home in homes:
             how = draw(st.sampled_from(["shared", "new", "const", *DERIVED]))
             if how == "shared":
                 column = pool[home][:n]
-                if home == 0 and draw(st.booleans()):
-                    int_columns.append(i)
             else:
                 if how == "new":
                     column = fresh(n)
@@ -413,23 +378,21 @@ def format_calls(draw):
                 else:
                     sources = [pool[home][:n], *arrays]
                     column = DERIVED[how](sources[draw(st.integers(0, len(sources) - 1))])
-                    if how == "int":
-                        int_columns.append(i)
                 column.flags.writeable = draw(st.booleans())
             arrays.append(column)
-        calls.append((arrays, tuple(int_columns)))
+        calls.append(arrays)
     return batch, calls
 
 
-def _memo_model(model, arrays, int_columns):
+def _memo_model(model, arrays):
     """The memo's policy on ``model``, position -> column, for one call.
 
-    A read-only float column of more than one value is kept, unless the
-    kept one has its bits.
+    A read-only column of more than one value is kept, unless the kept one
+    has its bits.
     """
     for i, a in enumerate(arrays):
         bits = a.view(np.uint64)
-        if a.flags.writeable or i in int_columns or not len(a) or (bits == bits[0]).all():
+        if a.flags.writeable or not len(a) or (bits == bits[0]).all():
             continue
         if i not in model or not np.array_equal(model[i].view(np.uint64), bits):
             model[i] = a
@@ -445,16 +408,16 @@ def test_format_rows_is_the_per_cell_format(drawn):
     batch, calls = drawn
     blocks = [["".join(row + "\n" for row in rows[start:start + batch])
                for start in range(0, len(rows), batch)]
-              for rows in (_reference_rows(*call) for call in calls)]
+              for rows in map(_reference_rows, calls)]
     model = {}
     with mock.patch.object(csvfile, "_BATCH", batch), mock.patch.object(csvfile, "_memo", {}):
-        for (arrays, int_columns), expected in zip(calls + calls[::-1], blocks + blocks[::-1]):
-            assert list(csvfile.format_rows(arrays, int_columns)) == expected
-            _memo_model(model, arrays, int_columns)
+        for arrays, expected in zip(calls + calls[::-1], blocks + blocks[::-1]):
+            assert list(csvfile.format_rows(arrays)) == expected
+            _memo_model(model, arrays)
             assert csvfile._memo.keys() == model.keys()
             for i, (held, texts) in csvfile._memo.items():
                 assert held is model[i]
-                assert texts == ["\n".join(write_oracle.cells(held[start:start + batch], False))
+                assert texts == ["\n".join(write_oracle.cells(held[start:start + batch]))
                                  for start in range(0, len(held), batch)]
 
 
@@ -509,23 +472,8 @@ def test_a_hit_needs_every_bit():
     short = kept[:-1]
     with mock.patch.object(csvfile, "_memo", {}):
         list(csvfile.format_rows([kept]))
-        assert _rows(csvfile.format_rows([short])) == _reference_rows([short], ())
+        assert _rows(csvfile.format_rows([short])) == _reference_rows([short])
         assert csvfile._memo[0][0] is short
-
-
-def test_an_integer_column_is_never_kept():
-    # the kept column's bits written as integers are formatted as integers
-    # and leave the entry alone, so a later float column with those bits hits
-    kept = _read_only(np.arange(2500.0))
-    with mock.patch.object(csvfile, "_memo", {}):
-        list(csvfile.format_rows([kept]))
-        entry = csvfile._memo[0]
-        assert _rows(csvfile.format_rows([kept], (0,))) == _reference_rows([kept], (0,))
-        assert csvfile._memo[0] is entry
-        again = _read_only(kept.copy())
-        with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
-            assert _rows(csvfile.format_rows([again])) == _reference_rows([again], ())
-        assert cells.call_count == 0
 
 
 def test_a_column_that_is_not_float64_is_rejected():
@@ -538,41 +486,45 @@ def test_a_column_that_is_not_float64_is_rejected():
         assert blocks == []
 
 
+def _fails_after_the_first(blocks):
+    """The first of ``blocks``, then a RuntimeError, as a source that fails partway."""
+    yield next(blocks)
+    raise RuntimeError("the source failed")
+
+
 def test_a_write_that_raises_leaves_no_file(tmp_path):
     # an int64 column fails before the first block, after the header is
-    # out; an infinite integer cell fails in the second batch, after the
-    # first batch's rows are out
-    infinite = np.zeros(csvfile._BATCH + 10)
-    infinite[-1] = math.inf
-    for arrays, int_columns, error in (
-        ([np.arange(3.0), np.arange(3)], (), TypeError),
-        ([np.arange(len(infinite), dtype=float), infinite], (1,), OverflowError),
+    # out; pieces that fail after their first block fail after the first
+    # batch's rows are out
+    column = np.arange(csvfile._BATCH + 10.0)
+    for pieces, error in (
+        (csvfile.format_rows([np.arange(3.0), np.arange(3)]), TypeError),
+        (_fails_after_the_first(csvfile.format_rows([column, column * 0.5])), RuntimeError),
     ):
         path = tmp_path / "partial.csv"
         with pytest.raises(error):
-            csvfile.write(path, "trace", [], ("a", "n"), csvfile.format_rows(arrays, int_columns))
+            csvfile.write(path, "trace", [], ("a", "n"), pieces)
         assert not path.exists()
 
 
 def test_writes_share_no_formatter_state(tmp_path):
     # two writes advanced in turn each yield what they yield alone; a write
-    # that raises in its second batch and one closed after its first block
+    # that raises after its first block and one closed after its first block
     # leave nothing held beside the memo, no formatter arena among it
     rng = np.random.default_rng(3)
     runs = [[rng.normal(size=3 * csvfile._BATCH) for _ in range(k)] for k in (6, 2)]
     alone = [list(csvfile.format_rows(arrays)) for arrays in runs]
     assert list(zip(*map(csvfile.format_rows, runs))) == list(zip(*alone))
-    infinite = np.zeros(csvfile._BATCH + 10)
-    infinite[-1] = math.inf
     kept = _read_only(np.arange(3000.0) * 1e-3)
     with mock.patch.object(csvfile, "_memo", {}):
         tracemalloc.start()
         try:
             list(csvfile.format_rows([kept]))
             memo = tracemalloc.get_traced_memory()[0]
-            with pytest.raises(OverflowError):
-                csvfile.write(tmp_path / "partial.csv", "trace", [], ("a", "n"),
-                              csvfile.format_rows([infinite.copy(), infinite], (1,)))
+            blocks = csvfile.format_rows(runs[1])
+            next(blocks)
+            with pytest.raises(RuntimeError):
+                blocks.throw(RuntimeError("the write failed"))
             blocks = csvfile.format_rows(runs[0])
             next(blocks)
             blocks.close()
@@ -607,7 +559,7 @@ def test_a_memoized_column_is_formatted_once_across_calls():
     list(csvfile.format_rows(calls[0]))
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         rows = [_rows(csvfile.format_rows(arrays)) for arrays in calls[1:]]
-    assert rows == [_reference_rows(arrays, ()) for arrays in calls[1:]]
+    assert rows == [_reference_rows(arrays) for arrays in calls[1:]]
     # the second column's three batches, then both columns' two, each batch
     # in one call: a prefix of the kept bits is a miss
     assert [len(call.args[0]) for call in cells.call_args_list] == [1024, 1024, 452, 2048, 952]
@@ -623,7 +575,7 @@ def test_a_shared_column_is_formatted_once_between_absent_branches():
     with mock.patch.object(csvfile, "_memo", {}), \
             mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         for arrays in runs:
-            assert _rows(csvfile.format_rows(arrays)) == _reference_rows(arrays, ())
+            assert _rows(csvfile.format_rows(arrays)) == _reference_rows(arrays)
     # each batch of t and of u_ffw is among the values handed to _cells once
     handed = b"".join(call.args[0].tobytes() for call in cells.call_args_list)
     for column in (t, u_ffw):
@@ -691,7 +643,8 @@ def read_cases(draw, pool, rows=READ_ROWS):
     columns that nearly repeat sit beside columns that do.  Or a column
     comes from ``pool``, the columns that the files of one example share
     as a sweep's traces do: cut to the file's rows like a truncated run,
-    maybe with the signs of its zeros flipped or one cell emptied.
+    maybe with the signs of its zeros flipped or one cell emptied.  A
+    column of integers may be spelt as older traces spelt them.
     """
     n = draw(st.integers(1, 12))
     rows = draw(rows)
@@ -723,11 +676,11 @@ def read_cases(draw, pool, rows=READ_ROWS):
             if how != "copy" and rows >= 3:
                 column[draw(st.integers(1, rows - 2))] = draw(VALUES)
         arrays.append(column.astype(float))
-    int_columns = tuple(i for i, a in enumerate(arrays)
-                        if np.all(~np.isfinite(a) | (np.trunc(a) == a)) and draw(st.booleans()))
-    for i in int_columns:
+    integer = tuple(i for i, a in enumerate(arrays)
+                    if np.all(~np.isfinite(a) | (np.trunc(a) == a)) and draw(st.booleans()))
+    for i in integer:
         arrays[i] = np.where(np.isfinite(arrays[i]), arrays[i], math.nan)
-    lines = [row + "\n" for row in _rows(csvfile.format_rows(arrays, int_columns))] if rows else []
+    lines = [row + "\n" for row in _integer_rows(arrays, integer)] if rows else []
     for _ in range(draw(st.integers(0, 2))):
         how = draw(st.sampled_from(["blank", "cell", "short", "extra", "crlf", "cr",
                                     "no final newline"]))
@@ -840,7 +793,7 @@ def test_read_holds_little_beside_its_array(tmp_path):
               + [np.full(rows, math.nan), np.zeros(rows)])
     columns = tuple(TRACE_COLUMNS.split(","))
     path = tmp_path / "trace.csv"
-    csvfile.write(path, "trace", [], columns, csvfile.format_rows(arrays, (9,)))
+    csvfile.write(path, "trace", [], columns, (row + "\n" for row in _integer_rows(arrays, (9,))))
     (_, data), peak = _peak(csvfile.read, path, "trace", columns)
     assert data.shape == (rows, 10)
     assert peak <= 1.3 * data.nbytes
@@ -1078,11 +1031,11 @@ def test_a_power_past_the_table_goes_to_float(q):
 
 
 def _long_trace(rows=700):
-    """The lines of a written trace of ``rows`` rows, noisy and scientific cells among them."""
+    """The lines of a written trace of ``rows`` rows, noisy, scientific and older traces' integer cells among them."""
     rng = np.random.default_rng(5)
     arrays = [np.arange(rows) * 5e-4, rng.normal(size=rows), rng.normal(size=rows) * 1e-6,
               np.full(rows, math.nan), np.floor(rng.random(rows) * 4)]
-    return [row + "\n" for row in _rows(csvfile.format_rows(arrays, (4,)))]
+    return [row + "\n" for row in _integer_rows(arrays, (4,))]
 
 
 def _short_row(lines):

@@ -15,8 +15,8 @@ temporary directory of its own:
 * ``twomass feedforward`` with its defaults (the feedforward table)
 * ``twomass analyze --output`` of the traces of ``table3-fb-sweep-2khz``
   (ideal sensor), ``controller-comparison-2khz`` (noisy and scientific
-  cells, a table's ``u_ffw``) and ``table2-ffw-sweep`` (the integer
-  ``newton_iterations`` column), which the trace reader parses, and of a
+  cells, a table's ``u_ffw``) and ``table2-ffw-sweep`` (the online
+  model's ``newton_iterations`` column), which the trace reader parses, and of a
   CRLF copy and a lone-CR copy of the ``table3-fb-sweep-2khz`` traces,
   whose line ends the reader translates (the copies are deleted after)
 * ``twomass check-plant --config`` and ``twomass simulate`` of a small config
@@ -36,9 +36,11 @@ there is one.
 
 With ``--manifest FILE``, the outputs of the one tree ``SRC`` are written and
 ``FILE`` gets one ``sha256`` line per file, ``DIGEST  NAME`` in name order,
-each summary hashed without its measured line.  ``tests/outputs.sha256`` is
-that manifest for the package as committed, and a test compares every file
-of the tree under test with it.  Uses the standard library only.
+each summary hashed without its measured line.  Each file whose digest
+changed, that is new or that is no longer written, against the manifest that
+``FILE`` held before, is printed.  ``tests/outputs.sha256`` is that manifest
+for the package as committed, and a test compares every file of the tree
+under test with it.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -200,6 +202,25 @@ def manifest(root: str) -> str:
                    for name in sorted(_files(root)))
 
 
+def _digests(text: str) -> dict:
+    """A manifest's digest of each name."""
+    return dict(line.split("  ", 1)[::-1] for line in text.splitlines())
+
+
+def manifest_changes(old: str, new: str) -> list[str]:
+    """One entry per file whose digest differs between manifests ``old`` and ``new``, or that only one lists."""
+    before, after = _digests(old), _digests(new)
+    found = []
+    for name in sorted(before.keys() | after.keys()):
+        if name not in after:
+            found.append(f"{name}: no longer written")
+        elif name not in before:
+            found.append(f"{name}: new")
+        elif before[name] != after[name]:
+            found.append(f"{name}: digest changed")
+    return found
+
+
 def differences(parent: str, change: str) -> list[str]:
     """One entry per file that is in one directory only or differs between the two."""
     found = []
@@ -234,9 +255,17 @@ def main(argv=None) -> int:
         if args.manifest is not None:
             write_outputs(args.parent_src, os.path.join(work, "out"))
             lines = manifest(os.path.join(work, "out"))
+            old = ""
+            if os.path.exists(args.manifest):
+                with open(args.manifest, encoding="utf-8") as fh:
+                    old = fh.read()
             with open(args.manifest, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(lines)
-            print(f"{len(lines.splitlines())} files hashed into {args.manifest}")
+            changed = manifest_changes(old, lines)
+            for entry in changed:
+                print(entry)
+            print(f"{len(lines.splitlines())} files hashed into {args.manifest}, "
+                  f"{len(changed)} changed")
             return 0
         parent, change = os.path.join(work, "parent"), os.path.join(work, "change")
         write_outputs(args.parent_src, parent)
