@@ -619,7 +619,7 @@ def _scaled(w: np.ndarray, q: np.ndarray):
     inexact = err >= (0.5 - 1e-6) * ulp.view(np.float64)  # near a tie
     inexact |= (bits & 2**52 - 1) == 0  # a power of two: its lower ulp is half
     # an exact product needs none of these: a zero, or w and 10**q both
-    # doubles, as in Clinger's fast path (an integer column's cells)
+    # doubles, as in Clinger's fast path (an older trace's integer cells)
     q += _Q_MIN
     exact = q.view(np.uint64) <= 22
     exact &= w <= 2**53

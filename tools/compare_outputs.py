@@ -202,14 +202,10 @@ def manifest(root: str) -> str:
                    for name in sorted(_files(root)))
 
 
-def _digests(text: str) -> dict:
-    """A manifest's digest of each name."""
-    return dict(line.split("  ", 1)[::-1] for line in text.splitlines())
-
-
 def manifest_changes(old: str, new: str) -> list[str]:
     """One entry per file whose digest differs between manifests ``old`` and ``new``, or that only one lists."""
-    before, after = _digests(old), _digests(new)
+    before, after = (dict(line.split("  ", 1)[::-1] for line in text.splitlines())
+                     for text in (old, new))
     found = []
     for name in sorted(before.keys() | after.keys()):
         if name not in after:
