@@ -29,10 +29,10 @@ its scaled norm and the correction with the constant inverse Jacobian are
 spelled out term by term, with no array or tuple built per iteration and no
 function called.  The norm's ``abs`` and ``max`` are comparisons that keep
 ``max``'s rules: a NaN first term is the norm, a later NaN term is passed over.
-The stepper holds the warm start as one flat tuple ``(q1, q2, v1, v2, u)``
-beside its state, and the step's constants (``dt``, the five model
-coefficients and the 25 entries of the inverse Jacobian) as another, so a
-step unpacks each once.
+So below the iteration cap a first term over the tolerance already decides a
+correction, and the norm is formed in full only on an iteration that may end
+the step, by converging or at the cap, the only ones that report it.  The warm
+start and the step's constants are two flat tuples, each unpacked once.
 """
 
 from __future__ import annotations
@@ -230,25 +230,27 @@ class InverseModelStepper:
         previous point ``(p1, p2, p3, p4)``: the residual, its scaled infinity
         norm and the correction ``z - J^-1 r`` are written out term by term,
         each sum left to right (``sum()`` rounds differently across Python
-        versions).  The previous point and the step's constants come from two
-        flat tuples, each unpacked once: the warm start ``(q1, q2, v1, v2,
-        u)`` that the ``state`` setter and each step refresh, and ``dt``, the
-        model coefficients and the inverse Jacobian row by row, fixed at
-        construction (``di1`` negated, as the residual uses it).  ``opts`` is
-        read on every step.  The norm makes no call and equals the builtins'
-        value: ``abs(r)`` is ``-r if r < 0.0 else r``, which keeps a
-        ``-0.0`` that never reaches the norm (``r1`` is never ``-0.0``, as
-        ``q1 - p1`` never is: ``q1`` starts as ``p1``, a correction gives
-        ``-0.0`` only from a ``q1`` of ``-0.0``, and ``x - x`` is ``0.0``; a
-        later term replaces the norm only if greater, which ``-0.0`` never
-        is), ``max(1.0, s)`` is ``s if s > 1.0 else 1.0``, and the outer
-        ``max`` keeps its NaN rule: the first term stands unless a later one
-        is greater, so a NaN first term ends the iteration.  An end point
-        that does not sum to a finite float raises :class:`NewtonDiverged`,
-        as the iteration cap does; every NaN norm ends there, and is
-        reported through ``abs``, with no sign.  A raise leaves the state
-        and its warm start as they were, and ``last_iterations`` and
-        ``last_residual`` hold the failing step's.
+        versions).  Two flat tuples, each unpacked once, hold the warm start
+        ``(q1, q2, v1, v2, u)`` that the ``state`` setter and each step
+        refresh, and ``dt``, the model coefficients (``di1`` negated, as the
+        residual uses it) and the inverse Jacobian row by row, fixed at
+        construction.  ``opts`` is read on every step.  The norm makes no
+        call and equals the builtins' value: ``abs(r)`` is
+        ``-r if r < 0.0 else r``, which keeps a ``-0.0`` that never reaches
+        the norm (``r1`` is never ``-0.0``, as ``q1 - p1`` never is: ``q1``
+        starts as ``p1``, a correction gives ``-0.0`` only from a ``q1`` of
+        ``-0.0``, and ``x - x`` is ``0.0``; a later term replaces the norm
+        only if greater, which ``-0.0`` never is), ``max(1.0, s)`` is
+        ``s if s > 1.0 else 1.0``, and the outer ``max`` keeps its NaN rule:
+        the first term stands unless a later one is greater.  So a NaN first
+        term ends the iteration, and below the cap a first term over the
+        tolerance decides a correction: terms 2 to 5 are formed, in order,
+        only on an iteration that may end the step, by converging or at the
+        cap, and each norm reported keeps its bits.  An end point that does
+        not sum to a finite float raises :class:`NewtonDiverged`, as the cap
+        does; every NaN norm ends there, and is reported through ``abs``,
+        with no sign.  A raise leaves the state and its warm start as they
+        were, and ``last_iterations`` and ``last_residual`` hold its own.
         """
         p1, p2, p3, p4, u = self._z
         q1, q2, v1, v2 = p1, p2, p3, p4
@@ -279,28 +281,30 @@ class InverseModelStepper:
             # norm only if greater, which a -0.0 never is
             s = -q1 if q1 < 0.0 else q1
             norm = (-r1 if r1 < 0.0 else r1) / (s if s > 1.0 else 1.0)
-            s = -q2 if q2 < 0.0 else q2
-            x = (-r2 if r2 < 0.0 else r2) / (s if s > 1.0 else 1.0)
-            if x > norm:
-                norm = x
-            s = -v1 if v1 < 0.0 else v1
-            x = (-r3 if r3 < 0.0 else r3) / (s if s > 1.0 else 1.0)
-            if x > norm:
-                norm = x
-            s = -v2 if v2 < 0.0 else v2
-            x = (-r4 if r4 < 0.0 else r4) / (s if s > 1.0 else 1.0)
-            if x > norm:
-                norm = x
-            s = -u if u < 0.0 else u
-            x = (-r5 if r5 < 0.0 else r5) / (s if s > 1.0 else 1.0)
-            if x > norm:
-                norm = x
-            if not norm > tolerance:
-                break
-            if iterations >= max_iterations:
-                self.last_iterations = iterations
-                self.last_residual = norm
-                raise NewtonDiverged(t_next, norm, iterations)
+            # below the cap, a first term over the tolerance decides a correction
+            if not (norm > tolerance and iterations < max_iterations):
+                s = -q2 if q2 < 0.0 else q2
+                x = (-r2 if r2 < 0.0 else r2) / (s if s > 1.0 else 1.0)
+                if x > norm:
+                    norm = x
+                s = -v1 if v1 < 0.0 else v1
+                x = (-r3 if r3 < 0.0 else r3) / (s if s > 1.0 else 1.0)
+                if x > norm:
+                    norm = x
+                s = -v2 if v2 < 0.0 else v2
+                x = (-r4 if r4 < 0.0 else r4) / (s if s > 1.0 else 1.0)
+                if x > norm:
+                    norm = x
+                s = -u if u < 0.0 else u
+                x = (-r5 if r5 < 0.0 else r5) / (s if s > 1.0 else 1.0)
+                if x > norm:
+                    norm = x
+                if not norm > tolerance:
+                    break
+                if iterations >= max_iterations:
+                    self.last_iterations = iterations
+                    self.last_residual = norm
+                    raise NewtonDiverged(t_next, norm, iterations)
             q1, q2, v1, v2, u = (
                 q1 - (a11 * r1 + a12 * r2 + a13 * r3 + a14 * r4 + a15 * r5),
                 q2 - (a21 * r1 + a22 * r2 + a23 * r3 + a24 * r4 + a25 * r5),

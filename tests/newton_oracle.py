@@ -7,10 +7,15 @@ generator and the correction ``z - J^-1 r`` as a tuple over the rows of
 ``_jac_inv``.  It builds its model coefficients and its inverse Jacobian
 itself, from :func:`analytic_jacobian`, so it shares no constant with the
 stepper.  The stepper writes the same operations out on five local floats in
-the same order, from the same expressions, so states, torques, Newton
-counts, the last residual and the residual of a ``NewtonDiverged`` must
-equal this oracle's bit for bit.  A failed step, as a converged one, leaves
-its count and residual in ``last_iterations`` and ``last_residual``.
+the same order, from the same expressions, with one shortcut: below the
+iteration cap it stops the norm after a first term over the tolerance.  That
+cannot change a bit, since ``max`` keeps the norm at least that term (a later
+NaN term is passed over), so a correction follows either way, and every
+iteration whose norm is reported, one that converges or meets the cap, forms
+all five terms in order.  So states, torques, Newton counts, the last
+residual and the residual of a ``NewtonDiverged`` must equal this oracle's
+bit for bit.  A failed step, as a converged one, leaves its count and
+residual in ``last_iterations`` and ``last_residual``.
 """
 
 from __future__ import annotations

@@ -144,6 +144,22 @@ class TestImplicitEulerStep:
         assert_close(new.q, [3e-3, 3e-3], rel=1e-10, floor=1e-3)
         assert abs(new.q[0] - new.q[1]) <= 1e-12
 
+    def test_a_cap_of_one_raises_with_the_full_norm(self, rig, reference):
+        # the spinning start's first term, dt * |v1|, is far above the
+        # tolerance, and so is the next iteration's: the cap, not that term,
+        # must end the step, with the five-term norm the oracle reports
+        prev = InverseModelState((0.0, 0.0), (5.0, 5.0), 0.0, 2.0)
+        opts = NewtonOptions(max_iterations=1, residual_tolerance=1e-300)
+        oracle = TupleStepper(rig, reference, 1e-3, opts)
+        oracle.state = prev
+        with pytest.raises(NewtonDiverged) as expected:
+            oracle.advance(2.001)
+        assert expected.value.iterations == 1
+        with pytest.raises(NewtonDiverged) as err:
+            step_from(prev, 2.001, 1e-3, rig, reference, opts)
+        assert err.value.iterations == 1
+        assert _exact(err.value.residual) == _exact(expected.value.residual)
+
     def test_newton_diverges_on_impossible_tolerance(self, rig, reference):
         # the solve is exact to rounding, so a sub-rounding tolerance must
         # exhaust the iteration cap and surface as a divergence
