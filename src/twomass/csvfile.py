@@ -29,8 +29,8 @@ outside ``[1e-98, 1e7)``.
 
 The writer works on batches of rows and formats a repeated or constant
 column of a batch once.  The batch's other columns that it does not
-remember go to the formatter end to end, in calls of at most 4,096 cells,
-so its fixed cost is paid once for every four columns.  The formatter works
+remember go to the formatter end to end, in calls of at most 5,120 cells,
+so its fixed cost is paid once for every five columns.  The formatter works
 in one arena that a write holds from its first batch to its last and drops
 when it ends, is closed or raises, so no batch hands memory back to the
 system only to touch it again.  It also remembers read-only columns (a
@@ -77,9 +77,10 @@ __all__ = ["format_echo", "parse_echo", "format_rows", "write", "read"]
 # rows formatted per batch: bounds the strings alive at once while writing,
 # one batch's cells, rows and text block
 _BATCH = 1024
-# cells per formatter call, four columns of a batch, and the words a cell of
-# the formatter's arena, which one write holds for all its calls
-_CELLS, _ARENA_ROWS = 4 * _BATCH, 17
+# cells per formatter call, five columns of a batch (the new columns of most
+# of a controller comparison's batches), and the words a cell of the
+# formatter's arena, which one write holds for all its calls
+_CELLS, _ARENA_ROWS = 5 * _BATCH, 17
 # bytes read and parsed per block: bounds the text and the arrays alive at once while reading
 _BLOCK = 1 << 16
 

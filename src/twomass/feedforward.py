@@ -32,7 +32,8 @@ function called.  The norm's ``abs`` and ``max`` are comparisons that keep
 So below the iteration cap a first term over the tolerance already decides a
 correction, and the norm is formed in full only on an iteration that may end
 the step, by converging or at the cap, the only ones that report it.  The warm
-start and the step's constants are two flat tuples, each unpacked once.
+start is the stepper's ``state``, unpacked once as nested pairs, and the
+step's constants are one flat tuple, unpacked once.
 """
 
 from __future__ import annotations
@@ -173,8 +174,11 @@ class InverseModelStepper:
     """Marches the servo-constrained inverse model on a fixed grid.
 
     Holds the warm-start state between steps; one instance per solve (or per
-    online controller).  Distinct instances are independent.  Assigning
-    ``state`` sets the point the next step starts from.  After each step,
+    online controller).  Distinct instances are independent.  ``state`` is
+    the point the next step starts from; a state assigned to it is checked
+    only by the next :meth:`advance`, which raises before any iteration
+    (``ValueError`` for a wrong length) if it does not unpack as
+    ``((q1, q2), (v1, v2), u, t)``.  After each step,
     converged or failed, ``last_iterations`` and ``last_residual`` hold its
     Newton count and final scaled residual norm (NaN before the first step).
     """
@@ -208,17 +212,6 @@ class InverseModelStepper:
         self._constants = (dt, k / i1, -(d / i1), k / i2, d / i2, 1.0 / i1,
                            *np.linalg.inv(jac).ravel().tolist())
 
-    @property
-    def state(self) -> InverseModelState:
-        """The point the next step starts from."""
-        return self._state
-
-    @state.setter
-    def state(self, state: InverseModelState) -> None:
-        (q1, q2), (v1, v2), u, _ = state
-        self._z = (q1, q2, v1, v2, u)
-        self._state = state
-
     def advance(self, t_next: float, y_next: float | None = None) -> InverseModelState:
         """One implicit Euler step of the constrained system to ``t_next``.
 
@@ -230,11 +223,11 @@ class InverseModelStepper:
         previous point ``(p1, p2, p3, p4)``: the residual, its scaled infinity
         norm and the correction ``z - J^-1 r`` are written out term by term,
         each sum left to right (``sum()`` rounds differently across Python
-        versions).  Two flat tuples, each unpacked once, hold the warm start
-        ``(q1, q2, v1, v2, u)`` that the ``state`` setter and each step
-        refresh, and ``dt``, the model coefficients (``di1`` negated, as the
-        residual uses it) and the inverse Jacobian row by row, fixed at
-        construction.  ``opts`` is read on every step.  The norm makes no
+        versions).  The warm start is ``state``, unpacked once as nested
+        pairs, and each step assigns the state it returns; one flat tuple,
+        unpacked once, holds ``dt``, the model coefficients (``di1`` negated,
+        as the residual uses it) and the inverse Jacobian row by row, fixed
+        at construction.  ``opts`` is read on every step.  The norm makes no
         call and equals the builtins' value: ``abs(r)`` is
         ``-r if r < 0.0 else r``, which keeps a ``-0.0`` that never reaches
         the norm (``r1`` is never ``-0.0``, as ``q1 - p1`` never is: ``q1``
@@ -249,10 +242,10 @@ class InverseModelStepper:
         cap, and each norm reported keeps its bits.  An end point that does
         not sum to a finite float raises :class:`NewtonDiverged`, as the cap
         does; every NaN norm ends there, and is reported through ``abs``,
-        with no sign.  A raise leaves the state and its warm start as they
-        were, and ``last_iterations`` and ``last_residual`` hold its own.
+        with no sign.  A raise leaves ``state`` as it was, and
+        ``last_iterations`` and ``last_residual`` hold its own.
         """
-        p1, p2, p3, p4, u = self._z
+        (p1, p2), (p3, p4), u, _ = self.state
         q1, q2, v1, v2 = p1, p2, p3, p4
         if y_next is None:
             y_next = trajectory.y_ref_at(self.spec, t_next)
@@ -319,9 +312,7 @@ class InverseModelStepper:
         if c - c != 0.0:  # a NaN or an infinity, even one the norm passed over
             self.last_residual = norm = abs(norm)  # every NaN norm ends here: abs clears its sign
             raise NewtonDiverged(t_next, norm, iterations)
-        state = _new_tuple(InverseModelState, ((q1, q2), (v1, v2), u, t_next))
-        self._z = (q1, q2, v1, v2, u)
-        self._state = state
+        state = self.state = _new_tuple(InverseModelState, ((q1, q2), (v1, v2), u, t_next))
         return state
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import os
+import signal
 import threading
 
 import numpy as np
@@ -30,6 +31,40 @@ settings.register_profile(
     phases=[phase for phase in Phase if phase is not Phase.explain],
 )
 settings.load_profile("twomass")
+
+
+# Wall seconds a test may run, about ten times the slowest one, so that a
+# loop that never ends (a Newton iteration past its cap) fails its test
+# instead of hanging the run.  It bounds the test's call and its function
+# fixtures; a module-scoped fixture set up before it runs unbounded.
+TIME_LIMIT = 60.0
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past ``TIME_LIMIT``.
+
+    Not an ``Exception``: hypothesis would catch one as the example's failure
+    and replay the example, and ``pytest.raises(Exception)`` would take it.
+    """
+
+
+def _expire(signum, frame):
+    raise TimeLimitExceeded(f"the test ran past its {TIME_LIMIT:g} s limit")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Arms a ``TIME_LIMIT`` wall-clock alarm for the test, where ``setitimer`` exists."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 _LABELLED = SimulationConfig(

@@ -180,12 +180,12 @@ REPR_CELLS = [0.5, math.nan, math.inf, -math.inf, 1e-300, 19.325820922851562]
 
 
 def test_a_batchs_new_float_columns_are_formatted_in_one_call():
-    # three new float columns, with the cells that _cell writes in the 2nd
-    # and 3rd in both batches
+    # five new float columns, as in most batches of a controller comparison,
+    # with the cells that _cell writes in the 2nd and 3rd in both batches
     rows = csvfile._BATCH + 100
     assert csvfile._shortest(np.array(REPR_CELLS), _arena(len(REPR_CELLS)))[2].all()
     rng = np.random.default_rng(5)
-    arrays = [rng.normal(size=rows) for _ in range(3)]
+    arrays = [rng.normal(size=rows) for _ in range(5)]
     placed = {}  # (row, column) -> value
     for column, base in ((1, 3), (2, 40)):
         for k, x in enumerate(REPR_CELLS):
@@ -193,24 +193,30 @@ def test_a_batchs_new_float_columns_are_formatted_in_one_call():
                 arrays[column][row] = placed[row, column] = x
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         got = _rows(csvfile.format_rows(arrays))
-    assert [len(call.args[0]) for call in cells.call_args_list] == [3 * csvfile._BATCH, 300]
+    assert [len(call.args[0]) for call in cells.call_args_list] == [5 * csvfile._BATCH, 500]
     assert got == _reference_rows(arrays)
     for (row, column), x in placed.items():
         assert got[row].split(",")[column] == write_oracle.cells(np.array([x]))[0]
 
 
 def test_a_batchs_new_float_columns_go_to_the_formatter_in_capped_calls(tmp_path):
-    # nine new float columns: a full batch takes three calls, the last batch
-    # of 100 rows a column one; the cells that _cell writes sit in the first
-    # and last cell of a call and inside one, in both batches
-    rows = csvfile._BATCH + 100
+    # nine new float columns: a full batch takes a call of _CELLS cells and
+    # one of the rest, the last batch of 100 rows a column one; the cells that
+    # _cell writes end the first call, start the next and sit inside it in the
+    # full batch (cell c is row c % batch of column c // batch), and start
+    # the last batch's call
+    batch, cap = csvfile._BATCH, csvfile._CELLS
+    rows, full = batch + 100, 9 * batch
+    assert cap < full <= 2 * cap and cap % batch == 0
+    placed = [divmod(cap - len(REPR_CELLS), batch), divmod(cap, batch),
+              divmod((cap + full) // 2, batch), (5, batch)]
     rng = np.random.default_rng(9)
     arrays = [rng.normal(size=rows) * 10.0 ** rng.integers(-5, 6, size=rows) for _ in range(9)]
-    for column, row in ((3, csvfile._BATCH - len(REPR_CELLS)), (4, 0), (8, 500), (5, csvfile._BATCH)):
+    for column, row in placed:
         arrays[column][row:row + len(REPR_CELLS)] = REPR_CELLS
     with mock.patch.object(csvfile, "_cells", wraps=csvfile._cells) as cells:
         csvfile.write(tmp_path / "wide.csv", "trace", [], "abcdefghi", csvfile.format_rows(arrays))
-    assert [len(call.args[0]) for call in cells.call_args_list] == [4096, 4096, 1024, 900]
+    assert [len(call.args[0]) for call in cells.call_args_list] == [cap, full - cap, 900]
     text = (tmp_path / "wide.csv").read_text(encoding="utf-8")
     assert text == "# twomass trace\na,b,c,d,e,f,g,h,i\n" + "".join(
         row + "\n" for row in _reference_rows(arrays))
@@ -440,7 +446,7 @@ def test_writing_a_trace_holds_one_batch_at_a_time(tmp_path, sweep_trace):
     # a sweep trace of 30,001 rows and 4.04 MiB, written with an empty memo:
     # the writer holds one batch's cells, rows and text block at a time and
     # the memo's batch texts, never the whole file's text.  The peak is
-    # 2.76 MiB with the formatter's 0.53 MiB arena held for the whole write
+    # 2.88 MiB with the formatter's 0.66 MiB arena held for the whole write
     # (2.20 MiB when each formatter call made and dropped its own arrays,
     # 2.11 MiB a column at a time, as with repr per cell)
     path = tmp_path / "trace.csv"
@@ -532,7 +538,7 @@ def test_writes_share_no_formatter_state(tmp_path):
         finally:
             tracemalloc.stop()
         assert csvfile._memo.keys() == {0}
-    # an arena is 17 words a cell for 4,096 cells (544 KiB)
+    # an arena is 17 words a cell for 5,120 cells (680 KiB)
     assert abs(retained - memo) < 2**12
     arena = csvfile._ARENA_ROWS * csvfile._CELLS * 8
     assert all(v.nbytes < arena for v in vars(csvfile).values() if isinstance(v, np.ndarray))
