@@ -33,10 +33,11 @@ remember go to the formatter end to end, in calls of at most 5,120 cells,
 so its fixed cost is paid once for every five columns.  The formatter works
 in one arena that a write holds from its first batch to its last and drops
 when it ends, is closed or raises, so no batch hands memory back to the
-system only to touch it again.  It also remembers read-only columns (a
-sweep's tick times) from one file to the next: it keeps the last one of
-more than one value met at each position, the array itself and its text,
-for a later column of the same bits.  It joins each batch's rows into one
+system only to touch it again.  It also remembers frozen columns (a
+sweep's tick times), read-only down to the array that owns their memory,
+from one file to the next: it keeps the last one of more than one value
+met at each position, the array itself and its text, for a later column
+of the same bits.  It joins each batch's rows into one
 newline-terminated text block, so no Python code runs per row between the
 cells and the file, and ends every line with ``"\\n"`` on every platform.
 
@@ -336,8 +337,17 @@ def _cells(x: np.ndarray, arena: np.ndarray) -> list[str]:
 
 
 # position -> (column, "\n"-joined cells of each of its batches): the last
-# read-only column of more than one value that format_rows formatted there
+# frozen column of more than one value that format_rows formatted there
 _memo: dict = {}
+
+
+def _frozen(a) -> bool:
+    """Whether ``a`` and every array it views are read-only, down to an array that owns its memory."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        if a.base is None:
+            return True
+        a = a.base
+    return False
 
 
 def _kept_batches(i, bits):
@@ -366,16 +376,18 @@ def format_rows(arrays):
     of at most ``_CELLS`` cells.  Every call works in one arena that this
     generator holds until it ends, is closed or raises.
 
-    At each position, the memo keeps the last read-only column formatted
-    there in full: the array itself, with no copy, and the text of each of
-    its batches.  So a column that repeats from file to file (the tick times
-    of one grid, a table's tuned torque) is formatted once.  A later
-    read-only column hits only when it has the kept column's bits, all of
+    At each position, the memo keeps the last frozen column formatted there
+    in full: the array itself, with no copy, and the text of each of its
+    batches.  A column is frozen when it and every array it views are
+    read-only, down to an array that owns its memory, so no writable view
+    can change it.  So a column that repeats from file to file (the tick
+    times of one grid, a table's tuned torque) is formatted once.  A later
+    frozen column hits only when it has the kept column's bits, all of
     them: a truncated run's prefix is formatted anew.  A miss drops the kept
     entry before formatting, so the old and the new text are never held at
-    once.  A writable column, or one of one value throughout (an absent
-    branch's NaN), neither hits nor displaces the entry.  A read-only column
-    must not change while the memo holds it.
+    once.  A column that is not frozen, or one of one value throughout (an
+    absent branch's NaN), neither hits nor displaces the entry.  A frozen
+    column must not be made writable while the memo holds it.
     """
     n = len(arrays[0])
     hits, fills = {}, {}  # position -> the kept batches it reads / the batches it keeps
@@ -383,7 +395,7 @@ def format_rows(arrays):
         if a.dtype != np.float64:
             raise TypeError(f"column {i} is {a.dtype}, not float64")
         bits = a.view(np.uint64)
-        if a.flags.writeable or not n or (bits == bits[0]).all():
+        if not _frozen(a) or not n or (bits == bits[0]).all():
             continue
         batches = _kept_batches(i, bits)
         if batches is None:

@@ -124,41 +124,36 @@ class TuningFactors:
 
 @dataclass(frozen=True)
 class FeedforwardTable:
-    """Feedforward torque sampled on a uniform grid.
+    """Feedforward torque ``u`` on the grid ``t = k * dt``: sample ``k`` is applied at tick ``k``.
 
+    The table owns a read-only copy of ``u`` and derives ``t``, read-only too.
     ``meta`` is the file header's config echo (solver settings, plant and
     trajectory).  Newton iteration counts per step are kept for
     real-time-budget reporting; they are not part of the serialized artifact.
     """
 
     dt: float
-    t: np.ndarray
     u: np.ndarray
     newton_iterations: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    t: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        if t.shape != u.shape or t.ndim != 1:
+        u = np.array(self.u, dtype=float)
+        if u.ndim != 1:
             raise ValidationError("table arrays must be 1-D and equally long")
         if not np.all(np.isfinite(u)):
             raise ValidationError("table torque samples must be finite")
         if not 0.0 < self.dt < math.inf:
             raise ValidationError(f"table spacing dt must be finite and > 0, got {self.dt!r}")
-        if len(t) and not abs(t[0]) <= 1e-9 * self.dt:  # sample k is applied at tick k
-            raise ValidationError(f"table grid starts at t = {t[0].item()!r}, not 0")
-        if len(t) > 1:
-            spacing = np.diff(t)
-            if not np.allclose(spacing, self.dt, rtol=1e-9, atol=1e-12):
-                raise ValidationError("table grid must be uniform with spacing dt")
+        t = np.arange(len(u)) * self.dt
         t.setflags(write=False)
         u.setflags(write=False)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.u)
 
 
 def step_count(steps: float, span: str, unit: str) -> int:
@@ -361,8 +356,6 @@ def solve_feedforward(
         torques[i] = state.u
         iterations[i] = stepper.last_iterations
     meta = {
-        "dt": repr(dt),
-        "samples": str(n_steps + 1),
         "tolerance": repr(opts.residual_tolerance),
         "I1": repr(params.I1),
         "I2": repr(params.I2),
@@ -373,7 +366,7 @@ def solve_feedforward(
         "t0": repr(spec.t0),
         "tf": repr(spec.tf),
     }
-    return FeedforwardTable(dt=dt, t=times, u=torques, newton_iterations=iterations, meta=meta)
+    return FeedforwardTable(dt=dt, u=torques, newton_iterations=iterations, meta=meta)
 
 
 def apply_tuning(u_ffw: float, factors: TuningFactors) -> float:
@@ -386,25 +379,32 @@ _TABLE_COLUMNS = ("t", "u_ffw")
 
 def write_table_csv(table: FeedforwardTable, path) -> None:
     """Serialize a table as two-column CSV; the header carries ``meta``, ``dt`` and the length."""
-    meta = dict(table.meta)
-    meta.setdefault("dt", repr(table.dt))
-    meta.setdefault("samples", str(len(table)))
+    meta = {**table.meta, "dt": repr(table.dt), "samples": str(len(table))}
     header = [("config", csvfile.format_echo(meta))]
     blocks = csvfile.format_rows([table.t, table.u])
     csvfile.write(path, "feedforward table", header, _TABLE_COLUMNS, blocks)
 
 
 def read_table_csv(path) -> FeedforwardTable:
-    """Load a table written by :func:`write_table_csv`."""
+    """Load a table written by :func:`write_table_csv`, checking its grid; ``dt`` and ``samples`` leave ``meta``."""
     header, data = csvfile.read(path, "feedforward table", _TABLE_COLUMNS)
     meta = csvfile.parse_echo(header.get("config", ""), path)
     if "dt" not in meta:
         raise ValidationError(f"{path}: missing dt in table header")
+    dt, samples = meta.pop("dt"), meta.pop("samples", None)
     try:
-        dt = float(meta["dt"])
+        dt = float(dt)
     except ValueError:
-        raise ParseError(f"{path}: dt={meta['dt']!r} is not a number") from None
+        raise ParseError(f"{path}: dt={dt!r} is not a number") from None
+    if samples is not None and samples != str(len(data)):
+        raise ValidationError(f"{path}: header says samples={samples}, file has {len(data)} rows")
+    t = data[:, 0]
     try:
-        return FeedforwardTable(dt=dt, t=data[:, 0], u=data[:, 1], meta=meta)
+        table = FeedforwardTable(dt=dt, u=data[:, 1], meta=meta)
+        if len(t) and not abs(t[0]) <= 1e-9 * dt:  # sample k is applied at tick k
+            raise ValidationError(f"table grid starts at t = {t[0].item()!r}, not 0")
+        if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
+            raise ValidationError("table grid must be uniform with spacing dt")
     except ValidationError as err:
         raise ValidationError(f"{path}: {err}") from None
+    return table

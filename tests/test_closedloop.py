@@ -482,7 +482,7 @@ class TestRunSimulation:
     ])
     def test_counts_from_rest_under_a_constant_torque(self, rig_with_friction, torque, counts):
         table = FeedforwardTable(
-            dt=1e-3, t=np.arange(1001) * 1e-3, u=np.full(1001, torque),
+            dt=1e-3, u=np.full(1001, torque),
             newton_iterations=np.zeros(1001, dtype=int),
         )
         cfg = base_config(
@@ -497,8 +497,7 @@ class TestRunSimulation:
 
 
 def _table(u, n=2001, dt=1e-3):
-    return FeedforwardTable(dt=dt, t=np.arange(n) * dt, u=np.full(n, u),
-                            newton_iterations=np.zeros(n, dtype=int))
+    return FeedforwardTable(dt=dt, u=np.full(n, u), newton_iterations=np.zeros(n, dtype=int))
 
 
 REST = TrajectorySpec(y0=0.0, yf=0.0, t0=0.0, tf=1.0)
@@ -793,14 +792,26 @@ class TestSharedColumns:
         flat = _table(0.0)
         bump = np.zeros(len(flat))
         bump[1000] = 0.5
-        bumped = FeedforwardTable(dt=flat.dt, t=flat.t, u=bump,
-                                  newton_iterations=flat.newton_iterations)
+        bumped = FeedforwardTable(dt=flat.dt, u=bump, newton_iterations=flat.newton_iterations)
         assert repr(flat) == repr(bumped)
         mode = ControllerMode.feedforward_only(UNIT_TUNING)
         for table in (flat, bumped):
             trace = run_simulation(base_config(mode=mode,
                                                feedforward_source=FeedforwardSource(table=table)))
             assert np.array_equal(trace.u_ffw, table.u)
+
+    def test_a_table_reused_after_its_caller_writes_the_array_runs_its_own_torque(self):
+        # the table owns its samples, so the caller's write changes neither
+        # the table nor the tuned column keyed on it
+        caller = np.full(2001, 0.15)
+        table = FeedforwardTable(dt=1e-3, u=caller[:])
+        config = base_config(mode=ControllerMode.feedforward_only(UNIT_TUNING),
+                             feedforward_source=FeedforwardSource(table=table))
+        first = run_simulation(config)
+        caller[:] = 2.0
+        second = run_simulation(config)
+        assert np.all(table.u == 0.15)
+        assert np.array_equal(second.u_ffw, table.u) and np.array_equal(first.u_ffw, table.u)
 
     def test_online_runs_own_their_feedforward_columns(self):
         runs = [run_simulation(base_config(label=f"online-{i}", duration=0.2,

@@ -265,12 +265,13 @@ def _repeated_label_with_output(tmp_path):
     return ["analyze", str(good), str(path), "--output", str(tmp_path / "re.csv")], path
 
 
-def _table_with_torque(cell, dt="0.001", start=0.0):
-    # a two-sample table on the grid from ``start`` s with ``cell`` as its first torque
+def _table_with_torque(cell, dt="0.001", start=0.0, samples=2):
+    # a two-sample table on the grid from ``start`` s with ``cell`` as its first torque,
+    # its header saying ``samples`` rows
     def case(tmp_path):
         path = tmp_path / "table.csv"
         path.write_text(
-            f"# twomass feedforward table\n# config: dt={dt}|samples=2\n"
+            f"# twomass feedforward table\n# config: dt={dt}|samples={samples}\n"
             f"t,u_ffw\n{start!r},{cell}\n{start + 0.001!r},0.0\n"
         )
         text = FULL_CONFIG.replace("seed = 3", "seed = 3\nfeedforward = table:table.csv")
@@ -885,6 +886,8 @@ class TestCli:
          pytest.param(_table_with_torque("0.0", dt="abc"), id="table-dt-not-a-number"),
          # run_simulation applies sample k at tick k
          pytest.param(_table_with_torque("0.0", start=5.0), id="table-grid-not-from-zero"),
+         # a copy of a longer table cut short
+         pytest.param(_table_with_torque("0.0", samples=4), id="table-samples-not-the-row-count"),
          *OFF_GRAMMAR,
          # the metrics file would hold two config lines of that label
          pytest.param(_repeated_label_with_output, id="analyze-output-repeated-label")],
@@ -1267,12 +1270,23 @@ class TestFieldTable:
     def test_table_source_is_echoed_as_table(self):
         cfg = build_preset("table2-ffw-sweep").configs[0]
         n = cfg.n_ticks + 1  # a table long enough for the run, on its tick grid
-        table = FeedforwardTable(dt=1e-3, t=np.arange(n) * 1e-3, u=np.zeros(n))
+        table = FeedforwardTable(dt=1e-3, u=np.zeros(n))
         cfg = dataclasses.replace(cfg, feedforward_source=FeedforwardSource(table=table))
         echo = config_echo(cfg)
         assert echo["feedforward.source"] == "table"
         back = config_from_echo(echo, "header")
         assert back == dataclasses.replace(cfg, feedforward_source=FeedforwardSource())
+
+    def test_readme_python_blocks_run_in_order(self, capsys):
+        # in one namespace: the second block uses the first one's imports
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+        assert len(blocks) == 2
+        namespace = {}
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["trace"].status.completed and namespace["state"].t == 5.0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_readme_ini_block_names_exactly_the_table_keys(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -359,8 +359,9 @@ def format_calls(draw):
             return np.resize(np.array(draw(st.lists(CELL_VALUES, min_size=1, max_size=32))), n)
         return np.array(draw(st.lists(VALUES, min_size=n, max_size=n)), dtype=float)
 
-    pool = [np.resize(np.array(draw(st.lists(INTEGRAL, min_size=1, max_size=12))), length),
-            *(fresh(length) for _ in range(draw(st.integers(0, 2))))]
+    # copies: np.resize returns a view of a writable array, which the memo never keeps
+    pool = [np.resize(np.array(draw(st.lists(INTEGRAL, min_size=1, max_size=12))), length).copy(),
+            *(fresh(length).copy() for _ in range(draw(st.integers(0, 2))))]
     for column in pool:
         column.flags.writeable = False
     calls = []
@@ -390,15 +391,20 @@ def format_calls(draw):
     return batch, calls
 
 
+def _frozen(a):
+    """``a`` is read-only, and so is each array it views, down to one with no base."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable and (a.base is None or _frozen(a.base))
+
+
 def _memo_model(model, arrays):
     """The memo's policy on ``model``, position -> column, for one call.
 
-    A read-only column of more than one value is kept, unless the kept one
-    has its bits.
+    A frozen column of more than one value is kept, unless the kept one has
+    its bits.
     """
     for i, a in enumerate(arrays):
         bits = a.view(np.uint64)
-        if a.flags.writeable or not len(a) or (bits == bits[0]).all():
+        if not _frozen(a) or not len(a) or (bits == bits[0]).all():
             continue
         if i not in model or not np.array_equal(model[i].view(np.uint64), bits):
             model[i] = a
@@ -587,6 +593,22 @@ def test_a_shared_column_is_formatted_once_between_absent_branches():
     for column in (t, u_ffw):
         assert [handed.count(column[start:start + csvfile._BATCH].tobytes())
                 for start in range(0, 2500, csvfile._BATCH)] == [1, 1, 1]
+
+
+def test_a_read_only_view_of_a_writable_array_is_not_kept(tmp_path):
+    # a trace whose t is a read-only view of the caller's array, written,
+    # then written again after the caller doubles the array: the memo must
+    # not hit on the view it would hold, which now reads the doubled values
+    trace = run_simulation(replace(build_preset("table3-fb-sweep-2khz").configs[0], duration=1.0))
+    caller = trace.t.copy()
+    view = caller[:]
+    view.flags.writeable = False
+    with mock.patch.object(csvfile, "_memo", {}):
+        write_trace_csv(replace(trace, t=view), tmp_path / "first.csv")
+        caller *= 2.0
+        write_trace_csv(replace(trace, t=view), tmp_path / "second.csv")
+    assert np.array_equal(read_trace_csv(tmp_path / "first.csv").t, trace.t)
+    assert np.array_equal(read_trace_csv(tmp_path / "second.csv").t, 2.0 * trace.t)
 
 
 def test_a_trace_after_a_table_on_its_grid_is_written_as_a_fresh_process_writes_it(tmp_path):

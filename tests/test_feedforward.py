@@ -518,6 +518,14 @@ class TestApplyTuning:
         assert apply_tuning(2.0, TuningFactors(0.3, 0.0)) == 0.6
 
 
+def _table_file(tmp_path, t):
+    """A table file on the grid ``t`` (NaN an empty cell) with spacing 0.1 and zero torque."""
+    path = tmp_path / "table.csv"
+    rows = "".join(f"{'' if math.isnan(x) else repr(x)},0.0\n" for x in np.asarray(t).tolist())
+    path.write_text(f"# twomass feedforward table\n# config: dt=0.1\nt,u_ffw\n{rows}")
+    return path
+
+
 class TestTableCsv:
     def test_round_trip(self, rig, reference, tmp_path):
         table = solve_feedforward(rig, reference, dt=1e-3, horizon=1.0)
@@ -529,28 +537,55 @@ class TestTableCsv:
         assert np.array_equal(loaded.u, table.u)
         assert loaded.meta == table.meta
 
-    def test_nonuniform_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            ffw.FeedforwardTable(dt=0.1, t=np.array([0.0, 0.1, 0.3]), u=np.zeros(3))
+    def test_nonuniform_grid_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="table grid must be uniform with spacing dt"):
+            read_table_csv(_table_file(tmp_path, [0.0, 0.1, 0.3]))
 
     @pytest.mark.parametrize("t", [np.arange(3) * 0.1 + 5.0, np.array([0.1]), np.array([np.nan]),
                                    np.arange(3) * 0.1 - 2e-10])
-    def test_grid_off_zero_rejected(self, t):
+    def test_grid_off_zero_rejected(self, t, tmp_path):
         # the run applies sample k at tick k, so the grid starts at 0
         with pytest.raises(ValidationError, match="table grid starts at t = .*, not 0"):
-            ffw.FeedforwardTable(dt=0.1, t=t, u=np.zeros(len(t)))
+            read_table_csv(_table_file(tmp_path, t))
 
     @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1, math.inf])
     def test_spacing_that_is_not_a_positive_number_rejected(self, dt):
-        # the grid checks take their tolerance from dt
+        # the table's grid is derived from dt, and a file's grid is checked against it
         with pytest.raises(ValidationError, match="table spacing dt must be finite and > 0"):
-            ffw.FeedforwardTable(dt=dt, t=np.zeros(1), u=np.zeros(1))
+            ffw.FeedforwardTable(dt=dt, u=np.zeros(1))
 
-    @pytest.mark.parametrize("t, u", [(np.zeros(3), np.zeros(2)),
-                                      (np.zeros((2, 2)), np.zeros((2, 2)))])
-    def test_table_arrays_of_another_shape_rejected(self, t, u):
+    def test_table_arrays_of_another_shape_rejected(self):
         with pytest.raises(ValidationError, match="1-D and equally long"):
-            ffw.FeedforwardTable(dt=0.1, t=t, u=u)
+            ffw.FeedforwardTable(dt=0.1, u=np.zeros((2, 2)))
+
+    def test_table_owns_a_read_only_copy_of_its_samples_on_a_derived_grid(self):
+        caller = np.zeros(4)
+        table = ffw.FeedforwardTable(dt=0.1, u=caller)
+        caller[0] = 1.0  # the caller's array stays writable
+        assert table.u.tolist() == [0.0] * 4 and not np.shares_memory(table.u, caller)
+        assert np.array_equal(table.t, np.arange(4) * 0.1)
+        assert not (table.t.flags.writeable or table.u.flags.writeable)
+
+    def test_tables_from_views_of_one_changing_array_write_their_own_torques(self, tmp_path):
+        # the writer memo keeps a table's columns; a table that viewed the
+        # caller's array would let the second write reuse the first's text
+        caller = np.array([0.15, 0.25, 0.5, 1.0])  # not one value throughout, which the memo skips
+        with mock.patch.object(ffw.csvfile, "_memo", {}):
+            write_table_csv(ffw.FeedforwardTable(dt=0.1, u=caller[:]), tmp_path / "first.csv")
+            caller *= 2.0
+            write_table_csv(ffw.FeedforwardTable(dt=0.1, u=caller[:]), tmp_path / "second.csv")
+        assert read_table_csv(tmp_path / "first.csv").u.tolist() == [0.15, 0.25, 0.5, 1.0]
+        assert read_table_csv(tmp_path / "second.csv").u.tolist() == [0.3, 0.5, 1.0, 2.0]
+
+    def test_samples_header_must_count_the_rows(self, tmp_path):
+        write_table_csv(ffw.FeedforwardTable(dt=0.1, u=np.zeros(4)), tmp_path / "table.csv")
+        head, rows = (tmp_path / "table.csv").read_text().split("t,u_ffw\n")
+        assert head.endswith("|samples=4\n")
+        (tmp_path / "cut.csv").write_text(head + "t,u_ffw\n" + rows.splitlines(keepends=True)[0])
+        with pytest.raises(ValidationError, match="samples=4, file has 1 rows"):
+            read_table_csv(tmp_path / "cut.csv")
+        (tmp_path / "bare.csv").write_text(head.replace("|samples=4", "") + "t,u_ffw\n" + rows)
+        assert len(read_table_csv(tmp_path / "bare.csv")) == 4
 
     def test_missing_dt_header_rejected(self, tmp_path):
         path = tmp_path / "broken.csv"
