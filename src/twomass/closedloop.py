@@ -16,9 +16,9 @@ compute one step of the feedforward torque, evaluate the funnel law
 ``-psi^2 e / (psi^2 - e^2)`` on the measured error, sum, hold.  The loop
 writes the sensor and the law itself, so that a tick makes one call into
 the plant and, with an online inverse model, one into the stepper.  A
-funnel violation (``|e| >= psi``) or a failed feedforward step terminates
-the run and stamps the status: continuing past either event would fabricate
-dynamics the controller cannot produce.
+funnel violation (``psi^2 - e^2 <= 0``: every ``|e| >= psi``) or a failed
+feedforward step terminates the run and stamps the status: continuing past
+either event would fabricate dynamics the controller cannot produce.
 """
 
 from __future__ import annotations
@@ -232,18 +232,18 @@ def run_simulation(config: SimulationConfig) -> Trace:
                 newton_v[k] = stepper.last_iterations
                 ffw_v[k] = u_ffw
         if funnel is not None:
-            # undefined from the band edge out: the two tests reject what
-            # abs(e) >= psi rejects, and pass NaN as it does
+            # defined where its denominator psi^2 - e^2 is positive; NaN passes
             e, psi_k = y - y_ref_v[k], psi_v[k]
-            if e >= psi_k or -e >= psi_k:
+            p2 = psi_k * psi_k
+            room = p2 - e * e
+            if room <= 0.0:
                 if k == 0:
                     raise ValidationError(
                         f"initial error {e:.6g} is not inside the funnel width {psi_k:.6g}"
                     )
                 status = RunStatus("funnel_violated", at=k * dt)
                 break
-            p2 = psi_k * psi_k
-            u_fb = -(p2 / (p2 - e * e)) * e
+            u_fb = -(p2 / room) * e
             fb_v[k] = u_fb
         u = u_ffw + u_fb
         if u_max is not None:
@@ -325,7 +325,8 @@ def _psi_column(funnel: FunnelSpec, dt: float, n_rows: int):
     ``s * math.exp(-q_decay * t) + c`` at every tick, where ``np.exp`` is not.
     """
     exponent = np.arange(n_rows) * dt
-    exponent *= -funnel.q_decay
+    with np.errstate(over="ignore"):  # -inf: exp gives 0.0, as the scalar form does
+        exponent *= -funnel.q_decay
     column = np.fromiter(map(math.exp, memoryview(exponent)), float, n_rows)
     column *= funnel.s
     column += funnel.c

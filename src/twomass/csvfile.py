@@ -41,9 +41,9 @@ of the same bits.  It joins each batch's rows into one
 newline-terminated text block, so no Python code runs per row between the
 cells and the file, and ends every line with ``"\\n"`` on every platform.
 
-The reader first scans a file's bytes: it counts the newlines and finds
-whether any ``"\\r"`` is there.  A file with one is read into memory, as a
-pipe is, and its ``"\\r\\n"`` and lone ``"\\r"`` become ``"\\n"``, as in
+The reader first scans a file's bytes (a pipe's, read into memory): it
+counts the lines and finds whether any ``"\\r"`` is there.  If one is, each
+``"\\r\\n"`` and lone ``"\\r"`` becomes ``"\\n"`` as a block is read, as in
 text mode.  The rows are read 64 KiB at a time straight into one buffer
 and cut after the last newline, and every cell of a block is parsed
 together in numpy, bit for bit what ``float()`` reads: the digits and the
@@ -722,14 +722,35 @@ def _bad_row(lines, n: int, path, kind: str) -> None:
 
 
 def _scan(raw) -> tuple[int, bool]:
-    """The lines of binary file ``raw`` split at ``"\\n"``, whether it holds a ``"\\r"``, and ``raw`` back at its start."""
+    """The lines of binary file ``raw``, each ended by a ``"\\n"``, a ``"\\r\\n"`` or a lone ``"\\r"``, whether it holds a ``"\\r"``, and ``raw`` back at its start."""
     count, last, cr = 0, b"\n", False
     while block := raw.read(_BLOCK):
         count += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
-        last = block[-1:]
         cr = cr or b"\r" in block
+        if cr:  # each "\r" ends a line but one that a "\n" follows, here or in the next block
+            count += block.count(b"\r") - block.count(b"\r\n") - (last + block[:1] == b"\r\n")
+        last = block[-1:]
     raw.seek(0)
-    return count + (last != b"\n"), cr
+    return count + (last not in b"\r\n"), cr
+
+
+class _Newlines(io.RawIOBase):
+    """Binary file ``raw`` read with each ``"\\r\\n"`` and lone ``"\\r"`` as ``"\\n"``, a block at a time."""
+
+    def __init__(self, raw):
+        self.raw, self.cr = raw, False  # whether the last block read ended in "\r"
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        block = self.raw.read(len(buf))
+        if self.cr and block[:1] == b"\n":  # a "\r\n" cut between two blocks
+            block = block[1:] or self.raw.read(len(buf))
+        self.cr = block[-1:] == b"\r"
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        buf[:len(block)] = block
+        return len(block)
 
 
 def _header(raw, path, kind: str, column_line: str) -> tuple[dict, int]:
@@ -801,15 +822,14 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
     """Read a file of ``kind`` with exactly ``columns``: its header dict and a float array.
 
     The array has one row per data row, each cell read bit for bit, an empty
-    one as NaN; a cell off the module docstring's grammar raises.  A first
-    pass counts the file's newlines and finds whether it holds a
-    ``"\\r"``.  A pipe, or a file with a ``"\\r"``, is read into memory
-    first; there ``"\\r\\n"`` and a lone ``"\\r"`` become ``"\\n"``, as text
-    mode reads them, and the newlines are counted again.  The rows are
-    read ``_BLOCK`` bytes at a time, every cell of a block parsed together
-    in numpy (the module docstring says which cells go to ``float()``),
-    into one array of that many rows.  A ParseError names the first bad
-    row or undecodable byte.
+    one as NaN; a cell off the module docstring's grammar raises.  A pipe
+    is read into memory first.  A first pass counts the lines, each ended
+    as text mode ends it, and finds whether the file holds a ``"\\r"``; if
+    so, each ``"\\r\\n"`` and lone ``"\\r"`` becomes ``"\\n"`` as a block is
+    read.  The rows are read ``_BLOCK`` bytes at a time, every cell of a
+    block parsed together in numpy (the module docstring says which cells
+    go to ``float()``), into one array of that many rows.  A ParseError
+    names the first bad row or undecodable byte.
     """
     column_line = ",".join(columns)
     n = len(columns)
@@ -819,8 +839,7 @@ def read(path, kind: str, columns) -> tuple[dict, np.ndarray]:
                 raw = io.BytesIO(raw.read())
             count, cr = _scan(raw)
             if cr:
-                raw = io.BytesIO(raw.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
-                count, _ = _scan(raw)
+                raw = io.BufferedReader(_Newlines(raw))
             header, seen = _header(raw, path, kind, column_line)
             data = _read_blocks(raw, n, max(count - seen, 0), path, kind)
     except UnicodeDecodeError as err:

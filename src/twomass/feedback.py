@@ -4,10 +4,12 @@ The controller confines the tracking error ``e = y - y_ref`` to the time
 varying band ``|e(t)| < psi(t)`` with the law ``u = -psi^2 e / (psi^2 - e^2)``
 (Berger, Ilchmann and Ryan, "Funnel control of nonlinear systems", MCSS
 2021).  It uses no plant parameters; the gain grows without bound as the
-error approaches the band, which is what pushes the error back.  Outside the
-band the law is undefined.  This module holds the band; the law is written
-once, in the tick loop of :func:`twomass.closedloop.run_simulation`, which
-stops the run at a violation.
+error approaches the band, which is what pushes the error back.  The law is
+defined where its denominator ``psi^2 - e^2`` is positive, so nowhere with
+``|e| >= psi``.  This module holds the band; the law is written once, in the
+tick loop of :func:`twomass.closedloop.run_simulation`, which tests that
+denominator before it divides by it and stops the run where it is not
+positive.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ class FunnelSpec:
     requires.  (``q_decay`` is named apart from the generalized coordinates ``q``.)
     The law squares the width, so ``(s + c)**2``, the square of the widest
     band, must be finite and ``c*c``, that of the narrowest, must be positive.
+    That check keeps the narrowest band meaningful, since with ``c*c == 0`` it
+    would admit no error, not even 0.  It does not keep the loop from a
+    crash: the loop stops wherever ``psi^2 - e^2 <= 0``.
     """
 
     s: float

@@ -77,12 +77,18 @@ def _snap(t: np.ndarray, dt: float, a: float, b: float) -> tuple[int, int]:
     # Window endpoints meet a discrete grid; snap to the nearest tick with
     # ties resolved toward the interior.  At kilohertz rates the snap error is
     # below half a millisecond and immaterial.
+    # An end whose tick index is beyond the float range lies beyond every
+    # sample: a Python float, unlike numpy's, overflows to inf with no warning.
     if b < a:
         raise WindowOutOfRange(f"window [{a}, {b}] is reversed")
-    ia = math.floor((a - t[0]) / dt + 0.5)
-    ib = math.ceil((b - t[0]) / dt - 0.5)
-    if ib < ia:  # degenerate window between two ticks
-        ia = ib = round((0.5 * (a + b) - t[0]) / dt)
+    t0 = float(t[0])
+    try:
+        ia = math.floor((a - t0) / dt + 0.5)
+        ib = math.ceil((b - t0) / dt - 0.5)
+        if ib < ia:  # degenerate window between two ticks
+            ia = ib = round((0.5 * (a + b) - t0) / dt)
+    except OverflowError:  # math.floor, math.ceil or round of an infinite index
+        ia = -1
     if ia < 0 or ib > len(t) - 1:
         raise WindowOutOfRange(
             f"window [{a}, {b}] not covered by samples [{t[0]}, {t[-1]}]"

@@ -30,25 +30,32 @@ def psi(spec, t: float) -> float:
 def funnel_law(y: float, y_ref: float, psi_t: float) -> float:
     """Feedback input ``-psi^2 e / (psi^2 - e^2)``, factored as -gain*e.
 
-    The gain ``psi^2 / (psi^2 - e^2)`` is >= 1 inside the band.  The two
-    comparisons reject what ``abs(e) >= psi_t`` rejects, and pass NaN as it does.
+    The gain ``psi^2 / (psi^2 - e^2)`` is >= 1 inside the band.  The law is
+    defined where its denominator ``psi^2 - e^2`` is positive, so the one test
+    is on the denominator that it divides by: it rejects every error with
+    ``abs(e) >= psi_t`` for a finite ``psi_t >= 0``, and a NaN passes.
     """
     e = y - y_ref
-    if e >= psi_t or -e >= psi_t:
-        raise FunnelViolation(e, psi_t)
     p2 = psi_t * psi_t
-    return -(p2 / (p2 - e * e)) * e
+    room = p2 - e * e
+    if room <= 0.0:
+        raise FunnelViolation(e, psi_t)
+    return -(p2 / room) * e
 
 
 def funnel_gain(y: float, y_ref: float, psi_t: float) -> float:
-    """Dimensionless gain ``psi^2 / (psi^2 - e^2)``; >= 1 inside the band."""
+    """Dimensionless gain ``psi^2 / (psi^2 - e^2)``; >= 1 inside the band.
+
+    Undefined where :func:`funnel_law` is: where the denominator is not positive.
+    """
     e = y - y_ref
-    if abs(e) >= psi_t:
-        raise FunnelViolation(e, psi_t)
     p2 = psi_t * psi_t
-    return p2 / (p2 - e * e)
+    room = p2 - e * e
+    if room <= 0.0:
+        raise FunnelViolation(e, psi_t)
+    return p2 / room
 
 
 def composed_funnel_law(y: float, y_ref: float, psi_t: float) -> float:
-    """The law as the gain, with ``abs`` at the band, times the error."""
+    """The law as the gain times the error."""
     return -funnel_gain(y, y_ref, psi_t) * (y - y_ref)

@@ -830,6 +830,8 @@ class TestSharedColumns:
         frequency=st.floats(1.0, 20_000.0),
         n_rows=st.integers(1, 3000),
     )
+    # the exponent -q_decay t overflows to -inf after tick 0: a width of c
+    @example(funnel=FunnelSpec(5.0, 1.7e308, 0.3), frequency=1000.0, n_rows=1501)
     def test_psi_column_is_the_width_at_each_tick_to_the_bit(self, funnel, frequency, n_rows):
         dt = 1.0 / frequency
         fresh = [psi(funnel, k * dt) for k in range(n_rows)]

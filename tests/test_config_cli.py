@@ -25,6 +25,7 @@ from twomass.cli import main
 from twomass.closedloop import read_trace_csv, run_simulation
 from twomass.config import (
     CONFIG_FIELDS,
+    FLOAT,
     ControllerMode,
     FeedforwardSource,
     MeasurementModel,
@@ -890,7 +891,10 @@ class TestCli:
          pytest.param(_table_with_torque("0.0", samples=4), id="table-samples-not-the-row-count"),
          *OFF_GRAMMAR,
          # the metrics file would hold two config lines of that label
-         pytest.param(_repeated_label_with_output, id="analyze-output-repeated-label")],
+         pytest.param(_repeated_label_with_output, id="analyze-output-repeated-label"),
+         # a valid tf whose window end is a tick index beyond the float range
+         pytest.param(_trace_with_echo("trajectory.tf", "1.7e+308"),
+                      id="echo-window-end-beyond-the-float-range")],
     )
     def test_bad_file_exits_2_with_one_line(self, tmp_path, capsys, case):
         argv, path = case(tmp_path)
@@ -1061,6 +1065,63 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("demo: error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_an_error_whose_square_rounds_to_the_bands_exits_2_with_one_line(self, tmp_path,
+                                                                             capsys):
+        # c*c is subnormal and e*e rounds to it, so psi^2 - e^2, the law's
+        # denominator, is 0 at tick 0: the error is not inside the band
+        text = FEEDBACK_CONFIG.replace("[measurement]\nnoise_std = 0.02\n", "")
+        for old, new in [("duration = 0.5", "duration = 0.01"),
+                         ("y0 = 0.0\nyf = 12.566370614359172\nt0 = 0.0\ntf = 10.0",
+                          "y0 = -0.99e-161\nyf = -0.99e-161\nt0 = 0.0\ntf = 1.0"),
+                         ("s = 5.0\nq_decay = 0.3\nc = 0.3", "s = 0.0\nq_decay = 0.0\nc = 1e-161")]:
+            assert old in text
+            text = text.replace(old, new)
+        path = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a line of its own
+            assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "demo: error: initial error 9.9e-162 is not inside the funnel width 1e-161\n")
+
+    def test_a_window_end_beyond_the_float_range_is_noted_in_the_summary(self, tmp_path, capsys):
+        # tf = 1.7e308 is a valid reference, but its window's last tick index
+        # is not a float: the window is not covered, and the run still completes
+        path = write_config(tmp_path, FULL_CONFIG.replace("tf = 10.0", "tf = 1.7e308"))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a line of its own
+            assert main(["simulate", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = (out / "demo-summary.txt").read_text()
+        assert "note: window [0.0, 1.7e+308] not covered by samples [0.0, 0.5]\n" in summary
+
+    @pytest.mark.parametrize("value", ["5e-324", "1e-161", "1.7e308", "-1.7e308", "-0.0"])
+    @pytest.mark.parametrize("name", [row.name for row in CONFIG_FIELDS
+                                      if row.ini and row.kind is FLOAT])
+    def test_every_number_at_its_extremes_ends_in_a_code_or_one_line(self, tmp_path, name,
+                                                                      value):
+        # each number of a config file set alone to an extreme in the combined
+        # config: it runs, fails or is refused with one line, and never raises
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(FULL_CONFIG.replace("duration = 0.5", "duration = 1.5"))
+        section, key = name.rsplit(".", 1)
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section][key] = value
+        path = tmp_path / "run.ini"
+        with open(path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("error")  # a warning would print a line of its own
+            code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code in (0, 1, 2)
+        # a run's status goes to stdout; only a refusal prints, its one line
+        err = err.getvalue()
+        assert err.count("\n") == (code == 2) and err.count("error: ") == (code == 2)
 
     def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
         # under the C locale without UTF-8 mode, the locale's encoding is ASCII

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import math
 import struct
 import sys
@@ -829,13 +830,17 @@ def test_read_holds_little_beside_its_array(tmp_path):
 
 def test_reading_a_sweep_trace_holds_little_beside_its_array(tmp_path, sweep_trace):
     # short cells put the most cells in a block, so the parser's arrays for
-    # one block are at their largest beside the array: 1.27 times it
+    # one block are at their largest beside the array: 1.27 times it.  Its
+    # CRLF copy is translated a block at a time as it is read, never held whole
     path = tmp_path / "trace.csv"
     with mock.patch.object(csvfile, "_memo", {}):
         write_trace_csv(sweep_trace, path)
-    (_, data), peak = _peak(csvfile.read, path, "trace", tuple(TRACE_COLUMNS.split(",")))
-    assert data.shape == (30_001, 10)
-    assert peak <= 1.3 * data.nbytes
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for name in (path, crlf):
+        (_, data), peak = _peak(csvfile.read, name, "trace", tuple(TRACE_COLUMNS.split(",")))
+        assert data.shape == (30_001, 10)
+        assert peak <= 1.3 * data.nbytes, name
 
 
 def _write_trace_of(path, arrays):
@@ -1154,6 +1159,20 @@ def test_hostile_long_files_are_the_per_row_read(tmp_path, hostile, columns, blo
             assert _read_outcome(csvfile.read, path, columns) == expected
             with piped(path) as name:
                 assert _read_outcome(csvfile.read, name, columns) == _named(expected, path, name)
+
+
+def test_a_line_end_cut_between_two_blocks_ends_one_line():
+    # every cut of "\r\n", "\r\r\n" and a lone "\r" between two blocks: the
+    # scan counts the lines that text mode reads, and the reader translates
+    # each line end to one "\n"
+    text = b"a\r\nb\rc\r\r\nd\n\re\r"
+    for size in range(1, len(text) + 1):
+        with mock.patch.object(csvfile, "_BLOCK", size):
+            assert csvfile._scan(io.BytesIO(text)) == (7, True), size
+        raw, buf, read = csvfile._Newlines(io.BytesIO(text)), bytearray(size), b""
+        while got := raw.readinto(buf):
+            read += buf[:got]
+        assert read == b"a\nb\nc\n\nd\n\ne\n", size
 
 
 @settings(max_examples=100)
